@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -39,7 +40,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 		repro.StaircaseRamp(3, 0.1, 0.9, 6, 40),
 		repro.Idle(180),
 	}
-	corpus := repro.CollectCorpus(cfg, loads, 0)
+	corpus, err := repro.CollectCorpusContext(context.Background(), cfg, loads, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(corpus) < 1000 {
 		t.Fatalf("corpus = %d records", len(corpus))
 	}
@@ -48,9 +52,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	phone := repro.NewPhone(cfg)
-	phone.SetController(repro.NewUSTA(pred, repro.DefaultLimitC))
-	res := phone.Run(repro.WorkloadByName("skype", 4), 600)
+	s, err := repro.NewSession(repro.WithController(repro.NewUSTA(pred, repro.DefaultLimitC)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.RunFor(context.Background(), repro.WorkloadByName("skype", 4), 600)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.MaxSkinC < 26 || res.MaxSkinC > 45 {
 		t.Fatalf("implausible peak skin %.1f", res.MaxSkinC)
 	}

@@ -160,15 +160,15 @@ func TestCompareReportsNewBenchmarks(t *testing.T) {
 		"BenchmarkFleetRun/workers-1": {"ns/op": 1e9, "jobs/sec": 900},
 	}
 	pr := metrics{
-		"BenchmarkFleetRun/workers-1": {"ns/op": 1e9, "jobs/sec": 905},
-		"BenchmarkFleetRun/batched":   {"ns/op": 5e8, "jobs/sec": 1800, "peak-C": 38.0},
+		"BenchmarkFleetRun/workers-1":                 {"ns/op": 1e9, "jobs/sec": 905},
+		"BenchmarkFleetRun/workers-1-tracefree-event": {"ns/op": 5e8, "jobs/sec": 1800, "peak-C": 38.0},
 	}
 	var out strings.Builder
 	if n, _ := compare(seed, pr, 0.25, gateSpec{}, &out); n != 0 {
 		t.Fatalf("new benchmark counted as regression:\n%s", out.String())
 	}
 	text := out.String()
-	if !strings.Contains(text, "+ BenchmarkFleetRun/batched") || !strings.Contains(text, "new, no baseline") {
+	if !strings.Contains(text, "+ BenchmarkFleetRun/workers-1-tracefree-event") || !strings.Contains(text, "new, no baseline") {
 		t.Fatalf("new benchmark not reported:\n%s", text)
 	}
 	if strings.Contains(text, "peak-C") {

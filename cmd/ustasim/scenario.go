@@ -19,9 +19,8 @@ import (
 // An optional JSONL path streams every telemetry sample; an optional CSV
 // directory receives the aggregate tables. shards != 0 fans the grid out
 // across worker subprocesses, a non-empty hosts list dispatches shards to
-// long-lived `ustaworker -listen` daemons over TCP (overriding shards),
-// and batch runs cohorts of grid cells in lockstep on the batched engine —
-// aggregates and streams are identical under every combination.
+// long-lived `ustaworker -listen` daemons over TCP (overriding shards) —
+// aggregates and streams are identical under every choice.
 // localFallback lets a hosts run finish on the in-process pool when every
 // host stays down past the coordinator's recovery deadline. event selects
 // the stepping engine (off|tick|oracle|jump; see repro.EventMode). walPath
@@ -77,9 +76,6 @@ func runScenario(o cliOptions, out io.Writer) error {
 		}
 	case o.shards != 0:
 		opts = append(opts, repro.ScenarioShards(o.shards))
-	}
-	if o.batch {
-		opts = append(opts, repro.WithBatchedRunner())
 	}
 	if mode != repro.EventOff {
 		opts = append(opts, repro.ScenarioEventMode(mode))

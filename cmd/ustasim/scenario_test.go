@@ -139,67 +139,6 @@ trace_free: true
 	return specPath
 }
 
-// TestRunScenarioBatchSmoke is the CLI half of the batched-engine
-// acceptance: `-batch` (alone and combined with `-shards`) must stream the
-// same number of samples and write byte-identical aggregate tables as the
-// default runner.
-func TestRunScenarioBatchSmoke(t *testing.T) {
-	dir := t.TempDir()
-	specPath := writeSmokeSpec(t, dir)
-
-	type runOut struct {
-		samples int
-		tables  map[string]string
-	}
-	run := func(label string, shards int, batch bool) runOut {
-		t.Helper()
-		jsonl := filepath.Join(dir, label+".jsonl")
-		csvDir := filepath.Join(dir, label)
-		var out strings.Builder
-		if err := runScenario(scenOpts(specPath, func(o *cliOptions) {
-			o.workers = 2
-			o.shards = shards
-			o.batch = batch
-			o.jsonlPath = jsonl
-			o.csvDir = csvDir
-		}), &out); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		data, err := os.ReadFile(jsonl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ro := runOut{samples: strings.Count(string(data), "\n"), tables: map[string]string{}}
-		for _, f := range []string{"comfort.csv", "heatmap.csv"} {
-			tb, err := os.ReadFile(filepath.Join(csvDir, f))
-			if err != nil {
-				t.Fatalf("%s: aggregate %s not written: %v", label, f, err)
-			}
-			ro.tables[f] = string(tb)
-		}
-		return ro
-	}
-
-	local := run("local", 0, false)
-	if local.samples == 0 {
-		t.Fatal("local run streamed no samples")
-	}
-	for _, tc := range []struct {
-		label  string
-		shards int
-	}{{"batched", 0}, {"batched_sharded", 2}} {
-		got := run(tc.label, tc.shards, true)
-		if got.samples != local.samples {
-			t.Fatalf("%s streamed %d samples, local %d", tc.label, got.samples, local.samples)
-		}
-		for f, want := range local.tables {
-			if got.tables[f] != want {
-				t.Fatalf("%s aggregate %s differs from local:\n%s\nvs\n%s", tc.label, f, got.tables[f], want)
-			}
-		}
-	}
-}
-
 // TestRunScenarioHostsSmoke is the CLI half of the networked-fleet
 // acceptance: `-hosts` pointed at two live worker daemons must stream the
 // same number of samples and write byte-identical aggregate tables as the
@@ -338,7 +277,7 @@ func TestProfileFlagsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := runScenario(scenOpts(specPath, func(o *cliOptions) { o.workers = 1; o.batch = true }), &out); err != nil {
+	if err := runScenario(scenOpts(specPath, func(o *cliOptions) { o.workers = 1 }), &out); err != nil {
 		stop()
 		t.Fatal(err)
 	}

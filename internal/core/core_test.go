@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,17 @@ import (
 	"repro/internal/sensors"
 	"repro/internal/workload"
 )
+
+// mustCollect collects a full-length training corpus, failing the test on
+// a configuration error.
+func mustCollect(t *testing.T, cfg device.Config, loads []workload.Workload) []sensors.Record {
+	t.Helper()
+	corpus, err := CollectCorpusContext(context.Background(), cfg, loads, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return corpus
+}
 
 // testCorpus builds a small but diverse training corpus quickly.
 func testCorpus(t *testing.T) []sensors.Record {
@@ -24,7 +36,7 @@ func testCorpus(t *testing.T) []sensors.Record {
 	}
 	// Full-length Skype matters: the corpus must cover the hot regime
 	// (skin ≈ 40 °C) or tree predictions saturate below reality.
-	corpus := CollectCorpus(cfg, loads, 0)
+	corpus := mustCollect(t, cfg, loads)
 	if len(corpus) < 1000 {
 		t.Fatalf("corpus too small: %d records", len(corpus))
 	}

@@ -57,26 +57,15 @@ func DatasetFromRecords(recs []sensors.Record, target Target) *ml.Dataset {
 	return d
 }
 
-// CollectCorpus runs each workload on a fresh phone under the stock
+// CollectCorpusContext runs each workload on a fresh phone under the stock
 // ondemand governor and returns the concatenated training log. maxPerRun
 // truncates each workload (<= 0 runs them in full); tests use short
-// truncations, the paper-scale experiments run everything.
-//
-// Deprecated: use CollectCorpusContext, which reports configuration errors
-// and honors cancellation. CollectCorpus returns nil on invalid configs.
-func CollectCorpus(cfg device.Config, loads []workload.Workload, maxPerRun float64) []sensors.Record {
-	corpus, err := CollectCorpusContext(context.Background(), cfg, loads, maxPerRun, 0)
-	if err != nil {
-		return nil
-	}
-	return corpus
-}
-
-// CollectCorpusContext is CollectCorpus with cancellation and a bounded
-// worker pool (workers <= 0: GOMAXPROCS). The runs are independent — one
-// fresh phone per workload, seeds derived from the workload index — so the
-// concatenated log is identical at any worker count: per-workload logs are
-// collected in parallel but stitched together in input order.
+// truncations, the paper-scale experiments run everything. Runs fan out
+// across a bounded worker pool (workers <= 0: GOMAXPROCS) and honor ctx.
+// They are independent — one fresh phone per workload, seeds derived from
+// the workload index — so the concatenated log is identical at any worker
+// count: per-workload logs are collected in parallel but stitched together
+// in input order.
 func CollectCorpusContext(ctx context.Context, cfg device.Config, loads []workload.Workload, maxPerRun float64, workers int) ([]sensors.Record, error) {
 	if ctx == nil {
 		ctx = context.Background()

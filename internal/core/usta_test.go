@@ -27,7 +27,7 @@ func predictor(t *testing.T) *Predictor {
 	}
 	// Full-length runs: the corpus must reach the hot regime, or the tree
 	// saturates below the true temperatures and USTA never wakes up.
-	corpus := CollectCorpus(cfg, loads, 0)
+	corpus := mustCollect(t, cfg, loads)
 	p, err := Train(corpus, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestUSTAWithStalePredictorStillBounded(t *testing.T) {
 	// corpus (idle only) misestimates — USTA must still keep the clamp
 	// inside the valid level range and never crash.
 	cfg := device.DefaultConfig()
-	corpus := CollectCorpus(cfg, []workload.Workload{workload.Idle(300)}, 0)
+	corpus := mustCollect(t, cfg, []workload.Workload{workload.Idle(300)})
 	bad, err := Train(corpus, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -228,14 +228,14 @@ func TestUSTAWithStalePredictorStillBounded(t *testing.T) {
 
 func TestCollectCorpusSeparatesSeeds(t *testing.T) {
 	cfg := device.DefaultConfig()
-	a := CollectCorpus(cfg, []workload.Workload{workload.Idle(120)}, 0)
-	b := CollectCorpus(cfg, []workload.Workload{workload.Idle(120)}, 0)
+	a := mustCollect(t, cfg, []workload.Workload{workload.Idle(120)})
+	b := mustCollect(t, cfg, []workload.Workload{workload.Idle(120)})
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatalf("corpus sizes: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("CollectCorpus is not deterministic")
+			t.Fatal("CollectCorpusContext is not deterministic")
 		}
 	}
 }

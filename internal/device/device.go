@@ -340,8 +340,8 @@ func (p *Phone) Run(w workload.Workload, dur float64) *RunResult {
 // between simulation steps, so cancellation or a deadline stops the run
 // within one StepSec of simulated progress. On early stop it returns the
 // partial result aggregated over the steps that did execute, together with
-// the context's error. The loop body lives in StepRun — the same ticks the
-// fleet's batched runner drives in lockstep.
+// the context's error. The loop body lives in StepRun, whose ticks the
+// event engine also replays.
 func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64) (*RunResult, error) {
 	r := p.StartRun(w, dur)
 	for r.Done() < r.Steps() {
@@ -355,26 +355,11 @@ func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64
 	return r.Finish(nil)
 }
 
-// step advances one base tick, sampling the workload through the run's
-// sampler (a Cursored fast path when the workload offers one). It returns
-// the workload's CPU demand in aggregate core-MHz so RunContext can
-// account work without re-sampling the workload. The tick is split around
-// the thermal integration — stepPre (demand, power injection, touch),
-// Network.Step, stepPost (clock, sensors, governor, controller) — so the
-// fleet's lockstep batch engine can advance many phones' thermal networks
-// with one fused kernel while running the exact same pre/post code per
-// phone.
-func (p *Phone) step(at func(float64) workload.Sample, dt float64) (demandMHz float64) {
-	demand := p.stepPre(at(p.timeSec), dt)
-	p.net.Step(dt)
-	p.stepPost(dt)
-	return demand
-}
-
 // stepPre runs everything that precedes the tick's thermal integration:
 // workload demand → utilization, power computation and injection, battery
 // thermals, and hand-contact switching. It returns the workload's CPU
-// demand in aggregate core-MHz.
+// demand in aggregate core-MHz. A tick is stepPre, Network.Step, then
+// stepPost (StepRun.PreStep/PostStep).
 func (p *Phone) stepPre(sample workload.Sample, dt float64) (demandMHz float64) {
 	// 1. Demand → utilization at the current operating point.
 	demand := sample.CPUFrac * p.cpu.MaxCapacityMHz()

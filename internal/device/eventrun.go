@@ -99,8 +99,8 @@ func ParseEventMode(s string) (EventMode, error) {
 }
 
 // EventRun drives a StepRun segment by segment instead of tick by tick.
-// Construct with NewEventRun (or Phone.StartEventRun) and call Segment
-// until Active reports false, then Finish.
+// Construct with Phone.StartEventRun and call Segment until Active
+// reports false, then Finish.
 type EventRun struct {
 	r    *StepRun
 	mode EventMode
@@ -124,21 +124,20 @@ type EventRun struct {
 	lad    [2]*thermal.Ladder
 }
 
-// NewEventRun wraps an open StepRun in the event engine. w must be the
-// workload the run was started with (it supplies the boundary query).
-// Modes that fold segments degrade to EventTick when the workload has no
-// boundary query or the device runs the hotplug policy (whose online-core
-// changes invalidate held capacity).
-func NewEventRun(r *StepRun, w workload.Workload, mode EventMode) *EventRun {
+// StartEventRun opens a tick-controlled run of w (StartRun) and wraps it
+// in the event engine. Modes that fold segments degrade to EventTick when
+// the workload has no boundary query or the device runs the hotplug
+// policy (whose online-core changes invalidate held capacity).
+func (p *Phone) StartEventRun(w workload.Workload, dur float64, mode EventMode) *EventRun {
+	r := p.StartRun(w, dur)
 	e := &EventRun{r: r, mode: mode}
 	if mode >= EventOracle {
 		e.boundary = workload.NextChangeOf(w)
-		if e.boundary == nil || r.p.hotplug != nil {
+		if e.boundary == nil || p.hotplug != nil {
 			e.mode = EventTick
 		}
 	}
 	if e.mode >= EventOracle {
-		p := r.p
 		dt := r.dt
 		e.taps = []thermal.Tap{
 			{Node: p.nodes.Die, Alpha: p.cpuSensor.Alpha(dt)},
@@ -149,12 +148,6 @@ func NewEventRun(r *StepRun, w workload.Workload, mode EventMode) *EventRun {
 		e.states = make([]float64, len(e.taps))
 	}
 	return e
-}
-
-// StartEventRun opens a tick-controlled run of w (StartRun) and wraps it
-// in the event engine.
-func (p *Phone) StartEventRun(w workload.Workload, dur float64, mode EventMode) *EventRun {
-	return NewEventRun(p.StartRun(w, dur), w, mode)
 }
 
 // Run returns the underlying StepRun.

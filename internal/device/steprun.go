@@ -9,16 +9,13 @@ import (
 
 // StepRun is one workload execution under external tick control: the same
 // loop RunContext runs, opened up so a caller can interleave the phone's
-// per-tick work with its own scheduling. The fleet's batched runner drives
-// a whole cohort of StepRuns in lockstep — PreStep on every phone, one
-// batched thermal advance (thermal.Lockstep.Step), PostStep on every
-// phone — and RunContext itself is implemented on a StepRun, so the two
-// paths cannot drift: a lockstep run is byte-identical to a solo run by
-// construction.
+// per-tick work with its own scheduling. RunContext is implemented on a
+// StepRun, and the event engine (EventRun) wraps one and takes its
+// canonical ticks through it, so both engines share that tick code.
 //
-// The tick protocol per step is PreStep → advance p.Network() by Dt —
-// either Network.Step or a lockstep batch — → PostStep. Finish closes the
-// run (idempotent) and returns the aggregated result.
+// The tick protocol per step is PreStep → advance p.Network() by Dt →
+// PostStep. Finish closes the run (idempotent) and returns the aggregated
+// result.
 type StepRun struct {
 	p   *Phone
 	res *RunResult
@@ -85,12 +82,6 @@ func (r *StepRun) Steps() int { return r.steps }
 
 // Done returns how many ticks have completed (PreStep+PostStep pairs).
 func (r *StepRun) Done() int { return r.done }
-
-// Dt returns the base tick length in seconds.
-func (r *StepRun) Dt() float64 { return r.dt }
-
-// Phone returns the phone this run drives.
-func (r *StepRun) Phone() *Phone { return r.p }
 
 // PreStep runs the pre-thermal half of the next tick: workload sampling,
 // power injection and touch switching. The caller must advance the

@@ -56,8 +56,8 @@ type Config struct {
 	// Event selects the stepping engine for every job in the batch (the
 	// zero value is the plain fixed-tick loop; see device.EventMode for
 	// the modes and their exactness guarantees). Every runner honors it —
-	// local, batched, sharded and networked — so a mode choice cannot
-	// change results across deployment shapes beyond what the mode itself
+	// local, sharded and networked — so a mode choice cannot change
+	// results across deployment shapes beyond what the mode itself
 	// guarantees.
 	Event device.EventMode
 }
@@ -112,8 +112,6 @@ type Job struct {
 	// starved host) cannot pin a sweep — or a crash-recovered coordinator —
 	// forever. Wall-clock bounds are inherently nondeterministic; jobs that
 	// hit them report the deadline error rather than silently truncating.
-	// Under BatchRunner a deadline job runs on the solo path (a lockstep
-	// wave advances members together and cannot expire one mid-wave).
 	DeadlineSec float64
 	// Seed, when non-zero, pins the device seed (zero is "unset"
 	// throughout this codebase, so a literal zero seed cannot be pinned
@@ -297,9 +295,7 @@ func runJob(ctx context.Context, cfg *Config, pool *phonePool, i int, job Job) J
 
 // preparePhone resolves job i's seed and builds (or recycles through the
 // batch pool) its fully configured phone: governor, controller, sink
-// observer and trace mode installed. Both the local and the batched runner
-// construct phones through this one function, so a batched job's physics
-// cannot drift from a local one's.
+// observer and trace mode installed.
 func preparePhone(cfg *Config, pool *phonePool, i int, job *Job) (*device.Phone, int64, error) {
 	seed := EffectiveSeed(cfg.Seed, i, job)
 	var gov governor.Governor

@@ -83,9 +83,6 @@ type Runner struct {
 	// Predictor backs "usta" job specs in the workers; serialized once per
 	// run and shipped inside every shard request.
 	Predictor *core.Predictor
-	// Batched selects the cohort-batched lockstep runner inside each
-	// worker. Output is byte-identical either way.
-	Batched bool
 	// ShardSize is the number of jobs per dispatch unit (<= 0: the batch is
 	// split into about four items per host, so one slow shard cannot strand
 	// the run behind it).
@@ -814,7 +811,7 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		connMu.Unlock()
 	}()
 
-	req := baseRequest{pred: pred, workers: cfg.Workers, wantSamples: cfg.Sink != nil, batched: r.Batched, event: int(cfg.Event)}
+	req := baseRequest{pred: pred, workers: cfg.Workers, wantSamples: cfg.Sink != nil, event: int(cfg.Event)}
 	var wg sync.WaitGroup
 	for _, addr := range r.Hosts {
 		wg.Add(1)
@@ -894,7 +891,6 @@ type baseRequest struct {
 	pred        []byte
 	workers     int
 	wantSamples bool
-	batched     bool
 	event       int
 }
 
@@ -1242,7 +1238,6 @@ func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec
 		Workers:     req.workers,
 		Predictor:   req.pred,
 		WantSamples: req.wantSamples,
-		Batched:     req.batched,
 		Event:       req.event,
 		Jobs:        specs,
 	}
@@ -1426,7 +1421,7 @@ func (r *Runner) statsCell() *atomic.Value {
 // PublishStatsTo makes the receiver's future Runs publish their recovery
 // tracker into orig's stats cell (and Stats read from it), so a caller
 // holding orig still observes runs executed on a modified copy.
-// RunScenario uses this when it must attach a predictor or the batched
-// flag to a caller-supplied networked runner; JobServer's per-job clones
+// RunScenario uses this when it must attach a predictor to a
+// caller-supplied networked runner; JobServer's per-job clones
 // deliberately do NOT share, keeping one tracker per job.
 func (r *Runner) PublishStatsTo(orig *Runner) { r.statsDst = orig.statsCell() }

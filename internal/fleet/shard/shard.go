@@ -41,12 +41,6 @@ type Runner struct {
 	// Predictor backs "usta" job specs in the workers; it is serialized
 	// once per run and shipped inside every shard request.
 	Predictor *core.Predictor
-	// Batched makes every worker process execute its shard on the
-	// cohort-batched lockstep runner (fleet.BatchRunner) instead of the
-	// per-job pool — the two perf layers compose: shards fan jobs across
-	// processes, batching fuses the thermal advance inside each. Output is
-	// byte-identical either way.
-	Batched bool
 }
 
 // New creates a shard runner with n worker processes (<= 0: GOMAXPROCS).
@@ -117,7 +111,7 @@ func errResult(i int, job *fleet.Job, err error) fleet.JobResult {
 func (r *Runner) runShard(ctx context.Context, cfg fleet.Config, pred []byte, shardID, start int, jobs []fleet.Job, results []fleet.JobResult, report func(fleet.JobResult)) {
 	// Build the request: spec-less jobs fail here, spec'd jobs get their
 	// seed resolved exactly like the local runner would have.
-	req := &wire.ShardRequest{Workers: cfg.Workers, Predictor: pred, WantSamples: cfg.Sink != nil, Batched: r.Batched, Event: int(cfg.Event)}
+	req := &wire.ShardRequest{Workers: cfg.Workers, Predictor: pred, WantSamples: cfg.Sink != nil, Event: int(cfg.Event)}
 	received := make([]bool, len(jobs))
 	for i := range jobs {
 		if jobs[i].Spec == nil {

@@ -112,11 +112,6 @@ type ShardRequest struct {
 	// WantSamples asks the worker to forward every telemetry sample as a
 	// TypeSample frame tagged with the spec's global index.
 	WantSamples bool `json:"want_samples,omitempty"`
-	// Batched asks the worker to execute its shard on the cohort-batched
-	// lockstep runner (fleet.BatchRunner) instead of the per-job pool.
-	// Results are byte-identical either way; this is purely a throughput
-	// knob for shards whose jobs share device configurations.
-	Batched bool `json:"batched,omitempty"`
 	// Event selects the worker's stepping engine (a device.EventMode
 	// value; 0 is the plain fixed-tick loop). Carried as an int so the
 	// wire package stays free of behavioral coupling; the worker converts

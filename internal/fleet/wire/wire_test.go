@@ -118,6 +118,7 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"newer version with unknown envelope fields", writeRaw([]byte(`{"v":2,"type":"done","future":{}}`)), ErrVersion},
 		{"unknown type", writeRaw([]byte(`{"v":1,"type":"gossip"}`)), ErrBadFrame},
 		{"shard frame without payload", writeRaw([]byte(`{"v":1,"type":"shard"}`)), ErrBadFrame},
+		{"shard frame with unknown batched field", writeRaw([]byte(`{"v":1,"type":"shard","shard":{"jobs":[],"batched":true}}`)), ErrBadFrame},
 		{"sample frame without payload", writeRaw([]byte(`{"v":1,"type":"sample"}`)), ErrBadFrame},
 		{"result frame without payload", writeRaw([]byte(`{"v":1,"type":"result"}`)), ErrBadFrame},
 		{"error frame without message", writeRaw([]byte(`{"v":1,"type":"error"}`)), ErrBadFrame},

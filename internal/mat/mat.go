@@ -109,6 +109,33 @@ func MulVec(a *Dense, x []float64) ([]float64, error) {
 	return out, nil
 }
 
+// MulAddVec computes out = a·x + b·y + u*s + v for one n-vector column
+// (a, b n×n row-major; u, v length-n vectors; s a scalar): the fused dense
+// advance of a linear time-invariant step, the thermal propagator's
+// per-tick kernel. out must not alias x or y. Slices may be longer than
+// required; only the leading n (n×n for a and b) elements are read.
+func MulAddVec(n int, a, b, u, v []float64, s float64, x, y, out []float64) {
+	for i := 0; i < n; i++ {
+		ar := a[i*n : i*n+n : i*n+n]
+		br := b[i*n : i*n+n : i*n+n]
+		// Four independent accumulators break the floating-point add
+		// dependency chain; single-column advances are latency-bound.
+		s0 := u[i]*s + v[i]
+		var s1, s2, s3 float64
+		j := 0
+		for ; j+3 < n; j += 4 {
+			s0 += ar[j]*x[j] + br[j]*y[j]
+			s1 += ar[j+1]*x[j+1] + br[j+1]*y[j+1]
+			s2 += ar[j+2]*x[j+2] + br[j+2]*y[j+2]
+			s3 += ar[j+3]*x[j+3] + br[j+3]*y[j+3]
+		}
+		for ; j < n; j++ {
+			s0 += ar[j]*x[j] + br[j]*y[j]
+		}
+		out[i] = (s0 + s1) + (s2 + s3)
+	}
+}
+
 // AtA returns aᵀa (the Gram matrix), exploiting symmetry.
 func AtA(a *Dense) *Dense {
 	out := NewDense(a.cols, a.cols)

@@ -73,11 +73,6 @@ type Network struct {
 	sig      uint64
 	props    []*propagator
 	forceRK4 bool
-
-	// ownTemps/ownPower/ownTmp hold the network's own state storage while
-	// temps/power/tmp are borrowed from a shared StateBlock column (see
-	// Gather/Scatter); nil when the network owns its state.
-	ownTemps, ownPower, ownTmp []float64
 }
 
 // ErrEmpty is returned when an operation needs at least one node.
@@ -305,18 +300,13 @@ func (n *Network) refresh() {
 		n.k2 = make([]float64, ln)
 		n.k3 = make([]float64, ln)
 		n.k4 = make([]float64, ln)
-		// tmp is checked separately: it may be a borrowed StateBlock column
-		// (see Gather), and reallocating it would silently detach the
-		// network from its lockstep cohort's plane.
-		if cap(n.tmp) < ln {
-			n.tmp = make([]float64, ln)
-		}
+		n.tmp = make([]float64, ln)
 	}
 	n.dirty = false
 }
 
 // Fingerprint returns the network's conductance-configuration signature —
-// the key the propagator caches and the fleet's cohort grouping share.
+// the key the propagator caches and the event engine's ladder cache share.
 // Networks built from identical configurations report identical
 // fingerprints; any capacitance, edge or bath change produces a new one.
 // Refreshes derived state first, so it is not safe to call concurrently
@@ -326,50 +316,6 @@ func (n *Network) Fingerprint() uint64 {
 		n.refresh()
 	}
 	return n.sig
-}
-
-// Gather moves the network's mutable state (temperatures, injected powers,
-// integrator scratch) into column col of a shared StateBlock: the current
-// values are copied in, and the network's temps/power/tmp slices are
-// repointed to borrow the block's columns, so every subsequent
-// SetPower/Temp/advance reads and writes the block directly — the
-// lockstep batch engine advances many gathered networks with one fused
-// mat-mat over adjacent columns. The network's own storage is retained and
-// restored (with the live state copied back) by Scatter. Gathering an
-// already-gathered network into a new block releases the old borrow
-// without copying back.
-func (n *Network) Gather(b *StateBlock, col int) {
-	ln := len(n.temps)
-	if ln > b.n {
-		panic(fmt.Sprintf("thermal: Gather of a %d-node network into a %d-row block", ln, b.n))
-	}
-	// Refresh derived state first: the integrator scratch is allocated
-	// lazily by refresh, and it must exist before ownership is recorded so
-	// a post-borrow refresh never swaps a fresh allocation in under the
-	// block's feet.
-	if n.dirty {
-		n.refresh()
-	}
-	temps, power, tmp := b.column(col, ln)
-	copy(temps, n.temps)
-	copy(power, n.power)
-	if n.ownTemps == nil {
-		n.ownTemps, n.ownPower, n.ownTmp = n.temps, n.power, n.tmp
-	}
-	n.temps, n.power, n.tmp = temps, power, tmp
-}
-
-// Scatter copies the live state back into the network's own storage and
-// releases the borrowed StateBlock columns. A network that was never
-// gathered is untouched.
-func (n *Network) Scatter() {
-	if n.ownTemps == nil {
-		return
-	}
-	copy(n.ownTemps, n.temps)
-	copy(n.ownPower, n.power)
-	n.temps, n.power, n.tmp = n.ownTemps, n.ownPower, n.ownTmp
-	n.ownTemps, n.ownPower, n.ownTmp = nil, nil, nil
 }
 
 // UseRK4 forces subsequent Steps onto the classical RK4 substepping

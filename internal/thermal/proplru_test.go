@@ -77,3 +77,65 @@ func TestSharedPropagatorCacheStaysBounded(t *testing.T) {
 		t.Fatalf("shared cache grew to %d entries, cap is %d", n, maxSharedPropagators)
 	}
 }
+
+// TestPropLRUGetOrBuild pins the single-critical-section cache API: one
+// build per key, hits counted, nil builds not cached.
+func TestPropLRUGetOrBuild(t *testing.T) {
+	c := newPropLRU(4)
+	key := propKey{sig: 99, dt: 0.05}
+	builds := 0
+	build := func() *propagator { builds++; return &propagator{sig: 99, dt: 0.05} }
+	p1 := c.getOrBuild(key, build)
+	p2 := c.getOrBuild(key, build)
+	if p1 == nil || p1 != p2 {
+		t.Fatalf("getOrBuild returned distinct propagators: %p %p", p1, p2)
+	}
+	if builds != 1 {
+		t.Fatalf("build ran %d times, want 1", builds)
+	}
+	hits, misses := c.stats()
+	if hits != 1 || misses != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	}
+	// nil builds (degenerate configurations) are not cached: every lookup
+	// re-misses so the caller can keep falling back to RK4.
+	nilKey := propKey{sig: 100, dt: 0.05}
+	nilBuilds := 0
+	for i := 0; i < 2; i++ {
+		if p := c.getOrBuild(nilKey, func() *propagator { nilBuilds++; return nil }); p != nil {
+			t.Fatal("nil build produced a cached propagator")
+		}
+	}
+	if nilBuilds != 2 {
+		t.Fatalf("nil build ran %d times, want 2 (never cached)", nilBuilds)
+	}
+}
+
+// TestPropagatorForHitsSharedCacheOnce pins the fleet-relevant behaviour:
+// two networks with identical configurations share one matrix-exponential
+// build — the second network's local-cache miss is a shared-cache hit.
+func TestPropagatorForHitsSharedCacheOnce(t *testing.T) {
+	cfg := DefaultPhoneConfig()
+	// A distinctive dt keeps this test's key out of other tests' way.
+	const dt = 0.05 + 1e-9
+	h0, m0 := sharedProps.stats()
+	a, _ := NewPhone(cfg)
+	b, _ := NewPhone(cfg)
+	a.Step(dt)
+	b.Step(dt)
+	h1, m1 := sharedProps.stats()
+	if m1-m0 != 1 {
+		t.Fatalf("shared cache misses = %d, want exactly 1 build for two identical networks", m1-m0)
+	}
+	if h1-h0 != 1 {
+		t.Fatalf("shared cache hits = %d, want exactly 1 (second network reuses the build)", h1-h0)
+	}
+	// Subsequent steps are served by the per-network MRU: no new shared
+	// traffic at all.
+	a.Step(dt)
+	b.Step(dt)
+	h2, m2 := sharedProps.stats()
+	if h2 != h1 || m2 != m1 {
+		t.Fatalf("per-network MRU bypass failed: shared stats moved %d/%d → %d/%d", h1, m1, h2, m2)
+	}
+}

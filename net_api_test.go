@@ -30,8 +30,8 @@ func startNetDaemon(t *testing.T, capacity int) string {
 
 // TestNetRunnerMatchesLocalTable1 is the networked fleet's acceptance
 // test: the paper's Table 1 scenario dispatched to two live TCP worker
-// daemons — non-batched and cohort-batched — must produce byte-identical
-// analytics cells and telemetry to the in-process LocalRunner.
+// daemons must produce byte-identical analytics cells and telemetry to the
+// in-process LocalRunner.
 func TestNetRunnerMatchesLocalTable1(t *testing.T) {
 	spec, err := repro.LoadScenario(table1SpecPath)
 	if err != nil {
@@ -88,17 +88,13 @@ func TestNetRunnerMatchesLocalTable1(t *testing.T) {
 	hosts := []string{startNetDaemon(t, 2), startNetDaemon(t, 2)}
 	ref, refSink := run("local workers=1", repro.ScenarioWorkers(1))
 
-	got, gotSink := run("net 2 daemons", repro.ScenarioRunner(repro.NewNetRunner(hosts)))
-	requireEqual("net 2 daemons", got, ref, gotSink, refSink)
-
-	// WithBatchedRunner (like an injected predictor) makes RunScenario
-	// execute on a modified copy of the caller's runner; the caller's
-	// Stats must still observe that run (ustasim -stats-json depends on
-	// this — regression: the copy used to swallow the tracker).
+	// The injected predictor makes RunScenario execute on a modified copy
+	// of the caller's runner; the caller's Stats must still observe that
+	// run (ustasim -stats-json depends on this — regression: the copy used
+	// to swallow the tracker).
 	nr := repro.NewNetRunner(hosts)
-	got, gotSink = run("net 2 daemons batched",
-		repro.ScenarioRunner(nr), repro.WithBatchedRunner())
-	requireEqual("net 2 daemons batched", got, ref, gotSink, refSink)
+	got, gotSink := run("net 2 daemons", repro.ScenarioRunner(nr))
+	requireEqual("net 2 daemons", got, ref, gotSink, refSink)
 	st := nr.Stats()
 	if len(st.Hosts) != len(hosts) {
 		t.Fatalf("caller runner stats: %d hosts, want %d (run executed on a copy without publishing back)", len(st.Hosts), len(hosts))

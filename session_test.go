@@ -177,16 +177,3 @@ func TestSessionStatePersists(t *testing.T) {
 		t.Fatalf("phone time %.1f, want ≥ ~240 after two 120 s runs", got)
 	}
 }
-
-// TestDeprecatedNewPhoneNoPanic: the compatibility wrapper must not panic
-// on bad input (it returns nil instead).
-func TestDeprecatedNewPhoneNoPanic(t *testing.T) {
-	bad := repro.DefaultDeviceConfig()
-	bad.StepSec = -1
-	if p := repro.NewPhone(bad); p != nil {
-		t.Fatal("NewPhone(bad config) should return nil")
-	}
-	if p := repro.NewPhone(repro.DefaultDeviceConfig()); p == nil {
-		t.Fatal("NewPhone(default config) should succeed")
-	}
-}
