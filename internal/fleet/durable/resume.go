@@ -195,103 +195,86 @@ func CellEntry(res fleet.JobResult, limitC float64, acc *analytics.ViolationAccu
 	return c
 }
 
+// EventMismatchError refuses to resume a sweep journaled under a
+// different stepping-engine mode: finishing it on another engine would
+// mix physics in one result.
+type EventMismatchError struct {
+	// Journaled and Run are the int-coded device.EventMode values of the
+	// journaled submission and of the resuming run.
+	Journaled, Run int
+}
+
+func (e *EventMismatchError) Error() string {
+	return fmt.Sprintf("durable: sweep was journaled under event mode %d, this run uses %d; resume with the original -event", e.Journaled, e.Run)
+}
+
+// Resume is the plan step every sweep goes through. rj is the sweep's
+// replayed journal (nil: a fresh sweep). The journal must have been
+// written under the same event mode (an *EventMismatchError otherwise);
+// when it holds no cell table yet — a fresh sweep, or a crash before
+// expansion — the grid's table is handed to journalCells (nil: not
+// journaled). The plan verifies any journaled table and ledger against
+// the grid (see NewPlan).
+func Resume(grid *scenario.Grid, event int, rj *RecoveredJob, journalCells func([]CellRef) error) (*Plan, error) {
+	var cells []CellRef
+	var done map[int]CellResult
+	if rj != nil {
+		if rj.Sub != nil && rj.Sub.Event != event {
+			return nil, &EventMismatchError{Journaled: rj.Sub.Event, Run: event}
+		}
+		cells, done = rj.Cells, rj.Done
+	}
+	if cells == nil && journalCells != nil {
+		if err := journalCells(GridCells(grid)); err != nil {
+			return nil, err
+		}
+	}
+	return NewPlan(grid, cells, done)
+}
+
 // OpenSweep opens (or creates) a single-sweep WAL for a local run — the
-// `ustasim -wal` path. A fresh file is initialized with the submission
-// and cell table. An existing non-empty file requires resume=true: its
-// ledger is verified against the grid and returned as the plan; a
-// non-empty file without resume is refused rather than overwritten. The
-// journaled event mode must match the current run's.
+// `ustasim -wal` path. A fresh (or header-only) file is initialized with
+// the submission and cell table. An existing journal requires
+// resume=true, and is then verified through Resume — same event mode,
+// same grid — and returned with its plan; a journal without resume is
+// refused rather than overwritten.
 func OpenSweep(path string, grid *scenario.Grid, spec json.RawMessage, event int, resume bool) (*JobLog, *Plan, error) {
 	fi, statErr := os.Stat(path)
-	fresh := os.IsNotExist(statErr) || (statErr == nil && fi.Size() == 0)
 	if statErr != nil && !os.IsNotExist(statErr) {
 		return nil, nil, statErr
 	}
-	if !fresh && !resume {
-		return nil, nil, fmt.Errorf("durable: %s already journals a sweep; pass -resume to continue it or remove the file", path)
-	}
-
-	if fresh {
-		w, err := Create(path)
-		if err != nil {
+	var w *WAL
+	var err error
+	rj := &RecoveredJob{ID: "sweep"}
+	if statErr == nil && fi.Size() > 0 {
+		if !resume {
+			return nil, nil, fmt.Errorf("durable: %s already journals a sweep; pass -resume to continue it or remove the file", path)
+		}
+		var recs []Record
+		if w, recs, err = Open(path); err != nil {
 			return nil, nil, err
 		}
-		w.SyncEvery = 1
-		l := &JobLog{wal: w, syncEvery: 8}
-		sub := Submission{ID: "sweep", Spec: spec, Event: event}
-		payload, err := json.Marshal(sub)
-		if err != nil {
+		if rj.Sub, rj.Cells, rj.Done, _, err = replay(recs); err != nil {
 			w.Close()
 			return nil, nil, err
 		}
-		if err := w.Append(recSubmit, payload); err != nil {
-			w.Close()
-			return nil, nil, err
-		}
-		if err := l.Cells(GridCells(grid)); err != nil {
-			w.Close()
-			return nil, nil, err
-		}
-		plan, err := NewPlan(grid, GridCells(grid), nil)
-		if err != nil {
-			l.Close()
-			return nil, nil, err
-		}
-		return l, plan, nil
-	}
-
-	w, recs, err := Open(path)
-	if err != nil {
+	} else if w, err = Create(path); err != nil {
 		return nil, nil, err
-	}
-	sub, cells, done, _, err := replay(recs)
-	if err != nil {
-		w.Close()
-		return nil, nil, err
-	}
-	if sub == nil {
-		// Header-only file (a crash before the submission synced): treat as
-		// fresh by journaling submission + cells now.
-		l := &JobLog{wal: w, syncEvery: 8}
-		s := Submission{ID: "sweep", Spec: spec, Event: event}
-		payload, merr := json.Marshal(s)
-		if merr != nil {
-			w.Close()
-			return nil, nil, merr
-		}
-		w.SyncEvery = 1
-		if aerr := w.Append(recSubmit, payload); aerr != nil {
-			w.Close()
-			return nil, nil, aerr
-		}
-		if cerr := l.Cells(GridCells(grid)); cerr != nil {
-			w.Close()
-			return nil, nil, cerr
-		}
-		plan, perr := NewPlan(grid, GridCells(grid), nil)
-		if perr != nil {
-			l.Close()
-			return nil, nil, perr
-		}
-		return l, plan, nil
-	}
-	if sub.Event != event {
-		w.Close()
-		return nil, nil, fmt.Errorf("durable: %s was journaled under event mode %d, this run uses %d; resume with the original -event", path, sub.Event, event)
 	}
 	l := &JobLog{wal: w, syncEvery: 8}
-	if cells == nil {
-		// Crash between submission and expansion: journal the table now.
-		cells = GridCells(grid)
-		if err := l.Cells(cells); err != nil {
-			w.Close()
+	if rj.Sub == nil {
+		// A fresh file, or a header-only one (a crash before the submission
+		// synced): journal the submission now.
+		rj.Sub = &Submission{ID: rj.ID, Spec: spec, Event: event}
+		if err := l.append(recSubmit, rj.Sub, true); err != nil {
+			l.Close()
 			return nil, nil, err
 		}
 	}
-	plan, err := NewPlan(grid, cells, done)
+	plan, err := Resume(grid, event, rj, l.Cells)
 	if err != nil {
 		l.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return l, plan, nil
 }

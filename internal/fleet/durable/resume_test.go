@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -189,5 +190,73 @@ func TestOpenSweepGridDrift(t *testing.T) {
 	drift.Points[3].Seed = 777
 	if _, _, err := OpenSweep(path, drift, json.RawMessage(`{}`), 0, true); err == nil {
 		t.Fatal("seed drift accepted on resume")
+	}
+}
+
+// TestOpenSweepHeaderOnly resumes a file holding only the WAL header (a
+// crash before the submission record synced): it is a fresh sweep, so
+// the submission and cell table are journaled and every cell is planned.
+func TestOpenSweepHeaderOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.wal")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	grid := testGrid()
+	spec := json.RawMessage(`{"version":1}`)
+	l, plan, err := OpenSweep(path, grid, spec, 3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Todo) != 4 || len(plan.Done) != 0 {
+		t.Fatalf("header-only plan: todo %v done %d, want every cell todo", plan.Todo, len(plan.Done))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w, recs, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	sub, cells, done, status, err := replay(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub == nil || sub.Event != 3 || string(sub.Spec) != string(spec) {
+		t.Fatalf("journaled submission = %+v", sub)
+	}
+	if len(cells) != 4 || cells[3] != (CellRef{Name: "d", Seed: 13}) {
+		t.Fatalf("journaled cell table = %v", cells)
+	}
+	if len(done) != 0 || status != nil {
+		t.Fatalf("header-only resume journaled %d cells, status %v", len(done), status)
+	}
+}
+
+// TestResumeEventMismatch: a journal written under one event mode refuses
+// to resume under another with the typed error, whether the journal came
+// from a job server's store or from OpenSweep.
+func TestResumeEventMismatch(t *testing.T) {
+	grid := testGrid()
+	_, err := Resume(grid, 0, &RecoveredJob{Sub: &Submission{ID: "j1", Event: 3}}, nil)
+	var em *EventMismatchError
+	if !errors.As(err, &em) || em.Journaled != 3 || em.Run != 0 {
+		t.Fatalf("Resume: err = %v, want *EventMismatchError{3, 0}", err)
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.wal")
+	l, _, err := OpenSweep(path, grid, json.RawMessage(`{}`), 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	_, _, err = OpenSweep(path, grid, json.RawMessage(`{}`), 2, true)
+	if !errors.As(err, &em) || em.Journaled != 3 || em.Run != 2 {
+		t.Fatalf("OpenSweep: err = %v, want *EventMismatchError{3, 2}", err)
 	}
 }

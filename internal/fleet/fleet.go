@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -15,10 +16,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Config parameterizes a batch run. It is shared by every Runner: the
-// in-process LocalRunner consumes all of it directly, while multi-process
-// runners (internal/fleet/shard) forward Workers to each worker process and
-// service Sink/OnProgress/OnResult on the coordinator side.
+// Config parameterizes one batch run: everything that varies between runs
+// lives here, so a Runner is configured once and never copied or mutated
+// per run. The in-process LocalRunner consumes it directly, while
+// multi-process runners (internal/fleet/shard, internal/fleet/net) forward
+// Workers, Event and Predictor to each worker process and service
+// Sink/OnProgress/OnResult on the coordinator side.
 type Config struct {
 	// Workers bounds simultaneous simulations (<= 0: GOMAXPROCS; see
 	// NormalizeWorkers). Under a sharding runner a positive value is the
@@ -60,6 +63,11 @@ type Config struct {
 	// results across deployment shapes beyond what the mode itself
 	// guarantees.
 	Event device.EventMode
+	// Predictor is the encoded predictor (wire.EncodePredictor) that
+	// rebuilds "usta" job specs in other processes. In-process runs ignore
+	// it — their jobs' controller closures already hold the predictor. It
+	// travels encoded because package core imports fleet.
+	Predictor json.RawMessage
 }
 
 // Runner executes a batch of jobs under a batch configuration and returns

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analytics"
@@ -16,11 +17,10 @@ import (
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fleet/durable"
-	"repro/internal/fleet/shard"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sink"
-	"repro/internal/workload"
+	"repro/internal/sweep"
 )
 
 // JobServer is the persistent submit/poll side of the fleet service
@@ -42,9 +42,10 @@ import (
 //
 // Construct with NewJobServer, mount Handler, Close on shutdown.
 type JobServer struct {
-	// Runner executes submitted sweeps (nil: the in-process pool). A
-	// *Runner (multi-host coordinator) or *shard.Runner is copied per job
-	// with the sweep's predictor injected, mirroring RunScenario.
+	// Runner executes submitted sweeps (nil: the in-process pool). Every
+	// job runs on this one runner, unmodified: the sweep's predictor
+	// travels in each run's fleet.Config, and a *Runner (multi-host
+	// coordinator) publishes each job's recovery stats to that job alone.
 	Runner fleet.Runner
 	// Workers bounds each job's worker pool (<= 0: GOMAXPROCS).
 	Workers int
@@ -121,9 +122,9 @@ type serverJob struct {
 	deadlineSec float64
 
 	bus      *Bus
-	agg      *obs.Aggregator    // live aggregation state (nil until the grid exists)
-	statsFn  func() RunnerStats // per-job runner-clone stats (nil off the networked runner)
-	busReady chan struct{}      // closed once bus (and total) exist
+	agg      *obs.Aggregator               // live aggregation state (nil until the grid exists)
+	runStats *atomic.Pointer[statsTracker] // this job's run stats (nil off the networked runner)
+	busReady chan struct{}                 // closed once bus (and total) exist
 	cancel   context.CancelFunc
 	finished chan struct{}
 	jlog     *durable.JobLog // nil: no store, or journaling degraded at Begin
@@ -358,14 +359,14 @@ func (s *JobServer) finishJob(j *serverJob, st durable.Status) {
 	}
 }
 
-// execute runs one submitted sweep to completion, mirroring the public
-// RunScenario pipeline (self-trained predictor, trace-free violation
-// accumulation, analytics join) with the bus as the telemetry sink. rec,
-// when non-nil, is the job's replayed WAL state: the run verifies the
-// re-expanded grid against the journaled cell table, restores ledgered
-// cells without re-running them, and dispatches only the remainder —
-// byte-identical to an uninterrupted run, because every cell's seed was
-// pinned at submit time.
+// execute runs one submitted sweep to completion through internal/sweep —
+// the pipeline RunScenario runs too — with the bus and the aggregator as
+// its telemetry sink, the job log as its ledger, and the job's status fed
+// from its progress and results. rec, when non-nil, is the job's replayed
+// WAL state: the run verifies the re-expanded grid against the journaled
+// cell table, restores ledgered cells without re-running them, and
+// dispatches only the remainder — byte-identical to an uninterrupted run,
+// because every cell's seed was pinned at submit time.
 func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Spec, rec *durable.RecoveredJob) {
 	fail := func(err error) {
 		j.mu.Lock()
@@ -392,67 +393,39 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 		s.logf("net: job %s: %s: %v", j.id, j.snapshot().Status, err)
 	}
 
-	devCfg := device.DefaultConfig()
-	if s.Device != nil {
-		devCfg = *s.Device
-	}
-	pred := s.Predictor
-	if pred == nil && spec.NeedsPredictor() {
-		corpusSeed := spec.Predictor.CorpusSeed
-		if corpusSeed == 0 {
-			corpusSeed = 42
-		}
-		bs := workload.Benchmarks(corpusSeed)
-		loads := make([]workload.Workload, len(bs))
-		for i, b := range bs {
-			loads[i] = b
-		}
-		corpus, err := core.CollectCorpusContext(ctx, devCfg, loads, spec.Predictor.CorpusPerRunSec, s.Workers)
-		if err != nil {
-			fail(fmt.Errorf("scenario corpus: %w", err))
-			return
-		}
-		if pred, err = core.Train(corpus, nil); err != nil {
-			fail(fmt.Errorf("scenario predictor: %w", err))
-			return
-		}
-	}
-	grid, err := spec.Expand(scenario.Env{Device: &devCfg, Predictor: pred})
+	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Device: s.Device, Predictor: s.Predictor,
+		Workers: s.Workers, Runner: s.Runner})
 	if err != nil {
 		fail(err)
 		return
 	}
-
-	// Resolve the resume plan: verify a recovered ledger against the
+	// Resolve the resume plan: verify a recovered journal against the
 	// re-expanded grid, or journal the fresh cell table.
-	var journaledCells []durable.CellRef
-	done := map[int]durable.CellResult{}
-	if rec != nil {
-		journaledCells, done = rec.Cells, rec.Done
-	}
-	plan, err := durable.NewPlan(grid, journaledCells, done)
+	plan, err := durable.Resume(sw.Grid, int(device.EventOff), rec, func(cells []durable.CellRef) error {
+		s.journal(j, func(l *durable.JobLog) error { return l.Cells(cells) })
+		return nil
+	})
 	if err != nil {
 		fail(err)
 		return
 	}
-	if journaledCells == nil {
-		s.journal(j, func(l *durable.JobLog) error { return l.Cells(durable.GridCells(grid)) })
-	}
 
-	bus := NewBus(len(grid.Jobs))
-	agg := obs.NewAggregator(grid)
-	runner := s.jobRunner(pred)
+	bus := NewBus(len(sw.Grid.Jobs))
+	agg := obs.NewAggregator(sw.Grid)
 	j.mu.Lock()
 	j.bus = bus
 	j.agg = agg
-	j.total = len(grid.Jobs)
+	j.done = len(plan.Done)
+	j.total = len(sw.Grid.Jobs)
 	j.resumed = len(plan.Done)
-	if nr, ok := runner.(*Runner); ok {
-		// The per-job clone owns the run's recovery stats; retain its
-		// accessor so /fleet and /metrics see them, and poll it into the
-		// job's own event-stream snapshots.
-		j.statsFn = nr.Stats
-		agg.FleetFn = func() any { return nr.Stats() }
+	if _, ok := s.Runner.(*Runner); ok {
+		// The server's runner is shared by every job; the run publishes its
+		// recovery stats into this job's own slot too, so /fleet, /metrics
+		// and the job's event-stream snapshots follow this run.
+		slot := new(atomic.Pointer[statsTracker])
+		ctx = context.WithValue(ctx, runStatsKey{}, slot)
+		j.runStats = slot
+		agg.FleetFn = func() any { return snapshotOf(slot) }
 	}
 	j.mu.Unlock()
 	close(j.busReady)
@@ -470,86 +443,29 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 		c := plan.Done[idx]
 		bus.Finish(idx)
 		agg.SeedJob(durable.RestoredResult(c), c.Violation)
-		j.mu.Lock()
-		j.done++
-		j.mu.Unlock()
 	}
 
-	subGrid, remap, err := plan.SubGrid()
-	if err != nil {
-		fail(err)
-		return
-	}
-	toFull := func(i int) int {
-		if remap == nil {
-			return i
-		}
-		return remap[i]
-	}
-
-	// Sinks are sized and indexed for the full grid; a subset run feeds
-	// them through the remap adapter so ledger, bus and aggregator state
-	// key on full-grid indices throughout.
-	runSink := sink.Sink(sink.NewTee(bus, agg))
-	var vs *analytics.ViolationSink
-	if spec.TraceFree {
-		vs = analytics.NewViolationSink(grid.Limits())
-		runSink = sink.NewTee(vs, bus, agg)
-	}
-	if remap != nil {
-		runSink = sink.NewRemap(runSink, remap)
-	}
-	limits := grid.Limits()
-	cfg := fleet.Config{
-		Workers: s.Workers,
-		Seed:    spec.Seeds.Base,
-		Sink:    runSink,
-		OnResult: func(res fleet.JobResult) {
-			full := res
-			full.Index = toFull(res.Index)
-			// Cells interrupted by cancellation (drain, deadline) are not
-			// ledgered: their partial results must re-run on resume.
-			if !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, context.DeadlineExceeded) {
-				var acc *analytics.ViolationAccum
-				if vs != nil {
-					a := vs.Accum(full.Index)
-					acc = &a
-				}
-				entry := durable.CellEntry(full, limits[full.Index], acc)
-				s.journal(j, func(l *durable.JobLog) error { return l.CellDone(entry) })
-			}
-			bus.Finish(full.Index)
-			agg.JobDone(full)
+	res, err := sw.Run(ctx, plan, sweep.Hooks{
+		Sink: sink.NewTee(bus, agg),
+		Ledger: func(c durable.CellResult) {
+			s.journal(j, func(l *durable.JobLog) error { return l.CellDone(c) })
+		},
+		OnResult: func(r fleet.JobResult) {
+			bus.Finish(r.Index)
+			agg.JobDone(r)
+		},
+		Progress: func(done, _ int) {
 			j.mu.Lock()
-			j.done++
+			j.done = done
 			j.mu.Unlock()
 		},
-		Runner: runner,
-	}
-	subResults := fleet.New(cfg).Run(ctx, subGrid.Jobs)
+	})
 	bus.Close()
-
-	// Merge: live subset results land at their full-grid indices, ledgered
-	// cells are restored around them.
-	results := subResults
-	if remap != nil {
-		results = make([]fleet.JobResult, len(grid.Jobs))
-		for i, res := range subResults {
-			res.Index = remap[i]
-			results[res.Index] = res
-		}
-		plan.MergeInto(results)
-	}
-	stats, err := analytics.Flatten(grid, results)
 	if err != nil {
 		fail(err)
 		return
 	}
-	if vs != nil {
-		vs.Apply(stats)
-	}
-	plan.ApplyViolations(stats)
-	comfort := analytics.ComfortByUser(stats)
+	comfort := analytics.ComfortByUser(res.Stats)
 
 	j.mu.Lock()
 	if err := ctx.Err(); err != nil {
@@ -560,7 +476,7 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 			j.status = "cancelled"
 			j.errMsg = err.Error()
 		}
-	} else if err := fleet.FirstError(results); err != nil {
+	} else if err := fleet.FirstError(res.Results); err != nil {
 		j.status = "failed"
 		j.errMsg = err.Error()
 	} else {
@@ -575,29 +491,5 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 	// computed above — see TestEventsFinalSnapshotMatchesAnalytics.
 	agg.Finish(status)
 	close(j.finished)
-	s.logf("net: job %s: %s (%d jobs, %d resumed)", j.id, j.snapshot().Status, len(results), len(plan.Done))
-}
-
-// jobRunner resolves the per-job runner: the server's runner, copied with
-// the sweep's predictor injected when it is a networked or shard
-// coordinator (the server's own runner is never mutated — jobs run
-// concurrently).
-func (s *JobServer) jobRunner(pred *core.Predictor) fleet.Runner {
-	switch r := s.Runner.(type) {
-	case *Runner:
-		cp := *r
-		cp.Predictor = pred
-		// Each job clone tracks its own run — never share a stats cell a
-		// PublishStatsTo redirect may have left on the server's runner.
-		cp.statsDst = nil
-		return &cp
-	case *shard.Runner:
-		cp := *r
-		if pred != nil {
-			cp.Predictor = pred
-		}
-		return &cp
-	default:
-		return s.Runner
-	}
+	s.logf("net: job %s: %s (%d jobs, %d resumed)", j.id, j.snapshot().Status, len(res.Results), len(plan.Done))
 }

@@ -12,8 +12,8 @@ import (
 // This file is the job server's observability surface: the SSE snapshot
 // stream, the Prometheus exposition, the merged host table, and the
 // embedded dashboard. The aggregation itself lives in internal/obs; the
-// glue here is routing plus RunnerStats plumbing (the stats live on each
-// job's runner clone, so the fleet-wide view merges across jobs).
+// glue here is routing plus RunnerStats plumbing (every job's run
+// publishes its own stats, so the fleet-wide view merges across jobs).
 
 // sseMinInterval paces snapshot frames when telemetry is flowing but no
 // job has completed — frequent enough to feel live, coarse enough that a
@@ -131,17 +131,17 @@ func (s *JobServer) statsViews(jobs []*serverJob) []jobStatsView {
 	var views []jobStatsView
 	for _, j := range jobs {
 		j.mu.Lock()
-		fn, running := j.statsFn, j.status == "running"
+		slot, running := j.runStats, j.status == "running"
 		j.mu.Unlock()
-		if fn == nil {
+		if slot == nil {
 			continue
 		}
-		views = append(views, jobStatsView{stats: fn(), running: running})
+		views = append(views, jobStatsView{stats: snapshotOf(slot), running: running})
 	}
 	return views
 }
 
-// mergedStats folds per-job runner-clone stats into one fleet-wide host
+// mergedStats folds per-job run stats into one fleet-wide host
 // table. Counters (dials, redials, items, shortfall, hedges, fallback)
 // are cumulative sums over every job. Gauges (connected, breaker state,
 // slot occupancy) describe "now", so they come from running jobs only —

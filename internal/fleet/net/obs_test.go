@@ -257,7 +257,7 @@ func getBody(t *testing.T, ts *httptest.Server, path string) string {
 // TestMetricsAndFleetUnderChaos is the live-stats acceptance criterion:
 // during a chaos-injected run (connections dropped mid-stream, forcing
 // redials), /fleet and /metrics expose the recovery counters of the
-// job's runner clone.
+// job's own run.
 func TestMetricsAndFleetUnderChaos(t *testing.T) {
 	backend := startServer(t, &fleetnet.Server{Capacity: 1})
 	sched := &chaos.Schedule{Override: func(conn int) (chaos.Plan, bool) {

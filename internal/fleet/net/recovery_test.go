@@ -137,6 +137,45 @@ func TestJobServerRestartUniqueIDs(t *testing.T) {
 	}
 }
 
+// TestJobServerRecoverRefusesEventMismatch: a non-terminal log journaled
+// under another stepping engine (here `ustasim -wal -event jump`, mode 3,
+// dropped into the state dir) must not resume on the server's tick loop —
+// that would mix engines in one result. The recovered job fails with the
+// same typed mismatch OpenSweep reports, runs no cell, and the failure is
+// journaled terminal so a later restart does not retry it.
+func TestJobServerRecoverRefusesEventMismatch(t *testing.T) {
+	dir := t.TempDir()
+	store, err := durable.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := store.Begin(durable.Submission{ID: "j1", Spec: json.RawMessage(e2eSpec), Event: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := stateServer(t, dir)
+	final := waitStatus(t, ts, "j1")
+	want := (&durable.EventMismatchError{Journaled: 3, Run: 0}).Error()
+	if final["status"] != "failed" || final["error"] != want {
+		t.Fatalf("recovered job = %v, want failed with %q", final, want)
+	}
+	if final["done"] != 0.0 {
+		t.Fatalf("mismatched job ran %v cells", final["done"])
+	}
+
+	recs, err := store.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Status == nil || recs[0].Status.Status != "failed" || len(recs[0].Done) != 0 {
+		t.Fatalf("journal after refusal: %+v", recs)
+	}
+}
+
 // TestJobServerUnjournaledDegradation: when the store cannot create the
 // job's log (here: the path is occupied by a directory, which defeats even
 // root), the server logs the failure, marks the job unjournaled, and still

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fleet/wire"
@@ -80,9 +79,6 @@ var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only s
 type Runner struct {
 	// Hosts is the static worker inventory, "host:port" per entry.
 	Hosts []string
-	// Predictor backs "usta" job specs in the workers; serialized once per
-	// run and shipped inside every shard request.
-	Predictor *core.Predictor
 	// ShardSize is the number of jobs per dispatch unit (<= 0: the batch is
 	// split into about four items per host, so one slow shard cannot strand
 	// the run behind it).
@@ -130,15 +126,8 @@ type Runner struct {
 	// loss, backoff, breaker transition, retry, hedge). Nil is silent.
 	Logf func(format string, args ...any)
 
-	// stats holds the live *statsTracker of the most recent Run; read via
-	// Stats. (atomic.Value is copy-safe here: JobServer clones the Runner
-	// per job and each clone tracks its own run.)
-	stats atomic.Value
-
-	// statsDst, when non-nil, is the cell Run publishes its tracker to
-	// instead of the receiver's own — set by PublishStatsTo on throwaway
-	// copies so the original keeps observing the run.
-	statsDst *atomic.Value
+	// stats holds the live tracker of the most recent Run; read via Stats.
+	stats atomic.Pointer[statsTracker]
 }
 
 // New creates a networked runner over the given worker addresses.
@@ -729,10 +718,6 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 	if len(r.Hosts) == 0 {
 		return failAll(errors.New("net: no worker hosts configured"))
 	}
-	pred, err := wire.EncodePredictor(r.Predictor)
-	if err != nil {
-		return failAll(err)
-	}
 
 	// Seed and index every spec'd job now — determinism must not depend on
 	// which host runs it, how many attempts it takes, or whether it ends
@@ -772,7 +757,10 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		items = append(items, &itemState{specs: specs[start:end]})
 	}
 	tracker := newStatsTracker(r.Hosts)
-	r.statsCell().Store(tracker)
+	r.stats.Store(tracker)
+	if slot, ok := ctx.Value(runStatsKey{}).(*atomic.Pointer[statsTracker]); ok {
+		slot.Store(tracker)
+	}
 	d := newDispatcher(items, r, tracker)
 
 	// Cancellation: poke every open connection's read deadline so blocked
@@ -811,7 +799,7 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		connMu.Unlock()
 	}()
 
-	req := baseRequest{pred: pred, workers: cfg.Workers, wantSamples: cfg.Sink != nil, event: int(cfg.Event)}
+	req := baseRequest{pred: cfg.Predictor, workers: cfg.Workers, wantSamples: cfg.Sink != nil, event: int(cfg.Event)}
 	var wg sync.WaitGroup
 	for _, addr := range r.Hosts {
 		wg.Add(1)
@@ -1402,26 +1390,19 @@ func (t *statsTracker) snapshot() RunnerStats {
 
 // Stats snapshots the most recent (possibly in-progress) Run's recovery
 // state. Before any Run it returns the zero RunnerStats.
-func (r *Runner) Stats() RunnerStats {
-	if t, ok := r.statsCell().Load().(*statsTracker); ok && t != nil {
+func (r *Runner) Stats() RunnerStats { return snapshotOf(&r.stats) }
+
+// runStatsKey keys a context value holding an *atomic.Pointer[statsTracker]
+// that Run publishes its tracker into alongside the runner's own. A job
+// server running concurrent sweeps on one Runner gives each job its slot,
+// so every job's /fleet row and event stream follows its own run rather
+// than whichever run started last.
+type runStatsKey struct{}
+
+// snapshotOf snapshots the tracker a stats slot holds (zero when empty).
+func snapshotOf(slot *atomic.Pointer[statsTracker]) RunnerStats {
+	if t := slot.Load(); t != nil {
 		return t.snapshot()
 	}
 	return RunnerStats{}
 }
-
-// statsCell resolves where this runner's trackers live: its own cell, or
-// the original's when PublishStatsTo redirected a copy.
-func (r *Runner) statsCell() *atomic.Value {
-	if r.statsDst != nil {
-		return r.statsDst
-	}
-	return &r.stats
-}
-
-// PublishStatsTo makes the receiver's future Runs publish their recovery
-// tracker into orig's stats cell (and Stats read from it), so a caller
-// holding orig still observes runs executed on a modified copy.
-// RunScenario uses this when it must attach a predictor to a
-// caller-supplied networked runner; JobServer's per-job clones
-// deliberately do NOT share, keeping one tracker per job.
-func (r *Runner) PublishStatsTo(orig *Runner) { r.statsDst = orig.statsCell() }

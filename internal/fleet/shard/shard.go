@@ -19,7 +19,6 @@ import (
 	"os/exec"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/fleet/wire"
 	"repro/internal/sink"
@@ -38,9 +37,6 @@ type Runner struct {
 	// cmd/ustaworker both do. Point it at a ustaworker binary to decouple
 	// coordinator and worker builds.
 	Command []string
-	// Predictor backs "usta" job specs in the workers; it is serialized
-	// once per run and shipped inside every shard request.
-	Predictor *core.Predictor
 }
 
 // New creates a shard runner with n worker processes (<= 0: GOMAXPROCS).
@@ -64,14 +60,6 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		return results
 	}
 	report := fleet.ResultReporter(cfg, len(jobs))
-	pred, err := wire.EncodePredictor(r.Predictor)
-	if err != nil {
-		for i := range jobs {
-			results[i] = errResult(i, &jobs[i], err)
-			report(results[i])
-		}
-		return results
-	}
 	procs := fleet.NormalizeWorkers(r.Procs)
 	if procs > len(jobs) {
 		procs = len(jobs)
@@ -89,7 +77,7 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		wg.Add(1)
 		go func(shardID, start, end int) {
 			defer wg.Done()
-			r.runShard(ctx, cfg, pred, shardID, start, jobs[start:end], results[start:end], report)
+			r.runShard(ctx, cfg, shardID, start, jobs[start:end], results[start:end], report)
 		}(s, start, end)
 	}
 	wg.Wait()
@@ -108,10 +96,10 @@ func errResult(i int, job *fleet.Job, err error) fleet.JobResult {
 
 // runShard dispatches jobs[0:n] (global indices start..start+n) to one
 // worker process and fills results as frames arrive.
-func (r *Runner) runShard(ctx context.Context, cfg fleet.Config, pred []byte, shardID, start int, jobs []fleet.Job, results []fleet.JobResult, report func(fleet.JobResult)) {
+func (r *Runner) runShard(ctx context.Context, cfg fleet.Config, shardID, start int, jobs []fleet.Job, results []fleet.JobResult, report func(fleet.JobResult)) {
 	// Build the request: spec-less jobs fail here, spec'd jobs get their
 	// seed resolved exactly like the local runner would have.
-	req := &wire.ShardRequest{Workers: cfg.Workers, Predictor: pred, WantSamples: cfg.Sink != nil, Event: int(cfg.Event)}
+	req := &wire.ShardRequest{Workers: cfg.Workers, Predictor: cfg.Predictor, WantSamples: cfg.Sink != nil, Event: int(cfg.Event)}
 	received := make([]bool, len(jobs))
 	for i := range jobs {
 		if jobs[i].Spec == nil {

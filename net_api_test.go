@@ -88,10 +88,8 @@ func TestNetRunnerMatchesLocalTable1(t *testing.T) {
 	hosts := []string{startNetDaemon(t, 2), startNetDaemon(t, 2)}
 	ref, refSink := run("local workers=1", repro.ScenarioWorkers(1))
 
-	// The injected predictor makes RunScenario execute on a modified copy
-	// of the caller's runner; the caller's Stats must still observe that
-	// run (ustasim -stats-json depends on this — regression: the copy used
-	// to swallow the tracker).
+	// RunScenario runs on the caller's runner as given, so the caller's
+	// Stats must observe this run (ustasim -stats-json depends on it).
 	nr := repro.NewNetRunner(hosts)
 	got, gotSink := run("net 2 daemons", repro.ScenarioRunner(nr))
 	requireEqual("net 2 daemons", got, ref, gotSink, refSink)

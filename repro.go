@@ -54,7 +54,6 @@ package repro
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -75,6 +74,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sensors"
 	"repro/internal/sink"
+	"repro/internal/sweep"
 	"repro/internal/users"
 	"repro/internal/workload"
 )
@@ -261,10 +261,11 @@ func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 // results — and streamed telemetry — back into submission order. Output is
 // byte-identical to the in-process runner: seeds are resolved from job
 // position before dispatch. Jobs must carry a JobSpec (scenario-expanded
-// jobs do); set the runner's Predictor when specs use the usta controller,
-// or let RunScenario do it. By default workers are spawned by re-executing
-// the current binary, which must call ShardWorkerMain first thing in
-// main(); set Command to a built cmd/ustaworker to avoid that.
+// jobs do); specs that use the usta controller need the encoded predictor
+// in FleetConfig.Predictor, which RunScenario fills in. By default workers
+// are spawned by re-executing the current binary, which must call
+// ShardWorkerMain first thing in main(); set Command to a built
+// cmd/ustaworker to avoid that.
 func NewShardRunner(n int) *shard.Runner { return shard.New(n) }
 
 // NewNetRunner returns a fleet Runner that dispatches shards to long-lived
@@ -282,11 +283,12 @@ func NewShardRunner(n int) *shard.Runner { return shard.New(n) }
 // (telemetry stays exactly-once); and with FallbackLocal set, a run whose
 // hosts all stay down past AllDeadDeadline finishes on the in-process
 // pool instead of failing — still byte-identical, seeds were already
-// pinned. Jobs must carry a JobSpec (scenario-expanded jobs do); set the
-// runner's Predictor when specs use the usta controller, or let
-// RunScenario do it. See the Runner's fields (exported from
-// internal/fleet/net) for retry, backoff, breaker, hedging, admission and
-// heartbeat tuning, and Runner.Stats for the per-run recovery snapshot.
+// pinned. Jobs must carry a JobSpec (scenario-expanded jobs do); specs
+// that use the usta controller need the encoded predictor in
+// FleetConfig.Predictor, which RunScenario fills in. See the Runner's
+// fields (exported from internal/fleet/net) for retry, backoff, breaker,
+// hedging, admission and heartbeat tuning, and Runner.Stats for the most
+// recent run's recovery snapshot.
 func NewNetRunner(hosts []string) *fleetnet.Runner { return fleetnet.New(hosts) }
 
 // ShardWorkerMain serves a shard request over stdin/stdout and exits when
@@ -362,8 +364,10 @@ func ScenarioShards(n int) ScenarioOption {
 
 // ScenarioRunner executes the sweep on a custom fleet Runner — e.g. a
 // NewShardRunner with an explicit worker Command, or a NewNetRunner. It
-// overrides ScenarioShards. A shard or net runner without a predictor is
-// handed the sweep's (supplied or self-trained) predictor automatically.
+// overrides ScenarioShards. The runner is used as given, never copied or
+// modified: the sweep's (supplied or self-trained) predictor reaches its
+// workers through the run's FleetConfig, and a net runner's Stats report
+// this sweep once it starts. Concurrent sweeps may share one runner.
 func ScenarioRunner(r Runner) ScenarioOption {
 	return func(rc *scenarioRun) { rc.runner = r }
 }
@@ -433,177 +437,53 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 	for _, opt := range opts {
 		opt(&rc)
 	}
-	devCfg := DefaultDeviceConfig()
-	if rc.device != nil {
-		devCfg = *rc.device
+	runner := rc.runner
+	if runner == nil && rc.sharded {
+		runner = shard.New(rc.shards)
 	}
-	pred := rc.pred
-	if pred == nil && spec.NeedsPredictor() {
-		// Self-train exactly like the experiment pipeline: the thirteen
-		// benchmarks on the stock phone, REPTree on the log.
-		corpusSeed := spec.Predictor.CorpusSeed
-		if corpusSeed == 0 {
-			corpusSeed = 42
-		}
-		corpus, err := core.CollectCorpusContext(ctx, devCfg,
-			benchmarkLoads(corpusSeed), spec.Predictor.CorpusPerRunSec, rc.workers)
-		if err != nil {
-			return nil, fmt.Errorf("repro: scenario corpus: %w", err)
-		}
-		pred, err = core.Train(corpus, nil)
-		if err != nil {
-			return nil, fmt.Errorf("repro: scenario predictor: %w", err)
-		}
-	}
-	grid, err := spec.Expand(scenario.Env{Device: &devCfg, Predictor: pred})
+	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Device: rc.device, Predictor: rc.pred,
+		Workers: rc.workers, Event: rc.event, Runner: runner})
 	if err != nil {
 		return nil, err
 	}
+	hooks := sweep.Hooks{Sink: rc.sink, Progress: rc.progress}
 	// With ScenarioWAL the sweep is journaled: open (or resume) the log and
 	// derive the plan — which cells are already ledgered, which still run.
+	// Ledger errors latch inside the log: a bad disk does not fail the
+	// sweep, it surfaces at Close.
 	var jlog *durable.JobLog
 	var plan *durable.Plan
 	if rc.walPath != "" {
-		specBytes, merr := json.Marshal(spec)
-		if merr != nil {
-			return nil, fmt.Errorf("repro: marshal spec for journal: %w", merr)
-		}
-		jlog, plan, err = durable.OpenSweep(rc.walPath, grid, specBytes, int(rc.event), rc.resume)
+		specBytes, err := json.Marshal(spec)
 		if err != nil {
+			return nil, fmt.Errorf("repro: marshal spec for journal: %w", err)
+		}
+		if jlog, plan, err = durable.OpenSweep(rc.walPath, sw.Grid, specBytes, int(rc.event), rc.resume); err != nil {
 			return nil, err
 		}
+		hooks.Ledger = func(c durable.CellResult) { jlog.CellDone(c) }
 	}
-	runGrid, remap := grid, []int(nil)
-	if plan != nil {
-		if runGrid, remap, err = plan.SubGrid(); err != nil {
-			jlog.Close()
-			return nil, err
-		}
-	}
-	// Trace-free sweeps retain no per-sample history, so violation
-	// statistics are accumulated on the fly: the run sink is teed into a
-	// ViolationSink sized from the grid, and the stats are filled from it.
-	// Sinks always index the full grid; a resume's subset run reaches them
-	// through the remap adapter.
-	runSink := rc.sink
-	var vs *analytics.ViolationSink
-	if spec.TraceFree {
-		vs = analytics.NewViolationSink(grid.Limits())
-		if runSink != nil {
-			runSink = sink.NewTee(vs, runSink)
-		} else {
-			runSink = vs
-		}
-	}
-	if remap != nil && runSink != nil {
-		runSink = sink.NewRemap(runSink, remap)
-	}
-	fcfg := fleet.Config{
-		Workers:    rc.workers,
-		Seed:       spec.Seeds.Base,
-		OnProgress: rc.progress,
-		Sink:       runSink,
-		Event:      rc.event,
-	}
-	if jlog != nil {
-		limits := grid.Limits()
-		fcfg.OnResult = func(res JobResult) {
-			// Cells interrupted by cancellation re-run on resume; everything
-			// else is ledgered (errors latch inside the log — a bad disk does
-			// not fail the sweep, it surfaces at Close).
-			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
-				return
-			}
-			full := res
-			if remap != nil {
-				full.Index = remap[res.Index]
-			}
-			var acc *analytics.ViolationAccum
-			if vs != nil {
-				a := vs.Accum(full.Index)
-				acc = &a
-			}
-			jlog.CellDone(durable.CellEntry(full, limits[full.Index], acc))
-		}
-	}
-	switch {
-	case rc.runner != nil:
-		fcfg.Runner = rc.runner
-	case rc.sharded:
-		fcfg.Runner = shard.New(rc.shards)
-	}
-	// A shard runner's workers must rebuild usta controllers from the same
-	// predictor this sweep expanded against, or sharded and local runs
-	// diverge. The caller's runner is never mutated (concurrent sweeps may
-	// share one); this sweep runs on a copy carrying its own predictor.
-	if sr, ok := fcfg.Runner.(*shard.Runner); ok && pred != nil {
-		srCopy := *sr
-		srCopy.Predictor = pred
-		fcfg.Runner = &srCopy
-	}
-	if nr, ok := fcfg.Runner.(*fleetnet.Runner); ok && pred != nil {
-		nrCopy := *nr
-		nrCopy.Predictor = pred
-		// The run executes on the copy, but the caller holds the original:
-		// keep its Stats (ustasim -stats-json, recovery logs) observing
-		// this run instead of staying empty forever.
-		nrCopy.PublishStatsTo(nr)
-		fcfg.Runner = &nrCopy
-	}
-	fl := fleet.New(fcfg)
-	results := fl.Run(ctx, runGrid.Jobs)
-	// A resume ran only the unfinished subset: land its results at their
-	// full-grid indices and restore the ledgered cells around them.
-	if remap != nil {
-		full := make([]JobResult, len(grid.Jobs))
-		for i, r := range results {
-			r.Index = remap[i]
-			full[r.Index] = r
-		}
-		plan.MergeInto(full)
-		results = full
-	}
-	stats, err := analytics.Flatten(grid, results)
-	if err != nil {
-		if jlog != nil {
-			jlog.Close()
-		}
-		return nil, err
-	}
-	if vs != nil {
-		vs.Apply(stats)
-	}
-	if plan != nil {
-		plan.ApplyViolations(stats)
-	}
+	res, err := sw.Run(ctx, plan, hooks)
 	if jlog != nil {
 		// A cancelled run leaves the log non-terminal so ScenarioResume can
 		// continue it; a completed run is sealed with its status. Journal
 		// failures latched during the run surface here, loudly — the sweep's
 		// numbers are fine, but its durability promise is not.
-		if ctx.Err() == nil {
+		if err == nil && ctx.Err() == nil {
 			st := durable.Status{Status: "done"}
-			if ferr := fleet.FirstError(results); ferr != nil {
+			if ferr := fleet.FirstError(res.Results); ferr != nil {
 				st = durable.Status{Status: "failed", Error: ferr.Error()}
 			}
 			jlog.Finish(st)
 		}
-		if cerr := jlog.Close(); cerr != nil {
-			return nil, fmt.Errorf("repro: sweep journal %s: %w", rc.walPath, cerr)
+		if cerr := jlog.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("repro: sweep journal %s: %w", rc.walPath, cerr)
 		}
 	}
-	return &SweepResult{Grid: grid, Results: results, Stats: stats}, nil
-}
-
-// benchmarkLoads returns the thirteen paper workloads as the corpus
-// workload slice.
-func benchmarkLoads(seed uint64) []workload.Workload {
-	bs := workload.Benchmarks(seed)
-	loads := make([]workload.Workload, len(bs))
-	for i, b := range bs {
-		loads[i] = b
+	if err != nil {
+		return nil, err
 	}
-	return loads
+	return &SweepResult{Grid: sw.Grid, Results: res.Results, Stats: res.Stats}, nil
 }
 
 // Streaming sink constructors (see internal/sink for semantics). All
