@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,21 +327,31 @@ func TestNetRunnerHeartbeatDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	silentConns := make(chan stdnet.Conn, 16)
+	// Teardown stops the acceptor before closing what it accepted, so a
+	// redial landing as the run ends cannot race the cleanup.
+	var silentMu sync.Mutex
+	var silentConns []stdnet.Conn
+	var acceptor sync.WaitGroup
 	defer func() {
-		close(silentConns)
-		for c := range silentConns {
+		ln.Close()
+		acceptor.Wait()
+		silentMu.Lock()
+		defer silentMu.Unlock()
+		for _, c := range silentConns {
 			c.Close()
 		}
 	}()
+	acceptor.Add(1)
 	go func() {
+		defer acceptor.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			silentConns <- conn
+			silentMu.Lock()
+			silentConns = append(silentConns, conn)
+			silentMu.Unlock()
 			wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeHello,
 				Hello: &wire.HelloFrame{Proto: wire.Version, Capacity: 1}})
 			// Read and ignore everything; never answer.
@@ -529,6 +540,56 @@ func TestNetRunnerAllHostsDown(t *testing.T) {
 		if r.Err == nil {
 			t.Fatalf("job %d should carry the dial failure", i)
 		}
+	}
+}
+
+// TestNetRunnerRefusesOldProtocolWorker: a daemon from a build speaking
+// protocol version 1 (one JSON frame per sample) is refused at its hello
+// frame — the coordinator never ships it a shard — and the run fails with
+// the version mismatch instead of mis-decoding telemetry mid-shard.
+func TestNetRunnerRefusesOldProtocolWorker(t *testing.T) {
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var received atomic.Int64
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer ln.Close()
+	hello := []byte(`{"v":1,"type":"hello","hello":{"proto":1,"capacity":1}}`)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var hdr [4]byte
+			binary.BigEndian.PutUint32(hdr[:], uint32(len(hello)))
+			conn.Write(append(hdr[:], hello...))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				n, _ := io.Copy(io.Discard, conn)
+				received.Add(n)
+			}()
+		}
+	}()
+
+	nr := fleetnet.New([]string{ln.Addr().String()})
+	nr.BackoffBase = 10 * time.Millisecond
+	nr.AllDeadDeadline = 300 * time.Millisecond
+	for i, r := range nr.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true)) {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "protocol version") {
+			t.Fatalf("job %d: err = %v, want the hello version mismatch", i, r.Err)
+		}
+	}
+	ln.Close()
+	wg.Wait()
+	if n := received.Load(); n != 0 {
+		t.Fatalf("the old worker was sent %d bytes; want it refused before any request", n)
 	}
 }
 

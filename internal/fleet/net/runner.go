@@ -589,11 +589,12 @@ type runState struct {
 	jobs     []fleet.Job
 	report   func(fleet.JobResult)
 	sink     sink.Sink
-	buf      map[int]map[*attempt][]device.Sample
+	buf      map[int]map[*attempt][]byte // packed samples (wire.PackSample)
 }
 
-// sample buffers one telemetry sample under the attempt that streamed it.
-func (st *runState) sample(idx int, at *attempt, s device.Sample) {
+// sample buffers one sample frame's packed block under the attempt that
+// streamed it.
+func (st *runState) sample(idx int, at *attempt, block []byte) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if idx < 0 || idx >= len(st.received) || st.received[idx] {
@@ -601,10 +602,10 @@ func (st *runState) sample(idx int, at *attempt, s device.Sample) {
 	}
 	m := st.buf[idx]
 	if m == nil {
-		m = make(map[*attempt][]device.Sample)
+		m = make(map[*attempt][]byte)
 		st.buf[idx] = m
 	}
-	m[at] = append(m[at], s)
+	m[at] = append(m[at], block...)
 }
 
 // result records a job result, flushing the reporting attempt's buffered
@@ -619,9 +620,7 @@ func (st *runState) result(rf *wire.ResultFrame, at *attempt) {
 		return
 	}
 	if st.sink != nil {
-		for _, s := range st.buf[idx][at] {
-			st.sink.Accept(sink.JobID(idx), s)
-		}
+		wire.EachSample(st.buf[idx][at], func(s device.Sample) { st.sink.Accept(sink.JobID(idx), s) })
 	}
 	delete(st.buf, idx)
 	st.results[idx] = rf.Decode()
@@ -704,7 +703,7 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		jobs:     jobs,
 		report:   report,
 		sink:     cfg.Sink,
-		buf:      make(map[int]map[*attempt][]device.Sample),
+		buf:      make(map[int]map[*attempt][]byte),
 	}
 	failAll := func(err error) []fleet.JobResult {
 		for i := range jobs {
@@ -1248,7 +1247,7 @@ func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec
 		case wire.TypeHeartbeat:
 			// Liveness pulse only; the deadline reset above is the point.
 		case wire.TypeSample:
-			st.sample(f.Sample.Job, at, f.Sample.Sample)
+			st.sample(f.Sample.Job, at, f.Sample.Samples)
 		case wire.TypeResult:
 			st.result(f.Result, at)
 		case wire.TypeDone:

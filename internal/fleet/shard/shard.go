@@ -19,6 +19,7 @@ import (
 	"os/exec"
 	"sync"
 
+	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fleet/wire"
 	"repro/internal/sink"
@@ -121,7 +122,8 @@ func (r *Runner) runShard(ctx context.Context, cfg fleet.Config, shardID, start 
 		switch f.Type {
 		case wire.TypeSample:
 			if cfg.Sink != nil {
-				cfg.Sink.Accept(sink.JobID(f.Sample.Job), f.Sample.Sample)
+				id := sink.JobID(f.Sample.Job)
+				wire.EachSample(f.Sample.Samples, func(s device.Sample) { cfg.Sink.Accept(id, s) })
 			}
 		case wire.TypeResult:
 			i := f.Result.Index - start

@@ -75,10 +75,13 @@ func Serve(r io.Reader, w io.Writer) error {
 }
 
 // ServeRequest executes one already-decoded shard request, streaming sample
-// and result frames through write (which must serialize access to the
-// underlying stream). It is the execution core shared by the pipe worker
-// (Serve) and the TCP daemon (internal/fleet/net): request-level failures —
-// an undecodable predictor, a broken transport — return a non-nil error for
+// and result frames through write, which must serialize access to the
+// underlying stream and must not retain a frame once it returns (sample
+// blocks are reused). Each job's telemetry leaves in sample frames of up to
+// wire.SampleBatch samples, the last one right before the job's result
+// frame. It is the execution core shared by the pipe worker (Serve) and the
+// TCP daemon (internal/fleet/net): request-level failures — an
+// undecodable predictor, a broken transport — return a non-nil error for
 // the caller to encode; per-job failures travel as individual result frames
 // and leave the shard alive. A cancelled ctx degrades to per-job context
 // errors on the unfinished jobs, exactly like the local runner; the done
@@ -89,6 +92,7 @@ func ServeRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.
 		return err
 	}
 	canonicalizeDevices(req.Jobs)
+	out := &stream{write: write}
 
 	// Materialize the runnable jobs; specs that fail report immediately as
 	// per-job errors and stay out of the batch.
@@ -102,53 +106,123 @@ func ServeRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.
 			if rf.Name == "" {
 				rf.Name = spec.Workload.Name
 			}
-			if err := write(&wire.Frame{V: wire.Version, Type: wire.TypeResult, Result: rf}); err != nil {
-				return err
-			}
+			out.send(&wire.Frame{V: wire.Version, Type: wire.TypeResult, Result: rf})
 			continue
 		}
 		jobs = append(jobs, job)
 		global = append(global, spec.Index)
 	}
+	if err := out.err(); err != nil {
+		return err
+	}
 
 	crashOn, crashArmed := crashIndex()
 	cfg := fleet.Config{Workers: req.Workers, Event: device.EventMode(req.Event)}
-	var remote *sink.Remote
+	var tel *batcher
 	if req.WantSamples {
-		remote = wire.SampleWriter(write, func(id sink.JobID) int { return global[int(id)] })
-		cfg.Sink = remote
+		tel = &batcher{out: out, global: global, bufs: make([]*[]byte, len(jobs))}
+		cfg.Sink = tel
 	}
-	var mu sync.Mutex
-	var resErr error
 	cfg.OnResult = func(res fleet.JobResult) {
-		// Stream each result as it completes so the coordinator's progress
-		// is live and a crash loses only unreported jobs.
+		// Stream each result as it completes, right behind the rest of its
+		// telemetry, so the coordinator's progress is live and a crash
+		// loses only unreported jobs. OnResult runs on the job's own
+		// goroutine, which also owns the job's sample buffer.
+		if tel != nil {
+			tel.flush(res.Index)
+		}
 		idx := global[res.Index]
 		rf := wire.EncodeResult(res)
 		rf.Index = idx
-		err := write(&wire.Frame{V: wire.Version, Type: wire.TypeResult, Result: rf})
-		mu.Lock()
-		if err != nil && resErr == nil {
-			resErr = err
-		}
-		mu.Unlock()
+		out.send(&wire.Frame{V: wire.Version, Type: wire.TypeResult, Result: rf})
 		if crashArmed && idx == crashOn {
 			os.Exit(3)
 		}
 	}
 	fleet.LocalRunner{}.Run(ctx, cfg, jobs)
-	mu.Lock()
-	err = resErr
-	mu.Unlock()
-	if err != nil {
-		return err
+	return out.err()
+}
+
+// stream is the worker's outbound frame stream over a serialized write
+// function. The first write error latches: later frames are dropped (a job
+// must never report success after part of the stream was lost) and
+// ServeRequest fails the shard with it.
+type stream struct {
+	write func(*wire.Frame) error
+	mu    sync.Mutex
+	first error
+}
+
+func (s *stream) send(f *wire.Frame) {
+	if s.err() != nil {
+		return
 	}
-	if remote != nil {
-		if err := remote.Close(); err != nil {
-			return fmt.Errorf("telemetry stream: %w", err)
+	if err := s.write(f); err != nil {
+		s.mu.Lock()
+		if s.first == nil {
+			s.first = fmt.Errorf("send %s frame: %w", f.Type, err)
 		}
+		s.mu.Unlock()
 	}
-	return nil
+}
+
+func (s *stream) err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.first
+}
+
+// batchPool recycles full-size sample buffers across jobs.
+var batchPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, wire.SampleBatch*wire.SampleSize)
+	return &b
+}}
+
+// batcher is the worker's fleet sink: it packs each local job's samples
+// into that job's buffer and ships a sample frame whenever the buffer
+// holds wire.SampleBatch samples, and once more right before the job's
+// result frame. A job's buffer is touched only by the goroutine running
+// that job (samples and its OnResult alike), so it needs no lock.
+type batcher struct {
+	out    *stream
+	global []int     // local batch index → global index
+	bufs   []*[]byte // per local job; nil between jobs
+}
+
+func (b *batcher) Accept(id sink.JobID, s device.Sample) {
+	buf := b.bufs[id]
+	if buf == nil {
+		buf = batchPool.Get().(*[]byte)
+		b.bufs[id] = buf
+	}
+	*buf = wire.PackSample(*buf, s)
+	if len(*buf) == wire.SampleBatch*wire.SampleSize {
+		b.send(int(id), buf)
+	}
+}
+
+// Close reports the stream's latched error; the fleet never calls it.
+func (b *batcher) Close() error { return b.out.err() }
+
+// send ships local job i's buffered samples as one frame and empties the
+// buffer.
+func (b *batcher) send(i int, buf *[]byte) {
+	b.out.send(&wire.Frame{V: wire.Version, Type: wire.TypeSample,
+		Sample: &wire.SampleFrame{Job: b.global[i], Samples: *buf}})
+	*buf = (*buf)[:0]
+}
+
+// flush ships local job i's remaining samples and releases its buffer.
+func (b *batcher) flush(i int) {
+	buf := b.bufs[i]
+	if buf == nil {
+		return
+	}
+	if len(*buf) > 0 {
+		b.send(i, buf)
+	}
+	b.bufs[i] = nil
+	batchPool.Put(buf)
 }
 
 // canonicalizeDevices aliases value-identical device configurations to

@@ -4,11 +4,13 @@
 // byte stream — the stdin/stdout pipes of a worker subprocess today, a
 // socket when the fleet grows multi-host.
 //
-// Every frame is a Frame envelope: {"v":1,"type":...} plus exactly one
-// payload field matching the type. Readers reject unknown versions,
-// unknown types, oversized frames and truncated streams with descriptive
-// errors; the shard coordinator turns those into per-job errors instead of
-// batch failures.
+// Every frame is a Frame envelope: {"v":2,"type":...} plus exactly one
+// payload field matching the type. Telemetry travels in batches: a sample
+// frame carries up to SampleBatch samples of one job as a packed binary
+// block (see PackSample). Readers reject unknown versions, unknown types,
+// oversized frames and truncated streams with descriptive errors; the
+// shard coordinator turns those into per-job errors instead of batch
+// failures.
 package wire
 
 import (
@@ -18,19 +20,33 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"net"
 
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fleet"
-	"repro/internal/sink"
 	"repro/internal/users"
 	"repro/internal/workload"
 )
 
 // Version is the protocol version this package reads and writes. A worker
 // and coordinator from the same build always agree; mixed builds fail fast
-// with ErrVersion instead of mis-decoding.
-const Version = 1
+// with ErrVersion instead of mis-decoding — a daemon's hello frame already
+// carries it, so a coordinator refuses a worker of another version before
+// sending it work. Version 1 sent one JSON frame per sample.
+const Version = 2
+
+// SampleBatch is the most samples one sample frame carries. Workers flush
+// a job's batch when it fills and again right before the job's result
+// frame, so a frame never exceeds SampleBatch × SampleSize bytes of
+// telemetry however long the job runs.
+const SampleBatch = 256
+
+// SampleSize is the packed size of one device.Sample: its seven float64
+// fields in declaration order, then MaxLevel as an int64, each as 8
+// little-endian bytes.
+const SampleSize = 64
 
 // MaxFrame bounds a single frame's payload (64 MiB). Traced results of
 // very long runs are the largest frames in practice (a few MB); anything
@@ -41,7 +57,8 @@ const MaxFrame = 64 << 20
 const (
 	// TypeShard carries a ShardRequest, coordinator → worker.
 	TypeShard = "shard"
-	// TypeSample carries one telemetry sample, worker → coordinator.
+	// TypeSample carries a batch of one job's telemetry samples, worker →
+	// coordinator.
 	TypeSample = "sample"
 	// TypeResult carries one finished job, worker → coordinator.
 	TypeResult = "result"
@@ -109,8 +126,8 @@ type ShardRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// Predictor is a core.SavePredictor document, decoded once per shard.
 	Predictor json.RawMessage `json:"predictor,omitempty"`
-	// WantSamples asks the worker to forward every telemetry sample as a
-	// TypeSample frame tagged with the spec's global index.
+	// WantSamples asks the worker to forward every telemetry sample, in
+	// TypeSample frames tagged with the spec's global index.
 	WantSamples bool `json:"want_samples,omitempty"`
 	// Event selects the worker's stepping engine (a device.EventMode
 	// value; 0 is the plain fixed-tick loop). Carried as an int so the
@@ -120,12 +137,35 @@ type ShardRequest struct {
 	Event int `json:"event,omitempty"`
 }
 
-// SampleFrame is one telemetry point crossing the process boundary.
+// SampleFrame is a batch of one job's telemetry crossing the process
+// boundary, in emission order.
 type SampleFrame struct {
 	// Job is the global job index (fleet.JobSpec.Index).
 	Job int `json:"job"`
-	// Sample is the telemetry point, verbatim.
-	Sample device.Sample `json:"sample"`
+	// Samples holds 1..SampleBatch samples packed by PackSample, bit-exact
+	// (base64 inside the JSON envelope).
+	Samples []byte `json:"samples"`
+}
+
+// PackSample appends s to a packed sample block.
+func PackSample(block []byte, s device.Sample) []byte {
+	for _, v := range [...]float64{s.TimeSec, s.SkinC, s.ScreenC, s.DieC, s.BatteryC, s.FreqMHz, s.Util} {
+		block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
+	}
+	return binary.LittleEndian.AppendUint64(block, uint64(int64(s.MaxLevel)))
+}
+
+// EachSample calls fn with every sample of a packed block, in order. A
+// trailing partial sample is ignored; ReadFrame rejects frames carrying one.
+func EachSample(block []byte, fn func(device.Sample)) {
+	f := func(b []byte, i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
+	for ; len(block) >= SampleSize; block = block[SampleSize:] {
+		fn(device.Sample{
+			TimeSec: f(block, 0), SkinC: f(block, 1), ScreenC: f(block, 2), DieC: f(block, 3),
+			BatteryC: f(block, 4), FreqMHz: f(block, 5), Util: f(block, 6),
+			MaxLevel: int(int64(binary.LittleEndian.Uint64(block[56:]))),
+		})
+	}
 }
 
 // ResultFrame is a fleet.JobResult in serializable form: the error
@@ -178,7 +218,8 @@ func (rf *ResultFrame) Decode() fleet.JobResult {
 }
 
 // WriteFrame writes one envelope as a 4-byte big-endian length followed by
-// its JSON encoding. Writers must serialize calls on a shared stream.
+// its JSON encoding — one writev on a TCP connection. Writers must
+// serialize calls on a shared stream.
 func WriteFrame(w io.Writer, f *Frame) error {
 	b, err := json.Marshal(f)
 	if err != nil {
@@ -189,10 +230,8 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(b)
+	bufs := net.Buffers{hdr[:], b}
+	_, err = bufs.WriteTo(w)
 	return err
 }
 
@@ -212,30 +251,44 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, io.ErrUnexpectedEOF // cut mid-frame, never clean
+	// Grow the buffer as bytes arrive rather than trusting the prefix: a
+	// peer that promises MaxFrame and sends little gets a buffer at most
+	// twice what it sent.
+	buf := make([]byte, min(int(n), 64<<10))
+	for off := 0; ; {
+		m, err := io.ReadFull(r, buf[off:])
+		if err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil, io.ErrUnexpectedEOF // cut mid-frame, never clean
+			}
+			return nil, err
 		}
-		return nil, err
+		if off += m; off == int(n) {
+			break
+		}
+		buf = append(buf, make([]byte, min(int(n)-off, off))...)
 	}
-	// Check the version with a lenient decode first: a newer build's frame
-	// may carry envelope fields this build does not know, and that must
-	// read as a version mismatch, not a malformed frame.
-	var ver struct {
-		V int `json:"v"`
-	}
-	if err := json.Unmarshal(buf, &ver); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	if ver.V != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, ver.V, Version)
-	}
+	// One strict decode per frame. Only a frame it refuses needs the
+	// lenient version probe: a newer build's frame may carry envelope
+	// fields this build does not know, and that must read as a version
+	// mismatch, not a malformed frame.
 	var f Frame
 	dec := json.NewDecoder(bytes.NewReader(buf))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
+		var ver struct {
+			V int `json:"v"`
+		}
+		if json.Unmarshal(buf, &ver) == nil && ver.V != Version {
+			return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, ver.V, Version)
+		}
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after the envelope", ErrBadFrame)
+	}
+	if f.V != Version {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, f.V, Version)
 	}
 	switch f.Type {
 	case TypeShard:
@@ -245,6 +298,12 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	case TypeSample:
 		if f.Sample == nil {
 			return nil, fmt.Errorf("%w: sample frame without payload", ErrBadFrame)
+		}
+		if f.Sample.Job < 0 {
+			return nil, fmt.Errorf("%w: sample frame for job %d", ErrBadFrame, f.Sample.Job)
+		}
+		if n := len(f.Sample.Samples); n == 0 || n%SampleSize != 0 || n/SampleSize > SampleBatch {
+			return nil, fmt.Errorf("%w: sample block of %d bytes (want 1..%d samples of %d bytes)", ErrBadFrame, n, SampleBatch, SampleSize)
 		}
 	case TypeResult:
 		if f.Result == nil {
@@ -339,15 +398,4 @@ func Materialize(spec fleet.JobSpec, pred *core.Predictor) (fleet.Job, error) {
 		}
 	}
 	return job, nil
-}
-
-// SampleWriter returns a sink.Remote that forwards every sample as a
-// TypeSample frame through write, mapping the local runner's job tags to
-// global indices via toGlobal. write must serialize access to the
-// underlying stream (the worker shares it with result frames).
-func SampleWriter(write func(*Frame) error, toGlobal func(sink.JobID) int) *sink.Remote {
-	return sink.NewRemote(func(id sink.JobID, s device.Sample) error {
-		return write(&Frame{V: Version, Type: TypeSample,
-			Sample: &SampleFrame{Job: toGlobal(id), Sample: s}})
-	})
 }

@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -36,7 +39,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			}},
 		}},
 		{V: Version, Type: TypeSample, Sample: &SampleFrame{
-			Job: 12, Sample: device.Sample{TimeSec: 1.5, SkinC: 31.25, FreqMHz: 1512, MaxLevel: 11},
+			Job: 12, Samples: PackSample(nil, device.Sample{TimeSec: 1.5, SkinC: 31.25, FreqMHz: 1512, MaxLevel: 11}),
 		}},
 		{V: Version, Type: TypeResult, Result: &ResultFrame{Index: 4, Name: "glbench", SeedUsed: 99}},
 		{V: Version, Type: TypeDone},
@@ -59,6 +62,37 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFrame(&buf); err != io.EOF {
 		t.Fatalf("end of stream: got %v, want io.EOF", err)
+	}
+}
+
+// TestPackSampleRoundTrip: packed samples unpack bit-exact and in order,
+// including negative zero, NaN payloads, infinities and a negative clamp.
+func TestPackSampleRoundTrip(t *testing.T) {
+	want := []device.Sample{
+		{TimeSec: 1, SkinC: 31.25, ScreenC: 30.5, DieC: 55.125, BatteryC: 29, FreqMHz: 1512, Util: 0.75, MaxLevel: 11},
+		{TimeSec: math.Copysign(0, -1), SkinC: math.Float64frombits(0x7ff8000000000abc), ScreenC: math.Inf(1), DieC: math.Inf(-1), MaxLevel: -3},
+		{TimeSec: math.MaxFloat64, Util: math.SmallestNonzeroFloat64, MaxLevel: math.MaxInt32},
+	}
+	var block []byte
+	for _, s := range want {
+		block = PackSample(block, s)
+	}
+	if len(block) != len(want)*SampleSize {
+		t.Fatalf("block is %d bytes, want %d", len(block), len(want)*SampleSize)
+	}
+	// The documented layout: fields in declaration order, little-endian.
+	if math.Float64frombits(binary.LittleEndian.Uint64(block[16:])) != 30.5 || binary.LittleEndian.Uint64(block[56:]) != 11 {
+		t.Fatalf("sample 0 packed as % x", block[:SampleSize])
+	}
+	var got []device.Sample
+	EachSample(block, func(s device.Sample) { got = append(got, s) })
+	if len(got) != len(want) {
+		t.Fatalf("unpacked %d samples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(PackSample(nil, got[i]), PackSample(nil, want[i])) || got[i].MaxLevel != want[i].MaxLevel {
+			t.Fatalf("sample %d: %+v, want bit-exact %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -99,6 +133,19 @@ func TestReadFrameMalformed(t *testing.T) {
 		WriteFrame(&buf, &Frame{V: Version, Type: TypeDone})
 		return buf.Bytes()
 	}()
+	// env frames an envelope of the given version around the rest of its
+	// JSON object.
+	env := func(v int, rest string) []byte {
+		return writeRaw([]byte(fmt.Sprintf(`{"v":%d%s}`, v, rest)))
+	}
+	// block is a packed sample block of n samples, base64 as on the wire.
+	block := func(n int) string {
+		var b []byte
+		for i := 0; i < n; i++ {
+			b = PackSample(b, device.Sample{TimeSec: float64(i)})
+		}
+		return base64.StdEncoding.EncodeToString(b)
+	}
 	cases := []struct {
 		name  string
 		input []byte
@@ -112,16 +159,24 @@ func TestReadFrameMalformed(t *testing.T) {
 			binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
 			return hdr[:]
 		}(), ErrFrameTooLarge},
-		{"invalid json", writeRaw([]byte(`{"v":1,`)), ErrBadFrame},
-		{"unknown field", writeRaw([]byte(`{"v":1,"type":"done","zzz":true}`)), ErrBadFrame},
-		{"wrong version", writeRaw([]byte(`{"v":2,"type":"done"}`)), ErrVersion},
-		{"newer version with unknown envelope fields", writeRaw([]byte(`{"v":2,"type":"done","future":{}}`)), ErrVersion},
-		{"unknown type", writeRaw([]byte(`{"v":1,"type":"gossip"}`)), ErrBadFrame},
-		{"shard frame without payload", writeRaw([]byte(`{"v":1,"type":"shard"}`)), ErrBadFrame},
-		{"shard frame with unknown batched field", writeRaw([]byte(`{"v":1,"type":"shard","shard":{"jobs":[],"batched":true}}`)), ErrBadFrame},
-		{"sample frame without payload", writeRaw([]byte(`{"v":1,"type":"sample"}`)), ErrBadFrame},
-		{"result frame without payload", writeRaw([]byte(`{"v":1,"type":"result"}`)), ErrBadFrame},
-		{"error frame without message", writeRaw([]byte(`{"v":1,"type":"error"}`)), ErrBadFrame},
+		{"invalid json", writeRaw([]byte(fmt.Sprintf(`{"v":%d,`, Version))), ErrBadFrame},
+		{"unknown field", env(Version, `,"type":"done","zzz":true`), ErrBadFrame},
+		{"trailing bytes after the envelope", writeRaw([]byte(fmt.Sprintf(`{"v":%d,"type":"done"}{}`, Version))), ErrBadFrame},
+		{"wrong version", env(Version+1, `,"type":"done"`), ErrVersion},
+		{"newer version with unknown envelope fields", env(Version+1, `,"type":"done","future":{}`), ErrVersion},
+		{"newer version failing the strict decode", env(Version+1, `,"type":"sample","sample":{"job":"seven"}`), ErrVersion},
+		{"v1 per-sample frame", writeRaw([]byte(`{"v":1,"type":"sample","sample":{"job":0,"sample":{"TimeSec":1,"SkinC":31,"ScreenC":30,"DieC":40,"BatteryC":29,"FreqMHz":1512,"Util":0.5,"MaxLevel":11}}}`)), ErrVersion},
+		{"unknown type", env(Version, `,"type":"gossip"`), ErrBadFrame},
+		{"shard frame without payload", env(Version, `,"type":"shard"`), ErrBadFrame},
+		{"shard frame with unknown batched field", env(Version, `,"type":"shard","shard":{"jobs":[],"batched":true}`), ErrBadFrame},
+		{"sample frame without payload", env(Version, `,"type":"sample"`), ErrBadFrame},
+		{"sample frame with empty block", env(Version, `,"type":"sample","sample":{"job":0,"samples":""}`), ErrBadFrame},
+		{"sample frame with a partial sample", env(Version, fmt.Sprintf(`,"type":"sample","sample":{"job":0,"samples":%q}`,
+			base64.StdEncoding.EncodeToString(make([]byte, 2*SampleSize+1)))), ErrBadFrame},
+		{"sample frame over the batch size", env(Version, fmt.Sprintf(`,"type":"sample","sample":{"job":0,"samples":%q}`, block(SampleBatch+1))), ErrBadFrame},
+		{"sample frame for a negative job", env(Version, fmt.Sprintf(`,"type":"sample","sample":{"job":-1,"samples":%q}`, block(1))), ErrBadFrame},
+		{"result frame without payload", env(Version, `,"type":"result"`), ErrBadFrame},
+		{"error frame without message", env(Version, `,"type":"error"`), ErrBadFrame},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -228,4 +283,56 @@ func TestResultFrameRoundTripWithTrace(t *testing.T) {
 	if len(got.Result.Records) != len(res.Result.Records) {
 		t.Fatal("records diverged across the boundary")
 	}
+}
+
+// FuzzReadFrame: no byte stream makes ReadFrame panic. Every input either
+// fails with one of the package's typed errors (or a clean or unexpected
+// end of stream), or decodes to a frame that re-encodes and re-reads
+// equal — compared as encoded, since the raw predictor document
+// re-encodes compacted. The committed corpus under testdata/fuzz/FuzzReadFrame adds
+// multi-sample, truncated and odd-length sample blocks.
+func FuzzReadFrame(f *testing.F) {
+	var block []byte
+	for i := 0; i < 3; i++ {
+		block = PackSample(block, device.Sample{TimeSec: float64(i), SkinC: 30 + float64(i), MaxLevel: i})
+	}
+	for _, fr := range []*Frame{
+		{V: Version, Type: TypeSample, Sample: &SampleFrame{Job: 4, Samples: block}},
+		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 2}},
+		{V: Version, Type: TypeShard, Shard: &ShardRequest{Jobs: []fleet.JobSpec{{Index: 1, Workload: fleet.WorkloadRef{Name: "skype"}, Seed: 3, DurSec: 10}}}},
+		{V: Version, Type: TypeResult, Result: &ResultFrame{Index: 2, Err: "boom"}},
+		{V: Version, Type: TypeDone},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := ReadFrame(bytes.NewReader(data))
+		if err != nil {
+			for _, typed := range []error{ErrBadFrame, ErrVersion, ErrFrameTooLarge, io.EOF, io.ErrUnexpectedEOF} {
+				if errors.Is(err, typed) {
+					return
+				}
+			}
+			t.Fatalf("untyped error: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, fr); err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", err)
+		}
+		enc := bytes.Clone(buf.Bytes())
+		again, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded frame does not re-read: %v", err)
+		}
+		if err := WriteFrame(&buf, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, buf.Bytes()) {
+			t.Fatalf("round trip changed the frame:\n%s\n%s", enc[4:], buf.Bytes()[4:])
+		}
+	})
 }

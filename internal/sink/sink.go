@@ -177,43 +177,6 @@ func (j *JSONL) Close() error {
 	return j.err
 }
 
-// Remote forwards every sample into a transport encoder — the
-// process-boundary half of the fleet's telemetry bus. A shard worker wires
-// one as its local fleet sink with an encoder that writes wire sample
-// frames to its stdout pipe; the coordinator decodes the frames and
-// replays them into the caller's real sink, so FleetConfig.Sink works
-// transparently across process boundaries. Accept calls are serialized
-// (the transport is a single stream) and the first encoder error latches:
-// later samples are dropped and Close reports it.
-type Remote struct {
-	mu   sync.Mutex
-	send func(JobID, device.Sample) error
-	err  error
-}
-
-// NewRemote creates a remote sink over the given encoder.
-func NewRemote(send func(JobID, device.Sample) error) *Remote {
-	return &Remote{send: send}
-}
-
-// Accept encodes one sample; after the first transport error it is a no-op.
-func (r *Remote) Accept(job JobID, s device.Sample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.err != nil {
-		return
-	}
-	r.err = r.send(job, s)
-}
-
-// Close reports the first transport error of the stream. The transport
-// itself (a pipe, a socket) belongs to whoever opened it.
-func (r *Remote) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
 // Entry is one buffered (job, sample) pair.
 type Entry struct {
 	Job    JobID
