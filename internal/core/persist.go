@@ -7,6 +7,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -15,7 +16,22 @@ import (
 	"repro/internal/ml/m5p"
 	"repro/internal/ml/mlp"
 	"repro/internal/ml/tree"
+	"repro/internal/sensors"
 )
+
+// ErrModelShape marks a decoded model whose feature references do not fit
+// the predictor's input tuple (sensors.FeatureNames): predicting with it
+// would index past the features. LoadPredictor refuses such documents
+// rather than let one crash the process that runs the controller.
+var ErrModelShape = errors.New("core: model does not fit the feature tuple")
+
+// persistedModel is a regressor LoadPredictor can decode and check.
+type persistedModel interface {
+	ml.Regressor
+	// CheckInputs reports an error unless Predict is safe on every input
+	// of n features.
+	CheckInputs(n int) error
+}
 
 type persistedPredictor struct {
 	Algorithm string          `json:"algorithm"`
@@ -38,7 +54,7 @@ func algorithmOf(r ml.Regressor) (string, error) {
 	}
 }
 
-func emptyModel(algorithm string) (ml.Regressor, error) {
+func emptyModel(algorithm string) (persistedModel, error) {
 	switch algorithm {
 	case "REPTree":
 		return &tree.Model{}, nil
@@ -82,7 +98,9 @@ func SavePredictor(w io.Writer, p *Predictor) error {
 	return enc.Encode(persistedPredictor{Algorithm: algo, Skin: skin, Screen: screen})
 }
 
-// LoadPredictor deserializes a predictor saved by SavePredictor.
+// LoadPredictor deserializes a predictor saved by SavePredictor. Models
+// whose feature references do not fit sensors.FeatureNames fail with an
+// error wrapping ErrModelShape.
 func LoadPredictor(r io.Reader) (*Predictor, error) {
 	var pp persistedPredictor
 	if err := json.NewDecoder(r).Decode(&pp); err != nil {
@@ -101,6 +119,12 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	}
 	if err := json.Unmarshal(pp.Screen, screen); err != nil {
 		return nil, fmt.Errorf("core: decode screen model: %w", err)
+	}
+	if err := skin.CheckInputs(len(sensors.FeatureNames)); err != nil {
+		return nil, fmt.Errorf("%w: skin model: %v", ErrModelShape, err)
+	}
+	if err := screen.CheckInputs(len(sensors.FeatureNames)); err != nil {
+		return nil, fmt.Errorf("%w: screen model: %v", ErrModelShape, err)
 	}
 	return &Predictor{SkinModel: skin, ScreenModel: screen}, nil
 }

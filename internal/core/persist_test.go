@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,4 +105,73 @@ func TestUnfittedModelsRefuseToMarshal(t *testing.T) {
 	if err := SavePredictor(&buf, p); err == nil {
 		t.Fatal("unfitted MLP marshalled")
 	}
+}
+
+// misfitDocs are predictor documents that decode as JSON but whose models
+// reference features outside sensors.FeatureNames: predicting with any of
+// them indexes past the four-feature input.
+var misfitDocs = []struct{ name, doc string }{
+	{"REPTree split on feature 7",
+		`{"algorithm":"REPTree","skin":{"root":{"attr":7,"thr":1,"l":{"v":1,"leaf":true},"r":{"v":2,"leaf":true},"v":0,"leaf":false}},"screen":{"root":{"v":30,"leaf":true}}}`},
+	{"REPTree split on a negative feature",
+		`{"algorithm":"REPTree","skin":{"root":{"v":30,"leaf":true}},"screen":{"root":{"attr":-1,"thr":1,"l":{"v":1,"leaf":true},"r":{"v":2,"leaf":true},"v":0,"leaf":false}}}`},
+	{"M5P split on feature 9",
+		`{"algorithm":"M5P","skin":{"root":{"attr":9,"thr":1,"l":{"lm":[1,0,0,0,0],"n":3,"leaf":true},"r":{"lm":[1,0,0,0,0],"n":3,"leaf":true},"lm":[1,0,0,0,0],"n":6}},"screen":{"root":{"lm":[30,0,0,0,0],"n":1,"leaf":true}}}`},
+	{"M5P leaf model with one term",
+		`{"algorithm":"M5P","skin":{"root":{"lm":[30,0,0,0,0],"n":1,"leaf":true}},"screen":{"root":{"lm":[1],"n":1,"leaf":true}}}`},
+	{"LinearRegression with one coefficient",
+		`{"algorithm":"LinearRegression","skin":{"coef":[1]},"screen":{"coef":[30,0,0,0,0]}}`},
+	{"MultilayerPerceptron over five inputs",
+		`{"algorithm":"MultilayerPerceptron","skin":{"hidden":1,"w_in":[[0,0,0,0,0,0]],"w_out":[1,0],"in_lo":[0,0,0,0,0],"in_hi":[1,1,1,1,1],"y_lo":20,"y_hi":40},"screen":{"hidden":1,"w_in":[[0,0,0,0,0]],"w_out":[1,0],"in_lo":[0,0,0,0],"in_hi":[1,1,1,1],"y_lo":20,"y_hi":40}}`},
+	{"MultilayerPerceptron with a short input range",
+		`{"algorithm":"MultilayerPerceptron","skin":{"hidden":1,"w_in":[[0,0,0,0,0]],"w_out":[1,0],"in_lo":[0,0,0,0],"in_hi":[1],"y_lo":20,"y_hi":40},"screen":{"hidden":1,"w_in":[[0,0,0,0,0]],"w_out":[1,0],"in_lo":[0,0,0,0],"in_hi":[1,1,1,1],"y_lo":20,"y_hi":40}}`},
+}
+
+// TestLoadRejectsMisfitModels: a document whose models do not fit the
+// feature tuple is refused at decode with ErrModelShape — never handed to
+// a controller whose first prediction would panic.
+func TestLoadRejectsMisfitModels(t *testing.T) {
+	for _, tc := range misfitDocs {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := LoadPredictor(strings.NewReader(tc.doc))
+			if !errors.Is(err, ErrModelShape) {
+				t.Fatalf("got predictor %v, err %v; want ErrModelShape", p, err)
+			}
+		})
+	}
+}
+
+// FuzzLoadPredictor: arbitrary bytes never panic the loader, and whatever
+// it accepts is safe to predict with on any record — zeros, NaN, ±Inf —
+// and survives a save/load round trip unchanged.
+func FuzzLoadPredictor(f *testing.F) {
+	for _, tc := range misfitDocs {
+		f.Add([]byte(tc.doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadPredictor(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		nan, inf := math.NaN(), math.Inf(1)
+		for _, r := range []sensors.Record{
+			{},
+			{CPUTempC: nan, BatteryTempC: nan, Util: nan, FreqMHz: nan},
+			{CPUTempC: inf, BatteryTempC: -inf, Util: inf, FreqMHz: -inf},
+		} {
+			p.PredictSkin(r)
+			p.PredictScreen(r)
+		}
+		var buf bytes.Buffer
+		if err := SavePredictor(&buf, p); err != nil {
+			t.Fatalf("accepted predictor does not re-encode: %v", err)
+		}
+		again, err := LoadPredictor(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded predictor does not load: %v", err)
+		}
+		if !reflect.DeepEqual(p, again) {
+			t.Fatal("save/load round trip changed the predictor")
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sweep"
 )
 
 // This file is the job server's observability surface: the SSE snapshot
@@ -215,8 +216,8 @@ func breakerRank(state string) int {
 }
 
 // handleMetrics renders the Prometheus exposition: per-job progress,
-// per-user-class sample counters, and the merged per-host recovery
-// gauges. Families are emitted contiguously as the format requires.
+// per-user-class sample counters, the merged per-host recovery gauges,
+// and the process's predictor self-training counters. Families are emitted contiguously as the format requires.
 func (s *JobServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	jobs := s.jobsInOrder()
 	type jobView struct {
@@ -334,6 +335,12 @@ func (s *JobServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Sample("usta_hedge_wins_total", nil, float64(st.HedgeWins))
 	mw.Family("usta_fallback_jobs_total", "Jobs absorbed by the local fallback pool.", "counter")
 	mw.Sample("usta_fallback_jobs_total", nil, float64(st.FallbackJobs))
+
+	trainings, hits := sweep.PredictorCounts()
+	mw.Family("usta_predictor_trainings_total", "Predictors self-trained by this process.", "counter")
+	mw.Sample("usta_predictor_trainings_total", nil, float64(trainings))
+	mw.Family("usta_predictor_memo_hits_total", "Sweeps that reused a memoized self-trained predictor.", "counter")
+	mw.Sample("usta_predictor_memo_hits_total", nil, float64(hits))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

@@ -1,8 +1,10 @@
 package net_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,11 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	fleetnet "repro/internal/fleet/net"
 	"repro/internal/fleet/wire"
 	"repro/internal/sink"
+	"repro/internal/users"
 	"repro/internal/workload"
 )
 
@@ -544,52 +548,57 @@ func TestNetRunnerAllHostsDown(t *testing.T) {
 }
 
 // TestNetRunnerRefusesOldProtocolWorker: a daemon from a build speaking
-// protocol version 1 (one JSON frame per sample) is refused at its hello
-// frame — the coordinator never ships it a shard — and the run fails with
-// the version mismatch instead of mis-decoding telemetry mid-shard.
+// an older protocol — version 1 (one JSON frame per sample) or version 2
+// (the predictor in every shard request) — is refused at its hello frame:
+// the coordinator never ships it a shard, and the run fails with the
+// version mismatch instead of mis-decoding frames mid-shard.
 func TestNetRunnerRefusesOldProtocolWorker(t *testing.T) {
-	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var received atomic.Int64
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer ln.Close()
-	hello := []byte(`{"v":1,"type":"hello","hello":{"proto":1,"capacity":1}}`)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
+	for _, v := range []int{1, 2} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(hello)))
-			conn.Write(append(hdr[:], hello...))
+			var received atomic.Int64
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer ln.Close()
+			hello := []byte(fmt.Sprintf(`{"v":%d,"type":"hello","hello":{"proto":%d,"capacity":1}}`, v, v))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer conn.Close()
-				n, _ := io.Copy(io.Discard, conn)
-				received.Add(n)
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					var hdr [4]byte
+					binary.BigEndian.PutUint32(hdr[:], uint32(len(hello)))
+					conn.Write(append(hdr[:], hello...))
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						defer conn.Close()
+						n, _ := io.Copy(io.Discard, conn)
+						received.Add(n)
+					}()
+				}
 			}()
-		}
-	}()
 
-	nr := fleetnet.New([]string{ln.Addr().String()})
-	nr.BackoffBase = 10 * time.Millisecond
-	nr.AllDeadDeadline = 300 * time.Millisecond
-	for i, r := range nr.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true)) {
-		if r.Err == nil || !strings.Contains(r.Err.Error(), "protocol version") {
-			t.Fatalf("job %d: err = %v, want the hello version mismatch", i, r.Err)
-		}
-	}
-	ln.Close()
-	wg.Wait()
-	if n := received.Load(); n != 0 {
-		t.Fatalf("the old worker was sent %d bytes; want it refused before any request", n)
+			nr := fleetnet.New([]string{ln.Addr().String()})
+			nr.BackoffBase = 10 * time.Millisecond
+			nr.AllDeadDeadline = 300 * time.Millisecond
+			for i, r := range nr.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true)) {
+				if r.Err == nil || !strings.Contains(r.Err.Error(), "protocol version") {
+					t.Fatalf("job %d: err = %v, want the hello version mismatch", i, r.Err)
+				}
+			}
+			ln.Close()
+			wg.Wait()
+			if n := received.Load(); n != 0 {
+				t.Fatalf("the old worker was sent %d bytes; want it refused before any request", n)
+			}
+		})
 	}
 }
 
@@ -735,5 +744,194 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, after, buf[:n])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// ustaJobs trains a small predictor and builds n usta jobs against it: the
+// in-process jobs carry their controllers, and their specs name the usta
+// controller for workers rebuilding them from the returned document.
+func ustaJobs(t *testing.T, n int) ([]fleet.Job, json.RawMessage) {
+	t.Helper()
+	bs := workload.Benchmarks(42)
+	loads := make([]workload.Workload, len(bs))
+	for i, b := range bs {
+		loads[i] = b
+	}
+	corpus, err := core.CollectCorpusContext(context.Background(), device.DefaultConfig(), loads, 300, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := core.Train(corpus, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := wire.EncodePredictor(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]fleet.Job, n)
+	for i := range jobs {
+		spec := &fleet.JobSpec{
+			Name:       fmt.Sprintf("usta-%d", i),
+			Workload:   fleet.WorkloadRef{Name: "game", Seed: uint64(i)},
+			DurSec:     120,
+			TraceFree:  true,
+			Controller: "usta",
+			LimitC:     36,
+		}
+		jobs[i] = fleet.Job{
+			Name:       spec.Name,
+			Workload:   workload.ByName(spec.Workload.Name, spec.Workload.Seed),
+			DurSec:     spec.DurSec,
+			TraceFree:  true,
+			Controller: func(users.User) device.Controller { return core.NewUSTA(pred, spec.LimitC) },
+			Spec:       spec,
+		}
+	}
+	return jobs, doc
+}
+
+// recordingListener keeps every byte each accepted connection reads: the
+// coordinator's requests, as the worker sees them.
+type recordingListener struct {
+	stdnet.Listener
+	mu    sync.Mutex
+	conns []*recordingConn
+}
+
+type recordingConn struct {
+	stdnet.Conn
+	mu  sync.Mutex
+	buf []byte
+}
+
+func (l *recordingListener) Accept() (stdnet.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	rc := &recordingConn{Conn: c}
+	l.mu.Lock()
+	l.conns = append(l.conns, rc)
+	l.mu.Unlock()
+	return rc, nil
+}
+
+func (c *recordingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.buf = append(c.buf, p[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+// TestNetRunnerShipsPredictorOncePerConnection: a connection carries the
+// run's predictor document in its first shard request only; the rest ask
+// for the same one, and the results still equal the in-process pool's.
+func TestNetRunnerShipsPredictorOncePerConnection(t *testing.T) {
+	const n = 6
+	jobs, doc := ustaJobs(t, n)
+	cfg := fleet.Config{Workers: 1, Seed: 3}
+	ref := fleet.LocalRunner{}.Run(context.Background(), cfg, jobs)
+	if err := fleet.FirstError(ref); err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl := &recordingListener{Listener: ln}
+	s := &fleetnet.Server{Capacity: 1}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(context.Background(), rl) }()
+	defer func() {
+		s.Shutdown()
+		if err := <-done; err != nil {
+			t.Errorf("server exited: %v", err)
+		}
+	}()
+
+	nr := fleetnet.New([]string{ln.Addr().String()})
+	nr.ShardSize = 1 // one item per job: n requests on the single connection
+	cfg.Predictor = doc
+	got := nr.Run(context.Background(), cfg, jobs)
+	if err := fleet.FirstError(got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		a, b := ref[i].Result, got[i].Result
+		if got[i].SeedUsed != ref[i].SeedUsed || b.EnergyJ != a.EnergyJ || b.MaxSkinC != a.MaxSkinC || b.AvgFreqMHz != a.AvgFreqMHz {
+			t.Fatalf("job %d diverged from the local runner", i)
+		}
+	}
+
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if len(rl.conns) != 1 {
+		t.Fatalf("%d connections, want 1", len(rl.conns))
+	}
+	c := rl.conns[0]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	shards := bytes.Count(c.buf, []byte(`"type":"shard"`))
+	same := bytes.Count(c.buf, []byte(`"same_predictor":true`))
+	if shards != n {
+		t.Fatalf("connection carried %d shard requests, want %d", shards, n)
+	}
+	if k := bytes.Count(c.buf, bytes.TrimSpace(doc)); k != 1 || same != shards-1 {
+		t.Fatalf("predictor sent %d times and reused %d times over %d requests; want once, then reused", k, same, shards)
+	}
+}
+
+// TestServerSamePredictorNeedsOne: a same_predictor request on a
+// connection that has not carried a predictor is refused with an error
+// frame, and the connection stays usable — a full request then runs, and
+// a same_predictor one after it reuses its predictor.
+func TestServerSamePredictorNeedsOne(t *testing.T) {
+	jobs, doc := ustaJobs(t, 1)
+	addr := startServer(t, &fleetnet.Server{Capacity: 1})
+	conn, err := stdnet.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.TypeHello {
+		t.Fatalf("hello: %v (%+v)", err, f)
+	}
+	spec := *jobs[0].Spec
+	spec.Seed = 9
+	// request sends one shard request and returns the frame ending it,
+	// after checking every result it streamed.
+	request := func(req *wire.ShardRequest) *wire.Frame {
+		t.Helper()
+		req.Jobs = []fleet.JobSpec{spec}
+		if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: req}); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f, err := wire.ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch f.Type {
+			case wire.TypeResult:
+				if f.Result.Err != "" {
+					t.Fatalf("job failed: %s", f.Result.Err)
+				}
+			case wire.TypeDone, wire.TypeError:
+				return f
+			}
+		}
+	}
+	if f := request(&wire.ShardRequest{SamePredictor: true}); f.Type != wire.TypeError || !strings.Contains(f.Err, "same_predictor") {
+		t.Fatalf("same_predictor first: got %+v, want an error frame", f)
+	}
+	if f := request(&wire.ShardRequest{Predictor: doc}); f.Type != wire.TypeDone {
+		t.Fatalf("full request after the refusal: got %+v, want done", f)
+	}
+	if f := request(&wire.ShardRequest{SamePredictor: true}); f.Type != wire.TypeDone {
+		t.Fatalf("same_predictor after a full request: got %+v, want done", f)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -402,5 +403,58 @@ func TestEventsStalledClientDoesNotBlockJob(t *testing.T) {
 	body := waitStatus(t, ts, id)
 	if body["status"] != "done" {
 		t.Fatalf("job status = %v", body["status"])
+	}
+}
+
+// memoTestRuns numbers TestMetricsPredictorMemo's runs.
+var memoTestRuns atomic.Int64
+
+// TestMetricsPredictorMemo: repeated submissions of one usta spec train
+// its predictor once — /metrics shows one self-training, then a memo hit
+// per later submission.
+func TestMetricsPredictorMemo(t *testing.T) {
+	worker := startServer(t, &fleetnet.Server{Capacity: 2})
+	js := fleetnet.NewJobServer(fleetnet.New([]string{worker}))
+	js.Workers = 2
+	defer js.Close()
+	ts := httptest.NewServer(js.Handler())
+	defer ts.Close()
+
+	// The corpus seed is used by no other test, nor by an earlier run of
+	// this one under -count, so the first submission trains.
+	spec := fmt.Sprintf(`{
+	  "version": 1,
+	  "workloads": ["skype", "game"],
+	  "population": ["c"],
+	  "schemes": [{"name": "baseline"}, {"name": "usta", "controller": "usta"}],
+	  "duration": {"sec": 60},
+	  "predictor": {"corpus_seed": %d, "corpus_per_run_sec": 120},
+	  "trace_free": true
+	}`, 2000+memoTestRuns.Add(1))
+	counters := func() (trainings, hits float64) {
+		metrics := getBody(t, ts, "/metrics")
+		for _, c := range []struct {
+			name string
+			v    *float64
+		}{{"usta_predictor_trainings_total", &trainings}, {"usta_predictor_memo_hits_total", &hits}} {
+			m := regexp.MustCompile(`(?m)^` + c.name + ` ([0-9.e+-]+)$`).FindStringSubmatch(metrics)
+			if m == nil {
+				t.Fatalf("metrics missing %s:\n%s", c.name, metrics)
+			}
+			*c.v, _ = strconv.ParseFloat(m[1], 64)
+		}
+		return trainings, hits
+	}
+	trained0, hits0 := counters()
+	for i := 1; i <= 3; i++ {
+		id := submit(t, ts, spec)
+		if st := waitStatus(t, ts, id); st["status"] != "done" {
+			t.Fatalf("submission %d finished %v", i, st)
+		}
+		trained, hits := counters()
+		if trained-trained0 != 1 || hits-hits0 != float64(i-1) {
+			t.Fatalf("after %d submissions: %g trainings and %g memo hits, want 1 and %d",
+				i, trained-trained0, hits-hits0, i-1)
+		}
 	}
 }

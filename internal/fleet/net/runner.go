@@ -1142,10 +1142,16 @@ func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, int, error
 // hedged sibling still owns them) and hands the connection back;
 // worker-side error frames are deterministic failures and are not
 // retried.
+//
+// A connection carries only this run's requests (every run dials its
+// own), so the predictor crosses it once: the first request carries it,
+// the rest ask for the same one. A redialed slot is a new connection and
+// ships it again.
 func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, d *dispatcher, st *runState, req baseRequest, onSuccess func()) {
 	maxRetries := r.maxRetries()
 	hbTimeout := r.hbTimeout()
 	writeTO := writeTimeoutFor(hbTimeout)
+	predSent := false
 	for {
 		if g.isDown() || ctx.Err() != nil {
 			return
@@ -1167,7 +1173,10 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, d *d
 			}
 		}
 		start := time.Now()
-		err := r.streamItem(conn, at, specs, st, req, hbTimeout)
+		err := r.streamItem(conn, at, specs, st, req, predSent, hbTimeout)
+		// Whatever the outcome, the request went out: a worker error means
+		// the worker read it, and a transport loss ends this connection.
+		predSent = true
 		if err == nil {
 			d.settle(at, time.Since(start), true)
 			onSuccess()
@@ -1219,14 +1228,21 @@ func (e workerError) Error() string { return e.msg }
 // streamItem ships one attempt's specs as a shard request and merges the
 // frames streaming back until the worker's done frame. Heartbeats (and
 // any other traffic) refresh the read deadline; hbTimeout of silence is a
-// transport failure.
-func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec, st *runState, req baseRequest, hbTimeout time.Duration) error {
+// transport failure. predSent says the connection already carries the
+// run's predictor, so the request refers to it instead of repeating it.
+func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec, st *runState, req baseRequest, predSent bool, hbTimeout time.Duration) error {
 	sreq := &wire.ShardRequest{
 		Workers:     req.workers,
-		Predictor:   req.pred,
 		WantSamples: req.wantSamples,
 		Event:       req.event,
 		Jobs:        specs,
+	}
+	if len(req.pred) > 0 {
+		if predSent {
+			sreq.SamePredictor = true
+		} else {
+			sreq.Predictor = req.pred
+		}
 	}
 	conn.SetWriteDeadline(time.Now().Add(hbTimeout))
 	if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: sreq}); err != nil {

@@ -21,6 +21,7 @@ package net
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -192,8 +193,10 @@ type inFrame struct {
 // handleConn speaks the daemon side of the protocol on one connection:
 // hello, then a sequence of shard requests, each answered with streamed
 // sample/result frames, heartbeats while busy, and a done (or error)
-// frame. A cancel frame aborts the in-flight shard; a closed connection
-// does the same (the coordinator is gone — stop burning cores).
+// frame. A request may refer to the connection's predictor with
+// same_predictor instead of carrying it again. A cancel frame aborts the
+// in-flight shard; a closed connection does the same (the coordinator is
+// gone — stop burning cores).
 //
 // All reads flow through one reader goroutine feeding a channel, so the
 // mid-shard cancel watcher and the between-shards request loop never
@@ -234,6 +237,9 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 	if hb <= 0 {
 		hb = DefaultHeartbeatInterval
 	}
+	// connPred is the predictor document of the connection's last request
+	// that carried one; same_predictor requests reuse it.
+	var connPred json.RawMessage
 	for {
 		var in inFrame
 		var ok bool
@@ -266,12 +272,29 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 			return
 		}
 
+		req := in.f.Shard
+		if req.SamePredictor {
+			if connPred == nil {
+				// Deterministic and the connection's fault, not the
+				// stream's: refuse the request, keep the connection.
+				if write(&wire.Frame{V: wire.Version, Type: wire.TypeError,
+					Err: "same_predictor on a connection that has sent no predictor"}) != nil {
+					return
+				}
+				s.logf("net: %s: same_predictor without a predictor on the connection", conn.RemoteAddr())
+				continue
+			}
+			req.Predictor, req.SamePredictor = connPred, false
+		} else if len(req.Predictor) > 0 {
+			connPred = req.Predictor
+		}
+
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
 			return
 		}
-		err := s.serveShard(ctx, in.f.Shard, write, frames, hb)
+		err := s.serveShard(ctx, req, write, frames, hb)
 		<-sem
 		if err != nil {
 			if werr := write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: err.Error()}); werr != nil {

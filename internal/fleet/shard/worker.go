@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -87,6 +88,11 @@ func Serve(r io.Reader, w io.Writer) error {
 // errors on the unfinished jobs, exactly like the local runner; the done
 // (or error) frame stays the caller's responsibility.
 func ServeRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.Frame) error) error {
+	if req.SamePredictor {
+		// Only a connection-holding transport can resolve it (the TCP
+		// daemon substitutes the connection's predictor before calling in).
+		return errors.New("same_predictor request with no predictor on the connection")
+	}
 	pred, err := wire.DecodePredictor(req.Predictor)
 	if err != nil {
 		return err

@@ -4,7 +4,7 @@
 // byte stream — the stdin/stdout pipes of a worker subprocess today, a
 // socket when the fleet grows multi-host.
 //
-// Every frame is a Frame envelope: {"v":2,"type":...} plus exactly one
+// Every frame is a Frame envelope: {"v":3,"type":...} plus exactly one
 // payload field matching the type. Telemetry travels in batches: a sample
 // frame carries up to SampleBatch samples of one job as a packed binary
 // block (see PackSample). Readers reject unknown versions, unknown types,
@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -34,8 +35,10 @@ import (
 // and coordinator from the same build always agree; mixed builds fail fast
 // with ErrVersion instead of mis-decoding — a daemon's hello frame already
 // carries it, so a coordinator refuses a worker of another version before
-// sending it work. Version 1 sent one JSON frame per sample.
-const Version = 2
+// sending it work. Version 1 sent one JSON frame per sample; version 2
+// carried the predictor in every shard request (see
+// ShardRequest.SamePredictor).
+const Version = 3
 
 // SampleBatch is the most samples one sample frame carries. Workers flush
 // a job's batch when it fills and again right before the job's result
@@ -124,8 +127,16 @@ type ShardRequest struct {
 	// Workers is the worker process's in-process pool width (<= 0:
 	// GOMAXPROCS, via fleet.NormalizeWorkers).
 	Workers int `json:"workers,omitempty"`
-	// Predictor is a core.SavePredictor document, decoded once per shard.
+	// Predictor is a core.SavePredictor document (see DecodePredictor).
 	Predictor json.RawMessage `json:"predictor,omitempty"`
+	// SamePredictor asks the worker to reuse the predictor of the last
+	// request on this connection that carried one, in place of Predictor
+	// (which must then be empty). One connection carries only one run's
+	// requests, so a coordinator ships the predictor in its first request
+	// on each connection and sets SamePredictor on the rest; a redialed
+	// connection starts over. A worker with no predictor on the
+	// connection fails the request with an error frame.
+	SamePredictor bool `json:"same_predictor,omitempty"`
 	// WantSamples asks the worker to forward every telemetry sample, in
 	// TypeSample frames tagged with the spec's global index.
 	WantSamples bool `json:"want_samples,omitempty"`
@@ -295,6 +306,9 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		if f.Shard == nil {
 			return nil, fmt.Errorf("%w: shard frame without payload", ErrBadFrame)
 		}
+		if f.Shard.SamePredictor && len(f.Shard.Predictor) > 0 {
+			return nil, fmt.Errorf("%w: shard frame with both a predictor and same_predictor", ErrBadFrame)
+		}
 	case TypeSample:
 		if f.Sample == nil {
 			return nil, fmt.Errorf("%w: sample frame without payload", ErrBadFrame)
@@ -340,15 +354,53 @@ func EncodePredictor(p *core.Predictor) (json.RawMessage, error) {
 	return buf.Bytes(), nil
 }
 
+// decodedMax bounds the memo of decoded predictors. A worker serves one
+// predictor per concurrent run, and a run's shards all carry the same
+// document.
+const decodedMax = 4
+
+// decoded is the process-wide memo of decoded predictor documents, oldest
+// first.
+var decoded struct {
+	sync.Mutex
+	entries []decodedEntry
+}
+
+type decodedEntry struct {
+	doc  []byte
+	pred *core.Predictor
+}
+
 // DecodePredictor loads a ShardRequest predictor (empty input decodes as
-// nil).
+// nil). Decoding is memoized by document: every shard of a run gets the
+// same *core.Predictor, which must be treated as read-only (predicting
+// never mutates it). Undecodable documents are not memoized.
 func DecodePredictor(raw json.RawMessage) (*core.Predictor, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}
+	decoded.Lock()
+	for _, e := range decoded.entries {
+		if bytes.Equal(e.doc, raw) {
+			decoded.Unlock()
+			return e.pred, nil
+		}
+	}
+	decoded.Unlock()
 	p, err := core.LoadPredictor(bytes.NewReader(raw))
 	if err != nil {
 		return nil, fmt.Errorf("wire: decode predictor: %w", err)
+	}
+	decoded.Lock()
+	defer decoded.Unlock()
+	for _, e := range decoded.entries {
+		if bytes.Equal(e.doc, raw) {
+			return e.pred, nil // a concurrent miss stored it first
+		}
+	}
+	decoded.entries = append(decoded.entries, decodedEntry{doc: bytes.Clone(raw), pred: p})
+	if n := len(decoded.entries); n > decodedMax {
+		decoded.entries = append(decoded.entries[:0], decoded.entries[n-decodedMax:]...)
 	}
 	return p, nil
 }

@@ -10,8 +10,10 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/users"
@@ -166,9 +168,11 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"newer version with unknown envelope fields", env(Version+1, `,"type":"done","future":{}`), ErrVersion},
 		{"newer version failing the strict decode", env(Version+1, `,"type":"sample","sample":{"job":"seven"}`), ErrVersion},
 		{"v1 per-sample frame", writeRaw([]byte(`{"v":1,"type":"sample","sample":{"job":0,"sample":{"TimeSec":1,"SkinC":31,"ScreenC":30,"DieC":40,"BatteryC":29,"FreqMHz":1512,"Util":0.5,"MaxLevel":11}}}`)), ErrVersion},
+		{"v2 shard frame", writeRaw([]byte(`{"v":2,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"}}}`)), ErrVersion},
 		{"unknown type", env(Version, `,"type":"gossip"`), ErrBadFrame},
 		{"shard frame without payload", env(Version, `,"type":"shard"`), ErrBadFrame},
 		{"shard frame with unknown batched field", env(Version, `,"type":"shard","shard":{"jobs":[],"batched":true}`), ErrBadFrame},
+		{"shard frame with a predictor and same_predictor", env(Version, `,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"},"same_predictor":true}`), ErrBadFrame},
 		{"sample frame without payload", env(Version, `,"type":"sample"`), ErrBadFrame},
 		{"sample frame with empty block", env(Version, `,"type":"sample","sample":{"job":0,"samples":""}`), ErrBadFrame},
 		{"sample frame with a partial sample", env(Version, fmt.Sprintf(`,"type":"sample","sample":{"job":0,"samples":%q}`,
@@ -335,4 +339,71 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("round trip changed the frame:\n%s\n%s", enc[4:], buf.Bytes()[4:])
 		}
 	})
+}
+
+// leafDoc is a minimal valid predictor document: two single-leaf trees.
+func leafDoc(skin float64) []byte {
+	return []byte(fmt.Sprintf(`{"algorithm":"REPTree","skin":{"root":{"v":%g,"leaf":true}},"screen":{"root":{"v":31,"leaf":true}}}`, skin))
+}
+
+// TestDecodePredictorMemo: one document decodes once — every later decode
+// of the same bytes returns the same shared predictor — other documents
+// decode on their own, undecodable ones are never memoized, and the memo
+// stays within its bound.
+func TestDecodePredictorMemo(t *testing.T) {
+	a, err := DecodePredictor(leafDoc(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := DecodePredictor(bytes.Clone(leafDoc(30)))
+	if err != nil || again != a {
+		t.Fatalf("same document decoded to a new predictor (%v)", err)
+	}
+	other, err := DecodePredictor(leafDoc(32))
+	if err != nil || other == a {
+		t.Fatalf("another document shared the first one's predictor (%v)", err)
+	}
+	if _, err := DecodePredictor([]byte(`{"algorithm":"REPTree","skin":{"root":{"attr":7,"thr":1,"l":{"v":1,"leaf":true},"r":{"v":2,"leaf":true}}},"screen":{"root":{"v":1,"leaf":true}}}`)); !errors.Is(err, core.ErrModelShape) {
+		t.Fatalf("misfit predictor: err = %v, want core.ErrModelShape", err)
+	}
+	for i := 0; i < 2*decodedMax; i++ {
+		if _, err := DecodePredictor(leafDoc(40 + float64(i))); err != nil {
+			t.Fatal(err)
+		}
+		decoded.Lock()
+		n := len(decoded.entries)
+		decoded.Unlock()
+		if n > decodedMax {
+			t.Fatalf("memo holds %d documents, bound %d", n, decodedMax)
+		}
+	}
+	if fresh, err := DecodePredictor(leafDoc(30)); err != nil || fresh == a {
+		t.Fatalf("evicted document still memoized (%v)", err)
+	}
+}
+
+// TestDecodePredictorConcurrent: shards of one run decoding the same cold
+// document at once all end up with the one memoized predictor.
+func TestDecodePredictorConcurrent(t *testing.T) {
+	doc := leafDoc(29.5)
+	const n = 8
+	preds := make([]*core.Predictor, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p, err := DecodePredictor(doc)
+			if err != nil {
+				t.Error(err)
+			}
+			preds[i] = p
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range preds {
+		if p == nil || p != preds[0] {
+			t.Fatalf("decode %d returned predictor %p, want the shared %p", i, p, preds[0])
+		}
+	}
 }

@@ -6,6 +6,7 @@ package m5p
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 )
 
 type jsonNode struct {
@@ -93,4 +94,31 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	m.numAttrs = jm.NumAttrs
 	m.root = root
 	return nil
+}
+
+// CheckInputs reports an error unless Predict is safe on every input of n
+// features: each split must read a feature index in [0, n), and every
+// node's linear model — smoothing evaluates interior ones too — must carry
+// an intercept plus exactly n coefficients.
+func (m *Model) CheckInputs(n int) error {
+	if m.root == nil {
+		return errors.New("m5p: model is not fitted")
+	}
+	return checkNode(m.root, n)
+}
+
+func checkNode(nd *node, n int) error {
+	if len(nd.lm) != n+1 {
+		return fmt.Errorf("m5p: linear model of %d terms for a %d-feature input", len(nd.lm), n)
+	}
+	if nd.leaf {
+		return nil
+	}
+	if nd.attr < 0 || nd.attr >= n {
+		return fmt.Errorf("m5p: split on feature %d of a %d-feature input", nd.attr, n)
+	}
+	if err := checkNode(nd.left, n); err != nil {
+		return err
+	}
+	return checkNode(nd.right, n)
 }

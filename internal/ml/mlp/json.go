@@ -5,6 +5,7 @@ package mlp
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 )
 
 type jsonModel struct {
@@ -60,5 +61,17 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	m.yLo = jm.YLo
 	m.yHi = jm.YHi
 	m.ready = true
+	return nil
+}
+
+// CheckInputs reports an error unless Predict is safe on every input of n
+// features: the network must normalize exactly n inputs.
+func (m *Model) CheckInputs(n int) error {
+	if !m.ready {
+		return errors.New("mlp: model is not fitted")
+	}
+	if len(m.inLo) != n || len(m.inHi) != n {
+		return fmt.Errorf("mlp: normalization ranges for %d/%d inputs, want %d", len(m.inLo), len(m.inHi), n)
+	}
 	return nil
 }

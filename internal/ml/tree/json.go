@@ -7,6 +7,7 @@ package tree
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 )
 
 type jsonNode struct {
@@ -89,4 +90,28 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	m.Seed = jm.Seed
 	m.root = root
 	return nil
+}
+
+// CheckInputs reports an error unless Predict is safe on every input of n
+// features: each split must read a feature index in [0, n). A decoded tree
+// is only as trustworthy as its document, so loaders call this before
+// handing the model to a controller.
+func (m *Model) CheckInputs(n int) error {
+	if m.root == nil {
+		return errors.New("tree: model is not fitted")
+	}
+	return checkSplits(m.root, n)
+}
+
+func checkSplits(nd *node, n int) error {
+	if nd.leaf {
+		return nil
+	}
+	if nd.attr < 0 || nd.attr >= n {
+		return fmt.Errorf("tree: split on feature %d of a %d-feature input", nd.attr, n)
+	}
+	if err := checkSplits(nd.left, n); err != nil {
+		return err
+	}
+	return checkSplits(nd.right, n)
 }

@@ -10,17 +10,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 
 	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fleet/durable"
-	"repro/internal/fleet/wire"
 	"repro/internal/scenario"
 	"repro/internal/sink"
-	"repro/internal/workload"
 )
 
 // Config is one sweep's inputs.
@@ -32,7 +29,9 @@ type Config struct {
 	// Predictor backs usta schemes. Nil self-trains one when the spec
 	// needs it, exactly like the experiment pipeline: the thirteen
 	// benchmarks on the base device (corpus seed from the spec, default
-	// 42), REPTree on the log.
+	// 42), REPTree on the log. Self-trained predictors are memoized per
+	// process by training input, so repeated sweeps train once; a
+	// predictor supplied here bypasses the memo.
 	Predictor *core.Predictor
 	// Workers bounds the worker pool (<= 0: GOMAXPROCS).
 	Workers int
@@ -59,23 +58,17 @@ func Expand(ctx context.Context, cfg Config) (*Sweep, error) {
 	if cfg.Device != nil {
 		devCfg = *cfg.Device
 	}
+	tr := &trained{pred: cfg.Predictor}
 	if cfg.Predictor == nil && spec.NeedsPredictor() {
 		corpusSeed := spec.Predictor.CorpusSeed
 		if corpusSeed == 0 {
 			corpusSeed = 42
 		}
-		bs := workload.Benchmarks(corpusSeed)
-		loads := make([]workload.Workload, len(bs))
-		for i, b := range bs {
-			loads[i] = b
+		var err error
+		if tr, err = selfTrained(ctx, devCfg, corpusSeed, spec.Predictor.CorpusPerRunSec, cfg.Workers); err != nil {
+			return nil, err
 		}
-		corpus, err := core.CollectCorpusContext(ctx, devCfg, loads, spec.Predictor.CorpusPerRunSec, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("scenario corpus: %w", err)
-		}
-		if cfg.Predictor, err = core.Train(corpus, nil); err != nil {
-			return nil, fmt.Errorf("scenario predictor: %w", err)
-		}
+		cfg.Predictor = tr.pred
 	}
 	grid, err := spec.Expand(scenario.Env{Device: &devCfg, Predictor: cfg.Predictor})
 	if err != nil {
@@ -83,10 +76,10 @@ func Expand(ctx context.Context, cfg Config) (*Sweep, error) {
 	}
 	s := &Sweep{Grid: grid, cfg: cfg}
 	// Runners that rebuild usta cells in other processes need the
-	// predictor on the wire; encode it once per sweep, and only then. The
-	// in-process pool runs the grid's own controller closures.
+	// predictor on the wire; encode it once per predictor, and only then.
+	// The in-process pool runs the grid's own controller closures.
 	if cfg.Runner != nil && spec.NeedsPredictor() {
-		if s.pred, err = wire.EncodePredictor(cfg.Predictor); err != nil {
+		if s.pred, err = tr.encoded(); err != nil {
 			return nil, err
 		}
 	}

@@ -10,12 +10,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/fleet"
 	"repro/internal/fleet/durable"
 	fleetnet "repro/internal/fleet/net"
+	"repro/internal/sweep"
 )
 
 // pipelineSpec is a 12-cell sweep (3 workloads × 2 participants ×
@@ -252,5 +255,69 @@ func TestScenarioProgressReportsFullGrid(t *testing.T) {
 		repro.ScenarioProgress(func(done, total int) { calls = append(calls, fmt.Sprintf("%d/%d", done, total)) }))
 	if got, want := strings.Join(calls, " "), "9/12 10/12 11/12 12/12"; got != want {
 		t.Fatalf("progress = %q, want %q", got, want)
+	}
+}
+
+// whatIfSpec is the one-user what-if query (participant c, four everyday
+// workloads, stock ondemand against USTA at c's limit, 600 s each: eight
+// trace-free cells), with a corpus seed to fill in.
+const whatIfSpec = `{
+  "version": 1,
+  "name": "whatif",
+  "workloads": ["skype", "game", "youtube", "antutu-cpu"],
+  "population": ["c"],
+  "schemes": [{"name": "baseline"}, {"name": "usta", "controller": "usta"}],
+  "duration": {"sec": 600},
+  "seeds": {"base": 1, "workload": 1},
+  "predictor": {"corpus_seed": %d, "corpus_per_run_sec": 1200},
+  "trace_free": true
+}`
+
+// whatIfRuns numbers TestRepeatedScenarioTrainsOnce's runs.
+var whatIfRuns atomic.Int64
+
+// predictorTap is an in-process runner that records the encoded predictor
+// each sweep hands its runner.
+type predictorTap struct{ docs [][]byte }
+
+func (p *predictorTap) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []fleet.JobResult {
+	p.docs = append(p.docs, cfg.Predictor)
+	return fleet.LocalRunner{}.Run(ctx, cfg, jobs)
+}
+
+// TestRepeatedScenarioTrainsOnce: a warm RunScenario of the what-if spec
+// reuses the cold run's self-trained predictor instead of retraining, and
+// its stats and the predictor bytes its runner receives are identical to
+// the cold run's.
+func TestRepeatedScenarioTrainsOnce(t *testing.T) {
+	// The corpus seed is used by no other test, nor by an earlier run of
+	// this one under -count, so the first sweep trains.
+	spec, err := repro.ParseScenario([]byte(fmt.Sprintf(whatIfSpec, 1000+whatIfRuns.Add(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &predictorTap{}
+	var stats [2][]byte
+	for i, want := range []int64{1, 0} {
+		t0, _ := sweep.PredictorCounts()
+		res, err := repro.RunScenario(context.Background(), spec, repro.ScenarioRunner(tap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.FirstError(); err != nil {
+			t.Fatal(err)
+		}
+		if t1, _ := sweep.PredictorCounts(); t1-t0 != want {
+			t.Fatalf("run %d trained %d predictors, want %d", i, t1-t0, want)
+		}
+		if stats[i], err = json.Marshal(res.Stats); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(stats[0]) != string(stats[1]) {
+		t.Fatalf("warm run's stats diverged:\n got %s\nwant %s", stats[1], stats[0])
+	}
+	if len(tap.docs) != 2 || len(tap.docs[0]) == 0 || string(tap.docs[0]) != string(tap.docs[1]) {
+		t.Fatal("warm run shipped different predictor bytes")
 	}
 }
