@@ -37,7 +37,8 @@ import (
 
 func main() {
 	// When spawned as a shard worker (-shards re-executes this binary),
-	// serve the shard over stdin/stdout and exit before touching flags.
+	// serve the coordinator over stdin/stdout and exit before touching
+	// flags.
 	repro.ShardWorkerMain()
 	var (
 		exp        = flag.String("experiment", "all", "fig1|fig2|fig3|fig4|fig5|table1|replicate|all")
@@ -53,8 +54,8 @@ func main() {
 		shards     = flag.Int("shards", 0, "run the scenario across this many worker processes (0 = in-process); results are identical either way")
 		hosts      = flag.String("hosts", "", "comma-separated ustaworker -listen daemon addresses to dispatch the scenario to (overrides -shards); results are identical either way")
 		event      = flag.String("event", "off", "scenario stepping engine: off|tick|oracle|jump (tick is byte-identical to off; jump replays scheduling exactly with held-input thermal tolerance)")
-		fallbk     = flag.Bool("local-fallback", false, "with -hosts: when every host stays down past the coordinator's recovery deadline, finish the remaining jobs in-process instead of failing them")
-		statsJSON  = flag.String("stats-json", "", "with -hosts: write the coordinator's end-of-run RunnerStats snapshot (redials, hedges, breaker states) to this JSON file")
+		fallbk     = flag.Bool("local-fallback", false, "with -hosts or -shards: when every worker stays down past the coordinator's recovery deadline, finish the remaining jobs in-process instead of failing them")
+		statsJSON  = flag.String("stats-json", "", "with -hosts or -shards: write the coordinator's end-of-run RunnerStats snapshot (redials, hedges, breaker states) to this JSON file")
 		walPath    = flag.String("wal", "", "journal the scenario sweep to this write-ahead log; a killed run can continue with -resume, re-running only unfinished cells")
 		resume     = flag.Bool("resume", false, "continue the interrupted sweep journaled in -wal (aggregates byte-identical to an uninterrupted run)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -74,12 +75,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ustasim: -hosts requires -scenario")
 		os.Exit(1)
 	}
-	if *fallbk && *hosts == "" {
-		fmt.Fprintln(os.Stderr, "ustasim: -local-fallback requires -hosts")
+	if *fallbk && *hosts == "" && *shards == 0 {
+		fmt.Fprintln(os.Stderr, "ustasim: -local-fallback requires -hosts or -shards")
 		os.Exit(1)
 	}
-	if *statsJSON != "" && *hosts == "" {
-		fmt.Fprintln(os.Stderr, "ustasim: -stats-json requires -hosts")
+	if *statsJSON != "" && *hosts == "" && *shards == 0 {
+		fmt.Fprintln(os.Stderr, "ustasim: -stats-json requires -hosts or -shards")
 		os.Exit(1)
 	}
 	if *jsonlPath != "" && *scenPath == "" {

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro"
+	fleetnet "repro/internal/fleet/net"
 )
 
 // runScenario executes a declarative sweep file and prints its fleet
@@ -20,9 +21,10 @@ import (
 // directory receives the aggregate tables. shards != 0 fans the grid out
 // across worker subprocesses, a non-empty hosts list dispatches shards to
 // long-lived `ustaworker -listen` daemons over TCP (overriding shards) —
-// aggregates and streams are identical under every choice.
-// localFallback lets a hosts run finish on the in-process pool when every
-// host stays down past the coordinator's recovery deadline. event selects
+// one coordinator either way, and aggregates and streams are identical
+// under every choice. localFallback lets such a run finish on the
+// in-process pool when every worker stays down past the coordinator's
+// recovery deadline. event selects
 // the stepping engine (off|tick|oracle|jump; see repro.EventMode). walPath
 // journals the sweep to a write-ahead log and resume continues one that
 // was killed partway, re-running only unfinished cells — outputs stay
@@ -52,14 +54,19 @@ func runScenario(o cliOptions, out io.Writer) error {
 			}
 		}),
 	}
-	var writeStats func() error
+	var nr *fleetnet.Runner
 	switch {
 	case o.hosts != "":
 		hs := strings.Split(o.hosts, ",")
 		for i := range hs {
 			hs[i] = strings.TrimSpace(hs[i])
 		}
-		nr := repro.NewNetRunner(hs)
+		nr = repro.NewNetRunner(hs)
+	case o.shards != 0:
+		nr = repro.NewShardRunner(o.shards)
+	}
+	var writeStats func() error
+	if nr != nil {
 		nr.FallbackLocal = o.localFallback
 		nr.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "ustasim: "+format+"\n", args...)
@@ -74,8 +81,6 @@ func runScenario(o cliOptions, out io.Writer) error {
 				return os.WriteFile(o.statsPath, append(data, '\n'), 0o644)
 			}
 		}
-	case o.shards != 0:
-		opts = append(opts, repro.ScenarioShards(o.shards))
 	}
 	if mode != repro.EventOff {
 		opts = append(opts, repro.ScenarioEventMode(mode))

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -15,7 +16,7 @@ import (
 )
 
 // TestMain lets the test binary serve as a shard worker for the -shards
-// smoke test (the shard runner re-executes the current binary).
+// smoke tests (the shard runner re-executes the current binary).
 func TestMain(m *testing.M) {
 	repro.ShardWorkerMain()
 	os.Exit(m.Run())
@@ -194,6 +195,63 @@ func TestRunScenarioHostsSmoke(t *testing.T) {
 		if netTables[f] != want {
 			t.Fatalf("networked aggregate %s differs from local:\n%s\nvs\n%s", f, netTables[f], want)
 		}
+	}
+}
+
+// TestRunScenarioShardsStatsSmoke: `-shards 2` runs on the same
+// coordinator as `-hosts`, so `-stats-json` reports its two spawned
+// workers, and the aggregate tables match the in-process run's.
+func TestRunScenarioShardsStatsSmoke(t *testing.T) {
+	dir := t.TempDir()
+	specPath := writeSmokeSpec(t, dir)
+
+	run := func(label string, mod func(*cliOptions)) map[string]string {
+		t.Helper()
+		csvDir := filepath.Join(dir, label)
+		var out strings.Builder
+		if err := runScenario(scenOpts(specPath, func(o *cliOptions) {
+			o.workers = 2
+			o.csvDir = csvDir
+			mod(o)
+		}), &out); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		tables := map[string]string{}
+		for _, f := range []string{"comfort.csv", "heatmap.csv"} {
+			tb, err := os.ReadFile(filepath.Join(csvDir, f))
+			if err != nil {
+				t.Fatalf("%s: aggregate %s not written: %v", label, f, err)
+			}
+			tables[f] = string(tb)
+		}
+		return tables
+	}
+
+	local := run("local", func(*cliOptions) {})
+	statsPath := filepath.Join(dir, "stats.json")
+	sharded := run("shards", func(o *cliOptions) { o.shards = 2; o.statsPath = statsPath })
+	for f, want := range local {
+		if sharded[f] != want {
+			t.Fatalf("sharded aggregate %s differs from local:\n%s\nvs\n%s", f, sharded[f], want)
+		}
+	}
+	data, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st fleetnet.RunnerStats
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Hosts) != 2 {
+		t.Fatalf("stats report %d hosts, want the 2 shard workers:\n%s", len(st.Hosts), data)
+	}
+	items := 0
+	for _, h := range st.Hosts {
+		items += h.ItemsCompleted
+	}
+	if items == 0 {
+		t.Fatalf("stats report no completed items:\n%s", data)
 	}
 }
 

@@ -1,21 +1,27 @@
-// Command ustaworker executes fleet shards for a coordinator. It runs in
-// one of two modes:
+// Command ustaworker executes fleet shards for a coordinator. It speaks
+// one protocol — hello, shard requests answered with streamed sample and
+// result frames, heartbeats, done — over one of two transports:
 //
-//   - Pipe mode (default): serve exactly one wire.ShardRequest over
-//     stdin/stdout and exit. A shard coordinator (repro.NewShardRunner /
-//     ustasim -shards) spawns workers by re-executing its own binary by
-//     default; point the runner's Command at a built ustaworker to
-//     decouple the coordinator from the worker build.
+//   - Pipe mode (default): serve the coordinator that spawned it over
+//     stdin/stdout, with capacity 1, until the coordinator closes stdin. A
+//     shard coordinator (repro.NewShardRunner / ustasim -shards) spawns
+//     workers by re-executing its own binary by default; point the
+//     runner's Command at a built ustaworker to decouple the coordinator
+//     from the worker build. A worker that dies mid-shard is respawned and
+//     its unreported jobs retried.
 //   - Daemon mode (-listen host:port): a long-lived TCP worker serving
 //     shard requests from a networked coordinator (repro.NewNetRunner /
 //     ustasim -hosts / ustafleetd -hosts). The daemon advertises its
 //     -capacity in a hello handshake and executes up to that many shards
 //     concurrently, across any number of connections.
 //
-// Both modes shut down gracefully on SIGTERM/SIGINT: in-flight shards
-// finish and flush their frames, then the process exits 0. A coordinator
-// watching a draining daemon sees its connection close between shards,
-// marks the host dead, and re-dispatches elsewhere.
+// A pipe worker ignores SIGTERM/SIGINT: its coordinator decides whether
+// in-flight shards finish or are cancelled, and the worker exits 0 when
+// the coordinator closes its stdin (1 after a protocol error). In daemon
+// mode SIGTERM/SIGINT cancel the serving context: the daemon stops
+// accepting and exits 0 once its connections wind down. A coordinator
+// that loses a worker marks the host dead and re-dispatches its
+// unreported jobs elsewhere.
 package main
 
 import (
@@ -28,19 +34,24 @@ import (
 	"syscall"
 
 	"repro/internal/fleet/net"
-	"repro/internal/fleet/shard"
 )
 
 func main() {
 	var (
-		listen   = flag.String("listen", "", "serve shards as a TCP daemon on this host:port (empty: one shard over stdin/stdout)")
+		listen   = flag.String("listen", "", "serve shards as a TCP daemon on this host:port (empty: serve the spawning coordinator over stdin/stdout)")
 		capacity = flag.Int("capacity", 0, "daemon mode: concurrent shard limit advertised to coordinators (0 = GOMAXPROCS)")
 		verbose  = flag.Bool("v", false, "daemon mode: log connection and shard events to stderr")
 	)
 	flag.Parse()
 
 	if *listen == "" {
-		runPipe()
+		// The coordinator owns a pipe worker's lifetime: a Ctrl-C that
+		// reaches the whole process group must not cut a shard short
+		// behind its back.
+		signal.Ignore(os.Interrupt, syscall.SIGTERM)
+		if net.ServeStdio(context.Background()) != nil {
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -53,25 +64,5 @@ func main() {
 	if err := s.ListenAndServe(ctx, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, "ustaworker:", err)
 		os.Exit(1)
-	}
-}
-
-// runPipe serves one shard over stdin/stdout. SIGTERM/SIGINT during the
-// shard lets it finish and flush (the signal is absorbed); a signal while
-// still waiting for the request unblocks the read and exits cleanly.
-func runPipe() {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- shard.Serve(os.Stdin, os.Stdout) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ustaworker:", err)
-			os.Exit(1)
-		}
-	case <-sig:
-		os.Stdin.Close() // unblock an idle request read; an in-flight shard finishes
-		<-done
 	}
 }

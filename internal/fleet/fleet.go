@@ -18,10 +18,10 @@ import (
 
 // Config parameterizes one batch run: everything that varies between runs
 // lives here, so a Runner is configured once and never copied or mutated
-// per run. The in-process LocalRunner consumes it directly, while
-// multi-process runners (internal/fleet/shard, internal/fleet/net) forward
-// Workers, Event and Predictor to each worker process and service
-// Sink/OnProgress/OnResult on the coordinator side.
+// per run. The in-process LocalRunner consumes it directly, while the
+// multi-process runner (internal/fleet/net, over spawned or remote
+// workers) forwards Workers, Event and Predictor to each worker process
+// and services Sink/OnProgress/OnResult on the coordinator side.
 type Config struct {
 	// Workers bounds simultaneous simulations (<= 0: GOMAXPROCS; see
 	// NormalizeWorkers). Under a sharding runner a positive value is the
@@ -72,7 +72,7 @@ type Config struct {
 
 // Runner executes a batch of jobs under a batch configuration and returns
 // one result per job in submission order. LocalRunner is the in-process
-// worker pool; internal/fleet/shard adds a multi-process implementation.
+// worker pool; internal/fleet/net adds the multi-process implementation.
 type Runner interface {
 	Run(ctx context.Context, cfg Config, jobs []Job) []JobResult
 }
@@ -192,7 +192,7 @@ func (f *Fleet) Run(ctx context.Context, jobs []Job) []JobResult {
 // NormalizeWorkers resolves a configured parallelism knob — a worker-pool
 // width or a shard count. Zero and negative values mean "one per available
 // CPU" (GOMAXPROCS); positive values are taken as given. Every layer that
-// accepts such a knob (fleet.Config.Workers, ForEach, the shard runner's
+// accepts such a knob (fleet.Config.Workers, ForEach, the pipe runner's
 // process count) normalizes through this one helper so the semantics
 // cannot drift between call sites.
 func NormalizeWorkers(n int) int {

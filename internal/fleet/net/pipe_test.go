@@ -1,71 +1,34 @@
-package shard_test
+package net_test
+
+// Pipe-runner tests: the coordinator spawns its workers as processes and
+// speaks the daemon protocol over their stdio.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/fleet"
-	"repro/internal/fleet/shard"
-	"repro/internal/sink"
+	fleetnet "repro/internal/fleet/net"
 	"repro/internal/workload"
 )
 
-// TestMain lets the test binary double as the shard worker: the runner's
-// default Command re-executes the current executable with the worker
-// environment set, and shard.Main serves the shard instead of running
-// tests.
+// TestMain lets the test binary double as the pipe worker: a pipe
+// runner's default Command re-executes the current executable with the
+// worker environment set, and PipeMain serves the coordinator instead of
+// running tests.
 func TestMain(m *testing.M) {
-	shard.Main()
+	fleetnet.PipeMain()
 	os.Exit(m.Run())
 }
 
-// specJobs builds n spec-carrying benchmark jobs (no predictor needed).
-// Seeds are left unpinned so the tests exercise coordinator-side seed
-// resolution against the local runner's.
-func specJobs(n int, traceFree bool) []fleet.Job {
-	jobs := make([]fleet.Job, n)
-	for i := range jobs {
-		spec := &fleet.JobSpec{
-			Name:      fmt.Sprintf("job-%d", i),
-			Workload:  fleet.WorkloadRef{Name: "skype", Seed: uint64(i)},
-			DurSec:    30,
-			TraceFree: traceFree,
-		}
-		jobs[i] = fleet.Job{
-			Name:      spec.Name,
-			Workload:  workload.ByName(spec.Workload.Name, spec.Workload.Seed),
-			DurSec:    spec.DurSec,
-			TraceFree: traceFree,
-			Spec:      spec,
-		}
-	}
-	return jobs
-}
-
-// tally accumulates per-job sample counts and skin-value sums — an
-// order-insensitive fingerprint of the telemetry stream (per-job delivery
-// order is FIFO on both paths, so the float sums are bit-comparable).
-type tally struct {
-	mu     sync.Mutex
-	counts map[int]int
-	sums   map[int]float64
-}
-
-func (t *tally) sink() sink.Sink {
-	return sink.Func(func(id sink.JobID, s device.Sample) {
-		t.mu.Lock()
-		t.counts[int(id)]++
-		t.sums[int(id)] += s.SkinC
-		t.mu.Unlock()
-	})
-}
+// shard is how the TestShardRunner pins spell the pipe runner:
+// shard.New(n) spawns n workers.
+var shard = struct{ New func(int) *fleetnet.Runner }{fleetnet.NewPipe}
 
 // TestShardRunnerMatchesLocal is the shard determinism contract: the same
 // batch through 1-or-many worker processes must be byte-identical to the
@@ -157,42 +120,29 @@ func TestShardRunnerSpeclessJobs(t *testing.T) {
 	}
 }
 
-// TestShardRunnerWorkerCrash: a worker dying mid-shard surfaces as per-job
-// errors on that shard's unreported jobs — jobs it already reported keep
-// their results — while the other shard completes untouched.
+// TestShardRunnerWorkerCrash: a worker dying mid-shard is respawned and
+// its unreported jobs retried — every job succeeds, byte-identical to the
+// local runner, telemetry included, and the stats show the redial.
 func TestShardRunnerWorkerCrash(t *testing.T) {
-	const n = 6 // 2 shards of 3
-	r := shard.New(2)
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Command = []string{exe}
-	// The fault injector kills the worker right after it reports global
-	// job 0, which lives in shard 0; shard 1 (jobs 3-5) must be untouched.
-	t.Setenv("USTA_SHARD_CRASH_ON_INDEX", "0")
-	// Workers=1 makes shard 0's reporting order deterministic: job 0
-	// first, then the crash.
-	results := r.Run(context.Background(), fleet.Config{Workers: 1, Seed: 42}, specJobs(n, true))
+	const n = 6
+	cfg := fleet.Config{Workers: 1, Seed: 42}
+	ref, refTally := localRef(t, cfg, n)
 
-	if results[0].Err != nil || results[0].Result == nil {
-		t.Fatalf("job 0 was reported before the crash; want its result kept, got err=%v", results[0].Err)
-	}
-	for i := 1; i < 3; i++ {
-		if results[i].Err == nil {
-			t.Fatalf("job %d belongs to the crashed shard; want an error", i)
-		}
-		if !strings.Contains(results[i].Err.Error(), "shard 0") {
-			t.Fatalf("job %d error should name the failed shard: %v", i, results[i].Err)
-		}
-		if results[i].Name == "" {
-			t.Fatalf("job %d error result lost its name", i)
-		}
-	}
-	for i := 3; i < n; i++ {
-		if results[i].Err != nil || results[i].Result == nil {
-			t.Fatalf("job %d on the healthy shard failed: %v", i, results[i].Err)
-		}
+	// One worker, so the items after the crash need a respawned one. The
+	// fault injector kills the worker right after it reports global job 0;
+	// Workers=1 makes that the first result of the first shard, so the
+	// rest of that shard goes unreported and is retried. A retry never
+	// carries job 0 again, so the respawned worker survives.
+	r := fleetnet.NewPipe(1)
+	r.Logf = t.Logf
+	t.Setenv("USTA_WORKER_CRASH_ON_INDEX", "0")
+	tl := newTally()
+	c := cfg
+	c.Sink = tl.sink()
+	got := r.Run(context.Background(), c, specJobs(n, true))
+	assertIdentical(t, "crash", ref, got, refTally, tl)
+	if st := r.Stats(); st.Hosts[0].Redials < 1 {
+		t.Fatalf("the crashed worker was not respawned: %s", st)
 	}
 }
 
@@ -257,15 +207,61 @@ func TestShardRunnerCancellation(t *testing.T) {
 	}
 }
 
-// TestShardRunnerBadCommand: an unlaunchable worker fails its shard's jobs
-// with the spawn error instead of hanging or panicking.
+// TestShardRunnerBadCommand: an unlaunchable worker fails every job with
+// the spawn error at once — a respawn would fail the same way, so the run
+// does not wait out the all-dead deadline.
 func TestShardRunnerBadCommand(t *testing.T) {
 	r := shard.New(1)
 	r.Command = []string{"/nonexistent/ustaworker"}
+	start := time.Now()
+	results := r.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true))
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("run took %v to give up on an unlaunchable worker", elapsed)
+	}
+	for i, res := range results {
+		if res.Err == nil || !strings.Contains(res.Err.Error(), "/nonexistent/ustaworker") {
+			t.Fatalf("job %d should carry the spawn failure, got %v", i, res.Err)
+		}
+	}
+}
+
+// TestPipeWorkerDeathQuotesStderr: a worker that dies reports how, with
+// the tail of its stderr, in the errors of the jobs it strands.
+func TestPipeWorkerDeathQuotesStderr(t *testing.T) {
+	r := fleetnet.NewPipe(1)
+	r.Command = []string{"sh", "-c", "echo 'worker: config unreadable' >&2; exit 7"}
 	results := r.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true))
 	for i, res := range results {
-		if res.Err == nil {
-			t.Fatalf("job %d should carry the spawn failure", i)
+		if res.Err == nil || !strings.Contains(res.Err.Error(), "exit status 7") ||
+			!strings.Contains(res.Err.Error(), "stderr: worker: config unreadable") {
+			t.Fatalf("job %d: err = %v, want the exit status and stderr tail", i, res.Err)
 		}
+	}
+}
+
+// TestPipeItemsFillWorkerPool: a pipe worker runs one work item at a
+// time, so an item smaller than its pool would idle cores. With Workers
+// unset, 2 workers on 8 procs get a pool 4 wide each; 6 jobs (fewer than
+// four items per host could fill) must go out as 2 items — 4 jobs and 2 —
+// so all 6 run at once, not as 6 single-job items, 2 at a time.
+func TestPipeItemsFillWorkerPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const n = 6
+	cfg := fleet.Config{Seed: 42}
+	ref, refTally := localRef(t, cfg, n)
+
+	r := fleetnet.NewPipe(2)
+	r.HedgeAfter = -1
+	tl := newTally()
+	c := cfg
+	c.Sink = tl.sink()
+	got := r.Run(context.Background(), c, specJobs(n, true))
+	assertIdentical(t, "pipe", ref, got, refTally, tl)
+	items := 0
+	for _, h := range r.Stats().Hosts {
+		items += h.ItemsCompleted
+	}
+	if items != 2 {
+		t.Fatalf("%d work items for %d jobs on pools 4 wide, want 2: %s", items, n, r.Stats())
 	}
 }

@@ -52,13 +52,13 @@ const (
 	defaultHedgeFloor = 500 * time.Millisecond
 )
 
-// errNoSpec mirrors the shard runner's rule: only serializable jobs can
-// cross a host boundary.
-var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only scenario-expanded or spec-carrying jobs can run on a networked runner")
+// errNoSpec marks jobs that cannot cross a process boundary.
+var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only scenario-expanded or spec-carrying jobs can run on a worker process")
 
-// Runner is the multi-host fleet.Runner: it partitions jobs into work
-// items, dispatches them to ustaworker daemons over TCP, and merges the
-// streamed frames back into submission order. Seeds are resolved
+// Runner is the multi-process fleet.Runner: it partitions jobs into work
+// items, dispatches them to ustaworker daemons over TCP (New) or to worker
+// processes it spawns and talks to over their stdio (NewPipe), and merges
+// the streamed frames back into submission order. Seeds are resolved
 // coordinator-side through fleet.EffectiveSeed before dispatch, so a
 // distributed run is byte-identical to LocalRunner — including after a
 // worker dies mid-shard and its unreported jobs are retried on a
@@ -77,11 +77,19 @@ var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only s
 // state is observable through Stats. The zero value is not useful; set
 // Hosts.
 type Runner struct {
-	// Hosts is the static worker inventory, "host:port" per entry.
+	// Hosts is the static worker inventory, "host:port" per entry (a
+	// NewPipe runner names its spawned workers "pipe-0", "pipe-1", ...).
 	Hosts []string
+	// Command launches one worker process of a NewPipe runner: argv[0]
+	// plus arguments. Nil re-executes the current binary, which must call
+	// PipeMain first thing in main (or TestMain); point it at a built
+	// ustaworker to decouple coordinator and worker builds. TCP runners
+	// ignore it.
+	Command []string
 	// ShardSize is the number of jobs per dispatch unit (<= 0: the batch is
 	// split into about four items per host, so one slow shard cannot strand
-	// the run behind it).
+	// the run behind it; a pipe runner rounds that up to a whole multiple
+	// of its workers' pool width).
 	ShardSize int
 	// MaxRetries is how many times a work item is re-dispatched after
 	// worker loss before its unreported jobs fail (<= 0: 3).
@@ -126,6 +134,8 @@ type Runner struct {
 	// loss, backoff, breaker transition, retry, hedge). Nil is silent.
 	Logf func(format string, args ...any)
 
+	// pipes marks a NewPipe runner: hosts are spawned, not dialed.
+	pipes bool
 	// stats holds the live tracker of the most recent Run; read via Stats.
 	stats atomic.Pointer[statsTracker]
 }
@@ -251,6 +261,8 @@ type dispatcher struct {
 	connected  map[string]int // addr → live generations (0s removed)
 	cancelled  bool
 	fleetDown  bool
+	hosts      int // inventory size
+	retired    int // hosts given up on for the rest of the run
 	overClosed bool
 	over       chan struct{}
 	lastErr    error
@@ -267,6 +279,7 @@ func newDispatcher(items []*itemState, r *Runner, tk *statsTracker) *dispatcher 
 		pending:    items,
 		inflight:   make(map[*itemState]struct{}),
 		connected:  make(map[string]int),
+		hosts:      len(r.Hosts),
 		over:       make(chan struct{}),
 		hedgeAfter: r.HedgeAfter,
 		allDead:    r.allDeadDeadline(),
@@ -348,6 +361,19 @@ func (d *dispatcher) setConnected(addr string, up bool) {
 		if len(d.connected) == 0 {
 			d.armAllDeadLocked()
 		}
+	}
+	d.mu.Unlock()
+	d.cond.Broadcast()
+}
+
+// retire gives up on a host for the rest of the run. Once every host is
+// retired the fleet is down: the remaining jobs fail with the last error,
+// or run on the local fallback.
+func (d *dispatcher) retire() {
+	d.mu.Lock()
+	if d.retired++; d.retired == d.hosts {
+		d.fleetDown = true
+		d.maybeOverLocked()
 	}
 	d.mu.Unlock()
 	d.cond.Broadcast()
@@ -717,6 +743,12 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 	if len(r.Hosts) == 0 {
 		return failAll(errors.New("net: no worker hosts configured"))
 	}
+	width := cfg.Workers // each worker's pool width; <= 0: the worker's own
+	if r.pipes && width <= 0 {
+		// Spawned workers share this machine: split its cores across them
+		// rather than give each GOMAXPROCS.
+		width = (fleet.NormalizeWorkers(0) + len(r.Hosts) - 1) / len(r.Hosts)
+	}
 
 	// Seed and index every spec'd job now — determinism must not depend on
 	// which host runs it, how many attempts it takes, or whether it ends
@@ -746,6 +778,11 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 	size := r.ShardSize
 	if size <= 0 {
 		size = (len(specs) + 4*len(r.Hosts) - 1) / (4 * len(r.Hosts))
+		if r.pipes {
+			// A pipe worker runs one item at a time: round items up to
+			// whole multiples of its pool width so the pool stays full.
+			size = (size + width - 1) / width * width
+		}
 	}
 	var items []*itemState
 	for start := 0; start < len(specs); start += size {
@@ -798,7 +835,7 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		connMu.Unlock()
 	}()
 
-	req := baseRequest{pred: cfg.Predictor, workers: cfg.Workers, wantSamples: cfg.Sink != nil, event: int(cfg.Event)}
+	req := baseRequest{pred: cfg.Predictor, workers: width, wantSamples: cfg.Sink != nil, event: int(cfg.Event)}
 	var wg sync.WaitGroup
 	for _, addr := range r.Hosts {
 		wg.Add(1)
@@ -854,7 +891,7 @@ func (r *Runner) runFallback(ctx context.Context, cfg fleet.Config, st *runState
 	if len(subJobs) == 0 {
 		return 0
 	}
-	sub := fleet.Config{Workers: cfg.Workers, Seed: cfg.Seed}
+	sub := fleet.Config{Workers: cfg.Workers, Seed: cfg.Seed, Event: cfg.Event}
 	if st.sink != nil {
 		sub.Sink = sink.Func(func(id sink.JobID, s device.Sample) {
 			st.sink.Accept(sink.JobID(subIdx[int(id)]), s)
@@ -958,6 +995,14 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 			fails++
 			err = fmt.Errorf("net: host %s: %w", addr, err)
 			d.noteErr(err)
+			if r.pipes {
+				// A worker process that fails to start or to greet fails
+				// the same way when respawned.
+				note(err)
+				r.logf("%v: giving up on the host", err)
+				d.retire()
+				return
+			}
 			if fails >= kOpen {
 				breaker = BreakerOpen
 				note(err)
@@ -1105,15 +1150,21 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 	return okItems > 0
 }
 
-// dial connects to a worker daemon and completes the hello handshake,
-// returning the connection and the daemon's advertised capacity.
+// dial connects to a worker daemon — or spawns a pipe worker — and
+// completes the hello handshake, returning the connection and the
+// worker's advertised capacity.
 func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, int, error) {
 	timeout := r.DialTimeout
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	dialer := &stdnet.Dialer{Timeout: timeout}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
+	var conn stdnet.Conn
+	var err error
+	if r.pipes {
+		conn, err = r.spawn(addr)
+	} else {
+		conn, err = (&stdnet.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", addr)
+	}
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,14 +1,18 @@
-// Package net promotes the sharded fleet from subprocess pipes to a
-// network service: the same versioned length-prefixed frames of
-// internal/fleet/wire, moved onto TCP sockets. Three layers live here:
+// Package net is the fleet's one dispatch coordinator and its worker
+// side: versioned length-prefixed frames of internal/fleet/wire over
+// TCP sockets or the stdio pipes of spawned worker processes. Three
+// layers live here:
 //
-//   - Server: the long-lived worker daemon (`ustaworker -listen addr`). It
-//     accepts connections, answers a hello handshake (protocol version +
-//     shard capacity), executes ShardRequest frames through the same
-//     shard.ServeRequest path the pipe worker uses, streams sample/result
-//     frames back, and pulses heartbeats while a shard runs.
+//   - Server: the worker side of the protocol. As a long-lived daemon
+//     (`ustaworker -listen addr`) it accepts TCP connections; as a pipe
+//     worker (ServeStdio) it serves the one coordinator that spawned it
+//     over stdin/stdout. Either way it answers a hello handshake
+//     (protocol version + shard capacity), executes ShardRequest frames,
+//     streams sample/result frames back, and pulses heartbeats while a
+//     shard runs.
 //   - Runner: the coordinator, a fleet.Runner over a static host inventory
-//     with liveness (heartbeat read deadlines), per-worker in-flight caps,
+//     — TCP daemons (New) or spawned worker processes (NewPipe) — with
+//     liveness (heartbeat read deadlines), per-worker in-flight caps,
 //     retry-on-worker-loss that re-dispatches only the unreported jobs of
 //     a lost shard, and token-bucket admission on job intake. Seeds are
 //     resolved coordinator-side through fleet.EffectiveSeed, so a
@@ -31,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/fleet/shard"
 	"repro/internal/fleet/wire"
 )
 
@@ -40,9 +43,9 @@ import (
 // one delayed pulse never kills a healthy worker.
 const DefaultHeartbeatInterval = 2 * time.Second
 
-// Server is the worker daemon: a TCP front end over shard.ServeRequest.
-// The zero value is usable; Capacity and HeartbeatInterval default at
-// serve time.
+// Server is the worker side of the protocol over any stream connection:
+// TCP (Serve) or the process's stdio (ServeStdio). The zero value is
+// usable; Capacity and HeartbeatInterval default at serve time.
 type Server struct {
 	// Capacity is the daemon's concurrent-shard limit, advertised in the
 	// hello handshake and enforced with a semaphore across connections
@@ -202,7 +205,11 @@ type inFrame struct {
 // mid-shard cancel watcher and the between-shards request loop never
 // contend for the stream (a polled read deadline could desync the frame
 // boundary by timing out mid-frame).
-func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan struct{}) {
+//
+// It returns nil when the peer hangs up, ctx is cancelled or the server
+// drains, and otherwise the protocol violation or write failure that
+// ended the connection.
+func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan struct{}) error {
 	var wmu sync.Mutex
 	write := func(f *wire.Frame) error {
 		wmu.Lock()
@@ -212,7 +219,7 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 	if err := write(&wire.Frame{V: wire.Version, Type: wire.TypeHello,
 		Hello: &wire.HelloFrame{Proto: wire.Version, Capacity: s.capacity()}}); err != nil {
 		s.logf("net: %s: hello: %v", conn.RemoteAddr(), err)
-		return
+		return fmt.Errorf("hello: %w", err)
 	}
 
 	frames := make(chan inFrame)
@@ -246,10 +253,10 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 		select {
 		case in, ok = <-frames:
 			if !ok {
-				return
+				return nil
 			}
 		case <-ctx.Done():
-			return
+			return nil
 		}
 		if in.err != nil {
 			if !errors.Is(in.err, io.EOF) && !errors.Is(in.err, stdnet.ErrClosed) && !errors.Is(in.err, io.ErrUnexpectedEOF) {
@@ -257,8 +264,9 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 				// report it and drop the connection.
 				write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: in.err.Error()})
 				s.logf("net: %s: %v", conn.RemoteAddr(), in.err)
+				return in.err
 			}
-			return
+			return nil
 		}
 		switch in.f.Type {
 		case wire.TypeCancel, wire.TypeHeartbeat:
@@ -266,10 +274,10 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 			continue
 		case wire.TypeShard:
 		default:
-			write(&wire.Frame{V: wire.Version, Type: wire.TypeError,
-				Err: fmt.Sprintf("expected a %s frame, got %s", wire.TypeShard, in.f.Type)})
-			s.logf("net: %s: unexpected %s frame", conn.RemoteAddr(), in.f.Type)
-			return
+			err := fmt.Errorf("expected a %s frame, got %s", wire.TypeShard, in.f.Type)
+			write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: err.Error()})
+			s.logf("net: %s: %v", conn.RemoteAddr(), err)
+			return err
 		}
 
 		req := in.f.Shard
@@ -277,9 +285,9 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 			if connPred == nil {
 				// Deterministic and the connection's fault, not the
 				// stream's: refuse the request, keep the connection.
-				if write(&wire.Frame{V: wire.Version, Type: wire.TypeError,
-					Err: "same_predictor on a connection that has sent no predictor"}) != nil {
-					return
+				if err := write(&wire.Frame{V: wire.Version, Type: wire.TypeError,
+					Err: "same_predictor on a connection that has sent no predictor"}); err != nil {
+					return err
 				}
 				s.logf("net: %s: same_predictor without a predictor on the connection", conn.RemoteAddr())
 				continue
@@ -292,25 +300,25 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
-			return
+			return nil
 		}
 		err := s.serveShard(ctx, req, write, frames, hb)
 		<-sem
 		if err != nil {
 			if werr := write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: err.Error()}); werr != nil {
-				return
+				return werr
 			}
 			s.logf("net: %s: shard failed: %v", conn.RemoteAddr(), err)
 			continue
 		}
 		if err := write(&wire.Frame{V: wire.Version, Type: wire.TypeDone}); err != nil {
-			return
+			return err
 		}
 		s.mu.Lock()
 		draining := s.draining
 		s.mu.Unlock()
 		if draining {
-			return
+			return nil
 		}
 	}
 }
@@ -379,7 +387,7 @@ func (s *Server) serveShard(ctx context.Context, req *wire.ShardRequest, write f
 		}
 	}()
 
-	err := shard.ServeRequest(runCtx, req, write)
+	err := serveRequest(runCtx, req, write)
 
 	close(done)
 	wg.Wait()

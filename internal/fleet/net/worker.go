@@ -1,10 +1,9 @@
-package shard
+package net
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"reflect"
 	"strconv"
@@ -17,80 +16,26 @@ import (
 	"repro/internal/sink"
 )
 
-// workerEnv marks a process as a shard worker. The coordinator sets it on
-// every worker it spawns; Main checks it.
-const workerEnv = "USTA_SHARD_WORKER"
-
 // crashEnv is a test-only fault injector: a worker exits abruptly (code 3,
 // no done frame) right after reporting the job with this global index. The
-// failure-path tests use it to simulate a worker crash mid-shard.
-const crashEnv = "USTA_SHARD_CRASH_ON_INDEX"
+// pipe-runner tests use it to simulate a worker crash mid-shard.
+const crashEnv = "USTA_WORKER_CRASH_ON_INDEX"
 
-// IsWorker reports whether this process was spawned as a shard worker.
-func IsWorker() bool { return os.Getenv(workerEnv) == "1" }
-
-// Main serves one shard over stdin/stdout and exits, when the current
-// process was spawned as a shard worker; otherwise it is a no-op. Call it
-// at the top of main() — before flag parsing — in any binary that
-// coordinates shard runs with the default self-exec Command (cmd/ustasim
-// does), and in TestMain of packages whose tests shard.
-func Main() {
-	if !IsWorker() {
-		return
-	}
-	if err := Serve(os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "shard worker:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// Serve handles one shard request read from r: it materializes the specs,
-// runs them on the in-process LocalRunner, and streams sample and result
-// frames to w, ending with a done frame. Request-level failures (malformed
-// frame, undecodable predictor) produce an error frame and a non-nil
-// return; per-job failures (bad spec, bad device config) travel as
-// individual result frames and leave the shard alive.
-func Serve(r io.Reader, w io.Writer) error {
-	var wmu sync.Mutex // one stream, many writers (samples + results)
-	write := func(f *wire.Frame) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return wire.WriteFrame(w, f)
-	}
-	fail := func(err error) error {
-		write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: err.Error()})
-		return err
-	}
-	f, err := wire.ReadFrame(r)
-	if err != nil {
-		return fail(fmt.Errorf("read request: %w", err))
-	}
-	if f.Type != wire.TypeShard {
-		return fail(fmt.Errorf("expected a %s frame, got %s", wire.TypeShard, f.Type))
-	}
-	if err := ServeRequest(context.Background(), f.Shard, write); err != nil {
-		return fail(err)
-	}
-	return write(&wire.Frame{V: wire.Version, Type: wire.TypeDone})
-}
-
-// ServeRequest executes one already-decoded shard request, streaming sample
+// serveRequest executes one already-decoded shard request, streaming sample
 // and result frames through write, which must serialize access to the
 // underlying stream and must not retain a frame once it returns (sample
 // blocks are reused). Each job's telemetry leaves in sample frames of up to
 // wire.SampleBatch samples, the last one right before the job's result
-// frame. It is the execution core shared by the pipe worker (Serve) and the
-// TCP daemon (internal/fleet/net): request-level failures — an
+// frame. It is the Server's execution core: request-level failures — an
 // undecodable predictor, a broken transport — return a non-nil error for
 // the caller to encode; per-job failures travel as individual result frames
 // and leave the shard alive. A cancelled ctx degrades to per-job context
 // errors on the unfinished jobs, exactly like the local runner; the done
 // (or error) frame stays the caller's responsibility.
-func ServeRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.Frame) error) error {
+func serveRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.Frame) error) error {
 	if req.SamePredictor {
-		// Only a connection-holding transport can resolve it (the TCP
-		// daemon substitutes the connection's predictor before calling in).
+		// Only the connection can resolve it (handleConn substitutes the
+		// connection's predictor before calling in).
 		return errors.New("same_predictor request with no predictor on the connection")
 	}
 	pred, err := wire.DecodePredictor(req.Predictor)
@@ -152,7 +97,7 @@ func ServeRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.
 // stream is the worker's outbound frame stream over a serialized write
 // function. The first write error latches: later frames are dropped (a job
 // must never report success after part of the stream was lost) and
-// ServeRequest fails the shard with it.
+// serveRequest fails the shard with it.
 type stream struct {
 	write func(*wire.Frame) error
 	mu    sync.Mutex
@@ -261,7 +206,7 @@ func canonicalizeDevices(specs []fleet.JobSpec) {
 
 // crashIndex reads the fault-injection env knob. It is honored only when
 // the worker is a Go test binary, so a stray environment variable can
-// never kill production workers (the coordinator forwards its whole
+// never kill production workers (a pipe runner forwards its whole
 // environment to every worker it spawns).
 func crashIndex() (int, bool) {
 	if !strings.HasSuffix(os.Args[0], ".test") {

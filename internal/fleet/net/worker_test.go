@@ -1,4 +1,4 @@
-package shard_test
+package net
 
 import (
 	"bytes"
@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/fleet"
-	"repro/internal/fleet/shard"
 	"repro/internal/fleet/wire"
 	"repro/internal/sink"
 )
@@ -107,7 +106,7 @@ func TestServeRequestBatchesTelemetry(t *testing.T) {
 	bad := fleet.JobSpec{Index: 20, Workload: fleet.WorkloadRef{Name: "crysis"}, Seed: 1, DurSec: 10}
 	req := &wire.ShardRequest{Jobs: append(append([]fleet.JobSpec(nil), specs...), bad), Workers: 2, WantSamples: true}
 	var rec recorder
-	if err := shard.ServeRequest(context.Background(), req, rec.write); err != nil {
+	if err := serveRequest(context.Background(), req, rec.write); err != nil {
 		t.Fatal(err)
 	}
 	blocks, sizes, results := rec.perJob(t)
@@ -150,7 +149,7 @@ func TestServeRequestFlushesCancelledJobs(t *testing.T) {
 		return rec.write(f)
 	}
 	req := &wire.ShardRequest{Jobs: specs, Workers: 1, WantSamples: true}
-	if err := shard.ServeRequest(ctx, req, write); err != nil {
+	if err := serveRequest(ctx, req, write); err != nil {
 		t.Fatal(err)
 	}
 	blocks, _, results := rec.perJob(t)
@@ -186,9 +185,9 @@ func TestServeRequestSampleWriteFailureFailsShard(t *testing.T) {
 		return rec.write(f)
 	}
 	req := &wire.ShardRequest{Jobs: longSpecs(2), Workers: 1, WantSamples: true}
-	err := shard.ServeRequest(context.Background(), req, write)
+	err := serveRequest(context.Background(), req, write)
 	if !errors.Is(err, errPipe) {
-		t.Fatalf("ServeRequest = %v, want the sample write error", err)
+		t.Fatalf("serveRequest = %v, want the sample write error", err)
 	}
 	if len(rec.frames) != 0 {
 		t.Fatalf("%d frames written after the failed sample write (first: %s)", len(rec.frames), rec.frames[0].Type)

@@ -64,7 +64,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/fleet/durable"
 	fleetnet "repro/internal/fleet/net"
-	"repro/internal/fleet/shard"
 	"repro/internal/governor"
 	"repro/internal/ml"
 	"repro/internal/ml/linreg"
@@ -117,8 +116,9 @@ type (
 	JobSpec = fleet.JobSpec
 	// JobResult is one job's outcome, with per-job errors.
 	JobResult = fleet.JobResult
-	// Runner executes fleet batches: the in-process pool by default, or a
-	// multi-process shard coordinator (NewShardRunner).
+	// Runner executes fleet batches: the in-process pool by default, or
+	// the multi-process coordinator over spawned workers (NewShardRunner)
+	// or worker daemons (NewNetRunner).
 	Runner = fleet.Runner
 
 	// Workload is a deterministic demand trace.
@@ -255,18 +255,21 @@ func WithSink(s Sink) SessionOption { return fleet.WithSink(s) }
 // valid and uses GOMAXPROCS workers.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 
-// NewShardRunner returns a fleet Runner that partitions every batch into n
-// contiguous shards (n <= 0: GOMAXPROCS), each executed by a worker
-// subprocess speaking length-prefixed JSON over its pipes, and merges
-// results — and streamed telemetry — back into submission order. Output is
-// byte-identical to the in-process runner: seeds are resolved from job
-// position before dispatch. Jobs must carry a JobSpec (scenario-expanded
-// jobs do); specs that use the usta controller need the encoded predictor
-// in FleetConfig.Predictor, which RunScenario fills in. By default workers
-// are spawned by re-executing the current binary, which must call
-// ShardWorkerMain first thing in main(); set Command to a built
-// cmd/ustaworker to avoid that.
-func NewShardRunner(n int) *shard.Runner { return shard.New(n) }
+// NewShardRunner returns the networked coordinator (see NewNetRunner)
+// over n worker processes it spawns itself (n <= 0: GOMAXPROCS), speaking
+// the daemon protocol over each worker's stdin/stdout instead of TCP. It
+// partitions every batch into work items and merges results — and
+// streamed telemetry — back into submission order, byte-identical to the
+// in-process runner: seeds are resolved from job position before
+// dispatch. A worker that crashes is respawned and its unreported jobs
+// retried, like a lost daemon's. With FleetConfig.Workers unset each
+// worker's pool is ⌈GOMAXPROCS/n⌉ wide. Jobs must carry a JobSpec
+// (scenario-expanded jobs do); specs that use the usta controller need
+// the encoded predictor in FleetConfig.Predictor, which RunScenario fills
+// in. By default workers are spawned by re-executing the current binary,
+// which must call ShardWorkerMain first thing in main(); set the runner's
+// Command to a built cmd/ustaworker to avoid that.
+func NewShardRunner(n int) *fleetnet.Runner { return fleetnet.NewPipe(n) }
 
 // NewNetRunner returns a fleet Runner that dispatches shards to long-lived
 // worker daemons (`ustaworker -listen host:port`) over TCP instead of
@@ -291,12 +294,12 @@ func NewShardRunner(n int) *shard.Runner { return shard.New(n) }
 // recent run's recovery snapshot.
 func NewNetRunner(hosts []string) *fleetnet.Runner { return fleetnet.New(hosts) }
 
-// ShardWorkerMain serves a shard request over stdin/stdout and exits when
-// this process was spawned as a shard worker; otherwise it returns
-// immediately. Binaries (and TestMains) that coordinate shard runs with
-// the default self-exec worker command must call it before doing anything
-// else.
-func ShardWorkerMain() { shard.Main() }
+// ShardWorkerMain serves the coordinator that spawned this process over
+// stdin/stdout and exits, when a NewShardRunner spawned it with the
+// default self-exec command; otherwise it returns immediately. Binaries
+// (and TestMains) that coordinate shard runs with the default command must
+// call it before doing anything else.
+func ShardWorkerMain() { fleetnet.PipeMain() }
 
 // LoadScenario reads a declarative sweep spec from a JSON or YAML file
 // (format autodetected from content) and validates it.
@@ -353,11 +356,11 @@ type ScenarioOption func(*scenarioRun)
 // pool width inside each worker process.
 func ScenarioWorkers(n int) ScenarioOption { return func(rc *scenarioRun) { rc.workers = n } }
 
-// ScenarioShards runs the sweep across n worker subprocesses (<= 0:
-// GOMAXPROCS) instead of in-process goroutines, with results and sink
-// telemetry byte-identical to the local runner. The calling binary must
-// call ShardWorkerMain at the top of main(); see NewShardRunner for spawn
-// details and ScenarioRunner to customize them.
+// ScenarioShards runs the sweep on a NewShardRunner(n): across n worker
+// subprocesses (<= 0: GOMAXPROCS) instead of in-process goroutines, with
+// results and sink telemetry byte-identical to the local runner. The
+// calling binary must call ShardWorkerMain at the top of main(); see
+// NewShardRunner for spawn details and ScenarioRunner to customize them.
 func ScenarioShards(n int) ScenarioOption {
 	return func(rc *scenarioRun) { rc.shards = n; rc.sharded = true }
 }
@@ -439,7 +442,7 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 	}
 	runner := rc.runner
 	if runner == nil && rc.sharded {
-		runner = shard.New(rc.shards)
+		runner = fleetnet.NewPipe(rc.shards)
 	}
 	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Device: rc.device, Predictor: rc.pred,
 		Workers: rc.workers, Event: rc.event, Runner: runner})

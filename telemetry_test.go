@@ -12,7 +12,6 @@ import (
 	"repro/internal/fleet"
 	fleetnet "repro/internal/fleet/net"
 	"repro/internal/fleet/net/chaos"
-	"repro/internal/fleet/shard"
 	"repro/internal/fleet/wire"
 	"repro/internal/sink"
 	"repro/internal/workload"
@@ -80,7 +79,7 @@ func TestMultiFrameTelemetryIdenticalAcrossRunners(t *testing.T) {
 		}
 	}
 
-	t.Run("shard", func(t *testing.T) { check(t, run(t, shard.New(2))) })
+	t.Run("shard", func(t *testing.T) { check(t, run(t, fleetnet.NewPipe(2))) })
 	t.Run("net", func(t *testing.T) { check(t, run(t, fleetnet.New([]string{startNetDaemon(t, 2)}))) })
 
 	// Worker frames on a connection serving one-job shards: 1 is the
