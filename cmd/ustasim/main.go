@@ -53,7 +53,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS); results are identical at any width")
 		shards     = flag.Int("shards", 0, "run the scenario across this many worker processes (0 = in-process); results are identical either way")
 		hosts      = flag.String("hosts", "", "comma-separated ustaworker -listen daemon addresses to dispatch the scenario to (overrides -shards); results are identical either way")
-		event      = flag.String("event", "off", "scenario stepping engine: off|tick|oracle|jump (tick is byte-identical to off; jump replays scheduling exactly with held-input thermal tolerance)")
+		event      = flag.String("event", "jump", "scenario stepping engine: jump|off|tick|oracle (jump, the default, replays scheduling exactly with held-input thermal tolerance; off is the fixed-tick oracle and tick is byte-identical to it; a -wal journaled before jump became the default resumes with -event off)")
 		fallbk     = flag.Bool("local-fallback", false, "with -hosts or -shards: when every worker stays down past the coordinator's recovery deadline, finish the remaining jobs in-process instead of failing them")
 		statsJSON  = flag.String("stats-json", "", "with -hosts or -shards: write the coordinator's end-of-run RunnerStats snapshot (redials, hedges, breaker states) to this JSON file")
 		walPath    = flag.String("wal", "", "journal the scenario sweep to this write-ahead log; a killed run can continue with -resume, re-running only unfinished cells")
@@ -87,7 +87,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ustasim: -jsonl requires -scenario")
 		os.Exit(1)
 	}
-	if *event != "off" && *scenPath == "" {
+	if *event != "jump" && *scenPath == "" {
 		fmt.Fprintln(os.Stderr, "ustasim: -event requires -scenario")
 		os.Exit(1)
 	}

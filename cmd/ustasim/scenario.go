@@ -25,7 +25,8 @@ import (
 // under every choice. localFallback lets such a run finish on the
 // in-process pool when every worker stays down past the coordinator's
 // recovery deadline. event selects
-// the stepping engine (off|tick|oracle|jump; see repro.EventMode). walPath
+// the stepping engine (off|tick|oracle|jump, "" is jump; see
+// repro.EventMode). walPath
 // journals the sweep to a write-ahead log and resume continues one that
 // was killed partway, re-running only unfinished cells — outputs stay
 // byte-identical to an uninterrupted run. Coordinator
@@ -82,9 +83,7 @@ func runScenario(o cliOptions, out io.Writer) error {
 			}
 		}
 	}
-	if mode != repro.EventOff {
-		opts = append(opts, repro.ScenarioEventMode(mode))
-	}
+	opts = append(opts, repro.ScenarioEventMode(mode))
 	if o.walPath != "" {
 		opts = append(opts, repro.ScenarioWAL(o.walPath))
 		if o.resume {

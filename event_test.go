@@ -104,7 +104,7 @@ func TestEventTickMatchesOffTable1(t *testing.T) {
 		if traceFree {
 			mode = "trace-free"
 		}
-		ref, refSink := eventExec(t, "off "+mode, traceFree, repro.ScenarioWorkers(1))
+		ref, refSink := eventExec(t, "off "+mode, traceFree, repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventOff))
 
 		got, gotSink := eventExec(t, "tick local "+mode, traceFree,
 			repro.ScenarioWorkers(runtime.GOMAXPROCS(0)), repro.ScenarioEventMode(repro.EventTick))
@@ -116,6 +116,40 @@ func TestEventTickMatchesOffTable1(t *testing.T) {
 			requireRunsIdentical(t, "tick sharded", got, ref, gotSink, refSink)
 		}
 	}
+}
+
+// TestDefaultEngineIsJump pins the production engine: a sweep that names
+// no engine, and Session.RunFor (the path behind ustatrace and the
+// examples), both run EventJump — bit for bit the same results, traces
+// and telemetry as asking for it by name.
+func TestDefaultEngineIsJump(t *testing.T) {
+	ref, refSink := eventExec(t, "named jump", false,
+		repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventJump))
+	got, gotSink := eventExec(t, "default", false, repro.ScenarioWorkers(1))
+	requireRunsIdentical(t, "default sweep", got, ref, gotSink, refSink)
+
+	pred := scenarioPipeline().Predictor()
+	session := func(label string, run func(*repro.Session, repro.Workload) (*repro.RunResult, error)) ([]repro.JobResult, *countingSink) {
+		t.Helper()
+		cs := newCountingSink()
+		s, err := repro.NewSession(repro.WithSeed(11), repro.WithController(repro.NewUSTA(pred, repro.DefaultLimitC)), repro.WithSink(cs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := run(s, repro.WorkloadByName("game", 7))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return []repro.JobResult{{Name: "game", Result: res}}, cs
+	}
+	const dur = 900
+	ref, refSink = session("named jump", func(s *repro.Session, w repro.Workload) (*repro.RunResult, error) {
+		return s.Phone().RunEventContext(context.Background(), w, dur, repro.EventJump)
+	})
+	got, gotSink = session("RunFor", func(s *repro.Session, w repro.Workload) (*repro.RunResult, error) {
+		return s.RunFor(context.Background(), w, dur)
+	})
+	requireRunsIdentical(t, "Session.RunFor", got, ref, gotSink, refSink)
 }
 
 // TestEventJumpRunnerInvariance pins the jump engine's determinism
@@ -143,7 +177,7 @@ func TestEventJumpRunnerInvariance(t *testing.T) {
 // clamp decision differently (the controller reads binned sensor
 // records), which is why this plane is a tolerance, not an identity.
 func TestEventJumpCloseToOracleTable1(t *testing.T) {
-	ref, _ := eventExec(t, "off", true, repro.ScenarioWorkers(1))
+	ref, _ := eventExec(t, "off", true, repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventOff))
 	got, _ := eventExec(t, "jump", true,
 		repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventJump))
 

@@ -25,9 +25,11 @@ import (
 //
 // What is exact and what is approximate, precisely:
 //
+//   - EventOff is the plain fixed-tick loop, kept as the oracle the event
+//     engines are pinned against; it runs only when asked for by name.
 //   - EventTick runs the event machinery but takes every tick canonically;
-//     it is byte-identical to the plain tick loop (EventOff) and exists to
-//     pin exactly that in CI.
+//     it is byte-identical to EventOff and exists to pin exactly that in
+//     CI.
 //   - EventOracle and EventJump hold each segment's power/battery inputs
 //     at segment-start values (a zero-order hold at event resolution,
 //     instead of tick resolution). Frequency, utilization, governor-level
@@ -50,11 +52,19 @@ import (
 // the noise streams never desynchronize. A close-out may be a segment of
 // one tick (a level change landing just before an emission); only the
 // run's first tick and charging ticks stay fully canonical.
+//
+// The zero value is EventJump: the production engine is decided here and
+// nowhere else, so every caller that names no engine runs it. The in-memory
+// values are not what crosses a process boundary; the wire and the WAL
+// carry Code.
 type EventMode int
 
 const (
-	// EventOff is the plain fixed-tick loop (no event machinery).
-	EventOff EventMode = iota
+	// EventJump folds held-input segments and advances the physics with
+	// power-of-two propagator-ladder jumps (thermal.Ladder): O(log gap)
+	// matrix applications per segment. The zero value: the production
+	// engine.
+	EventJump EventMode = iota
 	// EventTick drives the event engine with every tick canonical:
 	// byte-identical to EventOff, the CI pin for the event plumbing.
 	EventTick
@@ -62,11 +72,39 @@ const (
 	// tick by tick: the differential midpoint between EventTick and
 	// EventJump.
 	EventOracle
-	// EventJump folds held-input segments and advances the physics with
-	// power-of-two propagator-ladder jumps (thermal.Ladder): O(log gap)
-	// matrix applications per segment. The production event engine.
-	EventJump
+	// EventOff is the plain fixed-tick loop (no event machinery): the
+	// oracle, run only when requested explicitly.
+	EventOff
 )
+
+// eventCodes are the modes' persisted codes (Code), stable across releases
+// whatever the in-memory order.
+var eventCodes = [...]int{EventOff: 0, EventTick: 1, EventOracle: 2, EventJump: 3}
+
+// Code returns the mode's stable code, the form it takes on the worker
+// wire (wire.ShardRequest.Event) and in the WAL (durable.Submission.Event):
+// off 0, tick 1, oracle 2, jump 3. An invalid mode has code -1, which
+// EventModeOfCode refuses.
+func (m EventMode) Code() int {
+	if m < 0 || int(m) >= len(eventCodes) {
+		return -1
+	}
+	return eventCodes[m]
+}
+
+// EventModeOfCode is the inverse of Code; an unknown code is an error.
+func EventModeOfCode(c int) (EventMode, error) {
+	for m, mc := range eventCodes {
+		if mc == c {
+			return EventMode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("device: unknown event mode code %d (want 0..%d)", c, len(eventCodes)-1)
+}
+
+// folds reports whether the mode folds held-input segments (EventOracle,
+// EventJump) rather than taking every tick canonically.
+func (m EventMode) folds() bool { return m == EventOracle || m == EventJump }
 
 // String returns the CLI spelling of the mode.
 func (m EventMode) String() string {
@@ -83,19 +121,20 @@ func (m EventMode) String() string {
 	return fmt.Sprintf("EventMode(%d)", int(m))
 }
 
-// ParseEventMode parses the CLI spelling of an event mode.
+// ParseEventMode parses the CLI spelling of an event mode; the empty
+// string is the zero value, EventJump.
 func ParseEventMode(s string) (EventMode, error) {
 	switch s {
-	case "", "off":
-		return EventOff, nil
+	case "", "jump":
+		return EventJump, nil
 	case "tick":
 		return EventTick, nil
 	case "oracle":
 		return EventOracle, nil
-	case "jump":
-		return EventJump, nil
+	case "off":
+		return EventOff, nil
 	}
-	return EventOff, fmt.Errorf("device: unknown event mode %q (want off|tick|oracle|jump)", s)
+	return EventJump, fmt.Errorf("device: unknown event mode %q (want off|tick|oracle|jump)", s)
 }
 
 // EventRun drives a StepRun segment by segment instead of tick by tick.
@@ -131,13 +170,13 @@ type EventRun struct {
 func (p *Phone) StartEventRun(w workload.Workload, dur float64, mode EventMode) *EventRun {
 	r := p.StartRun(w, dur)
 	e := &EventRun{r: r, mode: mode}
-	if mode >= EventOracle {
+	if mode.folds() {
 		e.boundary = workload.NextChangeOf(w)
 		if e.boundary == nil || p.hotplug != nil {
 			e.mode = EventTick
 		}
 	}
-	if e.mode >= EventOracle {
+	if e.mode.folds() {
 		dt := r.dt
 		e.taps = []thermal.Tap{
 			{Node: p.nodes.Die, Alpha: p.cpuSensor.Alpha(dt)},
@@ -199,7 +238,7 @@ func (e *EventRun) Segment() {
 	// The first tick is always canonical: it primes the sensor lags,
 	// opens the logger window and emits the initial record, exactly like
 	// the oracle.
-	if e.mode == EventTick || r.done == 0 {
+	if !e.mode.folds() || r.done == 0 {
 		e.canonicalTick()
 		return
 	}

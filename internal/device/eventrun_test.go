@@ -407,3 +407,39 @@ func TestEventCounterNoiseVersion(t *testing.T) {
 }
 
 var _ = math.MaxFloat64
+
+// TestEventModeCodes pins the engine choice and its persisted form: the
+// zero value (and the empty CLI spelling) is EventJump, and every mode's
+// wire/WAL code is the one it has always had, whatever the in-memory
+// order — off 0, tick 1, oracle 2, jump 3 — with unknown codes refused.
+func TestEventModeCodes(t *testing.T) {
+	var zero EventMode
+	if zero != EventJump {
+		t.Fatalf("zero EventMode = %v, want jump", zero)
+	}
+	if m, err := ParseEventMode(""); err != nil || m != EventJump {
+		t.Fatalf(`ParseEventMode("") = %v, %v; want jump`, m, err)
+	}
+	for _, c := range []struct {
+		mode EventMode
+		code int
+	}{{EventOff, 0}, {EventTick, 1}, {EventOracle, 2}, {EventJump, 3}} {
+		if got := c.mode.Code(); got != c.code {
+			t.Errorf("%v.Code() = %d, want %d", c.mode, got, c.code)
+		}
+		if m, err := EventModeOfCode(c.code); err != nil || m != c.mode {
+			t.Errorf("EventModeOfCode(%d) = %v, %v; want %v", c.code, m, err, c.mode)
+		}
+		if m, err := ParseEventMode(c.mode.String()); err != nil || m != c.mode {
+			t.Errorf("ParseEventMode(%q) = %v, %v", c.mode.String(), m, err)
+		}
+	}
+	for _, c := range []int{-1, 4, 1 << 40} {
+		if m, err := EventModeOfCode(c); err == nil {
+			t.Errorf("EventModeOfCode(%d) = %v, want an error", c, m)
+		}
+	}
+	if got := EventMode(17).Code(); got != -1 {
+		t.Errorf("invalid mode code = %d, want -1", got)
+	}
+}

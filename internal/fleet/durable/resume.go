@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"repro/internal/analytics"
+	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/scenario"
 )
@@ -199,13 +200,23 @@ func CellEntry(res fleet.JobResult, limitC float64, acc *analytics.ViolationAccu
 // different stepping-engine mode: finishing it on another engine would
 // mix physics in one result.
 type EventMismatchError struct {
-	// Journaled and Run are the int-coded device.EventMode values of the
-	// journaled submission and of the resuming run.
+	// Journaled and Run are the device.EventMode codes ((EventMode).Code)
+	// of the journaled submission and of the resuming run.
 	Journaled, Run int
 }
 
 func (e *EventMismatchError) Error() string {
-	return fmt.Sprintf("durable: sweep was journaled under event mode %d, this run uses %d; resume with the original -event", e.Journaled, e.Run)
+	return fmt.Sprintf("durable: sweep was journaled under event mode %s, this run uses %s; resume it on its own engine (-event %s)",
+		eventName(e.Journaled), eventName(e.Run), eventName(e.Journaled))
+}
+
+// eventName spells an event-mode code the way -event takes it.
+func eventName(code int) string {
+	m, err := device.EventModeOfCode(code)
+	if err != nil {
+		return fmt.Sprintf("code %d", code)
+	}
+	return m.String()
 }
 
 // Resume is the plan step every sweep goes through. rj is the sweep's

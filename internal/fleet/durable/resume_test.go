@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/analytics"
+	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/scenario"
 )
@@ -240,23 +241,44 @@ func TestOpenSweepHeaderOnly(t *testing.T) {
 
 // TestResumeEventMismatch: a journal written under one event mode refuses
 // to resume under another with the typed error, whether the journal came
-// from a job server's store or from OpenSweep.
+// from a job server's store or from OpenSweep. The case that matters is a
+// journal from before EventJump became the default: it carries code 0
+// (the fixed-tick loop) and the production engine (code 3) must refuse it,
+// while an explicit EventOff resumes it.
 func TestResumeEventMismatch(t *testing.T) {
+	var prod device.EventMode // the zero value: the production engine
+	off := device.EventOff.Code()
 	grid := testGrid()
-	_, err := Resume(grid, 0, &RecoveredJob{Sub: &Submission{ID: "j1", Event: 3}}, nil)
+	_, err := Resume(grid, prod.Code(), &RecoveredJob{Sub: &Submission{ID: "j1"}}, nil)
 	var em *EventMismatchError
-	if !errors.As(err, &em) || em.Journaled != 3 || em.Run != 0 {
-		t.Fatalf("Resume: err = %v, want *EventMismatchError{3, 0}", err)
+	if !errors.As(err, &em) || em.Journaled != 0 || em.Run != 3 {
+		t.Fatalf("Resume: err = %v, want *EventMismatchError{0, 3}", err)
+	}
+	if !strings.Contains(err.Error(), "-event off") {
+		t.Fatalf("Resume: err = %q does not name the journal's engine", err)
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.wal")
-	l, _, err := OpenSweep(path, grid, json.RawMessage(`{}`), 3, false)
+	l, _, err := OpenSweep(path, grid, json.RawMessage(`{}`), off, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	_, _, err = OpenSweep(path, grid, json.RawMessage(`{}`), 2, true)
-	if !errors.As(err, &em) || em.Journaled != 3 || em.Run != 2 {
-		t.Fatalf("OpenSweep: err = %v, want *EventMismatchError{3, 2}", err)
+	if err := l.CellDone(CellResult{Index: 1, Name: "b", SeedUsed: 11}); err != nil {
+		t.Fatal(err)
 	}
+	l.Close()
+	_, _, err = OpenSweep(path, grid, json.RawMessage(`{}`), prod.Code(), true)
+	if !errors.As(err, &em) || em.Journaled != 0 || em.Run != 3 {
+		t.Fatalf("OpenSweep: err = %v, want *EventMismatchError{0, 3}", err)
+	}
+
+	// The same code-0 journal resumes under an explicit EventOff.
+	l, plan, err := OpenSweep(path, grid, json.RawMessage(`{}`), off, true)
+	if err != nil {
+		t.Fatalf("OpenSweep under EventOff: %v", err)
+	}
+	if len(plan.Done) != 1 || len(plan.Todo) != 3 {
+		t.Fatalf("resumed plan: todo %v done %d, want cell 1 restored", plan.Todo, len(plan.Done))
+	}
+	l.Close()
 }

@@ -39,9 +39,10 @@ type Submission struct {
 	// DeadlineSec is the sweep's wall-clock deadline at submission (0:
 	// none); recovery re-applies it as a fresh window.
 	DeadlineSec float64 `json:"deadline_sec,omitempty"`
-	// Event records the stepping-engine mode the sweep ran under (an
-	// int-coded device.EventMode); a resume under a different mode is
-	// refused rather than risking non-identical aggregates.
+	// Event records the stepping-engine mode the sweep ran under, as its
+	// stable device.EventMode code ((EventMode).Code; 0, the omitted
+	// value, is the plain fixed-tick loop); a resume under a different
+	// mode is refused rather than risking non-identical aggregates.
 	Event int `json:"event,omitempty"`
 }
 

@@ -57,7 +57,8 @@ type Config struct {
 	// at any parallelism.
 	Runner Runner
 	// Event selects the stepping engine for every job in the batch (the
-	// zero value is the plain fixed-tick loop; see device.EventMode for
+	// zero value is the production engine, EventJump; EventOff is the
+	// plain fixed-tick loop, run only when named; see device.EventMode for
 	// the modes and their exactness guarantees). Every runner honors it —
 	// local, sharded and networked — so a mode choice cannot change
 	// results across deployment shapes beyond what the mode itself
@@ -292,11 +293,7 @@ func runJob(ctx context.Context, cfg *Config, pool *phonePool, i int, job Job) J
 		r.Err = err
 		return r
 	}
-	if cfg.Event != device.EventOff {
-		r.Result, r.Err = phone.RunEventContext(ctx, job.Workload, job.DurSec, cfg.Event)
-	} else {
-		r.Result, r.Err = phone.RunContext(ctx, job.Workload, job.DurSec)
-	}
+	r.Result, r.Err = phone.RunEventContext(ctx, job.Workload, job.DurSec, cfg.Event)
 	pool.put(job.Device, phone)
 	return r
 }

@@ -273,6 +273,13 @@ func TestChaosLocalFallbackEventJump(t *testing.T) {
 	checkLocalFallback(t, fleet.Config{Workers: 2, Seed: 21, Event: device.EventJump})
 }
 
+// TestChaosLocalFallbackEventOff: the same for an explicitly named
+// fixed-tick run, so the fallback is seen honoring an engine other than
+// the default.
+func TestChaosLocalFallbackEventOff(t *testing.T) {
+	checkLocalFallback(t, fleet.Config{Workers: 2, Seed: 21, Event: device.EventOff})
+}
+
 // checkLocalFallback runs cfg's batch through a runner whose only host
 // refuses every dial and requires the local fallback to reproduce the
 // LocalRunner reference, results and telemetry.

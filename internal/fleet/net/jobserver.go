@@ -82,6 +82,11 @@ type JobServer struct {
 	closed bool
 }
 
+// jobEvent is the stepping engine every job runs on: the zero EventMode,
+// the production engine. Its code is journaled with each submission, so a
+// recovered job resumes only on the engine it started on.
+var jobEvent device.EventMode
+
 // NewJobServer creates a job server executing on the given runner (nil:
 // the in-process pool).
 func NewJobServer(r fleet.Runner) *JobServer {
@@ -227,7 +232,7 @@ func (s *JobServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// job must survive an immediate crash. A store failure degrades the
 		// job to unjournaled rather than rejecting the submission.
 		jlog, err := s.Store.Begin(durable.Submission{
-			ID: id, Spec: body, DeadlineSec: s.JobDeadline.Seconds()})
+			ID: id, Spec: body, DeadlineSec: s.JobDeadline.Seconds(), Event: jobEvent.Code()})
 		if err != nil {
 			s.journalDegraded(j, err)
 		} else {
@@ -394,14 +399,14 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 	}
 
 	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Device: s.Device, Predictor: s.Predictor,
-		Workers: s.Workers, Runner: s.Runner})
+		Workers: s.Workers, Event: jobEvent, Runner: s.Runner})
 	if err != nil {
 		fail(err)
 		return
 	}
 	// Resolve the resume plan: verify a recovered journal against the
 	// re-expanded grid, or journal the fresh cell table.
-	plan, err := durable.Resume(sw.Grid, int(device.EventOff), rec, func(cells []durable.CellRef) error {
+	plan, err := durable.Resume(sw.Grid, jobEvent.Code(), rec, func(cells []durable.CellRef) error {
 		s.journal(j, func(l *durable.JobLog) error { return l.Cells(cells) })
 		return nil
 	})

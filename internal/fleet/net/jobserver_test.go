@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	fleetnet "repro/internal/fleet/net"
 )
 
@@ -27,9 +29,9 @@ const e2eSpec = `{
   "trace_free": true
 }`
 
-// longSpec is a sweep big enough (13 workloads × 100 simulated hours)
-// that a cancel or shutdown issued tens of milliseconds after submission
-// always lands mid-run, never after completion.
+// longSpec is a sweep of 13 workloads × 100 simulated hours. A test that
+// must act mid-run wraps the server's runner in an inFlightRunner rather
+// than trusting the sweep to outlast a sleep.
 const longSpec = `{
   "version": 1,
   "workloads": ["antutu-cpu", "antutu-cpu-gpu-ram", "antutu-userexp",
@@ -41,6 +43,56 @@ const longSpec = `{
   "seeds": {"policy": "indexed", "base": 7},
   "trace_free": true
 }`
+
+// inFlightRunner wraps a job server's runner so a test can act on a run
+// that is provably in flight: the run's first completed job closes started
+// and holds the run (and, on a one-wide pool, every later job) until the
+// run's context is cancelled. If nothing cancels it within
+// inFlightRelease, the run goes on to finish normally — a server that
+// stopped cancelling then reports "done" and fails the test instead of
+// hanging it.
+type inFlightRunner struct {
+	inner   fleet.Runner // nil: fleet.LocalRunner
+	started chan struct{}
+	once    sync.Once
+}
+
+const inFlightRelease = 10 * time.Second
+
+func newInFlightRunner(inner fleet.Runner) *inFlightRunner {
+	return &inFlightRunner{inner: inner, started: make(chan struct{})}
+}
+
+func (r *inFlightRunner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []fleet.JobResult {
+	onResult := cfg.OnResult
+	cfg.OnResult = func(res fleet.JobResult) {
+		r.once.Do(func() {
+			close(r.started)
+			select {
+			case <-ctx.Done():
+			case <-time.After(inFlightRelease):
+			}
+		})
+		if onResult != nil {
+			onResult(res)
+		}
+	}
+	inner := r.inner
+	if inner == nil {
+		inner = fleet.LocalRunner{}
+	}
+	return inner.Run(ctx, cfg, jobs)
+}
+
+// awaitInFlight blocks until r's run is held mid-flight.
+func (r *inFlightRunner) awaitInFlight(t *testing.T) {
+	t.Helper()
+	select {
+	case <-r.started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the run never reported its first job")
+	}
+}
 
 // submit posts a spec and returns the job ID.
 func submit(t *testing.T, ts *httptest.Server, spec string) string {
@@ -172,14 +224,15 @@ func TestJobServerRoundTrip(t *testing.T) {
 // TestJobServerCancel: a long-running job is cancelled over HTTP and
 // reaches the cancelled status; the telemetry stream terminates.
 func TestJobServerCancel(t *testing.T) {
-	js := fleetnet.NewJobServer(nil) // local execution
+	r := newInFlightRunner(nil) // local execution
+	js := fleetnet.NewJobServer(r)
 	js.Workers = 1
 	defer js.Close()
 	ts := httptest.NewServer(js.Handler())
 	defer ts.Close()
 
 	id := submit(t, ts, longSpec)
-	time.Sleep(50 * time.Millisecond)
+	r.awaitInFlight(t)
 	resp, err := http.Post(ts.URL+"/jobs/"+id+"/cancel", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -241,12 +294,13 @@ func TestJobServerShutdownMidRun(t *testing.T) {
 
 	worker := &fleetnet.Server{Capacity: 1}
 	addr := startWorkerForLeakTest(t, worker)
-	js := fleetnet.NewJobServer(fleetnet.New([]string{addr}))
+	r := newInFlightRunner(fleetnet.New([]string{addr}))
+	js := fleetnet.NewJobServer(r)
 	js.Workers = 1
 	ts := httptest.NewServer(js.Handler())
 
 	id := submit(t, ts, longSpec)
-	time.Sleep(100 * time.Millisecond)
+	r.awaitInFlight(t)
 	js.Close() // kills the run mid-flight
 	if got := poll(t, ts, id); got["status"] != "cancelled" && got["status"] != "failed" {
 		t.Fatalf("status after shutdown = %v", got["status"])

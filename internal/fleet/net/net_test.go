@@ -935,3 +935,45 @@ func TestServerSamePredictorNeedsOne(t *testing.T) {
 		t.Fatalf("same_predictor after a full request: got %+v, want done", f)
 	}
 }
+
+// TestServerUnknownEventCode: a shard request with an event code no engine
+// has is answered with an error frame, not a panic and not a run, and the
+// connection stays usable for a well-formed request.
+func TestServerUnknownEventCode(t *testing.T) {
+	addr := startServer(t, &fleetnet.Server{Capacity: 1})
+	conn, err := stdnet.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.TypeHello {
+		t.Fatalf("hello: %v (%+v)", err, f)
+	}
+	spec := *specJobs(1, true)[0].Spec
+	request := func(event int) *wire.Frame {
+		t.Helper()
+		req := &wire.ShardRequest{Jobs: []fleet.JobSpec{spec}, Workers: 1, Event: event}
+		if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: req}); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f, err := wire.ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Type == wire.TypeResult && event == 99 {
+				t.Fatalf("unknown code ran job %d", f.Result.Index)
+			}
+			if f.Type == wire.TypeDone || f.Type == wire.TypeError {
+				return f
+			}
+		}
+	}
+	if f := request(99); f.Type != wire.TypeError || !strings.Contains(f.Err, "unknown event mode code 99") {
+		t.Fatalf("event code 99: got %+v, want an error frame", f)
+	}
+	if f := request(device.EventJump.Code()); f.Type != wire.TypeDone {
+		t.Fatalf("well-formed request after the refusal: got %+v, want done", f)
+	}
+}

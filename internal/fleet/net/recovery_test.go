@@ -138,9 +138,10 @@ func TestJobServerRestartUniqueIDs(t *testing.T) {
 }
 
 // TestJobServerRecoverRefusesEventMismatch: a non-terminal log journaled
-// under another stepping engine (here `ustasim -wal -event jump`, mode 3,
-// dropped into the state dir) must not resume on the server's tick loop —
-// that would mix engines in one result. The recovered job fails with the
+// under another stepping engine (here code 0, the fixed-tick loop, as
+// every journal written before EventJump became the default has) must not
+// resume on the server's production engine (code 3) — that would mix
+// engines in one result. The recovered job fails with the
 // same typed mismatch OpenSweep reports, runs no cell, and the failure is
 // journaled terminal so a later restart does not retry it.
 func TestJobServerRecoverRefusesEventMismatch(t *testing.T) {
@@ -149,7 +150,7 @@ func TestJobServerRecoverRefusesEventMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := store.Begin(durable.Submission{ID: "j1", Spec: json.RawMessage(e2eSpec), Event: 3})
+	l, err := store.Begin(durable.Submission{ID: "j1", Spec: json.RawMessage(e2eSpec)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestJobServerRecoverRefusesEventMismatch(t *testing.T) {
 
 	_, ts := stateServer(t, dir)
 	final := waitStatus(t, ts, "j1")
-	want := (&durable.EventMismatchError{Journaled: 3, Run: 0}).Error()
+	want := (&durable.EventMismatchError{Journaled: 0, Run: 3}).Error()
 	if final["status"] != "failed" || final["error"] != want {
 		t.Fatalf("recovered job = %v, want failed with %q", final, want)
 	}

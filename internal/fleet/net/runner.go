@@ -835,7 +835,7 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		connMu.Unlock()
 	}()
 
-	req := baseRequest{pred: cfg.Predictor, workers: width, wantSamples: cfg.Sink != nil, event: int(cfg.Event)}
+	req := baseRequest{pred: cfg.Predictor, workers: width, wantSamples: cfg.Sink != nil, event: cfg.Event.Code()}
 	var wg sync.WaitGroup
 	for _, addr := range r.Hosts {
 		wg.Add(1)

@@ -38,6 +38,10 @@ func serveRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.
 		// connection's predictor before calling in).
 		return errors.New("same_predictor request with no predictor on the connection")
 	}
+	event, err := device.EventModeOfCode(req.Event)
+	if err != nil {
+		return err
+	}
 	pred, err := wire.DecodePredictor(req.Predictor)
 	if err != nil {
 		return err
@@ -68,7 +72,7 @@ func serveRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.
 	}
 
 	crashOn, crashArmed := crashIndex()
-	cfg := fleet.Config{Workers: req.Workers, Event: device.EventMode(req.Event)}
+	cfg := fleet.Config{Workers: req.Workers, Event: event}
 	var tel *batcher
 	if req.WantSamples {
 		tel = &batcher{out: out, global: global, bufs: make([]*[]byte, len(jobs))}

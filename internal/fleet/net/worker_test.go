@@ -30,6 +30,11 @@ func longSpecs(n int) []fleet.JobSpec {
 	return specs
 }
 
+// prodEvent is the wire code of the production engine (the zero
+// EventMode) that localSequences runs; a shard request names it explicitly
+// because an omitted code is the fixed-tick loop.
+var prodEvent = fleet.Config{}.Event.Code()
+
 // localSequences runs specs in-process and returns each job's telemetry,
 // keyed by global index and packed, for bit-exact comparison.
 func localSequences(t *testing.T, specs []fleet.JobSpec) map[int][]byte {
@@ -104,7 +109,7 @@ func TestServeRequestBatchesTelemetry(t *testing.T) {
 	specs := longSpecs(3)
 	want := localSequences(t, specs)
 	bad := fleet.JobSpec{Index: 20, Workload: fleet.WorkloadRef{Name: "crysis"}, Seed: 1, DurSec: 10}
-	req := &wire.ShardRequest{Jobs: append(append([]fleet.JobSpec(nil), specs...), bad), Workers: 2, WantSamples: true}
+	req := &wire.ShardRequest{Jobs: append(append([]fleet.JobSpec(nil), specs...), bad), Workers: 2, WantSamples: true, Event: prodEvent}
 	var rec recorder
 	if err := serveRequest(context.Background(), req, rec.write); err != nil {
 		t.Fatal(err)
@@ -148,7 +153,7 @@ func TestServeRequestFlushesCancelledJobs(t *testing.T) {
 		}
 		return rec.write(f)
 	}
-	req := &wire.ShardRequest{Jobs: specs, Workers: 1, WantSamples: true}
+	req := &wire.ShardRequest{Jobs: specs, Workers: 1, WantSamples: true, Event: prodEvent}
 	if err := serveRequest(ctx, req, write); err != nil {
 		t.Fatal(err)
 	}

@@ -257,9 +257,10 @@ func NewSession(opts ...Option) (*Session, error) {
 // internals); mutate it between runs at your own risk.
 func (s *Session) Phone() *device.Phone { return s.phone }
 
-// Run executes the workload in full, honoring context cancellation and
-// deadlines between simulation steps. On early stop it returns the partial
-// result together with the context's error.
+// Run executes the workload in full on the production stepping engine (the
+// zero device.EventMode), honoring context cancellation and deadlines
+// between its segments. On early stop it returns the partial result
+// together with the context's error.
 func (s *Session) Run(ctx context.Context, w workload.Workload) (*device.RunResult, error) {
 	return s.RunFor(ctx, w, 0)
 }
@@ -278,5 +279,6 @@ func (s *Session) RunFor(ctx context.Context, w workload.Workload, durSec float6
 		ctx, cancel = context.WithTimeout(ctx, s.deadline)
 		defer cancel()
 	}
-	return s.phone.RunContext(ctx, w, durSec)
+	var engine device.EventMode // the zero value: the production engine
+	return s.phone.RunEventContext(ctx, w, durSec, engine)
 }

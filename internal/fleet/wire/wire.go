@@ -140,11 +140,14 @@ type ShardRequest struct {
 	// WantSamples asks the worker to forward every telemetry sample, in
 	// TypeSample frames tagged with the spec's global index.
 	WantSamples bool `json:"want_samples,omitempty"`
-	// Event selects the worker's stepping engine (a device.EventMode
-	// value; 0 is the plain fixed-tick loop). Carried as an int so the
-	// wire package stays free of behavioral coupling; the worker converts
-	// it back and applies it to its fleet config, which is what keeps a
-	// sharded event run equal to a local run under the same mode.
+	// Event selects the worker's stepping engine as a stable
+	// device.EventMode code ((EventMode).Code: off 0, tick 1, oracle 2,
+	// jump 3), never the in-memory value, so an omitted field is the
+	// plain fixed-tick loop. Carried as an int so the wire package stays
+	// free of behavioral coupling; the worker decodes it with
+	// device.EventModeOfCode (an unknown code fails the request with an
+	// error frame) and applies it to its fleet config, which is what
+	// keeps a sharded event run equal to a local run under the same mode.
 	Event int `json:"event,omitempty"`
 }
 

@@ -35,7 +35,8 @@ type Config struct {
 	Predictor *core.Predictor
 	// Workers bounds the worker pool (<= 0: GOMAXPROCS).
 	Workers int
-	// Event selects the stepping engine.
+	// Event selects the stepping engine (zero: the production engine,
+	// EventJump; see device.EventMode).
 	Event device.EventMode
 	// Runner executes the cells (nil: the in-process pool).
 	Runner fleet.Runner

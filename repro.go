@@ -93,9 +93,9 @@ type (
 	Controller = device.Controller
 	// Governor is the cpufreq policy interface.
 	Governor = governor.Governor
-	// EventMode selects the stepping engine (fixed-tick oracle or the
-	// event-driven engines; see device.EventMode for the exactness
-	// guarantees of each mode).
+	// EventMode selects the stepping engine (the zero value is the
+	// production engine, EventJump; EventOff is the fixed-tick oracle;
+	// see device.EventMode for the exactness guarantees of each mode).
 	EventMode = device.EventMode
 
 	// Session is one simulated handset behind options-based construction
@@ -193,7 +193,7 @@ const (
 )
 
 // ParseEventMode parses the CLI spelling of an event mode
-// (off|tick|oracle|jump).
+// (off|tick|oracle|jump; "" is jump, the default).
 func ParseEventMode(s string) (EventMode, error) { return device.ParseEventMode(s) }
 
 // Sensor noise stream versions for DeviceConfig.NoiseVersion: legacy is
@@ -392,11 +392,12 @@ func ScenarioPredictor(p *Predictor) ScenarioOption { return func(rc *scenarioRu
 // sample memory. RunScenario does not close the sink.
 func ScenarioSink(s Sink) ScenarioOption { return func(rc *scenarioRun) { rc.sink = s } }
 
-// ScenarioEventMode runs the sweep on the selected stepping engine.
-// EventTick is byte-identical to the default loop; EventJump replays the
-// scheduling plane exactly while thermal observables carry the held-input
-// discretization tolerance (see EventMode). Composes with every runner
-// shape — local, sharded, networked.
+// ScenarioEventMode runs the sweep on the selected stepping engine
+// (without it: EventJump, the production engine). EventOff is the plain
+// fixed-tick loop and EventTick is byte-identical to it; EventJump replays
+// the scheduling plane exactly while thermal observables carry the
+// held-input discretization tolerance against EventOff (see EventMode).
+// Composes with every runner shape — local, sharded, networked.
 func ScenarioEventMode(m EventMode) ScenarioOption {
 	return func(rc *scenarioRun) { rc.event = m }
 }
@@ -461,7 +462,7 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 		if err != nil {
 			return nil, fmt.Errorf("repro: marshal spec for journal: %w", err)
 		}
-		if jlog, plan, err = durable.OpenSweep(rc.walPath, sw.Grid, specBytes, int(rc.event), rc.resume); err != nil {
+		if jlog, plan, err = durable.OpenSweep(rc.walPath, sw.Grid, specBytes, rc.event.Code(), rc.resume); err != nil {
 			return nil, err
 		}
 		hooks.Ledger = func(c durable.CellResult) { jlog.CellDone(c) }
