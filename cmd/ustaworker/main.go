@@ -18,10 +18,11 @@
 // A pipe worker ignores SIGTERM/SIGINT: its coordinator decides whether
 // in-flight shards finish or are cancelled, and the worker exits 0 when
 // the coordinator closes its stdin (1 after a protocol error). In daemon
-// mode SIGTERM/SIGINT cancel the serving context: the daemon stops
-// accepting and exits 0 once its connections wind down. A coordinator
-// that loses a worker marks the host dead and re-dispatches its
-// unreported jobs elsewhere.
+// mode the first SIGTERM/SIGINT drains: the daemon stops accepting, lets
+// every in-flight shard finish and send its done frame, then exits 0. A
+// second signal cancels the shards still running; their coordinators
+// get error frames. A coordinator that loses a worker marks the host
+// dead and re-dispatches its unreported jobs elsewhere.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	stdnet "net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -55,14 +57,41 @@ func main() {
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// Room for both signals serve acts on: drain, then cancel.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	s := &net.Server{Capacity: *capacity}
 	if *verbose {
 		s.Logf = log.New(os.Stderr, "ustaworker: ", log.LstdFlags).Printf
 	}
-	if err := s.ListenAndServe(ctx, *listen); err != nil {
+	ln, err := stdnet.Listen("tcp", *listen)
+	if err == nil {
+		err = serve(s, ln, sigs)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ustaworker:", err)
 		os.Exit(1)
 	}
+}
+
+// serve runs the daemon on ln until it has drained. The first signal on
+// sigs starts a graceful Server.Shutdown; a second cancels the shards
+// still in flight.
+func serve(s *net.Server, ln stdnet.Listener, sigs <-chan os.Signal) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		select {
+		case <-sigs:
+		case <-ctx.Done():
+			return
+		}
+		go s.Shutdown()
+		select {
+		case <-sigs:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	return s.Serve(ctx, ln)
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -65,10 +64,11 @@ type Config struct {
 	// guarantees.
 	Event device.EventMode
 	// Predictor is the encoded predictor (wire.EncodePredictor) that
-	// rebuilds "usta" job specs in other processes. In-process runs ignore
-	// it — their jobs' controller closures already hold the predictor. It
-	// travels encoded because package core imports fleet.
-	Predictor json.RawMessage
+	// rebuilds "usta" job specs in other processes; nil carries none.
+	// In-process runs ignore it — their jobs' controller closures already
+	// hold the predictor. It travels encoded because package core imports
+	// fleet.
+	Predictor *EncodedPredictor
 }
 
 // Runner executes a batch of jobs under a batch configuration and returns

@@ -177,6 +177,7 @@ func (s *JobServer) mergedStats(jobs []*serverJob) RunnerStats {
 			m.ConnectAttempts += h.ConnectAttempts
 			m.Redials += h.Redials
 			m.ItemsCompleted += h.ItemsCompleted
+			m.PredictorShips += h.PredictorShips
 			m.SlotShortfall += h.SlotShortfall
 			if h.Capacity > m.Capacity {
 				m.Capacity = h.Capacity

@@ -548,12 +548,13 @@ func TestNetRunnerAllHostsDown(t *testing.T) {
 }
 
 // TestNetRunnerRefusesOldProtocolWorker: a daemon from a build speaking
-// an older protocol — version 1 (one JSON frame per sample) or version 2
-// (the predictor in every shard request) — is refused at its hello frame:
+// an older protocol — version 1 (one JSON frame per sample), version 2
+// (the predictor in every shard request) or version 3 (the predictor once
+// per connection, then same_predictor) — is refused at its hello frame:
 // the coordinator never ships it a shard, and the run fails with the
 // version mismatch instead of mis-decoding frames mid-shard.
 func TestNetRunnerRefusesOldProtocolWorker(t *testing.T) {
-	for _, v := range []int{1, 2} {
+	for _, v := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
 			ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -749,8 +750,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 
 // ustaJobs trains a small predictor and builds n usta jobs against it: the
 // in-process jobs carry their controllers, and their specs name the usta
-// controller for workers rebuilding them from the returned document.
-func ustaJobs(t *testing.T, n int) ([]fleet.Job, json.RawMessage) {
+// controller for workers rebuilding them from the returned encoding.
+func ustaJobs(t *testing.T, n int) ([]fleet.Job, *fleet.EncodedPredictor) {
 	t.Helper()
 	bs := workload.Benchmarks(42)
 	loads := make([]workload.Workload, len(bs))
@@ -765,7 +766,7 @@ func ustaJobs(t *testing.T, n int) ([]fleet.Job, json.RawMessage) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := wire.EncodePredictor(pred)
+	enc, err := wire.EncodePredictor(pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,7 +789,7 @@ func ustaJobs(t *testing.T, n int) ([]fleet.Job, json.RawMessage) {
 			Spec:       spec,
 		}
 	}
-	return jobs, doc
+	return jobs, enc
 }
 
 // recordingListener keeps every byte each accepted connection reads: the
@@ -825,91 +826,161 @@ func (c *recordingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestNetRunnerShipsPredictorOncePerConnection: a connection carries the
-// run's predictor document in its first shard request only; the rest ask
-// for the same one, and the results still equal the in-process pool's.
-func TestNetRunnerShipsPredictorOncePerConnection(t *testing.T) {
-	const n = 6
-	jobs, doc := ustaJobs(t, n)
-	cfg := fleet.Config{Workers: 1, Seed: 3}
-	ref := fleet.LocalRunner{}.Run(context.Background(), cfg, jobs)
-	if err := fleet.FirstError(ref); err != nil {
-		t.Fatal(err)
+// received returns the bytes read by each connection accepted since the
+// previous call that used mark, and advances mark.
+func (l *recordingListener) received(mark *int) [][]byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out [][]byte
+	for _, c := range l.conns[*mark:] {
+		c.mu.Lock()
+		out = append(out, bytes.Clone(c.buf))
+		c.mu.Unlock()
 	}
+	*mark = len(l.conns)
+	return out
+}
 
+// startRecordingServer serves s on a loopback recordingListener until the
+// test ends.
+func startRecordingServer(t *testing.T, s *fleetnet.Server) (string, *recordingListener) {
+	t.Helper()
 	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rl := &recordingListener{Listener: ln}
-	s := &fleetnet.Server{Capacity: 1}
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(context.Background(), rl) }()
-	defer func() {
+	t.Cleanup(func() {
 		s.Shutdown()
 		if err := <-done; err != nil {
 			t.Errorf("server exited: %v", err)
 		}
-	}()
-
-	nr := fleetnet.New([]string{ln.Addr().String()})
-	nr.ShardSize = 1 // one item per job: n requests on the single connection
-	cfg.Predictor = doc
-	got := nr.Run(context.Background(), cfg, jobs)
-	if err := fleet.FirstError(got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		a, b := ref[i].Result, got[i].Result
-		if got[i].SeedUsed != ref[i].SeedUsed || b.EnergyJ != a.EnergyJ || b.MaxSkinC != a.MaxSkinC || b.AvgFreqMHz != a.AvgFreqMHz {
-			t.Fatalf("job %d diverged from the local runner", i)
-		}
-	}
-
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	if len(rl.conns) != 1 {
-		t.Fatalf("%d connections, want 1", len(rl.conns))
-	}
-	c := rl.conns[0]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	shards := bytes.Count(c.buf, []byte(`"type":"shard"`))
-	same := bytes.Count(c.buf, []byte(`"same_predictor":true`))
-	if shards != n {
-		t.Fatalf("connection carried %d shard requests, want %d", shards, n)
-	}
-	if k := bytes.Count(c.buf, bytes.TrimSpace(doc)); k != 1 || same != shards-1 {
-		t.Fatalf("predictor sent %d times and reused %d times over %d requests; want once, then reused", k, same, shards)
-	}
+	})
+	return ln.Addr().String(), rl
 }
 
-// TestServerSamePredictorNeedsOne: a same_predictor request on a
-// connection that has not carried a predictor is refused with an error
-// frame, and the connection stays usable — a full request then runs, and
-// a same_predictor one after it reuses its predictor.
-func TestServerSamePredictorNeedsOne(t *testing.T) {
-	jobs, doc := ustaJobs(t, 1)
-	addr := startServer(t, &fleetnet.Server{Capacity: 1})
-	conn, err := stdnet.Dial("tcp", addr)
+// TestNetRunnerShipsPredictorOncePerConnection: a worker's first run
+// carries the predictor document once per connection, and every request
+// names it by ID; a later run against the same workers ships no predictor
+// bytes at all; a fresh Server (a restarted worker) is sent the document
+// again. Every run's results are byte-identical to the in-process pool's.
+func TestNetRunnerShipsPredictorOncePerConnection(t *testing.T) {
+	const n = 6
+	jobs, enc := ustaJobs(t, n)
+	cfg := fleet.Config{Workers: 1, Seed: 3}
+	ref := fleet.LocalRunner{}.Run(context.Background(), cfg, jobs)
+	if err := fleet.FirstError(ref); err != nil {
+		t.Fatal(err)
+	}
+	refJSON, err := json.Marshal(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.TypeHello {
-		t.Fatalf("hello: %v (%+v)", err, f)
+	cfg.Predictor = enc
+	idField := []byte(`"predictor_id":"` + enc.ID() + `"`)
+
+	type worker struct {
+		addr string
+		rl   *recordingListener
+		mark int
+	}
+	start := func() *worker {
+		addr, rl := startRecordingServer(t, &fleetnet.Server{Capacity: 1})
+		return &worker{addr: addr, rl: rl}
+	}
+	// run sends the batch through the workers, one job per request, and
+	// checks that each connection it opened named the predictor in every
+	// request and carried the document wantDocs times, and that the stats
+	// counted one ship per document sent.
+	run := func(label string, wantDocs int, ws ...*worker) {
+		t.Helper()
+		addrs := make([]string, len(ws))
+		for i, w := range ws {
+			addrs[i] = w.addr
+		}
+		nr := fleetnet.New(addrs)
+		nr.ShardSize = 1
+		got := nr.Run(context.Background(), cfg, jobs)
+		if err := fleet.FirstError(got); err != nil {
+			t.Fatal(err)
+		}
+		if gotJSON, err := json.Marshal(got); err != nil || !bytes.Equal(gotJSON, refJSON) {
+			t.Fatalf("%s: results are not byte-identical to the local runner's (%v)", label, err)
+		}
+		hosts := nr.Stats().Hosts
+		total := 0
+		for i, w := range ws {
+			used := 0
+			for k, c := range w.rl.received(&w.mark) {
+				shards := bytes.Count(c, []byte(`"type":"shard"`))
+				if shards == 0 {
+					continue // another worker took the whole batch first
+				}
+				used++
+				total += shards
+				if ids := bytes.Count(c, idField); ids != shards {
+					t.Fatalf("%s: worker %d connection %d named the predictor in %d of %d requests", label, i, k, ids, shards)
+				}
+				if docs := bytes.Count(c, enc.Doc()); docs != wantDocs {
+					t.Fatalf("%s: worker %d connection %d carried the document %d times, want %d", label, i, k, docs, wantDocs)
+				}
+			}
+			if want := wantDocs * used; hosts[i].PredictorShips != want {
+				t.Fatalf("%s: worker %d: stats count %d predictor ships, want %d", label, i, hosts[i].PredictorShips, want)
+			}
+		}
+		if total < n {
+			t.Fatalf("%s: the workers read %d requests for %d jobs", label, total, n)
+		}
+	}
+
+	a, b := start(), start()
+	run("cold worker a", 1, a)
+	run("cold worker b", 1, b)
+	run("warm workers", 0, a, b)
+	run("restarted worker", 1, start())
+}
+
+// TestServerSamePredictorNeedsOne: a request that names its predictor by
+// ID alone needs a connection that pinned it. One naming a predictor the
+// connection has not pinned, or carrying a document that does not hash
+// to its ID, is refused with an error frame before anything runs, and the
+// connection stays usable. Once a document crosses, requests name it by
+// ID alone, and a new connection's hello advertises it.
+func TestServerSamePredictorNeedsOne(t *testing.T) {
+	jobs, enc := ustaJobs(t, 1)
+	addr := startServer(t, &fleetnet.Server{Capacity: 1})
+	dial := func() (stdnet.Conn, *wire.HelloFrame) {
+		t.Helper()
+		conn, err := stdnet.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		f, err := wire.ReadFrame(conn)
+		if err != nil || f.Type != wire.TypeHello {
+			t.Fatalf("hello: %v (%+v)", err, f)
+		}
+		return conn, f.Hello
+	}
+	conn, hello := dial()
+	if len(hello.Predictors) != 0 {
+		t.Fatalf("a fresh server advertised %v", hello.Predictors)
 	}
 	spec := *jobs[0].Spec
 	spec.Seed = 9
-	// request sends one shard request and returns the frame ending it,
-	// after checking every result it streamed.
-	request := func(req *wire.ShardRequest) *wire.Frame {
+	// request sends one shard request and returns the frame ending it and
+	// how many jobs it ran, after checking every result it streamed.
+	request := func(req *wire.ShardRequest) (*wire.Frame, int) {
 		t.Helper()
 		req.Jobs = []fleet.JobSpec{spec}
 		if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: req}); err != nil {
 			t.Fatal(err)
 		}
+		ran := 0
 		for {
 			f, err := wire.ReadFrame(conn)
 			if err != nil {
@@ -920,19 +991,31 @@ func TestServerSamePredictorNeedsOne(t *testing.T) {
 				if f.Result.Err != "" {
 					t.Fatalf("job failed: %s", f.Result.Err)
 				}
+				ran++
 			case wire.TypeDone, wire.TypeError:
-				return f
+				return f, ran
 			}
 		}
 	}
-	if f := request(&wire.ShardRequest{SamePredictor: true}); f.Type != wire.TypeError || !strings.Contains(f.Err, "same_predictor") {
-		t.Fatalf("same_predictor first: got %+v, want an error frame", f)
+	if f, ran := request(&wire.ShardRequest{PredictorID: enc.ID()}); f.Type != wire.TypeError || ran != 0 || !strings.Contains(f.Err, "not held") {
+		t.Fatalf("unpinned ID: got %+v after %d jobs, want an error frame and nothing run", f, ran)
 	}
-	if f := request(&wire.ShardRequest{Predictor: doc}); f.Type != wire.TypeDone {
-		t.Fatalf("full request after the refusal: got %+v, want done", f)
+	// A valid document of another predictor, under enc's ID.
+	forged := []byte(`{"algorithm":"REPTree","skin":{"root":{"v":30,"leaf":true}},"screen":{"root":{"v":31,"leaf":true}}}`)
+	if f, ran := request(&wire.ShardRequest{PredictorID: enc.ID(), Predictor: forged}); f.Type != wire.TypeError || ran != 0 || !strings.Contains(f.Err, "hashes to") {
+		t.Fatalf("document not matching its ID: got %+v after %d jobs, want an error frame and nothing run", f, ran)
 	}
-	if f := request(&wire.ShardRequest{SamePredictor: true}); f.Type != wire.TypeDone {
-		t.Fatalf("same_predictor after a full request: got %+v, want done", f)
+	if f, ran := request(&wire.ShardRequest{PredictorID: enc.ID()}); f.Type != wire.TypeError || ran != 0 {
+		t.Fatalf("ID after a refused document: got %+v after %d jobs, want an error frame", f, ran)
+	}
+	if f, ran := request(&wire.ShardRequest{PredictorID: enc.ID(), Predictor: enc.Doc()}); f.Type != wire.TypeDone || ran != 1 {
+		t.Fatalf("full request after the refusals: got %+v after %d jobs, want done", f, ran)
+	}
+	if f, ran := request(&wire.ShardRequest{PredictorID: enc.ID()}); f.Type != wire.TypeDone || ran != 1 {
+		t.Fatalf("ID after the document crossed: got %+v after %d jobs, want done", f, ran)
+	}
+	if _, hello := dial(); len(hello.Predictors) != 1 || hello.Predictors[0] != enc.ID() {
+		t.Fatalf("new connection's hello advertised %v, want [%s]", hello.Predictors, enc.ID())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	stdnet "net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -912,7 +913,7 @@ func (r *Runner) runFallback(ctx context.Context, cfg fleet.Config, st *runState
 
 // baseRequest carries the per-run constants every shard request shares.
 type baseRequest struct {
-	pred        []byte
+	pred        *fleet.EncodedPredictor
 	workers     int
 	wantSamples bool
 	event       int
@@ -990,7 +991,7 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 			continue
 		}
 		tk.update(addr, func(h *HostStats) { h.ConnectAttempts++ })
-		conn, capacity, err := r.dial(ctx, addr)
+		conn, hello, err := r.dial(ctx, addr)
 		if err != nil {
 			fails++
 			err = fmt.Errorf("net: host %s: %w", addr, err)
@@ -1017,6 +1018,7 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 			continue
 		}
 		halfOpen := breaker == BreakerHalfOpen
+		capacity := hello.Capacity
 		tk.update(addr, func(h *HostStats) {
 			h.Connected = true
 			h.Capacity = capacity
@@ -1030,7 +1032,7 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 		} else {
 			r.logf("net: host %s: connected, capacity %d", addr, capacity)
 		}
-		genOK := r.runGeneration(ctx, addr, conn, capacity, halfOpen, d, st, req, trackConn, tk)
+		genOK := r.runGeneration(ctx, addr, conn, hello, halfOpen, d, st, req, trackConn, tk)
 		d.setConnected(addr, false)
 		tk.update(addr, func(h *HostStats) {
 			h.Connected = false
@@ -1059,21 +1061,22 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 }
 
 // runGeneration runs one connected generation: the probe connection
-// serves as the first slot, and the rest of the daemon's advertised
-// capacity is dialed alongside — with per-slot retry instead of silently
-// running short. A half-open generation starts with just the probe slot
-// and expands to full capacity on its first completed item (which also
-// closes the breaker). Returns whether the generation completed at least
-// one item.
-func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Conn, capacity int, halfOpen bool, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker) bool {
+// (greeted by hello0) serves as the first slot, and the rest of the
+// daemon's advertised capacity is dialed alongside — with per-slot retry
+// instead of silently running short. A half-open generation starts with
+// just the probe slot and expands to full capacity on its first completed
+// item (which also closes the breaker). Returns whether the generation
+// completed at least one item.
+func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Conn, hello0 *wire.HelloFrame, halfOpen bool, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker) bool {
 	g := &hostGen{addr: addr, d: d}
+	capacity := hello0.Capacity
 	var wg sync.WaitGroup
 	var okMu sync.Mutex
 	okItems := 0
 	var expandOnce sync.Once
 	var dialExtras func(n int)
 
-	runSlotConn := func(c stdnet.Conn, onSuccess func()) {
+	runSlotConn := func(c stdnet.Conn, hello *wire.HelloFrame, onSuccess func()) {
 		trackConn(c, true)
 		tk.update(addr, func(h *HostStats) {
 			h.SlotsConnected++
@@ -1084,7 +1087,7 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 			trackConn(c, false)
 			c.Close()
 		}()
-		r.runSlot(ctx, g, c, d, st, req, onSuccess)
+		r.runSlot(ctx, g, c, hello, d, st, req, onSuccess)
 	}
 	onSuccess := func() {
 		okMu.Lock()
@@ -1116,7 +1119,7 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 					if g.isDown() || d.runOver() || ctx.Err() != nil {
 						return
 					}
-					c, _, err := r.dial(ctx, addr)
+					c, hello, err := r.dial(ctx, addr)
 					if err != nil {
 						tk.update(addr, func(h *HostStats) {
 							h.SlotShortfall = h.Capacity - h.SlotsConnected
@@ -1129,7 +1132,7 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 						}
 						continue
 					}
-					runSlotConn(c, onSuccess)
+					runSlotConn(c, hello, onSuccess)
 					return
 				}
 			}(i)
@@ -1139,7 +1142,7 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		runSlotConn(conn0, onSuccess)
+		runSlotConn(conn0, hello0, onSuccess)
 	}()
 	if !halfOpen && capacity > 1 {
 		dialExtras(capacity - 1)
@@ -1152,8 +1155,8 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 
 // dial connects to a worker daemon — or spawns a pipe worker — and
 // completes the hello handshake, returning the connection and the
-// worker's advertised capacity.
-func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, int, error) {
+// worker's hello (capacity and held predictors).
+func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, *wire.HelloFrame, error) {
 	timeout := r.DialTimeout
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
@@ -1166,24 +1169,24 @@ func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, int, error
 		conn, err = (&stdnet.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", addr)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	f, err := wire.ReadFrame(conn)
 	if err != nil {
 		conn.Close()
-		return nil, 0, fmt.Errorf("hello: %w", err)
+		return nil, nil, fmt.Errorf("hello: %w", err)
 	}
 	conn.SetReadDeadline(time.Time{})
 	if f.Type != wire.TypeHello {
 		conn.Close()
-		return nil, 0, fmt.Errorf("hello: expected a %s frame, got %s", wire.TypeHello, f.Type)
+		return nil, nil, fmt.Errorf("hello: expected a %s frame, got %s", wire.TypeHello, f.Type)
 	}
 	if f.Hello.Proto != wire.Version {
 		conn.Close()
-		return nil, 0, fmt.Errorf("hello: protocol version %d, want %d", f.Hello.Proto, wire.Version)
+		return nil, nil, fmt.Errorf("hello: protocol version %d, want %d", f.Hello.Proto, wire.Version)
 	}
-	return conn, f.Hello.Capacity, nil
+	return conn, f.Hello, nil
 }
 
 // runSlot is one in-flight-shard lane on one connection: claim an
@@ -1194,15 +1197,15 @@ func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, int, error
 // worker-side error frames are deterministic failures and are not
 // retried.
 //
-// A connection carries only this run's requests (every run dials its
-// own), so the predictor crosses it once: the first request carries it,
-// the rest ask for the same one. A redialed slot is a new connection and
-// ships it again.
-func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, d *dispatcher, st *runState, req baseRequest, onSuccess func()) {
+// Every request names the run's predictor by ID; its document crosses
+// the connection at most once, and not at all when the worker's hello
+// listed the ID. A redialed slot is a new connection and trusts only its
+// own hello.
+func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hello *wire.HelloFrame, d *dispatcher, st *runState, req baseRequest, onSuccess func()) {
 	maxRetries := r.maxRetries()
 	hbTimeout := r.hbTimeout()
 	writeTO := writeTimeoutFor(hbTimeout)
-	predSent := false
+	predHeld := req.pred == nil || slices.Contains(hello.Predictors, req.pred.ID())
 	for {
 		if g.isDown() || ctx.Err() != nil {
 			return
@@ -1224,10 +1227,15 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, d *d
 			}
 		}
 		start := time.Now()
-		err := r.streamItem(conn, at, specs, st, req, predSent, hbTimeout)
-		// Whatever the outcome, the request went out: a worker error means
-		// the worker read it, and a transport loss ends this connection.
-		predSent = true
+		ship := !predHeld
+		err := r.streamItem(conn, at, specs, st, req, ship, hbTimeout)
+		if ship {
+			// Whatever the outcome, the document went out: a worker error
+			// means the worker read it, and a transport loss ends this
+			// connection.
+			predHeld = true
+			d.tk.update(g.addr, func(h *HostStats) { h.PredictorShips++ })
+		}
 		if err == nil {
 			d.settle(at, time.Since(start), true)
 			onSuccess()
@@ -1279,20 +1287,19 @@ func (e workerError) Error() string { return e.msg }
 // streamItem ships one attempt's specs as a shard request and merges the
 // frames streaming back until the worker's done frame. Heartbeats (and
 // any other traffic) refresh the read deadline; hbTimeout of silence is a
-// transport failure. predSent says the connection already carries the
-// run's predictor, so the request refers to it instead of repeating it.
-func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec, st *runState, req baseRequest, predSent bool, hbTimeout time.Duration) error {
+// transport failure. The request names the run's predictor by ID, and
+// ship adds its document.
+func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec, st *runState, req baseRequest, ship bool, hbTimeout time.Duration) error {
 	sreq := &wire.ShardRequest{
 		Workers:     req.workers,
 		WantSamples: req.wantSamples,
 		Event:       req.event,
 		Jobs:        specs,
 	}
-	if len(req.pred) > 0 {
-		if predSent {
-			sreq.SamePredictor = true
-		} else {
-			sreq.Predictor = req.pred
+	if req.pred != nil {
+		sreq.PredictorID = req.pred.ID()
+		if ship {
+			sreq.Predictor = req.pred.Doc()
 		}
 	}
 	conn.SetWriteDeadline(time.Now().Add(hbTimeout))
@@ -1348,7 +1355,10 @@ type HostStats struct {
 	SlotsConnected   int    `json:"slots_connected"`
 	SlotShortfall    int    `json:"slot_shortfall"`
 	ItemsCompleted   int    `json:"items_completed"`
-	LastErr          string `json:"last_err,omitempty"`
+	// PredictorShips counts the shard requests that carried the predictor
+	// document; a worker that already held it is sent its ID alone.
+	PredictorShips int    `json:"predictor_ships"`
+	LastErr        string `json:"last_err,omitempty"`
 }
 
 // RunnerStats is a point-in-time snapshot of a run's recovery machinery:
@@ -1370,8 +1380,8 @@ func (s RunnerStats) String() string {
 		fmt.Fprintf(&b, " fallback=%d", s.FallbackJobs)
 	}
 	for _, h := range s.Hosts {
-		fmt.Fprintf(&b, " | %s: breaker=%s connected=%v dials=%d redials=%d slots=%d/%d items=%d",
-			h.Addr, h.Breaker, h.Connected, h.ConnectAttempts, h.Redials, h.SlotsConnected, h.Capacity, h.ItemsCompleted)
+		fmt.Fprintf(&b, " | %s: breaker=%s connected=%v dials=%d redials=%d slots=%d/%d items=%d predictor_ships=%d",
+			h.Addr, h.Breaker, h.Connected, h.ConnectAttempts, h.Redials, h.SlotsConnected, h.Capacity, h.ItemsCompleted, h.PredictorShips)
 		if h.SlotShortfall > 0 {
 			fmt.Fprintf(&b, " shortfall=%d", h.SlotShortfall)
 		}

@@ -25,7 +25,6 @@ package net
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/fleet/wire"
 )
@@ -59,6 +59,7 @@ type Server struct {
 	// shard served, protocol error). Nil is silent.
 	Logf func(format string, args ...any)
 
+	preds    predictorStore
 	mu       sync.Mutex
 	ln       stdnet.Listener
 	conns    map[stdnet.Conn]struct{}
@@ -79,26 +80,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
 	}
-}
-
-// ListenAndServe binds addr and serves until ctx is cancelled or Shutdown
-// is called; the listen address becomes visible through Addr once bound.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := stdnet.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Addr reports the bound listen address ("" before Serve).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Serve accepts connections on ln until ctx is cancelled or Shutdown is
@@ -196,10 +177,12 @@ type inFrame struct {
 // handleConn speaks the daemon side of the protocol on one connection:
 // hello, then a sequence of shard requests, each answered with streamed
 // sample/result frames, heartbeats while busy, and a done (or error)
-// frame. A request may refer to the connection's predictor with
-// same_predictor instead of carrying it again. A cancel frame aborts the
-// in-flight shard; a closed connection does the same (the coordinator is
-// gone — stop burning cores).
+// frame. The hello lists the predictors the server holds, and the
+// connection pins them along with every document it carries, so a
+// request may name a pinned predictor by ID alone (see
+// resolvePredictor). A cancel frame aborts the in-flight shard; a closed
+// connection does the same (the coordinator is gone — stop burning
+// cores).
 //
 // All reads flow through one reader goroutine feeding a channel, so the
 // mid-shard cancel watcher and the between-shards request loop never
@@ -216,8 +199,9 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 		defer wmu.Unlock()
 		return wire.WriteFrame(conn, f)
 	}
+	held, pinned := s.preds.pins()
 	if err := write(&wire.Frame{V: wire.Version, Type: wire.TypeHello,
-		Hello: &wire.HelloFrame{Proto: wire.Version, Capacity: s.capacity()}}); err != nil {
+		Hello: &wire.HelloFrame{Proto: wire.Version, Capacity: s.capacity(), Predictors: held}}); err != nil {
 		s.logf("net: %s: hello: %v", conn.RemoteAddr(), err)
 		return fmt.Errorf("hello: %w", err)
 	}
@@ -244,9 +228,6 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 	if hb <= 0 {
 		hb = DefaultHeartbeatInterval
 	}
-	// connPred is the predictor document of the connection's last request
-	// that carried one; same_predictor requests reuse it.
-	var connPred json.RawMessage
 	for {
 		var in inFrame
 		var ok bool
@@ -281,20 +262,15 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 		}
 
 		req := in.f.Shard
-		if req.SamePredictor {
-			if connPred == nil {
-				// Deterministic and the connection's fault, not the
-				// stream's: refuse the request, keep the connection.
-				if err := write(&wire.Frame{V: wire.Version, Type: wire.TypeError,
-					Err: "same_predictor on a connection that has sent no predictor"}); err != nil {
-					return err
-				}
-				s.logf("net: %s: same_predictor without a predictor on the connection", conn.RemoteAddr())
-				continue
+		pred, err := s.resolvePredictor(req, pinned)
+		if err != nil {
+			// Deterministic and the request's fault, not the stream's:
+			// refuse the request, keep the connection.
+			if werr := write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: err.Error()}); werr != nil {
+				return werr
 			}
-			req.Predictor, req.SamePredictor = connPred, false
-		} else if len(req.Predictor) > 0 {
-			connPred = req.Predictor
+			s.logf("net: %s: %v", conn.RemoteAddr(), err)
+			continue
 		}
 
 		select {
@@ -302,7 +278,7 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 		case <-ctx.Done():
 			return nil
 		}
-		err := s.serveShard(ctx, req, write, frames, hb)
+		err = s.serveShard(ctx, req, pred, write, frames, hb)
 		<-sem
 		if err != nil {
 			if werr := write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: err.Error()}); werr != nil {
@@ -327,7 +303,7 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 // watcher consuming the connection's frame channel for cancel requests (a
 // read error there means the coordinator vanished — same response: cancel
 // the shard).
-func (s *Server) serveShard(ctx context.Context, req *wire.ShardRequest, write func(*wire.Frame) error, frames <-chan inFrame, hb time.Duration) error {
+func (s *Server) serveShard(ctx context.Context, req *wire.ShardRequest, pred *core.Predictor, write func(*wire.Frame) error, frames <-chan inFrame, hb time.Duration) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -387,7 +363,7 @@ func (s *Server) serveShard(ctx context.Context, req *wire.ShardRequest, write f
 		}
 	}()
 
-	err := serveRequest(runCtx, req, write)
+	err := serveRequest(runCtx, req, pred, write)
 
 	close(done)
 	wg.Wait()

@@ -2,7 +2,6 @@ package net
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -10,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fleet/wire"
@@ -24,25 +24,17 @@ const crashEnv = "USTA_WORKER_CRASH_ON_INDEX"
 // serveRequest executes one already-decoded shard request, streaming sample
 // and result frames through write, which must serialize access to the
 // underlying stream and must not retain a frame once it returns (sample
-// blocks are reused). Each job's telemetry leaves in sample frames of up to
-// wire.SampleBatch samples, the last one right before the job's result
-// frame. It is the Server's execution core: request-level failures — an
-// undecodable predictor, a broken transport — return a non-nil error for
-// the caller to encode; per-job failures travel as individual result frames
-// and leave the shard alive. A cancelled ctx degrades to per-job context
-// errors on the unfinished jobs, exactly like the local runner; the done
-// (or error) frame stays the caller's responsibility.
-func serveRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.Frame) error) error {
-	if req.SamePredictor {
-		// Only the connection can resolve it (handleConn substitutes the
-		// connection's predictor before calling in).
-		return errors.New("same_predictor request with no predictor on the connection")
-	}
+// blocks are reused); pred is the request's resolved predictor (see
+// Server.resolvePredictor). Each job's telemetry leaves in sample frames of
+// up to wire.SampleBatch samples, the last one right before the job's
+// result frame. It is the Server's execution core: request-level failures
+// — an unknown event code, a broken transport — return a non-nil error
+// for the caller to encode; per-job failures travel as individual result
+// frames and leave the shard alive. A cancelled ctx degrades to per-job
+// context errors on the unfinished jobs, exactly like the local runner;
+// the done (or error) frame stays the caller's responsibility.
+func serveRequest(ctx context.Context, req *wire.ShardRequest, pred *core.Predictor, write func(*wire.Frame) error) error {
 	event, err := device.EventModeOfCode(req.Event)
-	if err != nil {
-		return err
-	}
-	pred, err := wire.DecodePredictor(req.Predictor)
 	if err != nil {
 		return err
 	}

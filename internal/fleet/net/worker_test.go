@@ -111,7 +111,7 @@ func TestServeRequestBatchesTelemetry(t *testing.T) {
 	bad := fleet.JobSpec{Index: 20, Workload: fleet.WorkloadRef{Name: "crysis"}, Seed: 1, DurSec: 10}
 	req := &wire.ShardRequest{Jobs: append(append([]fleet.JobSpec(nil), specs...), bad), Workers: 2, WantSamples: true, Event: prodEvent}
 	var rec recorder
-	if err := serveRequest(context.Background(), req, rec.write); err != nil {
+	if err := serveRequest(context.Background(), req, nil, rec.write); err != nil {
 		t.Fatal(err)
 	}
 	blocks, sizes, results := rec.perJob(t)
@@ -154,7 +154,7 @@ func TestServeRequestFlushesCancelledJobs(t *testing.T) {
 		return rec.write(f)
 	}
 	req := &wire.ShardRequest{Jobs: specs, Workers: 1, WantSamples: true, Event: prodEvent}
-	if err := serveRequest(ctx, req, write); err != nil {
+	if err := serveRequest(ctx, req, nil, write); err != nil {
 		t.Fatal(err)
 	}
 	blocks, _, results := rec.perJob(t)
@@ -190,7 +190,7 @@ func TestServeRequestSampleWriteFailureFailsShard(t *testing.T) {
 		return rec.write(f)
 	}
 	req := &wire.ShardRequest{Jobs: longSpecs(2), Workers: 1, WantSamples: true}
-	err := serveRequest(context.Background(), req, write)
+	err := serveRequest(context.Background(), req, nil, write)
 	if !errors.Is(err, errPipe) {
 		t.Fatalf("serveRequest = %v, want the sample write error", err)
 	}

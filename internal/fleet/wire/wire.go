@@ -4,13 +4,16 @@
 // byte stream — the stdin/stdout pipes of a worker subprocess today, a
 // socket when the fleet grows multi-host.
 //
-// Every frame is a Frame envelope: {"v":3,"type":...} plus exactly one
+// Every frame is a Frame envelope: {"v":4,"type":...} plus exactly one
 // payload field matching the type. Telemetry travels in batches: a sample
 // frame carries up to SampleBatch samples of one job as a packed binary
-// block (see PackSample). Readers reject unknown versions, unknown types,
-// oversized frames and truncated streams with descriptive errors; the
-// shard coordinator turns those into per-job errors instead of batch
-// failures.
+// block (see PackSample). The predictor is content-addressed: a shard
+// request names it by the SHA-256 of its document (PredictorID) and
+// carries the document only when the worker does not hold it yet — a
+// worker's hello lists the IDs it holds. Readers reject unknown versions,
+// unknown types, oversized frames, truncated streams and malformed
+// predictor IDs with descriptive errors; the shard coordinator turns
+// those into per-job errors instead of batch failures.
 package wire
 
 import (
@@ -22,7 +25,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -36,9 +38,16 @@ import (
 // with ErrVersion instead of mis-decoding — a daemon's hello frame already
 // carries it, so a coordinator refuses a worker of another version before
 // sending it work. Version 1 sent one JSON frame per sample; version 2
-// carried the predictor in every shard request (see
-// ShardRequest.SamePredictor).
-const Version = 3
+// carried the predictor in every shard request; version 3 carried it in
+// the first request on each connection and let later ones say
+// same_predictor. Version 4 names it by content (ShardRequest.PredictorID,
+// HelloFrame.Predictors).
+const Version = 4
+
+// MaxPredictors bounds the decoded predictors a worker keeps, and so the
+// IDs its hello frame may list. A worker serves one predictor per
+// concurrent run.
+const MaxPredictors = 4
 
 // SampleBatch is the most samples one sample frame carries. Workers flush
 // a job's batch when it fills and again right before the job's result
@@ -116,27 +125,35 @@ type HelloFrame struct {
 	Proto int `json:"proto"`
 	// Capacity is the daemon's concurrent-shard limit (>= 1).
 	Capacity int `json:"capacity"`
+	// Predictors lists the IDs (see ShardRequest.PredictorID) of the
+	// predictors the worker holds, at most MaxPredictors. The worker keeps
+	// every listed predictor for the life of the connection, so a request
+	// on it may name one without carrying its document.
+	Predictors []string `json:"predictors,omitempty"`
 }
 
 // ShardRequest is the coordinator's single message to a worker: the
 // shard's job specs (seeds already resolved, indices global), the
-// in-process pool width, an optional serialized predictor backing "usta"
-// specs, and whether to stream telemetry samples back.
+// in-process pool width, the predictor backing "usta" specs (by ID, with
+// its document when the worker may not hold it), and whether to stream
+// telemetry samples back.
 type ShardRequest struct {
 	Jobs []fleet.JobSpec `json:"jobs"`
 	// Workers is the worker process's in-process pool width (<= 0:
 	// GOMAXPROCS, via fleet.NormalizeWorkers).
 	Workers int `json:"workers,omitempty"`
-	// Predictor is a core.SavePredictor document (see DecodePredictor).
+	// PredictorID names the request's predictor: the lowercase-hex
+	// SHA-256 of its document's bytes exactly as they cross the wire
+	// (fleet.PredictorID). Empty: no predictor.
+	PredictorID string `json:"predictor_id,omitempty"`
+	// Predictor is the document PredictorID names (a core.SavePredictor
+	// document; see DecodePredictor), sent only when the worker did not
+	// list the ID in its hello and the connection has not carried it yet.
+	// A worker checks that the bytes hash to PredictorID before it decodes
+	// them, and fails a request naming an ID it does not hold on the
+	// connection with an error frame. WriteFrame copies the document
+	// verbatim, so it must be valid JSON, as EncodePredictor's is.
 	Predictor json.RawMessage `json:"predictor,omitempty"`
-	// SamePredictor asks the worker to reuse the predictor of the last
-	// request on this connection that carried one, in place of Predictor
-	// (which must then be empty). One connection carries only one run's
-	// requests, so a coordinator ships the predictor in its first request
-	// on each connection and sets SamePredictor on the rest; a redialed
-	// connection starts over. A worker with no predictor on the
-	// connection fails the request with an error frame.
-	SamePredictor bool `json:"same_predictor,omitempty"`
 	// WantSamples asks the worker to forward every telemetry sample, in
 	// TypeSample frames tagged with the spec's global index.
 	WantSamples bool `json:"want_samples,omitempty"`
@@ -235,7 +252,7 @@ func (rf *ResultFrame) Decode() fleet.JobResult {
 // its JSON encoding — one writev on a TCP connection. Writers must
 // serialize calls on a shared stream.
 func WriteFrame(w io.Writer, f *Frame) error {
-	b, err := json.Marshal(f)
+	b, err := encodeFrame(f)
 	if err != nil {
 		return fmt.Errorf("wire: encode %s frame: %w", f.Type, err)
 	}
@@ -247,6 +264,33 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	bufs := net.Buffers{hdr[:], b}
 	_, err = bufs.WriteTo(w)
 	return err
+}
+
+// encodeFrame is json.Marshal(f), except that a shard request's predictor
+// document is copied in as is: json.Marshal would re-validate and
+// re-compact the whole document, which is most of a cold request's
+// encoding time.
+func encodeFrame(f *Frame) ([]byte, error) {
+	if f.Shard == nil || len(f.Shard.Predictor) == 0 {
+		return json.Marshal(f)
+	}
+	shard := *f.Shard
+	doc := shard.Predictor
+	shard.Predictor = nil
+	env := *f
+	env.Shard = nil
+	eb, err := json.Marshal(&env)
+	if err != nil {
+		return nil, err
+	}
+	sb, err := json.Marshal(&shard)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, len(eb)+len(sb)+len(doc)+len(`,"shard":,"predictor":}}`))
+	b = append(append(b, eb[:len(eb)-1]...), `,"shard":`...)
+	b = append(append(b, sb[:len(sb)-1]...), `,"predictor":`...)
+	return append(append(b, doc...), "}}"...), nil
 }
 
 // ReadFrame reads and validates one envelope. A clean end of stream
@@ -309,8 +353,11 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		if f.Shard == nil {
 			return nil, fmt.Errorf("%w: shard frame without payload", ErrBadFrame)
 		}
-		if f.Shard.SamePredictor && len(f.Shard.Predictor) > 0 {
-			return nil, fmt.Errorf("%w: shard frame with both a predictor and same_predictor", ErrBadFrame)
+		if len(f.Shard.Predictor) > 0 && f.Shard.PredictorID == "" {
+			return nil, fmt.Errorf("%w: shard frame with a predictor but no predictor_id", ErrBadFrame)
+		}
+		if id := f.Shard.PredictorID; id != "" && !validID(id) {
+			return nil, fmt.Errorf("%w: shard frame with predictor_id %q", ErrBadFrame, id)
 		}
 	case TypeSample:
 		if f.Sample == nil {
@@ -334,6 +381,14 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		if f.Hello.Capacity < 1 {
 			return nil, fmt.Errorf("%w: hello frame with capacity %d", ErrBadFrame, f.Hello.Capacity)
 		}
+		if n := len(f.Hello.Predictors); n > MaxPredictors {
+			return nil, fmt.Errorf("%w: hello frame listing %d predictors (at most %d)", ErrBadFrame, n, MaxPredictors)
+		}
+		for _, id := range f.Hello.Predictors {
+			if !validID(id) {
+				return nil, fmt.Errorf("%w: hello frame listing predictor %q", ErrBadFrame, id)
+			}
+		}
 	case TypeError:
 		if f.Err == "" {
 			return nil, fmt.Errorf("%w: error frame without message", ErrBadFrame)
@@ -344,9 +399,25 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	return &f, nil
 }
 
+// validID reports whether id has the form of a predictor ID: 64
+// lowercase hex digits.
+func validID(id string) bool {
+	if len(id) != 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // EncodePredictor serializes a trained predictor for a ShardRequest (nil
-// predictors encode as nil).
-func EncodePredictor(p *core.Predictor) (json.RawMessage, error) {
+// predictors encode as nil). The document is compact, without
+// core.SavePredictor's trailing newline, and its ID is the SHA-256 of
+// exactly the bytes a frame carries.
+func EncodePredictor(p *core.Predictor) (*fleet.EncodedPredictor, error) {
 	if p == nil {
 		return nil, nil
 	}
@@ -354,56 +425,18 @@ func EncodePredictor(p *core.Predictor) (json.RawMessage, error) {
 	if err := core.SavePredictor(&buf, p); err != nil {
 		return nil, fmt.Errorf("wire: encode predictor: %w", err)
 	}
-	return buf.Bytes(), nil
+	return fleet.NewEncodedPredictor(buf.Bytes())
 }
 
-// decodedMax bounds the memo of decoded predictors. A worker serves one
-// predictor per concurrent run, and a run's shards all carry the same
-// document.
-const decodedMax = 4
-
-// decoded is the process-wide memo of decoded predictor documents, oldest
-// first.
-var decoded struct {
-	sync.Mutex
-	entries []decodedEntry
-}
-
-type decodedEntry struct {
-	doc  []byte
-	pred *core.Predictor
-}
-
-// DecodePredictor loads a ShardRequest predictor (empty input decodes as
-// nil). Decoding is memoized by document: every shard of a run gets the
-// same *core.Predictor, which must be treated as read-only (predicting
-// never mutates it). Undecodable documents are not memoized.
+// DecodePredictor loads a ShardRequest predictor document (empty input
+// decodes as nil).
 func DecodePredictor(raw json.RawMessage) (*core.Predictor, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}
-	decoded.Lock()
-	for _, e := range decoded.entries {
-		if bytes.Equal(e.doc, raw) {
-			decoded.Unlock()
-			return e.pred, nil
-		}
-	}
-	decoded.Unlock()
 	p, err := core.LoadPredictor(bytes.NewReader(raw))
 	if err != nil {
 		return nil, fmt.Errorf("wire: decode predictor: %w", err)
-	}
-	decoded.Lock()
-	defer decoded.Unlock()
-	for _, e := range decoded.entries {
-		if bytes.Equal(e.doc, raw) {
-			return e.pred, nil // a concurrent miss stored it first
-		}
-	}
-	decoded.entries = append(decoded.entries, decodedEntry{doc: bytes.Clone(raw), pred: p})
-	if n := len(decoded.entries); n > decodedMax {
-		decoded.entries = append(decoded.entries[:0], decoded.entries[n-decodedMax:]...)
 	}
 	return p, nil
 }

@@ -5,17 +5,17 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fleet"
+	"repro/internal/sensors"
 	"repro/internal/users"
 )
 
@@ -46,6 +46,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		{V: Version, Type: TypeResult, Result: &ResultFrame{Index: 4, Name: "glbench", SeedUsed: 99}},
 		{V: Version, Type: TypeDone},
 		{V: Version, Type: TypeError, Err: "boom"},
+		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 2, Predictors: []string{strings.Repeat("0f", 32)}}},
+		{V: Version, Type: TypeShard, Shard: &ShardRequest{PredictorID: strings.Repeat("ab", 32)}},
+		{V: Version, Type: TypeShard, Shard: &ShardRequest{Workers: 2, WantSamples: true, Event: 3,
+			PredictorID: fleet.PredictorID(leafDoc), Predictor: leafDoc, Jobs: []fleet.JobSpec{{Index: 2, Seed: 5}}}},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -58,13 +62,22 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read %s: %v", want.Type, err)
 		}
-		if got.Type != want.Type {
-			t.Fatalf("type %q, want %q", got.Type, want.Type)
+		if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+			t.Fatalf("round trip changed the frame:\n got %s\nwant %s", g, w)
 		}
 	}
 	if _, err := ReadFrame(&buf); err != io.EOF {
 		t.Fatalf("end of stream: got %v, want io.EOF", err)
 	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestPackSampleRoundTrip: packed samples unpack bit-exact and in order,
@@ -140,6 +153,8 @@ func TestReadFrameMalformed(t *testing.T) {
 	env := func(v int, rest string) []byte {
 		return writeRaw([]byte(fmt.Sprintf(`{"v":%d%s}`, v, rest)))
 	}
+	// id is a well-formed predictor ID.
+	id := strings.Repeat("5e", 32)
 	// block is a packed sample block of n samples, base64 as on the wire.
 	block := func(n int) string {
 		var b []byte
@@ -169,10 +184,17 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"newer version failing the strict decode", env(Version+1, `,"type":"sample","sample":{"job":"seven"}`), ErrVersion},
 		{"v1 per-sample frame", writeRaw([]byte(`{"v":1,"type":"sample","sample":{"job":0,"sample":{"TimeSec":1,"SkinC":31,"ScreenC":30,"DieC":40,"BatteryC":29,"FreqMHz":1512,"Util":0.5,"MaxLevel":11}}}`)), ErrVersion},
 		{"v2 shard frame", writeRaw([]byte(`{"v":2,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"}}}`)), ErrVersion},
+		{"v3 shard frame", writeRaw([]byte(`{"v":3,"type":"shard","shard":{"jobs":[],"same_predictor":true}}`)), ErrVersion},
 		{"unknown type", env(Version, `,"type":"gossip"`), ErrBadFrame},
 		{"shard frame without payload", env(Version, `,"type":"shard"`), ErrBadFrame},
 		{"shard frame with unknown batched field", env(Version, `,"type":"shard","shard":{"jobs":[],"batched":true}`), ErrBadFrame},
 		{"shard frame with a predictor and same_predictor", env(Version, `,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"},"same_predictor":true}`), ErrBadFrame},
+		{"shard frame with predictor bytes but no predictor_id", env(Version, `,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"}}`), ErrBadFrame},
+		{"shard frame with a short predictor_id", env(Version, fmt.Sprintf(`,"type":"shard","shard":{"jobs":[],"predictor_id":%q}`, id[:63])), ErrBadFrame},
+		{"shard frame with an uppercase predictor_id", env(Version, fmt.Sprintf(`,"type":"shard","shard":{"jobs":[],"predictor_id":%q}`, strings.ToUpper(id))), ErrBadFrame},
+		{"hello frame listing more predictors than a worker holds", env(Version, fmt.Sprintf(`,"type":"hello","hello":{"proto":%d,"capacity":1,"predictors":[%s]}`,
+			Version, strings.TrimSuffix(strings.Repeat(fmt.Sprintf("%q,", id), MaxPredictors+1), ","))), ErrBadFrame},
+		{"hello frame listing a malformed predictor ID", env(Version, fmt.Sprintf(`,"type":"hello","hello":{"proto":%d,"capacity":1,"predictors":[%q,"g%s"]}`, Version, id, id[1:])), ErrBadFrame},
 		{"sample frame without payload", env(Version, `,"type":"sample"`), ErrBadFrame},
 		{"sample frame with empty block", env(Version, `,"type":"sample","sample":{"job":0,"samples":""}`), ErrBadFrame},
 		{"sample frame with a partial sample", env(Version, fmt.Sprintf(`,"type":"sample","sample":{"job":0,"samples":%q}`,
@@ -289,12 +311,16 @@ func TestResultFrameRoundTripWithTrace(t *testing.T) {
 	}
 }
 
+// leafDoc is a minimal valid predictor document in wire form: two
+// single-leaf trees.
+var leafDoc = []byte(`{"algorithm":"REPTree","skin":{"root":{"v":30,"leaf":true}},"screen":{"root":{"v":31,"leaf":true}}}`)
+
 // FuzzReadFrame: no byte stream makes ReadFrame panic. Every input either
 // fails with one of the package's typed errors (or a clean or unexpected
 // end of stream), or decodes to a frame that re-encodes and re-reads
-// equal — compared as encoded, since the raw predictor document
-// re-encodes compacted. The committed corpus under testdata/fuzz/FuzzReadFrame adds
-// multi-sample, truncated and odd-length sample blocks.
+// equal, compared as encoded. The committed corpus under
+// testdata/fuzz/FuzzReadFrame adds multi-sample, truncated and odd-length
+// sample blocks, and the v4 predictor ID rules.
 func FuzzReadFrame(f *testing.F) {
 	var block []byte
 	for i := 0; i < 3; i++ {
@@ -306,6 +332,8 @@ func FuzzReadFrame(f *testing.F) {
 		{V: Version, Type: TypeShard, Shard: &ShardRequest{Jobs: []fleet.JobSpec{{Index: 1, Workload: fleet.WorkloadRef{Name: "skype"}, Seed: 3, DurSec: 10}}}},
 		{V: Version, Type: TypeResult, Result: &ResultFrame{Index: 2, Err: "boom"}},
 		{V: Version, Type: TypeDone},
+		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 1, Predictors: []string{fleet.PredictorID(leafDoc)}}},
+		{V: Version, Type: TypeShard, Shard: &ShardRequest{PredictorID: fleet.PredictorID(leafDoc), Predictor: leafDoc}},
 	} {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, fr); err != nil {
@@ -341,69 +369,45 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// leafDoc is a minimal valid predictor document: two single-leaf trees.
-func leafDoc(skin float64) []byte {
-	return []byte(fmt.Sprintf(`{"algorithm":"REPTree","skin":{"root":{"v":%g,"leaf":true}},"screen":{"root":{"v":31,"leaf":true}}}`, skin))
-}
-
-// TestDecodePredictorMemo: one document decodes once — every later decode
-// of the same bytes returns the same shared predictor — other documents
-// decode on their own, undecodable ones are never memoized, and the memo
-// stays within its bound.
-func TestDecodePredictorMemo(t *testing.T) {
-	a, err := DecodePredictor(leafDoc(30))
+// TestEncodePredictorWireBytes: the document EncodePredictor returns is
+// compact, with no trailing newline, and is byte for byte what a shard
+// frame carries, so its ID names the bytes a worker receives; the
+// document decodes back to the same predictions.
+func TestEncodePredictorWireBytes(t *testing.T) {
+	want, err := DecodePredictor(leafDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := DecodePredictor(bytes.Clone(leafDoc(30)))
-	if err != nil || again != a {
-		t.Fatalf("same document decoded to a new predictor (%v)", err)
+	enc, err := EncodePredictor(want)
+	if err != nil {
+		t.Fatal(err)
 	}
-	other, err := DecodePredictor(leafDoc(32))
-	if err != nil || other == a {
-		t.Fatalf("another document shared the first one's predictor (%v)", err)
+	doc := enc.Doc()
+	if len(doc) == 0 || doc[len(doc)-1] == '\n' {
+		t.Fatalf("document ends %q; want the compact wire form", doc[max(0, len(doc)-8):])
 	}
-	if _, err := DecodePredictor([]byte(`{"algorithm":"REPTree","skin":{"root":{"attr":7,"thr":1,"l":{"v":1,"leaf":true},"r":{"v":2,"leaf":true}}},"screen":{"root":{"v":1,"leaf":true}}}`)); !errors.Is(err, core.ErrModelShape) {
-		t.Fatalf("misfit predictor: err = %v, want core.ErrModelShape", err)
+	if enc.ID() != fleet.PredictorID(doc) {
+		t.Fatalf("ID %s does not hash the document", enc.ID())
 	}
-	for i := 0; i < 2*decodedMax; i++ {
-		if _, err := DecodePredictor(leafDoc(40 + float64(i))); err != nil {
-			t.Fatal(err)
-		}
-		decoded.Lock()
-		n := len(decoded.entries)
-		decoded.Unlock()
-		if n > decodedMax {
-			t.Fatalf("memo holds %d documents, bound %d", n, decodedMax)
-		}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, &Frame{V: Version, Type: TypeShard, Shard: &ShardRequest{PredictorID: enc.ID(), Predictor: doc}}); err != nil {
+		t.Fatal(err)
 	}
-	if fresh, err := DecodePredictor(leafDoc(30)); err != nil || fresh == a {
-		t.Fatalf("evicted document still memoized (%v)", err)
+	f, err := ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestDecodePredictorConcurrent: shards of one run decoding the same cold
-// document at once all end up with the one memoized predictor.
-func TestDecodePredictorConcurrent(t *testing.T) {
-	doc := leafDoc(29.5)
-	const n = 8
-	preds := make([]*core.Predictor, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, err := DecodePredictor(doc)
-			if err != nil {
-				t.Error(err)
-			}
-			preds[i] = p
-		}(i)
+	if !bytes.Equal(f.Shard.Predictor, doc) || f.Shard.PredictorID != enc.ID() {
+		t.Fatalf("the frame carried %d different bytes; want exactly EncodePredictor's %d", len(f.Shard.Predictor), len(doc))
 	}
-	wg.Wait()
-	for i, p := range preds {
-		if p == nil || p != preds[0] {
-			t.Fatalf("decode %d returned predictor %p, want the shared %p", i, p, preds[0])
-		}
+	got, err := DecodePredictor(f.Shard.Predictor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skin, screen := got.PredictSkin(sensors.Record{}), got.PredictScreen(sensors.Record{}); skin != 30 || screen != 31 {
+		t.Fatalf("decoded predictor predicts %v, %v; want 30, 31", skin, screen)
+	}
+	if p, err := EncodePredictor(nil); p != nil || err != nil {
+		t.Fatalf("nil predictor encoded as %v, %v", p, err)
 	}
 }

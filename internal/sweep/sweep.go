@@ -8,7 +8,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 
 	"repro/internal/analytics"
@@ -48,7 +47,7 @@ type Sweep struct {
 	// position in it.
 	Grid *scenario.Grid
 	cfg  Config
-	pred json.RawMessage // encoded predictor for out-of-process runners
+	pred *fleet.EncodedPredictor // for out-of-process runners
 }
 
 // Expand resolves the sweep's predictor (self-training when needed) and

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/fleet/wire"
 	"repro/internal/workload"
 )
@@ -19,19 +20,20 @@ import (
 const trainedMax = 4
 
 // trained is one memoized self-training: the predictor, shared read-only
-// by every sweep with the same training input, and its wire encoding,
-// built on first demand so in-process sweeps never encode.
+// by every sweep with the same training input, and its wire encoding with
+// the encoding's content address, built on first demand so in-process
+// sweeps never encode and no run, hello or request ever rehashes it.
 type trained struct {
 	key  string
 	pred *core.Predictor
 
 	once sync.Once
-	enc  json.RawMessage
+	enc  *fleet.EncodedPredictor
 	err  error
 }
 
 // encoded returns the predictor's wire encoding, encoding it once.
-func (t *trained) encoded() (json.RawMessage, error) {
+func (t *trained) encoded() (*fleet.EncodedPredictor, error) {
 	t.once.Do(func() { t.enc, t.err = wire.EncodePredictor(t.pred) })
 	return t.enc, t.err
 }

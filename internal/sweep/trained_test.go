@@ -91,9 +91,10 @@ func TestMemoKeyCoversTrainingInputs(t *testing.T) {
 
 // TestMemoMatchesRetrainAtAnyWorkerCount: self-training is bit-identical
 // across worker counts, which is what lets the key leave them out — and a
-// memoized predictor encodes to the same bytes as a fresh training.
+// memoized predictor encodes to the same bytes, and so the same ID, as a
+// fresh training.
 func TestMemoMatchesRetrainAtAnyWorkerCount(t *testing.T) {
-	var ref []byte
+	var ref *fleet.EncodedPredictor
 	for _, workers := range []int{1, 2, 0} {
 		resetMemo(t)
 		sw, err := Expand(context.Background(), Config{Spec: ustaSpec(t, 0, 300), Workers: workers, Runner: fleet.LocalRunner{}})
@@ -102,7 +103,7 @@ func TestMemoMatchesRetrainAtAnyWorkerCount(t *testing.T) {
 		}
 		if ref == nil {
 			ref = sw.pred
-		} else if !bytes.Equal(sw.pred, ref) {
+		} else if !bytes.Equal(sw.pred.Doc(), ref.Doc()) || sw.pred.ID() != ref.ID() {
 			t.Fatalf("workers=%d trained a different predictor", workers)
 		}
 	}
@@ -110,14 +111,14 @@ func TestMemoMatchesRetrainAtAnyWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(warm.pred, ref) {
+	if !bytes.Equal(warm.pred.Doc(), ref.Doc()) || warm.pred.ID() != ref.ID() {
 		t.Fatal("memoized predictor encodes differently from a fresh training")
 	}
 }
 
 // TestMemoEncodesOnlyForRunners: an in-process sweep never encodes the
-// predictor; the first sweep with a Runner encodes it once, and later
-// ones reuse those bytes.
+// predictor; the first sweep with a Runner encodes and hashes it once,
+// and later ones reuse that encoding.
 func TestMemoEncodesOnlyForRunners(t *testing.T) {
 	resetMemo(t)
 	local, err := Expand(context.Background(), Config{Spec: ustaSpec(t, 0, 40)})
@@ -138,7 +139,7 @@ func TestMemoEncodesOnlyForRunners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.pred) == 0 || &a.pred[0] != &b.pred[0] {
+	if a.pred == nil || a.pred != b.pred {
 		t.Fatal("runner sweeps on one training input did not share one encoding")
 	}
 }
@@ -190,7 +191,7 @@ func TestMemoIsBounded(t *testing.T) {
 func TestMemoConcurrentMisses(t *testing.T) {
 	resetMemo(t)
 	const n = 4
-	preds := make([][]byte, n)
+	preds := make([]*fleet.EncodedPredictor, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -206,7 +207,7 @@ func TestMemoConcurrentMisses(t *testing.T) {
 	}
 	wg.Wait()
 	for i := range preds {
-		if !bytes.Equal(preds[i], preds[0]) {
+		if preds[i] == nil || !bytes.Equal(preds[i].Doc(), preds[0].Doc()) {
 			t.Fatalf("sweep %d got a different predictor", i)
 		}
 	}

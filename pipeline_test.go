@@ -278,7 +278,7 @@ var whatIfRuns atomic.Int64
 
 // predictorTap is an in-process runner that records the encoded predictor
 // each sweep hands its runner.
-type predictorTap struct{ docs [][]byte }
+type predictorTap struct{ docs []*fleet.EncodedPredictor }
 
 func (p *predictorTap) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []fleet.JobResult {
 	p.docs = append(p.docs, cfg.Predictor)
@@ -287,8 +287,8 @@ func (p *predictorTap) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.J
 
 // TestRepeatedScenarioTrainsOnce: a warm RunScenario of the what-if spec
 // reuses the cold run's self-trained predictor instead of retraining, and
-// its stats and the predictor bytes its runner receives are identical to
-// the cold run's.
+// its stats and the predictor bytes and ID its runner receives are
+// identical to the cold run's.
 func TestRepeatedScenarioTrainsOnce(t *testing.T) {
 	// The corpus seed is used by no other test, nor by an earlier run of
 	// this one under -count, so the first sweep trains.
@@ -317,7 +317,8 @@ func TestRepeatedScenarioTrainsOnce(t *testing.T) {
 	if string(stats[0]) != string(stats[1]) {
 		t.Fatalf("warm run's stats diverged:\n got %s\nwant %s", stats[1], stats[0])
 	}
-	if len(tap.docs) != 2 || len(tap.docs[0]) == 0 || string(tap.docs[0]) != string(tap.docs[1]) {
+	if len(tap.docs) != 2 || tap.docs[0] == nil || tap.docs[1] == nil ||
+		string(tap.docs[0].Doc()) != string(tap.docs[1].Doc()) || tap.docs[0].ID() != tap.docs[1].ID() {
 		t.Fatal("warm run shipped different predictor bytes")
 	}
 }
