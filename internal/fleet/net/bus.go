@@ -71,10 +71,14 @@ func (b *Bus) Close() error {
 
 // Stream replays the merged telemetry to fn in submission order, blocking
 // while the stream is live: samples of job i are delivered once jobs
-// 0..i-1 have finished, tailing job i's own arrivals. It returns nil when
-// the bus is closed and everything was delivered, or the context's error.
-// fn errors abort the subscription.
-func (b *Bus) Stream(ctx context.Context, fn func(job int, s device.Sample) error) error {
+// 0..i-1 have finished, tailing job i's own arrivals. Each call of fn
+// hands over a run: every sample of one job that is available when the
+// subscriber takes the lock, so a subscriber that falls behind catches up
+// in large runs and a live tail sees each arrival in a run of its own.
+// The run is read-only and stays valid after fn returns. Stream returns
+// nil when the bus is closed and everything was delivered, or the
+// context's error. fn errors abort the subscription.
+func (b *Bus) Stream(ctx context.Context, fn func(job int, run []device.Sample) error) error {
 	// A cond var cannot select on ctx; a context watcher broadcasts so
 	// waiting subscribers notice cancellation.
 	stop := context.AfterFunc(ctx, func() { b.cond.Broadcast() })
@@ -82,13 +86,13 @@ func (b *Bus) Stream(ctx context.Context, fn func(job int, s device.Sample) erro
 
 	// Cursor invariant: the cursor sits on job only after jobs 0..job-1
 	// finished and were fully delivered, so delivering the cursor job's
-	// samples as they arrive is always frontier-safe.
+	// samples as they arrive is always frontier-safe. Accept only appends,
+	// so a run — capped at its length — never sees a later write.
 	job, off := 0, 0
 	for {
 		b.mu.Lock()
-		var deliver device.Sample
-		have := false
-		for !have {
+		var run []device.Sample
+		for run == nil {
 			if err := ctx.Err(); err != nil {
 				b.mu.Unlock()
 				return err
@@ -97,10 +101,9 @@ func (b *Bus) Stream(ctx context.Context, fn func(job int, s device.Sample) erro
 				b.mu.Unlock()
 				return nil
 			}
-			switch {
-			case off < len(b.samples[job]):
-				deliver = b.samples[job][off]
-				have = true
+			switch s := b.samples[job]; {
+			case off < len(s):
+				run = s[off:len(s):len(s)]
 			case b.done[job]:
 				job, off = job+1, 0
 			default:
@@ -108,9 +111,9 @@ func (b *Bus) Stream(ctx context.Context, fn func(job int, s device.Sample) erro
 			}
 		}
 		b.mu.Unlock()
-		if err := fn(job, deliver); err != nil {
+		if err := fn(job, run); err != nil {
 			return err
 		}
-		off++
+		off += len(run)
 	}
 }

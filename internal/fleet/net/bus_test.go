@@ -1,8 +1,11 @@
 package net_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -17,8 +20,10 @@ import (
 func collect(t *testing.T, b *fleetnet.Bus) []string {
 	t.Helper()
 	var got []string
-	err := b.Stream(context.Background(), func(job int, s device.Sample) error {
-		got = append(got, fmt.Sprintf("%d:%g", job, s.TimeSec))
+	err := b.Stream(context.Background(), func(job int, run []device.Sample) error {
+		for _, s := range run {
+			got = append(got, fmt.Sprintf("%d:%g", job, s.TimeSec))
+		}
 		return nil
 	})
 	if err != nil {
@@ -85,7 +90,7 @@ func TestBusStreamCancelNoLeak(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = b.Stream(ctx, func(int, device.Sample) error { return nil })
+			errs[i] = b.Stream(ctx, func(int, []device.Sample) error { return nil })
 		}(i)
 	}
 	time.Sleep(20 * time.Millisecond) // let them park in cond.Wait
@@ -118,13 +123,13 @@ func TestBusSlowSubscriberDoesNotBlock(t *testing.T) {
 	slowDone := make(chan int, 1)
 	go func() {
 		n, first := 0, true
-		b.Stream(context.Background(), func(int, device.Sample) error {
+		b.Stream(context.Background(), func(_ int, run []device.Sample) error {
 			if first {
 				first = false
 				close(stalled)
 				<-release // park mid-callback while the producer runs
 			}
-			n++
+			n += len(run)
 			return nil
 		})
 		slowDone <- n
@@ -179,8 +184,10 @@ func TestBusAcceptIsSink(t *testing.T) {
 
 	b := fleetnet.NewBus(2)
 	got := make(chan string, 16)
-	go b.Stream(context.Background(), func(job int, s device.Sample) error {
-		got <- fmt.Sprintf("%d:%g", job, s.TimeSec)
+	go b.Stream(context.Background(), func(job int, run []device.Sample) error {
+		for _, s := range run {
+			got <- fmt.Sprintf("%d:%g", job, s.TimeSec)
+		}
 		return nil
 	})
 	b.Accept(0, device.Sample{TimeSec: 1})
@@ -193,4 +200,184 @@ func TestBusAcceptIsSink(t *testing.T) {
 		t.Fatalf("live tail delivered %q, want 1:2", v)
 	}
 	b.Close()
+}
+
+// TestBusLiveRunsFollowTheFrontier: a live subscriber receives job 0's
+// samples while job 0 is still running and job 1 has samples waiting, and
+// job 1's as soon as job 0 finishes — before job 1 itself finishes. Each
+// run is one job's.
+func TestBusLiveRunsFollowTheFrontier(t *testing.T) {
+	b := fleetnet.NewBus(2)
+	type run struct {
+		job int
+		ts  []float64
+	}
+	got := make(chan run, 16)
+	go b.Stream(context.Background(), func(job int, r []device.Sample) error {
+		var ts []float64
+		for _, s := range r {
+			ts = append(ts, s.TimeSec)
+		}
+		got <- run{job, ts}
+		return nil
+	})
+	next := func() run {
+		t.Helper()
+		select {
+		case r := <-got:
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatal("no run delivered")
+			return run{}
+		}
+	}
+	b.Accept(1, device.Sample{TimeSec: 10}) // job 1 runs ahead
+	b.Accept(0, device.Sample{TimeSec: 1})
+	if r := next(); r.job != 0 || fmt.Sprint(r.ts) != "[1]" {
+		t.Fatalf("first run = %+v, want job 0's [1] while job 0 is live", r)
+	}
+	b.Accept(0, device.Sample{TimeSec: 2})
+	if r := next(); r.job != 0 || fmt.Sprint(r.ts) != "[2]" {
+		t.Fatalf("second run = %+v, want job 0's [2]", r)
+	}
+	b.Finish(0)
+	if r := next(); r.job != 1 || fmt.Sprint(r.ts) != "[10]" {
+		t.Fatalf("third run = %+v, want job 1's [10] before job 1 finishes", r)
+	}
+	b.Close()
+}
+
+// TestBusRunsBatchABacklog: a subscriber that attaches after the run gets
+// each job's samples as a single run, however many there are.
+func TestBusRunsBatchABacklog(t *testing.T) {
+	b := fleetnet.NewBus(3)
+	for i := 0; i < 100; i++ {
+		for j := 0; j < 3; j++ {
+			b.Accept(sink.JobID(j), device.Sample{TimeSec: float64(i)})
+		}
+	}
+	b.Accept(1, device.Sample{TimeSec: 100})
+	b.Close()
+	var sizes []int
+	b.Stream(context.Background(), func(_ int, run []device.Sample) error {
+		sizes = append(sizes, len(run))
+		return nil
+	})
+	if fmt.Sprint(sizes) != "[100 101 100]" {
+		t.Fatalf("run sizes %v, want one run per job: [100 101 100]", sizes)
+	}
+}
+
+// flushCounter is a ResponseWriter that counts writes and flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	writes, flushes int
+}
+
+func (f *flushCounter) Write(b []byte) (int, error) {
+	f.writes++
+	return f.ResponseRecorder.Write(b)
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestTelemetryFlushesPerRun: a telemetry request over a finished
+// multi-job bus writes in chunks and flushes at most once per run the bus
+// hands out — not once per sample — and its body is byte-identical to
+// per-sample sink.AppendJSONL in submission order.
+func TestTelemetryFlushesPerRun(t *testing.T) {
+	const jobs, perJob = 4, 700
+	b := fleetnet.NewBus(jobs)
+	var want []byte
+	samples := make([][]device.Sample, jobs)
+	for j := range samples {
+		for i := 0; i < perJob; i++ {
+			samples[j] = append(samples[j], device.Sample{TimeSec: float64(i) / 3, SkinC: 30 + float64(j)/7, ScreenC: 29.5,
+				DieC: 45.25, BatteryC: 31, FreqMHz: 1512, Util: float64(i%10) / 10, MaxLevel: 11 - j})
+		}
+	}
+	for i := 0; i < perJob; i++ { // interleaved arrival across jobs
+		for j := jobs - 1; j >= 0; j-- {
+			b.Accept(sink.JobID(j), samples[j][i])
+		}
+	}
+	for j := range samples {
+		for _, s := range samples[j] {
+			want = sink.AppendJSONL(want, sink.JobID(j), s)
+		}
+	}
+	b.Close()
+	runs := 0
+	b.Stream(context.Background(), func(int, []device.Sample) error { runs++; return nil })
+
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	fleetnet.StreamTelemetry(w, httptest.NewRequest("GET", "/jobs/j1/telemetry", nil), b)
+	if got := w.Body.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("body differs from per-sample AppendJSONL: %d bytes, want %d", len(got), len(want))
+	}
+	if w.flushes == 0 || w.flushes > runs {
+		t.Fatalf("%d flushes for %d runs (%d samples); want 1..%d", w.flushes, runs, jobs*perJob, runs)
+	}
+	if maxWrites := runs + len(want)/(32<<10); w.writes > maxWrites {
+		t.Fatalf("%d writes for a %d-byte body in %d runs; want at most %d", w.writes, len(want), runs, maxWrites)
+	}
+}
+
+// liveWriter is a ResponseWriter whose flushed bytes a test can watch.
+type liveWriter struct {
+	mu      sync.Mutex
+	pending []byte
+	flushed chan string
+}
+
+func (w *liveWriter) Header() http.Header { return http.Header{} }
+func (w *liveWriter) WriteHeader(int)     {}
+func (w *liveWriter) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	w.pending = append(w.pending, b...)
+	w.mu.Unlock()
+	return len(b), nil
+}
+func (w *liveWriter) Flush() {
+	w.mu.Lock()
+	out := string(w.pending)
+	w.pending = nil
+	w.mu.Unlock()
+	w.flushed <- out
+}
+
+// TestTelemetryLiveTail: on a live bus the telemetry stream flushes each
+// run as it arrives, so a reader sees a sample before its job finishes.
+func TestTelemetryLiveTail(t *testing.T) {
+	b := fleetnet.NewBus(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	w := &liveWriter{flushed: make(chan string, 16)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fleetnet.StreamTelemetry(w, httptest.NewRequest("GET", "/jobs/j1/telemetry", nil).WithContext(ctx), b)
+	}()
+	expect := func(job int, s device.Sample) {
+		t.Helper()
+		select {
+		case got := <-w.flushed:
+			if want := string(sink.AppendJSONL(nil, sink.JobID(job), s)); got != want {
+				t.Fatalf("flushed %q, want %q", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %d's sample at t=%g never flushed", job, s.TimeSec)
+		}
+	}
+	s0 := device.Sample{TimeSec: 1, SkinC: 31}
+	b.Accept(0, s0)
+	expect(0, s0)
+	b.Finish(0)
+	s1 := device.Sample{TimeSec: 2, SkinC: 32}
+	b.Accept(1, s1)
+	expect(1, s1)
+	cancel()
+	<-done
 }

@@ -13,8 +13,9 @@
 // through untouched so a fault always looks like a transport failure to
 // the coordinator, exercising its requeue/redial machinery. Corruption is
 // destructive by construction — the first payload byte becomes 0x00,
-// which can never parse as a JSON frame — so a corrupted frame is always
-// detected as wire.ErrBadFrame and can never silently alter telemetry.
+// which neither begins a JSON envelope nor names a binary frame kind — so
+// a corrupted frame is always detected as wire.ErrBadFrame and can never
+// silently alter telemetry.
 //
 // A fault budget caps total injections: once spent, the proxy runs clean,
 // guaranteeing that a run with enough retries eventually completes.
@@ -302,8 +303,9 @@ func (p *Proxy) relay(client, server stdnet.Conn, conn int, plan Plan) {
 		}
 		switch {
 		case plan.CorruptFrame > 0 && frame == plan.CorruptFrame && len(payload) > 0:
-			// 0x00 can never begin a JSON document: the coordinator is
-			// guaranteed wire.ErrBadFrame, never a silently-wrong value.
+			// 0x00 begins neither a JSON envelope nor a binary frame: the
+			// coordinator is guaranteed wire.ErrBadFrame, never a
+			// silently-wrong value.
 			payload[0] = 0x00
 			p.count(func(s *Stats) { s.Corrupted++ })
 			p.log("chaos: conn %d: corrupting frame %d", conn, frame)

@@ -325,14 +325,33 @@ func (s *JobServer) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job produced no telemetry: %s", j.snapshot().Error)
 		return
 	}
+	streamTelemetry(w, r, bus)
+}
+
+// telemetryChunk is how many bytes of JSONL the telemetry stream buffers
+// before it writes them.
+const telemetryChunk = 32 << 10
+
+// streamTelemetry answers a telemetry request from bus: each run the bus
+// hands out is encoded line by line into one reused buffer, written
+// whenever the buffer holds telemetryChunk bytes, and flushed once at the
+// end of the run — so a live tail sees every run as it arrives, and a
+// reader replaying a finished job pays a write per chunk rather than a
+// write and a flush per sample.
+func streamTelemetry(w http.ResponseWriter, r *http.Request, bus *Bus) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	var buf []byte
-	bus.Stream(r.Context(), func(job int, smp device.Sample) error {
-		buf = sink.AppendJSONL(buf[:0], sink.JobID(job), smp)
-		if _, err := w.Write(buf); err != nil {
-			return err
+	buf := make([]byte, 0, telemetryChunk+512)
+	bus.Stream(r.Context(), func(job int, run []device.Sample) error {
+		for i := range run {
+			buf = sink.AppendJSONL(buf, sink.JobID(job), run[i])
+			if len(buf) >= telemetryChunk || i == len(run)-1 {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
 		}
 		if fl != nil {
 			fl.Flush()

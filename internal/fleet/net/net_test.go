@@ -549,12 +549,13 @@ func TestNetRunnerAllHostsDown(t *testing.T) {
 
 // TestNetRunnerRefusesOldProtocolWorker: a daemon from a build speaking
 // an older protocol — version 1 (one JSON frame per sample), version 2
-// (the predictor in every shard request) or version 3 (the predictor once
-// per connection, then same_predictor) — is refused at its hello frame:
-// the coordinator never ships it a shard, and the run fails with the
-// version mismatch instead of mis-decoding frames mid-shard.
+// (the predictor in every shard request), version 3 (the predictor once
+// per connection, then same_predictor) or version 4 (JSON sample and
+// result frames) — is refused at its hello frame: the coordinator never
+// ships it a shard, and the run fails with the version mismatch instead
+// of mis-decoding frames mid-shard.
 func TestNetRunnerRefusesOldProtocolWorker(t *testing.T) {
-	for _, v := range []int{1, 2, 3} {
+	for _, v := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
 			ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 			if err != nil {

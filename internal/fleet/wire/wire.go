@@ -1,19 +1,30 @@
 // Package wire is the serialization layer of the sharded fleet: versioned
 // codecs for the job contract (fleet.JobSpec in, fleet.JobResult and
-// telemetry samples out) carried as length-prefixed JSON frames over a
-// byte stream — the stdin/stdout pipes of a worker subprocess today, a
-// socket when the fleet grows multi-host.
+// telemetry samples out) carried as length-prefixed frames over a byte
+// stream — a worker daemon's TCP connection, or the stdin/stdout pipes of
+// a spawned worker process.
 //
-// Every frame is a Frame envelope: {"v":4,"type":...} plus exactly one
-// payload field matching the type. Telemetry travels in batches: a sample
-// frame carries up to SampleBatch samples of one job as a packed binary
-// block (see PackSample). The predictor is content-addressed: a shard
-// request names it by the SHA-256 of its document (PredictorID) and
-// carries the document only when the worker does not hold it yet — a
-// worker's hello lists the IDs it holds. Readers reject unknown versions,
-// unknown types, oversized frames, truncated streams and malformed
-// predictor IDs with descriptive errors; the shard coordinator turns
-// those into per-job errors instead of batch failures.
+// In memory every frame is a Frame: a version, a type and exactly one
+// payload field matching the type. On the wire the frames that carry
+// bulk data are binary and the rest are JSON:
+//
+//   - Sample and result frames, worker → coordinator, are binary bodies:
+//     a kind byte (never '{'), the version byte, then the payload. A
+//     sample frame is a varint job index followed by 1..SampleBatch
+//     samples of that job packed by PackSample. A result frame encodes a
+//     ResultFrame field by field: float64s as 8 little-endian bytes
+//     (bit-exact), integers as varints, strings length-prefixed, slices
+//     behind nil-aware counts and pointers behind presence bytes.
+//   - Hello, shard, done, heartbeat, cancel and error frames are JSON
+//     envelopes, {"v":5,"type":...} plus the type's payload field.
+//
+// The predictor is content-addressed: a shard request names it by the
+// SHA-256 of its document (PredictorID) and carries the document only
+// when the worker does not hold it yet — a worker's hello lists the IDs
+// it holds. Readers reject unknown versions, unknown types and kinds,
+// oversized frames, truncated streams, counts the frame cannot hold,
+// trailing bytes and malformed predictor IDs with typed errors; the
+// coordinator turns those into per-job errors instead of batch failures.
 package wire
 
 import (
@@ -40,9 +51,11 @@ import (
 // sending it work. Version 1 sent one JSON frame per sample; version 2
 // carried the predictor in every shard request; version 3 carried it in
 // the first request on each connection and let later ones say
-// same_predictor. Version 4 names it by content (ShardRequest.PredictorID,
-// HelloFrame.Predictors).
-const Version = 4
+// same_predictor. Version 4 named it by content (ShardRequest.PredictorID,
+// HelloFrame.Predictors). Version 5 sends sample and result frames as
+// binary bodies instead of JSON envelopes; hello stays JSON, so v4 and v5
+// builds still refuse each other at the handshake.
+const Version = 5
 
 // MaxPredictors bounds the decoded predictors a worker keeps, and so the
 // IDs its hello frame may list. A worker serves one predictor per
@@ -61,8 +74,10 @@ const SampleBatch = 256
 const SampleSize = 64
 
 // MaxFrame bounds a single frame's payload (64 MiB). Traced results of
-// very long runs are the largest frames in practice (a few MB); anything
-// near the cap indicates a corrupt length prefix, not a real payload.
+// long runs (8 bytes per traced value) and a cold shard request's
+// predictor document (~350 KB) are the largest frames in practice;
+// anything near the cap indicates a corrupt length prefix, not a real
+// payload.
 const MaxFrame = 64 << 20
 
 // Frame types.
@@ -103,14 +118,15 @@ var (
 )
 
 // Frame is the versioned envelope every message travels in. Exactly one
-// payload field is set, matching Type.
+// payload field is set, matching Type. Sample and result frames travel as
+// binary bodies, never inside a JSON envelope.
 type Frame struct {
 	V    int    `json:"v"`
 	Type string `json:"type"`
 
 	Shard  *ShardRequest `json:"shard,omitempty"`
-	Sample *SampleFrame  `json:"sample,omitempty"`
-	Result *ResultFrame  `json:"result,omitempty"`
+	Sample *SampleFrame  `json:"-"`
+	Result *ResultFrame  `json:"-"`
 	Hello  *HelloFrame   `json:"hello,omitempty"`
 	Err    string        `json:"err,omitempty"`
 }
@@ -171,11 +187,12 @@ type ShardRequest struct {
 // SampleFrame is a batch of one job's telemetry crossing the process
 // boundary, in emission order.
 type SampleFrame struct {
-	// Job is the global job index (fleet.JobSpec.Index).
-	Job int `json:"job"`
-	// Samples holds 1..SampleBatch samples packed by PackSample, bit-exact
-	// (base64 inside the JSON envelope).
-	Samples []byte `json:"samples"`
+	// Job is the global job index (fleet.JobSpec.Index), >= 0.
+	Job int
+	// Samples holds 1..SampleBatch samples packed by PackSample, bit-exact.
+	// It travels as the tail of the frame body, as is; a frame ReadFrame
+	// returns shares it with nothing else.
+	Samples []byte
 }
 
 // PackSample appends s to a packed sample block.
@@ -202,14 +219,16 @@ func EachSample(block []byte, fn func(device.Sample)) {
 // ResultFrame is a fleet.JobResult in serializable form: the error
 // flattened to its message, everything else carried structurally
 // (device.RunResult, including any retained trace and records, is plain
-// exported data).
+// exported data). The binary codec (appendResult) names every field of
+// this type and of the types it reaches; TestResultCodecCoversEveryField
+// fails when one is added without codec support.
 type ResultFrame struct {
-	Index    int               `json:"index"`
-	Name     string            `json:"name,omitempty"`
-	User     users.User        `json:"user,omitempty"`
-	SeedUsed int64             `json:"seed_used,omitempty"`
-	Result   *device.RunResult `json:"result,omitempty"`
-	Err      string            `json:"err,omitempty"`
+	Index    int
+	Name     string
+	User     users.User
+	SeedUsed int64
+	Result   *device.RunResult
+	Err      string
 }
 
 // EncodeResult converts a job result to its wire form.
@@ -248,21 +267,43 @@ func (rf *ResultFrame) Decode() fleet.JobResult {
 	return r
 }
 
-// WriteFrame writes one envelope as a 4-byte big-endian length followed by
-// its JSON encoding — one writev on a TCP connection. Writers must
-// serialize calls on a shared stream.
+// WriteFrame writes one frame as a 4-byte big-endian length followed by
+// its body — binary for sample and result frames, JSON for the rest — in
+// one writev on a TCP connection. A sample block is written from the
+// caller's buffer without a copy. Writers must serialize calls on a
+// shared stream.
 func WriteFrame(w io.Writer, f *Frame) error {
-	b, err := encodeFrame(f)
-	if err != nil {
-		return fmt.Errorf("wire: encode %s frame: %w", f.Type, err)
-	}
-	if len(b) > MaxFrame {
-		return fmt.Errorf("%w: %s frame is %d bytes", ErrFrameTooLarge, f.Type, len(b))
-	}
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	bufs := net.Buffers{hdr[:], b}
-	_, err = bufs.WriteTo(w)
+	bufs := net.Buffers{hdr[:]}
+	switch f.Type {
+	case TypeSample, TypeResult:
+		if f.V < 0 || f.V > math.MaxUint8 {
+			return fmt.Errorf("wire: encode %s frame: version %d does not fit the version byte", f.Type, f.V)
+		}
+		switch {
+		case f.Type == TypeSample && f.Sample != nil:
+			bufs = append(bufs, appendSampleHead(make([]byte, 0, 2+binary.MaxVarintLen64), f.V, f.Sample), f.Sample.Samples)
+		case f.Type == TypeResult && f.Result != nil:
+			bufs = append(bufs, appendResult(make([]byte, 0, resultSize(f.Result)), f.V, f.Result))
+		default:
+			return fmt.Errorf("wire: encode %s frame: missing or invalid payload", f.Type)
+		}
+	default:
+		b, err := encodeFrame(f)
+		if err != nil {
+			return fmt.Errorf("wire: encode %s frame: %w", f.Type, err)
+		}
+		bufs = append(bufs, b)
+	}
+	n := 0
+	for _, b := range bufs[1:] {
+		n += len(b)
+	}
+	if n > MaxFrame {
+		return fmt.Errorf("%w: %s frame is %d bytes", ErrFrameTooLarge, f.Type, n)
+	}
+	binary.BigEndian.PutUint32(hdr[:], uint32(n))
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
@@ -293,7 +334,7 @@ func encodeFrame(f *Frame) ([]byte, error) {
 	return append(append(b, doc...), "}}"...), nil
 }
 
-// ReadFrame reads and validates one envelope. A clean end of stream
+// ReadFrame reads and validates one frame. A clean end of stream
 // returns io.EOF; a stream cut mid-frame returns io.ErrUnexpectedEOF;
 // ill-formed frames return errors wrapping ErrBadFrame, ErrVersion or
 // ErrFrameTooLarge.
@@ -325,6 +366,9 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 			break
 		}
 		buf = append(buf, make([]byte, min(int(n)-off, off))...)
+	}
+	if n > 0 && buf[0] != '{' {
+		return readBinary(buf)
 	}
 	// One strict decode per frame. Only a frame it refuses needs the
 	// lenient version probe: a newer build's frame may carry envelope
@@ -359,20 +403,8 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		if id := f.Shard.PredictorID; id != "" && !validID(id) {
 			return nil, fmt.Errorf("%w: shard frame with predictor_id %q", ErrBadFrame, id)
 		}
-	case TypeSample:
-		if f.Sample == nil {
-			return nil, fmt.Errorf("%w: sample frame without payload", ErrBadFrame)
-		}
-		if f.Sample.Job < 0 {
-			return nil, fmt.Errorf("%w: sample frame for job %d", ErrBadFrame, f.Sample.Job)
-		}
-		if n := len(f.Sample.Samples); n == 0 || n%SampleSize != 0 || n/SampleSize > SampleBatch {
-			return nil, fmt.Errorf("%w: sample block of %d bytes (want 1..%d samples of %d bytes)", ErrBadFrame, n, SampleBatch, SampleSize)
-		}
-	case TypeResult:
-		if f.Result == nil {
-			return nil, fmt.Errorf("%w: result frame without payload", ErrBadFrame)
-		}
+	case TypeSample, TypeResult:
+		return nil, fmt.Errorf("%w: %s frame in a JSON envelope (%s frames are binary)", ErrBadFrame, f.Type, f.Type)
 	case TypeDone, TypeHeartbeat, TypeCancel:
 	case TypeHello:
 		if f.Hello == nil {

@@ -5,17 +5,19 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/sensors"
+	"repro/internal/trace"
 	"repro/internal/users"
 )
 
@@ -44,6 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			Job: 12, Samples: PackSample(nil, device.Sample{TimeSec: 1.5, SkinC: 31.25, FreqMHz: 1512, MaxLevel: 11}),
 		}},
 		{V: Version, Type: TypeResult, Result: &ResultFrame{Index: 4, Name: "glbench", SeedUsed: 99}},
+		{V: Version, Type: TypeResult, Result: tracedResult()},
 		{V: Version, Type: TypeDone},
 		{V: Version, Type: TypeError, Err: "boom"},
 		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 2, Predictors: []string{strings.Repeat("0f", 32)}}},
@@ -62,8 +65,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read %s: %v", want.Type, err)
 		}
-		if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
-			t.Fatalf("round trip changed the frame:\n got %s\nwant %s", g, w)
+		if g, w := encoded(t, got), encoded(t, want); !bytes.Equal(g, w) {
+			t.Fatalf("round trip changed the frame:\n got %q\nwant %q", g, w)
 		}
 	}
 	if _, err := ReadFrame(&buf); err != io.EOF {
@@ -71,13 +74,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) string {
+func encoded(t *testing.T, f *Frame) []byte {
 	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	return buf.Bytes()
 }
 
 // TestPackSampleRoundTrip: packed samples unpack bit-exact and in order,
@@ -140,8 +143,39 @@ func TestFrameShardPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// binBlock is a packed sample block of n samples.
+func binBlock(n int) []byte {
+	var b []byte
+	for i := 0; i < n; i++ {
+		b = PackSample(b, device.Sample{TimeSec: float64(i)})
+	}
+	return b
+}
+
+// binSample frames a binary sample body: kind, version byte v, the job as
+// the given varint bytes, then block.
+func binSample(v byte, job []byte, block []byte) []byte {
+	return writeRaw(append(append([]byte{kindSample, v}, job...), block...))
+}
+
+// resultPrefix is a binary result body up to and including the trace
+// presence byte of a present, trace-carrying run result.
+func resultPrefix() []byte {
+	b := []byte{kindResult, Version}
+	b = binary.AppendVarint(b, 3)
+	b = appendString(b, "skype")
+	b = appendString(b, "c")
+	b = appendF64(appendF64(b, 35.2), 32.5)
+	b = binary.AppendVarint(b, 11)
+	b = appendString(b, "")
+	b = appendPresent(b, true)
+	b = appendString(appendString(appendString(b, "skype"), "ondemand"), "usta")
+	b = appendF64(b, 60)
+	return appendPresent(b, true)
+}
+
 // TestReadFrameMalformed is the decode error table: every way a frame can
-// be broken must map to a descriptive error, never a mis-decode or a hang.
+// be broken must map to a typed error, never a mis-decode or a hang.
 func TestReadFrameMalformed(t *testing.T) {
 	good := func() []byte {
 		var buf bytes.Buffer
@@ -155,13 +189,9 @@ func TestReadFrameMalformed(t *testing.T) {
 	}
 	// id is a well-formed predictor ID.
 	id := strings.Repeat("5e", 32)
-	// block is a packed sample block of n samples, base64 as on the wire.
-	block := func(n int) string {
-		var b []byte
-		for i := 0; i < n; i++ {
-			b = PackSample(b, device.Sample{TimeSec: float64(i)})
-		}
-		return base64.StdEncoding.EncodeToString(b)
+	job := func(j int64) []byte { return binary.AppendVarint(nil, j) }
+	result := func() []byte {
+		return appendResult(nil, Version, &ResultFrame{Index: 1, Result: &device.RunResult{Trace: &trace.TimeSeries{}}})
 	}
 	cases := []struct {
 		name  string
@@ -176,15 +206,17 @@ func TestReadFrameMalformed(t *testing.T) {
 			binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
 			return hdr[:]
 		}(), ErrFrameTooLarge},
+		{"empty payload", writeRaw(nil), ErrBadFrame},
 		{"invalid json", writeRaw([]byte(fmt.Sprintf(`{"v":%d,`, Version))), ErrBadFrame},
 		{"unknown field", env(Version, `,"type":"done","zzz":true`), ErrBadFrame},
 		{"trailing bytes after the envelope", writeRaw([]byte(fmt.Sprintf(`{"v":%d,"type":"done"}{}`, Version))), ErrBadFrame},
 		{"wrong version", env(Version+1, `,"type":"done"`), ErrVersion},
 		{"newer version with unknown envelope fields", env(Version+1, `,"type":"done","future":{}`), ErrVersion},
-		{"newer version failing the strict decode", env(Version+1, `,"type":"sample","sample":{"job":"seven"}`), ErrVersion},
+		{"newer version failing the strict decode", env(Version+1, `,"type":"shard","shard":{"jobs":"seven"}`), ErrVersion},
 		{"v1 per-sample frame", writeRaw([]byte(`{"v":1,"type":"sample","sample":{"job":0,"sample":{"TimeSec":1,"SkinC":31,"ScreenC":30,"DieC":40,"BatteryC":29,"FreqMHz":1512,"Util":0.5,"MaxLevel":11}}}`)), ErrVersion},
 		{"v2 shard frame", writeRaw([]byte(`{"v":2,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"}}}`)), ErrVersion},
 		{"v3 shard frame", writeRaw([]byte(`{"v":3,"type":"shard","shard":{"jobs":[],"same_predictor":true}}`)), ErrVersion},
+		{"v4 JSON sample frame", env(4, fmt.Sprintf(`,"type":"sample","sample":{"job":0,"samples":%q}`, base64.StdEncoding.EncodeToString(binBlock(1)))), ErrVersion},
 		{"unknown type", env(Version, `,"type":"gossip"`), ErrBadFrame},
 		{"shard frame without payload", env(Version, `,"type":"shard"`), ErrBadFrame},
 		{"shard frame with unknown batched field", env(Version, `,"type":"shard","shard":{"jobs":[],"batched":true}`), ErrBadFrame},
@@ -195,14 +227,34 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"hello frame listing more predictors than a worker holds", env(Version, fmt.Sprintf(`,"type":"hello","hello":{"proto":%d,"capacity":1,"predictors":[%s]}`,
 			Version, strings.TrimSuffix(strings.Repeat(fmt.Sprintf("%q,", id), MaxPredictors+1), ","))), ErrBadFrame},
 		{"hello frame listing a malformed predictor ID", env(Version, fmt.Sprintf(`,"type":"hello","hello":{"proto":%d,"capacity":1,"predictors":[%q,"g%s"]}`, Version, id, id[1:])), ErrBadFrame},
-		{"sample frame without payload", env(Version, `,"type":"sample"`), ErrBadFrame},
-		{"sample frame with empty block", env(Version, `,"type":"sample","sample":{"job":0,"samples":""}`), ErrBadFrame},
-		{"sample frame with a partial sample", env(Version, fmt.Sprintf(`,"type":"sample","sample":{"job":0,"samples":%q}`,
-			base64.StdEncoding.EncodeToString(make([]byte, 2*SampleSize+1)))), ErrBadFrame},
-		{"sample frame over the batch size", env(Version, fmt.Sprintf(`,"type":"sample","sample":{"job":0,"samples":%q}`, block(SampleBatch+1))), ErrBadFrame},
-		{"sample frame for a negative job", env(Version, fmt.Sprintf(`,"type":"sample","sample":{"job":-1,"samples":%q}`, block(1))), ErrBadFrame},
-		{"result frame without payload", env(Version, `,"type":"result"`), ErrBadFrame},
+		{"JSON sample envelope", env(Version, fmt.Sprintf(`,"type":"sample","sample":{"job":0,"samples":%q}`, base64.StdEncoding.EncodeToString(binBlock(1)))), ErrBadFrame},
+		{"JSON sample envelope without payload", env(Version, `,"type":"sample"`), ErrBadFrame},
+		{"JSON result envelope", env(Version, `,"type":"result","result":{"index":2,"err":"boom"}`), ErrBadFrame},
+		{"JSON result envelope without payload", env(Version, `,"type":"result"`), ErrBadFrame},
 		{"error frame without message", env(Version, `,"type":"error"`), ErrBadFrame},
+		{"unknown kind byte", writeRaw([]byte{0x03, Version, 0}), ErrBadFrame},
+		{"zero kind byte", writeRaw(append([]byte{0x00}, good[5:]...)), ErrBadFrame},
+		{"binary body without a version byte", writeRaw([]byte{kindSample}), ErrBadFrame},
+		{"binary sample frame of version 4", binSample(4, job(0), binBlock(1)), ErrVersion},
+		{"binary result frame of version 6", writeRaw(append([]byte{kindResult, Version + 1}, result()[2:]...)), ErrVersion},
+		{"sample frame with a truncated job varint", binSample(Version, []byte{0x80}, nil), ErrBadFrame},
+		{"sample frame with an overlong job varint", binSample(Version, bytes.Repeat([]byte{0xff}, 11), binBlock(1)), ErrBadFrame},
+		{"sample frame for a negative job", binSample(Version, job(-1), binBlock(1)), ErrBadFrame},
+		{"sample frame without payload", writeRaw([]byte{kindSample, Version}), ErrBadFrame},
+		{"sample frame with empty block", binSample(Version, job(0), nil), ErrBadFrame},
+		{"sample frame with a partial sample", binSample(Version, job(0), make([]byte, 2*SampleSize+1)), ErrBadFrame},
+		{"sample frame over the batch size", binSample(Version, job(1), binBlock(SampleBatch+1)), ErrBadFrame},
+		{"result frame without payload", writeRaw([]byte{kindResult, Version}), ErrBadFrame},
+		{"result frame with a truncated index varint", writeRaw([]byte{kindResult, Version, 0x80}), ErrBadFrame},
+		{"result frame with a truncated string", writeRaw(append(binary.AppendUvarint([]byte{kindResult, Version, 0}, 10), "abc"...)), ErrBadFrame},
+		{"result frame with a truncated float", writeRaw(resultPrefix()[:len(resultPrefix())-6]), ErrBadFrame},
+		{"result frame cut after the trace presence byte", writeRaw(resultPrefix()), ErrBadFrame},
+		{"result frame with a time axis longer than the frame", writeRaw(append(binary.AppendUvarint(resultPrefix(), 1<<40), make([]byte, 64)...)), ErrBadFrame},
+		{"result frame with a float count one past the bytes left", writeRaw(append(binary.AppendUvarint(resultPrefix(), 1+3), make([]byte, 2*8+7)...)), ErrBadFrame},
+		{"result frame with more series than bytes left", writeRaw(append(binary.AppendUvarint(append(resultPrefix(), 0), 1+1<<20), 0, 0)), ErrBadFrame},
+		{"result frame with a record count beyond the bytes left", writeRaw(append(binary.AppendUvarint(append(resultPrefix()[:len(resultPrefix())-1], 0), 1+3), make([]byte, recordSize+11*8)...)), ErrBadFrame},
+		{"result frame with a presence byte of 2", writeRaw(append(resultPrefix()[:len(resultPrefix())-1], 2)), ErrBadFrame},
+		{"trailing bytes after a result", writeRaw(append(result(), 0)), ErrBadFrame},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,19 +347,182 @@ func TestResultFrameRoundTripWithTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := f.Result.Decode()
-	if got.Result.EnergyJ != res.Result.EnergyJ || got.SeedUsed != res.SeedUsed {
-		t.Fatal("aggregates diverged across the boundary")
+	if got.SeedUsed != res.SeedUsed || got.Index != res.Index || got.Name != res.Name || got.Err != nil {
+		t.Fatalf("job identity diverged across the boundary: %+v", got)
 	}
-	skin := got.Result.Trace.Lookup("skin_c")
-	wantSkin := res.Result.Trace.Lookup("skin_c")
-	if skin == nil {
-		t.Fatal("decoded trace lost its index (Reindex not applied)")
+	// Every aggregate, every trace column and every record, bit for bit.
+	if err := bitEqual(reflect.ValueOf(got.Result), reflect.ValueOf(res.Result), "result"); err != nil {
+		t.Fatalf("round trip changed %v", err)
 	}
-	if len(skin.Values) != len(wantSkin.Values) || skin.Values[3] != wantSkin.Values[3] {
-		t.Fatal("trace values diverged across the boundary")
+	if len(got.Result.Records) == 0 || len(got.Result.Trace.Series) == 0 {
+		t.Fatalf("reference run retained %d records and %d series; want both", len(got.Result.Records), len(got.Result.Trace.Series))
 	}
-	if len(got.Result.Records) != len(res.Result.Records) {
-		t.Fatal("records diverged across the boundary")
+	for _, s := range res.Result.Trace.Series {
+		if got.Result.Trace.Lookup(s.Name) == nil {
+			t.Fatalf("decoded trace cannot look up %q (Reindex not applied)", s.Name)
+		}
+	}
+}
+
+// tracedResult is a small result frame that uses every part of the result
+// codec, special floats and a nil series included.
+func tracedResult() *ResultFrame {
+	nan := math.Float64frombits(0x7ff8000000000abc)
+	return &ResultFrame{
+		Index: 9, Name: "skype/usta", User: users.User{ID: "c", SkinLimitC: 35.2, ScreenLimitC: 32.5}, SeedUsed: -4,
+		Result: &device.RunResult{
+			Workload: "skype", Governor: "ondemand", Ctrl: "usta", DurSec: 2,
+			Trace: &trace.TimeSeries{TimeSec: []float64{0, 1}, Series: []*trace.Series{
+				{Name: "skin_c", Unit: "C", Values: []float64{31.5, nan}},
+				nil,
+				{Name: "util", Values: []float64{}},
+			}},
+			Records:  []sensors.Record{{TimeSec: 1, CPUTempC: 40, BatteryTempC: 29, Util: 0.5, FreqMHz: 1512, SkinTempC: nan, ScreenTempC: math.Inf(-1)}},
+			MaxSkinC: 31.5, MaxDieC: math.Inf(1), EnergyJ: math.Copysign(0, -1), StartSoC: 1, EndSoC: 0.99,
+		},
+	}
+}
+
+// bitEqual compares got and want field by field over exported fields,
+// floats by their bits, telling nil slices and pointers from empty and
+// non-nil ones. It fails on a kind it does not know, so a field of a new
+// kind cannot slip past the comparison.
+func bitEqual(got, want reflect.Value, path string) error {
+	if got.Type() != want.Type() {
+		return fmt.Errorf("%s: type %v, want %v", path, got.Type(), want.Type())
+	}
+	switch want.Kind() {
+	case reflect.Float64:
+		if g, w := math.Float64bits(got.Float()), math.Float64bits(want.Float()); g != w {
+			return fmt.Errorf("%s: %#x, want %#x", path, g, w)
+		}
+	case reflect.Int, reflect.Int64:
+		if got.Int() != want.Int() {
+			return fmt.Errorf("%s: %d, want %d", path, got.Int(), want.Int())
+		}
+	case reflect.String:
+		if got.String() != want.String() {
+			return fmt.Errorf("%s: %q, want %q", path, got.String(), want.String())
+		}
+	case reflect.Pointer, reflect.Slice:
+		if got.IsNil() != want.IsNil() {
+			return fmt.Errorf("%s: nil %v, want nil %v", path, got.IsNil(), want.IsNil())
+		}
+		if want.Kind() == reflect.Pointer {
+			if want.IsNil() {
+				return nil
+			}
+			return bitEqual(got.Elem(), want.Elem(), path)
+		}
+		if got.Len() != want.Len() {
+			return fmt.Errorf("%s: %d elements, want %d", path, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			if err := bitEqual(got.Index(i), want.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < want.NumField(); i++ {
+			if f := want.Type().Field(i); f.IsExported() {
+				if err := bitEqual(got.Field(i), want.Field(i), path+"."+f.Name); err != nil {
+					return err
+				}
+			}
+		}
+	default:
+		return fmt.Errorf("%s: bitEqual does not compare %v", path, want.Kind())
+	}
+	return nil
+}
+
+// filler sets every exported field it reaches to a value no other field
+// holds, cycling through the floats a text codec loses.
+type filler struct {
+	t *testing.T
+	n int
+}
+
+func (f *filler) fill(v reflect.Value, path string) {
+	f.n++
+	switch v.Kind() {
+	case reflect.Float64:
+		special := []float64{math.Float64frombits(0x7ff8000000000000 | uint64(f.n)), math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+		if f.n%5 < len(special) {
+			v.SetFloat(special[f.n%5])
+		} else {
+			v.SetFloat(float64(f.n) + 1.0/3)
+		}
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(-f.n * 1001))
+	case reflect.String:
+		v.SetString(fmt.Sprintf("%s#%d", path, f.n))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		f.fill(v.Elem(), path)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 3, 3))
+		for i := 0; i < 3; i++ {
+			f.fill(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if fd := v.Type().Field(i); fd.IsExported() {
+				f.fill(v.Field(i), path+"."+fd.Name)
+			}
+		}
+	default:
+		f.t.Fatalf("%s: the filler does not know %v; teach it and the result codec the new field", path, v.Kind())
+	}
+}
+
+// TestResultCodecCoversEveryField pins the binary result codec to the
+// types it carries: a ResultFrame with every exported field filled by
+// reflection — into device.RunResult, trace.TimeSeries, trace.Series,
+// sensors.Record and users.User — must round-trip bit for bit, and so
+// must its nil-versus-empty variants. A field added to any of those types
+// without codec support fails here.
+func TestResultCodecCoversEveryField(t *testing.T) {
+	variants := []struct {
+		name string
+		edit func(*ResultFrame)
+	}{
+		{"every field set", func(*ResultFrame) {}},
+		{"nil series", func(rf *ResultFrame) { rf.Result.Trace.Series[1] = nil }},
+		{"empty and nil float slices", func(rf *ResultFrame) {
+			rf.Result.Trace.TimeSec = nil
+			rf.Result.Trace.Series[0].Values = []float64{}
+			rf.Result.Trace.Series[2].Values = nil
+		}},
+		{"empty series and records", func(rf *ResultFrame) {
+			rf.Result.Trace.Series = []*trace.Series{}
+			rf.Result.Records = []sensors.Record{}
+		}},
+		{"nil series list and records", func(rf *ResultFrame) {
+			rf.Result.Trace.Series = nil
+			rf.Result.Records = nil
+		}},
+		{"no trace", func(rf *ResultFrame) { rf.Result.Trace = nil }},
+		{"no run result", func(rf *ResultFrame) { rf.Result = nil }},
+	}
+	for _, tc := range variants {
+		t.Run(tc.name, func(t *testing.T) {
+			want := &ResultFrame{}
+			(&filler{t: t}).fill(reflect.ValueOf(want).Elem(), "ResultFrame")
+			tc.edit(want)
+			var buf bytes.Buffer
+			if err := WriteFrame(&buf, &Frame{V: Version, Type: TypeResult, Result: want}); err != nil {
+				t.Fatal(err)
+			}
+			f, err := ReadFrame(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bitEqual(reflect.ValueOf(f.Result), reflect.ValueOf(want), "ResultFrame"); err != nil {
+				t.Fatalf("round trip changed %v", err)
+			}
+			f.Result.Decode() // reindexes the trace, nil series included
+		})
 	}
 }
 
@@ -318,9 +533,11 @@ var leafDoc = []byte(`{"algorithm":"REPTree","skin":{"root":{"v":30,"leaf":true}
 // FuzzReadFrame: no byte stream makes ReadFrame panic. Every input either
 // fails with one of the package's typed errors (or a clean or unexpected
 // end of stream), or decodes to a frame that re-encodes and re-reads
-// equal, compared as encoded. The committed corpus under
-// testdata/fuzz/FuzzReadFrame adds multi-sample, truncated and odd-length
-// sample blocks, and the v4 predictor ID rules.
+// equal, compared as encoded. Decoding a binary body allocates at most a
+// small multiple of the bytes it was given. The committed corpus under
+// testdata/fuzz/FuzzReadFrame adds full, truncated and odd-length sample
+// blocks, each malformed binary case of TestReadFrameMalformed, the
+// predictor ID rules, and frames of earlier versions.
 func FuzzReadFrame(f *testing.F) {
 	var block []byte
 	for i := 0; i < 3; i++ {
@@ -328,6 +545,8 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	for _, fr := range []*Frame{
 		{V: Version, Type: TypeSample, Sample: &SampleFrame{Job: 4, Samples: block}},
+		{V: Version, Type: TypeSample, Sample: &SampleFrame{Job: 300, Samples: binBlock(SampleBatch)}},
+		{V: Version, Type: TypeResult, Result: tracedResult()},
 		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 2}},
 		{V: Version, Type: TypeShard, Shard: &ShardRequest{Jobs: []fleet.JobSpec{{Index: 1, Workload: fleet.WorkloadRef{Name: "skype"}, Seed: 3, DurSec: 10}}}},
 		{V: Version, Type: TypeResult, Result: &ResultFrame{Index: 2, Err: "boom"}},
@@ -342,7 +561,20 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		fr, err := ReadFrame(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// A JSON envelope's decoding cost is encoding/json's; a binary
+		// body's is this package's count checks. Beyond the read buffer
+		// (at most 64 KiB before the bytes arrive), decoding may allocate
+		// a few times the body: series pointers take 8 bytes per 1-byte
+		// presence flag.
+		if len(data) > 4 && data[4] != '{' {
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+80<<10); got > limit {
+				t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+			}
+		}
 		if err != nil {
 			for _, typed := range []error{ErrBadFrame, ErrVersion, ErrFrameTooLarge, io.EOF, io.ErrUnexpectedEOF} {
 				if errors.Is(err, typed) {
