@@ -378,30 +378,21 @@ func BenchmarkFleetRun(b *testing.B) {
 		b.ReportAllocs()
 		runBatch(b, repro.FleetConfig{Workers: 1}, free)
 	})
-	// The fixed-tick oracle (trace-free, same jobs), named explicitly: what
-	// the tests' reference engine costs. Reported against
-	// workers-1-tracefree, this is the event-jump speedup.
-	b.Run("workers-1-tracefree-off", func(b *testing.B) {
-		b.ReportAllocs()
-		runBatch(b, repro.FleetConfig{Workers: 1, Event: repro.EventOff}, free)
-	})
 }
 
-// BenchmarkEventRun measures one device's stepping engines head to head on
-// a 5-minute Skype slice (trace-free, stock governor, no controller — the
-// pure stepping cost): the fixed-tick oracle, the event engine with every
-// tick canonical (plumbing overhead), the held-segment sequential oracle,
-// and the dt-ladder jump engine. The metric is simulated seconds per wall
-// second.
+// BenchmarkEventRun measures one device's stepping head to head on a
+// 5-minute Skype slice (trace-free, stock governor, no controller — the
+// pure stepping cost): the fixed-tick loop (RunContext, which still
+// collects the predictor corpus and runs Fig. 1) against the production
+// event-jump engine (RunEventContext). The metric is simulated seconds
+// per wall second.
 func BenchmarkEventRun(b *testing.B) {
 	modes := []struct {
 		name string
-		mode repro.EventMode
+		run  func(*device.Phone, context.Context, repro.Workload, float64) (*repro.RunResult, error)
 	}{
-		{"off", repro.EventOff},
-		{"tick", repro.EventTick},
-		{"oracle", repro.EventOracle},
-		{"jump", repro.EventJump},
+		{"off", (*device.Phone).RunContext},
+		{"jump", (*device.Phone).RunEventContext},
 	}
 	const durSec = 300
 	for _, m := range modes {
@@ -416,7 +407,7 @@ func BenchmarkEventRun(b *testing.B) {
 					b.Fatal(err)
 				}
 				p.SetTraceFree(true)
-				if _, err := p.RunEventContext(context.Background(), w, durSec, m.mode); err != nil {
+				if _, err := m.run(p, context.Background(), w, durSec); err != nil {
 					b.Fatal(err)
 				}
 			}

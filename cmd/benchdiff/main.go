@@ -11,8 +11,10 @@
 // -fail-on-regress puts a hard gate behind the warn-only default: any
 // benchmark whose name contains -match (empty: all) and regresses more
 // than the given percentage fails the run with exit 1, independent of
-// -strict. CI uses it to gate fleet-engine throughput while the rest of
-// the suite stays warn-only.
+// -strict. So does a gated baseline benchmark the fresh run lacks: a
+// renamed or deleted leg must leave the baseline explicitly, not fall out
+// of the gate. CI uses it to gate fleet-engine throughput while the rest
+// of the suite stays warn-only.
 //
 // Only time (ns/op) and rate (.../sec, .../s) metrics are compared; domain
 // metrics (peak-C, error rates) are anchored by tests, not by the diff.
@@ -60,7 +62,7 @@ func main() {
 	gate := gateSpec{pct: *failPct, match: *match}
 	regressions, gated := compare(seed, pr, *threshold, gate, os.Stdout)
 	if gated > 0 {
-		fmt.Printf("%d benchmark metric(s) matching %q regressed more than %.0f%%: failing the build\n", gated, *match, *failPct)
+		fmt.Printf("%d benchmark metric(s) matching %q regressed more than %.0f%% or are missing from this run: failing the build\n", gated, *match, *failPct)
 		os.Exit(1)
 	}
 	if regressions > 0 {
@@ -82,24 +84,27 @@ type gateSpec struct {
 	match string
 }
 
-// covers reports whether a regression of rel (negative for rate drops) on
-// the named benchmark trips the gate.
-func (g gateSpec) covers(name string, rel float64, lowerBetter bool) bool {
+// gates reports whether the gate is on and covers the named benchmark.
+func (g gateSpec) gates(name string) bool {
 	if g.pct <= 0 {
 		return false
 	}
-	matched := g.match == ""
+	if g.match == "" {
+		return true
+	}
 	for _, sub := range strings.Split(g.match, ",") {
 		if sub != "" && strings.Contains(name, sub) {
-			matched = true
-			break
+			return true
 		}
 	}
-	if !matched {
-		return false
-	}
+	return false
+}
+
+// covers reports whether a regression of rel (negative for rate drops) on
+// the named benchmark trips the gate.
+func (g gateSpec) covers(name string, rel float64, lowerBetter bool) bool {
 	lim := g.pct / 100
-	return (lowerBetter && rel > lim) || (!lowerBetter && rel < -lim)
+	return g.gates(name) && ((lowerBetter && rel > lim) || (!lowerBetter && rel < -lim))
 }
 
 // parseFile reads one `go test -bench` output file into metrics.
@@ -227,7 +232,9 @@ func matchNames(seed, pr metrics) map[string]string {
 // higher-is-better: anything per second. PR benchmarks with no baseline
 // counterpart — the benches a perf PR introduces — are listed as "new"
 // informational lines rather than silently skipped, so they are visible in
-// CI diffs from the run that adds them.
+// CI diffs from the run that adds them. Baseline benchmarks with no PR
+// counterpart are listed as missing, and each one the gate covers counts
+// as gated.
 func compare(seed, pr metrics, threshold float64, gate gateSpec, out io.Writer) (regressions, gated int) {
 	pairs := matchNames(seed, pr)
 	names := make([]string, 0, len(pairs))
@@ -265,6 +272,21 @@ func compare(seed, pr metrics, threshold float64, gate gateSpec, out io.Writer) 
 			}
 			fmt.Fprintf(w, "%s%-50s %14s %14.4g → %-14.4g (%+.1f%%)\n", mark, name, unit, s, p, rel*100)
 		}
+	}
+	var missing []string
+	for name := range seed {
+		if pairs[name] == "" {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		mark := "- "
+		if gate.gates(name) {
+			mark = "✗!"
+			gated++
+		}
+		fmt.Fprintf(w, "%s%-50s missing from this run\n", mark, name)
 	}
 	matchedPR := map[string]bool{}
 	for _, prName := range pairs {

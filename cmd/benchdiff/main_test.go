@@ -152,6 +152,42 @@ func TestCompareFailOnRegressGate(t *testing.T) {
 	}
 }
 
+// TestCompareGatesMissingBenchmarks: a baseline benchmark the PR run lacks
+// (a renamed or deleted leg) is reported as missing; under the gate it
+// counts as a failure when the gate covers it, and only then.
+func TestCompareGatesMissingBenchmarks(t *testing.T) {
+	seed := metrics{
+		"BenchmarkEventRun/jump":   {"ns/op": 1e6, "sim-sec/sec": 600000},
+		"BenchmarkEventRun/oracle": {"ns/op": 2e6, "sim-sec/sec": 200000},
+		"BenchmarkTable1":          {"ns/op": 100e6},
+	}
+	pr := metrics{
+		"BenchmarkEventRun/jump": {"ns/op": 1e6, "sim-sec/sec": 600000},
+	}
+	var out strings.Builder
+	regressions, gated := compare(seed, pr, 0.25, gateSpec{pct: 15, match: "BenchmarkEventRun"}, &out)
+	// The oracle leg is gated and gone; Table1 is gone but outside the match.
+	if regressions != 0 || gated != 1 {
+		t.Fatalf("regressions, gated = %d, %d want 0, 1\n%s", regressions, gated, out.String())
+	}
+	text := out.String()
+	if !strings.Contains(text, "✗!BenchmarkEventRun/oracle") || !strings.Contains(text, "missing from this run") {
+		t.Fatalf("gated missing leg not reported:\n%s", text)
+	}
+	if !strings.Contains(text, "- BenchmarkTable1") {
+		t.Fatalf("ungated missing benchmark not reported:\n%s", text)
+	}
+
+	// Warn-only mode prints every missing row and gates none.
+	out.Reset()
+	if _, gated := compare(seed, pr, 0.25, gateSpec{}, &out); gated != 0 {
+		t.Fatalf("warn-only compare gated %d\n%s", gated, out.String())
+	}
+	if !strings.Contains(out.String(), "- BenchmarkEventRun/oracle") {
+		t.Fatalf("warn-only compare dropped the missing leg:\n%s", out.String())
+	}
+}
+
 // TestCompareReportsNewBenchmarks pins the "new bench" path: a PR-side
 // benchmark missing from the seed shows up as an informational line, never
 // as a regression — and never errors out, even when nothing matches.

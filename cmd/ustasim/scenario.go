@@ -24,20 +24,14 @@ import (
 // one coordinator either way, and aggregates and streams are identical
 // under every choice. localFallback lets such a run finish on the
 // in-process pool when every worker stays down past the coordinator's
-// recovery deadline. event selects
-// the stepping engine (off|tick|oracle|jump, "" is jump; see
-// repro.EventMode). walPath
-// journals the sweep to a write-ahead log and resume continues one that
-// was killed partway, re-running only unfinished cells — outputs stay
-// byte-identical to an uninterrupted run. Coordinator
-// recovery logs and the end-of-run stats snapshot go to stderr so stdout
-// stays byte-comparable across runner choices; statsPath additionally
-// dumps that end-of-run RunnerStats snapshot as JSON for tooling.
+// recovery deadline. walPath journals the sweep to a write-ahead log and
+// resume continues one that was killed partway, re-running only
+// unfinished cells — outputs stay byte-identical to an uninterrupted run.
+// Coordinator recovery logs and the end-of-run stats snapshot go to
+// stderr so stdout stays byte-comparable across runner choices; statsPath
+// additionally dumps that end-of-run RunnerStats snapshot as JSON for
+// tooling.
 func runScenario(o cliOptions, out io.Writer) error {
-	mode, err := repro.ParseEventMode(o.event)
-	if err != nil {
-		return err
-	}
 	spec, err := repro.LoadScenario(o.scenPath)
 	if err != nil {
 		return err
@@ -83,7 +77,6 @@ func runScenario(o cliOptions, out io.Writer) error {
 			}
 		}
 	}
-	opts = append(opts, repro.ScenarioEventMode(mode))
 	if o.walPath != "" {
 		opts = append(opts, repro.ScenarioWAL(o.walPath))
 		if o.resume {

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -12,6 +15,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/fleet/durable"
 	fleetnet "repro/internal/fleet/net"
 )
 
@@ -25,7 +29,7 @@ func TestMain(m *testing.M) {
 // scenOpts builds a runScenario option set for one sweep file; mutate
 // extras in the callback (nil for the defaults).
 func scenOpts(path string, mod func(*cliOptions)) cliOptions {
-	o := cliOptions{scenPath: path, event: "off"}
+	o := cliOptions{scenPath: path}
 	if mod != nil {
 		mod(&o)
 	}
@@ -258,23 +262,27 @@ func TestRunScenarioShardsStatsSmoke(t *testing.T) {
 // TestRunScenarioResumeSmoke is the CLI half of the durable-sweep
 // acceptance: a `-wal` run journals the sweep; crashes are simulated by
 // truncating the journal at several byte offsets; each `-resume` run must
-// write aggregate tables byte-identical to the uninterrupted run.
+// write aggregate tables byte-identical to the uninterrupted run. A
+// journal from a build that ran another engine is refused.
 func TestRunScenarioResumeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	specPath := writeSmokeSpec(t, dir)
 
-	run := func(label, wal string, resume bool) map[string]string {
-		t.Helper()
-		csvDir := filepath.Join(dir, label)
+	runErr := func(label, wal string, resume bool) error {
 		var out strings.Builder
-		if err := runScenario(scenOpts(specPath, func(o *cliOptions) {
+		return runScenario(scenOpts(specPath, func(o *cliOptions) {
 			o.workers = 2
 			o.walPath = wal
 			o.resume = resume
-			o.csvDir = csvDir
-		}), &out); err != nil {
+			o.csvDir = filepath.Join(dir, label)
+		}), &out)
+	}
+	run := func(label, wal string, resume bool) map[string]string {
+		t.Helper()
+		if err := runErr(label, wal, resume); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		csvDir := filepath.Join(dir, label)
 		tables := map[string]string{}
 		for _, f := range []string{"comfort.csv", "heatmap.csv"} {
 			tb, err := os.ReadFile(filepath.Join(csvDir, f))
@@ -299,6 +307,7 @@ func TestRunScenarioResumeSmoke(t *testing.T) {
 		submitEnd + 10,                 // torn mid cell table: full re-run
 		(submitEnd + len(walData)) / 2, // partial ledger survives
 		len(walData) - 5,               // torn status: every cell ledgered
+		len(walData),                   // complete journal: pure restore
 	}
 	for i, cut := range cuts {
 		label := fmt.Sprintf("cut%d", i)
@@ -320,6 +329,29 @@ func TestRunScenarioResumeSmoke(t *testing.T) {
 	err = runScenario(scenOpts(specPath, func(o *cliOptions) { o.workers = 1; o.walPath = cleanWal }), &out)
 	if err == nil || !strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("overwrite refusal: err = %v", err)
+	}
+
+	// A journal from a build that ran the fixed-tick loop: its submission
+	// record carries engine code 0, which the JSON omits. Rewrite the
+	// record that way (length prefix and CRC32C included); -resume must
+	// refuse it with the typed error instead of finishing it on another
+	// engine.
+	n := int(binary.LittleEndian.Uint32(walData[8:]))
+	payload := walData[8+4+1 : 8+4+1+n]
+	old := bytes.Replace(payload, []byte(`,"event":3`), nil, 1)
+	if len(old) == len(payload) {
+		t.Fatalf("submission record carries no engine code 3: %s", payload)
+	}
+	frame := binary.LittleEndian.AppendUint32(append([]byte(nil), walData[:8]...), uint32(len(old)))
+	frame = append(append(frame, walData[8+4]), old...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame[8+4:], crc32.MakeTable(crc32.Castagnoli)))
+	oldWal := filepath.Join(dir, "code0.wal")
+	if err := os.WriteFile(oldWal, append(frame, walData[submitEnd:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var em *durable.EventMismatchError
+	if err := runErr("code0", oldWal, true); !errors.As(err, &em) || em.Journaled != 0 {
+		t.Fatalf("resume of a code-0 journal: err = %v, want *durable.EventMismatchError{0}", err)
 	}
 }
 

@@ -93,41 +93,12 @@ func requireRunsIdentical(t *testing.T, label string, got, want []repro.JobResul
 	}
 }
 
-// TestEventTickMatchesOffTable1 is the event plumbing's acceptance pin:
-// EventTick routes the whole Table 1 grid — USTA controllers included —
-// through the event engine with every tick canonical, and must be
-// byte-identical to the plain loop on the local and sharded runners,
-// traced and trace-free.
-func TestEventTickMatchesOffTable1(t *testing.T) {
-	for _, traceFree := range []bool{false, true} {
-		mode := "traced"
-		if traceFree {
-			mode = "trace-free"
-		}
-		ref, refSink := eventExec(t, "off "+mode, traceFree, repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventOff))
-
-		got, gotSink := eventExec(t, "tick local "+mode, traceFree,
-			repro.ScenarioWorkers(runtime.GOMAXPROCS(0)), repro.ScenarioEventMode(repro.EventTick))
-		requireRunsIdentical(t, "tick local "+mode, got, ref, gotSink, refSink)
-
-		if !traceFree {
-			got, gotSink = eventExec(t, "tick sharded", traceFree,
-				repro.ScenarioEventMode(repro.EventTick), repro.ScenarioShards(2))
-			requireRunsIdentical(t, "tick sharded", got, ref, gotSink, refSink)
-		}
-	}
-}
-
-// TestDefaultEngineIsJump pins the production engine: a sweep that names
-// no engine, and Session.RunFor (the path behind ustatrace and the
-// examples), both run EventJump — bit for bit the same results, traces
-// and telemetry as asking for it by name.
+// TestDefaultEngineIsJump pins the production engine on the Session path
+// (behind ustatrace and the examples): Session.RunFor runs the event-jump
+// engine — bit for bit the same results, traces and telemetry as calling
+// it on the session's phone. The sweep path is pinned to the same engine
+// by internal/device's Table 1 tests.
 func TestDefaultEngineIsJump(t *testing.T) {
-	ref, refSink := eventExec(t, "named jump", false,
-		repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventJump))
-	got, gotSink := eventExec(t, "default", false, repro.ScenarioWorkers(1))
-	requireRunsIdentical(t, "default sweep", got, ref, gotSink, refSink)
-
 	pred := scenarioPipeline().Predictor()
 	session := func(label string, run func(*repro.Session, repro.Workload) (*repro.RunResult, error)) ([]repro.JobResult, *countingSink) {
 		t.Helper()
@@ -143,74 +114,26 @@ func TestDefaultEngineIsJump(t *testing.T) {
 		return []repro.JobResult{{Name: "game", Result: res}}, cs
 	}
 	const dur = 900
-	ref, refSink = session("named jump", func(s *repro.Session, w repro.Workload) (*repro.RunResult, error) {
-		return s.Phone().RunEventContext(context.Background(), w, dur, repro.EventJump)
+	ref, refSink := session("jump", func(s *repro.Session, w repro.Workload) (*repro.RunResult, error) {
+		return s.Phone().RunEventContext(context.Background(), w, dur)
 	})
-	got, gotSink = session("RunFor", func(s *repro.Session, w repro.Workload) (*repro.RunResult, error) {
+	got, gotSink := session("RunFor", func(s *repro.Session, w repro.Workload) (*repro.RunResult, error) {
 		return s.RunFor(context.Background(), w, dur)
 	})
 	requireRunsIdentical(t, "Session.RunFor", got, ref, gotSink, refSink)
 }
 
 // TestEventJumpRunnerInvariance pins the jump engine's determinism
-// contract: the mode changes the numbers relative to the tick oracle
-// (held-input discretization), but those numbers must not depend on the
-// runner shape or parallelism — local at 1 worker, local at GOMAXPROCS
-// and sharded all byte-identical.
+// contract: the engine changes the numbers relative to the fixed-tick
+// loop (held-input discretization), but those numbers must not depend on
+// the runner shape or parallelism — local at 1 worker, local at
+// GOMAXPROCS and sharded all byte-identical.
 func TestEventJumpRunnerInvariance(t *testing.T) {
-	ref, refSink := eventExec(t, "jump w1", false,
-		repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventJump))
+	ref, refSink := eventExec(t, "jump w1", false, repro.ScenarioWorkers(1))
 
-	got, gotSink := eventExec(t, "jump wN", false,
-		repro.ScenarioWorkers(runtime.GOMAXPROCS(0)), repro.ScenarioEventMode(repro.EventJump))
+	got, gotSink := eventExec(t, "jump wN", false, repro.ScenarioWorkers(runtime.GOMAXPROCS(0)))
 	requireRunsIdentical(t, "jump wN", got, ref, gotSink, refSink)
 
-	got, gotSink = eventExec(t, "jump sharded", false,
-		repro.ScenarioEventMode(repro.EventJump), repro.ScenarioShards(2))
+	got, gotSink = eventExec(t, "jump sharded", false, repro.ScenarioShards(2))
 	requireRunsIdentical(t, "jump sharded", got, ref, gotSink, refSink)
-}
-
-// TestEventJumpCloseToOracleTable1 bounds the held-input discretization
-// on the full grid, controllers included: peak temperatures within a
-// small fraction of a kelvin, energy and duty-cycle aggregates within a
-// small relative error. USTA runs may legitimately quantize an occasional
-// clamp decision differently (the controller reads binned sensor
-// records), which is why this plane is a tolerance, not an identity.
-func TestEventJumpCloseToOracleTable1(t *testing.T) {
-	ref, _ := eventExec(t, "off", true, repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventOff))
-	got, _ := eventExec(t, "jump", true,
-		repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventJump))
-
-	const tempTol = 0.25 // °C on peaks
-	const relTol = 0.05  // on energy / frequency / utilization aggregates
-	rel := func(a, b float64) float64 {
-		d := math.Abs(b)
-		if d < 1 {
-			d = 1
-		}
-		return math.Abs(a-b) / d
-	}
-	for i := range ref {
-		g, w := got[i].Result, ref[i].Result
-		temps := [][2]float64{
-			{g.MaxSkinC, w.MaxSkinC}, {g.MaxScreenC, w.MaxScreenC},
-			{g.MaxDieC, w.MaxDieC}, {g.MaxBatteryC, w.MaxBatteryC},
-		}
-		for ci, c := range temps {
-			if d := math.Abs(c[0] - c[1]); d > tempTol {
-				t.Errorf("job %d (%s) temp cell %d off by %.4f °C (jump %.4f, oracle %.4f)",
-					i, ref[i].Name, ci, d, c[0], c[1])
-			}
-		}
-		rels := [][2]float64{
-			{g.EnergyJ, w.EnergyJ}, {g.AvgFreqMHz, w.AvgFreqMHz},
-			{g.AvgUtil, w.AvgUtil}, {g.WorkDone, w.WorkDone}, {g.EndSoC, w.EndSoC},
-		}
-		for ci, c := range rels {
-			if d := rel(c[0], c[1]); d > relTol {
-				t.Errorf("job %d (%s) aggregate cell %d rel err %.4f (jump %v, oracle %v)",
-					i, ref[i].Name, ci, d, c[0], c[1])
-			}
-		}
-	}
 }

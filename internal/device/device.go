@@ -340,26 +340,31 @@ func (p *Phone) Run(w workload.Workload, dur float64) *RunResult {
 // between simulation steps, so cancellation or a deadline stops the run
 // within one StepSec of simulated progress. On early stop it returns the
 // partial result aggregated over the steps that did execute, together with
-// the context's error. The loop body lives in StepRun, whose ticks the
+// the context's error. The loop body lives in stepRun, whose ticks the
 // event engine also replays.
+//
+// This fixed-tick loop is not the production engine (RunEventContext is);
+// it stays for predictor corpus collection and Fig. 1, whose committed
+// results it produced, and as the reference the event engine's tests
+// compare against.
 func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64) (*RunResult, error) {
-	r := p.StartRun(w, dur)
-	for r.Done() < r.Steps() {
+	r := p.startRun(w, dur)
+	for r.done < r.steps {
 		if err := ctx.Err(); err != nil {
-			return r.Finish(err)
+			return r.finish(err)
 		}
-		r.PreStep()
+		r.preStep()
 		p.net.Step(r.dt)
-		r.PostStep()
+		r.postStep()
 	}
-	return r.Finish(nil)
+	return r.finish(nil)
 }
 
 // stepPre runs everything that precedes the tick's thermal integration:
 // workload demand → utilization, power computation and injection, battery
 // thermals, and hand-contact switching. It returns the workload's CPU
 // demand in aggregate core-MHz. A tick is stepPre, Network.Step, then
-// stepPost (StepRun.PreStep/PostStep).
+// stepPost (stepRun.preStep/postStep).
 func (p *Phone) stepPre(sample workload.Sample, dt float64) (demandMHz float64) {
 	// 1. Demand → utilization at the current operating point.
 	demand := sample.CPUFrac * p.cpu.MaxCapacityMHz()

@@ -2,150 +2,84 @@ package device
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/governor"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
-// EventMode selects the stepping engine for a run.
+// eventMode selects an event run's stepping engine. Production runs one
+// engine, modeJump (RunEventContext); the other two exist for the cases
+// jump cannot fold and for the tests that pin it.
 //
-// The fixed-tick oracle recomputes every input every 50 ms even though the
-// workload sample — the only *external* input — is piecewise-constant
-// between events (phase boundaries, burst edges, jitter slots, touch
-// flips). The event modes exploit that: a run is cut into segments at
-// every point where an input may change or an observation must happen
-// (logger emission, trace record, controller epoch), the segment's inputs
-// are frozen, and the per-tick *scheduling* arithmetic (utilization,
-// governor windows and fires, aggregate sums) is replayed exactly while
-// the *physics* (thermal network + sensor lags) advances under the frozen
-// drive — sequentially in EventOracle, in O(log ticks) matrix jumps in
-// EventJump.
+// The fixed-tick loop (RunContext) recomputes every input every 50 ms even
+// though the workload sample — the only *external* input — is
+// piecewise-constant between events (phase boundaries, burst edges,
+// jitter slots, touch flips). The event engine exploits that: a run is cut
+// into segments at every point where an input may change or an
+// observation must happen (logger emission, trace record, controller
+// epoch), the segment's inputs are frozen, and the per-tick *scheduling*
+// arithmetic (utilization, governor windows and fires, aggregate sums) is
+// replayed exactly while the *physics* (thermal network + sensor lags)
+// advances under the frozen drive — sequentially in modeOracle, in
+// O(log ticks) matrix jumps in modeJump.
 //
 // What is exact and what is approximate, precisely:
 //
-//   - EventOff is the plain fixed-tick loop, kept as the oracle the event
-//     engines are pinned against; it runs only when asked for by name.
-//   - EventTick runs the event machinery but takes every tick canonically;
-//     it is byte-identical to EventOff and exists to pin exactly that in
-//     CI.
-//   - EventOracle and EventJump hold each segment's power/battery inputs
-//     at segment-start values (a zero-order hold at event resolution,
-//     instead of tick resolution). Frequency, utilization, governor-level
+//   - modeTick runs the event machinery but takes every tick canonically;
+//     it is byte-identical to RunContext. Production falls back to it when
+//     jump cannot fold (hotplug, a workload without a boundary query), and
+//     the tests run it to pin the event plumbing against the tick loop.
+//   - modeOracle and modeJump hold each segment's power/battery inputs at
+//     segment-start values (a zero-order hold at event resolution, instead
+//     of tick resolution). Frequency, utilization, governor-level
 //     trajectories, work aggregates and record Util/FreqMHz averages are
 //     replayed bit-exactly for governor-driven runs; thermal-plane values
 //     (temperatures, energy, state of charge, sensor readings) differ
-//     from the tick oracle only by the held-input discretization, which
-//     the differential suite bounds to millikelvins on the paper's
-//     workloads. A controller that *reads* thermal observations (USTA)
-//     can therefore occasionally clamp one decision differently; runs
-//     without a controller stay exact on the whole scheduling plane.
-//   - EventJump vs EventOracle differ only by floating-point summation
-//     order in the physics (≈1e-9 °C); everything else is identical.
+//     from the tick loop only by the held-input discretization, which the
+//     differential suite bounds to millikelvins on the paper's workloads.
+//     A controller that *reads* thermal observations (USTA) can therefore
+//     occasionally clamp one decision differently; runs without a
+//     controller stay exact on the whole scheduling plane.
+//   - modeJump vs modeOracle differ only by floating-point summation order
+//     in the physics (≈1e-9 °C); everything else is identical. modeOracle
+//     is test-only.
 //
 // Ticks where draws, emissions or decisions happen — logger emissions,
 // trace records, controller epochs — close their segment: the physics
 // jump lands exactly on them and their emission/decision arithmetic is
-// replayed from the jumped state in the oracle's order, so every
-// sensor-noise draw happens at exactly the tick the oracle draws it and
+// replayed from the jumped state in the tick loop's order, so every
+// sensor-noise draw happens at exactly the tick the tick loop draws it and
 // the noise streams never desynchronize. A close-out may be a segment of
 // one tick (a level change landing just before an emission); only the
 // run's first tick and charging ticks stay fully canonical.
-//
-// The zero value is EventJump: the production engine is decided here and
-// nowhere else, so every caller that names no engine runs it. The in-memory
-// values are not what crosses a process boundary; the wire and the WAL
-// carry Code.
-type EventMode int
+type eventMode int
 
 const (
-	// EventJump folds held-input segments and advances the physics with
+	// modeJump folds held-input segments and advances the physics with
 	// power-of-two propagator-ladder jumps (thermal.Ladder): O(log gap)
-	// matrix applications per segment. The zero value: the production
-	// engine.
-	EventJump EventMode = iota
-	// EventTick drives the event engine with every tick canonical:
-	// byte-identical to EventOff, the CI pin for the event plumbing.
-	EventTick
-	// EventOracle folds held-input segments but advances the physics
-	// tick by tick: the differential midpoint between EventTick and
-	// EventJump.
-	EventOracle
-	// EventOff is the plain fixed-tick loop (no event machinery): the
-	// oracle, run only when requested explicitly.
-	EventOff
+	// matrix applications per segment. The production engine.
+	modeJump eventMode = iota
+	// modeTick drives the event engine with every tick canonical.
+	modeTick
+	// modeOracle folds held-input segments but advances the physics tick
+	// by tick: the differential midpoint between modeTick and modeJump.
+	modeOracle
 )
 
-// eventCodes are the modes' persisted codes (Code), stable across releases
-// whatever the in-memory order.
-var eventCodes = [...]int{EventOff: 0, EventTick: 1, EventOracle: 2, EventJump: 3}
+// folds reports whether the mode folds held-input segments (modeOracle,
+// modeJump) rather than taking every tick canonically.
+func (m eventMode) folds() bool { return m != modeTick }
 
-// Code returns the mode's stable code, the form it takes on the worker
-// wire (wire.ShardRequest.Event) and in the WAL (durable.Submission.Event):
-// off 0, tick 1, oracle 2, jump 3. An invalid mode has code -1, which
-// EventModeOfCode refuses.
-func (m EventMode) Code() int {
-	if m < 0 || int(m) >= len(eventCodes) {
-		return -1
-	}
-	return eventCodes[m]
-}
-
-// EventModeOfCode is the inverse of Code; an unknown code is an error.
-func EventModeOfCode(c int) (EventMode, error) {
-	for m, mc := range eventCodes {
-		if mc == c {
-			return EventMode(m), nil
-		}
-	}
-	return 0, fmt.Errorf("device: unknown event mode code %d (want 0..%d)", c, len(eventCodes)-1)
-}
-
-// folds reports whether the mode folds held-input segments (EventOracle,
-// EventJump) rather than taking every tick canonically.
-func (m EventMode) folds() bool { return m == EventOracle || m == EventJump }
-
-// String returns the CLI spelling of the mode.
-func (m EventMode) String() string {
-	switch m {
-	case EventOff:
-		return "off"
-	case EventTick:
-		return "tick"
-	case EventOracle:
-		return "oracle"
-	case EventJump:
-		return "jump"
-	}
-	return fmt.Sprintf("EventMode(%d)", int(m))
-}
-
-// ParseEventMode parses the CLI spelling of an event mode; the empty
-// string is the zero value, EventJump.
-func ParseEventMode(s string) (EventMode, error) {
-	switch s {
-	case "", "jump":
-		return EventJump, nil
-	case "tick":
-		return EventTick, nil
-	case "oracle":
-		return EventOracle, nil
-	case "off":
-		return EventOff, nil
-	}
-	return EventJump, fmt.Errorf("device: unknown event mode %q (want off|tick|oracle|jump)", s)
-}
-
-// EventRun drives a StepRun segment by segment instead of tick by tick.
-// Construct with Phone.StartEventRun and call Segment until Active
-// reports false, then Finish.
-type EventRun struct {
-	r    *StepRun
-	mode EventMode
+// eventRun drives a stepRun segment by segment instead of tick by tick.
+// Construct with Phone.startEventRun and call segment until the run is
+// done, then finish it.
+type eventRun struct {
+	r    *stepRun
+	mode eventMode
 
 	// boundary is the workload's next-change query; nil degrades the
-	// effective mode to EventTick (every tick canonical — correct for any
+	// effective mode to modeTick (every tick canonical — correct for any
 	// workload, just without the speedup).
 	boundary func(float64) float64
 
@@ -163,17 +97,17 @@ type EventRun struct {
 	lad    [2]*thermal.Ladder
 }
 
-// StartEventRun opens a tick-controlled run of w (StartRun) and wraps it
-// in the event engine. Modes that fold segments degrade to EventTick when
+// startEventRun opens a tick-controlled run of w (startRun) and wraps it
+// in the event engine. Modes that fold segments degrade to modeTick when
 // the workload has no boundary query or the device runs the hotplug
 // policy (whose online-core changes invalidate held capacity).
-func (p *Phone) StartEventRun(w workload.Workload, dur float64, mode EventMode) *EventRun {
-	r := p.StartRun(w, dur)
-	e := &EventRun{r: r, mode: mode}
+func (p *Phone) startEventRun(w workload.Workload, dur float64, mode eventMode) *eventRun {
+	r := p.startRun(w, dur)
+	e := &eventRun{r: r, mode: mode}
 	if mode.folds() {
 		e.boundary = workload.NextChangeOf(w)
 		if e.boundary == nil || p.hotplug != nil {
-			e.mode = EventTick
+			e.mode = modeTick
 		}
 	}
 	if e.mode.folds() {
@@ -189,56 +123,45 @@ func (p *Phone) StartEventRun(w workload.Workload, dur float64, mode EventMode) 
 	return e
 }
 
-// Run returns the underlying StepRun.
-func (e *EventRun) Run() *StepRun { return e.r }
+// RunEventContext is RunContext on the production engine, the event
+// engine's jump mode: the same results on the scheduling plane, thermal
+// observables within the held-input discretization tolerance (see
+// eventMode), and segment-granular cancellation (a segment is at most one
+// record period of simulated time). Every fleet job and Session run goes
+// through it.
+func (p *Phone) RunEventContext(ctx context.Context, w workload.Workload, dur float64) (*RunResult, error) {
+	return p.runEvents(ctx, w, dur, modeJump)
+}
 
-// Mode returns the effective mode (after any degradation to EventTick).
-func (e *EventRun) Mode() EventMode { return e.mode }
-
-// Active reports whether ticks remain.
-func (e *EventRun) Active() bool { return e.r.done < e.r.steps }
-
-// Finish closes the run (StepRun.Finish).
-func (e *EventRun) Finish(err error) (*RunResult, error) { return e.r.Finish(err) }
-
-// RunEventContext is RunContext on the event engine: segment-granular
-// cancellation (a segment is at most one record period of simulated time).
-// mode EventOff delegates to the plain tick loop.
-func (p *Phone) RunEventContext(ctx context.Context, w workload.Workload, dur float64, mode EventMode) (*RunResult, error) {
-	if mode == EventOff {
-		return p.RunContext(ctx, w, dur)
-	}
-	e := p.StartEventRun(w, dur, mode)
-	for e.Active() {
+// runEvents runs w on the event engine in the given mode.
+func (p *Phone) runEvents(ctx context.Context, w workload.Workload, dur float64, mode eventMode) (*RunResult, error) {
+	e := p.startEventRun(w, dur, mode)
+	for e.r.done < e.r.steps {
 		if err := ctx.Err(); err != nil {
-			return e.Finish(err)
+			return e.r.finish(err)
 		}
-		e.Segment()
+		e.segment()
 	}
-	return e.Finish(nil)
+	return e.r.finish(nil)
 }
 
-// canonicalTick advances exactly one oracle tick.
-func (e *EventRun) canonicalTick() {
+// canonicalTick advances exactly one tick of the tick loop.
+func (e *eventRun) canonicalTick() {
 	r := e.r
-	r.PreStep()
+	r.preStep()
 	r.p.net.Step(r.dt)
-	r.PostStep()
+	r.postStep()
 }
 
-// Segment advances the run by one unit: a single canonical tick when the
-// mode demands it (EventTick, the run's first tick, charging), otherwise
+// segment advances the run by one unit: a single canonical tick when the
+// mode demands it (modeTick, the run's first tick, charging), otherwise
 // one held-input segment of up to a record period's worth of folded
 // ticks, closed by the next observing/deciding tick.
-func (e *EventRun) Segment() {
-	r := e.r
-	if r.done >= r.steps {
-		return
-	}
+func (e *eventRun) segment() {
 	// The first tick is always canonical: it primes the sensor lags,
 	// opens the logger window and emits the initial record, exactly like
-	// the oracle.
-	if !e.mode.folds() || r.done == 0 {
+	// the tick loop.
+	if !e.mode.folds() || e.r.done == 0 {
 		e.canonicalTick()
 		return
 	}
@@ -247,9 +170,9 @@ func (e *EventRun) Segment() {
 
 // runHeld folds one held-input segment: inputs frozen at segment start,
 // per-tick scheduling arithmetic replayed exactly, physics advanced under
-// the frozen drive at the end (sequentially in EventOracle, by ladder
-// jump in EventJump).
-func (e *EventRun) runHeld() {
+// the frozen drive at the end (sequentially in modeOracle, by ladder
+// jump in modeJump).
+func (e *eventRun) runHeld() {
 	r := e.r
 	p := r.p
 	res := r.res
@@ -301,15 +224,15 @@ func (e *EventRun) runHeld() {
 	// physics jump lands exactly on it and its emission arithmetic is
 	// replayed from the jumped state below. The loop body replays
 	// stepPost's scheduling arithmetic (logger accumulation BEFORE the
-	// governor block, aggregate frequency AFTER it — PostStep's order)
+	// governor block, aggregate frequency AFTER it — postStep's order)
 	// add for add, so every accumulator sees the identical float sequence
-	// the oracle would produce.
+	// the tick loop would produce.
 	// Per-tick constants and accumulators hoisted to locals: the governor
 	// interface call inside the loop could alias anything as far as the
 	// compiler knows, so field-resident accumulators would be reloaded
 	// and re-stored every tick. The products powerNow·dt and demand·dt
 	// are bitwise the same every tick, so computing them once preserves
-	// the oracle's exact add sequence.
+	// the tick loop's exact add sequence.
 	level := p.cpu.Level()
 	maxSteps := r.steps - r.done
 	powerDt := powerNow * dt
@@ -403,7 +326,7 @@ func (e *EventRun) runHeld() {
 	p.net.SetPower(p.nodes.Screen, displayPower)
 	p.powerNowW = powerNow
 
-	if e.mode == EventJump {
+	if e.mode == modeJump {
 		if l := e.ladderFor(dt); l != nil {
 			e.states[0] = p.cpuSensor.LagState()
 			e.states[1] = p.batSensor.LagState()
@@ -422,9 +345,9 @@ func (e *EventRun) runHeld() {
 	}
 
 	// Close-out tick: replay the observing/deciding tick's scheduling and
-	// emission arithmetic from the jumped state, in stepPost/PostStep's
+	// emission arithmetic from the jumped state, in stepPost/postStep's
 	// order — logger accumulation and emission (the noise draws happen
-	// here, at exactly the tick the oracle draws them), governor window,
+	// here, at exactly the tick the tick loop draws them), governor window,
 	// controller epoch, then the post-decision frequency into the
 	// aggregates and the trace record.
 	var freqOut float64
@@ -463,10 +386,10 @@ func (e *EventRun) runHeld() {
 	}
 
 	// Peak tracking from the segment-end state. Between two records the
-	// oracle checks every tick; under monotone intra-segment transients
+	// tick loop checks every tick; under monotone intra-segment transients
 	// (the common case — segments are sub-second) the end state is the
 	// extremum, and the record ticks closing each segment replay the
-	// oracle's record arithmetic either way. The differential suite bounds
+	// tick loop's record arithmetic either way. The differential suite bounds
 	// the residual.
 	skin := p.net.Temp(p.nodes.CoverMid)
 	screen := p.net.Temp(p.nodes.Screen)
@@ -486,7 +409,7 @@ func (e *EventRun) runHeld() {
 	}
 
 	// Trace record + telemetry observer at the close-out tick, exactly
-	// PostStep's record block.
+	// postStep's record block.
 	if closeOut && p.timeSec-r.lastRecord+1e-9 >= p.cfg.RecordPeriodSec {
 		if res.Trace != nil {
 			res.Trace.Append(p.timeSec,
@@ -513,10 +436,10 @@ func (e *EventRun) runHeld() {
 
 // seqPhysics advances the physics k ticks under the already-injected
 // frozen drive: the per-tick propagator step plus the sensor lag
-// recurrence, exactly the oracle's physics path with held inputs
-// (EventOracle, and EventJump's fallback when no ladder is available —
+// recurrence, exactly the tick loop's physics path with held inputs
+// (modeOracle, and modeJump's fallback when no ladder is available —
 // e.g. RK4-forced networks).
-func (e *EventRun) seqPhysics(k int) {
+func (e *eventRun) seqPhysics(k int) {
 	p := e.r.p
 	dt := e.r.dt
 	for i := 0; i < k; i++ {
@@ -530,7 +453,7 @@ func (e *EventRun) seqPhysics(k int) {
 
 // ladderFor returns the jump ladder for the network's current
 // configuration through the run's two-slot memo (touching / not).
-func (e *EventRun) ladderFor(dt float64) *thermal.Ladder {
+func (e *eventRun) ladderFor(dt float64) *thermal.Ladder {
 	sig := e.r.p.net.Fingerprint()
 	if e.lad[0] != nil && e.ladSig[0] == sig {
 		return e.lad[0]

@@ -25,7 +25,7 @@ func eventDiffWorkloads() map[string]workload.Workload {
 	}
 }
 
-// runOracle runs the plain fixed-tick loop.
+// runOracle runs the plain fixed-tick loop (RunContext).
 func runOracle(t *testing.T, cfg Config, w workload.Workload, dur float64, ctrl Controller) *RunResult {
 	t.Helper()
 	p := MustNew(cfg, nil)
@@ -36,15 +36,15 @@ func runOracle(t *testing.T, cfg Config, w workload.Workload, dur float64, ctrl 
 }
 
 // runEvent runs the event engine in the given mode.
-func runEvent(t *testing.T, cfg Config, w workload.Workload, dur float64, ctrl Controller, mode EventMode) *RunResult {
+func runEvent(t *testing.T, cfg Config, w workload.Workload, dur float64, ctrl Controller, mode eventMode) *RunResult {
 	t.Helper()
 	p := MustNew(cfg, nil)
 	if ctrl != nil {
 		p.SetController(ctrl)
 	}
-	res, err := p.RunEventContext(context.Background(), w, dur, mode)
+	res, err := p.runEvents(context.Background(), w, dur, mode)
 	if err != nil {
-		t.Fatalf("event run (%v): %v", mode, err)
+		t.Fatalf("event run (mode %d): %v", mode, err)
 	}
 	return res
 }
@@ -206,27 +206,27 @@ func requireThermalClose(t *testing.T, label string, want, got *RunResult, tempT
 	}
 }
 
-// TestEventTickByteIdentical pins the event plumbing itself: EventTick
+// TestEventTickByteIdentical pins the event plumbing itself: modeTick
 // routes every tick through the canonical path and must be byte-identical
 // to the plain loop on every workload, including charging and touch.
 func TestEventTickByteIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	for name, w := range eventDiffWorkloads() {
 		oracle := runOracle(t, cfg, w, 0, nil)
-		tick := runEvent(t, cfg, w, 0, nil, EventTick)
+		tick := runEvent(t, cfg, w, 0, nil, modeTick)
 		requireIdentical(t, name+"/tick", oracle, tick)
 	}
 }
 
 // TestEventJumpSchedulingExactThermalClose is the headline differential:
-// EventJump must replay the scheduling plane bit for bit (governor-driven
+// modeJump must replay the scheduling plane bit for bit (governor-driven
 // runs read only utilization) while the thermal plane stays within the
 // held-input discretization tolerance.
 func TestEventJumpSchedulingExactThermalClose(t *testing.T) {
 	cfg := DefaultConfig()
 	for name, w := range eventDiffWorkloads() {
 		oracle := runOracle(t, cfg, w, 0, nil)
-		jump := runEvent(t, cfg, w, 0, nil, EventJump)
+		jump := runEvent(t, cfg, w, 0, nil, modeJump)
 		requireSchedulingIdentical(t, name+"/jump", oracle, jump)
 		requireThermalClose(t, name+"/jump", oracle, jump, 0.05, 2e-3)
 	}
@@ -238,8 +238,8 @@ func TestEventJumpSchedulingExactThermalClose(t *testing.T) {
 func TestEventJumpMatchesEventOracle(t *testing.T) {
 	cfg := DefaultConfig()
 	for name, w := range eventDiffWorkloads() {
-		oracle := runEvent(t, cfg, w, 0, nil, EventOracle)
-		jump := runEvent(t, cfg, w, 0, nil, EventJump)
+		oracle := runEvent(t, cfg, w, 0, nil, modeOracle)
+		jump := runEvent(t, cfg, w, 0, nil, modeJump)
 		requireSchedulingIdentical(t, name+"/jump-vs-oracle", oracle, jump)
 		requireThermalClose(t, name+"/jump-vs-oracle", oracle, jump, 1e-6, 1e-9)
 	}
@@ -252,9 +252,9 @@ func TestEventControllerEpochsCanonical(t *testing.T) {
 	cfg := DefaultConfig()
 	w := workload.Skype(7)
 	oracle := runOracle(t, cfg, w, 240, &clampController{level: 2})
-	tick := runEvent(t, cfg, w, 240, &clampController{level: 2}, EventTick)
+	tick := runEvent(t, cfg, w, 240, &clampController{level: 2}, modeTick)
 	requireIdentical(t, "ctrl/tick", oracle, tick)
-	jump := runEvent(t, cfg, w, 240, &clampController{level: 2}, EventJump)
+	jump := runEvent(t, cfg, w, 240, &clampController{level: 2}, modeJump)
 	requireSchedulingIdentical(t, "ctrl/jump", oracle, jump)
 	requireThermalClose(t, "ctrl/jump", oracle, jump, 0.05, 2e-3)
 	if oracle.Ctrl != jump.Ctrl || jump.Ctrl != "clamp" {
@@ -264,20 +264,16 @@ func TestEventControllerEpochsCanonical(t *testing.T) {
 
 // TestEventHotplugFallsBackToTick pins the degradation rule: hotplugged
 // devices cannot hold capacity across a segment, so folding modes degrade
-// to EventTick and stay byte-identical.
+// to modeTick and stay byte-identical.
 func TestEventHotplugFallsBackToTick(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnableHotplug = true
 	w := workload.SquareWave(1, 20, 0.5, 0.9, 0.05, 240)
 	p := MustNew(cfg, nil)
-	e := p.StartEventRun(w, 0, EventJump)
-	if e.Mode() != EventTick {
-		t.Fatalf("hotplug event mode = %v, want EventTick", e.Mode())
+	if e := p.startEventRun(w, 0, modeJump); e.mode != modeTick {
+		t.Fatalf("hotplug event mode = %d, want modeTick", e.mode)
 	}
-	for e.Active() {
-		e.Segment()
-	}
-	got, err := e.Finish(nil)
+	got, err := p.RunEventContext(context.Background(), w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,14 +286,10 @@ func TestEventHotplugFallsBackToTick(t *testing.T) {
 func TestEventOpaqueWorkloadFallsBackToTick(t *testing.T) {
 	w := opaqueWorkload{}
 	p := MustNew(DefaultConfig(), nil)
-	e := p.StartEventRun(w, 60, EventJump)
-	if e.Mode() != EventTick {
-		t.Fatalf("opaque workload event mode = %v, want EventTick", e.Mode())
+	if e := p.startEventRun(w, 60, modeJump); e.mode != modeTick {
+		t.Fatalf("opaque workload event mode = %d, want modeTick", e.mode)
 	}
-	for e.Active() {
-		e.Segment()
-	}
-	got, err := e.Finish(nil)
+	got, err := p.RunEventContext(context.Background(), w, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,23 +306,23 @@ func (opaqueWorkload) At(t float64) workload.Sample {
 }
 
 // TestEventRK4FallbackHeldParity pins the ladder-unavailable path: with
-// the network forced to RK4, LadderFor returns nil and EventJump's
+// the network forced to RK4, LadderFor returns nil and modeJump's
 // physics degrades to the sequential held-input path — byte-identical to
-// EventOracle under the same forcing.
+// modeOracle under the same forcing.
 func TestEventRK4FallbackHeldParity(t *testing.T) {
 	cfg := DefaultConfig()
 	w := workload.Skype(7)
-	mk := func(mode EventMode) *RunResult {
+	mk := func(mode eventMode) *RunResult {
 		p := MustNew(cfg, nil)
 		p.net.UseRK4(true)
-		res, err := p.RunEventContext(context.Background(), w, 180, mode)
+		res, err := p.runEvents(context.Background(), w, 180, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	oracle := mk(EventOracle)
-	jump := mk(EventJump)
+	oracle := mk(modeOracle)
+	jump := mk(modeJump)
 	requireIdentical(t, "rk4-fallback", oracle, jump)
 }
 
@@ -350,7 +342,7 @@ func TestEventTouchFlipSplitsGap(t *testing.T) {
 	w := workload.New("touchflip", 0, phases...)
 	cfg := DefaultConfig()
 	oracle := runOracle(t, cfg, w, 0, nil)
-	jump := runEvent(t, cfg, w, 0, nil, EventJump)
+	jump := runEvent(t, cfg, w, 0, nil, modeJump)
 	requireSchedulingIdentical(t, "touchflip/jump", oracle, jump)
 	requireThermalClose(t, "touchflip/jump", oracle, jump, 0.05, 2e-3)
 	// The flip must actually couple the hand: skin peaks above an
@@ -366,7 +358,7 @@ func TestEventRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := MustNew(DefaultConfig(), nil)
-	res, err := p.RunEventContext(ctx, workload.Skype(7), 120, EventJump)
+	res, err := p.RunEventContext(ctx, workload.Skype(7), 120)
 	if err == nil {
 		t.Fatal("cancelled event run reported no error")
 	}
@@ -400,46 +392,8 @@ func TestEventCounterNoiseVersion(t *testing.T) {
 	if same {
 		t.Fatal("counter noise stream produced the legacy draw sequence")
 	}
-	// The event engine is stream-agnostic: byte-identical under EventTick
+	// The event engine is stream-agnostic: byte-identical under modeTick
 	// for the counter stream too.
-	tick := runEvent(t, counter, w, 120, nil, EventTick)
+	tick := runEvent(t, counter, w, 120, nil, modeTick)
 	requireIdentical(t, "counter/tick", ct, tick)
-}
-
-var _ = math.MaxFloat64
-
-// TestEventModeCodes pins the engine choice and its persisted form: the
-// zero value (and the empty CLI spelling) is EventJump, and every mode's
-// wire/WAL code is the one it has always had, whatever the in-memory
-// order — off 0, tick 1, oracle 2, jump 3 — with unknown codes refused.
-func TestEventModeCodes(t *testing.T) {
-	var zero EventMode
-	if zero != EventJump {
-		t.Fatalf("zero EventMode = %v, want jump", zero)
-	}
-	if m, err := ParseEventMode(""); err != nil || m != EventJump {
-		t.Fatalf(`ParseEventMode("") = %v, %v; want jump`, m, err)
-	}
-	for _, c := range []struct {
-		mode EventMode
-		code int
-	}{{EventOff, 0}, {EventTick, 1}, {EventOracle, 2}, {EventJump, 3}} {
-		if got := c.mode.Code(); got != c.code {
-			t.Errorf("%v.Code() = %d, want %d", c.mode, got, c.code)
-		}
-		if m, err := EventModeOfCode(c.code); err != nil || m != c.mode {
-			t.Errorf("EventModeOfCode(%d) = %v, %v; want %v", c.code, m, err, c.mode)
-		}
-		if m, err := ParseEventMode(c.mode.String()); err != nil || m != c.mode {
-			t.Errorf("ParseEventMode(%q) = %v, %v", c.mode.String(), m, err)
-		}
-	}
-	for _, c := range []int{-1, 4, 1 << 40} {
-		if m, err := EventModeOfCode(c); err == nil {
-			t.Errorf("EventModeOfCode(%d) = %v, want an error", c, m)
-		}
-	}
-	if got := EventMode(17).Code(); got != -1 {
-		t.Errorf("invalid mode code = %d, want -1", got)
-	}
 }

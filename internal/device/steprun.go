@@ -7,16 +7,16 @@ import (
 	"repro/internal/workload"
 )
 
-// StepRun is one workload execution under external tick control: the same
-// loop RunContext runs, opened up so a caller can interleave the phone's
-// per-tick work with its own scheduling. RunContext is implemented on a
-// StepRun, and the event engine (EventRun) wraps one and takes its
-// canonical ticks through it, so both engines share that tick code.
+// stepRun is one workload execution under external tick control: the
+// tick loop RunContext runs, opened up so the event engine (eventRun) can
+// interleave its own scheduling. RunContext is implemented on a stepRun,
+// and the event engine wraps one and takes its canonical ticks through
+// it, so both engines share that tick code.
 //
-// The tick protocol per step is PreStep → advance p.Network() by Dt →
-// PostStep. Finish closes the run (idempotent) and returns the aggregated
-// result.
-type StepRun struct {
+// The tick protocol per step is preStep → advance the thermal network by
+// dt → postStep. finish closes the run (idempotent) and returns the
+// aggregated result.
+type stepRun struct {
 	p   *Phone
 	res *RunResult
 	at  func(float64) workload.Sample
@@ -31,12 +31,12 @@ type StepRun struct {
 	finished   bool
 }
 
-// StartRun opens a tick-controlled run of w for min(dur, workload
+// startRun opens a tick-controlled run of w for min(dur, workload
 // duration) seconds (dur <= 0: the workload's full duration), performing
 // exactly RunContext's setup: trace preallocation, aggregate
 // initialization from the phone's current state, and the per-run workload
 // cursor.
-func (p *Phone) StartRun(w workload.Workload, dur float64) *StepRun {
+func (p *Phone) startRun(w workload.Workload, dur float64) *stepRun {
 	if dur <= 0 || dur > w.Duration() {
 		dur = w.Duration()
 	}
@@ -46,7 +46,7 @@ func (p *Phone) StartRun(w workload.Workload, dur float64) *StepRun {
 		DurSec:   dur,
 	}
 	dt := p.cfg.StepSec
-	r := &StepRun{
+	r := &stepRun{
 		p:          p,
 		res:        res,
 		at:         workload.SamplerOf(w),
@@ -77,22 +77,16 @@ func (p *Phone) StartRun(w workload.Workload, dur float64) *StepRun {
 	return r
 }
 
-// Steps returns the total tick count of the run.
-func (r *StepRun) Steps() int { return r.steps }
-
-// Done returns how many ticks have completed (PreStep+PostStep pairs).
-func (r *StepRun) Done() int { return r.done }
-
-// PreStep runs the pre-thermal half of the next tick: workload sampling,
+// preStep runs the pre-thermal half of the next tick: workload sampling,
 // power injection and touch switching. The caller must advance the
-// phone's thermal network by Dt before calling PostStep.
-func (r *StepRun) PreStep() {
+// phone's thermal network by dt before calling postStep.
+func (r *stepRun) preStep() {
 	r.demand = r.p.stepPre(r.at(r.p.timeSec), r.dt)
 }
 
-// PostStep runs the post-thermal half of the tick — clock, sensors,
+// postStep runs the post-thermal half of the tick — clock, sensors,
 // governor, controller — and folds the tick into the run aggregates.
-func (r *StepRun) PostStep() {
+func (r *stepRun) postStep() {
 	p := r.p
 	res := r.res
 	p.stepPost(r.dt)
@@ -149,11 +143,11 @@ func (r *StepRun) PostStep() {
 	r.done++
 }
 
-// Finish closes the run and returns the aggregated result together with
+// finish closes the run and returns the aggregated result together with
 // err (a context error for cancelled runs, nil otherwise). A run stopped
 // before its last tick reports the simulated time it actually covered.
-// Finish is idempotent; ticking a finished run is a caller bug.
-func (r *StepRun) Finish(err error) (*RunResult, error) {
+// finish is idempotent; ticking a finished run is a caller bug.
+func (r *stepRun) finish(err error) (*RunResult, error) {
 	if r.finished {
 		return r.res, err
 	}

@@ -6,13 +6,13 @@ import (
 	"os"
 
 	"repro/internal/analytics"
-	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/scenario"
 )
 
 // replay folds a job log's raw records into typed state. Later records
-// win per cell index, so replaying a log twice is idempotent.
+// win per cell index, so replaying a log twice is idempotent. A record
+// that does not decode, or of an unknown type, is ErrCorrupt.
 func replay(recs []Record) (sub *Submission, cells []CellRef, done map[int]CellResult, status *Status, err error) {
 	done = map[int]CellResult{}
 	for _, r := range recs {
@@ -20,33 +20,33 @@ func replay(recs []Record) (sub *Submission, cells []CellRef, done map[int]CellR
 		case recSubmit:
 			var s Submission
 			if err = json.Unmarshal(r.Payload, &s); err != nil {
-				err = fmt.Errorf("durable: submission record: %w", err)
+				err = fmt.Errorf("%w: submission record: %w", ErrCorrupt, err)
 				return
 			}
 			sub = &s
 		case recCells:
 			var cs []CellRef
 			if err = json.Unmarshal(r.Payload, &cs); err != nil {
-				err = fmt.Errorf("durable: cell table: %w", err)
+				err = fmt.Errorf("%w: cell table: %w", ErrCorrupt, err)
 				return
 			}
 			cells = cs
 		case recCell:
 			var c CellResult
 			if err = json.Unmarshal(r.Payload, &c); err != nil {
-				err = fmt.Errorf("durable: cell record: %w", err)
+				err = fmt.Errorf("%w: cell record: %w", ErrCorrupt, err)
 				return
 			}
 			done[c.Index] = c
 		case recStatus:
 			var st Status
 			if err = json.Unmarshal(r.Payload, &st); err != nil {
-				err = fmt.Errorf("durable: status record: %w", err)
+				err = fmt.Errorf("%w: status record: %w", ErrCorrupt, err)
 				return
 			}
 			status = &st
 		default:
-			err = fmt.Errorf("durable: unknown record type 0x%02x", r.Type)
+			err = fmt.Errorf("%w: unknown record type 0x%02x", ErrCorrupt, r.Type)
 			return
 		}
 	}
@@ -196,42 +196,44 @@ func CellEntry(res fleet.JobResult, limitC float64, acc *analytics.ViolationAccu
 	return c
 }
 
-// EventMismatchError refuses to resume a sweep journaled under a
-// different stepping-engine mode: finishing it on another engine would
+// engineJump is the Submission.Event code of the one stepping engine this
+// build runs, the event engine's jump mode. Codes are stable across
+// builds: 0 was the fixed-tick loop, 1 and 2 the event engine's tick and
+// oracle modes.
+const engineJump = 3
+
+// engineNames spells the engine codes older builds journaled.
+var engineNames = [...]string{"fixed-tick", "event-tick", "event-oracle"}
+
+// EventMismatchError refuses to resume a sweep journaled on a stepping
+// engine this build does not run: finishing it on another engine would
 // mix physics in one result.
 type EventMismatchError struct {
-	// Journaled and Run are the device.EventMode codes ((EventMode).Code)
-	// of the journaled submission and of the resuming run.
-	Journaled, Run int
+	// Journaled is the journal's engine code (Submission.Event).
+	Journaled int
 }
 
 func (e *EventMismatchError) Error() string {
-	return fmt.Sprintf("durable: sweep was journaled under event mode %s, this run uses %s; resume it on its own engine (-event %s)",
-		eventName(e.Journaled), eventName(e.Run), eventName(e.Journaled))
-}
-
-// eventName spells an event-mode code the way -event takes it.
-func eventName(code int) string {
-	m, err := device.EventModeOfCode(code)
-	if err != nil {
-		return fmt.Sprintf("code %d", code)
+	name := fmt.Sprintf("code %d", e.Journaled)
+	if e.Journaled >= 0 && e.Journaled < len(engineNames) {
+		name = engineNames[e.Journaled]
 	}
-	return m.String()
+	return fmt.Sprintf("durable: sweep was journaled on the %s engine, which this build does not run; start the sweep afresh", name)
 }
 
 // Resume is the plan step every sweep goes through. rj is the sweep's
 // replayed journal (nil: a fresh sweep). The journal must have been
-// written under the same event mode (an *EventMismatchError otherwise);
+// written on this build's engine (an *EventMismatchError otherwise);
 // when it holds no cell table yet — a fresh sweep, or a crash before
 // expansion — the grid's table is handed to journalCells (nil: not
 // journaled). The plan verifies any journaled table and ledger against
 // the grid (see NewPlan).
-func Resume(grid *scenario.Grid, event int, rj *RecoveredJob, journalCells func([]CellRef) error) (*Plan, error) {
+func Resume(grid *scenario.Grid, rj *RecoveredJob, journalCells func([]CellRef) error) (*Plan, error) {
 	var cells []CellRef
 	var done map[int]CellResult
 	if rj != nil {
-		if rj.Sub != nil && rj.Sub.Event != event {
-			return nil, &EventMismatchError{Journaled: rj.Sub.Event, Run: event}
+		if rj.Sub != nil && rj.Sub.Event != engineJump {
+			return nil, &EventMismatchError{Journaled: rj.Sub.Event}
 		}
 		cells, done = rj.Cells, rj.Done
 	}
@@ -246,10 +248,10 @@ func Resume(grid *scenario.Grid, event int, rj *RecoveredJob, journalCells func(
 // OpenSweep opens (or creates) a single-sweep WAL for a local run — the
 // `ustasim -wal` path. A fresh (or header-only) file is initialized with
 // the submission and cell table. An existing journal requires
-// resume=true, and is then verified through Resume — same event mode,
-// same grid — and returned with its plan; a journal without resume is
-// refused rather than overwritten.
-func OpenSweep(path string, grid *scenario.Grid, spec json.RawMessage, event int, resume bool) (*JobLog, *Plan, error) {
+// resume=true, and is then verified through Resume — same engine, same
+// grid — and returned with its plan; a journal without resume is refused
+// rather than overwritten.
+func OpenSweep(path string, grid *scenario.Grid, spec json.RawMessage, resume bool) (*JobLog, *Plan, error) {
 	fi, statErr := os.Stat(path)
 	if statErr != nil && !os.IsNotExist(statErr) {
 		return nil, nil, statErr
@@ -276,13 +278,13 @@ func OpenSweep(path string, grid *scenario.Grid, spec json.RawMessage, event int
 	if rj.Sub == nil {
 		// A fresh file, or a header-only one (a crash before the submission
 		// synced): journal the submission now.
-		rj.Sub = &Submission{ID: rj.ID, Spec: spec, Event: event}
+		rj.Sub = &Submission{ID: rj.ID, Spec: spec, Event: engineJump}
 		if err := l.append(recSubmit, rj.Sub, true); err != nil {
 			l.Close()
 			return nil, nil, err
 		}
 	}
-	plan, err := Resume(grid, event, rj, l.Cells)
+	plan, err := Resume(grid, rj, l.Cells)
 	if err != nil {
 		l.Close()
 		return nil, nil, fmt.Errorf("%s: %w", path, err)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/analytics"
-	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/scenario"
 )
@@ -137,7 +136,7 @@ func TestOpenSweepLifecycle(t *testing.T) {
 	spec := json.RawMessage(`{"version":1}`)
 
 	// Fresh: all cells todo.
-	l, plan, err := OpenSweep(path, grid, spec, 3, false)
+	l, plan, err := OpenSweep(path, grid, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +151,12 @@ func TestOpenSweepLifecycle(t *testing.T) {
 	}
 
 	// Existing non-empty log without resume: refused, not overwritten.
-	if _, _, err := OpenSweep(path, grid, spec, 3, false); err == nil || !strings.Contains(err.Error(), "-resume") {
+	if _, _, err := OpenSweep(path, grid, spec, false); err == nil || !strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("overwrite refusal: err = %v", err)
 	}
 
-	// Event-mode mismatch: refused.
-	if _, _, err := OpenSweep(path, grid, spec, 0, true); err == nil || !strings.Contains(err.Error(), "event mode") {
-		t.Fatalf("event mismatch: err = %v", err)
-	}
-
 	// Resume: cell 2 restored, three to run.
-	l, plan, err = OpenSweep(path, grid, spec, 3, true)
+	l, plan, err = OpenSweep(path, grid, spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +176,14 @@ func TestOpenSweepLifecycle(t *testing.T) {
 func TestOpenSweepGridDrift(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.wal")
 	grid := testGrid()
-	l, _, err := OpenSweep(path, grid, json.RawMessage(`{}`), 0, false)
+	l, _, err := OpenSweep(path, grid, json.RawMessage(`{}`), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
 	drift := testGrid()
 	drift.Points[3].Seed = 777
-	if _, _, err := OpenSweep(path, drift, json.RawMessage(`{}`), 0, true); err == nil {
+	if _, _, err := OpenSweep(path, drift, json.RawMessage(`{}`), true); err == nil {
 		t.Fatal("seed drift accepted on resume")
 	}
 }
@@ -208,7 +202,7 @@ func TestOpenSweepHeaderOnly(t *testing.T) {
 	}
 	grid := testGrid()
 	spec := json.RawMessage(`{"version":1}`)
-	l, plan, err := OpenSweep(path, grid, spec, 3, true)
+	l, plan, err := OpenSweep(path, grid, spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,43 +233,65 @@ func TestOpenSweepHeaderOnly(t *testing.T) {
 	}
 }
 
-// TestResumeEventMismatch: a journal written under one event mode refuses
-// to resume under another with the typed error, whether the journal came
-// from a job server's store or from OpenSweep. The case that matters is a
-// journal from before EventJump became the default: it carries code 0
-// (the fixed-tick loop) and the production engine (code 3) must refuse it,
-// while an explicit EventOff resumes it.
-func TestResumeEventMismatch(t *testing.T) {
-	var prod device.EventMode // the zero value: the production engine
-	off := device.EventOff.Code()
-	grid := testGrid()
-	_, err := Resume(grid, prod.Code(), &RecoveredJob{Sub: &Submission{ID: "j1"}}, nil)
-	var em *EventMismatchError
-	if !errors.As(err, &em) || em.Journaled != 0 || em.Run != 3 {
-		t.Fatalf("Resume: err = %v, want *EventMismatchError{0, 3}", err)
+// writeSweepJournal writes a single-sweep journal the way a build that
+// ran the given engine code left it: the submission, grid's cell table
+// and cell 1 ledgered.
+func writeSweepJournal(t *testing.T, path string, grid *scenario.Grid, code int) {
+	t.Helper()
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "-event off") {
-		t.Fatalf("Resume: err = %q does not name the journal's engine", err)
+	for _, r := range []struct {
+		typ byte
+		v   any
+	}{
+		{recSubmit, Submission{ID: "sweep", Spec: json.RawMessage(`{}`), Event: code}},
+		{recCells, GridCells(grid)},
+		{recCell, CellResult{Index: 1, Name: "b", SeedUsed: 11}},
+	} {
+		payload, err := json.Marshal(r.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(r.typ, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeEventMismatch: a journal written on an engine this build does
+// not run refuses to resume with the typed error, whether it reaches
+// Resume from a job server's store or through OpenSweep. That is code 0
+// (the fixed-tick loop: every journal from before the jump engine became
+// the default), 1 and 2; a code-3 journal resumes.
+func TestResumeEventMismatch(t *testing.T) {
+	grid := testGrid()
+	for code, name := range []string{"fixed-tick", "event-tick", "event-oracle"} {
+		_, err := Resume(grid, &RecoveredJob{Sub: &Submission{ID: "j1", Event: code}}, nil)
+		var em *EventMismatchError
+		if !errors.As(err, &em) || em.Journaled != code {
+			t.Fatalf("Resume code %d: err = %v, want *EventMismatchError{%d}", code, err, code)
+		}
+		if msg := err.Error(); !strings.Contains(msg, name) || !strings.Contains(msg, "afresh") {
+			t.Fatalf("Resume code %d: err = %q does not name the journal's engine", code, msg)
+		}
+
+		path := filepath.Join(t.TempDir(), "sweep.wal")
+		writeSweepJournal(t, path, grid, code)
+		if _, _, err = OpenSweep(path, grid, json.RawMessage(`{}`), true); !errors.As(err, &em) || em.Journaled != code {
+			t.Fatalf("OpenSweep code %d: err = %v, want *EventMismatchError{%d}", code, err, code)
+		}
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.wal")
-	l, _, err := OpenSweep(path, grid, json.RawMessage(`{}`), off, false)
+	writeSweepJournal(t, path, grid, engineJump)
+	l, plan, err := OpenSweep(path, grid, json.RawMessage(`{}`), true)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CellDone(CellResult{Index: 1, Name: "b", SeedUsed: 11}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	_, _, err = OpenSweep(path, grid, json.RawMessage(`{}`), prod.Code(), true)
-	if !errors.As(err, &em) || em.Journaled != 0 || em.Run != 3 {
-		t.Fatalf("OpenSweep: err = %v, want *EventMismatchError{0, 3}", err)
-	}
-
-	// The same code-0 journal resumes under an explicit EventOff.
-	l, plan, err := OpenSweep(path, grid, json.RawMessage(`{}`), off, true)
-	if err != nil {
-		t.Fatalf("OpenSweep under EventOff: %v", err)
+		t.Fatalf("OpenSweep code 3: %v", err)
 	}
 	if len(plan.Done) != 1 || len(plan.Todo) != 3 {
 		t.Fatalf("resumed plan: todo %v done %d, want cell 1 restored", plan.Todo, len(plan.Done))

@@ -39,10 +39,11 @@ type Submission struct {
 	// DeadlineSec is the sweep's wall-clock deadline at submission (0:
 	// none); recovery re-applies it as a fresh window.
 	DeadlineSec float64 `json:"deadline_sec,omitempty"`
-	// Event records the stepping-engine mode the sweep ran under, as its
-	// stable device.EventMode code ((EventMode).Code; 0, the omitted
-	// value, is the plain fixed-tick loop); a resume under a different
-	// mode is refused rather than risking non-identical aggregates.
+	// Event records the stepping engine the sweep ran on, as a stable
+	// code. Journals this build writes carry engineJump (3), whatever the
+	// caller set; older builds wrote 0 (the omitted value: the fixed-tick
+	// loop), 1 or 2, and Resume refuses those rather than finish a sweep
+	// on another engine.
 	Event int `json:"event,omitempty"`
 }
 
@@ -103,9 +104,11 @@ func (s *Store) walPath(id string) (string, error) {
 }
 
 // Begin opens a fresh job log and journals the submission (synced before
-// returning, so an accepted job survives an immediate crash). It fails if
-// a log for the ID already exists — the job-ID collision backstop.
+// returning, so an accepted job survives an immediate crash), stamped
+// with this build's engine. It fails if a log for the ID already exists —
+// the job-ID collision backstop.
 func (s *Store) Begin(sub Submission) (*JobLog, error) {
+	sub.Event = engineJump
 	path, err := s.walPath(sub.ID)
 	if err != nil {
 		return nil, err

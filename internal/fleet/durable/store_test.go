@@ -17,6 +17,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Begin stamps the engine code whatever the caller set.
 	sub := Submission{ID: "j3", Spec: json.RawMessage(`{"version":1}`), DeadlineSec: 60, Event: 2}
 	l, err := st.Begin(sub)
 	if err != nil {
@@ -50,7 +51,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if rj.Err != nil {
 		t.Fatal(rj.Err)
 	}
-	if rj.ID != "j3" || rj.Sub == nil || rj.Sub.DeadlineSec != 60 || rj.Sub.Event != 2 {
+	if rj.ID != "j3" || rj.Sub == nil || rj.Sub.DeadlineSec != 60 || rj.Sub.Event != engineJump {
 		t.Fatalf("submission mismatch: %+v", rj.Sub)
 	}
 	if len(rj.Cells) != 3 || rj.Cells[2].Seed != 103 {

@@ -19,7 +19,7 @@ import (
 // lives here, so a Runner is configured once and never copied or mutated
 // per run. The in-process LocalRunner consumes it directly, while the
 // multi-process runner (internal/fleet/net, over spawned or remote
-// workers) forwards Workers, Event and Predictor to each worker process
+// workers) forwards Workers and Predictor to each worker process
 // and services Sink/OnProgress/OnResult on the coordinator side.
 type Config struct {
 	// Workers bounds simultaneous simulations (<= 0: GOMAXPROCS; see
@@ -55,14 +55,6 @@ type Config struct {
 	// determinism contract: same jobs, same Seed → byte-identical results
 	// at any parallelism.
 	Runner Runner
-	// Event selects the stepping engine for every job in the batch (the
-	// zero value is the production engine, EventJump; EventOff is the
-	// plain fixed-tick loop, run only when named; see device.EventMode for
-	// the modes and their exactness guarantees). Every runner honors it —
-	// local, sharded and networked — so a mode choice cannot change
-	// results across deployment shapes beyond what the mode itself
-	// guarantees.
-	Event device.EventMode
 	// Predictor is the encoded predictor (wire.EncodePredictor) that
 	// rebuilds "usta" job specs in other processes; nil carries none.
 	// In-process runs ignore it — their jobs' controller closures already
@@ -293,7 +285,7 @@ func runJob(ctx context.Context, cfg *Config, pool *phonePool, i int, job Job) J
 		r.Err = err
 		return r
 	}
-	r.Result, r.Err = phone.RunEventContext(ctx, job.Workload, job.DurSec, cfg.Event)
+	r.Result, r.Err = phone.RunEventContext(ctx, job.Workload, job.DurSec)
 	pool.put(job.Device, phone)
 	return r
 }

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/fleet"
 	fleetnet "repro/internal/fleet/net"
 	"repro/internal/fleet/net/chaos"
@@ -263,27 +262,7 @@ func TestChaosRetriesExhausted(t *testing.T) {
 // and because seeds were resolved before dispatch, the fallback output is
 // byte-identical to the reference.
 func TestChaosLocalFallback(t *testing.T) {
-	checkLocalFallback(t, fleet.Config{Workers: 2, Seed: 21})
-}
-
-// TestChaosLocalFallbackEventJump: the fallback steps jobs on the engine
-// the run asked for, so an event-jump run whose hosts all die still
-// matches LocalRunner under event-jump bit for bit.
-func TestChaosLocalFallbackEventJump(t *testing.T) {
-	checkLocalFallback(t, fleet.Config{Workers: 2, Seed: 21, Event: device.EventJump})
-}
-
-// TestChaosLocalFallbackEventOff: the same for an explicitly named
-// fixed-tick run, so the fallback is seen honoring an engine other than
-// the default.
-func TestChaosLocalFallbackEventOff(t *testing.T) {
-	checkLocalFallback(t, fleet.Config{Workers: 2, Seed: 21, Event: device.EventOff})
-}
-
-// checkLocalFallback runs cfg's batch through a runner whose only host
-// refuses every dial and requires the local fallback to reproduce the
-// LocalRunner reference, results and telemetry.
-func checkLocalFallback(t *testing.T, cfg fleet.Config) {
+	cfg := fleet.Config{Workers: 2, Seed: 21}
 	const n = 6
 	ref, refTally := localRef(t, cfg, n)
 

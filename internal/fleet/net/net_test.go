@@ -550,12 +550,13 @@ func TestNetRunnerAllHostsDown(t *testing.T) {
 // TestNetRunnerRefusesOldProtocolWorker: a daemon from a build speaking
 // an older protocol — version 1 (one JSON frame per sample), version 2
 // (the predictor in every shard request), version 3 (the predictor once
-// per connection, then same_predictor) or version 4 (JSON sample and
-// result frames) — is refused at its hello frame: the coordinator never
+// per connection, then same_predictor), version 4 (JSON sample and
+// result frames) or version 5 (an engine code in every shard request) —
+// is refused at its hello frame: the coordinator never
 // ships it a shard, and the run fails with the version mismatch instead
 // of mis-decoding frames mid-shard.
 func TestNetRunnerRefusesOldProtocolWorker(t *testing.T) {
-	for _, v := range []int{1, 2, 3, 4} {
+	for _, v := range []int{1, 2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
 			ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -1017,47 +1018,5 @@ func TestServerSamePredictorNeedsOne(t *testing.T) {
 	}
 	if _, hello := dial(); len(hello.Predictors) != 1 || hello.Predictors[0] != enc.ID() {
 		t.Fatalf("new connection's hello advertised %v, want [%s]", hello.Predictors, enc.ID())
-	}
-}
-
-// TestServerUnknownEventCode: a shard request with an event code no engine
-// has is answered with an error frame, not a panic and not a run, and the
-// connection stays usable for a well-formed request.
-func TestServerUnknownEventCode(t *testing.T) {
-	addr := startServer(t, &fleetnet.Server{Capacity: 1})
-	conn, err := stdnet.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.TypeHello {
-		t.Fatalf("hello: %v (%+v)", err, f)
-	}
-	spec := *specJobs(1, true)[0].Spec
-	request := func(event int) *wire.Frame {
-		t.Helper()
-		req := &wire.ShardRequest{Jobs: []fleet.JobSpec{spec}, Workers: 1, Event: event}
-		if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: req}); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			f, err := wire.ReadFrame(conn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Type == wire.TypeResult && event == 99 {
-				t.Fatalf("unknown code ran job %d", f.Result.Index)
-			}
-			if f.Type == wire.TypeDone || f.Type == wire.TypeError {
-				return f
-			}
-		}
-	}
-	if f := request(99); f.Type != wire.TypeError || !strings.Contains(f.Err, "unknown event mode code 99") {
-		t.Fatalf("event code 99: got %+v, want an error frame", f)
-	}
-	if f := request(device.EventJump.Code()); f.Type != wire.TypeDone {
-		t.Fatalf("well-formed request after the refusal: got %+v, want done", f)
 	}
 }

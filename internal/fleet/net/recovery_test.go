@@ -3,6 +3,7 @@ package net_test
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -138,42 +139,64 @@ func TestJobServerRestartUniqueIDs(t *testing.T) {
 }
 
 // TestJobServerRecoverRefusesEventMismatch: a non-terminal log journaled
-// under another stepping engine (here code 0, the fixed-tick loop, as
-// every journal written before EventJump became the default has) must not
-// resume on the server's production engine (code 3) — that would mix
-// engines in one result. The recovered job fails with the
-// same typed mismatch OpenSweep reports, runs no cell, and the failure is
-// journaled terminal so a later restart does not retry it.
+// on a stepping engine this build does not run — code 0, the fixed-tick
+// loop, as every journal written before the jump engine became the
+// default has, or 1 and 2, the event engine's tick and oracle modes —
+// must not resume on the production engine: that would mix engines in
+// one result. Each recovered job fails with the same typed mismatch
+// OpenSweep reports, runs no cell, and the failure is journaled terminal
+// so a later restart does not retry it.
 func TestJobServerRecoverRefusesEventMismatch(t *testing.T) {
 	dir := t.TempDir()
 	store, err := durable.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := store.Begin(durable.Submission{ID: "j1", Spec: json.RawMessage(e2eSpec)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	// Store.Begin stamps this build's engine, so the old logs are written
+	// record by record, as the builds that ran those engines left them.
+	const recSubmit = 0x01
+	for code := 0; code < 3; code++ {
+		id := fmt.Sprintf("j%d", code+1)
+		w, err := durable.Create(filepath.Join(dir, id+".wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(durable.Submission{ID: id, Spec: json.RawMessage(e2eSpec), Event: code})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(recSubmit, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	_, ts := stateServer(t, dir)
-	final := waitStatus(t, ts, "j1")
-	want := (&durable.EventMismatchError{Journaled: 0, Run: 3}).Error()
-	if final["status"] != "failed" || final["error"] != want {
-		t.Fatalf("recovered job = %v, want failed with %q", final, want)
-	}
-	if final["done"] != 0.0 {
-		t.Fatalf("mismatched job ran %v cells", final["done"])
+	for code := 0; code < 3; code++ {
+		id := fmt.Sprintf("j%d", code+1)
+		final := waitStatus(t, ts, id)
+		want := (&durable.EventMismatchError{Journaled: code}).Error()
+		if final["status"] != "failed" || final["error"] != want {
+			t.Fatalf("recovered job %s = %v, want failed with %q", id, final, want)
+		}
+		if final["done"] != 0.0 {
+			t.Fatalf("mismatched job %s ran %v cells", id, final["done"])
+		}
 	}
 
 	recs, err := store.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Status == nil || recs[0].Status.Status != "failed" || len(recs[0].Done) != 0 {
-		t.Fatalf("journal after refusal: %+v", recs)
+	if len(recs) != 3 {
+		t.Fatalf("recovered %d journals, want 3", len(recs))
+	}
+	for _, rj := range recs {
+		if rj.Status == nil || rj.Status.Status != "failed" || len(rj.Done) != 0 {
+			t.Fatalf("journal after refusal: %+v", rj)
+		}
 	}
 }
 

@@ -836,7 +836,7 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		connMu.Unlock()
 	}()
 
-	req := baseRequest{pred: cfg.Predictor, workers: width, wantSamples: cfg.Sink != nil, event: cfg.Event.Code()}
+	req := baseRequest{pred: cfg.Predictor, workers: width, wantSamples: cfg.Sink != nil}
 	var wg sync.WaitGroup
 	for _, addr := range r.Hosts {
 		wg.Add(1)
@@ -892,7 +892,7 @@ func (r *Runner) runFallback(ctx context.Context, cfg fleet.Config, st *runState
 	if len(subJobs) == 0 {
 		return 0
 	}
-	sub := fleet.Config{Workers: cfg.Workers, Seed: cfg.Seed, Event: cfg.Event}
+	sub := fleet.Config{Workers: cfg.Workers, Seed: cfg.Seed}
 	if st.sink != nil {
 		sub.Sink = sink.Func(func(id sink.JobID, s device.Sample) {
 			st.sink.Accept(sink.JobID(subIdx[int(id)]), s)
@@ -916,7 +916,6 @@ type baseRequest struct {
 	pred        *fleet.EncodedPredictor
 	workers     int
 	wantSamples bool
-	event       int
 }
 
 // hostGen is one connected generation of a host: the slots it spawned
@@ -1293,7 +1292,6 @@ func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec
 	sreq := &wire.ShardRequest{
 		Workers:     req.workers,
 		WantSamples: req.wantSamples,
-		Event:       req.event,
 		Jobs:        specs,
 	}
 	if req.pred != nil {

@@ -27,17 +27,13 @@ const crashEnv = "USTA_WORKER_CRASH_ON_INDEX"
 // blocks are reused); pred is the request's resolved predictor (see
 // Server.resolvePredictor). Each job's telemetry leaves in sample frames of
 // up to wire.SampleBatch samples, the last one right before the job's
-// result frame. It is the Server's execution core: request-level failures
-// — an unknown event code, a broken transport — return a non-nil error
-// for the caller to encode; per-job failures travel as individual result
+// result frame. It is the Server's execution core: a request-level
+// failure — a broken transport — returns a non-nil error for the caller
+// to encode; per-job failures travel as individual result
 // frames and leave the shard alive. A cancelled ctx degrades to per-job
 // context errors on the unfinished jobs, exactly like the local runner;
 // the done (or error) frame stays the caller's responsibility.
 func serveRequest(ctx context.Context, req *wire.ShardRequest, pred *core.Predictor, write func(*wire.Frame) error) error {
-	event, err := device.EventModeOfCode(req.Event)
-	if err != nil {
-		return err
-	}
 	canonicalizeDevices(req.Jobs)
 	out := &stream{write: write}
 
@@ -64,7 +60,7 @@ func serveRequest(ctx context.Context, req *wire.ShardRequest, pred *core.Predic
 	}
 
 	crashOn, crashArmed := crashIndex()
-	cfg := fleet.Config{Workers: req.Workers, Event: event}
+	cfg := fleet.Config{Workers: req.Workers}
 	var tel *batcher
 	if req.WantSamples {
 		tel = &batcher{out: out, global: global, bufs: make([]*[]byte, len(jobs))}

@@ -257,8 +257,8 @@ func NewSession(opts ...Option) (*Session, error) {
 // internals); mutate it between runs at your own risk.
 func (s *Session) Phone() *device.Phone { return s.phone }
 
-// Run executes the workload in full on the production stepping engine (the
-// zero device.EventMode), honoring context cancellation and deadlines
+// Run executes the workload in full on the production stepping engine
+// (device.Phone.RunEventContext), honoring context cancellation and deadlines
 // between its segments. On early stop it returns the partial result
 // together with the context's error.
 func (s *Session) Run(ctx context.Context, w workload.Workload) (*device.RunResult, error) {
@@ -279,6 +279,5 @@ func (s *Session) RunFor(ctx context.Context, w workload.Workload, durSec float6
 		ctx, cancel = context.WithTimeout(ctx, s.deadline)
 		defer cancel()
 	}
-	var engine device.EventMode // the zero value: the production engine
-	return s.phone.RunEventContext(ctx, w, durSec, engine)
+	return s.phone.RunEventContext(ctx, w, durSec)
 }

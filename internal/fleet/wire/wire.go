@@ -16,7 +16,7 @@
 //     (bit-exact), integers as varints, strings length-prefixed, slices
 //     behind nil-aware counts and pointers behind presence bytes.
 //   - Hello, shard, done, heartbeat, cancel and error frames are JSON
-//     envelopes, {"v":5,"type":...} plus the type's payload field.
+//     envelopes, {"v":6,"type":...} plus the type's payload field.
 //
 // The predictor is content-addressed: a shard request names it by the
 // SHA-256 of its document (PredictorID) and carries the document only
@@ -54,8 +54,12 @@ import (
 // same_predictor. Version 4 named it by content (ShardRequest.PredictorID,
 // HelloFrame.Predictors). Version 5 sends sample and result frames as
 // binary bodies instead of JSON envelopes; hello stays JSON, so v4 and v5
-// builds still refuse each other at the handshake.
-const Version = 5
+// builds still refuse each other at the handshake. Version 6 drops the
+// shard request's engine code (every worker runs the one production
+// engine): a v5 coordinator's "event" field would fail the strict decoder
+// mid-request, so the bump makes v5 and v6 builds refuse each other at
+// hello instead.
+const Version = 6
 
 // MaxPredictors bounds the decoded predictors a worker keeps, and so the
 // IDs its hello frame may list. A worker serves one predictor per
@@ -173,15 +177,6 @@ type ShardRequest struct {
 	// WantSamples asks the worker to forward every telemetry sample, in
 	// TypeSample frames tagged with the spec's global index.
 	WantSamples bool `json:"want_samples,omitempty"`
-	// Event selects the worker's stepping engine as a stable
-	// device.EventMode code ((EventMode).Code: off 0, tick 1, oracle 2,
-	// jump 3), never the in-memory value, so an omitted field is the
-	// plain fixed-tick loop. Carried as an int so the wire package stays
-	// free of behavioral coupling; the worker decodes it with
-	// device.EventModeOfCode (an unknown code fails the request with an
-	// error frame) and applies it to its fleet config, which is what
-	// keeps a sharded event run equal to a local run under the same mode.
-	Event int `json:"event,omitempty"`
 }
 
 // SampleFrame is a batch of one job's telemetry crossing the process

@@ -51,7 +51,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{V: Version, Type: TypeError, Err: "boom"},
 		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 2, Predictors: []string{strings.Repeat("0f", 32)}}},
 		{V: Version, Type: TypeShard, Shard: &ShardRequest{PredictorID: strings.Repeat("ab", 32)}},
-		{V: Version, Type: TypeShard, Shard: &ShardRequest{Workers: 2, WantSamples: true, Event: 3,
+		{V: Version, Type: TypeShard, Shard: &ShardRequest{Workers: 2, WantSamples: true,
 			PredictorID: fleet.PredictorID(leafDoc), Predictor: leafDoc, Jobs: []fleet.JobSpec{{Index: 2, Seed: 5}}}},
 	}
 	var buf bytes.Buffer
@@ -217,9 +217,11 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"v2 shard frame", writeRaw([]byte(`{"v":2,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"}}}`)), ErrVersion},
 		{"v3 shard frame", writeRaw([]byte(`{"v":3,"type":"shard","shard":{"jobs":[],"same_predictor":true}}`)), ErrVersion},
 		{"v4 JSON sample frame", env(4, fmt.Sprintf(`,"type":"sample","sample":{"job":0,"samples":%q}`, base64.StdEncoding.EncodeToString(binBlock(1)))), ErrVersion},
+		{"v5 shard frame carrying an engine code", env(5, `,"type":"shard","shard":{"jobs":[],"event":3}`), ErrVersion},
 		{"unknown type", env(Version, `,"type":"gossip"`), ErrBadFrame},
 		{"shard frame without payload", env(Version, `,"type":"shard"`), ErrBadFrame},
 		{"shard frame with unknown batched field", env(Version, `,"type":"shard","shard":{"jobs":[],"batched":true}`), ErrBadFrame},
+		{"v6 shard frame carrying an engine code", env(6, `,"type":"shard","shard":{"jobs":[],"event":3}`), ErrBadFrame},
 		{"shard frame with a predictor and same_predictor", env(Version, `,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"},"same_predictor":true}`), ErrBadFrame},
 		{"shard frame with predictor bytes but no predictor_id", env(Version, `,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"}}`), ErrBadFrame},
 		{"shard frame with a short predictor_id", env(Version, fmt.Sprintf(`,"type":"shard","shard":{"jobs":[],"predictor_id":%q}`, id[:63])), ErrBadFrame},
@@ -236,7 +238,7 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"zero kind byte", writeRaw(append([]byte{0x00}, good[5:]...)), ErrBadFrame},
 		{"binary body without a version byte", writeRaw([]byte{kindSample}), ErrBadFrame},
 		{"binary sample frame of version 4", binSample(4, job(0), binBlock(1)), ErrVersion},
-		{"binary result frame of version 6", writeRaw(append([]byte{kindResult, Version + 1}, result()[2:]...)), ErrVersion},
+		{"binary result frame of a newer version", writeRaw(append([]byte{kindResult, Version + 1}, result()[2:]...)), ErrVersion},
 		{"sample frame with a truncated job varint", binSample(Version, []byte{0x80}, nil), ErrBadFrame},
 		{"sample frame with an overlong job varint", binSample(Version, bytes.Repeat([]byte{0xff}, 11), binBlock(1)), ErrBadFrame},
 		{"sample frame for a negative job", binSample(Version, job(-1), binBlock(1)), ErrBadFrame},

@@ -34,9 +34,6 @@ type Config struct {
 	Predictor *core.Predictor
 	// Workers bounds the worker pool (<= 0: GOMAXPROCS).
 	Workers int
-	// Event selects the stepping engine (zero: the production engine,
-	// EventJump; see device.EventMode).
-	Event device.EventMode
 	// Runner executes the cells (nil: the in-process pool).
 	Runner fleet.Runner
 }
@@ -151,7 +148,6 @@ func (s *Sweep) Run(ctx context.Context, plan *durable.Plan, h Hooks) (*Result, 
 		Seed:      s.cfg.Spec.Seeds.Base,
 		Sink:      runSink,
 		Runner:    s.cfg.Runner,
-		Event:     s.cfg.Event,
 		Predictor: s.pred,
 	}
 	if h.Ledger != nil || h.OnResult != nil {

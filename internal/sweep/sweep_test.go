@@ -60,7 +60,7 @@ func TestResumedRunSeesFullGrid(t *testing.T) {
 	}
 
 	done := map[int]durable.CellResult{0: ledger[0], 2: ledger[2], 4: ledger[4]}
-	plan, err := durable.Resume(sw.Grid, 0, &durable.RecoveredJob{Cells: durable.GridCells(sw.Grid), Done: done}, nil)
+	plan, err := durable.Resume(sw.Grid, &durable.RecoveredJob{Cells: durable.GridCells(sw.Grid), Done: done}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

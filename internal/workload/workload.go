@@ -339,9 +339,9 @@ func (p *Program) NextChange(t float64) float64 {
 
 // BoundaryQueried is the optional event-engine interface: workloads that
 // can report the next time their sample may change admit held-input
-// segment folding (see device.EventRun). The contract is conservative:
-// At must be constant on [t, NextChange(t)), and NextChange(t) > t for
-// every t inside the workload. Reporting a change that doesn't happen is
+// segment folding (see device.Phone.RunEventContext). The contract is
+// conservative: At must be constant on [t, NextChange(t)), and
+// NextChange(t) > t for every t inside the workload. Reporting a change that doesn't happen is
 // legal (it only costs a shorter segment); missing one is not.
 type BoundaryQueried interface {
 	NextChange(t float64) float64

@@ -93,10 +93,6 @@ type (
 	Controller = device.Controller
 	// Governor is the cpufreq policy interface.
 	Governor = governor.Governor
-	// EventMode selects the stepping engine (the zero value is the
-	// production engine, EventJump; EventOff is the fixed-tick oracle;
-	// see device.EventMode for the exactness guarantees of each mode).
-	EventMode = device.EventMode
 
 	// Session is one simulated handset behind options-based construction
 	// and context-aware execution.
@@ -182,19 +178,6 @@ type (
 // DefaultLimitC is the "default user" comfort limit (37 °C), the average of
 // the study population's reported limits.
 const DefaultLimitC = users.DefaultLimitC
-
-// Event stepping modes, re-exported for callers configuring fleets or
-// scenarios without importing internal packages.
-const (
-	EventOff    = device.EventOff
-	EventTick   = device.EventTick
-	EventOracle = device.EventOracle
-	EventJump   = device.EventJump
-)
-
-// ParseEventMode parses the CLI spelling of an event mode
-// (off|tick|oracle|jump; "" is jump, the default).
-func ParseEventMode(s string) (EventMode, error) { return device.ParseEventMode(s) }
 
 // Sensor noise stream versions for DeviceConfig.NoiseVersion: legacy is
 // the math/rand stream every committed golden was generated with;
@@ -343,7 +326,6 @@ type scenarioRun struct {
 	pred     *Predictor
 	sink     Sink
 	progress func(done, total int)
-	event    EventMode
 	walPath  string
 	resume   bool
 }
@@ -392,16 +374,6 @@ func ScenarioPredictor(p *Predictor) ScenarioOption { return func(rc *scenarioRu
 // sample memory. RunScenario does not close the sink.
 func ScenarioSink(s Sink) ScenarioOption { return func(rc *scenarioRun) { rc.sink = s } }
 
-// ScenarioEventMode runs the sweep on the selected stepping engine
-// (without it: EventJump, the production engine). EventOff is the plain
-// fixed-tick loop and EventTick is byte-identical to it; EventJump replays
-// the scheduling plane exactly while thermal observables carry the
-// held-input discretization tolerance against EventOff (see EventMode).
-// Composes with every runner shape — local, sharded, networked.
-func ScenarioEventMode(m EventMode) ScenarioOption {
-	return func(rc *scenarioRun) { rc.event = m }
-}
-
 // ScenarioProgress reports per-job completion (calls are serialized).
 func ScenarioProgress(fn func(done, total int)) ScenarioOption {
 	return func(rc *scenarioRun) { rc.progress = fn }
@@ -446,7 +418,7 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 		runner = fleetnet.NewPipe(rc.shards)
 	}
 	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Device: rc.device, Predictor: rc.pred,
-		Workers: rc.workers, Event: rc.event, Runner: runner})
+		Workers: rc.workers, Runner: runner})
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +434,7 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 		if err != nil {
 			return nil, fmt.Errorf("repro: marshal spec for journal: %w", err)
 		}
-		if jlog, plan, err = durable.OpenSweep(rc.walPath, sw.Grid, specBytes, rc.event.Code(), rc.resume); err != nil {
+		if jlog, plan, err = durable.OpenSweep(rc.walPath, sw.Grid, specBytes, rc.resume); err != nil {
 			return nil, err
 		}
 		hooks.Ledger = func(c durable.CellResult) { jlog.CellDone(c) }
