@@ -416,43 +416,6 @@ func BenchmarkEventRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSysIDCalibration measures the thermal system-identification
-// path: fitting all 14 phone-model conductances from a one-hour logged
-// trace (the porting-to-new-hardware workflow).
-func BenchmarkSysIDCalibration(b *testing.B) {
-	cfg := thermal.DefaultPhoneConfig()
-	caps := []float64{cfg.CapDie, cfg.CapPkg, cfg.CapPCB, cfg.CapBattery,
-		cfg.CapCoverMid, cfg.CapCoverUpper, cfg.CapScreen, cfg.CapFrame}
-	edges := []thermal.SysIDEdge{
-		{A: 0, B: 1}, {A: 1, B: 2}, {A: 2, B: 3}, {A: 2, B: 4}, {A: 2, B: 5},
-		{A: 3, B: 4}, {A: 2, B: 6}, {A: 2, B: 7}, {A: 7, B: 4}, {A: 7, B: 6},
-		{A: 4, B: thermal.AmbientNode}, {A: 5, B: thermal.AmbientNode},
-		{A: 6, B: thermal.AmbientNode}, {A: 7, B: thermal.AmbientNode},
-	}
-	var relErr float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net, _ := thermal.NewPhone(cfg)
-		tr := thermal.CollectSysIDTrace(net, 0.5, 7200, cfg.Ambient, func(k int) []float64 {
-			pw := make([]float64, 8)
-			if (k/120)%2 == 0 {
-				pw[0] = 3
-			} else {
-				pw[0] = 0.3
-			}
-			pw[6] = 0.4
-			return pw
-		})
-		got, err := thermal.FitConductances(tr, caps, edges)
-		if err != nil {
-			b.Fatal(err)
-		}
-		relErr = (abs(got[0]-1/cfg.ResDiePkg)/(1/cfg.ResDiePkg) +
-			abs(got[10]-1/cfg.ResAmbCoverMid)/(1/cfg.ResAmbCoverMid)) / 2
-	}
-	b.ReportMetric(relErr*100, "fit-err-%")
-}
-
 // BenchmarkSurfaceMap measures the Therminator-style cover map solve.
 func BenchmarkSurfaceMap(b *testing.B) {
 	cfg := thermal.PhoneCoverConfig(25)
@@ -467,13 +430,6 @@ func BenchmarkSurfaceMap(b *testing.B) {
 		peak, _, _ = m.Max()
 	}
 	b.ReportMetric(peak, "peak-C")
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func benchName(prefix string, v float64) string {

@@ -78,16 +78,6 @@ func Flatten(grid *scenario.Grid, results []fleet.JobResult) ([]JobStat, error) 
 	return stats, nil
 }
 
-// FirstError returns the first job error in the stats, or nil.
-func FirstError(stats []JobStat) error {
-	for _, st := range stats {
-		if st.Err != nil {
-			return fmt.Errorf("analytics: job %d (%s): %w", st.Index, st.Name, st.Err)
-		}
-	}
-	return nil
-}
-
 // ViolationAccum is the incremental per-job over-limit counter behind
 // ViolationSink — one job's running (samples, over-limit samples, summed
 // excess) triple, folded one skin sample at a time. It is exported so live
@@ -261,18 +251,6 @@ func ComfortByUser(stats []JobStat) []UserComfort {
 		out = append(out, *uc)
 	}
 	return out
-}
-
-// Quantile returns the q-quantile (q in [0,1]) of vs by linear
-// interpolation between order statistics (the numpy/R type-7 estimator).
-// vs need not be sorted; an empty input returns NaN.
-func Quantile(vs []float64, q float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
 }
 
 // quantileSorted is Quantile over an already-sorted non-empty slice, so

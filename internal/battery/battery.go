@@ -94,15 +94,6 @@ func New(cfg Config, initialSoC float64) (*Pack, error) {
 // jobs.
 func (p *Pack) Reset(initialSoC float64) { p.soc = clamp01(initialSoC) }
 
-// MustNew is New that panics on configuration errors.
-func MustNew(cfg Config, initialSoC float64) *Pack {
-	p, err := New(cfg, initialSoC)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0
@@ -113,14 +104,8 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Config returns the pack configuration.
-func (p *Pack) Config() Config { return p.cfg }
-
 // SoC returns the state of charge in [0,1].
 func (p *Pack) SoC() float64 { return p.soc }
-
-// SetSoC overrides the state of charge (clamped).
-func (p *Pack) SetSoC(v float64) { p.soc = clamp01(v) }
 
 // OCV returns the open-circuit voltage for the current state of charge — a
 // simple two-knee lithium curve between 3.3 V (empty) and 4.35 V (full).
@@ -185,22 +170,4 @@ func (p *Pack) Charge(dt float64) (heatWatts, storedWatts float64) {
 	heat := (inPower - stored) + current*current*p.cfg.InternalOhm
 	p.soc = clamp01(p.soc + stored*dt/3600/p.cfg.CapacityWh)
 	return heat, stored
-}
-
-// TimeToFullSec estimates the remaining charge time at the current state,
-// by simulating the charge curve forward at 1 s resolution. Returns 0 for
-// a full pack.
-func (p *Pack) TimeToFullSec() float64 {
-	if p.soc >= 1 {
-		return 0
-	}
-	clone := *p
-	const maxSec = 6 * 3600
-	for s := 1.0; s <= maxSec; s++ {
-		clone.Charge(1)
-		if clone.soc >= 0.999 {
-			return s
-		}
-	}
-	return maxSec
 }

@@ -229,3 +229,33 @@ func TestNoFreeEnergyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MustNew is New that panics on configuration errors.
+func MustNew(cfg Config, initialSoC float64) *Pack {
+	p, err := New(cfg, initialSoC)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// SetSoC overrides the state of charge (clamped).
+func (p *Pack) SetSoC(v float64) { p.soc = clamp01(v) }
+
+// TimeToFullSec estimates the remaining charge time at the current state,
+// by simulating the charge curve forward at 1 s resolution. Returns 0 for
+// a full pack.
+func (p *Pack) TimeToFullSec() float64 {
+	if p.soc >= 1 {
+		return 0
+	}
+	clone := *p
+	const maxSec = 6 * 3600
+	for s := 1.0; s <= maxSec; s++ {
+		clone.Charge(1)
+		if clone.soc >= 0.999 {
+			return s
+		}
+	}
+	return maxSec
+}

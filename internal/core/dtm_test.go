@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/device"
@@ -110,4 +111,79 @@ func TestDTMNoRecordIsNoop(t *testing.T) {
 	if dtm.Activations != 0 || phone.CPU().MaxLevel() != phone.CPU().NumLevels()-1 {
 		t.Fatal("Act without a record must be a no-op")
 	}
+}
+
+// CPUTempDTM models the platform's built-in dynamic thermal management
+// (msm_thermal on the paper's Nexus 4): a reactive frequency clamp driven
+// by the *die* temperature sensor with trip points far above anything skin
+// comfort allows. It exists to make the paper's §III motivation
+// executable: on every evaluation workload the die stays below the first
+// trip point, so the stock DTM never intervenes — while the skin exceeds
+// every participant's comfort limit. USTA fills exactly that gap.
+//
+// It is a trip-point die-temperature throttler.
+type CPUTempDTM struct {
+	// TripC are ascending die-temperature trip points; crossing trip i
+	// clamps the maximum level down by StepsPerTrip·(i+1).
+	TripC []float64
+	// StepsPerTrip is the clamp depth per trip (1 = one OPP per trip).
+	StepsPerTrip int
+	// Period is the polling period in seconds (stock: 250 ms; 1 s here to
+	// stay on the logging grid).
+	Period float64
+
+	// Activations counts polls that imposed a clamp.
+	Activations int
+}
+
+var _ device.Controller = (*CPUTempDTM)(nil)
+
+// NewCPUTempDTM returns the msm_thermal-like default: trips at 75/85/95 °C,
+// two OPPs per trip.
+func NewCPUTempDTM() *CPUTempDTM {
+	return &CPUTempDTM{TripC: []float64{75, 85, 95}, StepsPerTrip: 2, Period: 1}
+}
+
+// Name implements device.Controller.
+func (d *CPUTempDTM) Name() string { return "cpu-temp-dtm" }
+
+// PeriodSec implements device.Controller.
+func (d *CPUTempDTM) PeriodSec() float64 {
+	if d.Period <= 0 {
+		return 1
+	}
+	return d.Period
+}
+
+// Reset implements device.Controller.
+func (d *CPUTempDTM) Reset() { d.Activations = 0 }
+
+// Act implements device.Controller: read the die sensor from the logging
+// record (the same observable the stock daemon polls) and clamp by trip
+// count.
+func (d *CPUTempDTM) Act(p *device.Phone) {
+	rec, ok := p.LatestRecord()
+	if !ok {
+		return
+	}
+	tripped := 0
+	for _, trip := range d.TripC {
+		if rec.CPUTempC > trip {
+			tripped++
+		}
+	}
+	top := p.CPU().NumLevels() - 1
+	clamp := top - tripped*d.StepsPerTrip
+	if clamp < 0 {
+		clamp = 0
+	}
+	if clamp < top {
+		d.Activations++
+	}
+	p.CPU().SetMaxLevel(clamp)
+}
+
+// String describes the configuration.
+func (d *CPUTempDTM) String() string {
+	return fmt.Sprintf("cpu-temp-dtm(trips=%v, steps=%d)", d.TripC, d.StepsPerTrip)
 }

@@ -259,20 +259,8 @@ func (p *Phone) SetTraceFree(on bool) {
 	p.logger.SetRetainLatestOnly(on)
 }
 
-// Governor returns the active cpufreq governor.
-func (p *Phone) Governor() governor.Governor { return p.gov }
-
 // CPU exposes the SoC model (the controller uses SetMaxLevel on it).
 func (p *Phone) CPU() *soc.CPU { return p.cpu }
-
-// Battery exposes the pack model.
-func (p *Phone) Battery() *battery.Pack { return p.pack }
-
-// Network exposes the thermal network (read-mostly; tests use it).
-func (p *Phone) Network() *thermal.Network { return p.net }
-
-// Nodes returns the thermal node handles.
-func (p *Phone) Nodes() thermal.PhoneNodes { return p.nodes }
 
 // Time returns the current simulation time in seconds.
 func (p *Phone) Time() float64 { return p.timeSec }

@@ -316,3 +316,6 @@ func TestRunCapsAtWorkloadDuration(t *testing.T) {
 		t.Fatalf("DurSec = %v want 30 (workload length)", res.DurSec)
 	}
 }
+
+// Governor returns the active cpufreq governor.
+func (p *Phone) Governor() governor.Governor { return p.gov }

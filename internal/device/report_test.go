@@ -2,6 +2,7 @@ package device
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -60,4 +61,53 @@ func TestDailyMixEndToEnd(t *testing.T) {
 			t.Fatalf("charging tail running at %v MHz", f)
 		}
 	}
+}
+
+// JSON run reports: a machine-readable summary of a RunResult.
+
+// Report is the serializable summary of a run.
+type Report struct {
+	Workload    string  `json:"workload"`
+	Governor    string  `json:"governor"`
+	Controller  string  `json:"controller,omitempty"`
+	DurSec      float64 `json:"dur_sec"`
+	MaxSkinC    float64 `json:"max_skin_c"`
+	MaxScreenC  float64 `json:"max_screen_c"`
+	MaxDieC     float64 `json:"max_die_c"`
+	MaxBatteryC float64 `json:"max_battery_c"`
+	AvgFreqGHz  float64 `json:"avg_freq_ghz"`
+	AvgUtil     float64 `json:"avg_util"`
+	EnergyJ     float64 `json:"energy_j"`
+	Slowdown    float64 `json:"slowdown"`
+	StartSoC    float64 `json:"start_soc"`
+	EndSoC      float64 `json:"end_soc"`
+	Samples     int     `json:"samples"`
+}
+
+// Report summarizes the run for serialization.
+func (r *RunResult) Report() Report {
+	return Report{
+		Workload:    r.Workload,
+		Governor:    r.Governor,
+		Controller:  r.Ctrl,
+		DurSec:      r.DurSec,
+		MaxSkinC:    r.MaxSkinC,
+		MaxScreenC:  r.MaxScreenC,
+		MaxDieC:     r.MaxDieC,
+		MaxBatteryC: r.MaxBatteryC,
+		AvgFreqGHz:  r.AvgFreqMHz / 1000,
+		AvgUtil:     r.AvgUtil,
+		EnergyJ:     r.EnergyJ,
+		Slowdown:    r.Slowdown(),
+		StartSoC:    r.StartSoC,
+		EndSoC:      r.EndSoC,
+		Samples:     r.Trace.Len(),
+	}
+}
+
+// WriteReportJSON writes the run summary as indented JSON.
+func (r *RunResult) WriteReportJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r.Report())
 }

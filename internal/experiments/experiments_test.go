@@ -290,3 +290,13 @@ func TestPaperTable1Embedded(t *testing.T) {
 		t.Fatal("unknown bench should not resolve")
 	}
 }
+
+// Row returns the named workload's row.
+func (r *Table1Result) Row(bench string) (Table1Row, bool) {
+	for _, row := range r.Rows {
+		if row.Bench == bench {
+			return row, true
+		}
+	}
+	return Table1Row{}, false
+}

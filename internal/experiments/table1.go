@@ -122,16 +122,6 @@ func RunTable1(pl *Pipeline) *Table1Result {
 	return out
 }
 
-// Row returns the named workload's row.
-func (r *Table1Result) Row(bench string) (Table1Row, bool) {
-	for _, row := range r.Rows {
-		if row.Bench == bench {
-			return row, true
-		}
-	}
-	return Table1Row{}, false
-}
-
 // String renders the result as the harness table.
 func (r *Table1Result) String() string {
 	var b strings.Builder

@@ -111,9 +111,6 @@ func NewPlan(grid *scenario.Grid, cells []CellRef, done map[int]CellResult) (*Pl
 	return p, nil
 }
 
-// Complete reports whether nothing is left to run.
-func (p *Plan) Complete() bool { return len(p.Todo) == 0 }
-
 // SubGrid returns the grid restricted to the unfinished cells plus the
 // subset→full index remap table. When nothing was recovered it returns
 // the full grid and a nil remap (no translation layer needed).

@@ -298,3 +298,6 @@ func TestResumeEventMismatch(t *testing.T) {
 	}
 	l.Close()
 }
+
+// Complete reports whether nothing is left to run.
+func (p *Plan) Complete() bool { return len(p.Todo) == 0 }

@@ -93,9 +93,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir, SyncEvery: 8}, nil
 }
 
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) walPath(id string) (string, error) {
 	if id == "" || strings.ContainsAny(id, "/\\") || id == "." || id == ".." {
 		return "", fmt.Errorf("durable: unsafe job ID %q", id)
@@ -141,13 +138,6 @@ type JobLog struct {
 	syncEvery int
 	err       error
 	closed    bool
-}
-
-// Err returns the latched journal failure, if any.
-func (l *JobLog) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
 }
 
 func (l *JobLog) append(typ byte, v any, sync bool) error {
@@ -297,8 +287,8 @@ func (s *Store) recoverOne(id string) RecoveredJob {
 	return rj
 }
 
-// numericSuffix parses the `j<N>` job-ID convention; MaxSeq and recovery
-// ordering share it.
+// numericSuffix parses the `j<N>` job-ID convention that recovery orders
+// by.
 func numericSuffix(id string) (int, bool) {
 	if len(id) < 2 || id[0] != 'j' {
 		return 0, false
@@ -311,17 +301,4 @@ func numericSuffix(id string) (int, bool) {
 		n = n*10 + int(c-'0')
 	}
 	return n, true
-}
-
-// MaxSeq returns the highest numeric `j<N>` sequence among recovered jobs
-// (0 when none) — what a restarted server seeds its ID counter with so it
-// never reissues a recovered ID.
-func MaxSeq(jobs []RecoveredJob) int {
-	max := 0
-	for _, rj := range jobs {
-		if n, ok := numericSuffix(rj.ID); ok && n > max {
-			max = n
-		}
-	}
-	return max
 }

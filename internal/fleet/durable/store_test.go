@@ -249,3 +249,23 @@ func TestJobLogErrorLatch(t *testing.T) {
 		t.Fatal("Err() must report the latched failure")
 	}
 }
+
+// Err returns the latched journal failure, if any.
+func (l *JobLog) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
+// MaxSeq returns the highest numeric `j<N>` sequence among recovered jobs
+// (0 when none) — what a restarted server seeds its ID counter with so it
+// never reissues a recovered ID.
+func MaxSeq(jobs []RecoveredJob) int {
+	max := 0
+	for _, rj := range jobs {
+		if n, ok := numericSuffix(rj.ID); ok && n > max {
+			max = n
+		}
+	}
+	return max
+}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/governor"
@@ -38,7 +37,6 @@ type sessionConfig struct {
 	ambient   *float64
 	seed      *int64
 	traceFree bool
-	deadline  time.Duration
 }
 
 // Option configures a Session under construction. Options validate eagerly
@@ -170,30 +168,12 @@ func WithTraceFree() Option {
 	}
 }
 
-// WithDeadline bounds each Run/RunFor call's wall-clock execution time:
-// the run is cancelled with context.DeadlineExceeded once it has been
-// executing that long, returning the partial result like any other
-// cancellation. The session-level twin of fleet.Job.DeadlineSec — use it
-// so one wedged run cannot pin a pipeline (or a crash-recovered
-// coordinator) forever. It composes with a caller-supplied context; the
-// earlier deadline wins.
-func WithDeadline(d time.Duration) Option {
-	return func(sc *sessionConfig) error {
-		if d <= 0 {
-			return fmt.Errorf("fleet: WithDeadline(%v): deadline must be positive", d)
-		}
-		sc.deadline = d
-		return nil
-	}
-}
-
 // Session is one simulated handset plus its run policy. Consecutive Run
 // calls continue on the same phone: thermal state, battery charge and the
 // controller's history carry over, exactly like back-to-back apps on a real
 // device. Build a fresh Session for statistically independent runs.
 type Session struct {
-	phone    *device.Phone
-	deadline time.Duration
+	phone *device.Phone
 }
 
 // NewSession assembles a simulated handset from the options. It never
@@ -250,7 +230,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if sc.traceFree {
 		phone.SetTraceFree(true)
 	}
-	return &Session{phone: phone, deadline: sc.deadline}, nil
+	return &Session{phone: phone}, nil
 }
 
 // Phone exposes the underlying handset for inspection (temperatures, trace
@@ -273,11 +253,6 @@ func (s *Session) RunFor(ctx context.Context, w workload.Workload, durSec float6
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if s.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.deadline)
-		defer cancel()
 	}
 	return s.phone.RunEventContext(ctx, w, durSec)
 }

@@ -10,8 +10,6 @@
 // the USTA controller in package core manipulates.
 package governor
 
-import "fmt"
-
 // State is the per-sampling-window observation a governor reacts to.
 type State struct {
 	// TimeSec is the simulation time at the end of the window.
@@ -148,18 +146,3 @@ func (c *Conservative) NextLevel(s State) int {
 	}
 	return lvl
 }
-
-// Userspace pins the CPU at a fixed, externally chosen level.
-type Userspace struct {
-	// Level is the pinned DVFS level.
-	Level int
-}
-
-// Name implements Governor.
-func (u *Userspace) Name() string { return fmt.Sprintf("userspace(L%d)", u.Level) }
-
-// Reset implements Governor.
-func (u *Userspace) Reset() {}
-
-// NextLevel implements Governor.
-func (u *Userspace) NextLevel(State) int { return u.Level }

@@ -1,6 +1,7 @@
 package governor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -197,3 +198,18 @@ func clamp01(v float64) float64 {
 	}
 	return math.Mod(math.Abs(v), 1)
 }
+
+// Userspace pins the CPU at a fixed, externally chosen level.
+type Userspace struct {
+	// Level is the pinned DVFS level.
+	Level int
+}
+
+// Name implements Governor.
+func (u *Userspace) Name() string { return fmt.Sprintf("userspace(L%d)", u.Level) }
+
+// Reset implements Governor.
+func (u *Userspace) Reset() {}
+
+// NextLevel implements Governor.
+func (u *Userspace) NextLevel(State) int { return u.Level }

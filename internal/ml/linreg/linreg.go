@@ -29,9 +29,6 @@ var _ ml.Regressor = (*Model)(nil)
 // New returns an OLS model.
 func New() *Model { return &Model{} }
 
-// NewRidge returns a ridge-regularized model.
-func NewRidge(lambda float64) *Model { return &Model{Ridge: lambda} }
-
 // Name implements ml.Regressor.
 func (m *Model) Name() string { return "LinearRegression" }
 

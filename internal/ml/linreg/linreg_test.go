@@ -132,3 +132,6 @@ func TestCrossValidationAccuracyOnLinearData(t *testing.T) {
 		t.Fatalf("CV R2 = %v want > 0.99 on near-noiseless linear data", r2)
 	}
 }
+
+// NewRidge returns a ridge-regularized model.
+func NewRidge(lambda float64) *Model { return &Model{Ridge: lambda} }

@@ -354,16 +354,3 @@ func (m *Model) smoothedPredict(nd *node, x []float64) float64 {
 	n := float64(child.n)
 	return (n*p + k*q) / (n + k)
 }
-
-// NumNodes returns the node count of the fitted tree.
-func (m *Model) NumNodes() int { return countNodes(m.root) }
-
-func countNodes(nd *node) int {
-	if nd == nil {
-		return 0
-	}
-	if nd.leaf {
-		return 1
-	}
-	return 1 + countNodes(nd.left) + countNodes(nd.right)
-}

@@ -205,3 +205,16 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// NumNodes returns the node count of the fitted tree.
+func (m *Model) NumNodes() int { return countNodes(m.root) }
+
+func countNodes(nd *node) int {
+	if nd == nil {
+		return 0
+	}
+	if nd.leaf {
+		return 1
+	}
+	return 1 + countNodes(nd.left) + countNodes(nd.right)
+}

@@ -61,36 +61,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return s
 }
 
-// Shuffled returns a copy of the dataset with instances permuted by the
-// seeded RNG.
-func (d *Dataset) Shuffled(seed int64) *Dataset {
-	perm := rand.New(rand.NewSource(seed)).Perm(d.Len())
-	return d.Subset(perm)
-}
-
-// Split partitions the dataset into a head of ceil(frac·n) instances and
-// the remaining tail, preserving order. Use after Shuffled for a random
-// split.
-func (d *Dataset) Split(frac float64) (head, tail *Dataset) {
-	n := d.Len()
-	k := int(math.Ceil(frac * float64(n)))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	idxHead := make([]int, k)
-	for i := range idxHead {
-		idxHead[i] = i
-	}
-	idxTail := make([]int, n-k)
-	for i := range idxTail {
-		idxTail[i] = k + i
-	}
-	return d.Subset(idxHead), d.Subset(idxTail)
-}
-
 // TargetStats returns the mean and population standard deviation of Y.
 func (d *Dataset) TargetStats() (mean, std float64) {
 	if d.Len() == 0 {

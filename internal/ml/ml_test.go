@@ -280,3 +280,33 @@ func TestGatedAntitoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Shuffled returns a copy of the dataset with instances permuted by the
+// seeded RNG.
+func (d *Dataset) Shuffled(seed int64) *Dataset {
+	perm := rand.New(rand.NewSource(seed)).Perm(d.Len())
+	return d.Subset(perm)
+}
+
+// Split partitions the dataset into a head of ceil(frac·n) instances and
+// the remaining tail, preserving order. Use after Shuffled for a random
+// split.
+func (d *Dataset) Split(frac float64) (head, tail *Dataset) {
+	n := d.Len()
+	k := int(math.Ceil(frac * float64(n)))
+	if k < 0 {
+		k = 0
+	}
+	if k > n {
+		k = n
+	}
+	idxHead := make([]int, k)
+	for i := range idxHead {
+		idxHead[i] = i
+	}
+	idxTail := make([]int, n-k)
+	for i := range idxTail {
+		idxTail[i] = k + i
+	}
+	return d.Subset(idxHead), d.Subset(idxTail)
+}

@@ -264,33 +264,3 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	return nd.value
 }
-
-// NumNodes returns the node count of the fitted tree (0 before Fit).
-func (m *Model) NumNodes() int { return countNodes(m.root) }
-
-func countNodes(nd *node) int {
-	if nd == nil {
-		return 0
-	}
-	if nd.leaf {
-		return 1
-	}
-	return 1 + countNodes(nd.left) + countNodes(nd.right)
-}
-
-// Depth returns the depth of the fitted tree (a lone leaf has depth 1).
-func (m *Model) Depth() int { return depthOf(m.root) }
-
-func depthOf(nd *node) int {
-	if nd == nil {
-		return 0
-	}
-	if nd.leaf {
-		return 1
-	}
-	l, r := depthOf(nd.left), depthOf(nd.right)
-	if l > r {
-		return 1 + l
-	}
-	return 1 + r
-}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/device"
 	"repro/internal/fleet"
@@ -103,16 +104,73 @@ func TestMetricWriterFormat(t *testing.T) {
 	mw.Sample("x_total", []Label{{Name: "host", Value: `a"b` + "\nc"}}, 1.5)
 	mw.Family("x_total", "Duplicate declaration.", "counter") // dropped
 	mw.Sample("x_total", nil, 2)
+	// Only backslash, double-quote and line feed are escaped: a tab,
+	// U+2028 and é pass through as UTF-8, and an invalid byte becomes
+	// U+FFFD.
+	mw.Sample("x_total", []Label{{Name: "host", Value: "a\tb"}}, 3)
+	mw.Sample("x_total", []Label{{Name: "host", Value: "a\u2028b"}}, 4)
+	mw.Sample("x_total", []Label{{Name: "host", Value: "é"}}, 5)
+	mw.Sample("x_total", []Label{{Name: "host", Value: "a\xffb\\"}}, 6)
 	var b strings.Builder
 	if _, err := mw.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := "# HELP x_total Help text.\n# TYPE x_total counter\n" +
 		"x_total{host=\"a\\\"b\\nc\"} 1.5\n" +
-		"x_total 2\n"
+		"x_total 2\n" +
+		"x_total{host=\"a\tb\"} 3\n" +
+		"x_total{host=\"a\u2028b\"} 4\n" +
+		"x_total{host=\"é\"} 5\n" +
+		"x_total{host=\"a\uFFFDb\\\\\"} 6\n"
 	if b.String() != want {
 		t.Fatalf("exposition:\n got %q\nwant %q", b.String(), want)
 	}
+}
+
+// FuzzMetricWriterLabel checks label escaping against the text format's
+// grammar: the rendered value is valid UTF-8, uses only the \\, \" and \n
+// escapes, and un-escapes back to the input (to its U+FFFD-repaired form
+// when the input is not valid UTF-8).
+func FuzzMetricWriterLabel(f *testing.F) {
+	for _, seed := range []string{"", "plain", `a"b` + "\nc", `back\slash`, "tab\there", "\u2028", "é", "\xff\xfe", `\n`, "\x00"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		mw := &MetricWriter{}
+		mw.Sample("m", []Label{{Name: "l", Value: v}}, 1)
+		out := mw.b.String()
+		if !utf8.ValidString(out) {
+			t.Fatalf("exposition is not valid UTF-8: %q", out)
+		}
+		const pre, post = `m{l="`, "\"} 1\n"
+		if !strings.HasPrefix(out, pre) || !strings.HasSuffix(out, post) {
+			t.Fatalf("malformed sample line %q", out)
+		}
+		esc := out[len(pre) : len(out)-len(post)]
+		var got strings.Builder
+		for i := 0; i < len(esc); i++ {
+			c := esc[i]
+			switch {
+			case c == '\\' && i+1 < len(esc):
+				i++
+				switch esc[i] {
+				case '\\', '"':
+					got.WriteByte(esc[i])
+				case 'n':
+					got.WriteByte('\n')
+				default:
+					t.Fatalf("escape \\%c is not in the text format: %q", esc[i], esc)
+				}
+			case c == '\\' || c == '"' || c == '\n':
+				t.Fatalf("unescaped %q in label value %q", c, esc)
+			default:
+				got.WriteByte(c)
+			}
+		}
+		if want := strings.ToValidUTF8(v, "\uFFFD"); got.String() != want {
+			t.Fatalf("round trip: got %q want %q", got.String(), want)
+		}
+	})
 }
 
 // obsGrid expands a 2-job grid (users a and b, one ambient, one 40 °C

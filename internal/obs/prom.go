@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // MetricWriter renders Prometheus text exposition format (version
@@ -35,7 +36,15 @@ func (w *MetricWriter) Family(name, help, typ string) {
 	fmt.Fprintf(&w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// Sample appends one sample of the most recently declared family.
+// labelEscaper applies the only escapes the text format defines for label
+// values: backslash, double-quote and line feed. Every other character,
+// tabs and non-ASCII included, is written as its UTF-8 bytes (Go's %q
+// escapes would make the exposition unparseable).
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// Sample appends one sample of the most recently declared family. Label
+// values that are not valid UTF-8 have each bad byte run replaced by
+// U+FFFD, since the format requires UTF-8.
 func (w *MetricWriter) Sample(name string, labels []Label, v float64) {
 	w.b.WriteString(name)
 	if len(labels) > 0 {
@@ -44,9 +53,10 @@ func (w *MetricWriter) Sample(name string, labels []Label, v float64) {
 			if i > 0 {
 				w.b.WriteByte(',')
 			}
-			// %q yields exactly the escaping the format mandates for
-			// label values: backslash, double-quote, and newline.
-			fmt.Fprintf(&w.b, "%s=%q", l.Name, l.Value)
+			w.b.WriteString(l.Name)
+			w.b.WriteString(`="`)
+			labelEscaper.WriteString(&w.b, strings.ToValidUTF8(l.Value, "\uFFFD"))
+			w.b.WriteByte('"')
 		}
 		w.b.WriteByte('}')
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -397,4 +398,34 @@ func TestGridSubset(t *testing.T) {
 	if _, err := grid.Subset([]int{1, 1}); err == nil {
 		t.Fatal("duplicate subset index accepted")
 	}
+}
+
+// FuzzParseScenario feeds arbitrary bytes to Parse (JSON and the YAML
+// subset). Each input must either fail with an error or parse to a spec
+// whose canonical form is a fixed point: Marshal → Parse → Marshal gives
+// the same bytes. The committed corpus (testdata/fuzz/FuzzParseScenario)
+// seeds it with testdata/sweep.yaml, testdata/table1_reduced.json and
+// copies of the benchmark's three workload specs.
+func FuzzParseScenario(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			return
+		}
+		first, err := spec.Marshal()
+		if err != nil {
+			t.Fatalf("Marshal of a parsed spec: %v", err)
+		}
+		again, err := Parse(first)
+		if err != nil {
+			t.Fatalf("Parse of the canonical form: %v\n%s", err, first)
+		}
+		second, err := again.Marshal()
+		if err != nil {
+			t.Fatalf("Marshal of the re-parsed spec: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("canonical form is not a fixed point:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+		}
+	})
 }

@@ -57,13 +57,8 @@ type Sensor struct {
 	alpha   float64
 }
 
-// NewSensor creates a sensor with the given quantization, noise, and lag,
-// using the legacy deterministic noise stream derived from seed.
-func NewSensor(quantC, noiseStd, lagTau float64, seed int64) *Sensor {
-	return NewSensorV(quantC, noiseStd, lagTau, seed, NoiseVersionLegacy)
-}
-
-// NewSensorV is NewSensor with an explicit noise stream version.
+// NewSensorV creates a sensor with the given quantization, noise, and lag,
+// drawing noise from the stream the given version selects, seeded by seed.
 func NewSensorV(quantC, noiseStd, lagTau float64, seed int64, version int) *Sensor {
 	// alphaDt = -1 guarantees the cached-coefficient fast path can only
 	// match real (positive) step sizes.
@@ -79,21 +74,16 @@ func newStream(seed int64, version int) Stream {
 	return NewCounterStream(seed)
 }
 
-// BuiltinTempSensor returns the model of an on-SoC/battery temperature
-// sensor: 0.1 °C quantization, mild noise, ~2 s lag.
-func BuiltinTempSensor(seed int64) *Sensor { return NewSensor(0.1, 0.15, 2.0, seed) }
-
-// BuiltinTempSensorV is BuiltinTempSensor with an explicit noise version.
+// BuiltinTempSensorV returns the model of an on-SoC/battery temperature
+// sensor: 0.1 °C quantization, mild noise, ~2 s lag, with the given noise
+// version.
 func BuiltinTempSensorV(seed int64, version int) *Sensor {
 	return NewSensorV(0.1, 0.15, 2.0, seed, version)
 }
 
-// Thermistor returns the model of an attached external thermistor used to
-// collect training labels: fine quantization, low noise, ~1 s lag from the
-// adhesive pad.
-func Thermistor(seed int64) *Sensor { return NewSensor(0.02, 0.05, 1.0, seed) }
-
-// ThermistorV is Thermistor with an explicit noise version.
+// ThermistorV returns the model of an attached external thermistor used
+// to collect training labels: fine quantization, low noise, ~1 s lag from
+// the adhesive pad, with the given noise version.
 func ThermistorV(seed int64, version int) *Sensor {
 	return NewSensorV(0.02, 0.05, 1.0, seed, version)
 }
@@ -149,20 +139,13 @@ func (s *Sensor) Sample() float64 {
 	return v
 }
 
-// Read advances the sensor by dt seconds with the physical temperature
-// trueC and returns the measured value (Advance + Sample).
-func (s *Sensor) Read(trueC, dt float64) float64 {
-	s.Advance(trueC, dt)
-	return s.Sample()
-}
-
-// Reset clears the lag state so the next Read primes from the physical
+// Reset clears the lag state so the next Advance primes from the physical
 // temperature.
 func (s *Sensor) Reset() { s.primed = false }
 
 // Reseed restores the sensor to its just-constructed state under a new
 // noise seed: lag state and coefficient cache cleared, RNG reseeded. A
-// reseeded sensor produces the exact reading stream a NewSensor with the
+// reseeded sensor produces the exact reading stream a NewSensorV with the
 // same parameters and seed would — device.Phone.Reset (the fleet's phone
 // pool) relies on that.
 func (s *Sensor) Reseed(seed int64) {
@@ -196,9 +179,6 @@ func (s *Sensor) LagState() float64 { return s.state }
 // an externally integrated lag (the event engine folds the lag recurrence
 // into its jump matrix and stores the result here).
 func (s *Sensor) SetLagState(v float64) { s.state = v }
-
-// Primed reports whether the sensor has seen its first Advance.
-func (s *Sensor) Primed() bool { return s.primed }
 
 // Record is one line of the logging application: the observables available
 // on a stock phone plus, during training runs, the thermistor ground truth.

@@ -7,14 +7,14 @@ import (
 )
 
 func TestSensorPrimesOnFirstRead(t *testing.T) {
-	s := NewSensor(0, 0, 10, 1)
+	s := NewSensorV(0, 0, 10, 1, NoiseVersionLegacy)
 	if got := s.Read(40, 0.1); got != 40 {
 		t.Fatalf("first read = %v want 40 (primed)", got)
 	}
 }
 
 func TestSensorLagApproachesTrueValue(t *testing.T) {
-	s := NewSensor(0, 0, 2.0, 1)
+	s := NewSensorV(0, 0, 2.0, 1, NoiseVersionLegacy)
 	s.Read(20, 0.1) // prime at 20
 	var v float64
 	for i := 0; i < 100; i++ { // 10 s at dt=0.1 with tau=2
@@ -26,7 +26,7 @@ func TestSensorLagApproachesTrueValue(t *testing.T) {
 }
 
 func TestSensorLagIsFirstOrder(t *testing.T) {
-	s := NewSensor(0, 0, 2.0, 1)
+	s := NewSensorV(0, 0, 2.0, 1, NoiseVersionLegacy)
 	s.Read(0, 0.1) // prime at 0
 	var v float64
 	for i := 0; i < 20; i++ { // exactly one tau (2 s)
@@ -39,7 +39,7 @@ func TestSensorLagIsFirstOrder(t *testing.T) {
 }
 
 func TestSensorQuantization(t *testing.T) {
-	s := NewSensor(0.1, 0, 0, 1)
+	s := NewSensorV(0.1, 0, 0, 1, NoiseVersionLegacy)
 	got := s.Read(36.34999, 1)
 	if math.Abs(got-36.3) > 1e-9 {
 		t.Fatalf("quantized read = %v want 36.3", got)
@@ -51,14 +51,14 @@ func TestSensorQuantization(t *testing.T) {
 }
 
 func TestSensorNoiseIsDeterministicPerSeed(t *testing.T) {
-	a := NewSensor(0, 0.2, 0, 42)
-	b := NewSensor(0, 0.2, 0, 42)
+	a := NewSensorV(0, 0.2, 0, 42, NoiseVersionLegacy)
+	b := NewSensorV(0, 0.2, 0, 42, NoiseVersionLegacy)
 	for i := 0; i < 10; i++ {
 		if a.Read(30, 1) != b.Read(30, 1) {
 			t.Fatal("same-seed sensors diverged")
 		}
 	}
-	c := NewSensor(0, 0.2, 0, 43)
+	c := NewSensorV(0, 0.2, 0, 43, NoiseVersionLegacy)
 	diff := false
 	for i := 0; i < 10; i++ {
 		if a.Read(30, 1) != c.Read(30, 1) {
@@ -71,7 +71,7 @@ func TestSensorNoiseIsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestSensorNoiseStatistics(t *testing.T) {
-	s := NewSensor(0, 0.15, 0, 7)
+	s := NewSensorV(0, 0.15, 0, 7, NoiseVersionLegacy)
 	var sum, sumSq float64
 	n := 20000
 	for i := 0; i < n; i++ {
@@ -90,7 +90,7 @@ func TestSensorNoiseStatistics(t *testing.T) {
 }
 
 func TestSensorReset(t *testing.T) {
-	s := NewSensor(0, 0, 5, 1)
+	s := NewSensorV(0, 0, 5, 1, NoiseVersionLegacy)
 	s.Read(10, 1)
 	s.Read(50, 1) // lagging well below 50
 	s.Reset()
@@ -100,8 +100,8 @@ func TestSensorReset(t *testing.T) {
 }
 
 func TestBuiltinAndThermistorPresets(t *testing.T) {
-	b := BuiltinTempSensor(1)
-	th := Thermistor(2)
+	b := BuiltinTempSensorV(1, NoiseVersionLegacy)
+	th := ThermistorV(2, NoiseVersionLegacy)
 	if b.QuantC <= th.QuantC {
 		t.Fatal("builtin sensor should be coarser than a thermistor")
 	}
@@ -126,7 +126,7 @@ func TestRecordFeatures(t *testing.T) {
 
 // fixedSensor returns an ideal sensor pinned at v, for logger tests.
 func fixedSensor(v float64) *Sensor {
-	s := NewSensor(0, 0, 0, 1)
+	s := NewSensorV(0, 0, 0, 1, NoiseVersionLegacy)
 	s.Advance(v, 1)
 	return s
 }
@@ -212,7 +212,7 @@ func TestLoggerDefaultPeriod(t *testing.T) {
 
 // Property: a noiseless, unquantized, lag-free sensor is the identity.
 func TestIdentitySensorProperty(t *testing.T) {
-	s := NewSensor(0, 0, 0, 1)
+	s := NewSensorV(0, 0, 0, 1, NoiseVersionLegacy)
 	f := func(v float64) bool {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return true
@@ -226,7 +226,7 @@ func TestIdentitySensorProperty(t *testing.T) {
 
 // Property: quantized readings are always integer multiples of the step.
 func TestQuantizationGridProperty(t *testing.T) {
-	s := NewSensor(0.1, 0, 0, 1)
+	s := NewSensorV(0.1, 0, 0, 1, NoiseVersionLegacy)
 	f := func(raw float64) bool {
 		v := math.Mod(math.Abs(raw), 100)
 		got := s.Read(v, 1)
@@ -263,4 +263,11 @@ func TestRetainLatestTrimsExistingHistory(t *testing.T) {
 	if rec.TimeSec <= last.TimeSec || len(l.Records()) != 1 {
 		t.Fatalf("Latest frozen after toggle: %+v", rec)
 	}
+}
+
+// Read advances the sensor by dt seconds with the physical temperature
+// trueC and returns the measured value (Advance + Sample).
+func (s *Sensor) Read(trueC, dt float64) float64 {
+	s.Advance(trueC, dt)
+	return s.Sample()
 }

@@ -117,16 +117,3 @@ func (c *CounterStream) Seed(seed int64) {
 	c.key = splitmix64(uint64(seed))
 	c.ctr = 0
 }
-
-// Pos returns the stream position (counter words consumed, shifted for
-// compatibility with the historical spare-flag encoding) so that
-// Seek(Pos()) is an exact resume point.
-func (c *CounterStream) Pos() uint64 {
-	return c.ctr << 1
-}
-
-// Seek repositions the stream to a position previously obtained from Pos
-// on a stream with the same seed.
-func (c *CounterStream) Seek(pos uint64) {
-	c.ctr = pos >> 1
-}

@@ -135,7 +135,7 @@ func TestCounterSensorDeterministic(t *testing.T) {
 func TestObserveHeldMatchesObserve(t *testing.T) {
 	const dt = 0.05
 	mkSensors := func() (cpu, bat, skin, screen *Sensor) {
-		return BuiltinTempSensor(1), BuiltinTempSensor(2), Thermistor(3), Thermistor(4)
+		return BuiltinTempSensorV(1, NoiseVersionLegacy), BuiltinTempSensorV(2, NoiseVersionLegacy), ThermistorV(3, NoiseVersionLegacy), ThermistorV(4, NoiseVersionLegacy)
 	}
 	temp := func(k int) float64 { return 30 + 0.01*float64(k) }
 
@@ -187,13 +187,13 @@ func heldStarted(l *Logger) bool { return l.started }
 // LagState/SetLagState round-trip the recurrence.
 func TestSensorAlphaAccessors(t *testing.T) {
 	const dt = 0.05
-	s := BuiltinTempSensor(5)
+	s := BuiltinTempSensorV(5, NoiseVersionLegacy)
 	s.Advance(30, dt) // primes: state = 30
 	alpha := s.Alpha(dt)
 	if want := 1 - math.Exp(-dt/s.LagTau); alpha != want {
 		t.Fatalf("Alpha(%v) = %v, want %v", dt, alpha, want)
 	}
-	ref := BuiltinTempSensor(5)
+	ref := BuiltinTempSensorV(5, NoiseVersionLegacy)
 	ref.Advance(30, dt)
 	ext := s.LagState()
 	for k := 0; k < 40; k++ {
@@ -206,8 +206,21 @@ func TestSensorAlphaAccessors(t *testing.T) {
 		t.Fatalf("external recurrence %v != Advance %v", got, want)
 	}
 	// Degenerate lags report alpha 1 (state tracks input exactly).
-	d := NewSensor(0, 0, 0, 1)
+	d := NewSensorV(0, 0, 0, 1, NoiseVersionLegacy)
 	if got := d.Alpha(dt); got != 1 {
 		t.Fatalf("degenerate Alpha = %v, want 1", got)
 	}
+}
+
+// Pos returns the stream position (counter words consumed, shifted for
+// compatibility with the historical spare-flag encoding) so that
+// Seek(Pos()) is an exact resume point.
+func (c *CounterStream) Pos() uint64 {
+	return c.ctr << 1
+}
+
+// Seek repositions the stream to a position previously obtained from Pos
+// on a stream with the same seed.
+func (c *CounterStream) Seek(pos uint64) {
+	c.ctr = pos >> 1
 }

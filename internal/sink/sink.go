@@ -269,64 +269,6 @@ func (d *Downsampler) Accept(job JobID, s device.Sample) {
 // Close closes the downstream sink.
 func (d *Downsampler) Close() error { return d.next.Close() }
 
-// MeterSnapshot is a point-in-time view of the stream a Meter has passed
-// through.
-type MeterSnapshot struct {
-	// Samples is the total sample count accepted so far.
-	Samples int64
-	// Jobs is the number of distinct jobs seen (max JobID + 1 — job IDs are
-	// batch positions, so the count needs no set).
-	Jobs int
-	// LastTimeSec is the largest simulated timestamp seen (0 before any
-	// sample).
-	LastTimeSec float64
-}
-
-// Meter is a transparent tee for live observability: it forwards every
-// sample to the wrapped sink unchanged while maintaining an O(1) snapshot
-// of the stream (sample count, job frontier, simulated-time high-water
-// mark) that dashboards and /metrics endpoints can poll mid-run without
-// touching the data path's buffers. A nil next sink just counts.
-type Meter struct {
-	mu   sync.Mutex
-	snap MeterSnapshot
-	next Sink
-}
-
-// NewMeter creates a metering tee over next (nil: count only).
-func NewMeter(next Sink) *Meter { return &Meter{next: next} }
-
-// Accept updates the counters and forwards the sample.
-func (m *Meter) Accept(job JobID, s device.Sample) {
-	m.mu.Lock()
-	m.snap.Samples++
-	if n := int(job) + 1; n > m.snap.Jobs {
-		m.snap.Jobs = n
-	}
-	if s.TimeSec > m.snap.LastTimeSec {
-		m.snap.LastTimeSec = s.TimeSec
-	}
-	m.mu.Unlock()
-	if m.next != nil {
-		m.next.Accept(job, s)
-	}
-}
-
-// Close closes the wrapped sink.
-func (m *Meter) Close() error {
-	if m.next == nil {
-		return nil
-	}
-	return m.next.Close()
-}
-
-// Snapshot returns the current stream counters.
-func (m *Meter) Snapshot() MeterSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snap
-}
-
 // Tee fans every sample out to all child sinks, in order.
 type Tee struct {
 	sinks []Sink

@@ -111,19 +111,6 @@ func New(cfg Config) (*CPU, error) {
 	return &CPU{cfg: cfg, level: 0, maxLevel: len(cfg.OPPs) - 1, online: cfg.NumCores}, nil
 }
 
-// MustNew is New that panics on configuration errors; intended for
-// hard-coded configurations.
-func MustNew(cfg Config) *CPU {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the CPU's configuration.
-func (c *CPU) Config() Config { return c.cfg }
-
 // NumLevels returns the number of OPPs.
 func (c *CPU) NumLevels() int { return len(c.cfg.OPPs) }
 
@@ -159,9 +146,6 @@ func (c *CPU) SetMaxLevel(lvl int) {
 	}
 }
 
-// ClearMaxLevel removes the frequency clamp.
-func (c *CPU) ClearMaxLevel() { c.maxLevel = len(c.cfg.OPPs) - 1 }
-
 // SetLevel requests DVFS level lvl; the effective level is saturated into
 // [0, MaxLevel]. It returns the level actually applied.
 func (c *CPU) SetLevel(lvl int) int {
@@ -177,24 +161,6 @@ func (c *CPU) SetLevel(lvl int) int {
 
 // FreqMHz returns the frequency of the current level.
 func (c *CPU) FreqMHz() float64 { return c.cfg.OPPs[c.level].FreqMHz }
-
-// FreqAtLevel returns the frequency of an arbitrary level.
-func (c *CPU) FreqAtLevel(lvl int) float64 { return c.cfg.OPPs[lvl].FreqMHz }
-
-// Voltage returns the supply voltage of the current level.
-func (c *CPU) Voltage() float64 { return c.cfg.OPPs[c.level].VoltageV }
-
-// LevelForFreq returns the lowest level whose frequency is >= freqMHz, or
-// the top level if freqMHz exceeds the table. This mirrors cpufreq's
-// CPUFREQ_RELATION_L frequency resolution.
-func (c *CPU) LevelForFreq(freqMHz float64) int {
-	for i, opp := range c.cfg.OPPs {
-		if opp.FreqMHz >= freqMHz {
-			return i
-		}
-	}
-	return len(c.cfg.OPPs) - 1
-}
 
 // OnlineCores returns the number of cores currently online.
 func (c *CPU) OnlineCores() int { return c.online }
@@ -215,12 +181,6 @@ func (c *CPU) SetOnlineCores(n int) {
 // expressed in the same unit, so utilization = demand / capacity.
 func (c *CPU) CapacityMHz() float64 {
 	return c.cfg.OPPs[c.level].FreqMHz * float64(c.online)
-}
-
-// CapacityAtLevelMHz returns capacity for an arbitrary level at the
-// current online-core count.
-func (c *CPU) CapacityAtLevelMHz(lvl int) float64 {
-	return c.cfg.OPPs[lvl].FreqMHz * float64(c.online)
 }
 
 // MaxCapacityMHz returns capacity at the top OPP with every core online,

@@ -289,3 +289,37 @@ func TestExp2FastAccuracy(t *testing.T) {
 		t.Fatalf("fallback broken: %v", got)
 	}
 }
+
+// MustNew is New that panics on configuration errors; intended for
+// hard-coded configurations.
+func MustNew(cfg Config) *CPU {
+	c, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// Config returns the CPU's configuration.
+func (c *CPU) Config() Config { return c.cfg }
+
+// ClearMaxLevel removes the frequency clamp.
+func (c *CPU) ClearMaxLevel() { c.maxLevel = len(c.cfg.OPPs) - 1 }
+
+// LevelForFreq returns the lowest level whose frequency is >= freqMHz, or
+// the top level if freqMHz exceeds the table. This mirrors cpufreq's
+// CPUFREQ_RELATION_L frequency resolution.
+func (c *CPU) LevelForFreq(freqMHz float64) int {
+	for i, opp := range c.cfg.OPPs {
+		if opp.FreqMHz >= freqMHz {
+			return i
+		}
+	}
+	return len(c.cfg.OPPs) - 1
+}
+
+// CapacityAtLevelMHz returns capacity for an arbitrary level at the
+// current online-core count.
+func (c *CPU) CapacityAtLevelMHz(lvl int) float64 {
+	return c.cfg.OPPs[lvl].FreqMHz * float64(c.online)
+}

@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"container/list"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -47,7 +46,6 @@ type ladderLevel struct {
 // LadderScratch.
 type Ladder struct {
 	sig  uint64
-	dt   float64
 	n    int // thermal nodes
 	taps []Tap
 	lv   []ladderLevel
@@ -66,12 +64,6 @@ type Ladder struct {
 	compMu sync.Mutex
 	comp   [1 << maxLadderLevels]atomic.Pointer[compositePair]
 }
-
-// Dt returns the base tick the ladder was built for.
-func (l *Ladder) Dt() float64 { return l.dt }
-
-// Sig returns the conductance fingerprint the ladder was built from.
-func (l *Ladder) Sig() uint64 { return l.sig }
 
 // MaxChunk returns the largest tick count one bit decomposition covers;
 // longer jumps are applied in chunks of this size.
@@ -118,64 +110,9 @@ func tapsSig(taps []Tap) uint64 {
 // off the same fingerprints as the propagator cache.
 const maxSharedLadders = 64
 
-// ladderLRU mirrors propLRU for ladders: size-capped, immutable entries,
-// one critical section per lookup-or-build so two networks racing on the
-// same key build the ladder once.
-type ladderLRU struct {
-	mu    sync.Mutex
-	max   int
-	m     map[ladderKey]*list.Element
-	order *list.List
-
-	hits, misses uint64
-}
-
-type ladderEntry struct {
-	key ladderKey
-	l   *Ladder
-}
-
-func newLadderLRU(max int) *ladderLRU {
-	return &ladderLRU{max: max, m: make(map[ladderKey]*list.Element), order: list.New()}
-}
-
-func (c *ladderLRU) getOrBuild(key ladderKey, build func() *Ladder) *Ladder {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el := c.m[key]; el != nil {
-		c.order.MoveToFront(el)
-		c.hits++
-		return el.Value.(ladderEntry).l
-	}
-	c.misses++
-	l := build()
-	if l == nil {
-		return nil
-	}
-	c.m[key] = c.order.PushFront(ladderEntry{key: key, l: l})
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.m, oldest.Value.(ladderEntry).key)
-	}
-	return l
-}
-
-func (c *ladderLRU) stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-func (c *ladderLRU) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // sharedLadders is the process-wide ladder cache, the event-engine
 // counterpart of sharedProps.
-var sharedLadders = newLadderLRU(maxSharedLadders)
+var sharedLadders = newLRU[ladderKey, Ladder](maxSharedLadders)
 
 // LadderFor returns the power-of-two jump ladder for the network's current
 // conductance configuration, tick dt and tap set, building and caching it
@@ -209,7 +146,6 @@ func (n *Network) buildLadder(dt float64, taps []Tap) *Ladder {
 	dim := ln + len(taps)
 	l := &Ladder{
 		sig:    n.sig,
-		dt:     dt,
 		n:      ln,
 		taps:   append([]Tap(nil), taps...),
 		w:      base.w,
@@ -445,18 +381,6 @@ func (l *Ladder) composite(k int) *compositePair {
 	return p
 }
 
-// compositeCount reports how many fused propagators the ladder has
-// memoized (tests pin the one-entry-per-k behaviour through it).
-func (l *Ladder) compositeCount() int {
-	n := 0
-	for i := range l.comp {
-		if l.comp[i].Load() != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // AdvanceComposite is Advance with memoized fused k-tick propagators:
 // one dense matrix application per jump instead of one per set bit of
 // the tick count. Results match Advance up to floating-point summation
@@ -534,11 +458,4 @@ func (l *Ladder) AdvanceComposite(net *Network, states []float64, ticks int, sc 
 		states[i] = out[ln+i] + diag[i]*states[i]
 	}
 	copy(net.temps, out[:ln])
-}
-
-// LadderCacheStats reports the shared ladder cache's size and
-// hit/miss counters (tests pin LRU behaviour through it).
-func LadderCacheStats() (size int, hits, misses uint64) {
-	h, m := sharedLadders.stats()
-	return sharedLadders.len(), h, m
 }

@@ -123,7 +123,7 @@ func TestLadderCacheOnePerFingerprint(t *testing.T) {
 	if lTouch == nil || lTouch == l1 {
 		t.Fatalf("touch flip should build a distinct ladder (got %p vs %p)", lTouch, l1)
 	}
-	if lTouch.Sig() == l1.Sig() {
+	if lTouch.sig == l1.sig {
 		t.Fatal("touch flip did not change the fingerprint")
 	}
 	ApplyTouch(net, nodes, cfg, false)
@@ -239,4 +239,16 @@ func TestLadderRK4Fallback(t *testing.T) {
 	if l := net.LadderFor(0.05, ladderTaps(nodes, 0.05)); l == nil {
 		t.Fatal("ladder unavailable after releasing RK4")
 	}
+}
+
+// compositeCount reports how many fused propagators the ladder has
+// memoized (tests pin the one-entry-per-k behaviour through it).
+func (l *Ladder) compositeCount() int {
+	n := 0
+	for i := range l.comp {
+		if l.comp[i].Load() != nil {
+			n++
+		}
+	}
+	return n
 }

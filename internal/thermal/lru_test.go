@@ -4,8 +4,12 @@ import "testing"
 
 // TestPropLRUBoundAndEviction unit-tests the shared-cache LRU: the bound
 // holds, eviction is least-recently-used, and recency refreshes on get.
+// put and get go through getOrBuild: a build that returns p inserts it on
+// a miss, and a nil build looks a key up without inserting.
 func TestPropLRUBoundAndEviction(t *testing.T) {
-	c := newPropLRU(3)
+	c := newLRU[propKey, propagator](3)
+	put := func(k propKey, p *propagator) { c.getOrBuild(k, func() *propagator { return p }) }
+	get := func(k propKey) *propagator { return c.getOrBuild(k, func() *propagator { return nil }) }
 	mk := func(sig uint64) (propKey, *propagator) {
 		return propKey{sig: sig, dt: 0.05}, &propagator{sig: sig, dt: 0.05}
 	}
@@ -14,41 +18,41 @@ func TestPropLRUBoundAndEviction(t *testing.T) {
 	for i := range keys {
 		keys[i], props[i] = mk(uint64(i))
 	}
-	c.put(keys[0], props[0])
-	c.put(keys[1], props[1])
-	c.put(keys[2], props[2])
+	put(keys[0], props[0])
+	put(keys[1], props[1])
+	put(keys[2], props[2])
 	if c.len() != 3 {
 		t.Fatalf("len = %d want 3", c.len())
 	}
 	// Touch 0 so 1 becomes the LRU, then overflow.
-	if c.get(keys[0]) != props[0] {
+	if get(keys[0]) != props[0] {
 		t.Fatal("get missed a cached entry")
 	}
-	c.put(keys[3], props[3])
+	put(keys[3], props[3])
 	if c.len() != 3 {
 		t.Fatalf("len = %d want 3 after eviction", c.len())
 	}
-	if c.get(keys[1]) != nil {
+	if get(keys[1]) != nil {
 		t.Fatal("LRU entry 1 should have been evicted")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if c.get(keys[i]) != props[i] {
+		if get(keys[i]) != props[i] {
 			t.Fatalf("entry %d lost", i)
 		}
 	}
 	// Re-put of an existing key refreshes, never grows.
-	c.put(keys[3], props[3])
+	put(keys[3], props[3])
 	if c.len() != 3 {
 		t.Fatalf("len = %d want 3 after refresh", c.len())
 	}
 	// The verification loop touched 0, 2, 3 in that order, so 0 is now the
 	// LRU and the next overflow must evict it.
-	c.put(keys[4], props[4])
-	if c.get(keys[0]) != nil {
+	put(keys[4], props[4])
+	if get(keys[0]) != nil {
 		t.Fatal("entry 0 should have been evicted as the LRU")
 	}
 	for _, i := range []int{2, 3, 4} {
-		if c.get(keys[i]) != props[i] {
+		if get(keys[i]) != props[i] {
 			t.Fatalf("entry %d lost after eviction", i)
 		}
 	}
@@ -81,7 +85,7 @@ func TestSharedPropagatorCacheStaysBounded(t *testing.T) {
 // TestPropLRUGetOrBuild pins the single-critical-section cache API: one
 // build per key, hits counted, nil builds not cached.
 func TestPropLRUGetOrBuild(t *testing.T) {
-	c := newPropLRU(4)
+	c := newLRU[propKey, propagator](4)
 	key := propKey{sig: 99, dt: 0.05}
 	builds := 0
 	build := func() *propagator { builds++; return &propagator{sig: 99, dt: 0.05} }
@@ -138,4 +142,18 @@ func TestPropagatorForHitsSharedCacheOnce(t *testing.T) {
 	if h2 != h1 || m2 != m1 {
 		t.Fatalf("per-network MRU bypass failed: shared stats moved %d/%d → %d/%d", h1, m1, h2, m2)
 	}
+}
+
+// stats reports the getOrBuild hit/miss counts.
+func (c *lru[K, V]) stats() (hits, misses uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
+}
+
+// len reports the current entry count.
+func (c *lru[K, V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }

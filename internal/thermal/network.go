@@ -13,11 +13,8 @@
 package thermal
 
 import (
-	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/mat"
 )
 
 // NodeID identifies a node within a Network.
@@ -53,10 +50,6 @@ type Network struct {
 	adj   [][]edge
 	baths [][]bath
 
-	// nameIdx backs Lookup; maintained eagerly by AddNode so Lookup stays
-	// read-only (safe to call concurrently on a quiescent network).
-	nameIdx map[string]NodeID
-
 	// scratch buffers for the RK4 integrator
 	k1, k2, k3, k4, tmp []float64
 
@@ -74,9 +67,6 @@ type Network struct {
 	props    []*propagator
 	forceRK4 bool
 }
-
-// ErrEmpty is returned when an operation needs at least one node.
-var ErrEmpty = errors.New("thermal: network has no nodes")
 
 // NewNetwork creates an empty network with the given ambient temperature in
 // degrees Celsius.
@@ -111,31 +101,8 @@ func (n *Network) AddNode(name string, capacitance, initTemp float64) NodeID {
 	n.power = append(n.power, 0)
 	n.adj = append(n.adj, nil)
 	n.baths = append(n.baths, nil)
-	if n.nameIdx == nil {
-		n.nameIdx = make(map[string]NodeID, 8)
-	}
-	if _, exists := n.nameIdx[name]; !exists { // first registration wins
-		n.nameIdx[name] = id
-	}
 	n.dirty = true
 	return id
-}
-
-// NumNodes returns the number of nodes in the network.
-func (n *Network) NumNodes() int { return len(n.names) }
-
-// Name returns the name a node was registered with.
-func (n *Network) Name(id NodeID) string { return n.names[id] }
-
-// Lookup returns the node with the given name. Lookups are O(1) against
-// the index AddNode maintains; if several nodes share a name, the first
-// registered wins. Lookup never mutates the network.
-func (n *Network) Lookup(name string) (NodeID, bool) {
-	id, ok := n.nameIdx[name]
-	if !ok {
-		return -1, false
-	}
-	return id, true
 }
 
 // Connect couples nodes a and b with a thermal resistance in K/W.
@@ -204,34 +171,12 @@ func (n *Network) SetBathResistance(ref BathRef, resistance float64) {
 	n.dirty = true
 }
 
-// Ambient returns the ambient temperature in °C.
-func (n *Network) Ambient() float64 { return n.ambient }
-
-// SetAmbient changes the ambient temperature in °C.
-func (n *Network) SetAmbient(t float64) { n.ambient = t }
-
 // SetPower sets the externally injected power (W) at a node; it replaces any
 // previous value.
 func (n *Network) SetPower(id NodeID, watts float64) { n.power[id] = watts }
 
-// Power returns the externally injected power (W) at a node.
-func (n *Network) Power(id NodeID) float64 { return n.power[id] }
-
 // Temp returns the current temperature (°C) of a node.
 func (n *Network) Temp(id NodeID) float64 { return n.temps[id] }
-
-// SetTemp overrides the current temperature (°C) of a node.
-func (n *Network) SetTemp(id NodeID, t float64) { n.temps[id] = t }
-
-// Temps copies all node temperatures into dst (allocating if nil) and
-// returns it.
-func (n *Network) Temps(dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(n.temps))
-	}
-	copy(dst, n.temps)
-	return dst
-}
 
 // deriv writes dT/dt for temperatures t into out.
 func (n *Network) deriv(t, out []float64) {
@@ -382,61 +327,4 @@ func (n *Network) StepRK4(dt float64) {
 			t[i] += h / 6 * (n.k1[i] + 2*n.k2[i] + 2*n.k3[i] + n.k4[i])
 		}
 	}
-}
-
-// SteadyState solves for the equilibrium temperatures under the current
-// power injection and bath configuration without altering the transient
-// state. It returns one temperature per node.
-func (n *Network) SteadyState() ([]float64, error) {
-	ln := len(n.temps)
-	if ln == 0 {
-		return nil, ErrEmpty
-	}
-	a := mat.NewDense(ln, ln)
-	b := make([]float64, ln)
-	for i := 0; i < ln; i++ {
-		var diag float64
-		for _, e := range n.adj[i] {
-			diag += e.g
-			a.Set(i, int(e.other), a.At(i, int(e.other))-e.g)
-		}
-		rhs := n.power[i]
-		for _, bt := range n.baths[i] {
-			diag += bt.g
-			temp := bt.temp
-			if bt.useAmbient {
-				temp = n.ambient
-			}
-			rhs += bt.g * temp
-		}
-		a.Set(i, i, a.At(i, i)+diag)
-		b[i] = rhs
-	}
-	x, err := mat.Solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("thermal: steady state has no unique solution (is every island coupled to a bath?): %w", err)
-	}
-	return x, nil
-}
-
-// Equilibrate sets every node temperature to its steady-state value for the
-// current configuration. It is the canonical way to initialise a simulation
-// "soaked" at ambient: zero the powers, call Equilibrate, restore powers.
-func (n *Network) Equilibrate() error {
-	t, err := n.SteadyState()
-	if err != nil {
-		return err
-	}
-	copy(n.temps, t)
-	return nil
-}
-
-// TotalHeatContent returns Σ C_i·T_i in joules relative to 0 °C. Useful for
-// energy-balance checks in tests.
-func (n *Network) TotalHeatContent() float64 {
-	var s float64
-	for i, c := range n.caps {
-		s += c * n.temps[i]
-	}
-	return s
 }

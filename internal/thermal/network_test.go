@@ -1,10 +1,14 @@
 package thermal
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mat"
 )
 
 func TestSingleNodeRelaxesToAmbient(t *testing.T) {
@@ -373,4 +377,96 @@ func TestLookupMapStaysCurrent(t *testing.T) {
 	if id, _ := n.Lookup("a"); id != a {
 		t.Fatalf("duplicate name resolved to %v, want first node %v", id, a)
 	}
+}
+
+// The helpers below are test-only Network accessors and the steady-state
+// reference solver the transient tests compare against.
+
+// ErrEmpty is returned when an operation needs at least one node.
+var ErrEmpty = errors.New("thermal: network has no nodes")
+
+// NumNodes returns the number of nodes in the network.
+func (n *Network) NumNodes() int { return len(n.names) }
+
+// Name returns the name a node was registered with.
+func (n *Network) Name(id NodeID) string { return n.names[id] }
+
+// Lookup returns the first node registered with the given name.
+func (n *Network) Lookup(name string) (NodeID, bool) {
+	for i, s := range n.names {
+		if s == name {
+			return NodeID(i), true
+		}
+	}
+	return -1, false
+}
+
+// SetAmbient changes the ambient temperature in °C.
+func (n *Network) SetAmbient(t float64) { n.ambient = t }
+
+// Temps copies all node temperatures into dst (allocating if nil) and
+// returns it.
+func (n *Network) Temps(dst []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, len(n.temps))
+	}
+	copy(dst, n.temps)
+	return dst
+}
+
+// SteadyState solves for the equilibrium temperatures under the current
+// power injection and bath configuration without altering the transient
+// state. It returns one temperature per node.
+func (n *Network) SteadyState() ([]float64, error) {
+	ln := len(n.temps)
+	if ln == 0 {
+		return nil, ErrEmpty
+	}
+	a := mat.NewDense(ln, ln)
+	b := make([]float64, ln)
+	for i := 0; i < ln; i++ {
+		var diag float64
+		for _, e := range n.adj[i] {
+			diag += e.g
+			a.Set(i, int(e.other), a.At(i, int(e.other))-e.g)
+		}
+		rhs := n.power[i]
+		for _, bt := range n.baths[i] {
+			diag += bt.g
+			temp := bt.temp
+			if bt.useAmbient {
+				temp = n.ambient
+			}
+			rhs += bt.g * temp
+		}
+		a.Set(i, i, a.At(i, i)+diag)
+		b[i] = rhs
+	}
+	x, err := mat.Solve(a, b)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: steady state has no unique solution (is every island coupled to a bath?): %w", err)
+	}
+	return x, nil
+}
+
+// Equilibrate sets every node temperature to its steady-state value for the
+// current configuration. It is the canonical way to initialise a simulation
+// "soaked" at ambient: zero the powers, call Equilibrate, restore powers.
+func (n *Network) Equilibrate() error {
+	t, err := n.SteadyState()
+	if err != nil {
+		return err
+	}
+	copy(n.temps, t)
+	return nil
+}
+
+// TotalHeatContent returns Σ C_i·T_i in joules relative to 0 °C. Useful for
+// energy-balance checks in tests.
+func (n *Network) TotalHeatContent() float64 {
+	var s float64
+	for i, c := range n.caps {
+		s += c * n.temps[i]
+	}
+	return s
 }

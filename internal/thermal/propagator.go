@@ -1,11 +1,6 @@
 package thermal
 
-import (
-	"container/list"
-	"sync"
-
-	"repro/internal/mat"
-)
+import "repro/internal/mat"
 
 // maxCachedPropagators bounds the per-network propagator cache. Simulated
 // runs alternate between a handful of configurations (touching / not
@@ -47,113 +42,12 @@ type propKey struct {
 // process. Each 8-node propagator is ~1 KiB, so the cap is ~0.5 MiB.
 const maxSharedPropagators = 512
 
-// propLRU is a size-capped LRU map of finished propagators. Entries are
-// immutable after insertion; the lock only guards the map and recency
-// list. Shared-cache traffic is rare — each Network front-runs it with its
-// own MRU slice — so a single mutex (recency updates happen on reads too)
-// costs nothing measurable.
-type propLRU struct {
-	mu    sync.Mutex
-	max   int
-	m     map[propKey]*list.Element
-	order *list.List // front = most recently used
-
-	// hits/misses count getOrBuild outcomes (guarded by mu); the cache-hit
-	// unit tests read them via stats.
-	hits, misses uint64
-}
-
-// propEntry is one LRU element payload.
-type propEntry struct {
-	key propKey
-	p   *propagator
-}
-
-func newPropLRU(max int) *propLRU {
-	return &propLRU{max: max, m: make(map[propKey]*list.Element), order: list.New()}
-}
-
-// get returns the cached propagator and refreshes its recency, or nil.
-func (c *propLRU) get(key propKey) *propagator {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el := c.m[key]
-	if el == nil {
-		return nil
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(propEntry).p
-}
-
-// put inserts (or refreshes) a propagator, evicting the least recently
-// used entry beyond the cap.
-func (c *propLRU) put(key propKey, p *propagator) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el := c.m[key]; el != nil {
-		c.order.MoveToFront(el)
-		el.Value = propEntry{key: key, p: p}
-		return
-	}
-	c.m[key] = c.order.PushFront(propEntry{key: key, p: p})
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.m, oldest.Value.(propEntry).key)
-	}
-}
-
-// getOrBuild returns the cached propagator for key, building and caching
-// it via build on a miss — one critical section for the whole
-// lookup-miss-insert sequence, so a miss costs a single lock round trip
-// (get-then-put took two) and two networks racing on the same key never
-// compute the matrix exponential twice. build runs under the lock; that is
-// deliberate: builds are rare (once per configuration × dt per process)
-// and serializing them is what provides the dedup. A nil build result
-// (degenerate configuration) is not cached, so callers retry — and fall
-// back to RK4 — on every miss.
-func (c *propLRU) getOrBuild(key propKey, build func() *propagator) *propagator {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el := c.m[key]; el != nil {
-		c.order.MoveToFront(el)
-		c.hits++
-		return el.Value.(propEntry).p
-	}
-	c.misses++
-	p := build()
-	if p == nil {
-		return nil
-	}
-	c.m[key] = c.order.PushFront(propEntry{key: key, p: p})
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.m, oldest.Value.(propEntry).key)
-	}
-	return p
-}
-
-// stats reports the getOrBuild hit/miss counts.
-func (c *propLRU) stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// len reports the current entry count.
-func (c *propLRU) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // sharedProps is the process-wide propagator cache. Fleet runs build one
 // Network per job from identical configurations; sharing the finished
 // (immutable) propagators across networks means each distinct
 // (configuration, dt) pair pays the matrix exponential exactly once per
 // process instead of once per job.
-var sharedProps = newPropLRU(maxSharedPropagators)
+var sharedProps = newLRU[propKey, propagator](maxSharedPropagators)
 
 // propagatorFor returns the cached propagator for the current configuration
 // fingerprint and step size, building (and caching) it on a miss. The hit

@@ -1,4 +1,4 @@
-// Package trace records and summarizes simulation time series, exports them
+// Package trace records and thresholds simulation time series, exports them
 // as CSV, and renders compact ASCII charts for the experiment harness
 // output. Every figure in the reproduction is ultimately a set of Series.
 package trace
@@ -6,8 +6,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -26,13 +24,11 @@ type TimeSeries struct {
 	byName map[string]*Series
 }
 
-// New creates an empty TimeSeries with the given column names. Units can be
-// attached afterwards via Lookup.
-func New(names ...string) *TimeSeries { return NewWithCap(0, names...) }
-
-// NewWithCap is New with every column (and the time axis) preallocated to
-// hold rows entries, so appenders with a known row count — fixed-duration
-// simulation runs — never regrow a column mid-loop.
+// NewWithCap creates an empty TimeSeries with the given column names, with
+// every column (and the time axis) preallocated to hold rows entries, so
+// appenders with a known row count — fixed-duration simulation runs —
+// never regrow a column mid-loop. Units can be attached afterwards via
+// Lookup.
 func NewWithCap(rows int, names ...string) *TimeSeries {
 	if rows < 0 {
 		rows = 0
@@ -115,32 +111,6 @@ func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// Summary holds the standard statistics of a series.
-type Summary struct {
-	Min, Max, Mean, Final float64
-	N                     int
-}
-
-// Summarize computes summary statistics over the series values.
-func Summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	s := Summary{Min: values[0], Max: values[0], Final: values[len(values)-1], N: len(values)}
-	var sum float64
-	for _, v := range values {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		sum += v
-	}
-	s.Mean = sum / float64(len(values))
-	return s
-}
-
 // FractionAbove returns the fraction of samples strictly above the
 // threshold.
 func FractionAbove(values []float64, threshold float64) float64 {
@@ -165,55 +135,6 @@ func FirstCrossing(timeSec, values []float64, threshold float64) (float64, bool)
 		}
 	}
 	return 0, false
-}
-
-// Percentile returns the p-th percentile (0–100) of the values using
-// nearest-rank on a sorted copy.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-// Sparkline renders values as a one-line unicode sparkline of the given
-// width (downsampling by averaging buckets).
-func Sparkline(values []float64, width int) string {
-	if len(values) == 0 || width <= 0 {
-		return ""
-	}
-	ramp := []rune("▁▂▃▄▅▆▇█")
-	buckets := bucketMeans(values, width)
-	lo, hi := buckets[0], buckets[0]
-	for _, v := range buckets {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range buckets {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(ramp)-1))
-		}
-		b.WriteRune(ramp[idx])
-	}
-	return b.String()
 }
 
 // Chart renders a multi-line ASCII chart of the series: height rows by

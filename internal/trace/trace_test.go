@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -55,23 +54,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 4, 1, 5})
-	if s.Min != 1 || s.Max != 5 || s.Final != 5 || s.N != 5 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if math.Abs(s.Mean-2.8) > 1e-12 {
-		t.Fatalf("Mean = %v want 2.8", s.Mean)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary = %+v", s)
-	}
-}
-
 func TestFractionAbove(t *testing.T) {
 	vs := []float64{1, 2, 3, 4}
 	if got := FractionAbove(vs, 2); got != 0.5 {
@@ -101,50 +83,6 @@ func TestFirstCrossing(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	vs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(vs, 50); got != 5 {
-		t.Fatalf("P50 = %v want 5", got)
-	}
-	if got := Percentile(vs, 0); got != 1 {
-		t.Fatalf("P0 = %v want 1", got)
-	}
-	if got := Percentile(vs, 100); got != 10 {
-		t.Fatalf("P100 = %v want 10", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Fatal("Percentile(nil) should be NaN")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	vs := []float64{3, 1, 2}
-	Percentile(vs, 50)
-	if vs[0] != 3 || vs[1] != 1 || vs[2] != 2 {
-		t.Fatal("Percentile sorted the caller's slice")
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	got := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8)
-	if got != "▁▂▃▄▅▆▇█" {
-		t.Fatalf("Sparkline = %q", got)
-	}
-	if Sparkline(nil, 10) != "" {
-		t.Fatal("empty sparkline should be empty string")
-	}
-	if Sparkline([]float64{1}, 0) != "" {
-		t.Fatal("zero-width sparkline should be empty string")
-	}
-}
-
-func TestSparklineFlat(t *testing.T) {
-	got := Sparkline([]float64{5, 5, 5, 5}, 4)
-	if got != "▁▁▁▁" {
-		t.Fatalf("flat sparkline = %q", got)
-	}
-}
-
 func TestChartContainsExtremes(t *testing.T) {
 	out := Chart([]float64{10, 20, 30, 40, 50}, 5, 4)
 	if !strings.Contains(out, "50.00") || !strings.Contains(out, "10.00") {
@@ -158,27 +96,6 @@ func TestChartContainsExtremes(t *testing.T) {
 func TestChartEmpty(t *testing.T) {
 	if Chart(nil, 10, 5) != "" {
 		t.Fatal("empty chart should be empty string")
-	}
-}
-
-// Property: Summarize bounds hold — Min <= Mean <= Max and Final is a
-// member of the slice.
-func TestSummarizeBoundsProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		clean := make([]float64, 0, len(vals))
-		for _, v := range vals {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e12 {
-				clean = append(clean, v)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		s := Summarize(clean)
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 && s.Final == clean[len(clean)-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -217,3 +134,7 @@ func TestNewWithCapPreallocates(t *testing.T) {
 		t.Fatal("negative capacity should behave like New")
 	}
 }
+
+// New creates an empty TimeSeries with the given column names. Units can be
+// attached afterwards via Lookup.
+func New(names ...string) *TimeSeries { return NewWithCap(0, names...) }

@@ -1,12 +1,12 @@
 package workload
 
-// DailyMix composes a realistic usage session from the building blocks the
-// paper evaluates in isolation: idle pocket time, bursts of browsing,
-// video playback, a video call, gaming, and a charging top-up. It is used
-// to diversify the ML training corpus beyond the benchmark profiles and as
-// an end-to-end scenario for the examples.
-
-// DailyMix returns a ~100-minute mixed-usage trace.
+// DailyMix returns a ~100-minute mixed-usage trace composed from the
+// building blocks the paper evaluates in isolation: idle pocket time,
+// bursts of browsing, video playback, a video call, gaming, and a charging
+// top-up. No binary runs it; it is a test fixture whose phase changes,
+// touch flips and charger transitions exercise the event engine
+// (internal/device's event-engine pins) and the workload boundary
+// contract.
 func DailyMix(seed uint64) *Program {
 	return New("daily-mix", seed,
 		// Pocket idle, screen off.

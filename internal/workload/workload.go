@@ -381,20 +381,6 @@ func truncatedNextChange(tr Truncated) func(t float64) float64 {
 	}
 }
 
-// PhaseAt returns the name of the phase active at time t, or "" outside the
-// program.
-func (p *Program) PhaseAt(t float64) string {
-	if t < 0 || t >= p.total {
-		return ""
-	}
-	for i := len(p.offsets) - 1; i >= 0; i-- {
-		if p.offsets[i] <= t {
-			return p.phases[i].Name
-		}
-	}
-	return ""
-}
-
 // Repeat returns a program consisting of n back-to-back copies of p's
 // phases.
 func (p *Program) Repeat(n int) *Program {

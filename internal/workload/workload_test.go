@@ -372,3 +372,34 @@ func TestTruncatedCursorClips(t *testing.T) {
 		t.Fatalf("cursor(9.5) = %+v, want %+v", got, want)
 	}
 }
+
+func TestDailyMixShape(t *testing.T) {
+	w := DailyMix(1)
+	if w.Name() != "daily-mix" {
+		t.Fatalf("Name = %q", w.Name())
+	}
+	// The charging tail must be screen-off with charge heat.
+	tail := w.At(w.Duration() - 100)
+	if tail.ChargeWatts <= 0 || tail.Display != 0 {
+		t.Fatalf("charging tail sample = %+v", tail)
+	}
+	// The call phase must be the warm middle stretch.
+	call := w.At(2500)
+	if call.AuxWatts < 0.5 || !call.Touch {
+		t.Fatalf("call-phase sample = %+v", call)
+	}
+}
+
+// PhaseAt returns the name of the phase active at time t, or "" outside the
+// program.
+func (p *Program) PhaseAt(t float64) string {
+	if t < 0 || t >= p.total {
+		return ""
+	}
+	for i := len(p.offsets) - 1; i >= 0; i-- {
+		if p.offsets[i] <= t {
+			return p.phases[i].Name
+		}
+	}
+	return ""
+}

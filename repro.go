@@ -322,7 +322,6 @@ type scenarioRun struct {
 	shards   int
 	sharded  bool
 	runner   Runner
-	device   *DeviceConfig
 	pred     *Predictor
 	sink     Sink
 	progress func(done, total int)
@@ -355,12 +354,6 @@ func ScenarioShards(n int) ScenarioOption {
 // this sweep once it starts. Concurrent sweeps may share one runner.
 func ScenarioRunner(r Runner) ScenarioOption {
 	return func(rc *scenarioRun) { rc.runner = r }
-}
-
-// ScenarioDevice sets the base device configuration the grid expands
-// against (default: DefaultDeviceConfig).
-func ScenarioDevice(cfg DeviceConfig) ScenarioOption {
-	return func(rc *scenarioRun) { rc.device = &cfg }
 }
 
 // ScenarioPredictor supplies the trained predictor backing usta schemes.
@@ -417,7 +410,7 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 	if runner == nil && rc.sharded {
 		runner = fleetnet.NewPipe(rc.shards)
 	}
-	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Device: rc.device, Predictor: rc.pred,
+	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Predictor: rc.pred,
 		Workers: rc.workers, Runner: runner})
 	if err != nil {
 		return nil, err
@@ -577,12 +570,6 @@ func NewUSTA(pred *Predictor, skinLimitC float64) *USTA {
 // retraining from the phone's own instrumented log (see core.Recalibrator).
 func NewRecalibrator(u *USTA) *core.Recalibrator { return core.NewRecalibrator(u) }
 
-// SavePredictor serializes a trained predictor as JSON.
-func SavePredictor(w io.Writer, p *Predictor) error { return core.SavePredictor(w, p) }
-
-// LoadPredictor deserializes a predictor saved by SavePredictor.
-func LoadPredictor(r io.Reader) (*Predictor, error) { return core.LoadPredictor(r) }
-
 // StudyPopulation returns the ten study participants.
 func StudyPopulation() []User { return users.StudyPopulation() }
 
@@ -657,7 +644,3 @@ func RandomPhases(seed uint64, n int, phaseDur float64) Workload {
 
 // Idle builds a screen-off idle workload.
 func Idle(dur float64) Workload { return workload.Idle(dur) }
-
-// DailyMix builds a ~100-minute mixed-usage session (idle, browsing,
-// video, a call, gaming, charging) for end-to-end scenarios.
-func DailyMix(seed uint64) Workload { return workload.DailyMix(seed) }
