@@ -3,13 +3,7 @@ package net
 import (
 	"context"
 	"errors"
-	"fmt"
-	"hash/fnv"
-	"math/rand"
 	stdnet "net"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,412 +191,6 @@ func (r *Runner) allDeadDeadline() time.Duration {
 		return r.AllDeadDeadline
 	}
 	return DefaultAllDeadDeadline
-}
-
-// writeTimeoutFor derives the control-frame write deadline from the
-// heartbeat timeout: one heartbeat interval's worth, floored so a tiny
-// test timeout cannot make writes fail spuriously.
-func writeTimeoutFor(hb time.Duration) time.Duration {
-	wt := hb / 5
-	if wt < 50*time.Millisecond {
-		wt = 50 * time.Millisecond
-	}
-	return wt
-}
-
-// jitter returns a seeded random delay in [0, base/2]; jr is owned by one
-// supervisor goroutine.
-func jitter(jr *rand.Rand, base time.Duration) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	return time.Duration(jr.Int63n(int64(base)/2 + 1))
-}
-
-func hashAddr(addr string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(addr))
-	return int64(h.Sum64())
-}
-
-// itemState is one dispatch unit's lifecycle record: the unreported specs
-// it still owes, its retry budget, and the in-flight attempt accounting
-// that makes hedging and requeueing race-free.
-type itemState struct {
-	specs    []fleet.JobSpec
-	attempts int                 // failed dispatches consumed
-	live     int                 // in-flight attempts (primary + hedge)
-	done     bool                // completed or permanently failed
-	hedged   bool                // a hedge is (or was) riding this flight
-	owner    string              // host running the primary attempt
-	started  time.Time           // when the current flight began
-	badHosts map[string]struct{} // hosts that failed this item
-}
-
-// attempt is one dispatch of an item to one host. It doubles as the
-// telemetry-buffer key, so a lost attempt's half-streamed samples can be
-// dropped without touching a live sibling's.
-type attempt struct {
-	item  *itemState
-	specs []fleet.JobSpec // snapshot of item.specs at claim time
-	addr  string
-	hedge bool
-}
-
-// dispatcher is the coordinator's work queue: host slots pull items,
-// failed items come back for retry, idle slots hedge overdue flights, and
-// an all-dead timer bounds how long the run waits for any host to come
-// back. The run is over exactly when the queue and the in-flight set are
-// both empty, or the run is cancelled, or the fleet is declared down.
-type dispatcher struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	pending    []*itemState
-	inflight   map[*itemState]struct{}
-	connected  map[string]int // addr → live generations (0s removed)
-	cancelled  bool
-	fleetDown  bool
-	hosts      int // inventory size
-	retired    int // hosts given up on for the rest of the run
-	overClosed bool
-	over       chan struct{}
-	lastErr    error
-	durations  []time.Duration // completed item wall times, for the hedge p95
-	hedgeAfter time.Duration
-	allDead    time.Duration
-	deadTimer  *time.Timer
-	tk         *statsTracker
-	logf       func(string, ...any)
-}
-
-func newDispatcher(items []*itemState, r *Runner, tk *statsTracker) *dispatcher {
-	d := &dispatcher{
-		pending:    items,
-		inflight:   make(map[*itemState]struct{}),
-		connected:  make(map[string]int),
-		hosts:      len(r.Hosts),
-		over:       make(chan struct{}),
-		hedgeAfter: r.HedgeAfter,
-		allDead:    r.allDeadDeadline(),
-		tk:         tk,
-		logf:       r.logf,
-	}
-	d.cond = sync.NewCond(&d.mu)
-	d.mu.Lock()
-	d.armAllDeadLocked()
-	d.mu.Unlock()
-	return d
-}
-
-// maybeOverLocked closes the run-over channel when the run's end
-// condition holds. Callers hold d.mu.
-func (d *dispatcher) maybeOverLocked() {
-	if d.overClosed {
-		return
-	}
-	if d.cancelled || d.fleetDown || (len(d.pending) == 0 && len(d.inflight) == 0) {
-		d.overClosed = true
-		close(d.over)
-		if d.deadTimer != nil {
-			d.deadTimer.Stop()
-		}
-	}
-}
-
-func (d *dispatcher) runOver() bool {
-	select {
-	case <-d.over:
-		return true
-	default:
-		return false
-	}
-}
-
-func (d *dispatcher) isFleetDown() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.fleetDown
-}
-
-// armAllDeadLocked starts the zero-connected-hosts countdown. Callers
-// hold d.mu.
-func (d *dispatcher) armAllDeadLocked() {
-	if d.overClosed || d.deadTimer != nil {
-		return
-	}
-	d.deadTimer = time.AfterFunc(d.allDead, func() {
-		d.mu.Lock()
-		if len(d.connected) == 0 && !d.overClosed {
-			d.fleetDown = true
-			if d.lastErr == nil {
-				d.lastErr = errors.New("net: no live worker hosts")
-			}
-			d.maybeOverLocked()
-		}
-		d.mu.Unlock()
-		d.cond.Broadcast()
-	})
-}
-
-// setConnected tracks a host generation coming up or down, driving the
-// all-dead countdown: armed while nothing is connected, cancelled the
-// moment any host (re)connects.
-func (d *dispatcher) setConnected(addr string, up bool) {
-	d.mu.Lock()
-	if up {
-		d.connected[addr]++
-		if d.deadTimer != nil {
-			d.deadTimer.Stop()
-			d.deadTimer = nil
-		}
-	} else {
-		if d.connected[addr]--; d.connected[addr] <= 0 {
-			delete(d.connected, addr)
-		}
-		if len(d.connected) == 0 {
-			d.armAllDeadLocked()
-		}
-	}
-	d.mu.Unlock()
-	d.cond.Broadcast()
-}
-
-// retire gives up on a host for the rest of the run. Once every host is
-// retired the fleet is down: the remaining jobs fail with the last error,
-// or run on the local fallback.
-func (d *dispatcher) retire() {
-	d.mu.Lock()
-	if d.retired++; d.retired == d.hosts {
-		d.fleetDown = true
-		d.maybeOverLocked()
-	}
-	d.mu.Unlock()
-	d.cond.Broadcast()
-}
-
-// noteErr remembers the most recent host-level error for strand reports.
-func (d *dispatcher) noteErr(err error) {
-	if err == nil {
-		return
-	}
-	d.mu.Lock()
-	d.lastErr = err
-	d.mu.Unlock()
-}
-
-// eligibleLocked reports whether addr may run it. A host that failed an
-// item does not get it again while some other connected host could take
-// it — but when nobody else can (single-host inventories, everyone else
-// down or equally burned), the item goes back to the same host rather
-// than starving.
-func (d *dispatcher) eligibleLocked(it *itemState, addr string) bool {
-	if _, bad := it.badHosts[addr]; !bad {
-		return true
-	}
-	for a := range d.connected {
-		if a == addr {
-			continue
-		}
-		if _, bad := it.badHosts[a]; !bad {
-			return false
-		}
-	}
-	return true
-}
-
-// hedgeThresholdLocked returns the in-flight age beyond which an idle
-// slot may hedge an item, or 0 when hedging is (currently) off.
-func (d *dispatcher) hedgeThresholdLocked() time.Duration {
-	if d.hedgeAfter < 0 {
-		return 0
-	}
-	if d.hedgeAfter > 0 {
-		return d.hedgeAfter
-	}
-	n := len(d.durations)
-	if n < 4 {
-		return 0
-	}
-	s := append([]time.Duration(nil), d.durations...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	th := 3 * s[(n*95)/100]
-	if th < defaultHedgeFloor {
-		th = defaultHedgeFloor
-	}
-	return th
-}
-
-// next blocks until addr has something to do and claims it: a pending
-// item, or — when the queue is empty and another host's flight is
-// overdue — a hedge on that flight. Returns nil when the run is over or
-// this host's generation has failed.
-func (d *dispatcher) next(addr string, g *hostGen) *attempt {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.cancelled || d.fleetDown || d.overClosed || (g != nil && g.isDown()) {
-			return nil
-		}
-		if len(d.pending) == 0 && len(d.inflight) == 0 {
-			d.maybeOverLocked()
-			return nil
-		}
-		for i, it := range d.pending {
-			if !d.eligibleLocked(it, addr) {
-				continue
-			}
-			d.pending = append(d.pending[:i], d.pending[i+1:]...)
-			it.owner = addr
-			it.started = time.Now()
-			it.live = 1
-			it.hedged = false
-			d.inflight[it] = struct{}{}
-			return &attempt{item: it, specs: it.specs, addr: addr}
-		}
-		// Nothing claimable; consider hedging an overdue flight.
-		if th := d.hedgeThresholdLocked(); th > 0 {
-			now := time.Now()
-			soonest := time.Duration(-1)
-			for it := range d.inflight {
-				if it.done || it.hedged || it.owner == addr {
-					continue
-				}
-				if _, bad := it.badHosts[addr]; bad {
-					continue
-				}
-				wait := th - now.Sub(it.started)
-				if wait <= 0 {
-					it.hedged = true
-					it.live++
-					d.tk.hedge()
-					if d.logf != nil {
-						d.logf("net: host %s: hedging %d-job shard stuck on %s for >%v", addr, len(it.specs), it.owner, th)
-					}
-					return &attempt{item: it, specs: it.specs, addr: addr, hedge: true}
-				}
-				if soonest < 0 || wait < soonest {
-					soonest = wait
-				}
-			}
-			if soonest >= 0 {
-				// Re-check when the earliest flight crosses the threshold.
-				t := time.AfterFunc(soonest+time.Millisecond, d.cond.Broadcast)
-				d.cond.Wait()
-				t.Stop()
-				continue
-			}
-		}
-		d.cond.Wait()
-	}
-}
-
-// settle retires an attempt whose stream completed: ok for a full result
-// stream, !ok for a deterministic worker-side failure. Idempotent across
-// hedged siblings — the first reporter wins.
-func (d *dispatcher) settle(at *attempt, dur time.Duration, ok bool) {
-	d.mu.Lock()
-	it := at.item
-	it.live--
-	if !it.done {
-		it.done = true
-		delete(d.inflight, it)
-		if ok {
-			d.durations = append(d.durations, dur)
-			if at.hedge {
-				d.tk.hedgeWin()
-			}
-			d.tk.itemDone(at.addr)
-		}
-	}
-	d.maybeOverLocked()
-	d.mu.Unlock()
-	d.cond.Broadcast()
-}
-
-// abandon drops an attempt during run cancellation: accounting only, the
-// final sweep owns the job results.
-func (d *dispatcher) abandon(at *attempt) {
-	d.mu.Lock()
-	at.item.live--
-	d.mu.Unlock()
-	d.cond.Broadcast()
-}
-
-// lose records a transport-lost attempt. The item is requeued only by its
-// last live attempt: while a hedged sibling is still streaming, the loss
-// is silent. Returns whether the caller should log a requeue, whether the
-// retry budget is exhausted (the caller fails retry), and the attempt
-// count for logging.
-func (d *dispatcher) lose(at *attempt, retry []fleet.JobSpec, maxRetries int, err error) (requeue, exhausted bool, attempts int) {
-	d.mu.Lock()
-	defer func() {
-		d.maybeOverLocked()
-		d.mu.Unlock()
-		d.cond.Broadcast()
-	}()
-	it := at.item
-	it.live--
-	if it.badHosts == nil {
-		it.badHosts = make(map[string]struct{})
-	}
-	it.badHosts[at.addr] = struct{}{}
-	if err != nil {
-		d.lastErr = err
-	}
-	if it.done || it.live > 0 {
-		return false, false, it.attempts
-	}
-	if len(retry) == 0 {
-		// Every job was reported before the stream died.
-		it.done = true
-		delete(d.inflight, it)
-		return false, false, it.attempts
-	}
-	it.attempts++
-	it.specs = retry
-	delete(d.inflight, it)
-	if it.attempts > maxRetries {
-		it.done = true
-		return false, true, it.attempts
-	}
-	it.hedged = false
-	it.owner = ""
-	d.pending = append(d.pending, it)
-	return true, false, it.attempts
-}
-
-// cancel aborts the run: blocked slots and sleeping supervisors wake and
-// exit.
-func (d *dispatcher) cancel() {
-	d.mu.Lock()
-	d.cancelled = true
-	d.maybeOverLocked()
-	d.mu.Unlock()
-	d.cond.Broadcast()
-}
-
-// strandErr picks the error stranded jobs are failed with.
-func (d *dispatcher) strandErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.lastErr != nil {
-		return d.lastErr
-	}
-	return errors.New("net: no live worker hosts")
-}
-
-// sleep waits for dur, or until the run is over or ctx cancelled.
-func (d *dispatcher) sleep(ctx context.Context, dur time.Duration) {
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	case <-d.over:
-	}
 }
 
 // runState is the merge side of a run: results, received tracking, and
@@ -916,567 +504,4 @@ type baseRequest struct {
 	pred        *fleet.EncodedPredictor
 	workers     int
 	wantSamples bool
-}
-
-// hostGen is one connected generation of a host: the slots it spawned
-// share a failure record, and the first transport loss takes the whole
-// generation down — a killed daemon drops every connection at once, and
-// the supervisor owns redialing.
-type hostGen struct {
-	addr string
-	d    *dispatcher
-	mu   sync.Mutex
-	down bool
-	err  error
-}
-
-// fail records the generation's first failure and wakes blocked slots.
-func (g *hostGen) fail(err error) bool {
-	g.mu.Lock()
-	first := !g.down
-	if first {
-		g.down = true
-		g.err = err
-	}
-	g.mu.Unlock()
-	if first {
-		g.d.cond.Broadcast()
-	}
-	return first
-}
-
-func (g *hostGen) isDown() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.down
-}
-
-// superviseHost owns one worker address for the whole run: dial, run a
-// generation of slots, and on failure back off exponentially (seeded
-// jitter) and redial — opening the circuit breaker after consecutive
-// failures and probing half-open after a cooldown. The host rejoins the
-// dispatch pool the moment a generation connects; it is never retired
-// while the run needs it.
-func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker, baseSeed int64) {
-	base, maxB := r.backoffBase(), r.backoffMax()
-	kOpen := r.breakerThreshold()
-	coolBase := r.breakerCooldown()
-	jr := rand.New(rand.NewSource(baseSeed ^ hashAddr(addr)))
-	backoff, cooldown := base, coolBase
-	fails := 0
-	breaker := BreakerClosed
-	note := func(err error) {
-		tk.update(addr, func(h *HostStats) {
-			h.Breaker = breaker
-			h.ConsecutiveFails = fails
-			if err != nil {
-				h.LastErr = err.Error()
-			}
-		})
-	}
-	for gen := 0; ; gen++ {
-		if d.runOver() || ctx.Err() != nil {
-			return
-		}
-		if breaker == BreakerOpen {
-			note(nil)
-			r.logf("net: host %s: breaker open after %d consecutive failures; cooling down %v", addr, fails, cooldown)
-			d.sleep(ctx, cooldown+jitter(jr, cooldown))
-			if cooldown *= 2; cooldown > 4*maxB {
-				cooldown = 4 * maxB
-			}
-			breaker = BreakerHalfOpen
-			note(nil)
-			continue
-		}
-		tk.update(addr, func(h *HostStats) { h.ConnectAttempts++ })
-		conn, hello, err := r.dial(ctx, addr)
-		if err != nil {
-			fails++
-			err = fmt.Errorf("net: host %s: %w", addr, err)
-			d.noteErr(err)
-			if r.pipes {
-				// A worker process that fails to start or to greet fails
-				// the same way when respawned.
-				note(err)
-				r.logf("%v: giving up on the host", err)
-				d.retire()
-				return
-			}
-			if fails >= kOpen {
-				breaker = BreakerOpen
-				note(err)
-				continue
-			}
-			note(err)
-			r.logf("%v: redialing in ~%v (attempt %d)", err, backoff, fails)
-			d.sleep(ctx, backoff+jitter(jr, backoff))
-			if backoff *= 2; backoff > maxB {
-				backoff = maxB
-			}
-			continue
-		}
-		halfOpen := breaker == BreakerHalfOpen
-		capacity := hello.Capacity
-		tk.update(addr, func(h *HostStats) {
-			h.Connected = true
-			h.Capacity = capacity
-			if gen > 0 {
-				h.Redials++
-			}
-		})
-		d.setConnected(addr, true)
-		if halfOpen {
-			r.logf("net: host %s: reconnected (half-open probe), capacity %d", addr, capacity)
-		} else {
-			r.logf("net: host %s: connected, capacity %d", addr, capacity)
-		}
-		genOK := r.runGeneration(ctx, addr, conn, hello, halfOpen, d, st, req, trackConn, tk)
-		d.setConnected(addr, false)
-		tk.update(addr, func(h *HostStats) {
-			h.Connected = false
-			h.SlotsConnected = 0
-		})
-		if genOK {
-			fails, backoff, cooldown = 0, base, coolBase
-			breaker = BreakerClosed
-		} else {
-			fails++
-			if fails >= kOpen {
-				breaker = BreakerOpen
-			}
-		}
-		note(nil)
-		if d.runOver() {
-			return
-		}
-		if breaker != BreakerOpen {
-			d.sleep(ctx, backoff+jitter(jr, backoff))
-			if backoff *= 2; backoff > maxB {
-				backoff = maxB
-			}
-		}
-	}
-}
-
-// runGeneration runs one connected generation: the probe connection
-// (greeted by hello0) serves as the first slot, and the rest of the
-// daemon's advertised capacity is dialed alongside — with per-slot retry
-// instead of silently running short. A half-open generation starts with
-// just the probe slot and expands to full capacity on its first completed
-// item (which also closes the breaker). Returns whether the generation
-// completed at least one item.
-func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Conn, hello0 *wire.HelloFrame, halfOpen bool, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker) bool {
-	g := &hostGen{addr: addr, d: d}
-	capacity := hello0.Capacity
-	var wg sync.WaitGroup
-	var okMu sync.Mutex
-	okItems := 0
-	var expandOnce sync.Once
-	var dialExtras func(n int)
-
-	runSlotConn := func(c stdnet.Conn, hello *wire.HelloFrame, onSuccess func()) {
-		trackConn(c, true)
-		tk.update(addr, func(h *HostStats) {
-			h.SlotsConnected++
-			h.SlotShortfall = h.Capacity - h.SlotsConnected
-		})
-		defer func() {
-			tk.update(addr, func(h *HostStats) { h.SlotsConnected-- })
-			trackConn(c, false)
-			c.Close()
-		}()
-		r.runSlot(ctx, g, c, hello, d, st, req, onSuccess)
-	}
-	onSuccess := func() {
-		okMu.Lock()
-		okItems++
-		okMu.Unlock()
-		if halfOpen {
-			expandOnce.Do(func() {
-				tk.update(addr, func(h *HostStats) { h.Breaker = BreakerClosed })
-				if capacity > 1 {
-					r.logf("net: host %s: probe shard completed; breaker closed, expanding to capacity %d", addr, capacity)
-					dialExtras(capacity - 1)
-				} else {
-					r.logf("net: host %s: probe shard completed; breaker closed", addr)
-				}
-			})
-		}
-	}
-	// dialExtras brings up n additional slots, each retrying its dial
-	// under backoff instead of abandoning advertised capacity (the old
-	// behavior silently ran the host short).
-	dialExtras = func(n int) {
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				backoff := r.backoffBase()
-				maxB := r.backoffMax()
-				for {
-					if g.isDown() || d.runOver() || ctx.Err() != nil {
-						return
-					}
-					c, hello, err := r.dial(ctx, addr)
-					if err != nil {
-						tk.update(addr, func(h *HostStats) {
-							h.SlotShortfall = h.Capacity - h.SlotsConnected
-							h.LastErr = err.Error()
-						})
-						r.logf("net: host %s: slot %d dial failed (%v); retrying in %v", addr, slot, err, backoff)
-						d.sleep(ctx, backoff)
-						if backoff *= 2; backoff > maxB {
-							backoff = maxB
-						}
-						continue
-					}
-					runSlotConn(c, hello, onSuccess)
-					return
-				}
-			}(i)
-		}
-	}
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		runSlotConn(conn0, hello0, onSuccess)
-	}()
-	if !halfOpen && capacity > 1 {
-		dialExtras(capacity - 1)
-	}
-	wg.Wait()
-	okMu.Lock()
-	defer okMu.Unlock()
-	return okItems > 0
-}
-
-// dial connects to a worker daemon — or spawns a pipe worker — and
-// completes the hello handshake, returning the connection and the
-// worker's hello (capacity and held predictors).
-func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, *wire.HelloFrame, error) {
-	timeout := r.DialTimeout
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	var conn stdnet.Conn
-	var err error
-	if r.pipes {
-		conn, err = r.spawn(addr)
-	} else {
-		conn, err = (&stdnet.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", addr)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	f, err := wire.ReadFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("hello: %w", err)
-	}
-	conn.SetReadDeadline(time.Time{})
-	if f.Type != wire.TypeHello {
-		conn.Close()
-		return nil, nil, fmt.Errorf("hello: expected a %s frame, got %s", wire.TypeHello, f.Type)
-	}
-	if f.Hello.Proto != wire.Version {
-		conn.Close()
-		return nil, nil, fmt.Errorf("hello: protocol version %d, want %d", f.Hello.Proto, wire.Version)
-	}
-	return conn, f.Hello, nil
-}
-
-// runSlot is one in-flight-shard lane on one connection: claim an
-// attempt, pass admission (primaries only — hedges re-dispatch admitted
-// work), ship it, merge the stream, repeat. A transport failure takes the
-// generation down, requeues the attempt's unreported jobs (unless a
-// hedged sibling still owns them) and hands the connection back;
-// worker-side error frames are deterministic failures and are not
-// retried.
-//
-// Every request names the run's predictor by ID; its document crosses
-// the connection at most once, and not at all when the worker's hello
-// listed the ID. A redialed slot is a new connection and trusts only its
-// own hello.
-func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hello *wire.HelloFrame, d *dispatcher, st *runState, req baseRequest, onSuccess func()) {
-	maxRetries := r.maxRetries()
-	hbTimeout := r.hbTimeout()
-	writeTO := writeTimeoutFor(hbTimeout)
-	predHeld := req.pred == nil || slices.Contains(hello.Predictors, req.pred.ID())
-	for {
-		if g.isDown() || ctx.Err() != nil {
-			return
-		}
-		at := d.next(g.addr, g)
-		if at == nil {
-			return
-		}
-		specs := st.pendingSpecs(at.specs)
-		if len(specs) == 0 {
-			d.settle(at, 0, true)
-			continue
-		}
-		if r.Admission != nil && !at.hedge {
-			if err := r.Admission.Wait(ctx, len(specs)); err != nil {
-				st.failSpecs(specs, err)
-				d.settle(at, 0, false)
-				return
-			}
-		}
-		start := time.Now()
-		ship := !predHeld
-		err := r.streamItem(conn, at, specs, st, req, ship, hbTimeout)
-		if ship {
-			// Whatever the outcome, the document went out: a worker error
-			// means the worker read it, and a transport loss ends this
-			// connection.
-			predHeld = true
-			d.tk.update(g.addr, func(h *HostStats) { h.PredictorShips++ })
-		}
-		if err == nil {
-			d.settle(at, time.Since(start), true)
-			onSuccess()
-			continue
-		}
-		var werr workerError
-		if errors.As(err, &werr) {
-			// The worker rejected the request deterministically (bad
-			// predictor, bad frame): retrying elsewhere reproduces the same
-			// failure. The connection stays usable.
-			st.failSpecs(specs, err)
-			d.settle(at, 0, false)
-			continue
-		}
-		// Transport loss. Attribute the right cause, take the generation
-		// down so the supervisor redials, and give the unreported jobs to
-		// another attempt — unless the run is cancelled or the item is out
-		// of attempts.
-		if ctx.Err() != nil {
-			// Best-effort cancel so a surviving worker stops burning cores;
-			// the deadline poke already unblocked our read.
-			conn.SetWriteDeadline(time.Now().Add(writeTO))
-			wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeCancel})
-			d.abandon(at)
-			return
-		}
-		err = fmt.Errorf("net: host %s: %w", g.addr, err)
-		if g.fail(err) {
-			r.logf("%v: connection lost; host backing off for redial", err)
-		}
-		retry := st.unreported(at)
-		requeue, exhausted, attempts := d.lose(at, retry, maxRetries, err)
-		switch {
-		case exhausted:
-			st.failSpecs(retry, fmt.Errorf("%w (retries exhausted)", err))
-		case requeue:
-			r.logf("net: host %s: requeueing %d unreported jobs (attempt %d)", g.addr, len(retry), attempts)
-		}
-		return
-	}
-}
-
-// workerError wraps a worker-side error frame: deterministic, not
-// retryable.
-type workerError struct{ msg string }
-
-func (e workerError) Error() string { return e.msg }
-
-// streamItem ships one attempt's specs as a shard request and merges the
-// frames streaming back until the worker's done frame. Heartbeats (and
-// any other traffic) refresh the read deadline; hbTimeout of silence is a
-// transport failure. The request names the run's predictor by ID, and
-// ship adds its document.
-func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec, st *runState, req baseRequest, ship bool, hbTimeout time.Duration) error {
-	sreq := &wire.ShardRequest{
-		Workers:     req.workers,
-		WantSamples: req.wantSamples,
-		Jobs:        specs,
-	}
-	if req.pred != nil {
-		sreq.PredictorID = req.pred.ID()
-		if ship {
-			sreq.Predictor = req.pred.Doc()
-		}
-	}
-	conn.SetWriteDeadline(time.Now().Add(hbTimeout))
-	if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: sreq}); err != nil {
-		return fmt.Errorf("send shard: %w", err)
-	}
-	conn.SetWriteDeadline(time.Time{})
-	for {
-		conn.SetReadDeadline(time.Now().Add(hbTimeout))
-		f, err := wire.ReadFrame(conn)
-		if err != nil {
-			var nerr stdnet.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				return fmt.Errorf("no heartbeat for %v: %w", hbTimeout, err)
-			}
-			return err
-		}
-		switch f.Type {
-		case wire.TypeHeartbeat:
-			// Liveness pulse only; the deadline reset above is the point.
-		case wire.TypeSample:
-			st.sample(f.Sample.Job, at, f.Sample.Samples)
-		case wire.TypeResult:
-			st.result(f.Result, at)
-		case wire.TypeDone:
-			conn.SetReadDeadline(time.Time{})
-			return nil
-		case wire.TypeError:
-			conn.SetReadDeadline(time.Time{})
-			return workerError{msg: fmt.Sprintf("worker: %s", f.Err)}
-		default:
-			return fmt.Errorf("unexpected %s frame mid-shard", f.Type)
-		}
-	}
-}
-
-// Breaker states as surfaced in HostStats.
-const (
-	BreakerClosed   = "closed"
-	BreakerOpen     = "open"
-	BreakerHalfOpen = "half-open"
-)
-
-// HostStats is one host's supervisor state snapshot.
-type HostStats struct {
-	Addr             string `json:"addr"`
-	Connected        bool   `json:"connected"`
-	Breaker          string `json:"breaker"`
-	ConnectAttempts  int    `json:"connect_attempts"`
-	Redials          int    `json:"redials"`
-	ConsecutiveFails int    `json:"consecutive_fails"`
-	Capacity         int    `json:"capacity"`
-	SlotsConnected   int    `json:"slots_connected"`
-	SlotShortfall    int    `json:"slot_shortfall"`
-	ItemsCompleted   int    `json:"items_completed"`
-	// PredictorShips counts the shard requests that carried the predictor
-	// document; a worker that already held it is sent its ID alone.
-	PredictorShips int    `json:"predictor_ships"`
-	LastErr        string `json:"last_err,omitempty"`
-}
-
-// RunnerStats is a point-in-time snapshot of a run's recovery machinery:
-// per-host supervisor state plus fleet-level hedging and fallback
-// counters.
-type RunnerStats struct {
-	Hosts        []HostStats `json:"hosts"`
-	Hedges       int         `json:"hedges"`
-	HedgeWins    int         `json:"hedge_wins"`
-	FallbackUsed bool        `json:"fallback_used,omitempty"`
-	FallbackJobs int         `json:"fallback_jobs,omitempty"`
-}
-
-// String renders the snapshot as one log-friendly line.
-func (s RunnerStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hedges=%d wins=%d", s.Hedges, s.HedgeWins)
-	if s.FallbackUsed {
-		fmt.Fprintf(&b, " fallback=%d", s.FallbackJobs)
-	}
-	for _, h := range s.Hosts {
-		fmt.Fprintf(&b, " | %s: breaker=%s connected=%v dials=%d redials=%d slots=%d/%d items=%d predictor_ships=%d",
-			h.Addr, h.Breaker, h.Connected, h.ConnectAttempts, h.Redials, h.SlotsConnected, h.Capacity, h.ItemsCompleted, h.PredictorShips)
-		if h.SlotShortfall > 0 {
-			fmt.Fprintf(&b, " shortfall=%d", h.SlotShortfall)
-		}
-		if h.LastErr != "" {
-			fmt.Fprintf(&b, " lastErr=%q", h.LastErr)
-		}
-	}
-	return b.String()
-}
-
-// statsTracker is the mutable, locked store behind RunnerStats.
-type statsTracker struct {
-	mu           sync.Mutex
-	order        []string
-	hosts        map[string]*HostStats
-	hedges       int
-	hedgeWins    int
-	fallbackUsed bool
-	fallbackJobs int
-}
-
-func newStatsTracker(hosts []string) *statsTracker {
-	t := &statsTracker{order: hosts, hosts: make(map[string]*HostStats, len(hosts))}
-	for _, a := range hosts {
-		t.hosts[a] = &HostStats{Addr: a, Breaker: BreakerClosed}
-	}
-	return t
-}
-
-func (t *statsTracker) update(addr string, fn func(*HostStats)) {
-	t.mu.Lock()
-	if h, ok := t.hosts[addr]; ok {
-		fn(h)
-	}
-	t.mu.Unlock()
-}
-
-func (t *statsTracker) hedge() {
-	t.mu.Lock()
-	t.hedges++
-	t.mu.Unlock()
-}
-
-func (t *statsTracker) hedgeWin() {
-	t.mu.Lock()
-	t.hedgeWins++
-	t.mu.Unlock()
-}
-
-func (t *statsTracker) itemDone(addr string) {
-	t.mu.Lock()
-	if h, ok := t.hosts[addr]; ok {
-		h.ItemsCompleted++
-	}
-	t.mu.Unlock()
-}
-
-func (t *statsTracker) fallback(jobs int) {
-	t.mu.Lock()
-	t.fallbackUsed = true
-	t.fallbackJobs = jobs
-	t.mu.Unlock()
-}
-
-func (t *statsTracker) snapshot() RunnerStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := RunnerStats{
-		Hosts:        make([]HostStats, 0, len(t.order)),
-		Hedges:       t.hedges,
-		HedgeWins:    t.hedgeWins,
-		FallbackUsed: t.fallbackUsed,
-		FallbackJobs: t.fallbackJobs,
-	}
-	for _, a := range t.order {
-		if h, ok := t.hosts[a]; ok {
-			s.Hosts = append(s.Hosts, *h)
-		}
-	}
-	return s
-}
-
-// Stats snapshots the most recent (possibly in-progress) Run's recovery
-// state. Before any Run it returns the zero RunnerStats.
-func (r *Runner) Stats() RunnerStats { return snapshotOf(&r.stats) }
-
-// runStatsKey keys a context value holding an *atomic.Pointer[statsTracker]
-// that Run publishes its tracker into alongside the runner's own. A job
-// server running concurrent sweeps on one Runner gives each job its slot,
-// so every job's /fleet row and event stream follows its own run rather
-// than whichever run started last.
-type runStatsKey struct{}
-
-// snapshotOf snapshots the tracker a stats slot holds (zero when empty).
-func snapshotOf(slot *atomic.Pointer[statsTracker]) RunnerStats {
-	if t := slot.Load(); t != nil {
-		return t.snapshot()
-	}
-	return RunnerStats{}
 }
