@@ -69,7 +69,7 @@ func main() {
 			hs[i] = strings.TrimSpace(hs[i])
 		}
 		nr := fleetnet.New(hs)
-		nr.Logf = logger.Printf // includes the per-run RunnerStats snapshot line
+		nr.Logf = logger.Printf // includes the per-run RunStats snapshot line
 		nr.FallbackLocal = *fallbk
 		runner = nr
 	} else if *fallbk {
@@ -79,8 +79,14 @@ func main() {
 	js.Workers = *workers
 	js.Logf = logger.Printf
 	js.JobDeadline = *jobDeadl
-	if *rate > 0 {
-		js.Admission = fleetnet.NewTokenBucket(*rate, *burst)
+	if *rate != 0 {
+		bucket, err := fleetnet.NewTokenBucket(*rate, *burst)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ustafleetd: -admit-rate/-admit-burst:", err)
+			flag.Usage()
+			os.Exit(2)
+		}
+		js.Admission = bucket
 	}
 	if *stateDir != "" {
 		store, err := durable.OpenStore(*stateDir)

@@ -54,7 +54,7 @@ func main() {
 		shards     = flag.Int("shards", 0, "run the scenario across this many worker processes (0 = in-process); results are identical either way")
 		hosts      = flag.String("hosts", "", "comma-separated ustaworker -listen daemon addresses to dispatch the scenario to (overrides -shards); results are identical either way")
 		fallbk     = flag.Bool("local-fallback", false, "with -hosts or -shards: when every worker stays down past the coordinator's recovery deadline, finish the remaining jobs in-process instead of failing them")
-		statsJSON  = flag.String("stats-json", "", "with -hosts or -shards: write the coordinator's end-of-run RunnerStats snapshot (redials, hedges, breaker states) to this JSON file")
+		statsJSON  = flag.String("stats-json", "", "with -hosts or -shards: write the sweep's RunStats (redials, hedges, breaker states) to this JSON file")
 		walPath    = flag.String("wal", "", "journal the scenario sweep to this write-ahead log; a killed run can continue with -resume, re-running only unfinished cells")
 		resume     = flag.Bool("resume", false, "continue the interrupted sweep journaled in -wal (aggregates byte-identical to an uninterrupted run)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")

@@ -29,8 +29,8 @@ import (
 // unfinished cells — outputs stay byte-identical to an uninterrupted run.
 // Coordinator recovery logs and the end-of-run stats snapshot go to
 // stderr so stdout stays byte-comparable across runner choices; statsPath
-// additionally dumps that end-of-run RunnerStats snapshot as JSON for
-// tooling.
+// additionally writes the sweep's RunStats (SweepResult.RunStats) as JSON
+// for tooling.
 func runScenario(o cliOptions, out io.Writer) error {
 	spec, err := repro.LoadScenario(o.scenPath)
 	if err != nil {
@@ -60,22 +60,12 @@ func runScenario(o cliOptions, out io.Writer) error {
 	case o.shards != 0:
 		nr = repro.NewShardRunner(o.shards)
 	}
-	var writeStats func() error
 	if nr != nil {
 		nr.FallbackLocal = o.localFallback
 		nr.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "ustasim: "+format+"\n", args...)
 		}
 		opts = append(opts, repro.ScenarioRunner(nr))
-		if o.statsPath != "" {
-			writeStats = func() error {
-				data, err := json.MarshalIndent(nr.Stats(), "", "  ")
-				if err != nil {
-					return err
-				}
-				return os.WriteFile(o.statsPath, append(data, '\n'), 0o644)
-			}
-		}
 	}
 	if o.walPath != "" {
 		opts = append(opts, repro.ScenarioWAL(o.walPath))
@@ -106,10 +96,14 @@ func runScenario(o cliOptions, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if writeStats != nil {
+	if nr != nil && o.statsPath != "" {
 		// Written before the first-error check: the recovery counters are
 		// most interesting precisely when some jobs failed.
-		if err := writeStats(); err != nil {
+		data, err := json.MarshalIndent(res.RunStats, "", "  ")
+		if err == nil {
+			err = os.WriteFile(o.statsPath, append(data, '\n'), 0o644)
+		}
+		if err != nil {
 			return fmt.Errorf("stats snapshot %s: %w", o.statsPath, err)
 		}
 	}

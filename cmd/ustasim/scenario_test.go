@@ -243,7 +243,7 @@ func TestRunScenarioShardsStatsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st fleetnet.RunnerStats
+	var st repro.RunStats
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}

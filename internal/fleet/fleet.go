@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,10 +65,61 @@ type Config struct {
 }
 
 // Runner executes a batch of jobs under a batch configuration and returns
-// one result per job in submission order. LocalRunner is the in-process
-// worker pool; internal/fleet/net adds the multi-process implementation.
+// one result per job in submission order, together with what it measured
+// while running them. LocalRunner is the in-process worker pool;
+// internal/fleet/net adds the multi-process implementation.
 type Runner interface {
-	Run(ctx context.Context, cfg Config, jobs []Job) []JobResult
+	Run(ctx context.Context, cfg Config, jobs []Job) ([]JobResult, RunStats)
+}
+
+// RunStats is what a Runner measured while it ran one batch: per-host
+// supervisor state plus fleet-level hedging and fallback counters. The
+// in-process LocalRunner has no hosts and returns the zero RunStats.
+type RunStats struct {
+	Hosts        []HostStats `json:"hosts"`
+	Hedges       int         `json:"hedges"`
+	HedgeWins    int         `json:"hedge_wins"`
+	FallbackUsed bool        `json:"fallback_used,omitempty"`
+	FallbackJobs int         `json:"fallback_jobs,omitempty"`
+}
+
+// HostStats is one worker host's supervisor state during a run. Breaker
+// is "closed", "open" or "half-open".
+type HostStats struct {
+	Addr             string `json:"addr"`
+	Connected        bool   `json:"connected"`
+	Breaker          string `json:"breaker"`
+	ConnectAttempts  int    `json:"connect_attempts"`
+	Redials          int    `json:"redials"`
+	ConsecutiveFails int    `json:"consecutive_fails"`
+	Capacity         int    `json:"capacity"`
+	SlotsConnected   int    `json:"slots_connected"`
+	SlotShortfall    int    `json:"slot_shortfall"`
+	ItemsCompleted   int    `json:"items_completed"`
+	// PredictorShips counts the shard requests that carried the predictor
+	// document; a worker that already held it is sent its ID alone.
+	PredictorShips int    `json:"predictor_ships"`
+	LastErr        string `json:"last_err,omitempty"`
+}
+
+// String renders the stats as one log-friendly line.
+func (s RunStats) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "hedges=%d wins=%d", s.Hedges, s.HedgeWins)
+	if s.FallbackUsed {
+		fmt.Fprintf(&b, " fallback=%d", s.FallbackJobs)
+	}
+	for _, h := range s.Hosts {
+		fmt.Fprintf(&b, " | %s: breaker=%s connected=%v dials=%d redials=%d slots=%d/%d items=%d predictor_ships=%d",
+			h.Addr, h.Breaker, h.Connected, h.ConnectAttempts, h.Redials, h.SlotsConnected, h.Capacity, h.ItemsCompleted, h.PredictorShips)
+		if h.SlotShortfall > 0 {
+			fmt.Fprintf(&b, " shortfall=%d", h.SlotShortfall)
+		}
+		if h.LastErr != "" {
+			fmt.Fprintf(&b, " lastErr=%q", h.LastErr)
+		}
+	}
+	return b.String()
 }
 
 // Job is one unit of fleet work: a user running a workload on a device
@@ -173,13 +225,15 @@ func (f *Fleet) Workers() int { return NormalizeWorkers(f.cfg.Workers) }
 // is deterministic: per-job seeds derive from the job index, so the same
 // jobs produce identical results at any worker count — or any shard
 // partitioning. A cancelled context marks the remaining jobs' results with
-// the context error rather than failing the batch.
+// the context error rather than failing the batch. The runner's RunStats
+// are dropped; call the Runner directly to keep them.
 func (f *Fleet) Run(ctx context.Context, jobs []Job) []JobResult {
 	r := f.cfg.Runner
 	if r == nil {
 		r = LocalRunner{}
 	}
-	return r.Run(ctx, f.cfg, jobs)
+	results, _ := r.Run(ctx, f.cfg, jobs)
+	return results
 }
 
 // NormalizeWorkers resolves a configured parallelism knob — a worker-pool
@@ -200,8 +254,9 @@ func NormalizeWorkers(n int) int {
 // jobs that share a device configuration.
 type LocalRunner struct{}
 
-// Run executes the batch on a goroutine pool of cfg.Workers.
-func (LocalRunner) Run(ctx context.Context, cfg Config, jobs []Job) []JobResult {
+// Run executes the batch on a goroutine pool of cfg.Workers. It has no
+// hosts to report on, so its RunStats are zero.
+func (LocalRunner) Run(ctx context.Context, cfg Config, jobs []Job) ([]JobResult, RunStats) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -212,7 +267,7 @@ func (LocalRunner) Run(ctx context.Context, cfg Config, jobs []Job) []JobResult 
 		results[i] = runJob(ctx, &cfg, pool, i, jobs[i])
 		report(results[i])
 	})
-	return results
+	return results, RunStats{}
 }
 
 // ResultReporter returns the serialized completion-callback dispatcher for

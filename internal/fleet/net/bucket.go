@@ -1,16 +1,16 @@
 package net
 
 import (
-	"context"
+	"fmt"
+	"math"
 	"sync"
 	"time"
 )
 
 // TokenBucket is a classic rate/burst admission gate: Rate tokens refill
-// per second up to Burst, one token admits one job. The coordinator drains
-// it before dispatching a shard; the job server answers 429 when a
-// submission cannot be admitted without waiting. The zero value is not
-// useful; construct with NewTokenBucket.
+// per second up to Burst, one token admits one job. The job server answers
+// 429 when a submission cannot be admitted without waiting. The zero value
+// is not useful; construct with NewTokenBucket.
 type TokenBucket struct {
 	rate  float64
 	burst float64
@@ -18,24 +18,24 @@ type TokenBucket struct {
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
-	now    func() time.Time // test hook
 }
 
 // NewTokenBucket creates a bucket refilling rate tokens per second with
 // the given burst capacity (and that many tokens available immediately).
-// rate <= 0 or burst <= 0 panic: an admission gate that can never admit is
-// a configuration bug, not a policy.
-func NewTokenBucket(rate float64, burst int) *TokenBucket {
-	if rate <= 0 || burst <= 0 {
-		panic("net: token bucket needs positive rate and burst")
+// It refuses a rate that is not a positive finite number and a burst
+// below one: an admission gate that can never admit is a configuration
+// error, not a policy.
+func NewTokenBucket(rate float64, burst int) (*TokenBucket, error) {
+	if !(rate > 0) || math.IsInf(rate, 1) || burst <= 0 {
+		return nil, fmt.Errorf("net: token bucket needs a positive finite rate and a burst of at least 1, got rate %v, burst %d", rate, burst)
 	}
-	return &TokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst), now: time.Now}
+	return &TokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst)}, nil
 }
 
 // refill credits tokens for the time elapsed since the last accounting.
 // Callers hold mu.
 func (b *TokenBucket) refill() {
-	t := b.now()
+	t := time.Now()
 	if !b.last.IsZero() {
 		b.tokens += t.Sub(b.last).Seconds() * b.rate
 		if b.tokens > b.burst {
@@ -56,35 +56,4 @@ func (b *TokenBucket) Allow(n int) bool {
 	}
 	b.tokens -= float64(n)
 	return true
-}
-
-// Wait blocks until n tokens are available and takes them, or returns the
-// context's error. n larger than the burst is clamped to the burst —
-// callers admitting a shard bigger than the whole bucket should be slowed,
-// not deadlocked.
-func (b *TokenBucket) Wait(ctx context.Context, n int) error {
-	if float64(n) > b.burst {
-		n = int(b.burst)
-	}
-	for {
-		b.mu.Lock()
-		b.refill()
-		if float64(n) <= b.tokens {
-			b.tokens -= float64(n)
-			b.mu.Unlock()
-			return nil
-		}
-		wait := time.Duration((float64(n) - b.tokens) / b.rate * float64(time.Second))
-		b.mu.Unlock()
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
 }

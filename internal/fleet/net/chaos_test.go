@@ -42,7 +42,7 @@ func localRef(t *testing.T, cfg fleet.Config, n int) ([]fleet.JobResult, *tally)
 	tl := newTally()
 	c := cfg
 	c.Sink = tl.sink()
-	ref := fleet.LocalRunner{}.Run(context.Background(), c, specJobs(n, true))
+	ref, _ := fleet.LocalRunner{}.Run(context.Background(), c, specJobs(n, true))
 	if err := fleet.FirstError(ref); err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +109,10 @@ func TestChaosByteIdentity(t *testing.T) {
 			tl := newTally()
 			c := cfg
 			c.Sink = tl.sink()
-			got := nr.Run(context.Background(), c, specJobs(n, true))
+			got, st := nr.Run(context.Background(), c, specJobs(n, true))
 			assertIdentical(t, fmt.Sprintf("seed %d", seed), ref, got, refTally, tl)
 			s1, s2 := p1.Stats(), p2.Stats()
-			t.Logf("chaos stats: p1=%+v p2=%+v runner=%s", s1, s2, nr.Stats())
+			t.Logf("chaos stats: p1=%+v p2=%+v runner=%s", s1, s2, st)
 		})
 	}
 }
@@ -144,10 +144,9 @@ func TestChaosSingleHostRecovery(t *testing.T) {
 	tl := newTally()
 	c := cfg
 	c.Sink = tl.sink()
-	got := nr.Run(context.Background(), c, specJobs(n, true))
+	got, st := nr.Run(context.Background(), c, specJobs(n, true))
 	assertIdentical(t, "single-host recovery", ref, got, refTally, tl)
 
-	st := nr.Stats()
 	if len(st.Hosts) != 1 || st.Hosts[0].Redials < 1 {
 		t.Fatalf("host should have recovered via redial, stats: %s", st)
 	}
@@ -214,7 +213,7 @@ func TestChaosBlackoutAndRestart(t *testing.T) {
 			go func() { worker2.Serve(context.Background(), ln2); close(serve2Done) }()
 		}()
 	}
-	got := nr.Run(context.Background(), c, specJobs(n, true))
+	got, _ := nr.Run(context.Background(), c, specJobs(n, true))
 	<-restarted
 	assertIdentical(t, "blackout+restart", ref, got, refTally, tl)
 	if worker2 != nil {
@@ -243,7 +242,7 @@ func TestChaosRetriesExhausted(t *testing.T) {
 	nr.MaxRetries = 2
 	nr.Logf = t.Logf
 	start := time.Now()
-	results := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 3}, specJobs(4, true))
+	results, _ := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 3}, specJobs(4, true))
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("exhaustion took %v; the run should fail fast once retries are spent", elapsed)
 	}
@@ -279,10 +278,9 @@ func TestChaosLocalFallback(t *testing.T) {
 	tl := newTally()
 	c := cfg
 	c.Sink = tl.sink()
-	got := nr.Run(context.Background(), c, specJobs(n, true))
+	got, st := nr.Run(context.Background(), c, specJobs(n, true))
 	assertIdentical(t, "local fallback", ref, got, refTally, tl)
 
-	st := nr.Stats()
 	if !st.FallbackUsed || st.FallbackJobs != n {
 		t.Fatalf("expected all %d jobs on the local fallback, stats: %s", n, st)
 	}
@@ -318,21 +316,20 @@ func TestChaosHedgedDispatch(t *testing.T) {
 	tl := newTally()
 	c := cfg
 	c.Sink = tl.sink()
-	got := nr.Run(context.Background(), c, specJobs(n, true))
+	got, st := nr.Run(context.Background(), c, specJobs(n, true))
 	assertIdentical(t, "hedged dispatch", ref, got, refTally, tl)
 
-	st := nr.Stats()
 	if st.Hedges < 1 {
 		t.Fatalf("expected at least one hedge, stats: %s", st)
 	}
 	t.Logf("hedge stats: %s", st)
 }
 
-// assertStatsConsistent checks the invariants every RunnerStats snapshot
+// assertStatsConsistent checks the invariants every fleet.RunStats snapshot
 // must satisfy after a completed run, whatever the fault schedule:
 // exactly-once item settlement, redials bounded by dial attempts, hedge
 // wins bounded by hedges, and only legal breaker states.
-func assertStatsConsistent(t *testing.T, st fleetnet.RunnerStats, wantItems int) {
+func assertStatsConsistent(t *testing.T, st fleet.RunStats, wantItems int) {
 	t.Helper()
 	if st.HedgeWins > st.Hedges {
 		t.Fatalf("hedge wins %d > hedges %d", st.HedgeWins, st.Hedges)
@@ -385,10 +382,10 @@ func TestChaosRunnerStatsConsistency(t *testing.T) {
 		nr.ShardSize = 2
 		nr.MaxRetries = 10
 		nr.Logf = t.Logf
-		if err := fleet.FirstError(nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 9}, specJobs(n, true))); err != nil {
+		got, st := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 9}, specJobs(n, true))
+		if err := fleet.FirstError(got); err != nil {
 			t.Fatal(err)
 		}
-		st := nr.Stats()
 		assertStatsConsistent(t, st, n/2)
 		if st.Hosts[0].Redials < 1 {
 			t.Fatalf("two mid-stream drops produced no redials: %s", st)
@@ -414,12 +411,14 @@ func TestChaosRunnerStatsConsistency(t *testing.T) {
 		nr.ShardSize = 2
 		nr.MaxRetries = 10
 		nr.Logf = t.Logf
+		live, liveStats := fleetnet.Tracked(nr)
 
 		// Poll live stats while the run rides out the refusals: the open
 		// breaker must be observable mid-run, not just inferable after.
 		done := make(chan []fleet.JobResult, 1)
 		go func() {
-			done <- nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 17}, specJobs(n, true))
+			got, _ := live.Run(context.Background(), fleet.Config{Workers: 1, Seed: 17}, specJobs(n, true))
+			done <- got
 		}()
 		sawOpen := false
 		var results []fleet.JobResult
@@ -429,7 +428,7 @@ func TestChaosRunnerStatsConsistency(t *testing.T) {
 			case results = <-done:
 				break poll
 			case <-time.After(time.Millisecond):
-				if st := nr.Stats(); len(st.Hosts) == 1 && st.Hosts[0].Breaker != fleetnet.BreakerClosed {
+				if st := liveStats(); len(st.Hosts) == 1 && st.Hosts[0].Breaker != fleetnet.BreakerClosed {
 					sawOpen = true
 				}
 			}
@@ -440,7 +439,7 @@ func TestChaosRunnerStatsConsistency(t *testing.T) {
 		if !sawOpen {
 			t.Fatal("breaker never left closed despite 6 consecutive dial refusals")
 		}
-		st := nr.Stats()
+		st := liveStats()
 		assertStatsConsistent(t, st, n/2)
 		h := st.Hosts[0]
 		if h.Breaker != fleetnet.BreakerClosed {
@@ -468,10 +467,10 @@ func TestChaosRunnerStatsConsistency(t *testing.T) {
 		nr.ShardSize = 2
 		nr.HedgeAfter = 200 * time.Millisecond
 		nr.Logf = t.Logf
-		if err := fleet.FirstError(nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 5}, specJobs(n, true))); err != nil {
+		got, st := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 5}, specJobs(n, true))
+		if err := fleet.FirstError(got); err != nil {
 			t.Fatal(err)
 		}
-		st := nr.Stats()
 		assertStatsConsistent(t, st, n/2)
 		if st.Hedges < 1 {
 			t.Fatalf("molasses host produced no hedges: %s", st)
@@ -501,7 +500,8 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 	nr := fastRecovery([]string{p.Addr()})
 	nr.ShardSize = 2
 	nr.MaxRetries = 50
-	if err := fleet.FirstError(nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 13}, specJobs(4, true))); err != nil {
+	got, _ := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 13}, specJobs(4, true))
+	if err := fleet.FirstError(got); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()

@@ -82,14 +82,14 @@ func (g *hostGen) isDown() bool {
 // while the run needs it.
 func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker, baseSeed int64) {
 	base, maxB := r.backoffBase(), r.backoffMax()
-	kOpen := r.breakerThreshold()
+	kOpen := breakerThreshold
 	coolBase := r.breakerCooldown()
 	jr := rand.New(rand.NewSource(baseSeed ^ hashAddr(addr)))
 	backoff, cooldown := base, coolBase
 	fails := 0
 	breaker := BreakerClosed
 	note := func(err error) {
-		tk.update(addr, func(h *HostStats) {
+		tk.update(addr, func(h *fleet.HostStats) {
 			h.Breaker = breaker
 			h.ConsecutiveFails = fails
 			if err != nil {
@@ -112,7 +112,7 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 			note(nil)
 			continue
 		}
-		tk.update(addr, func(h *HostStats) { h.ConnectAttempts++ })
+		tk.update(addr, func(h *fleet.HostStats) { h.ConnectAttempts++ })
 		conn, hello, err := r.dial(ctx, addr)
 		if err != nil {
 			fails++
@@ -141,7 +141,7 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 		}
 		halfOpen := breaker == BreakerHalfOpen
 		capacity := hello.Capacity
-		tk.update(addr, func(h *HostStats) {
+		tk.update(addr, func(h *fleet.HostStats) {
 			h.Connected = true
 			h.Capacity = capacity
 			if gen > 0 {
@@ -156,7 +156,7 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 		}
 		genOK := r.runGeneration(ctx, addr, conn, hello, halfOpen, d, st, req, trackConn, tk)
 		d.setConnected(addr, false)
-		tk.update(addr, func(h *HostStats) {
+		tk.update(addr, func(h *fleet.HostStats) {
 			h.Connected = false
 			h.SlotsConnected = 0
 		})
@@ -200,12 +200,12 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 
 	runSlotConn := func(c stdnet.Conn, hello *wire.HelloFrame, onSuccess func()) {
 		trackConn(c, true)
-		tk.update(addr, func(h *HostStats) {
+		tk.update(addr, func(h *fleet.HostStats) {
 			h.SlotsConnected++
 			h.SlotShortfall = h.Capacity - h.SlotsConnected
 		})
 		defer func() {
-			tk.update(addr, func(h *HostStats) { h.SlotsConnected-- })
+			tk.update(addr, func(h *fleet.HostStats) { h.SlotsConnected-- })
 			trackConn(c, false)
 			c.Close()
 		}()
@@ -217,7 +217,7 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 		okMu.Unlock()
 		if halfOpen {
 			expandOnce.Do(func() {
-				tk.update(addr, func(h *HostStats) { h.Breaker = BreakerClosed })
+				tk.update(addr, func(h *fleet.HostStats) { h.Breaker = BreakerClosed })
 				if capacity > 1 {
 					r.logf("net: host %s: probe shard completed; breaker closed, expanding to capacity %d", addr, capacity)
 					dialExtras(capacity - 1)
@@ -243,7 +243,7 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 					}
 					c, hello, err := r.dial(ctx, addr)
 					if err != nil {
-						tk.update(addr, func(h *HostStats) {
+						tk.update(addr, func(h *fleet.HostStats) {
 							h.SlotShortfall = h.Capacity - h.SlotsConnected
 							h.LastErr = err.Error()
 						})
@@ -312,8 +312,7 @@ func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, *wire.Hell
 }
 
 // runSlot is one in-flight-shard lane on one connection: claim an
-// attempt, pass admission (primaries only — hedges re-dispatch admitted
-// work), ship it, merge the stream, repeat. A transport failure takes the
+// attempt, ship it, merge the stream, repeat. A transport failure takes the
 // generation down, requeues the attempt's unreported jobs (unless a
 // hedged sibling still owns them) and hands the connection back;
 // worker-side error frames are deterministic failures and are not
@@ -341,13 +340,6 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 			d.settle(at, 0, true)
 			continue
 		}
-		if r.Admission != nil && !at.hedge {
-			if err := r.Admission.Wait(ctx, len(specs)); err != nil {
-				st.failSpecs(specs, err)
-				d.settle(at, 0, false)
-				return
-			}
-		}
 		start := time.Now()
 		ship := !predHeld
 		err := r.streamItem(conn, at, specs, st, req, ship, hbTimeout)
@@ -356,7 +348,7 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 			// means the worker read it, and a transport loss ends this
 			// connection.
 			predHeld = true
-			d.tk.update(g.addr, func(h *HostStats) { h.PredictorShips++ })
+			d.tk.update(g.addr, func(h *fleet.HostStats) { h.PredictorShips++ })
 		}
 		if err == nil {
 			d.settle(at, time.Since(start), true)

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analytics"
@@ -44,8 +43,9 @@ import (
 type JobServer struct {
 	// Runner executes submitted sweeps (nil: the in-process pool). Every
 	// job runs on this one runner, unmodified: the sweep's predictor
-	// travels in each run's fleet.Config, and a *Runner (multi-host
-	// coordinator) publishes each job's recovery stats to that job alone.
+	// travels in each run's fleet.Config. On a *Runner (multi-host
+	// coordinator) each job's run records its recovery stats into a
+	// tracker the job owns, so /fleet and the job's events follow it live.
 	Runner fleet.Runner
 	// Workers bounds each job's worker pool (<= 0: GOMAXPROCS).
 	Workers int
@@ -122,9 +122,9 @@ type serverJob struct {
 	deadlineSec float64
 
 	bus      *Bus
-	agg      *obs.Aggregator               // live aggregation state (nil until the grid exists)
-	runStats *atomic.Pointer[statsTracker] // this job's run stats (nil off the networked runner)
-	busReady chan struct{}                 // closed once bus (and total) exist
+	agg      *obs.Aggregator // live aggregation state (nil until the grid exists)
+	runStats *statsTracker   // this job's run stats (nil off the networked runner)
+	busReady chan struct{}   // closed once bus (and total) exist
 	cancel   context.CancelFunc
 	finished chan struct{}
 	jlog     *durable.JobLog // nil: no store, or journaling degraded at Begin
@@ -412,8 +412,17 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 		s.logf("net: job %s: %s: %v", j.id, j.snapshot().Status, err)
 	}
 
+	runner := s.Runner
+	var tk *statsTracker
+	if nr, ok := s.Runner.(*Runner); ok {
+		// The server's runner is shared by every job; this job's run
+		// records into its own tracker, so /fleet, /metrics and the job's
+		// event-stream snapshots follow this run.
+		tk = newStatsTracker(nr.Hosts)
+		runner = trackedRunner{r: nr, tk: tk}
+	}
 	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Device: s.Device, Predictor: s.Predictor,
-		Workers: s.Workers, Runner: s.Runner})
+		Workers: s.Workers, Runner: runner})
 	if err != nil {
 		fail(err)
 		return
@@ -437,14 +446,9 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 	j.done = len(plan.Done)
 	j.total = len(sw.Grid.Jobs)
 	j.resumed = len(plan.Done)
-	if _, ok := s.Runner.(*Runner); ok {
-		// The server's runner is shared by every job; the run publishes its
-		// recovery stats into this job's own slot too, so /fleet, /metrics
-		// and the job's event-stream snapshots follow this run.
-		slot := new(atomic.Pointer[statsTracker])
-		ctx = context.WithValue(ctx, runStatsKey{}, slot)
-		j.runStats = slot
-		agg.FleetFn = func() any { return snapshotOf(slot) }
+	if tk != nil {
+		j.runStats = tk
+		agg.FleetFn = func() any { return tk.snapshot() }
 	}
 	j.mu.Unlock()
 	close(j.busReady)

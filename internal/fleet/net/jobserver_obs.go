@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -13,8 +14,8 @@ import (
 // This file is the job server's observability surface: the SSE snapshot
 // stream, the Prometheus exposition, the merged host table, and the
 // embedded dashboard. The aggregation itself lives in internal/obs; the
-// glue here is routing plus RunnerStats plumbing (every job's run
-// publishes its own stats, so the fleet-wide view merges across jobs).
+// glue here is routing plus fleet.RunStats plumbing (every job's run
+// records its own stats, so the fleet-wide view merges across jobs).
 
 // sseMinInterval paces snapshot frames when telemetry is flowing but no
 // job has completed — frequent enough to feel live, coarse enough that a
@@ -99,13 +100,13 @@ func (s *JobServer) handleDashboard(w http.ResponseWriter, r *http.Request) {
 // fleetBody is the GET /fleet response: the merged host table plus each
 // job's scalar status.
 type fleetBody struct {
-	RunnerStats
+	fleet.RunStats
 	Jobs []statusBody `json:"jobs"`
 }
 
 func (s *JobServer) handleFleet(w http.ResponseWriter, r *http.Request) {
 	jobs := s.jobsInOrder()
-	body := fleetBody{RunnerStats: s.mergedStats(jobs), Jobs: make([]statusBody, 0, len(jobs))}
+	body := fleetBody{RunStats: s.mergedStats(jobs), Jobs: make([]statusBody, 0, len(jobs))}
 	for _, j := range jobs {
 		body.Jobs = append(body.Jobs, j.snapshot())
 	}
@@ -124,7 +125,7 @@ func (s *JobServer) jobsInOrder() []*serverJob {
 
 // jobStatsView is one job's contribution to the merged fleet view.
 type jobStatsView struct {
-	stats   RunnerStats
+	stats   fleet.RunStats
 	running bool
 }
 
@@ -132,12 +133,12 @@ func (s *JobServer) statsViews(jobs []*serverJob) []jobStatsView {
 	var views []jobStatsView
 	for _, j := range jobs {
 		j.mu.Lock()
-		slot, running := j.runStats, j.status == "running"
+		tk, running := j.runStats, j.status == "running"
 		j.mu.Unlock()
-		if slot == nil {
+		if tk == nil {
 			continue
 		}
-		views = append(views, jobStatsView{stats: snapshotOf(slot), running: running})
+		views = append(views, jobStatsView{stats: tk.snapshot(), running: running})
 	}
 	return views
 }
@@ -148,7 +149,7 @@ func (s *JobServer) statsViews(jobs []*serverJob) []jobStatsView {
 // slot occupancy) describe "now", so they come from running jobs only —
 // slots sum across concurrent runs, the breaker reports the worst state
 // — falling back to the most recent job's view when nothing is running.
-func (s *JobServer) mergedStats(jobs []*serverJob) RunnerStats {
+func (s *JobServer) mergedStats(jobs []*serverJob) fleet.RunStats {
 	views := s.statsViews(jobs)
 	anyRunning := false
 	for _, v := range views {
@@ -157,7 +158,7 @@ func (s *JobServer) mergedStats(jobs []*serverJob) RunnerStats {
 			break
 		}
 	}
-	var out RunnerStats
+	var out fleet.RunStats
 	idx := map[string]int{}
 	for _, v := range views {
 		st := v.stats
@@ -171,7 +172,7 @@ func (s *JobServer) mergedStats(jobs []*serverJob) RunnerStats {
 			if !ok {
 				i = len(out.Hosts)
 				idx[h.Addr] = i
-				out.Hosts = append(out.Hosts, HostStats{Addr: h.Addr, Capacity: h.Capacity})
+				out.Hosts = append(out.Hosts, fleet.HostStats{Addr: h.Addr, Capacity: h.Capacity})
 			}
 			m := &out.Hosts[i]
 			m.ConnectAttempts += h.ConnectAttempts

@@ -63,7 +63,7 @@ func newInFlightRunner(inner fleet.Runner) *inFlightRunner {
 	return &inFlightRunner{inner: inner, started: make(chan struct{})}
 }
 
-func (r *inFlightRunner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []fleet.JobResult {
+func (r *inFlightRunner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) ([]fleet.JobResult, fleet.RunStats) {
 	onResult := cfg.OnResult
 	cfg.OnResult = func(res fleet.JobResult) {
 		r.once.Do(func() {
@@ -248,7 +248,11 @@ func TestJobServerCancel(t *testing.T) {
 func TestJobServerAdmission(t *testing.T) {
 	js := fleetnet.NewJobServer(nil)
 	js.Workers = 1
-	js.Admission = fleetnet.NewTokenBucket(0.001, 1) // one admit, then dry for hours
+	bucket, err := fleetnet.NewTokenBucket(0.001, 1) // one admit, then dry for hours
+	if err != nil {
+		t.Fatal(err)
+	}
+	js.Admission = bucket
 	defer js.Close()
 	ts := httptest.NewServer(js.Handler())
 	defer ts.Close()

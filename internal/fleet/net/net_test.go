@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	stdnet "net"
 	"runtime"
 	"strings"
@@ -99,7 +100,8 @@ func TestNetRunnerMatchesLocal(t *testing.T) {
 		tl := newTally()
 		c := cfg
 		c.Sink = tl.sink()
-		return r.Run(context.Background(), c, specJobs(n, true)), tl
+		got, _ := r.Run(context.Background(), c, specJobs(n, true))
+		return got, tl
 	}
 
 	ref, refTally := run(fleet.LocalRunner{})
@@ -268,7 +270,7 @@ func TestNetRunnerWorkerLossRetry(t *testing.T) {
 	refTally := newTally()
 	refCfg := cfg
 	refCfg.Sink = refTally.sink()
-	ref := fleet.LocalRunner{}.Run(context.Background(), refCfg, specJobs(n, true))
+	ref, _ := fleet.LocalRunner{}.Run(context.Background(), refCfg, specJobs(n, true))
 	if err := fleet.FirstError(ref); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +298,7 @@ func TestNetRunnerWorkerLossRetry(t *testing.T) {
 	gotTally := newTally()
 	gotCfg := cfg
 	gotCfg.Sink = gotTally.sink()
-	got := nr.Run(context.Background(), gotCfg, specJobs(n, true))
+	got, _ := nr.Run(context.Background(), gotCfg, specJobs(n, true))
 	if err := fleet.FirstError(got); err != nil {
 		t.Fatalf("run with worker loss should fully recover: %v", err)
 	}
@@ -380,7 +382,7 @@ func TestNetRunnerHeartbeatDeadline(t *testing.T) {
 		fmt.Fprintf(&joined, format+"\n", args...)
 		logMu.Unlock()
 	}
-	results := nr.Run(context.Background(), fleet.Config{Workers: 2, Seed: 7}, specJobs(6, true))
+	results, _ := nr.Run(context.Background(), fleet.Config{Workers: 2, Seed: 7}, specJobs(6, true))
 	if err := fleet.FirstError(results); err != nil {
 		t.Fatalf("jobs should have recovered on the healthy host: %v", err)
 	}
@@ -457,7 +459,7 @@ func TestServerMalformedFrames(t *testing.T) {
 
 	// The daemon survived all of it: an honest run still works.
 	nr := fleetnet.New([]string{addr})
-	results := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 1}, specJobs(2, true))
+	results, _ := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 1}, specJobs(2, true))
 	if err := fleet.FirstError(results); err != nil {
 		t.Fatalf("daemon no longer serves honest clients: %v", err)
 	}
@@ -490,7 +492,8 @@ func TestNetRunnerCancellation(t *testing.T) {
 	// Pre-cancelled context: deterministic, nothing dispatched.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, r := range fleetnet.New([]string{addr}).Run(ctx, fleet.Config{Workers: 1, Seed: 1}, longJobs(4)) {
+	pre, _ := fleetnet.New([]string{addr}).Run(ctx, fleet.Config{Workers: 1, Seed: 1}, longJobs(4))
+	for i, r := range pre {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("pre-cancelled: job %d err = %v, want context.Canceled", i, r.Err)
 		}
@@ -504,7 +507,7 @@ func TestNetRunnerCancellation(t *testing.T) {
 		cancel2()
 	}()
 	start := time.Now()
-	results := fleetnet.New([]string{addr}).Run(ctx2, fleet.Config{Workers: 1, Seed: 1}, longJobs(200))
+	results, _ := fleetnet.New([]string{addr}).Run(ctx2, fleet.Config{Workers: 1, Seed: 1}, longJobs(200))
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("run took %v after cancellation; connections were not torn down", elapsed)
 	}
@@ -539,7 +542,7 @@ func TestNetRunnerAllHostsDown(t *testing.T) {
 	// Supervisors keep redialing a down host; bound how long the run waits
 	// for anything to connect.
 	nr.AllDeadDeadline = 500 * time.Millisecond
-	results := nr.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(3, true))
+	results, _ := nr.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(3, true))
 	for i, r := range results {
 		if r.Err == nil {
 			t.Fatalf("job %d should carry the dial failure", i)
@@ -591,7 +594,8 @@ func TestNetRunnerRefusesOldProtocolWorker(t *testing.T) {
 			nr := fleetnet.New([]string{ln.Addr().String()})
 			nr.BackoffBase = 10 * time.Millisecond
 			nr.AllDeadDeadline = 300 * time.Millisecond
-			for i, r := range nr.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true)) {
+			results, _ := nr.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true))
+			for i, r := range results {
 				if r.Err == nil || !strings.Contains(r.Err.Error(), "protocol version") {
 					t.Fatalf("job %d: err = %v, want the hello version mismatch", i, r.Err)
 				}
@@ -664,48 +668,41 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestTokenBucket covers the admission gate: burst spends, refill credits,
-// Allow never blocks, Wait honors context.
+// TestTokenBucket covers the admission gate: burst spends, Allow never
+// blocks, refill credits, and a rate or burst that could never admit is
+// refused at construction.
 func TestTokenBucket(t *testing.T) {
-	b := fleetnet.NewTokenBucket(1000, 10)
+	b, err := fleetnet.NewTokenBucket(1000, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !b.Allow(10) {
 		t.Fatal("full burst should be admitted immediately")
 	}
 	if b.Allow(10) {
 		t.Fatal("bucket should be empty")
 	}
+	if b.Allow(11) {
+		t.Fatal("a request beyond the burst can never be admitted")
+	}
 	// Refill at 1000/s: 10 tokens take ~10ms.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := b.Wait(ctx, 10); err != nil {
-		t.Fatalf("Wait should succeed after refill: %v", err)
+	deadline := time.Now().Add(5 * time.Second)
+	for !b.Allow(10) {
+		if time.Now().After(deadline) {
+			t.Fatal("bucket never refilled")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	// A request beyond burst is clamped, not deadlocked.
-	if err := b.Wait(ctx, 50); err != nil {
-		t.Fatalf("beyond-burst Wait should clamp and succeed: %v", err)
-	}
-	// Cancelled context unblocks an unsatisfiable wait.
-	slow := fleetnet.NewTokenBucket(0.0001, 1)
-	if !slow.Allow(1) {
-		t.Fatal("initial burst")
-	}
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel2()
-	if err := slow.Wait(ctx2, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Wait = %v, want DeadlineExceeded", err)
-	}
-}
 
-// TestNetRunnerAdmission: the token bucket throttles dispatch without
-// changing results.
-func TestNetRunnerAdmission(t *testing.T) {
-	addr := startServer(t, &fleetnet.Server{Capacity: 2})
-	nr := fleetnet.New([]string{addr})
-	nr.ShardSize = 1
-	nr.Admission = fleetnet.NewTokenBucket(200, 2)
-	results := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 3}, specJobs(6, true))
-	if err := fleet.FirstError(results); err != nil {
-		t.Fatal(err)
+	for _, bad := range []struct {
+		rate  float64
+		burst int
+	}{
+		{5, 0}, {5, -1}, {0, 1}, {-1, 1}, {math.NaN(), 1}, {math.Inf(1), 1},
+	} {
+		if b, err := fleetnet.NewTokenBucket(bad.rate, bad.burst); err == nil || b != nil {
+			t.Errorf("NewTokenBucket(%v, %d) = %v, %v; want an error", bad.rate, bad.burst, b, err)
+		}
 	}
 }
 
@@ -725,7 +722,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 
 	nr := fleetnet.New([]string{ln1.Addr().String(), ln2.Addr().String()})
 	nr.ShardSize = 2
-	if err := fleet.FirstError(nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 5}, specJobs(4, true))); err != nil {
+	got, _ := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 5}, specJobs(4, true))
+	if err := fleet.FirstError(got); err != nil {
 		t.Fatal(err)
 	}
 	s1.Shutdown()
@@ -872,7 +870,7 @@ func TestNetRunnerShipsPredictorOncePerConnection(t *testing.T) {
 	const n = 6
 	jobs, enc := ustaJobs(t, n)
 	cfg := fleet.Config{Workers: 1, Seed: 3}
-	ref := fleet.LocalRunner{}.Run(context.Background(), cfg, jobs)
+	ref, _ := fleet.LocalRunner{}.Run(context.Background(), cfg, jobs)
 	if err := fleet.FirstError(ref); err != nil {
 		t.Fatal(err)
 	}
@@ -904,14 +902,14 @@ func TestNetRunnerShipsPredictorOncePerConnection(t *testing.T) {
 		}
 		nr := fleetnet.New(addrs)
 		nr.ShardSize = 1
-		got := nr.Run(context.Background(), cfg, jobs)
+		got, st := nr.Run(context.Background(), cfg, jobs)
 		if err := fleet.FirstError(got); err != nil {
 			t.Fatal(err)
 		}
 		if gotJSON, err := json.Marshal(got); err != nil || !bytes.Equal(gotJSON, refJSON) {
 			t.Fatalf("%s: results are not byte-identical to the local runner's (%v)", label, err)
 		}
-		hosts := nr.Stats().Hosts
+		hosts := st.Hosts
 		total := 0
 		for i, w := range ws {
 			used := 0

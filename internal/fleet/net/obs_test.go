@@ -3,7 +3,7 @@ package net_test
 // Observability-surface tests: the SSE snapshot stream, the determinism
 // pin that anchors it (the final streamed aggregates must be byte-equal
 // to the post-hoc analytics over the same run), and the /metrics +
-// /fleet views of live RunnerStats under fault injection.
+// /fleet views of live run stats under fault injection.
 
 import (
 	"bufio"

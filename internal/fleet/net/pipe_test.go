@@ -44,7 +44,8 @@ func TestShardRunnerMatchesLocal(t *testing.T) {
 		if r == nil {
 			r = fleet.LocalRunner{}
 		}
-		return r.Run(context.Background(), c, specJobs(n, true)), tl
+		got, _ := r.Run(context.Background(), c, specJobs(n, true))
+		return got, tl
 	}
 
 	ref, refTally := run(nil)
@@ -87,7 +88,7 @@ func TestShardRunnerProgress(t *testing.T) {
 		OnProgress: func(done, total int) { dones = append(dones, done*100+total) },
 		OnResult:   func(r fleet.JobResult) { names = append(names, r.Name) },
 	}
-	results := shard.New(2).Run(context.Background(), cfg, jobs)
+	results, _ := shard.New(2).Run(context.Background(), cfg, jobs)
 	if err := fleet.FirstError(results); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestShardRunnerProgress(t *testing.T) {
 func TestShardRunnerSpeclessJobs(t *testing.T) {
 	jobs := specJobs(4, true)
 	jobs[2].Spec = nil
-	results := shard.New(2).Run(context.Background(), fleet.Config{Workers: 1, Seed: 1}, jobs)
+	results, _ := shard.New(2).Run(context.Background(), fleet.Config{Workers: 1, Seed: 1}, jobs)
 	for i, r := range results {
 		if i == 2 {
 			if r.Err == nil || !strings.Contains(r.Err.Error(), "no serializable spec") {
@@ -139,9 +140,9 @@ func TestShardRunnerWorkerCrash(t *testing.T) {
 	tl := newTally()
 	c := cfg
 	c.Sink = tl.sink()
-	got := r.Run(context.Background(), c, specJobs(n, true))
+	got, st := r.Run(context.Background(), c, specJobs(n, true))
 	assertIdentical(t, "crash", ref, got, refTally, tl)
-	if st := r.Stats(); st.Hosts[0].Redials < 1 {
+	if st.Hosts[0].Redials < 1 {
 		t.Fatalf("the crashed worker was not respawned: %s", st)
 	}
 }
@@ -172,7 +173,8 @@ func TestShardRunnerCancellation(t *testing.T) {
 	// error — deterministic.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, r := range shard.New(2).Run(ctx, fleet.Config{Workers: 1, Seed: 1}, longJobs(4)) {
+	pre, _ := shard.New(2).Run(ctx, fleet.Config{Workers: 1, Seed: 1}, longJobs(4))
+	for i, r := range pre {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("pre-cancelled: job %d err = %v, want context.Canceled", i, r.Err)
 		}
@@ -188,7 +190,7 @@ func TestShardRunnerCancellation(t *testing.T) {
 		cancel2()
 	}()
 	start := time.Now()
-	results := shard.New(2).Run(ctx2, fleet.Config{Workers: 1, Seed: 1}, longJobs(400))
+	results, _ := shard.New(2).Run(ctx2, fleet.Config{Workers: 1, Seed: 1}, longJobs(400))
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("run took %v after cancellation; workers were not torn down", elapsed)
 	}
@@ -214,7 +216,7 @@ func TestShardRunnerBadCommand(t *testing.T) {
 	r := shard.New(1)
 	r.Command = []string{"/nonexistent/ustaworker"}
 	start := time.Now()
-	results := r.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true))
+	results, _ := r.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true))
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("run took %v to give up on an unlaunchable worker", elapsed)
 	}
@@ -230,7 +232,7 @@ func TestShardRunnerBadCommand(t *testing.T) {
 func TestPipeWorkerDeathQuotesStderr(t *testing.T) {
 	r := fleetnet.NewPipe(1)
 	r.Command = []string{"sh", "-c", "echo 'worker: config unreadable' >&2; exit 7"}
-	results := r.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true))
+	results, _ := r.Run(context.Background(), fleet.Config{Seed: 1}, specJobs(2, true))
 	for i, res := range results {
 		if res.Err == nil || !strings.Contains(res.Err.Error(), "exit status 7") ||
 			!strings.Contains(res.Err.Error(), "stderr: worker: config unreadable") {
@@ -255,13 +257,13 @@ func TestPipeItemsFillWorkerPool(t *testing.T) {
 	tl := newTally()
 	c := cfg
 	c.Sink = tl.sink()
-	got := r.Run(context.Background(), c, specJobs(n, true))
+	got, st := r.Run(context.Background(), c, specJobs(n, true))
 	assertIdentical(t, "pipe", ref, got, refTally, tl)
 	items := 0
-	for _, h := range r.Stats().Hosts {
+	for _, h := range st.Hosts {
 		items += h.ItemsCompleted
 	}
 	if items != 2 {
-		t.Fatalf("%d work items for %d jobs on pools 4 wide, want 2: %s", items, n, r.Stats())
+		t.Fatalf("%d work items for %d jobs on pools 4 wide, want 2: %s", items, n, st)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	stdnet "net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/device"
@@ -30,13 +29,13 @@ const defaultMaxRetries = 3
 
 // Recovery defaults. A host is never retired by a single transport
 // failure: its supervisor redials under exponential backoff with seeded
-// jitter, opens a circuit breaker after BreakerThreshold consecutive
+// jitter, opens a circuit breaker after breakerThreshold consecutive
 // failures, and probes half-open after a growing cooldown.
 const (
-	DefaultBackoffBase      = 100 * time.Millisecond
-	DefaultBackoffMax       = 5 * time.Second
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 2 * time.Second
+	DefaultBackoffBase     = 100 * time.Millisecond
+	DefaultBackoffMax      = 5 * time.Second
+	breakerThreshold       = 3
+	DefaultBreakerCooldown = 2 * time.Second
 	// DefaultAllDeadDeadline is how long the run tolerates zero connected
 	// hosts (everything down or cooling off) before giving up on the
 	// network: remaining jobs fail, or — with FallbackLocal — run on the
@@ -68,9 +67,10 @@ var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only s
 // Idle capacity hedges long-running shards onto a second host with
 // first-reporter-wins dedup. When no host stays connected past
 // AllDeadDeadline the remaining jobs fail — or, with FallbackLocal, run
-// on the in-process LocalRunner with the same pinned seeds. Per-host
-// state is observable through Stats. The zero value is not useful; set
-// Hosts.
+// on the in-process LocalRunner with the same pinned seeds. Run returns
+// each run's per-host state as fleet.RunStats. A Runner holds
+// configuration only, so concurrent runs may share one. The zero value is
+// not useful; set Hosts.
 type Runner struct {
 	// Hosts is the static worker inventory, "host:port" per entry (a
 	// NewPipe runner names its spawned workers "pipe-0", "pipe-1", ...).
@@ -101,9 +101,6 @@ type Runner struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the redial backoff (<= 0: DefaultBackoffMax).
 	BackoffMax time.Duration
-	// BreakerThreshold is how many consecutive failures open a host's
-	// circuit breaker (<= 0: DefaultBreakerThreshold).
-	BreakerThreshold int
 	// BreakerCooldown is the first open-breaker cooldown before a
 	// half-open probe (<= 0: DefaultBreakerCooldown). Doubles while the
 	// probe keeps failing.
@@ -121,18 +118,12 @@ type Runner struct {
 	// duration (500 ms floor, needs 4 completed items); a positive value
 	// is an explicit threshold; negative disables hedging.
 	HedgeAfter time.Duration
-	// Admission, when set, gates dispatch: every primary work item takes
-	// one token per job before its shard request is written. Hedges are
-	// re-dispatches of already-admitted work and skip the gate.
-	Admission *TokenBucket
 	// Logf, when set, receives one line per host-level event (connect,
 	// loss, backoff, breaker transition, retry, hedge). Nil is silent.
 	Logf func(format string, args ...any)
 
 	// pipes marks a NewPipe runner: hosts are spawned, not dialed.
 	pipes bool
-	// stats holds the live tracker of the most recent Run; read via Stats.
-	stats atomic.Pointer[statsTracker]
 }
 
 // New creates a networked runner over the given worker addresses.
@@ -170,13 +161,6 @@ func (r *Runner) backoffMax() time.Duration {
 		return r.BackoffMax
 	}
 	return DefaultBackoffMax
-}
-
-func (r *Runner) breakerThreshold() int {
-	if r.BreakerThreshold > 0 {
-		return r.BreakerThreshold
-	}
-	return DefaultBreakerThreshold
 }
 
 func (r *Runner) breakerCooldown() time.Duration {
@@ -303,7 +287,14 @@ func errResult(i int, job *fleet.Job, err error) fleet.JobResult {
 }
 
 // Run implements fleet.Runner. See the type comment for the contract.
-func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []fleet.JobResult {
+func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) ([]fleet.JobResult, fleet.RunStats) {
+	tracker := newStatsTracker(r.Hosts)
+	return r.run(ctx, cfg, jobs, tracker), tracker.snapshot()
+}
+
+// run is Run recording into tracker, which the caller may snapshot while
+// the run is in flight.
+func (r *Runner) run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job, tracker *statsTracker) []fleet.JobResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -380,11 +371,6 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 			end = len(specs)
 		}
 		items = append(items, &itemState{specs: specs[start:end]})
-	}
-	tracker := newStatsTracker(r.Hosts)
-	r.stats.Store(tracker)
-	if slot, ok := ctx.Value(runStatsKey{}).(*atomic.Pointer[statsTracker]); ok {
-		slot.Store(tracker)
 	}
 	d := newDispatcher(items, r, tracker)
 
@@ -486,7 +472,7 @@ func (r *Runner) runFallback(ctx context.Context, cfg fleet.Config, st *runState
 			st.sink.Accept(sink.JobID(subIdx[int(id)]), s)
 		})
 	}
-	res := fleet.LocalRunner{}.Run(ctx, sub, subJobs)
+	res, _ := fleet.LocalRunner{}.Run(ctx, sub, subJobs)
 	st.mu.Lock()
 	for k := range res {
 		idx := subIdx[k]

@@ -14,13 +14,14 @@
 //     — TCP daemons (New) or spawned worker processes (NewPipe) — with
 //     liveness (heartbeat read deadlines), per-worker in-flight caps,
 //     retry-on-worker-loss that re-dispatches only the unreported jobs of
-//     a lost shard, and token-bucket admission on job intake. Seeds are
-//     resolved coordinator-side through fleet.EffectiveSeed, so a
-//     distributed run is byte-identical to LocalRunner — even after a
-//     worker dies mid-shard and its jobs are retried elsewhere.
+//     a lost shard. Seeds are resolved coordinator-side through
+//     fleet.EffectiveSeed, so a distributed run is byte-identical to
+//     LocalRunner — even after a worker dies mid-shard and its jobs are
+//     retried elsewhere. Run returns each run's fleet.RunStats.
 //   - JobServer: a persistent submit/poll/cancel HTTP job service
-//     (`ustafleetd`) whose telemetry endpoint streams JSONL merged into
-//     submission order by Bus.
+//     (`ustafleetd`) with token-bucket admission on job intake, whose
+//     telemetry endpoint streams JSONL merged into submission order by
+//     Bus.
 package net
 
 import (

@@ -1,73 +1,25 @@
 package net
 
 import (
-	"fmt"
-	"strings"
+	"context"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/fleet"
 )
 
-// Breaker states as surfaced in HostStats.
+// Breaker states as surfaced in fleet.HostStats.
 const (
 	BreakerClosed   = "closed"
 	BreakerOpen     = "open"
 	BreakerHalfOpen = "half-open"
 )
 
-// HostStats is one host's supervisor state snapshot.
-type HostStats struct {
-	Addr             string `json:"addr"`
-	Connected        bool   `json:"connected"`
-	Breaker          string `json:"breaker"`
-	ConnectAttempts  int    `json:"connect_attempts"`
-	Redials          int    `json:"redials"`
-	ConsecutiveFails int    `json:"consecutive_fails"`
-	Capacity         int    `json:"capacity"`
-	SlotsConnected   int    `json:"slots_connected"`
-	SlotShortfall    int    `json:"slot_shortfall"`
-	ItemsCompleted   int    `json:"items_completed"`
-	// PredictorShips counts the shard requests that carried the predictor
-	// document; a worker that already held it is sent its ID alone.
-	PredictorShips int    `json:"predictor_ships"`
-	LastErr        string `json:"last_err,omitempty"`
-}
-
-// RunnerStats is a point-in-time snapshot of a run's recovery machinery:
-// per-host supervisor state plus fleet-level hedging and fallback
-// counters.
-type RunnerStats struct {
-	Hosts        []HostStats `json:"hosts"`
-	Hedges       int         `json:"hedges"`
-	HedgeWins    int         `json:"hedge_wins"`
-	FallbackUsed bool        `json:"fallback_used,omitempty"`
-	FallbackJobs int         `json:"fallback_jobs,omitempty"`
-}
-
-// String renders the snapshot as one log-friendly line.
-func (s RunnerStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hedges=%d wins=%d", s.Hedges, s.HedgeWins)
-	if s.FallbackUsed {
-		fmt.Fprintf(&b, " fallback=%d", s.FallbackJobs)
-	}
-	for _, h := range s.Hosts {
-		fmt.Fprintf(&b, " | %s: breaker=%s connected=%v dials=%d redials=%d slots=%d/%d items=%d predictor_ships=%d",
-			h.Addr, h.Breaker, h.Connected, h.ConnectAttempts, h.Redials, h.SlotsConnected, h.Capacity, h.ItemsCompleted, h.PredictorShips)
-		if h.SlotShortfall > 0 {
-			fmt.Fprintf(&b, " shortfall=%d", h.SlotShortfall)
-		}
-		if h.LastErr != "" {
-			fmt.Fprintf(&b, " lastErr=%q", h.LastErr)
-		}
-	}
-	return b.String()
-}
-
-// statsTracker is the mutable, locked store behind RunnerStats.
+// statsTracker is the mutable, locked store behind one run's
+// fleet.RunStats.
 type statsTracker struct {
 	mu           sync.Mutex
 	order        []string
-	hosts        map[string]*HostStats
+	hosts        map[string]*fleet.HostStats
 	hedges       int
 	hedgeWins    int
 	fallbackUsed bool
@@ -75,14 +27,14 @@ type statsTracker struct {
 }
 
 func newStatsTracker(hosts []string) *statsTracker {
-	t := &statsTracker{order: hosts, hosts: make(map[string]*HostStats, len(hosts))}
+	t := &statsTracker{order: hosts, hosts: make(map[string]*fleet.HostStats, len(hosts))}
 	for _, a := range hosts {
-		t.hosts[a] = &HostStats{Addr: a, Breaker: BreakerClosed}
+		t.hosts[a] = &fleet.HostStats{Addr: a, Breaker: BreakerClosed}
 	}
 	return t
 }
 
-func (t *statsTracker) update(addr string, fn func(*HostStats)) {
+func (t *statsTracker) update(addr string, fn func(*fleet.HostStats)) {
 	t.mu.Lock()
 	if h, ok := t.hosts[addr]; ok {
 		fn(h)
@@ -117,11 +69,11 @@ func (t *statsTracker) fallback(jobs int) {
 	t.mu.Unlock()
 }
 
-func (t *statsTracker) snapshot() RunnerStats {
+func (t *statsTracker) snapshot() fleet.RunStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := RunnerStats{
-		Hosts:        make([]HostStats, 0, len(t.order)),
+	s := fleet.RunStats{
+		Hosts:        make([]fleet.HostStats, 0, len(t.order)),
 		Hedges:       t.hedges,
 		HedgeWins:    t.hedgeWins,
 		FallbackUsed: t.fallbackUsed,
@@ -135,21 +87,14 @@ func (t *statsTracker) snapshot() RunnerStats {
 	return s
 }
 
-// Stats snapshots the most recent (possibly in-progress) Run's recovery
-// state. Before any Run it returns the zero RunnerStats.
-func (r *Runner) Stats() RunnerStats { return snapshotOf(&r.stats) }
+// trackedRunner runs a Runner against a tracker its owner keeps, so the
+// owner can snapshot the run while it is in flight: the job server's
+// live /fleet row and event-stream view of one job.
+type trackedRunner struct {
+	r  *Runner
+	tk *statsTracker
+}
 
-// runStatsKey keys a context value holding an *atomic.Pointer[statsTracker]
-// that Run publishes its tracker into alongside the runner's own. A job
-// server running concurrent sweeps on one Runner gives each job its slot,
-// so every job's /fleet row and event stream follows its own run rather
-// than whichever run started last.
-type runStatsKey struct{}
-
-// snapshotOf snapshots the tracker a stats slot holds (zero when empty).
-func snapshotOf(slot *atomic.Pointer[statsTracker]) RunnerStats {
-	if t := slot.Load(); t != nil {
-		return t.snapshot()
-	}
-	return RunnerStats{}
+func (t trackedRunner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) ([]fleet.JobResult, fleet.RunStats) {
+	return t.r.run(ctx, cfg, jobs, t.tk), t.tk.snapshot()
 }

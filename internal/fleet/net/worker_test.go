@@ -50,7 +50,8 @@ func localSequences(t *testing.T, specs []fleet.JobSpec) map[int][]byte {
 		seqs[g] = wire.PackSample(seqs[g], s)
 		mu.Unlock()
 	})}
-	if err := fleet.FirstError(fleet.LocalRunner{}.Run(context.Background(), cfg, jobs)); err != nil {
+	results, _ := fleet.LocalRunner{}.Run(context.Background(), cfg, jobs)
+	if err := fleet.FirstError(results); err != nil {
 		t.Fatal(err)
 	}
 	return seqs

@@ -311,11 +311,13 @@ func TestMaterializedJobRunsLikeLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})[0]
+	gotAll, _ := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})
+	got := gotAll[0]
 	if got.Err != nil {
 		t.Fatal(got.Err)
 	}
-	ref := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})[0]
+	refAll, _ := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})
+	ref := refAll[0]
 	if got.Result.EnergyJ != ref.Result.EnergyJ || got.Result.MaxSkinC != ref.Result.MaxSkinC {
 		t.Fatal("materialized job is not deterministic")
 	}
@@ -336,7 +338,8 @@ func TestResultFrameRoundTripWithTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})[0]
+	all, _ := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})
+	res := all[0]
 	if res.Err != nil || res.Result.Trace == nil {
 		t.Fatalf("reference run broken: %+v", res)
 	}

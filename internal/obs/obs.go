@@ -35,7 +35,7 @@ import (
 type Aggregator struct {
 	// FleetFn, when set, is polled at snapshot time for a
 	// JSON-marshalable fleet/host gauge payload (e.g. the networked
-	// runner's RunnerStats). It is called without the aggregator lock
+	// runner's fleet.RunStats). It is called without the aggregator lock
 	// held and must be safe for concurrent use.
 	FleetFn func() any
 
@@ -217,7 +217,7 @@ type Snapshot struct {
 	SkinHist []ClassHist `json:"skin_hist"`
 	// Spark is the recent-activity ring, oldest bucket first.
 	Spark []SparkBucket `json:"spark,omitempty"`
-	// Fleet is FleetFn's payload (e.g. net.RunnerStats), when wired.
+	// Fleet is FleetFn's payload (e.g. fleet.RunStats), when wired.
 	Fleet any `json:"fleet,omitempty"`
 }
 

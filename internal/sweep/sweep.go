@@ -108,6 +108,9 @@ type Result struct {
 	// Stats is the analytics join of Grid and Results, violation
 	// statistics filled in.
 	Stats []analytics.JobStat
+	// RunStats is what the runner measured over the live cells (zero on
+	// the in-process pool).
+	RunStats fleet.RunStats
 }
 
 // Run executes the plan's unfinished cells (a nil plan runs every cell)
@@ -147,7 +150,6 @@ func (s *Sweep) Run(ctx context.Context, plan *durable.Plan, h Hooks) (*Result, 
 		Workers:   s.cfg.Workers,
 		Seed:      s.cfg.Spec.Seeds.Base,
 		Sink:      runSink,
-		Runner:    s.cfg.Runner,
 		Predictor: s.pred,
 	}
 	if h.Ledger != nil || h.OnResult != nil {
@@ -172,7 +174,11 @@ func (s *Sweep) Run(ctx context.Context, plan *durable.Plan, h Hooks) (*Result, 
 		restored, total := len(plan.Done), len(grid.Jobs)
 		fcfg.OnProgress = func(done, _ int) { h.Progress(restored+done, total) }
 	}
-	results := fleet.New(fcfg).Run(ctx, runGrid.Jobs)
+	runner := s.cfg.Runner
+	if runner == nil {
+		runner = fleet.LocalRunner{}
+	}
+	results, runStats := runner.Run(ctx, fcfg, runGrid.Jobs)
 	// A subset run lands its results at their full-grid indices and the
 	// ledgered cells are restored around them.
 	if remap != nil {
@@ -192,5 +198,5 @@ func (s *Sweep) Run(ctx context.Context, plan *durable.Plan, h Hooks) (*Result, 
 		vs.Apply(stats)
 	}
 	plan.ApplyViolations(stats)
-	return &Result{Results: results, Stats: stats}, nil
+	return &Result{Results: results, Stats: stats, RunStats: runStats}, nil
 }

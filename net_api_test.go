@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	stdnet "net"
 	"strings"
@@ -46,7 +47,7 @@ func TestNetRunnerMatchesLocalTable1(t *testing.T) {
 		avgFreqMHz, energyJ float64
 		workDone, slowdown  float64
 	}
-	run := func(label string, opts ...repro.ScenarioOption) ([]cell, *countingSink) {
+	run := func(label string, opts ...repro.ScenarioOption) ([]cell, *countingSink, repro.RunStats) {
 		t.Helper()
 		cs := newCountingSink()
 		res, err := repro.RunScenario(context.Background(), spec,
@@ -67,7 +68,7 @@ func TestNetRunnerMatchesLocalTable1(t *testing.T) {
 				workDone: r.WorkDone, slowdown: r.Slowdown(),
 			}
 		}
-		return cells, cs
+		return cells, cs, res.RunStats
 	}
 	requireEqual := func(label string, got, ref []cell, gotSink, refSink *countingSink) {
 		t.Helper()
@@ -86,23 +87,77 @@ func TestNetRunnerMatchesLocalTable1(t *testing.T) {
 	}
 
 	hosts := []string{startNetDaemon(t, 2), startNetDaemon(t, 2)}
-	ref, refSink := run("local workers=1", repro.ScenarioWorkers(1))
+	ref, refSink, _ := run("local workers=1", repro.ScenarioWorkers(1))
 
-	// RunScenario runs on the caller's runner as given, so the caller's
-	// Stats must observe this run (ustasim -stats-json depends on it).
+	// RunScenario runs on the caller's runner as given and returns what it
+	// measured in SweepResult.RunStats (ustasim -stats-json writes it).
 	nr := repro.NewNetRunner(hosts)
-	got, gotSink := run("net 2 daemons", repro.ScenarioRunner(nr))
+	got, gotSink, st := run("net 2 daemons", repro.ScenarioRunner(nr))
 	requireEqual("net 2 daemons", got, ref, gotSink, refSink)
-	st := nr.Stats()
 	if len(st.Hosts) != len(hosts) {
-		t.Fatalf("caller runner stats: %d hosts, want %d (run executed on a copy without publishing back)", len(st.Hosts), len(hosts))
+		t.Fatalf("sweep run stats: %d hosts, want %d", len(st.Hosts), len(hosts))
 	}
 	var items int
 	for _, h := range st.Hosts {
 		items += h.ItemsCompleted
 	}
 	if items == 0 {
-		t.Fatal("caller runner stats: zero items completed after a successful networked run")
+		t.Fatal("sweep run stats: zero items completed after a successful networked run")
+	}
+}
+
+// TestNetRunnerConcurrentSweepsOwnStats: two sweeps of different sizes
+// run at once on one shared net runner, and each sweep's RunStats
+// describes that sweep alone: both hosts listed, and with one job per
+// work item, completed items summing to the sweep's own cell count.
+func TestNetRunnerConcurrentSweepsOwnStats(t *testing.T) {
+	const specFmt = `{"version": 1, "workloads": [%s], "schemes": [{"name": "baseline"}],
+	  "duration": {"scale": 0.5}, "seeds": {"policy": "indexed", "base": 11}, "trace_free": true}`
+	specs := []*repro.ScenarioSpec{}
+	for _, workloads := range []string{`"all"`, `"skype", "youtube", "game"`} {
+		spec, err := repro.ParseScenario([]byte(fmt.Sprintf(specFmt, workloads)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+
+	hosts := []string{startNetDaemon(t, 2), startNetDaemon(t, 2)}
+	nr := repro.NewNetRunner(hosts)
+	nr.ShardSize = 1
+	results := make([]*repro.SweepResult, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = repro.RunScenario(context.Background(), spec, repro.ScenarioRunner(nr))
+		}()
+	}
+	wg.Wait()
+
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("sweep %d: %v", i, errs[i])
+		}
+		if err := res.FirstError(); err != nil {
+			t.Fatalf("sweep %d: %v", i, err)
+		}
+		st := res.RunStats
+		if len(st.Hosts) != len(hosts) {
+			t.Fatalf("sweep %d: run stats list %d hosts, want %d: %s", i, len(st.Hosts), len(hosts), st)
+		}
+		items := 0
+		for _, h := range st.Hosts {
+			items += h.ItemsCompleted
+		}
+		if items != len(res.Results) {
+			t.Fatalf("sweep %d: %d items completed, want its own %d cells: %s", i, items, len(res.Results), st)
+		}
+	}
+	if len(results[0].Results) == len(results[1].Results) {
+		t.Fatalf("both sweeps have %d cells; the test needs different sizes", len(results[0].Results))
 	}
 }
 

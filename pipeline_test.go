@@ -280,7 +280,7 @@ var whatIfRuns atomic.Int64
 // each sweep hands its runner.
 type predictorTap struct{ docs []*fleet.EncodedPredictor }
 
-func (p *predictorTap) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []fleet.JobResult {
+func (p *predictorTap) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) ([]fleet.JobResult, fleet.RunStats) {
 	p.docs = append(p.docs, cfg.Predictor)
 	return fleet.LocalRunner{}.Run(ctx, cfg, jobs)
 }

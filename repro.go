@@ -116,6 +116,9 @@ type (
 	// the multi-process coordinator over spawned workers (NewShardRunner)
 	// or worker daemons (NewNetRunner).
 	Runner = fleet.Runner
+	// RunStats is what a Runner measured over one batch: per-host
+	// recovery state, hedges and fallback use.
+	RunStats = fleet.RunStats
 
 	// Workload is a deterministic demand trace.
 	Workload = workload.Workload
@@ -273,8 +276,9 @@ func NewShardRunner(n int) *fleetnet.Runner { return fleetnet.NewPipe(n) }
 // that use the usta controller need the encoded predictor in
 // FleetConfig.Predictor, which RunScenario fills in. See the Runner's
 // fields (exported from internal/fleet/net) for retry, backoff, breaker,
-// hedging, admission and heartbeat tuning, and Runner.Stats for the most
-// recent run's recovery snapshot.
+// hedging and heartbeat tuning. Run returns each run's recovery snapshot
+// (RunStats) with its results; RunScenario reports it in
+// SweepResult.RunStats.
 func NewNetRunner(hosts []string) *fleetnet.Runner { return fleetnet.New(hosts) }
 
 // ShardWorkerMain serves the coordinator that spawned this process over
@@ -293,12 +297,16 @@ func LoadScenario(path string) (*ScenarioSpec, error) { return scenario.Load(pat
 func ParseScenario(data []byte) (*ScenarioSpec, error) { return scenario.Parse(data) }
 
 // SweepResult is one scenario run: the expanded grid, the per-job fleet
-// results (submission order), and the joined per-job stats the analytics
-// helpers consume.
+// results (submission order), the joined per-job stats the analytics
+// helpers consume, and what the runner measured while it ran the sweep.
 type SweepResult struct {
 	Grid    *ScenarioGrid
 	Results []JobResult
 	Stats   []JobStat
+	// RunStats is this sweep's own recovery snapshot from a shard or net
+	// runner: per-host breaker state, redials, items and predictor ships,
+	// plus hedges and fallback use. It is zero on the in-process pool.
+	RunStats RunStats
 }
 
 // FirstError returns the first failed job's error, or nil.
@@ -350,8 +358,9 @@ func ScenarioShards(n int) ScenarioOption {
 // NewShardRunner with an explicit worker Command, or a NewNetRunner. It
 // overrides ScenarioShards. The runner is used as given, never copied or
 // modified: the sweep's (supplied or self-trained) predictor reaches its
-// workers through the run's FleetConfig, and a net runner's Stats report
-// this sweep once it starts. Concurrent sweeps may share one runner.
+// workers through the run's FleetConfig, and the runner's RunStats for
+// this sweep alone come back in SweepResult.RunStats. Concurrent sweeps
+// may share one runner.
 func ScenarioRunner(r Runner) ScenarioOption {
 	return func(rc *scenarioRun) { rc.runner = r }
 }
@@ -452,7 +461,7 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResult{Grid: sw.Grid, Results: res.Results, Stats: res.Stats}, nil
+	return &SweepResult{Grid: sw.Grid, Results: res.Results, Stats: res.Stats, RunStats: res.RunStats}, nil
 }
 
 // Streaming sink constructors (see internal/sink for semantics). All

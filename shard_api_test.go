@@ -117,7 +117,7 @@ func TestShardRunnerMatchesLocalTable1(t *testing.T) {
 // spec-less hand-built job cannot shard, and the error says why.
 func TestShardRunnerSpeclessJobFailsDescriptively(t *testing.T) {
 	jobs := []repro.Job{{Workload: repro.WorkloadByName("skype", 1), DurSec: 10}}
-	results := repro.NewShardRunner(1).Run(context.Background(), repro.FleetConfig{Seed: 1}, jobs)
+	results, _ := repro.NewShardRunner(1).Run(context.Background(), repro.FleetConfig{Seed: 1}, jobs)
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "no serializable spec") {
 		t.Fatalf("err = %v, want a descriptive spec error", results[0].Err)
 	}
