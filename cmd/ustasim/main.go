@@ -31,15 +31,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"repro"
 	"repro/internal/experiments"
 )
 
 func main() {
-	// When spawned as a shard worker (-shards re-executes this binary),
-	// serve the coordinator over stdin/stdout and exit before touching
-	// flags.
-	repro.ShardWorkerMain()
 	var (
 		exp        = flag.String("experiment", "all", "fig1|fig2|fig3|fig4|fig5|table1|replicate|all")
 		scenPath   = flag.String("scenario", "", "declarative sweep file (JSON or YAML); overrides -experiment")
@@ -51,10 +46,9 @@ func main() {
 		csvDir     = flag.String("csv", "", "directory to write fig4 trace CSVs or scenario aggregate CSVs (empty = no dump)")
 		repN       = flag.Int("n", 5, "replications for -experiment replicate")
 		workers    = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS); results are identical at any width")
-		shards     = flag.Int("shards", 0, "run the scenario across this many worker processes (0 = in-process); results are identical either way")
-		hosts      = flag.String("hosts", "", "comma-separated ustaworker -listen daemon addresses to dispatch the scenario to (overrides -shards); results are identical either way")
-		fallbk     = flag.Bool("local-fallback", false, "with -hosts or -shards: when every worker stays down past the coordinator's recovery deadline, finish the remaining jobs in-process instead of failing them")
-		statsJSON  = flag.String("stats-json", "", "with -hosts or -shards: write the sweep's RunStats (redials, hedges, breaker states) to this JSON file")
+		hosts      = flag.String("hosts", "", "comma-separated ustaworker -listen daemon addresses to dispatch the scenario to; results are identical either way")
+		fallbk     = flag.Bool("local-fallback", false, "with -hosts: when every worker stays down past the coordinator's recovery deadline, finish the remaining jobs in-process instead of failing them")
+		statsJSON  = flag.String("stats-json", "", "with -hosts: write the sweep's RunStats (redials, hedges, breaker states) to this JSON file")
 		walPath    = flag.String("wal", "", "journal the scenario sweep to this write-ahead log; a killed run can continue with -resume, re-running only unfinished cells")
 		resume     = flag.Bool("resume", false, "continue the interrupted sweep journaled in -wal (aggregates byte-identical to an uninterrupted run)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -62,24 +56,16 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shards < 0 {
-		fmt.Fprintln(os.Stderr, "ustasim: -shards must be >= 0 (0 = in-process)")
-		os.Exit(1)
-	}
-	if *shards != 0 && *scenPath == "" {
-		fmt.Fprintln(os.Stderr, "ustasim: -shards requires -scenario")
-		os.Exit(1)
-	}
 	if *hosts != "" && *scenPath == "" {
 		fmt.Fprintln(os.Stderr, "ustasim: -hosts requires -scenario")
 		os.Exit(1)
 	}
-	if *fallbk && *hosts == "" && *shards == 0 {
-		fmt.Fprintln(os.Stderr, "ustasim: -local-fallback requires -hosts or -shards")
+	if *fallbk && *hosts == "" {
+		fmt.Fprintln(os.Stderr, "ustasim: -local-fallback requires -hosts")
 		os.Exit(1)
 	}
-	if *statsJSON != "" && *hosts == "" && *shards == 0 {
-		fmt.Fprintln(os.Stderr, "ustasim: -stats-json requires -hosts or -shards")
+	if *statsJSON != "" && *hosts == "" {
+		fmt.Fprintln(os.Stderr, "ustasim: -stats-json requires -hosts")
 		os.Exit(1)
 	}
 	if *jsonlPath != "" && *scenPath == "" {
@@ -103,7 +89,7 @@ func main() {
 		experiment: *exp, scenPath: *scenPath, jsonlPath: *jsonlPath,
 		scale: *scale, seed: *seed, corpusSec: *corpusSec,
 		mlpEpochs: *mlpEpochs, csvDir: *csvDir, repN: *repN,
-		workers: *workers, shards: *shards, hosts: *hosts,
+		workers: *workers, hosts: *hosts,
 		localFallback: *fallbk, statsPath: *statsJSON,
 		walPath: *walPath, resume: *resume,
 	}
@@ -172,7 +158,6 @@ type cliOptions struct {
 	csvDir        string
 	repN          int
 	workers       int
-	shards        int
 	hosts         string
 	localFallback bool
 	statsPath     string

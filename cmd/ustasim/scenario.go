@@ -18,13 +18,11 @@ import (
 // when the grid has more than one (ambient, limit) cell, and
 // scheme-vs-scheme deltas when the scheme axis has at least two entries.
 // An optional JSONL path streams every telemetry sample; an optional CSV
-// directory receives the aggregate tables. shards != 0 fans the grid out
-// across worker subprocesses, a non-empty hosts list dispatches shards to
-// long-lived `ustaworker -listen` daemons over TCP (overriding shards) —
-// one coordinator either way, and aggregates and streams are identical
-// under every choice. localFallback lets such a run finish on the
-// in-process pool when every worker stays down past the coordinator's
-// recovery deadline. walPath journals the sweep to a write-ahead log and
+// directory receives the aggregate tables. A non-empty hosts list
+// dispatches shards to long-lived `ustaworker -listen` daemons over TCP;
+// aggregates and streams are identical to an in-process run.
+// localFallback lets such a run finish on the in-process pool when every
+// worker stays down past the coordinator's recovery deadline. walPath journals the sweep to a write-ahead log and
 // resume continues one that was killed partway, re-running only
 // unfinished cells — outputs stay byte-identical to an uninterrupted run.
 // Coordinator recovery logs and the end-of-run stats snapshot go to
@@ -50,17 +48,12 @@ func runScenario(o cliOptions, out io.Writer) error {
 		}),
 	}
 	var nr *fleetnet.Runner
-	switch {
-	case o.hosts != "":
+	if o.hosts != "" {
 		hs := strings.Split(o.hosts, ",")
 		for i := range hs {
 			hs[i] = strings.TrimSpace(hs[i])
 		}
 		nr = repro.NewNetRunner(hs)
-	case o.shards != 0:
-		nr = repro.NewShardRunner(o.shards)
-	}
-	if nr != nil {
 		nr.FallbackLocal = o.localFallback
 		nr.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "ustasim: "+format+"\n", args...)

@@ -19,13 +19,6 @@ import (
 	fleetnet "repro/internal/fleet/net"
 )
 
-// TestMain lets the test binary serve as a shard worker for the -shards
-// smoke tests (the shard runner re-executes the current binary).
-func TestMain(m *testing.M) {
-	repro.ShardWorkerMain()
-	os.Exit(m.Run())
-}
-
 // scenOpts builds a runScenario option set for one sweep file; mutate
 // extras in the callback (nil for the defaults).
 func scenOpts(path string, mod func(*cliOptions)) cliOptions {
@@ -41,19 +34,7 @@ func scenOpts(path string, mod func(*cliOptions)) cliOptions {
 // dumping aggregate CSVs.
 func TestRunScenarioSmoke(t *testing.T) {
 	dir := t.TempDir()
-	specPath := filepath.Join(dir, "sweep.yaml")
-	spec := `
-version: 1
-name: smoke
-workloads: [skype, game]
-ambients_c: [25, 40]
-duration:
-  sec: 30
-trace_free: true
-`
-	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	specPath := writeSmokeSpec(t, dir)
 	jsonl := filepath.Join(dir, "samples.jsonl")
 	csvDir := filepath.Join(dir, "out")
 
@@ -73,35 +54,6 @@ trace_free: true
 	}
 	if lines := strings.Count(string(data), "\n"); lines == 0 {
 		t.Fatal("JSONL stream is empty")
-	}
-
-	// Shard mode: the same sweep across 2 worker processes must stream the
-	// same number of samples and produce the same aggregate tables.
-	jsonl2 := filepath.Join(dir, "samples_sharded.jsonl")
-	csvDir2 := filepath.Join(dir, "out_sharded")
-	var out2 strings.Builder
-	if err := runScenario(scenOpts(specPath, func(o *cliOptions) { o.workers = 2; o.shards = 2; o.jsonlPath = jsonl2; o.csvDir = csvDir2 }), &out2); err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	data2, err := os.ReadFile(jsonl2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Count(string(data2), "\n"), strings.Count(string(data), "\n"); got != want {
-		t.Fatalf("sharded JSONL streamed %d samples, local streamed %d", got, want)
-	}
-	for _, f := range []string{"comfort.csv", "heatmap.csv"} {
-		local, err := os.ReadFile(filepath.Join(csvDir, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := os.ReadFile(filepath.Join(csvDir2, f))
-		if err != nil {
-			t.Fatalf("sharded aggregate %s not written: %v", f, err)
-		}
-		if string(local) != string(sharded) {
-			t.Fatalf("aggregate %s differs between local and sharded runs:\nlocal:\n%s\nsharded:\n%s", f, local, sharded)
-		}
 	}
 	for _, f := range []string{"comfort.csv", "heatmap.csv"} {
 		if _, err := os.Stat(filepath.Join(csvDir, f)); err != nil {
@@ -144,16 +96,12 @@ trace_free: true
 	return specPath
 }
 
-// TestRunScenarioHostsSmoke is the CLI half of the networked-fleet
-// acceptance: `-hosts` pointed at two live worker daemons must stream the
-// same number of samples and write byte-identical aggregate tables as the
-// in-process runner.
-func TestRunScenarioHostsSmoke(t *testing.T) {
-	dir := t.TempDir()
-	specPath := writeSmokeSpec(t, dir)
-
+// startDaemons runs n in-process worker daemons (the TCP equivalent of
+// `ustaworker -listen`) on loopback ports and returns their addresses.
+func startDaemons(t *testing.T, n int) []string {
+	t.Helper()
 	var addrs []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		srv := &fleetnet.Server{Capacity: 2}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -163,6 +111,17 @@ func TestRunScenarioHostsSmoke(t *testing.T) {
 		t.Cleanup(srv.Shutdown)
 		addrs = append(addrs, ln.Addr().String())
 	}
+	return addrs
+}
+
+// TestRunScenarioHostsSmoke is the CLI half of the networked-fleet
+// acceptance: `-hosts` pointed at two live worker daemons must stream the
+// same number of samples and write byte-identical aggregate tables as the
+// in-process runner.
+func TestRunScenarioHostsSmoke(t *testing.T) {
+	dir := t.TempDir()
+	specPath := writeSmokeSpec(t, dir)
+	addrs := startDaemons(t, 2)
 
 	run := func(label, hosts string) (int, map[string]string) {
 		t.Helper()
@@ -202,42 +161,22 @@ func TestRunScenarioHostsSmoke(t *testing.T) {
 	}
 }
 
-// TestRunScenarioShardsStatsSmoke: `-shards 2` runs on the same
-// coordinator as `-hosts`, so `-stats-json` reports its two spawned
-// workers, and the aggregate tables match the in-process run's.
+// TestRunScenarioShardsStatsSmoke: `-stats-json` on a `-hosts` run writes
+// the sweep's RunStats, listing each daemon by address and the shards
+// (work items) the daemons completed.
 func TestRunScenarioShardsStatsSmoke(t *testing.T) {
 	dir := t.TempDir()
 	specPath := writeSmokeSpec(t, dir)
+	addrs := startDaemons(t, 2)
 
-	run := func(label string, mod func(*cliOptions)) map[string]string {
-		t.Helper()
-		csvDir := filepath.Join(dir, label)
-		var out strings.Builder
-		if err := runScenario(scenOpts(specPath, func(o *cliOptions) {
-			o.workers = 2
-			o.csvDir = csvDir
-			mod(o)
-		}), &out); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		tables := map[string]string{}
-		for _, f := range []string{"comfort.csv", "heatmap.csv"} {
-			tb, err := os.ReadFile(filepath.Join(csvDir, f))
-			if err != nil {
-				t.Fatalf("%s: aggregate %s not written: %v", label, f, err)
-			}
-			tables[f] = string(tb)
-		}
-		return tables
-	}
-
-	local := run("local", func(*cliOptions) {})
 	statsPath := filepath.Join(dir, "stats.json")
-	sharded := run("shards", func(o *cliOptions) { o.shards = 2; o.statsPath = statsPath })
-	for f, want := range local {
-		if sharded[f] != want {
-			t.Fatalf("sharded aggregate %s differs from local:\n%s\nvs\n%s", f, sharded[f], want)
-		}
+	var out strings.Builder
+	if err := runScenario(scenOpts(specPath, func(o *cliOptions) {
+		o.workers = 2
+		o.hosts = strings.Join(addrs, ",")
+		o.statsPath = statsPath
+	}), &out); err != nil {
+		t.Fatal(err)
 	}
 	data, err := os.ReadFile(statsPath)
 	if err != nil {
@@ -247,11 +186,14 @@ func TestRunScenarioShardsStatsSmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Hosts) != 2 {
-		t.Fatalf("stats report %d hosts, want the 2 shard workers:\n%s", len(st.Hosts), data)
+	if len(st.Hosts) != len(addrs) {
+		t.Fatalf("stats report %d hosts, want the %d daemons:\n%s", len(st.Hosts), len(addrs), data)
 	}
 	items := 0
 	for _, h := range st.Hosts {
+		if h.Addr != addrs[0] && h.Addr != addrs[1] {
+			t.Fatalf("stats list host %q, not one of the daemons %v:\n%s", h.Addr, addrs, data)
+		}
 		items += h.ItemsCompleted
 	}
 	if items == 0 {

@@ -1,28 +1,17 @@
-// Command ustaworker executes fleet shards for a coordinator. It speaks
-// one protocol — hello, shard requests answered with streamed sample and
-// result frames, heartbeats, done — over one of two transports:
+// Command ustaworker executes fleet shards for a coordinator: a
+// long-lived TCP worker daemon (-listen host:port, required) serving shard
+// requests from a networked coordinator (repro.NewNetRunner /
+// ustasim -hosts / ustafleetd -hosts). It speaks one protocol — hello,
+// shard requests answered with streamed sample and result frames,
+// heartbeats, done. The daemon advertises its -capacity in the hello
+// handshake and executes up to that many shards concurrently, across any
+// number of connections.
 //
-//   - Pipe mode (default): serve the coordinator that spawned it over
-//     stdin/stdout, with capacity 1, until the coordinator closes stdin. A
-//     shard coordinator (repro.NewShardRunner / ustasim -shards) spawns
-//     workers by re-executing its own binary by default; point the
-//     runner's Command at a built ustaworker to decouple the coordinator
-//     from the worker build. A worker that dies mid-shard is respawned and
-//     its unreported jobs retried.
-//   - Daemon mode (-listen host:port): a long-lived TCP worker serving
-//     shard requests from a networked coordinator (repro.NewNetRunner /
-//     ustasim -hosts / ustafleetd -hosts). The daemon advertises its
-//     -capacity in a hello handshake and executes up to that many shards
-//     concurrently, across any number of connections.
-//
-// A pipe worker ignores SIGTERM/SIGINT: its coordinator decides whether
-// in-flight shards finish or are cancelled, and the worker exits 0 when
-// the coordinator closes its stdin (1 after a protocol error). In daemon
-// mode the first SIGTERM/SIGINT drains: the daemon stops accepting, lets
-// every in-flight shard finish and send its done frame, then exits 0. A
-// second signal cancels the shards still running; their coordinators
-// get error frames. A coordinator that loses a worker marks the host
-// dead and re-dispatches its unreported jobs elsewhere.
+// The first SIGTERM/SIGINT drains: the daemon stops accepting, lets every
+// in-flight shard finish and send its done frame, then exits 0. A second
+// signal cancels the shards still running; their coordinators get error
+// frames. A coordinator that loses a worker marks the host dead and
+// re-dispatches its unreported jobs elsewhere.
 package main
 
 import (
@@ -40,21 +29,16 @@ import (
 
 func main() {
 	var (
-		listen   = flag.String("listen", "", "serve shards as a TCP daemon on this host:port (empty: serve the spawning coordinator over stdin/stdout)")
-		capacity = flag.Int("capacity", 0, "daemon mode: concurrent shard limit advertised to coordinators (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("v", false, "daemon mode: log connection and shard events to stderr")
+		listen   = flag.String("listen", "", "serve shards as a TCP daemon on this host:port (required)")
+		capacity = flag.Int("capacity", 0, "concurrent shard limit advertised to coordinators (0 = GOMAXPROCS)")
+		verbose  = flag.Bool("v", false, "log connection and shard events to stderr")
 	)
 	flag.Parse()
 
 	if *listen == "" {
-		// The coordinator owns a pipe worker's lifetime: a Ctrl-C that
-		// reaches the whole process group must not cut a shard short
-		// behind its back.
-		signal.Ignore(os.Interrupt, syscall.SIGTERM)
-		if net.ServeStdio(context.Background()) != nil {
-			os.Exit(1)
-		}
-		return
+		fmt.Fprintln(os.Stderr, "ustaworker: -listen is required")
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	// Room for both signals serve acts on: drain, then cancel.

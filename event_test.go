@@ -126,14 +126,11 @@ func TestDefaultEngineIsJump(t *testing.T) {
 // TestEventJumpRunnerInvariance pins the jump engine's determinism
 // contract: the engine changes the numbers relative to the fixed-tick
 // loop (held-input discretization), but those numbers must not depend on
-// the runner shape or parallelism — local at 1 worker, local at
-// GOMAXPROCS and sharded all byte-identical.
+// the parallelism — local at 1 worker and at GOMAXPROCS byte-identical.
+// TestNetRunnerMatchesLocalTable1 pins the same grid across processes.
 func TestEventJumpRunnerInvariance(t *testing.T) {
 	ref, refSink := eventExec(t, "jump w1", false, repro.ScenarioWorkers(1))
 
 	got, gotSink := eventExec(t, "jump wN", false, repro.ScenarioWorkers(runtime.GOMAXPROCS(0)))
 	requireRunsIdentical(t, "jump wN", got, ref, gotSink, refSink)
-
-	got, gotSink = eventExec(t, "jump sharded", false, repro.ScenarioShards(2))
-	requireRunsIdentical(t, "jump sharded", got, ref, gotSink, refSink)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -231,8 +232,8 @@ func (s *Store) Recover() ([]RecoveredJob, error) {
 		ids = append(ids, strings.TrimSuffix(e.Name(), ".wal"))
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		a, aok := numericSuffix(ids[i])
-		b, bok := numericSuffix(ids[j])
+		a, aok := JobSeq(ids[i])
+		b, bok := JobSeq(ids[j])
 		if aok && bok {
 			return a < b
 		}
@@ -287,18 +288,19 @@ func (s *Store) recoverOne(id string) RecoveredJob {
 	return rj
 }
 
-// numericSuffix parses the `j<N>` job-ID convention that recovery orders
-// by.
-func numericSuffix(id string) (int, bool) {
-	if len(id) < 2 || id[0] != 'j' {
+// JobSeq parses the job server's `j<N>` ID convention: "j" followed by
+// decimal digits only. It refuses an N that does not fit an int, so an
+// oversized ID in a state directory cannot wrap into a small or negative
+// sequence number. Recovery orders by it, and a restarted server seeds
+// its ID counter from it.
+func JobSeq(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "j")
+	if !ok || digits == "" || strings.TrimLeft(digits, "0123456789") != "" {
 		return 0, false
 	}
-	n := 0
-	for _, c := range id[1:] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0, false
 	}
 	return n, true
 }

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -228,6 +229,39 @@ func TestMaxSeqAndOrdering(t *testing.T) {
 	}
 }
 
+// TestJobSeq pins the one `j<N>` parser that Store.Recover orders by and
+// a restarted job server seeds its ID counter from: digits only, and no N
+// that overflows an int (j18446744073709551621 is 2^64+5, which a
+// wrapping parser reads as 5).
+func TestJobSeq(t *testing.T) {
+	for _, tc := range []struct {
+		id string
+		n  int
+		ok bool
+	}{
+		{"j1", 1, true},
+		{"j10", 10, true},
+		{"j007", 7, true},
+		{"j9223372036854775807", math.MaxInt, true},
+		{"j9223372036854775808", 0, false},
+		{"j18446744073709551621", 0, false},
+		{"j99999999999999999999999", 0, false},
+		{"j", 0, false},
+		{"", 0, false},
+		{"k5", 0, false},
+		{"j-1", 0, false},
+		{"j+5", 0, false},
+		{"j5x", 0, false},
+		{"j 5", 0, false},
+		{"J5", 0, false},
+	} {
+		n, ok := JobSeq(tc.id)
+		if n != tc.n || ok != tc.ok {
+			t.Errorf("JobSeq(%q) = %d, %v; want %d, %v", tc.id, n, ok, tc.n, tc.ok)
+		}
+	}
+}
+
 // TestJobLogErrorLatch points a log at a closed file: the first append
 // fails, and every later operation returns the same latched error without
 // touching the file again.
@@ -263,7 +297,7 @@ func (l *JobLog) Err() error {
 func MaxSeq(jobs []RecoveredJob) int {
 	max := 0
 	for _, rj := range jobs {
-		if n, ok := numericSuffix(rj.ID); ok && n > max {
+		if n, ok := JobSeq(rj.ID); ok && n > max {
 			max = n
 		}
 	}

@@ -19,15 +19,14 @@ import (
 // Config parameterizes one batch run: everything that varies between runs
 // lives here, so a Runner is configured once and never copied or mutated
 // per run. The in-process LocalRunner consumes it directly, while the
-// multi-process runner (internal/fleet/net, over spawned or remote
-// workers) forwards Workers and Predictor to each worker process
-// and services Sink/OnProgress/OnResult on the coordinator side.
+// multi-process runner (internal/fleet/net, over worker daemons) forwards
+// Workers and Predictor to each worker and services
+// Sink/OnProgress/OnResult on the coordinator side.
 type Config struct {
 	// Workers bounds simultaneous simulations (<= 0: GOMAXPROCS; see
-	// NormalizeWorkers). Under a sharding runner a positive value is the
-	// pool width inside each worker process; left unset, the machine's
-	// cores are split across the shard processes instead of oversubscribed
-	// procs × GOMAXPROCS wide.
+	// NormalizeWorkers). Under a networked runner a positive value is the
+	// pool width inside each worker daemon; left unset, each daemon uses
+	// its own GOMAXPROCS.
 	Workers int
 	// Seed is the base for derived per-job seeds (jobs with an explicit
 	// Seed ignore it). Deriving from (Seed, job index) — never from worker
@@ -48,9 +47,9 @@ type Config struct {
 	// sink synchronize internally. Combined with Job.TraceFree this is the
 	// O(1)-memory path for large sweeps: samples stream out as they are
 	// produced and no per-job Trace is retained. The fleet never closes the
-	// sink — the caller owns its lifecycle. Sharding runners deliver the
-	// same stream: workers forward samples over their pipe and the
-	// coordinator replays them into this sink.
+	// sink — the caller owns its lifecycle. The networked runner delivers
+	// the same stream: workers forward samples over their connection and
+	// the coordinator replays them into this sink.
 	Sink sink.Sink
 	// Runner executes the batch (nil: LocalRunner). Runners must honor the
 	// determinism contract: same jobs, same Seed → byte-identical results
@@ -237,11 +236,11 @@ func (f *Fleet) Run(ctx context.Context, jobs []Job) []JobResult {
 }
 
 // NormalizeWorkers resolves a configured parallelism knob — a worker-pool
-// width or a shard count. Zero and negative values mean "one per available
-// CPU" (GOMAXPROCS); positive values are taken as given. Every layer that
-// accepts such a knob (fleet.Config.Workers, ForEach, the pipe runner's
-// process count) normalizes through this one helper so the semantics
-// cannot drift between call sites.
+// width or a daemon's shard capacity. Zero and negative values mean "one
+// per available CPU" (GOMAXPROCS); positive values are taken as given.
+// Every layer that accepts such a knob (fleet.Config.Workers, ForEach,
+// net.Server.Capacity) normalizes through this one helper so the
+// semantics cannot drift between call sites.
 func NormalizeWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -298,8 +297,8 @@ func ResultReporter(cfg Config, total int) func(JobResult) {
 // EffectiveSeed resolves the device seed job i of a batch will use under
 // the given base seed: an explicit Job.Seed wins, then a caller-pinned
 // Device.Seed (Session semantics), then the position-derived seed. Both the
-// local pool and the shard coordinator resolve seeds through this one
-// function — that shared resolution is what keeps sharded runs
+// local pool and the networked coordinator resolve seeds through this one
+// function — that shared resolution is what keeps distributed runs
 // byte-identical to local ones.
 func EffectiveSeed(base int64, i int, job *Job) int64 {
 	if job.Seed != 0 {

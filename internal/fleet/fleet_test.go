@@ -7,8 +7,9 @@ import (
 )
 
 // TestNormalizeWorkers is the one table for every parallelism knob in the
-// codebase: worker pools, shard counts and ForEach all normalize through
-// this helper, so zero/negative handling cannot drift per call site.
+// codebase: worker pools, daemon capacities and ForEach all normalize
+// through this helper, so zero/negative handling cannot drift per call
+// site.
 func TestNormalizeWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {

@@ -47,8 +47,6 @@ type dispatcher struct {
 	connected  map[string]int // addr → live generations (0s removed)
 	cancelled  bool
 	fleetDown  bool
-	hosts      int // inventory size
-	retired    int // hosts given up on for the rest of the run
 	overClosed bool
 	over       chan struct{}
 	lastErr    error
@@ -65,7 +63,6 @@ func newDispatcher(items []*itemState, r *Runner, tk *statsTracker) *dispatcher 
 		pending:    items,
 		inflight:   make(map[*itemState]struct{}),
 		connected:  make(map[string]int),
-		hosts:      len(r.Hosts),
 		over:       make(chan struct{}),
 		hedgeAfter: r.HedgeAfter,
 		allDead:    r.allDeadDeadline(),
@@ -147,19 +144,6 @@ func (d *dispatcher) setConnected(addr string, up bool) {
 		if len(d.connected) == 0 {
 			d.armAllDeadLocked()
 		}
-	}
-	d.mu.Unlock()
-	d.cond.Broadcast()
-}
-
-// retire gives up on a host for the rest of the run. Once every host is
-// retired the fleet is down: the remaining jobs fail with the last error,
-// or run on the local fallback.
-func (d *dispatcher) retire() {
-	d.mu.Lock()
-	if d.retired++; d.retired == d.hosts {
-		d.fleetDown = true
-		d.maybeOverLocked()
 	}
 	d.mu.Unlock()
 	d.cond.Broadcast()

@@ -118,14 +118,6 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 			fails++
 			err = fmt.Errorf("net: host %s: %w", addr, err)
 			d.noteErr(err)
-			if r.pipes {
-				// A worker process that fails to start or to greet fails
-				// the same way when respawned.
-				note(err)
-				r.logf("%v: giving up on the host", err)
-				d.retire()
-				return
-			}
 			if fails >= kOpen {
 				breaker = BreakerOpen
 				note(err)
@@ -275,21 +267,15 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 	return okItems > 0
 }
 
-// dial connects to a worker daemon — or spawns a pipe worker — and
-// completes the hello handshake, returning the connection and the
-// worker's hello (capacity and held predictors).
+// dial connects to a worker daemon and completes the hello handshake,
+// returning the connection and the worker's hello (capacity and held
+// predictors).
 func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, *wire.HelloFrame, error) {
 	timeout := r.DialTimeout
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	var conn stdnet.Conn
-	var err error
-	if r.pipes {
-		conn, err = r.spawn(addr)
-	} else {
-		conn, err = (&stdnet.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", addr)
-	}
+	conn, err := (&stdnet.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -49,8 +50,6 @@ type JobServer struct {
 	Runner fleet.Runner
 	// Workers bounds each job's worker pool (<= 0: GOMAXPROCS).
 	Workers int
-	// Device is the base configuration grids expand against (nil: default).
-	Device *device.Config
 	// Predictor, when set, backs usta schemes without per-job training.
 	Predictor *core.Predictor
 	// Admission gates POST /jobs: a submission that cannot take a token
@@ -210,6 +209,13 @@ func (s *JobServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// the closing listener cut them off mid-flight.
 		w.Header().Set("Retry-After", "5")
 		writeError(w, http.StatusServiceUnavailable, "server draining; retry against a live replica")
+		return
+	}
+	if s.seq == math.MaxInt {
+		s.mu.Unlock()
+		// A recovered job already holds the largest ID; counting past it
+		// would wrap into negative IDs.
+		writeError(w, http.StatusServiceUnavailable, "job IDs exhausted: the state directory holds j%d", s.seq)
 		return
 	}
 	s.seq++
@@ -421,7 +427,7 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 		tk = newStatsTracker(nr.Hosts)
 		runner = trackedRunner{r: nr, tk: tk}
 	}
-	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Device: s.Device, Predictor: s.Predictor,
+	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Predictor: s.Predictor,
 		Workers: s.Workers, Runner: runner})
 	if err != nil {
 		fail(err)

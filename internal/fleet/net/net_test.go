@@ -50,8 +50,8 @@ func specJobs(n int, traceFree bool) []fleet.Job {
 	return jobs
 }
 
-// tally is the order-insensitive telemetry fingerprint shared with the
-// shard tests: per-job sample counts and skin-value sums (per-job delivery
+// tally is the order-insensitive telemetry fingerprint of the runner
+// tests: per-job sample counts and skin-value sums (per-job delivery
 // is FIFO on every path, so float sums are bit-comparable).
 type tally struct {
 	mu     sync.Mutex

@@ -37,7 +37,7 @@ func (s *JobServer) Recover() error {
 			}
 			return fmt.Errorf("net: recover on closed server")
 		}
-		if n, ok := numericJobID(rec.ID); ok && n > s.seq {
+		if n, ok := durable.JobSeq(rec.ID); ok && n > s.seq {
 			s.seq = n
 		}
 		if _, dup := s.jobs[rec.ID]; dup {
@@ -122,19 +122,4 @@ func (s *JobServer) restoreJob(rec *durable.RecoveredJob) *serverJob {
 		s.execute(ctx, j, spec, rec)
 	}()
 	return j
-}
-
-// numericJobID parses the server's `j<N>` ID convention.
-func numericJobID(id string) (int, bool) {
-	if len(id) < 2 || id[0] != 'j' {
-		return 0, false
-	}
-	n := 0
-	for _, c := range id[1:] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
 }

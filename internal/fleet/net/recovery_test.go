@@ -99,25 +99,34 @@ func TestJobServerCrashRecoveryByteIdentity(t *testing.T) {
 	}
 }
 
-// TestJobServerRestartUniqueIDs: after recovery the ID sequence resumes
-// past every journaled job, so a new submission can never collide with a
-// recovered one.
-func TestJobServerRestartUniqueIDs(t *testing.T) {
-	dir := t.TempDir()
+// journalDone writes a finished job log for each ID into a state dir.
+func journalDone(t *testing.T, dir string, ids ...string) {
+	t.Helper()
 	store, err := durable.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := store.Begin(durable.Submission{ID: "j3", Spec: json.RawMessage(e2eSpec)})
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range ids {
+		l, err := store.Begin(durable.Submission{ID: id, Spec: json.RawMessage(e2eSpec)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Finish(durable.Status{Status: "done"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.Finish(durable.Status{Status: "done"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestJobServerRestartUniqueIDs: after recovery the ID sequence resumes
+// past every journaled job, so a new submission can never collide with a
+// recovered one. An ID whose number overflows an int does not count:
+// 18446744073709551621 is 2^64+5, which a wrapping parser reads as 5.
+func TestJobServerRestartUniqueIDs(t *testing.T) {
+	dir := t.TempDir()
+	journalDone(t, dir, "j3", "j18446744073709551621")
 
 	_, ts := stateServer(t, dir)
 	// The recovered terminal job is queryable.
@@ -135,6 +144,23 @@ func TestJobServerRestartUniqueIDs(t *testing.T) {
 	}
 	if waitStatus(t, ts, id)["status"] != "done" {
 		t.Fatal("post-recovery submission did not complete")
+	}
+}
+
+// TestJobServerRestartIDsExhausted: a recovered job holding the largest
+// ID makes submissions fail instead of wrapping into negative IDs.
+func TestJobServerRestartIDsExhausted(t *testing.T) {
+	dir := t.TempDir()
+	journalDone(t, dir, "j9223372036854775807")
+	_, ts := stateServer(t, dir)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(e2eSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "job IDs exhausted") {
+		t.Fatalf("submission past the largest ID: status %d, body %s", resp.StatusCode, body)
 	}
 }
 

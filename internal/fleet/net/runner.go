@@ -50,8 +50,7 @@ const (
 var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only scenario-expanded or spec-carrying jobs can run on a worker process")
 
 // Runner is the multi-process fleet.Runner: it partitions jobs into work
-// items, dispatches them to ustaworker daemons over TCP (New) or to worker
-// processes it spawns and talks to over their stdio (NewPipe), and merges
+// items, dispatches them to ustaworker daemons over TCP (New), and merges
 // the streamed frames back into submission order. Seeds are resolved
 // coordinator-side through fleet.EffectiveSeed before dispatch, so a
 // distributed run is byte-identical to LocalRunner — including after a
@@ -72,19 +71,11 @@ var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only s
 // configuration only, so concurrent runs may share one. The zero value is
 // not useful; set Hosts.
 type Runner struct {
-	// Hosts is the static worker inventory, "host:port" per entry (a
-	// NewPipe runner names its spawned workers "pipe-0", "pipe-1", ...).
+	// Hosts is the static worker inventory, "host:port" per entry.
 	Hosts []string
-	// Command launches one worker process of a NewPipe runner: argv[0]
-	// plus arguments. Nil re-executes the current binary, which must call
-	// PipeMain first thing in main (or TestMain); point it at a built
-	// ustaworker to decouple coordinator and worker builds. TCP runners
-	// ignore it.
-	Command []string
 	// ShardSize is the number of jobs per dispatch unit (<= 0: the batch is
 	// split into about four items per host, so one slow shard cannot strand
-	// the run behind it; a pipe runner rounds that up to a whole multiple
-	// of its workers' pool width).
+	// the run behind it).
 	ShardSize int
 	// MaxRetries is how many times a work item is re-dispatched after
 	// worker loss before its unreported jobs fail (<= 0: 3).
@@ -121,9 +112,6 @@ type Runner struct {
 	// Logf, when set, receives one line per host-level event (connect,
 	// loss, backoff, breaker transition, retry, hedge). Nil is silent.
 	Logf func(format string, args ...any)
-
-	// pipes marks a NewPipe runner: hosts are spawned, not dialed.
-	pipes bool
 }
 
 // New creates a networked runner over the given worker addresses.
@@ -323,13 +311,6 @@ func (r *Runner) run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job, tr
 	if len(r.Hosts) == 0 {
 		return failAll(errors.New("net: no worker hosts configured"))
 	}
-	width := cfg.Workers // each worker's pool width; <= 0: the worker's own
-	if r.pipes && width <= 0 {
-		// Spawned workers share this machine: split its cores across them
-		// rather than give each GOMAXPROCS.
-		width = (fleet.NormalizeWorkers(0) + len(r.Hosts) - 1) / len(r.Hosts)
-	}
-
 	// Seed and index every spec'd job now — determinism must not depend on
 	// which host runs it, how many attempts it takes, or whether it ends
 	// up on the local fallback. Spec-less jobs cannot cross the wire and
@@ -358,11 +339,6 @@ func (r *Runner) run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job, tr
 	size := r.ShardSize
 	if size <= 0 {
 		size = (len(specs) + 4*len(r.Hosts) - 1) / (4 * len(r.Hosts))
-		if r.pipes {
-			// A pipe worker runs one item at a time: round items up to
-			// whole multiples of its pool width so the pool stays full.
-			size = (size + width - 1) / width * width
-		}
 	}
 	var items []*itemState
 	for start := 0; start < len(specs); start += size {
@@ -410,7 +386,8 @@ func (r *Runner) run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job, tr
 		connMu.Unlock()
 	}()
 
-	req := baseRequest{pred: cfg.Predictor, workers: width, wantSamples: cfg.Sink != nil}
+	// Each worker's pool width; <= 0: the worker's own.
+	req := baseRequest{pred: cfg.Predictor, workers: cfg.Workers, wantSamples: cfg.Sink != nil}
 	var wg sync.WaitGroup
 	for _, addr := range r.Hosts {
 		wg.Add(1)

@@ -1,20 +1,16 @@
 // Package net is the fleet's one dispatch coordinator and its worker
-// side: versioned length-prefixed frames of internal/fleet/wire over
-// TCP sockets or the stdio pipes of spawned worker processes. Three
-// layers live here:
+// side: versioned length-prefixed frames of internal/fleet/wire over TCP.
+// Three layers live here:
 //
-//   - Server: the worker side of the protocol. As a long-lived daemon
-//     (`ustaworker -listen addr`) it accepts TCP connections; as a pipe
-//     worker (ServeStdio) it serves the one coordinator that spawned it
-//     over stdin/stdout. Either way it answers a hello handshake
-//     (protocol version + shard capacity), executes ShardRequest frames,
-//     streams sample/result frames back, and pulses heartbeats while a
-//     shard runs.
-//   - Runner: the coordinator, a fleet.Runner over a static host inventory
-//     — TCP daemons (New) or spawned worker processes (NewPipe) — with
-//     liveness (heartbeat read deadlines), per-worker in-flight caps,
-//     retry-on-worker-loss that re-dispatches only the unreported jobs of
-//     a lost shard. Seeds are resolved coordinator-side through
+//   - Server: the worker side of the protocol, a long-lived daemon
+//     (`ustaworker -listen addr`) that accepts TCP connections. It
+//     answers a hello handshake (protocol version + shard capacity),
+//     executes ShardRequest frames, streams sample/result frames back,
+//     and pulses heartbeats while a shard runs.
+//   - Runner: the coordinator, a fleet.Runner over a static inventory of
+//     TCP daemons (New) with liveness (heartbeat read deadlines),
+//     per-worker in-flight caps, and retry-on-worker-loss that
+//     re-dispatches only the unreported jobs of a lost shard. Seeds are resolved coordinator-side through
 //     fleet.EffectiveSeed, so a distributed run is byte-identical to
 //     LocalRunner — even after a worker dies mid-shard and its jobs are
 //     retried elsewhere. Run returns each run's fleet.RunStats.
@@ -44,9 +40,8 @@ import (
 // one delayed pulse never kills a healthy worker.
 const DefaultHeartbeatInterval = 2 * time.Second
 
-// Server is the worker side of the protocol over any stream connection:
-// TCP (Serve) or the process's stdio (ServeStdio). The zero value is
-// usable; Capacity and HeartbeatInterval default at serve time.
+// Server is the worker side of the protocol over TCP (Serve). The zero
+// value is usable; Capacity and HeartbeatInterval default at serve time.
 type Server struct {
 	// Capacity is the daemon's concurrent-shard limit, advertised in the
 	// hello handshake and enforced with a semaphore across connections
@@ -190,10 +185,9 @@ type inFrame struct {
 // contend for the stream (a polled read deadline could desync the frame
 // boundary by timing out mid-frame).
 //
-// It returns nil when the peer hangs up, ctx is cancelled or the server
-// drains, and otherwise the protocol violation or write failure that
-// ended the connection.
-func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan struct{}) error {
+// It returns when the peer hangs up, ctx is cancelled, the server drains,
+// or a protocol violation or write failure ends the connection.
+func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan struct{}) {
 	var wmu sync.Mutex
 	write := func(f *wire.Frame) error {
 		wmu.Lock()
@@ -204,7 +198,7 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 	if err := write(&wire.Frame{V: wire.Version, Type: wire.TypeHello,
 		Hello: &wire.HelloFrame{Proto: wire.Version, Capacity: s.capacity(), Predictors: held}}); err != nil {
 		s.logf("net: %s: hello: %v", conn.RemoteAddr(), err)
-		return fmt.Errorf("hello: %w", err)
+		return
 	}
 
 	frames := make(chan inFrame)
@@ -235,10 +229,10 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 		select {
 		case in, ok = <-frames:
 			if !ok {
-				return nil
+				return
 			}
 		case <-ctx.Done():
-			return nil
+			return
 		}
 		if in.err != nil {
 			if !errors.Is(in.err, io.EOF) && !errors.Is(in.err, stdnet.ErrClosed) && !errors.Is(in.err, io.ErrUnexpectedEOF) {
@@ -246,9 +240,9 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 				// report it and drop the connection.
 				write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: in.err.Error()})
 				s.logf("net: %s: %v", conn.RemoteAddr(), in.err)
-				return in.err
+				return
 			}
-			return nil
+			return
 		}
 		switch in.f.Type {
 		case wire.TypeCancel, wire.TypeHeartbeat:
@@ -259,7 +253,7 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 			err := fmt.Errorf("expected a %s frame, got %s", wire.TypeShard, in.f.Type)
 			write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: err.Error()})
 			s.logf("net: %s: %v", conn.RemoteAddr(), err)
-			return err
+			return
 		}
 
 		req := in.f.Shard
@@ -268,7 +262,7 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 			// Deterministic and the request's fault, not the stream's:
 			// refuse the request, keep the connection.
 			if werr := write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: err.Error()}); werr != nil {
-				return werr
+				return
 			}
 			s.logf("net: %s: %v", conn.RemoteAddr(), err)
 			continue
@@ -277,25 +271,25 @@ func (s *Server) handleConn(ctx context.Context, conn stdnet.Conn, sem chan stru
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
-			return nil
+			return
 		}
 		err = s.serveShard(ctx, req, pred, write, frames, hb)
 		<-sem
 		if err != nil {
 			if werr := write(&wire.Frame{V: wire.Version, Type: wire.TypeError, Err: err.Error()}); werr != nil {
-				return werr
+				return
 			}
 			s.logf("net: %s: shard failed: %v", conn.RemoteAddr(), err)
 			continue
 		}
 		if err := write(&wire.Frame{V: wire.Version, Type: wire.TypeDone}); err != nil {
-			return err
+			return
 		}
 		s.mu.Lock()
 		draining := s.draining
 		s.mu.Unlock()
 		if draining {
-			return nil
+			return
 		}
 	}
 }

@@ -3,10 +3,7 @@ package net
 import (
 	"context"
 	"fmt"
-	"os"
 	"reflect"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -15,11 +12,6 @@ import (
 	"repro/internal/fleet/wire"
 	"repro/internal/sink"
 )
-
-// crashEnv is a test-only fault injector: a worker exits abruptly (code 3,
-// no done frame) right after reporting the job with this global index. The
-// pipe-runner tests use it to simulate a worker crash mid-shard.
-const crashEnv = "USTA_WORKER_CRASH_ON_INDEX"
 
 // serveRequest executes one already-decoded shard request, streaming sample
 // and result frames through write, which must serialize access to the
@@ -59,7 +51,6 @@ func serveRequest(ctx context.Context, req *wire.ShardRequest, pred *core.Predic
 		return err
 	}
 
-	crashOn, crashArmed := crashIndex()
 	cfg := fleet.Config{Workers: req.Workers}
 	var tel *batcher
 	if req.WantSamples {
@@ -74,13 +65,9 @@ func serveRequest(ctx context.Context, req *wire.ShardRequest, pred *core.Predic
 		if tel != nil {
 			tel.flush(res.Index)
 		}
-		idx := global[res.Index]
 		rf := wire.EncodeResult(res)
-		rf.Index = idx
+		rf.Index = global[res.Index]
 		out.send(&wire.Frame{V: wire.Version, Type: wire.TypeResult, Result: rf})
-		if crashArmed && idx == crashOn {
-			os.Exit(3)
-		}
 	}
 	fleet.LocalRunner{}.Run(ctx, cfg, jobs)
 	return out.err()
@@ -194,23 +181,4 @@ func canonicalizeDevices(specs []fleet.JobSpec) {
 			uniq = append(uniq, d)
 		}
 	}
-}
-
-// crashIndex reads the fault-injection env knob. It is honored only when
-// the worker is a Go test binary, so a stray environment variable can
-// never kill production workers (a pipe runner forwards its whole
-// environment to every worker it spawns).
-func crashIndex() (int, bool) {
-	if !strings.HasSuffix(os.Args[0], ".test") {
-		return 0, false
-	}
-	v := os.Getenv(crashEnv)
-	if v == "" {
-		return 0, false
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }

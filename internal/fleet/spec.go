@@ -59,7 +59,7 @@ type JobSpec struct {
 	TraceFree bool `json:"trace_free,omitempty"`
 	// Seed is the pinned device seed. The coordinator resolves it through
 	// EffectiveSeed before dispatch, so it is always non-zero on the wire —
-	// the worker never re-derives seeds, which is what keeps a sharded
+	// the worker never re-derives seeds, which is what keeps a distributed
 	// batch byte-identical to a local one.
 	Seed int64 `json:"seed,omitempty"`
 }

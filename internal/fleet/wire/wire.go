@@ -1,8 +1,7 @@
-// Package wire is the serialization layer of the sharded fleet: versioned
-// codecs for the job contract (fleet.JobSpec in, fleet.JobResult and
-// telemetry samples out) carried as length-prefixed frames over a byte
-// stream — a worker daemon's TCP connection, or the stdin/stdout pipes of
-// a spawned worker process.
+// Package wire is the serialization layer of the networked fleet:
+// versioned codecs for the job contract (fleet.JobSpec in,
+// fleet.JobResult and telemetry samples out) carried as length-prefixed
+// frames over a worker daemon's TCP connection.
 //
 // In memory every frame is a Frame: a version, a type and exactly one
 // payload field matching the type. On the wire the frames that carry
@@ -159,7 +158,7 @@ type HelloFrame struct {
 // telemetry samples back.
 type ShardRequest struct {
 	Jobs []fleet.JobSpec `json:"jobs"`
-	// Workers is the worker process's in-process pool width (<= 0:
+	// Workers is the worker daemon's in-process pool width (<= 0:
 	// GOMAXPROCS, via fleet.NormalizeWorkers).
 	Workers int `json:"workers,omitempty"`
 	// PredictorID names the request's predictor: the lowercase-hex

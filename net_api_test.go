@@ -15,6 +15,29 @@ import (
 	"repro/internal/fleet/wire"
 )
 
+// countingSink tallies per-job sample counts and skin sums — an
+// order-insensitive, bit-exact fingerprint of the telemetry stream
+// (per-job delivery order is FIFO on both the in-process and the
+// cross-process path, so the float sums must match exactly).
+type countingSink struct {
+	mu     sync.Mutex
+	counts map[int]int
+	sums   map[int]float64
+}
+
+func newCountingSink() *countingSink {
+	return &countingSink{counts: map[int]int{}, sums: map[int]float64{}}
+}
+
+func (c *countingSink) Accept(job repro.SinkJobID, s repro.Sample) {
+	c.mu.Lock()
+	c.counts[int(job)]++
+	c.sums[int(job)] += s.SkinC
+	c.mu.Unlock()
+}
+
+func (c *countingSink) Close() error { return nil }
+
 // startNetDaemon runs an in-process worker daemon (the TCP equivalent of
 // `ustaworker -listen`) and returns its address.
 func startNetDaemon(t *testing.T, capacity int) string {

@@ -107,14 +107,13 @@ type (
 	// controller factory).
 	Job = fleet.Job
 	// JobSpec is a Job's serializable description — what lets it cross a
-	// process boundary under a shard runner. Scenario-expanded jobs carry
+	// process boundary to a worker daemon. Scenario-expanded jobs carry
 	// one automatically.
 	JobSpec = fleet.JobSpec
 	// JobResult is one job's outcome, with per-job errors.
 	JobResult = fleet.JobResult
 	// Runner executes fleet batches: the in-process pool by default, or
-	// the multi-process coordinator over spawned workers (NewShardRunner)
-	// or worker daemons (NewNetRunner).
+	// the multi-process coordinator over worker daemons (NewNetRunner).
 	Runner = fleet.Runner
 	// RunStats is what a Runner measured over one batch: per-host
 	// recovery state, hedges and fallback use.
@@ -241,27 +240,12 @@ func WithSink(s Sink) SessionOption { return fleet.WithSink(s) }
 // valid and uses GOMAXPROCS workers.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 
-// NewShardRunner returns the networked coordinator (see NewNetRunner)
-// over n worker processes it spawns itself (n <= 0: GOMAXPROCS), speaking
-// the daemon protocol over each worker's stdin/stdout instead of TCP. It
-// partitions every batch into work items and merges results — and
-// streamed telemetry — back into submission order, byte-identical to the
-// in-process runner: seeds are resolved from job position before
-// dispatch. A worker that crashes is respawned and its unreported jobs
-// retried, like a lost daemon's. With FleetConfig.Workers unset each
-// worker's pool is ⌈GOMAXPROCS/n⌉ wide. Jobs must carry a JobSpec
-// (scenario-expanded jobs do); specs that use the usta controller need
-// the encoded predictor in FleetConfig.Predictor, which RunScenario fills
-// in. By default workers are spawned by re-executing the current binary,
-// which must call ShardWorkerMain first thing in main(); set the runner's
-// Command to a built cmd/ustaworker to avoid that.
-func NewShardRunner(n int) *fleetnet.Runner { return fleetnet.NewPipe(n) }
-
 // NewNetRunner returns a fleet Runner that dispatches shards to long-lived
-// worker daemons (`ustaworker -listen host:port`) over TCP instead of
-// spawning subprocesses. Each host advertises its shard capacity in a
-// hello handshake; the coordinator keeps that many dispatch slots open per
-// host, tracks liveness with heartbeat deadlines, and on a lost worker
+// worker daemons (`ustaworker -listen host:port`) over TCP. It partitions
+// every batch into work items and merges results — and streamed
+// telemetry — back into submission order. Each host advertises its shard
+// capacity in a hello handshake; the coordinator keeps that many dispatch
+// slots open per host, tracks liveness with heartbeat deadlines, and on a lost worker
 // re-dispatches only the jobs whose results never arrived. Seeds are
 // resolved coordinator-side from job position, so a distributed run is
 // byte-identical to the in-process runner — including after a mid-shard
@@ -281,13 +265,6 @@ func NewShardRunner(n int) *fleetnet.Runner { return fleetnet.NewPipe(n) }
 // SweepResult.RunStats.
 func NewNetRunner(hosts []string) *fleetnet.Runner { return fleetnet.New(hosts) }
 
-// ShardWorkerMain serves the coordinator that spawned this process over
-// stdin/stdout and exits, when a NewShardRunner spawned it with the
-// default self-exec command; otherwise it returns immediately. Binaries
-// (and TestMains) that coordinate shard runs with the default command must
-// call it before doing anything else.
-func ShardWorkerMain() { fleetnet.PipeMain() }
-
 // LoadScenario reads a declarative sweep spec from a JSON or YAML file
 // (format autodetected from content) and validates it.
 func LoadScenario(path string) (*ScenarioSpec, error) { return scenario.Load(path) }
@@ -303,8 +280,7 @@ type SweepResult struct {
 	Grid    *ScenarioGrid
 	Results []JobResult
 	Stats   []JobStat
-	// RunStats is this sweep's own recovery snapshot from a shard or net
-	// runner: per-host breaker state, redials, items and predictor ships,
+	// RunStats is this sweep's own recovery snapshot from a net runner: per-host breaker state, redials, items and predictor ships,
 	// plus hedges and fallback use. It is zero on the in-process pool.
 	RunStats RunStats
 }
@@ -327,8 +303,6 @@ func (r *SweepResult) CompareSchemes(base, alt string) ([]SchemeDelta, error) {
 // scenarioRun accumulates RunScenario options.
 type scenarioRun struct {
 	workers  int
-	shards   int
-	sharded  bool
 	runner   Runner
 	pred     *Predictor
 	sink     Sink
@@ -341,22 +315,12 @@ type scenarioRun struct {
 type ScenarioOption func(*scenarioRun)
 
 // ScenarioWorkers bounds the sweep's worker pool (<= 0: GOMAXPROCS).
-// Results are identical at any width. Under ScenarioShards this is the
-// pool width inside each worker process.
+// Results are identical at any width. Under a ScenarioRunner net runner
+// this is the pool width inside each worker daemon.
 func ScenarioWorkers(n int) ScenarioOption { return func(rc *scenarioRun) { rc.workers = n } }
 
-// ScenarioShards runs the sweep on a NewShardRunner(n): across n worker
-// subprocesses (<= 0: GOMAXPROCS) instead of in-process goroutines, with
-// results and sink telemetry byte-identical to the local runner. The
-// calling binary must call ShardWorkerMain at the top of main(); see
-// NewShardRunner for spawn details and ScenarioRunner to customize them.
-func ScenarioShards(n int) ScenarioOption {
-	return func(rc *scenarioRun) { rc.shards = n; rc.sharded = true }
-}
-
 // ScenarioRunner executes the sweep on a custom fleet Runner — e.g. a
-// NewShardRunner with an explicit worker Command, or a NewNetRunner. It
-// overrides ScenarioShards. The runner is used as given, never copied or
+// NewNetRunner. The runner is used as given, never copied or
 // modified: the sweep's (supplied or self-trained) predictor reaches its
 // workers through the run's FleetConfig, and the runner's RunStats for
 // this sweep alone come back in SweepResult.RunStats. Concurrent sweeps
@@ -415,12 +379,8 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 	for _, opt := range opts {
 		opt(&rc)
 	}
-	runner := rc.runner
-	if runner == nil && rc.sharded {
-		runner = fleetnet.NewPipe(rc.shards)
-	}
 	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Predictor: rc.pred,
-		Workers: rc.workers, Runner: runner})
+		Workers: rc.workers, Runner: rc.runner})
 	if err != nil {
 		return nil, err
 	}

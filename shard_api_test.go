@@ -2,50 +2,17 @@ package repro_test
 
 import (
 	"context"
-	"os"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro"
 )
 
-// TestMain lets the test binary double as a shard worker: NewShardRunner's
-// default command re-executes the current binary, and ShardWorkerMain
-// serves the shard instead of running the tests.
-func TestMain(m *testing.M) {
-	repro.ShardWorkerMain()
-	os.Exit(m.Run())
-}
-
-// countingSink tallies per-job sample counts and skin sums — an
-// order-insensitive, bit-exact fingerprint of the telemetry stream
-// (per-job delivery order is FIFO on both the in-process and the
-// cross-process path, so the float sums must match exactly).
-type countingSink struct {
-	mu     sync.Mutex
-	counts map[int]int
-	sums   map[int]float64
-}
-
-func newCountingSink() *countingSink {
-	return &countingSink{counts: map[int]int{}, sums: map[int]float64{}}
-}
-
-func (c *countingSink) Accept(job repro.SinkJobID, s repro.Sample) {
-	c.mu.Lock()
-	c.counts[int(job)]++
-	c.sums[int(job)] += s.SkinC
-	c.mu.Unlock()
-}
-
-func (c *countingSink) Close() error { return nil }
-
 // TestShardRunnerMatchesLocalTable1 is the sharded-fleet acceptance test:
 // the paper's Table 1 scenario must produce byte-identical analytics cells
-// under the in-process runner (workers 1 and GOMAXPROCS) and the
-// multi-process shard runner (2 and 4 worker subprocesses), with every
-// job's telemetry delivered across the process boundary.
+// under the in-process runner (workers 1 and GOMAXPROCS) and the TCP
+// runner cutting it into one-cell shards over four worker daemons, with
+// every job's telemetry delivered across the connection.
 func TestShardRunnerMatchesLocalTable1(t *testing.T) {
 	spec, err := repro.LoadScenario(table1SpecPath)
 	if err != nil {
@@ -84,14 +51,20 @@ func TestShardRunnerMatchesLocalTable1(t *testing.T) {
 		return cells, cs
 	}
 
+	hosts := make([]string, 4)
+	for i := range hosts {
+		hosts[i] = startNetDaemon(t, 1)
+	}
+	nr := repro.NewNetRunner(hosts)
+	nr.ShardSize = 1
+
 	ref, refSink := run("local workers=1", repro.ScenarioWorkers(1))
 	runs := []struct {
 		label string
 		opt   repro.ScenarioOption
 	}{
 		{"local workers=GOMAXPROCS", repro.ScenarioWorkers(0)},
-		{"shard procs=2", repro.ScenarioShards(2)},
-		{"shard procs=4", repro.ScenarioShards(4)},
+		{"net 4 daemons, one cell per shard", repro.ScenarioRunner(nr)},
 	}
 	for _, rc := range runs {
 		got, gotSink := run(rc.label, rc.opt)
@@ -113,11 +86,12 @@ func TestShardRunnerMatchesLocalTable1(t *testing.T) {
 	}
 }
 
-// TestShardRunnerRequiresWorkerHook documents the self-exec contract: a
-// spec-less hand-built job cannot shard, and the error says why.
+// TestShardRunnerSpeclessJobFailsDescriptively: a spec-less hand-built
+// job cannot be shipped to a worker daemon, and the error says why.
 func TestShardRunnerSpeclessJobFailsDescriptively(t *testing.T) {
 	jobs := []repro.Job{{Workload: repro.WorkloadByName("skype", 1), DurSec: 10}}
-	results, _ := repro.NewShardRunner(1).Run(context.Background(), repro.FleetConfig{Seed: 1}, jobs)
+	nr := repro.NewNetRunner([]string{startNetDaemon(t, 1)})
+	results, _ := nr.Run(context.Background(), repro.FleetConfig{Seed: 1}, jobs)
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "no serializable spec") {
 		t.Fatalf("err = %v, want a descriptive spec error", results[0].Err)
 	}

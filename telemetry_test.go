@@ -42,11 +42,11 @@ func multiFrameJobs(n int) []fleet.Job {
 
 // TestMultiFrameTelemetryIdenticalAcrossRunners pins per-job telemetry
 // sequences — every sample, in order, bit for bit — for jobs spanning
-// several sample frames, across the local runner, the pipe shard runner,
-// the TCP runner, and the TCP runner under seeded fault schedules that cut
-// each faulty connection between two sample frames of the same job (so
-// the coordinator must drop a lost attempt's partial telemetry and take
-// the retry's whole).
+// several sample frames, across the local runner, the TCP runner, and
+// the TCP runner under seeded fault schedules that cut each faulty
+// connection between two sample frames of the same job (so the
+// coordinator must drop a lost attempt's partial telemetry and take the
+// retry's whole).
 func TestMultiFrameTelemetryIdenticalAcrossRunners(t *testing.T) {
 	const n = 6
 	run := func(t *testing.T, r fleet.Runner) map[int][]byte {
@@ -79,7 +79,6 @@ func TestMultiFrameTelemetryIdenticalAcrossRunners(t *testing.T) {
 		}
 	}
 
-	t.Run("shard", func(t *testing.T) { check(t, run(t, fleetnet.NewPipe(2))) })
 	t.Run("net", func(t *testing.T) { check(t, run(t, fleetnet.New([]string{startNetDaemon(t, 2)}))) })
 
 	// Worker frames on a connection serving one-job shards: 1 is the
