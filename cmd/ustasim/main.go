@@ -38,7 +38,7 @@ func main() {
 	var (
 		exp        = flag.String("experiment", "all", "fig1|fig2|fig3|fig4|fig5|table1|replicate|all")
 		scenPath   = flag.String("scenario", "", "declarative sweep file (JSON or YAML); overrides -experiment")
-		jsonlPath  = flag.String("jsonl", "", "stream every scenario sample to this JSONL file")
+		jsonlPath  = flag.String("jsonl", "", "stream every scenario sample to this JSONL file, in completion order (byte-stable only at -workers 1)")
 		scale      = flag.Float64("scale", 1.0, "evaluation run duration scale (0,1]")
 		seed       = flag.Int64("seed", 42, "base seed for workload jitter and ML shuffling")
 		corpusSec  = flag.Float64("corpus-sec", 0, "truncate each corpus run to this many seconds (0 = full)")

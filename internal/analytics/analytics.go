@@ -2,9 +2,9 @@
 // aggregates the ROADMAP asks for: per-user comfort/violation
 // distributions, ambient × limit violation heat maps, and scheme-vs-scheme
 // energy/QoS deltas, rendered to CSV or markdown. It consumes the
-// (Grid, []JobResult) pair a scenario run produces — or, for trace-free
-// sweeps, a streaming ViolationSink that accumulates over-limit statistics
-// on the fly with O(jobs) memory.
+// (Grid, []JobResult) pair a scenario run produces, plus a streaming
+// ViolationSink that accumulates over-limit statistics on the fly with
+// O(jobs) memory, so trace-free sweeps get them too.
 package analytics
 
 import (
@@ -56,21 +56,11 @@ func Flatten(grid *scenario.Grid, results []fleet.JobResult) ([]JobStat, error) 
 		}
 		if jr.Result != nil && jr.Result.Trace != nil {
 			if s := jr.Result.Trace.Lookup("skin_c"); s != nil {
-				over, excess := 0, 0.0
+				var acc ViolationAccum
 				for _, v := range s.Values {
-					if v > st.LimitC {
-						over++
-						excess += v - st.LimitC
-					}
+					acc.Add(v, st.LimitC)
 				}
-				if n := len(s.Values); n > 0 {
-					st.OverFrac = float64(over) / float64(n)
-					if over > 0 {
-						st.MeanExcessC = excess / float64(over)
-					} else {
-						st.MeanExcessC = 0
-					}
-				}
+				acc.ApplyTo(&st)
 			}
 		}
 		stats[i] = st
@@ -78,13 +68,13 @@ func Flatten(grid *scenario.Grid, results []fleet.JobResult) ([]JobStat, error) 
 	return stats, nil
 }
 
-// ViolationAccum is the incremental per-job over-limit counter behind
-// ViolationSink — one job's running (samples, over-limit samples, summed
-// excess) triple, folded one skin sample at a time. It is exported so live
-// aggregators (internal/obs) fold the exact same arithmetic, in the exact
-// same order, as the post-hoc path: equality of the two is what pins the
-// streaming dashboard to the repo's determinism guarantees. The zero value
-// is ready to use; the caller owns synchronization.
+// ViolationAccum is one job's running (samples, over-limit samples, summed
+// excess) triple, folded one skin sample at a time — by ViolationSink
+// over a sample stream and by Flatten over a retained trace. A sweep
+// counts each live cell once, in its ViolationSink, and hands the
+// counters to its ledger and live aggregator, which only reduce them
+// with ApplyTo. The zero value is ready to use; the caller owns
+// synchronization.
 type ViolationAccum struct {
 	N      int
 	Over   int
@@ -100,9 +90,8 @@ func (a *ViolationAccum) Add(skinC, limitC float64) {
 	}
 }
 
-// ApplyTo fills st's OverFrac/MeanExcessC from the accumulated counters —
-// the same reduction Flatten performs over a retained trace. A counter
-// that saw no samples leaves st untouched (OverFrac stays NaN).
+// ApplyTo fills st's OverFrac/MeanExcessC from the accumulated counters.
+// A counter that saw no samples leaves st untouched (OverFrac stays NaN).
 func (a *ViolationAccum) ApplyTo(st *JobStat) {
 	if a.N == 0 {
 		return
@@ -116,9 +105,9 @@ func (a *ViolationAccum) ApplyTo(st *JobStat) {
 }
 
 // ViolationSink accumulates per-job over-limit statistics from a telemetry
-// stream — the trace-free path to OverFrac/MeanExcessC. Construct it from
-// the grid's per-job limits, wire it as (or into) the fleet sink, then
-// Apply it to the flattened stats.
+// stream, traced or trace-free. Construct it from the grid's per-job
+// limits, wire it as (or into) the fleet sink, then Apply it to the
+// flattened stats.
 //
 // Accept is deliberately lock-free: concurrent calls for different jobs
 // touch disjoint counters, and the fleet delivers each job's samples from
@@ -152,8 +141,8 @@ func (v *ViolationSink) Accept(job sink.JobID, s device.Sample) {
 func (v *ViolationSink) Close() error { return nil }
 
 // Accum returns job i's accumulated counters (zero outside the table).
-// Durability ledgers journal it per completed cell so a resumed trace-free
-// sweep restores the exact violation statistics the lost stream produced.
+// Durability ledgers journal it per completed cell so a resumed sweep
+// restores the exact violation statistics the lost stream produced.
 // Like Apply, call it only after the job's samples are all delivered
 // (Fleet.Run's OnResult callback, or after Run returns).
 func (v *ViolationSink) Accum(i int) ViolationAccum {

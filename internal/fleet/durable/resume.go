@@ -164,28 +164,16 @@ func (p *Plan) ApplyViolations(stats []analytics.JobStat) {
 }
 
 // CellEntry builds one completed cell's ledger entry from its live
-// result. acc carries the cell's streamed violation counters (trace-free
-// runs); when nil, the counters are folded from the retained trace with
-// the identical arithmetic the post-hoc path uses, so a restored cell's
-// OverFrac/MeanExcessC are bit-equal either way. The result is copied
-// with Trace and Records stripped — per-sample history is not journaled.
-func CellEntry(res fleet.JobResult, limitC float64, acc *analytics.ViolationAccum) CellResult {
-	c := CellResult{Index: res.Index, Name: res.Name, SeedUsed: res.SeedUsed}
+// result and the violation counters the sweep streamed for it. The result
+// is copied with Trace and Records stripped — per-sample history is not
+// journaled.
+func CellEntry(res fleet.JobResult, acc analytics.ViolationAccum) CellResult {
+	c := CellResult{Index: res.Index, Name: res.Name, SeedUsed: res.SeedUsed, Violation: acc}
 	if res.Err != nil {
 		c.Error = res.Err.Error()
 	}
-	if acc != nil {
-		c.Violation = *acc
-	}
 	if res.Result != nil {
 		cp := *res.Result
-		if acc == nil && cp.Trace != nil {
-			if s := cp.Trace.Lookup("skin_c"); s != nil {
-				for _, v := range s.Values {
-					c.Violation.Add(v, limitC)
-				}
-			}
-		}
 		cp.Trace = nil
 		cp.Records = nil
 		c.Result = &cp

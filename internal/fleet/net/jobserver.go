@@ -460,9 +460,9 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 	close(j.busReady)
 
 	// Restore ledgered cells before the live subset streams: the bus
-	// closes their (empty) telemetry slots and the aggregator folds their
-	// journaled violation counters through the same arithmetic as a live
-	// completion. Ascending order keeps the replayed state deterministic.
+	// closes their (empty) telemetry slots and the aggregator settles
+	// their journaled violation counters exactly like a live completion's.
+	// Ascending order keeps the replayed state deterministic.
 	restoredIdx := make([]int, 0, len(plan.Done))
 	for idx := range plan.Done {
 		restoredIdx = append(restoredIdx, idx)
@@ -479,9 +479,9 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 		Ledger: func(c durable.CellResult) {
 			s.journal(j, func(l *durable.JobLog) error { return l.CellDone(c) })
 		},
-		OnResult: func(r fleet.JobResult) {
+		OnResult: func(r fleet.JobResult, acc analytics.ViolationAccum) {
 			bus.Finish(r.Index)
-			agg.JobDone(r)
+			agg.JobDone(r, acc)
 		},
 		Progress: func(done, _ int) {
 			j.mu.Lock()

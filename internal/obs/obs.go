@@ -8,12 +8,12 @@
 // The design constraint is determinism: the final snapshot of a run must
 // be byte-equal to what internal/analytics computes post-hoc from the
 // same results. The Aggregator therefore does no floating-point
-// aggregation of its own across jobs — per-job violation state folds
-// through analytics.ViolationAccum (the exact arithmetic, in the exact
-// order, of the post-hoc path), and every snapshot reduces the per-job
-// stats with the real analytics functions (ComfortByUser,
-// ViolationHeatMap). Sample-count state (histograms, sparklines) is
-// integer-only and order-independent.
+// aggregation of its own — each completed job arrives with the violation
+// counters the sweep counted for it (the same ones the sweep's own stats
+// and ledger use), and every snapshot reduces the per-job stats with the
+// real analytics functions (ComfortByUser, ViolationHeatMap). The
+// per-sample extras it folds itself (histograms, sparklines, sample
+// count) are integer-only and order-independent.
 package obs
 
 import (
@@ -41,7 +41,6 @@ type Aggregator struct {
 
 	mu      sync.Mutex
 	stats   []analytics.JobStat
-	acc     []analytics.ViolationAccum
 	limits  []float64
 	jobDone []bool
 	classOf []int // job index → hists index
@@ -63,7 +62,6 @@ type Aggregator struct {
 func NewAggregator(grid *scenario.Grid) *Aggregator {
 	a := &Aggregator{
 		stats:   make([]analytics.JobStat, len(grid.Points)),
-		acc:     make([]analytics.ViolationAccum, len(grid.Points)),
 		limits:  grid.Limits(),
 		jobDone: make([]bool, len(grid.Points)),
 		classOf: make([]int, len(grid.Points)),
@@ -85,9 +83,9 @@ func NewAggregator(grid *scenario.Grid) *Aggregator {
 	return a
 }
 
-// Accept folds one telemetry sample into the rolling state. It
-// implements sink.Sink and is safe for concurrent use; samples for jobs
-// outside the grid are ignored.
+// Accept folds one telemetry sample into the per-sample extras
+// (histograms, sparkline, sample count). It implements sink.Sink and is
+// safe for concurrent use; samples for jobs outside the grid are ignored.
 func (a *Aggregator) Accept(job sink.JobID, s device.Sample) {
 	i := int(job)
 	a.mu.Lock()
@@ -95,7 +93,6 @@ func (a *Aggregator) Accept(job sink.JobID, s device.Sample) {
 	if i < 0 || i >= len(a.stats) || a.jobDone[i] {
 		return
 	}
-	a.acc[i].Add(s.SkinC, a.limits[i])
 	a.hists[a.classOf[i]].add(s.SkinC, a.limits[i])
 	a.samples++
 	a.spark.sample(a.now().Unix(), s.SkinC)
@@ -105,54 +102,46 @@ func (a *Aggregator) Accept(job sink.JobID, s device.Sample) {
 // resources, and its state stays queryable after the run.
 func (a *Aggregator) Close() error { return nil }
 
-// JobDone records one job's completion: the result (or error) joins the
-// job's grid point, and the job's violation counters are reduced exactly
-// as the post-hoc path reduces them. Samples for the job arriving after
-// JobDone are dropped, mirroring the telemetry Bus.
-func (a *Aggregator) JobDone(res fleet.JobResult) {
-	a.mu.Lock()
-	i := res.Index
-	if i < 0 || i >= len(a.stats) || a.jobDone[i] {
-		a.mu.Unlock()
-		return
-	}
-	st := &a.stats[i]
-	st.Result = res.Result
-	st.Err = res.Err
-	a.acc[i].ApplyTo(st)
-	a.jobDone[i] = true
-	a.done++
-	if res.Err != nil {
-		a.failed++
-	}
-	a.spark.job(a.now().Unix())
-	a.mu.Unlock()
-	a.notify()
+// JobDone records one live job's completion: the result (or error) joins
+// the job's grid point, acc — the counters the sweep streamed for the
+// job — is reduced exactly as the post-hoc path reduces it, and the
+// sparkline ticks. Samples for the job arriving after JobDone are
+// dropped, mirroring the telemetry Bus.
+func (a *Aggregator) JobDone(res fleet.JobResult, acc analytics.ViolationAccum) {
+	a.settle(res, acc, true)
 }
 
-// SeedJob restores one recovered cell into the rolling state: the
-// ledgered result joins its grid point and the journaled violation
-// counters are reduced through the same ApplyTo as a live completion, so
-// a resumed run's final Aggregates stay byte-equal to an uninterrupted
-// one. Sample-level extras (histograms, sparklines, sample count) are not
+// SeedJob restores one recovered cell: the ledgered result and its
+// journaled counters settle exactly like a live completion, so a resumed
+// run's final Aggregates stay byte-equal to an uninterrupted one.
+// Sample-level extras (histograms, sparklines, sample count) are not
 // restored — the pre-crash stream is gone and they sit outside the
 // determinism pin. Call before the live subset starts streaming.
 func (a *Aggregator) SeedJob(res fleet.JobResult, acc analytics.ViolationAccum) {
+	a.settle(res, acc, false)
+}
+
+// settle marks job res.Index done with its result and violation counters,
+// ticks the sparkline for a live completion and notifies watchers. An
+// index outside the grid or a job already done changes nothing.
+func (a *Aggregator) settle(res fleet.JobResult, acc analytics.ViolationAccum, live bool) {
 	a.mu.Lock()
 	i := res.Index
 	if i < 0 || i >= len(a.stats) || a.jobDone[i] {
 		a.mu.Unlock()
 		return
 	}
-	a.acc[i] = acc
 	st := &a.stats[i]
 	st.Result = res.Result
 	st.Err = res.Err
-	a.acc[i].ApplyTo(st)
+	acc.ApplyTo(st)
 	a.jobDone[i] = true
 	a.done++
 	if res.Err != nil {
 		a.failed++
+	}
+	if live {
+		a.spark.job(a.now().Unix())
 	}
 	a.mu.Unlock()
 	a.notify()

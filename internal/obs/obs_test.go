@@ -8,6 +8,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"repro/internal/analytics"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/scenario"
@@ -229,7 +230,7 @@ func TestAggregatorLifecycle(t *testing.T) {
 		t.Fatalf("spark = %+v", s1.Spark)
 	}
 
-	a.JobDone(fleet.JobResult{Index: 0, Result: &device.RunResult{}})
+	a.JobDone(fleet.JobResult{Index: 0, Result: &device.RunResult{}}, analytics.ViolationAccum{N: 2, Over: 1, Excess: 1})
 	select {
 	case <-ch:
 	default:
@@ -237,8 +238,8 @@ func TestAggregatorLifecycle(t *testing.T) {
 	}
 	// Late and duplicate deliveries are dropped, mirroring the Bus.
 	a.Accept(0, device.Sample{SkinC: 55})
-	a.JobDone(fleet.JobResult{Index: 0, Result: &device.RunResult{}})
-	a.JobDone(fleet.JobResult{Index: 1, Result: &device.RunResult{}})
+	a.JobDone(fleet.JobResult{Index: 0, Result: &device.RunResult{}}, analytics.ViolationAccum{N: 9, Over: 9, Excess: 90})
+	a.JobDone(fleet.JobResult{Index: 1, Result: &device.RunResult{}}, analytics.ViolationAccum{N: 1, Over: 1, Excess: 5})
 	a.Finish("done")
 
 	s2 := a.Snapshot()
@@ -249,8 +250,9 @@ func TestAggregatorLifecycle(t *testing.T) {
 		t.Fatalf("final snapshot = %+v", s2)
 	}
 
-	// The per-job fold matches the analytics arithmetic: job 0 violated in
-	// 1 of 2 samples with 1 °C mean excess, job 1 in 1 of 1 with 5 °C.
+	// The counters JobDone received reduce through the analytics
+	// arithmetic: job 0 violated in 1 of 2 samples with 1 °C mean excess,
+	// job 1 in 1 of 1 with 5 °C; the duplicate's counters were dropped.
 	cs := s2.Aggregates.Comfort
 	if len(cs) != 2 || cs[0].UserID != "a" || cs[1].UserID != "b" {
 		t.Fatalf("comfort rows = %+v", cs)

@@ -2,8 +2,9 @@
 // (and through it `ustasim`) and the `ustafleetd` job server are thin
 // callers: each supplies a spec, a runner and its own taps, and this
 // package owns every step in between — predictor self-training, grid
-// expansion, the resume plan's subset run, the trace-free violation
-// accumulator, ledgering, the full-grid merge and the analytics join.
+// expansion, the resume plan's subset run, the one count of each cell's
+// over-limit samples, ledgering, the full-grid merge and the analytics
+// join.
 package sweep
 
 import (
@@ -22,12 +23,9 @@ import (
 // Config is one sweep's inputs.
 type Config struct {
 	Spec *scenario.Spec
-	// Device is the base configuration the grid expands against (nil:
-	// device.DefaultConfig).
-	Device *device.Config
 	// Predictor backs usta schemes. Nil self-trains one when the spec
 	// needs it, exactly like the experiment pipeline: the thirteen
-	// benchmarks on the base device (corpus seed from the spec, default
+	// benchmarks on the default device (corpus seed from the spec, default
 	// 42), REPTree on the log. Self-trained predictors are memoized per
 	// process by training input, so repeated sweeps train once; a
 	// predictor supplied here bypasses the memo.
@@ -52,9 +50,6 @@ type Sweep struct {
 func Expand(ctx context.Context, cfg Config) (*Sweep, error) {
 	spec := cfg.Spec
 	devCfg := device.DefaultConfig()
-	if cfg.Device != nil {
-		devCfg = *cfg.Device
-	}
 	tr := &trained{pred: cfg.Predictor}
 	if cfg.Predictor == nil && spec.NeedsPredictor() {
 		corpusSeed := spec.Predictor.CorpusSeed
@@ -62,7 +57,7 @@ func Expand(ctx context.Context, cfg Config) (*Sweep, error) {
 			corpusSeed = 42
 		}
 		var err error
-		if tr, err = selfTrained(ctx, devCfg, corpusSeed, spec.Predictor.CorpusPerRunSec, cfg.Workers); err != nil {
+		if tr, err = selfTrained(ctx, corpusSeed, spec.Predictor.CorpusPerRunSec, cfg.Workers); err != nil {
 			return nil, err
 		}
 		cfg.Predictor = tr.pred
@@ -84,7 +79,9 @@ func Expand(ctx context.Context, cfg Config) (*Sweep, error) {
 }
 
 // Hooks are a caller's taps into a running sweep. Every index they see is
-// a full-grid index, including on a resume that runs only a subset.
+// a full-grid index, including on a resume that runs only a subset. The
+// sweep counts each live cell's over-limit samples once; Ledger and
+// OnResult receive those counters rather than folding samples again.
 type Hooks struct {
 	// Sink receives every live cell's telemetry.
 	Sink sink.Sink
@@ -92,9 +89,9 @@ type Hooks struct {
 	// traces stripped plus violation counters). Cells cut short by
 	// cancellation are not ledgered: they must re-run on resume.
 	Ledger func(durable.CellResult)
-	// OnResult receives each live cell's result as it completes, after
-	// Ledger. Calls are serialized.
-	OnResult func(fleet.JobResult)
+	// OnResult receives each live cell's result and violation counters as
+	// it completes, after Ledger. Calls are serialized.
+	OnResult func(fleet.JobResult, analytics.ViolationAccum)
 	// Progress reports completion over the full grid: restored cells
 	// count as done from the start. Calls are serialized.
 	Progress func(done, total int)
@@ -129,21 +126,16 @@ func (s *Sweep) Run(ctx context.Context, plan *durable.Plan, h Hooks) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	// Trace-free cells retain no per-sample history, so their violation
-	// statistics accumulate on the fly in a ViolationSink teed beside the
-	// caller's sink. Sinks index the full grid; a subset run reaches them
-	// through the remap adapter.
-	runSink := h.Sink
-	limits := grid.Limits()
-	var vs *analytics.ViolationSink
-	if s.cfg.Spec.TraceFree {
-		vs = analytics.NewViolationSink(limits)
-		runSink = vs
-		if h.Sink != nil {
-			runSink = sink.NewTee(vs, h.Sink)
-		}
+	// Every live cell's violation statistics accumulate on the fly in one
+	// ViolationSink teed beside the caller's sink, traced or not. Sinks
+	// index the full grid; a subset run reaches them through the remap
+	// adapter.
+	vs := analytics.NewViolationSink(grid.Limits())
+	var runSink sink.Sink = vs
+	if h.Sink != nil {
+		runSink = sink.NewTee(vs, h.Sink)
 	}
-	if remap != nil && runSink != nil {
+	if remap != nil {
 		runSink = sink.NewRemap(runSink, remap)
 	}
 	fcfg := fleet.Config{
@@ -157,16 +149,12 @@ func (s *Sweep) Run(ctx context.Context, plan *durable.Plan, h Hooks) (*Result, 
 			if remap != nil {
 				res.Index = remap[res.Index]
 			}
+			acc := vs.Accum(res.Index)
 			if h.Ledger != nil && !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, context.DeadlineExceeded) {
-				var acc *analytics.ViolationAccum
-				if vs != nil {
-					a := vs.Accum(res.Index)
-					acc = &a
-				}
-				h.Ledger(durable.CellEntry(res, limits[res.Index], acc))
+				h.Ledger(durable.CellEntry(res, acc))
 			}
 			if h.OnResult != nil {
-				h.OnResult(res)
+				h.OnResult(res, acc)
 			}
 		}
 	}
@@ -194,9 +182,7 @@ func (s *Sweep) Run(ctx context.Context, plan *durable.Plan, h Hooks) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	if vs != nil {
-		vs.Apply(stats)
-	}
+	vs.Apply(stats)
 	plan.ApplyViolations(stats)
 	return &Result{Results: results, Stats: stats, RunStats: runStats}, nil
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,7 @@ import (
 )
 
 // trainedMax bounds the memo of self-trained predictors. A process sweeps
-// a handful of base devices and corpus settings at a time; each entry is a
+// a handful of corpus settings at a time; each entry is a
 // fitted REPTree pair plus, once a remote runner asked, its encoding.
 const trainedMax = 4
 
@@ -24,7 +23,7 @@ const trainedMax = 4
 // the encoding's content address, built on first demand so in-process
 // sweeps never encode and no run, hello or request ever rehashes it.
 type trained struct {
-	key  string
+	key  trainingKey
 	pred *core.Predictor
 
 	once sync.Once
@@ -57,41 +56,35 @@ func PredictorCounts() (trainings, hits int64) {
 	return trainCount.Load(), hitCount.Load()
 }
 
-// trainingKey identifies a self-training's inputs: the full base device
-// configuration, the resolved corpus seed and the per-run truncation. A
-// configuration that does not encode (a NaN field) has no key.
-func trainingKey(dev device.Config, corpusSeed uint64, perRunSec float64) (string, bool) {
-	b, err := json.Marshal(struct {
-		Device     device.Config
-		CorpusSeed uint64
-		PerRunSec  float64
-	}{dev, corpusSeed, perRunSec})
-	return string(b), err == nil
+// trainingKey identifies a self-training's inputs on the default device:
+// the resolved corpus seed and the per-run truncation. A NaN truncation
+// equals no key, so such an input never hits the memo.
+type trainingKey struct {
+	corpusSeed uint64
+	perRunSec  float64
 }
 
 // selfTrained returns the predictor the experiment pipeline trains for
-// these inputs — the thirteen benchmarks on dev, REPTree on the log —
-// from the memo when an earlier sweep trained it. Failed or cancelled
-// trainings are never stored.
-func selfTrained(ctx context.Context, dev device.Config, corpusSeed uint64, perRunSec float64, workers int) (*trained, error) {
-	key, keyed := trainingKey(dev, corpusSeed, perRunSec)
-	if keyed {
-		memo.Lock()
-		for _, t := range memo.entries {
-			if t.key == key {
-				memo.Unlock()
-				hitCount.Add(1)
-				return t, nil
-			}
+// these inputs — the thirteen benchmarks on the default device, REPTree
+// on the log — from the memo when an earlier sweep trained it. Failed or
+// cancelled trainings are never stored.
+func selfTrained(ctx context.Context, corpusSeed uint64, perRunSec float64, workers int) (*trained, error) {
+	key := trainingKey{corpusSeed, perRunSec}
+	memo.Lock()
+	for _, t := range memo.entries {
+		if t.key == key {
+			memo.Unlock()
+			hitCount.Add(1)
+			return t, nil
 		}
-		memo.Unlock()
 	}
+	memo.Unlock()
 	bs := workload.Benchmarks(corpusSeed)
 	loads := make([]workload.Workload, len(bs))
 	for i, b := range bs {
 		loads[i] = b
 	}
-	corpus, err := core.CollectCorpusContext(ctx, dev, loads, perRunSec, workers)
+	corpus, err := core.CollectCorpusContext(ctx, device.DefaultConfig(), loads, perRunSec, workers)
 	if err != nil {
 		return nil, fmt.Errorf("scenario corpus: %w", err)
 	}
@@ -101,9 +94,6 @@ func selfTrained(ctx context.Context, dev device.Config, corpusSeed uint64, perR
 	}
 	trainCount.Add(1)
 	t := &trained{key: key, pred: pred}
-	if !keyed {
-		return t, nil
-	}
 	memo.Lock()
 	defer memo.Unlock()
 	for _, e := range memo.entries {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/scenario"
 )
@@ -58,13 +57,10 @@ func expandCounting(t *testing.T, ctx context.Context, cfg Config) (sw *Sweep, t
 }
 
 // TestMemoKeyCoversTrainingInputs: the memo hits only on identical
-// training input. Changing just the corpus seed, just the per-run
-// truncation or just one device field retrains; the worker count is not
-// part of the input.
+// training input. Changing just the corpus seed or just the per-run
+// truncation retrains; the worker count is not part of the input.
 func TestMemoKeyCoversTrainingInputs(t *testing.T) {
 	resetMemo(t)
-	hot := device.DefaultConfig()
-	hot.Thermal.Ambient = 31
 	cases := []struct {
 		name      string
 		cfg       Config
@@ -76,7 +72,6 @@ func TestMemoKeyCoversTrainingInputs(t *testing.T) {
 		{"other worker count", Config{Spec: ustaSpec(t, 0, 40), Workers: 1}, 0},
 		{"corpus seed", Config{Spec: ustaSpec(t, 7, 40), Workers: 2}, 1},
 		{"per-run truncation", Config{Spec: ustaSpec(t, 0, 41), Workers: 2}, 1},
-		{"one device field", Config{Spec: ustaSpec(t, 0, 40), Device: &hot, Workers: 2}, 1},
 	}
 	for _, tc := range cases {
 		_, trained, hits, err := expandCounting(t, context.Background(), tc.cfg)
@@ -217,7 +212,7 @@ func TestMemoConcurrentMisses(t *testing.T) {
 }
 
 // TestMemoBypasses: a caller-supplied predictor never touches the memo,
-// and a device configuration that cannot be encoded has no key.
+// and a NaN per-run truncation matches no key, its own included.
 func TestMemoBypasses(t *testing.T) {
 	resetMemo(t)
 	sw, err := Expand(context.Background(), Config{Spec: ustaSpec(t, 0, 20)})
@@ -227,9 +222,7 @@ func TestMemoBypasses(t *testing.T) {
 	if _, trained, hits, err := expandCounting(t, context.Background(), Config{Spec: ustaSpec(t, 0, 20), Predictor: sw.cfg.Predictor}); err != nil || trained != 0 || hits != 0 {
 		t.Fatalf("supplied predictor: %d trainings, %d hits, err %v", trained, hits, err)
 	}
-	bad := device.DefaultConfig()
-	bad.DisplayMaxWatts = math.NaN()
-	if _, ok := trainingKey(bad, 42, 20); ok {
-		t.Fatal("a NaN device configuration produced a memo key")
+	if nan := (trainingKey{42, math.NaN()}); nan == nan {
+		t.Fatal("a NaN training input matches a memo key")
 	}
 }

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -91,10 +92,10 @@ func scenarioComfort(t *testing.T, spec *repro.ScenarioSpec, opts ...repro.Scena
 }
 
 // serverComfort runs the job journaled (or to be submitted) in stateDir on
-// an in-process JobServer and returns the job's comfort table as
-// canonical JSON. An empty specJSON recovers the journaled job "j1"
-// instead of submitting.
-func serverComfort(t *testing.T, stateDir string, runner repro.Runner, pred *repro.Predictor, specJSON string) string {
+// an in-process JobServer and returns the job's comfort table and the
+// aggregates of its final /events frame, both as canonical JSON. An empty
+// specJSON recovers the journaled job "j1" instead of submitting.
+func serverComfort(t *testing.T, stateDir string, runner repro.Runner, pred *repro.Predictor, specJSON string) (comfort, aggregates string) {
 	t.Helper()
 	store, err := durable.OpenStore(stateDir)
 	if err != nil {
@@ -147,7 +148,7 @@ func serverComfort(t *testing.T, stateDir string, runner repro.Runner, pred *rep
 			if body.Done != body.Total {
 				t.Fatalf("job done at %d/%d cells", body.Done, body.Total)
 			}
-			return canonicalJSON(t, body.Comfort)
+			return canonicalJSON(t, body.Comfort), finalAggregates(t, ts.URL+"/jobs/"+id+"/events")
 		case "failed", "cancelled":
 			t.Fatalf("job %s: %s", body.Status, body.Error)
 		}
@@ -158,11 +159,43 @@ func serverComfort(t *testing.T, stateDir string, runner repro.Runner, pred *rep
 	}
 }
 
+// finalAggregates reads an SSE snapshot stream to its end and returns the
+// last frame's aggregates as canonical JSON; that frame must be final.
+func finalAggregates(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last string
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<24)
+	for sc.Scan() {
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			last = data
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var frame struct {
+		Final      bool            `json:"final"`
+		Aggregates json.RawMessage `json:"aggregates"`
+	}
+	if err := json.Unmarshal([]byte(last), &frame); err != nil || !frame.Final {
+		t.Fatalf("last event frame (final %t, err %v): %.200s", frame.Final, err, last)
+	}
+	return canonicalJSON(t, frame.Aggregates)
+}
+
 // TestScenarioAndJobServerPipelinesAgree pins the two sweep entry points
 // against each other: the same spec through RunScenario and through an
 // in-process JobServer must yield byte-equal comfort tables — trace-free
 // and traced, on the local pool and on a one-daemon networked runner,
-// fresh and resumed from a journal truncated mid-ledger.
+// fresh and resumed from a journal truncated mid-ledger. The resumed
+// JobServer's final event frame must also carry the fresh one's
+// aggregates byte for byte.
 func TestScenarioAndJobServerPipelinesAgree(t *testing.T) {
 	pred := scenarioPipeline().Predictor()
 	host := startNetDaemon(t, 2)
@@ -204,7 +237,8 @@ func TestScenarioAndJobServerPipelinesAgree(t *testing.T) {
 				append(opts, repro.ScenarioWAL(resumed), repro.ScenarioResume())...)
 
 			stateDir := filepath.Join(dir, "state")
-			got["JobServer fresh"] = serverComfort(t, stateDir, rn.new(), pred, specJSON)
+			var freshAgg, resumedAgg string
+			got["JobServer fresh"], freshAgg = serverComfort(t, stateDir, rn.new(), pred, specJSON)
 			jwal, err := os.ReadFile(filepath.Join(stateDir, "j1.wal"))
 			if err != nil {
 				t.Fatal(err)
@@ -216,7 +250,10 @@ func TestScenarioAndJobServerPipelinesAgree(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(crashDir, "j1.wal"), keepLedgered(t, jwal, 5), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got["JobServer resumed"] = serverComfort(t, crashDir, rn.new(), pred, "")
+			got["JobServer resumed"], resumedAgg = serverComfort(t, crashDir, rn.new(), pred, "")
+			if resumedAgg != freshAgg {
+				t.Fatalf("%s: resumed JobServer's final SSE aggregates diverged\n got %s\nwant %s", label, resumedAgg, freshAgg)
+			}
 
 			if want == "" {
 				want = got["RunScenario fresh"]
