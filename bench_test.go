@@ -319,10 +319,11 @@ func BenchmarkFleetRun(b *testing.B) {
 	pred := pl.Predictor()
 	pop := repro.StudyPopulation()
 	// One shared device configuration on the counter noise stream: legacy
-	// math/rand reseeding is a fixed per-job cost (every pooled phone
-	// reseeds four sensors), identical across stepping engines but large
-	// enough to blur their ratio. Seed stays zero so the fleet still
-	// derives a distinct seed per job.
+	// reseeding is a fixed per-job cost (every pooled phone reseeds four
+	// sensors, about 13 µs; BenchmarkPhoneReset), identical across
+	// stepping engines, which the counter stream keeps out of their
+	// ratio. Seed stays zero so the fleet still derives a distinct seed
+	// per job.
 	devCfg := repro.DefaultDeviceConfig()
 	devCfg.Seed = 0
 	devCfg.NoiseVersion = repro.NoiseVersionCounter

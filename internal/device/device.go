@@ -337,9 +337,12 @@ func (p *Phone) Run(w workload.Workload, dur float64) *RunResult {
 // compare against.
 func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64) (*RunResult, error) {
 	r := p.startRun(w, dur)
+	done := ctx.Done() // polled without a lock, as in runEvents
 	for r.done < r.steps {
-		if err := ctx.Err(); err != nil {
-			return r.finish(err)
+		select {
+		case <-done:
+			return r.finish(ctx.Err())
+		default:
 		}
 		r.preStep()
 		p.net.Step(r.dt)

@@ -136,9 +136,16 @@ func (p *Phone) RunEventContext(ctx context.Context, w workload.Workload, dur fl
 // runEvents runs w on the event engine in the given mode.
 func (p *Phone) runEvents(ctx context.Context, w workload.Workload, dur float64, mode eventMode) (*RunResult, error) {
 	e := p.startEventRun(w, dur, mode)
+	// Poll the Done channel, not ctx.Err: a non-blocking receive reads
+	// the channel without locking, where Err takes the context's mutex,
+	// which every run sharing the context contends for. A Background
+	// context's channel is nil, and the receive always falls through.
+	done := ctx.Done()
 	for e.r.done < e.r.steps {
-		if err := ctx.Err(); err != nil {
-			return e.r.finish(err)
+		select {
+		case <-done:
+			return e.r.finish(ctx.Err())
+		default:
 		}
 		e.segment()
 	}

@@ -2,8 +2,10 @@ package device
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -364,6 +366,81 @@ func TestEventRunCancellation(t *testing.T) {
 	}
 	if res == nil || res.DurSec != 0 {
 		t.Fatalf("pre-cancelled run should have zero duration, got %+v", res)
+	}
+}
+
+// TestEventCancelMidRun pins cancellation that lands mid-run, on the
+// event engine and on the fixed-tick loop: a cancel or a deadline that
+// fires from the observer after a few samples stops the run within one
+// record period, with the context's error and aggregates equal to an
+// uncancelled run of the simulated time that did elapse.
+func TestEventCancelMidRun(t *testing.T) {
+	const stopAfter = 10 // observed samples before the context ends
+	engines := []struct {
+		name string
+		run  func(*Phone, context.Context, workload.Workload, float64) (*RunResult, error)
+	}{
+		{"RunEventContext", (*Phone).RunEventContext},
+		{"RunContext", (*Phone).RunContext},
+	}
+	ends := []struct {
+		name string
+		want error
+		ctx  func() (context.Context, context.CancelFunc)
+		// stop is what the observer does at the stopAfter-th sample.
+		stop func(context.Context, context.CancelFunc)
+	}{
+		{"cancel", context.Canceled,
+			func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) },
+			func(_ context.Context, cancel context.CancelFunc) { cancel() }},
+		// The observer holds the run until the deadline passes, so the
+		// deadline lands at the stopAfter-th sample however fast the run
+		// is; the margin only has to cover reaching it.
+		{"deadline", context.DeadlineExceeded,
+			func() (context.Context, context.CancelFunc) {
+				return context.WithDeadline(context.Background(), time.Now().Add(250*time.Millisecond))
+			},
+			func(ctx context.Context, _ context.CancelFunc) { <-ctx.Done() }},
+	}
+	w := workload.Skype(7)
+	for _, eng := range engines {
+		for _, end := range ends {
+			t.Run(eng.name+"/"+end.name, func(t *testing.T) {
+				cfg := DefaultConfig()
+				ctx, cancel := end.ctx()
+				defer cancel()
+				p := MustNew(cfg, nil)
+				n := 0
+				stopAt := -1.0
+				p.SetObserver(func(s Sample) {
+					n++
+					if n == stopAfter {
+						stopAt = s.TimeSec
+						end.stop(ctx, cancel)
+					}
+				})
+				res, err := eng.run(p, ctx, w, 0)
+				if !errors.Is(err, end.want) {
+					t.Fatalf("err = %v, want %v", err, end.want)
+				}
+				if stopAt < 0 {
+					t.Fatalf("run ended after %d samples, before the context did", n)
+				}
+				if n != stopAfter {
+					t.Fatalf("observer saw %d samples, want the run to stop at %d", n, stopAfter)
+				}
+				if res == nil || res.DurSec < stopAt || res.DurSec > stopAt+cfg.RecordPeriodSec {
+					t.Fatalf("stopped at t=%v s, DurSec %v: want within one record period (%v s)",
+						stopAt, res.DurSec, cfg.RecordPeriodSec)
+				}
+				// The partial aggregates cover exactly the ticks that ran.
+				ref, err := eng.run(MustNew(cfg, nil), context.Background(), w, res.DurSec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, eng.name+"/"+end.name, ref, res)
+			})
+		}
 	}
 }
 

@@ -113,3 +113,17 @@ func TestPhoneResetRestoresTouchCoupling(t *testing.T) {
 	p.Reset(nil, 5)
 	sameRun(t, "reset after touched run", p.Run(workload.Idle(60), 0), want)
 }
+
+// BenchmarkPhoneReset measures one pooled reset on the default
+// configuration: the per-job fixed cost the fleet's phone pool pays before
+// a cell's first tick, dominated by reseeding the four sensors' legacy
+// noise streams. A nil governor builds stock ondemand, as a job's governor
+// factory would.
+func BenchmarkPhoneReset(b *testing.B) {
+	p := MustNew(DefaultConfig(), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Reset(nil, int64(i))
+	}
+}

@@ -16,11 +16,13 @@ import (
 )
 
 // Stream is the Gaussian noise source behind a Sensor. Two
-// implementations exist: the legacy *math/rand.Rand (NoiseVersionLegacy —
-// the stream every committed golden was recorded against) and the
-// counter-based CounterStream (NoiseVersionCounter — O(1) seeding and
-// position seeking, the stream replay/checkpointing and the event engine
-// version against). Both are deterministic functions of their seed.
+// implementations exist: a *math/rand.Rand over legacySource
+// (NoiseVersionLegacy — math/rand's seeded stream, draw for draw, which
+// every committed golden was recorded against; a reseed costs a
+// 607-word register fill, about 3 µs) and the counter-based
+// CounterStream (NoiseVersionCounter — O(1) seeding and position seeking,
+// the stream replay/checkpointing and the event engine version against).
+// Both are deterministic functions of their seed.
 type Stream interface {
 	NormFloat64() float64
 	Seed(seed int64)
@@ -31,8 +33,8 @@ type Stream interface {
 // every sampled reading, so it is carried explicitly (device.Config)
 // rather than flipped globally.
 const (
-	// NoiseVersionLegacy is math/rand.Rand — bit-compatible with every
-	// result recorded before versioning existed.
+	// NoiseVersionLegacy is math/rand's seeded stream — bit-compatible
+	// with every result recorded before versioning existed.
 	NoiseVersionLegacy = 0
 	// NoiseVersionCounter is the splitmix64 counter stream.
 	NoiseVersionCounter = 1
@@ -69,7 +71,7 @@ func NewSensorV(quantC, noiseStd, lagTau float64, seed int64, version int) *Sens
 // the newest stream (forward compatibility for configs written later).
 func newStream(seed int64, version int) Stream {
 	if version == NoiseVersionLegacy {
-		return rand.New(rand.NewSource(seed))
+		return rand.New(newLegacySource(seed))
 	}
 	return NewCounterStream(seed)
 }

@@ -5,11 +5,11 @@ import "math"
 // CounterStream is a counter-based Gaussian noise stream: raw word i is a
 // pure function of (seed, i) — a finalized splitmix64 counter — and draws
 // are ziggurat transforms of those words. Compared to the legacy
-// math/rand stream it seeds in O(1) (no 607-word lagged-Fibonacci warmup —
-// the reseed cost the fleet's phone pool pays per job) and supports
-// position seeking, which is what makes noise reproducible under replay,
-// checkpointing, and event-driven runs that need to consume exactly the
-// draws a tick-by-tick run would have.
+// math/rand stream it seeds in O(1) (no 607-word lagged-Fibonacci
+// register to fill, the reseed cost the fleet's phone pool pays four
+// times per job) and supports position seeking, which is what makes noise
+// reproducible under replay, checkpointing, and event-driven runs that
+// need to consume exactly the draws a tick-by-tick run would have.
 //
 // The stream identity is (seed, position): two streams with equal seeds
 // produce equal draw sequences regardless of how the draws are grouped
@@ -112,7 +112,7 @@ func (c *CounterStream) NormFloat64() float64 {
 }
 
 // Seed implements Stream: restores the just-constructed state for seed.
-// O(1), unlike math/rand's Seed.
+// O(1), unlike the legacy stream's register fill.
 func (c *CounterStream) Seed(seed int64) {
 	c.key = splitmix64(uint64(seed))
 	c.ctr = 0

@@ -8,25 +8,76 @@ import (
 
 // TestLegacyStreamReproducible pins the compat shim: a NoiseVersionLegacy
 // sensor must consume exactly the math/rand stream the pre-versioning code
-// consumed, so every committed golden stays valid.
+// consumed, so every committed golden stays valid. The stream's source
+// (legacySource) reseeds by direct LCG powers rather than math/rand's
+// serial warm-up, so the table covers the seed reduction's edges: seeds
+// that reduce to 0 mod 2³¹−1 (the 89482311 substitution), negative seeds
+// and the int64 extremes. 1,300 draws wrap the 607-word register twice,
+// and every case reseeds after its draws.
 func TestLegacyStreamReproducible(t *testing.T) {
-	const seed = 421
-	s := NewSensorV(0, 1.0, 0, seed, NoiseVersionLegacy) // no quant, unit noise, no lag
-	ref := rand.New(rand.NewSource(seed))
-	s.Advance(10, 0.05)
-	for i := 0; i < 50; i++ {
-		want := 10 + ref.NormFloat64()
-		if got := s.Sample(); got != want {
-			t.Fatalf("draw %d: legacy sensor %v, raw math/rand %v", i, got, want)
+	const (
+		int32max = math.MaxInt32
+		draws    = 1300
+	)
+	seeds := []int64{
+		0, 1, -1, 421, -421, 89482311,
+		int32max, 2 * int32max, -int32max, -3 * int32max, 1 << 20 * int32max,
+		int32max - 1, int32max + 1, -int32max - 1,
+		-(1 << 40) + 7, math.MinInt64, math.MaxInt64, math.MinInt64 + 1,
+	}
+	for i, seed := range seeds {
+		// Sensor level: unit noise, no quantization, no lag, so each
+		// reading is 10 plus one raw NormFloat64.
+		s := NewSensorV(0, 1.0, 0, seed, NoiseVersionLegacy)
+		ref := rand.New(rand.NewSource(seed))
+		s.Advance(10, 0.05)
+		for d := 0; d < draws; d++ {
+			if got, want := s.Sample(), 10+ref.NormFloat64(); got != want {
+				t.Fatalf("seed %d draw %d: legacy sensor %v, raw math/rand %v", seed, d, got, want)
+			}
+		}
+		// Reseed after draws restores the exact just-constructed stream
+		// for the new seed.
+		next := seeds[(i+1)%len(seeds)]
+		s.Reseed(next)
+		ref = rand.New(rand.NewSource(next))
+		s.Advance(10, 0.05)
+		for d := 0; d < draws; d++ {
+			if got, want := s.Sample(), 10+ref.NormFloat64(); got != want {
+				t.Fatalf("seed %d reseeded to %d, draw %d: %v != %v", seed, next, d, got, want)
+			}
+		}
+
+		// Source level: raw 64-bit words, which NormFloat64 only sees
+		// the top bits of.
+		src := newLegacySource(seed)
+		refSrc := rand.NewSource(seed).(rand.Source64)
+		for d := 0; d < draws; d++ {
+			if got, want := src.Uint64(), refSrc.Uint64(); got != want {
+				t.Fatalf("seed %d word %d: %#x, math/rand %#x", seed, d, got, want)
+			}
+		}
+		src.Seed(next)
+		refSrc.Seed(next)
+		for d := 0; d < draws; d++ {
+			if got, want := src.Int63(), refSrc.Int63(); got != want {
+				t.Fatalf("seed %d reseeded to %d, word %d: %#x, math/rand %#x", seed, next, d, got, want)
+			}
 		}
 	}
-	// Reseed restores the exact just-constructed stream.
-	s.Reseed(seed)
-	ref2 := rand.New(rand.NewSource(seed))
-	s.Advance(10, 0.05)
-	for i := 0; i < 10; i++ {
-		if got, want := s.Sample(), 10+ref2.NormFloat64(); got != want {
-			t.Fatalf("post-reseed draw %d: %v != %v", i, got, want)
+
+	// A spread of arbitrary seeds through one reused source, the way the
+	// phone pool reseeds.
+	gen := rand.New(rand.NewSource(1))
+	src := newLegacySource(0)
+	for n := 0; n < 1000; n++ {
+		seed := int64(gen.Uint64())
+		src.Seed(seed)
+		refSrc := rand.NewSource(seed).(rand.Source64)
+		for d := 0; d < 2*legacyLen; d++ {
+			if got, want := src.Uint64(), refSrc.Uint64(); got != want {
+				t.Fatalf("seed %d word %d: %#x, math/rand %#x", seed, d, got, want)
+			}
 		}
 	}
 }

@@ -10,6 +10,8 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 
 	"repro/internal/analytics"
 	"repro/internal/core"
@@ -178,11 +180,32 @@ func (s *Sweep) Run(ctx context.Context, plan *durable.Plan, h Hooks) (*Result, 
 		}
 		plan.MergeInto(results)
 	}
-	stats, err := analytics.Flatten(grid, results)
+	stats, err := joinStats(grid, results)
 	if err != nil {
 		return nil, err
 	}
 	vs.Apply(stats)
 	plan.ApplyViolations(stats)
 	return &Result{Results: results, Stats: stats, RunStats: runStats}, nil
+}
+
+// joinStats is analytics.Flatten without its trace fold: it joins the
+// grid with its results and leaves every cell's violation statistics
+// unset. The sweep's ViolationSink counted every live cell's samples and
+// the plan holds every restored cell's counters, so folding the retained
+// traces again would only be overwritten.
+func joinStats(grid *scenario.Grid, results []fleet.JobResult) ([]analytics.JobStat, error) {
+	if len(results) != len(grid.Jobs) {
+		return nil, fmt.Errorf("sweep: %d results for %d jobs", len(results), len(grid.Jobs))
+	}
+	stats := make([]analytics.JobStat, len(results))
+	for i, jr := range results {
+		stats[i] = analytics.JobStat{
+			Point:    grid.Points[i],
+			Result:   jr.Result,
+			Err:      jr.Err,
+			OverFrac: math.NaN(), MeanExcessC: math.NaN(),
+		}
+	}
+	return stats, nil
 }

@@ -37,32 +37,41 @@ var BenchmarkNames = []string{
 	"game",
 }
 
+// benchmarkCtors holds the thirteen workload constructors in
+// BenchmarkNames order; entry i is seeded with seed+i+1.
+var benchmarkCtors = [...]func(uint64) *Program{
+	AnTuTuCPU,
+	AnTuTuCPUGPURAM,
+	AnTuTuUserExp,
+	AnTuTuFull,
+	AnTuTuCPU90Min,
+	AnTuTuTester,
+	GFXBench,
+	Vellamo,
+	Skype,
+	YouTube,
+	Record,
+	Charging,
+	Game,
+}
+
 // Benchmarks returns all thirteen paper workloads, seeded deterministically
 // from the given base seed.
 func Benchmarks(seed uint64) []*Program {
-	return []*Program{
-		AnTuTuCPU(seed + 1),
-		AnTuTuCPUGPURAM(seed + 2),
-		AnTuTuUserExp(seed + 3),
-		AnTuTuFull(seed + 4),
-		AnTuTuCPU90Min(seed + 5),
-		AnTuTuTester(seed + 6),
-		GFXBench(seed + 7),
-		Vellamo(seed + 8),
-		Skype(seed + 9),
-		YouTube(seed + 10),
-		Record(seed + 11),
-		Charging(seed + 12),
-		Game(seed + 13),
+	ps := make([]*Program, len(benchmarkCtors))
+	for i, ctor := range benchmarkCtors {
+		ps[i] = ctor(seed + uint64(i) + 1)
 	}
+	return ps
 }
 
 // ByName returns the named paper workload (one of BenchmarkNames), seeded
-// from seed, or nil if the name is unknown.
+// from seed exactly as Benchmarks(seed) seeds it, or nil if the name is
+// unknown. Only the named program is built.
 func ByName(name string, seed uint64) *Program {
 	for i, n := range BenchmarkNames {
 		if n == name {
-			return Benchmarks(seed)[i]
+			return benchmarkCtors[i](seed + uint64(i) + 1)
 		}
 	}
 	return nil

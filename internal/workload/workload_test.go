@@ -183,11 +183,31 @@ func TestAllThirteenBenchmarksPresent(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	w := ByName("skype", 5)
-	if w == nil || w.Name() != "skype" {
-		t.Fatalf("ByName(skype) = %v", w)
+	const seed = 5
+	all := Benchmarks(seed)
+	if len(all) != len(BenchmarkNames) {
+		t.Fatalf("Benchmarks built %d programs for %d names", len(all), len(BenchmarkNames))
 	}
-	if ByName("nope", 5) != nil {
+	for i, name := range BenchmarkNames {
+		w := ByName(name, seed)
+		if w == nil || w.Name() != name {
+			t.Fatalf("ByName(%s) = %v", name, w)
+		}
+		want := all[i]
+		if w.Name() != want.Name() || w.Duration() != want.Duration() {
+			t.Fatalf("ByName(%s) = %s/%v s, Benchmarks[%d] = %s/%v s",
+				name, w.Name(), w.Duration(), i, want.Name(), want.Duration())
+		}
+		// Sample for sample at the simulator's 50 ms tick: same profile,
+		// same seed.
+		for k := 0; float64(k)*0.05 < want.Duration(); k++ {
+			tt := float64(k) * 0.05
+			if got, exp := w.At(tt), want.At(tt); got != exp {
+				t.Fatalf("ByName(%s).At(%v) = %+v, Benchmarks[%d].At = %+v", name, tt, got, i, exp)
+			}
+		}
+	}
+	if ByName("nope", seed) != nil {
 		t.Fatal("ByName must return nil for unknown names")
 	}
 }

@@ -182,10 +182,9 @@ type (
 const DefaultLimitC = users.DefaultLimitC
 
 // Sensor noise stream versions for DeviceConfig.NoiseVersion: legacy is
-// the math/rand stream every committed golden was generated with;
-// counter is the splitmix64 counter stream with O(1) reseeding
-// (recommended for large fleet sweeps, where legacy reseeding is a
-// fixed per-job cost).
+// the math/rand stream every committed golden was generated with (a
+// reseed costs about 3 µs per sensor, four per pooled job); counter is
+// the splitmix64 counter stream with O(1) reseeding and position seeking.
 const (
 	NoiseVersionLegacy  = sensors.NoiseVersionLegacy
 	NoiseVersionCounter = sensors.NoiseVersionCounter
