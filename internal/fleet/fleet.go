@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/governor"
@@ -157,14 +156,6 @@ type Job struct {
 	// (the recalibrating wrapper) need traced runs; see
 	// device.Phone.SetTraceFree.
 	TraceFree bool
-	// DeadlineSec, when positive, bounds the job's wall-clock execution
-	// time: the run is cancelled with context.DeadlineExceeded once it has
-	// been executing that long, yielding a partial result like any other
-	// cancellation. It exists so one wedged job (a pathological workload, a
-	// starved host) cannot pin a sweep — or a crash-recovered coordinator —
-	// forever. Wall-clock bounds are inherently nondeterministic; jobs that
-	// hit them report the deadline error rather than silently truncating.
-	DeadlineSec float64
 	// Seed, when non-zero, pins the device seed (zero is "unset"
 	// throughout this codebase, so a literal zero seed cannot be pinned
 	// here — set Device.Seed for that). When zero, a non-zero
@@ -327,11 +318,6 @@ func runJob(ctx context.Context, cfg *Config, pool *phonePool, i int, job Job) J
 	if err := ctx.Err(); err != nil {
 		r.Err = err
 		return r
-	}
-	if job.DeadlineSec > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(job.DeadlineSec*float64(time.Second)))
-		defer cancel()
 	}
 	phone, seed, err := preparePhone(cfg, pool, i, &job)
 	r.SeedUsed = seed

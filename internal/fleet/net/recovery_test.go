@@ -226,6 +226,38 @@ func TestJobServerRecoverRefusesEventMismatch(t *testing.T) {
 	}
 }
 
+// TestJobServerOversizedSpecRefused: a small body whose axes multiply past
+// the scenario cell cap is refused with 400 before anything is journaled, so
+// the state directory stays empty and no job ID is spent.
+func TestJobServerOversizedSpecRefused(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := stateServer(t, dir)
+	body := `{"version": 1, "workloads": ["all"], "population": ["all"], "ambients_c": [` +
+		strings.TrimSuffix(strings.Repeat("25,", 2000), ",") + `]}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d (%s), want 400", resp.StatusCode, msg)
+	}
+	if !strings.Contains(string(msg), "cells") {
+		t.Fatalf("refusal does not name the cell cap: %s", msg)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("refused submission left %d entries in the state dir (first %s)", len(entries), entries[0].Name())
+	}
+	if id := submit(t, ts, e2eSpec); id != "j1" {
+		t.Fatalf("next accepted job is %s, want j1", id)
+	}
+}
+
 // TestJobServerUnjournaledDegradation: when the store cannot create the
 // job's log (here: the path is occupied by a directory, which defeats even
 // root), the server logs the failure, marks the job unjournaled, and still

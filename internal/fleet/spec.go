@@ -53,8 +53,6 @@ type JobSpec struct {
 	LimitC float64 `json:"limit_c,omitempty"`
 	// DurSec truncates the run (<= 0: full workload duration).
 	DurSec float64 `json:"dur_sec,omitempty"`
-	// DeadlineSec mirrors Job.DeadlineSec (wall-clock bound; 0 = none).
-	DeadlineSec float64 `json:"deadline_sec,omitempty"`
 	// TraceFree mirrors Job.TraceFree.
 	TraceFree bool `json:"trace_free,omitempty"`
 	// Seed is the pinned device seed. The coordinator resolves it through

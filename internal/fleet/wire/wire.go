@@ -478,14 +478,13 @@ func Materialize(spec fleet.JobSpec, pred *core.Predictor) (fleet.Job, error) {
 	}
 	wl := workload.ByName(spec.Workload.Name, spec.Workload.Seed)
 	job := fleet.Job{
-		Name:        spec.Name,
-		User:        spec.User,
-		Workload:    wl,
-		Device:      spec.Device,
-		DurSec:      spec.DurSec,
-		DeadlineSec: spec.DeadlineSec,
-		TraceFree:   spec.TraceFree,
-		Seed:        spec.Seed,
+		Name:      spec.Name,
+		User:      spec.User,
+		Workload:  wl,
+		Device:    spec.Device,
+		DurSec:    spec.DurSec,
+		TraceFree: spec.TraceFree,
+		Seed:      spec.Seed,
 	}
 	if spec.Governor != "" {
 		devCfg := device.DefaultConfig()

@@ -222,6 +222,7 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"shard frame without payload", env(Version, `,"type":"shard"`), ErrBadFrame},
 		{"shard frame with unknown batched field", env(Version, `,"type":"shard","shard":{"jobs":[],"batched":true}`), ErrBadFrame},
 		{"v6 shard frame carrying an engine code", env(6, `,"type":"shard","shard":{"jobs":[],"event":3}`), ErrBadFrame},
+		{"shard job carrying a per-cell deadline", env(Version, `,"type":"shard","shard":{"jobs":[{"index":0,"workload":{"name":"game","seed":1},"seed":7,"deadline_sec":5}]}`), ErrBadFrame},
 		{"shard frame with a predictor and same_predictor", env(Version, `,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"},"same_predictor":true}`), ErrBadFrame},
 		{"shard frame with predictor bytes but no predictor_id", env(Version, `,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"}}`), ErrBadFrame},
 		{"shard frame with a short predictor_id", env(Version, fmt.Sprintf(`,"type":"shard","shard":{"jobs":[],"predictor_id":%q}`, id[:63])), ErrBadFrame},

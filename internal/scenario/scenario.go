@@ -37,6 +37,13 @@ const (
 	maxAmbientC = 60
 )
 
+// maxCells caps a spec's grid: workloads × users × ambients × limits ×
+// schemes, counted before include/exclude filters. Expansion allocates
+// every cell of the grid (about 2 KB each), so the cap bounds what one
+// submitted spec can make a job server allocate. The largest committed
+// spec, bench/workloads/population.json, has 2,080 cells.
+const maxCells = 50_000
+
 // Spec is one declarative sweep: the cartesian grid of its axes, filtered
 // by Include/Exclude. Axes left empty collapse to a single default value
 // (the default user, the device's own ambient, per-user limits, the
@@ -293,6 +300,12 @@ func (s *Spec) Validate() error {
 	if len(s.Workloads) == 0 {
 		return fmt.Errorf("scenario: no workloads (name one of %s, or \"all\")", strings.Join(workload.BenchmarkNames, ", "))
 	}
+	// The cap goes first: it needs only the axis lengths, while resolving
+	// an axis costs work per entry.
+	if !withinCap(axisLen(s.Workloads, len(workload.BenchmarkNames)), axisLen(s.Population, len(users.StudyPopulation())),
+		len(s.AmbientsC), len(s.LimitsC), len(s.Schemes)) {
+		return fmt.Errorf("scenario: the grid (workloads × users × ambients × limits × schemes) has more than %d cells", maxCells)
+	}
 	if _, err := s.workloadNames(); err != nil {
 		return err
 	}
@@ -355,6 +368,31 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// axisLen is the length of a name axis whose single entry "all" stands for
+// all of its n values.
+func axisLen(names []string, all int) int {
+	if len(names) == 1 && names[0] == "all" {
+		return all
+	}
+	return len(names)
+}
+
+// withinCap reports whether the product of the axis lengths is at most
+// maxCells; an empty axis collapses to one value. It multiplies without
+// overflow.
+func withinCap(axes ...int) bool {
+	n := 1
+	for _, a := range axes {
+		if a > 1 {
+			if n > maxCells/a {
+				return false
+			}
+			n *= a
+		}
+	}
+	return true
 }
 
 // workloadNames resolves the workload axis to concrete benchmark names.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -83,6 +84,11 @@ func TestParseYAMLSweep(t *testing.T) {
 // TestParseErrors is the invalid-spec error-message table: every rejected
 // shape must fail with a message that names the problem.
 func TestParseErrors(t *testing.T) {
+	// 13 workloads × 10 users × 2,000 ambients = 260,000 cells in a 6 KB body.
+	oversized := `{"version": 1, "workloads": ["all"], "population": ["all"], "ambients_c": [` +
+		strings.TrimSuffix(strings.Repeat("25,", 2000), ",") + `]}`
+	// The cap is checked before any entry is resolved.
+	longAxis := `{"version": 1, "workloads": [` + strings.TrimSuffix(strings.Repeat(`"x",`, maxCells+1), ",") + `]}`
 	cases := []struct {
 		name    string
 		input   string
@@ -104,6 +110,8 @@ func TestParseErrors(t *testing.T) {
 		{"non-positive limit", `{"version": 1, "workloads": ["skype"], "limits_c": [0]}`, "non-positive limit"},
 		{"bad filter", `{"version": 1, "workloads": ["skype"], "include": ["[x"]}`, `bad filter pattern "[x"`},
 		{"unknown field", `{"version": 1, "workloads": ["skype"], "worklods": ["game"]}`, "unknown field"},
+		{"oversized grid", oversized, "more than 50000 cells"},
+		{"oversized axis of unknown names", longAxis, "more than 50000 cells"},
 		{"yaml tab", "version: 1\n\tworkloads: [skype]", "tabs are not allowed"},
 		{"yaml duplicate key", "version: 1\nversion: 1", "duplicate key"},
 		{"yaml unterminated string", `name: "oops`, "unterminated string"},
@@ -118,6 +126,50 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestGridCap pins the cell cap's arithmetic: the product of the axes is
+// compared with maxCells without overflowing, and empty axes count as one.
+func TestGridCap(t *testing.T) {
+	cases := []struct {
+		axes []int
+		want bool
+	}{
+		{[]int{13, 10, 8, 0, 2}, true},
+		{[]int{maxCells}, true},
+		{[]int{maxCells + 1}, false},
+		{[]int{maxCells / 2, 2, 1, 0, 0}, true},
+		{[]int{maxCells/2 + 1, 2}, false},
+		{[]int{math.MaxInt, math.MaxInt}, false},
+		{[]int{1 << 32, 1 << 32, 0}, false},
+	}
+	for _, tc := range cases {
+		if got := withinCap(tc.axes...); got != tc.want {
+			t.Errorf("withinCap(%v) = %v, want %v", tc.axes, got, tc.want)
+		}
+	}
+}
+
+// TestCommittedSpecsWithinCap parses every committed scenario file: the
+// cell cap must admit all of them, the benchmark's 2,080-cell population
+// sweep included.
+func TestCommittedSpecsWithinCap(t *testing.T) {
+	var files []string
+	for _, pat := range []string{"testdata/*.json", "testdata/*.yaml", "../../examples/sweep/*.json", "../../bench/workloads/*.json"} {
+		m, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) < 6 {
+		t.Fatalf("found only %d committed specs: %v", len(files), files)
+	}
+	for _, f := range files {
+		if _, err := Load(f); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
 	}
 }
 
