@@ -38,11 +38,13 @@ func startDaemon(t *testing.T) (stdnet.Conn, chan<- os.Signal, <-chan error) {
 	// An omitted event code is the fixed-tick loop, which steps the
 	// 90-minute AnTuTu run one second at a time: the second job keeps
 	// running well past the signal.
-	req := &wire.ShardRequest{Workers: 1}
+	var specs []fleet.JobSpec
 	for i := 0; i < 2; i++ {
-		req.Jobs = append(req.Jobs, fleet.JobSpec{Index: i, Workload: fleet.WorkloadRef{Name: "antutu-cpu-90min", Seed: uint64(i)},
+		specs = append(specs, fleet.JobSpec{Index: i, Workload: fleet.WorkloadRef{Name: "antutu-cpu-90min", Seed: uint64(i)},
 			Seed: int64(i + 1), TraceFree: true})
 	}
+	req := &wire.ShardRequest{Workers: 1}
+	req.SetJobs(specs)
 	if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: req}); err != nil {
 		t.Fatal(err)
 	}

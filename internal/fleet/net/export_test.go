@@ -13,3 +13,7 @@ func Tracked(r *Runner) (fleet.Runner, func() fleet.RunStats) {
 	tk := newStatsTracker(r.Hosts)
 	return trackedRunner{r: r, tk: tk}, tk.snapshot
 }
+
+// SSEFrameInterval is the event stream's frame clock, for the cadence
+// test.
+const SSEFrameInterval = sseFrameInterval

@@ -393,8 +393,8 @@ func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec
 	sreq := &wire.ShardRequest{
 		Workers:     req.workers,
 		WantSamples: req.wantSamples,
-		Jobs:        specs,
 	}
+	sreq.SetJobs(specs)
 	if req.pred != nil {
 		sreq.PredictorID = req.pred.ID()
 		if ship {

@@ -17,17 +17,20 @@ import (
 // glue here is routing plus fleet.RunStats plumbing (every job's run
 // records its own stats, so the fleet-wide view merges across jobs).
 
-// sseMinInterval paces snapshot frames when telemetry is flowing but no
-// job has completed — frequent enough to feel live, coarse enough that a
-// full analytics reduction per frame stays negligible.
-const sseMinInterval = 250 * time.Millisecond
+// sseFrameInterval is the SSE stream's frame clock: after a subscriber's
+// first frame, a non-final snapshot goes out only when this ticker fires,
+// however many cells finished since, so a subscriber costs one analytics
+// reduction per interval rather than one per completion. The final frame
+// does not wait for it.
+const sseFrameInterval = 250 * time.Millisecond
 
 // handleEvents streams ordered aggregate snapshots as server-sent
-// events: one "snapshot" event per frame, ending with the Final frame
-// (whose aggregates are the run's post-hoc analytics, byte for byte).
-// Subscribers connecting after completion receive exactly the final
-// frame. A stalled client blocks only its own handler goroutine — the
-// aggregator is pull-based, like the telemetry Bus.
+// events: one "snapshot" event per frame — the first at once, then one
+// per sseFrameInterval tick, and the Final frame (whose aggregates are
+// the run's post-hoc analytics, byte for byte) as soon as the run
+// finishes. Subscribers connecting after completion receive exactly the
+// final frame. A stalled client blocks only its own handler goroutine —
+// the aggregator is pull-based, like the telemetry Bus.
 func (s *JobServer) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
@@ -57,7 +60,7 @@ func (s *JobServer) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	ch, cancel := agg.Watch()
 	defer cancel()
-	tick := time.NewTicker(sseMinInterval)
+	tick := time.NewTicker(sseFrameInterval)
 	defer tick.Stop()
 	for {
 		snap := agg.Snapshot()
@@ -72,11 +75,19 @@ func (s *JobServer) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if snap.Final {
 			return
 		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ch:
-		case <-tick.C:
+	wait:
+		for {
+			select {
+			case <-r.Context().Done():
+				return
+			case <-ch:
+				// A completion alone waits for the tick; Finish does not.
+				if agg.Progress().Final {
+					break wait
+				}
+			case <-tick.C:
+				break wait
+			}
 		}
 	}
 }

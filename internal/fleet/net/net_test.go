@@ -554,12 +554,13 @@ func TestNetRunnerAllHostsDown(t *testing.T) {
 // an older protocol — version 1 (one JSON frame per sample), version 2
 // (the predictor in every shard request), version 3 (the predictor once
 // per connection, then same_predictor), version 4 (JSON sample and
-// result frames) or version 5 (an engine code in every shard request) —
-// is refused at its hello frame: the coordinator never
+// result frames), version 5 (an engine code in every shard request) or
+// version 6 (every job's device config inline) — is refused at its hello
+// frame: the coordinator never
 // ships it a shard, and the run fails with the version mismatch instead
 // of mis-decoding frames mid-shard.
 func TestNetRunnerRefusesOldProtocolWorker(t *testing.T) {
-	for _, v := range []int{1, 2, 3, 4, 5} {
+	for _, v := range []int{1, 2, 3, 4, 5, 6} {
 		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
 			ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -626,13 +627,15 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatalf("hello: %v", err)
 	}
 	jobs := specJobs(2, true)
-	req := &wire.ShardRequest{Workers: 1}
+	var specs []fleet.JobSpec
 	for i := range jobs {
 		spec := *jobs[i].Spec
 		spec.Index = i
 		spec.Seed = fleet.EffectiveSeed(7, i, &jobs[i])
-		req.Jobs = append(req.Jobs, spec)
+		specs = append(specs, spec)
 	}
+	req := &wire.ShardRequest{Workers: 1}
+	req.SetJobs(specs)
 	if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: req}); err != nil {
 		t.Fatal(err)
 	}
@@ -976,7 +979,7 @@ func TestServerSamePredictorNeedsOne(t *testing.T) {
 	// how many jobs it ran, after checking every result it streamed.
 	request := func(req *wire.ShardRequest) (*wire.Frame, int) {
 		t.Helper()
-		req.Jobs = []fleet.JobSpec{spec}
+		req.SetJobs([]fleet.JobSpec{spec})
 		if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: req}); err != nil {
 			t.Fatal(err)
 		}

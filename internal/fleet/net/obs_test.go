@@ -238,6 +238,118 @@ func TestEventsFinalSnapshotMatchesAnalytics(t *testing.T) {
 	}
 }
 
+// pacedRunner runs a job server's sweep on the local pool once gate is
+// closed, holding each completion for delay, so a test decides when the
+// cells finish relative to the event stream's first frame and its ticks.
+type pacedRunner struct {
+	gate  chan struct{}
+	delay time.Duration
+}
+
+func (r *pacedRunner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) ([]fleet.JobResult, fleet.RunStats) {
+	select {
+	case <-r.gate:
+	case <-ctx.Done():
+	}
+	onResult := cfg.OnResult
+	cfg.OnResult = func(res fleet.JobResult) {
+		time.Sleep(r.delay)
+		if onResult != nil {
+			onResult(res)
+		}
+	}
+	return fleet.LocalRunner{}.Run(ctx, cfg, jobs)
+}
+
+// TestEventsTickerCadence: a completion alone does not send a frame.
+// After the first frame, non-final snapshots go out only on the
+// SSEFrameInterval ticker and the final frame as soon as the run
+// finishes, so a stream lasting wall W carries at most ⌊W / interval⌋ + 2
+// frames however many cells finished: 312 completions spread over more
+// than two ticks stream a handful of frames, and a run that finishes
+// within one tick streams exactly its first frame and its final frame.
+func TestEventsTickerCadence(t *testing.T) {
+	cases := []struct {
+		name  string
+		spec  string
+		cells int
+		delay time.Duration
+	}{
+		{"hundreds of completions", `{
+		  "version": 1,
+		  "workloads": ["antutu-cpu", "antutu-cpu-gpu-ram", "antutu-userexp",
+		                "antutu-full", "antutu-cpu-90min", "antutu-tester",
+		                "gfxbench", "vellamo", "skype", "youtube", "record",
+		                "charging", "game"],
+		  "population": ["a", "b", "c", "d", "e", "f", "g", "h"],
+		  "ambients_c": [25, 30, 35],
+		  "schemes": [{"name": "baseline"}],
+		  "duration": {"sec": 2},
+		  "seeds": {"policy": "indexed", "base": 5},
+		  "trace_free": true
+		}`, 312, 2 * time.Millisecond},
+		{"within one tick", e2eSpec, 2, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &pacedRunner{gate: make(chan struct{}), delay: tc.delay}
+			js := fleetnet.NewJobServer(r)
+			js.Workers = 1
+			defer js.Close()
+			ts := httptest.NewServer(js.Handler())
+			defer ts.Close()
+
+			id := submit(t, ts, tc.spec)
+			start := time.Now()
+			resp, err := http.Get(ts.URL + "/jobs/" + id + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			sc := bufio.NewScanner(resp.Body)
+			sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+			var snaps []sseSnap
+			for sc.Scan() {
+				line, ok := strings.CutPrefix(sc.Text(), "data: ")
+				if !ok {
+					continue
+				}
+				var s sseSnap
+				if err := json.Unmarshal([]byte(line), &s); err != nil {
+					t.Fatalf("snapshot frame: %v", err)
+				}
+				if snaps = append(snaps, s); len(snaps) == 1 {
+					close(r.gate) // the run starts after the first frame
+				}
+			}
+			wall := time.Since(start)
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) < 2 || snaps[0].Final {
+				t.Fatalf("%d frames (first final: %v); want a live first frame and a final one", len(snaps), len(snaps) > 0 && snaps[0].Final)
+			}
+			for i := 1; i < len(snaps); i++ {
+				if snaps[i].Seq <= snaps[i-1].Seq {
+					t.Fatalf("snapshot seq not increasing: %d then %d", snaps[i-1].Seq, snaps[i].Seq)
+				}
+				if snaps[i-1].Final {
+					t.Fatalf("frame %d follows the final frame", i)
+				}
+			}
+			last := snaps[len(snaps)-1]
+			if !last.Final || last.Status != "done" || last.Done != tc.cells || last.Total != tc.cells {
+				t.Fatalf("last frame = %+v, want the final frame of %d done cells", last, tc.cells)
+			}
+			bound := int(wall/fleetnet.SSEFrameInterval) + 2
+			t.Logf("%d frames over %v (bound %d)", len(snaps), wall, bound)
+			if len(snaps) > bound {
+				t.Fatalf("%d frames over %v; the %v ticker allows at most %d", len(snaps), wall, fleetnet.SSEFrameInterval, bound)
+			}
+		})
+	}
+}
+
 func getBody(t *testing.T, ts *httptest.Server, path string) string {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)

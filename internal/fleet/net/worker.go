@@ -3,7 +3,6 @@ package net
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 
 	"repro/internal/core"
@@ -26,26 +25,10 @@ import (
 // context errors on the unfinished jobs, exactly like the local runner;
 // the done (or error) frame stays the caller's responsibility.
 func serveRequest(ctx context.Context, req *wire.ShardRequest, pred *core.Predictor, write func(*wire.Frame) error) error {
-	canonicalizeDevices(req.Jobs)
 	out := &stream{write: write}
-
-	// Materialize the runnable jobs; specs that fail report immediately as
-	// per-job errors and stay out of the batch.
-	jobs := make([]fleet.Job, 0, len(req.Jobs))
-	global := make([]int, 0, len(req.Jobs)) // local batch index → global index
-	for i := range req.Jobs {
-		spec := &req.Jobs[i]
-		job, merr := wire.Materialize(*spec, pred)
-		if merr != nil {
-			rf := &wire.ResultFrame{Index: spec.Index, Name: spec.Name, User: spec.User, Err: merr.Error()}
-			if rf.Name == "" {
-				rf.Name = spec.Workload.Name
-			}
-			out.send(&wire.Frame{V: wire.Version, Type: wire.TypeResult, Result: rf})
-			continue
-		}
-		jobs = append(jobs, job)
-		global = append(global, spec.Index)
+	jobs, global, failed := materialize(req, pred)
+	for _, rf := range failed {
+		out.send(&wire.Frame{V: wire.Version, Type: wire.TypeResult, Result: rf})
 	}
 	if err := out.err(); err != nil {
 		return err
@@ -71,6 +54,34 @@ func serveRequest(ctx context.Context, req *wire.ShardRequest, pred *core.Predic
 	}
 	fleet.LocalRunner{}.Run(ctx, cfg, jobs)
 	return out.err()
+}
+
+// materialize builds req's runnable jobs and their global indices. A spec
+// that fails — a device index outside the request's table included —
+// becomes an error result frame instead and stays out of the batch. Jobs
+// naming one device table entry share its *device.Config, so the local
+// runner's phone pool, keyed by that pointer, reuses phones across them.
+func materialize(req *wire.ShardRequest, pred *core.Predictor) (jobs []fleet.Job, global []int, failed []*wire.ResultFrame) {
+	jobs = make([]fleet.Job, 0, len(req.Jobs))
+	global = make([]int, 0, len(req.Jobs)) // local batch index → global index
+	for i := range req.Jobs {
+		spec, err := req.Spec(i)
+		var job fleet.Job
+		if err == nil {
+			job, err = wire.Materialize(spec, pred)
+		}
+		if err != nil {
+			rf := &wire.ResultFrame{Index: spec.Index, Name: spec.Name, User: spec.User, Err: err.Error()}
+			if rf.Name == "" {
+				rf.Name = spec.Workload.Name
+			}
+			failed = append(failed, rf)
+			continue
+		}
+		jobs = append(jobs, job)
+		global = append(global, spec.Index)
+	}
+	return jobs, global, failed
 }
 
 // stream is the worker's outbound frame stream over a serialized write
@@ -153,32 +164,4 @@ func (b *batcher) flush(i int) {
 	}
 	b.bufs[i] = nil
 	batchPool.Put(buf)
-}
-
-// canonicalizeDevices aliases value-identical device configurations to
-// one pointer. JSON decoding gives every spec its own Device copy, but the
-// local runner's phone pool is keyed by the Job.Device pointer — without
-// re-aliasing, a shard sweeping one configuration would never reuse a
-// phone and lose the pool's allocation win. Shards carry few distinct
-// configurations (one per scenario workload × ambient row), so the
-// quadratic-in-unique-configs scan is cheap.
-func canonicalizeDevices(specs []fleet.JobSpec) {
-	var uniq []*device.Config
-	for i := range specs {
-		d := specs[i].Device
-		if d == nil {
-			continue
-		}
-		matched := false
-		for _, u := range uniq {
-			if reflect.DeepEqual(*u, *d) {
-				specs[i].Device = u
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			uniq = append(uniq, d)
-		}
-	}
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fleet/wire"
+	"repro/internal/scenario"
 	"repro/internal/sink"
 )
 
@@ -105,7 +107,8 @@ func TestServeRequestBatchesTelemetry(t *testing.T) {
 	specs := longSpecs(3)
 	want := localSequences(t, specs)
 	bad := fleet.JobSpec{Index: 20, Workload: fleet.WorkloadRef{Name: "crysis"}, Seed: 1, DurSec: 10}
-	req := &wire.ShardRequest{Jobs: append(append([]fleet.JobSpec(nil), specs...), bad), Workers: 2, WantSamples: true}
+	req := &wire.ShardRequest{Workers: 2, WantSamples: true}
+	req.SetJobs(append(append([]fleet.JobSpec(nil), specs...), bad))
 	var rec recorder
 	if err := serveRequest(context.Background(), req, nil, rec.write); err != nil {
 		t.Fatal(err)
@@ -149,7 +152,8 @@ func TestServeRequestFlushesCancelledJobs(t *testing.T) {
 		}
 		return rec.write(f)
 	}
-	req := &wire.ShardRequest{Jobs: specs, Workers: 1, WantSamples: true}
+	req := &wire.ShardRequest{Workers: 1, WantSamples: true}
+	req.SetJobs(specs)
 	if err := serveRequest(ctx, req, nil, write); err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +189,100 @@ func TestServeRequestSampleWriteFailureFailsShard(t *testing.T) {
 		}
 		return rec.write(f)
 	}
-	req := &wire.ShardRequest{Jobs: longSpecs(2), Workers: 1, WantSamples: true}
+	req := &wire.ShardRequest{Workers: 1, WantSamples: true}
+	req.SetJobs(longSpecs(2))
 	err := serveRequest(context.Background(), req, nil, write)
 	if !errors.Is(err, errPipe) {
 		t.Fatalf("serveRequest = %v, want the sample write error", err)
 	}
 	if len(rec.frames) != 0 {
 		t.Fatalf("%d frames written after the failed sample write (first: %s)", len(rec.frames), rec.frames[0].Type)
+	}
+}
+
+// TestShardDeviceTableAliasesConfigs: a grid of 2 workloads × 2 ambients
+// × 3 users — four (workload, ambient) rows, each with its own config
+// pointer — ships a shard request carrying exactly 2 device entries, and
+// the worker's materialized jobs at equal ambients share one
+// *device.Config, the key of the local runner's phone pool. A job naming
+// a device outside the table comes back as a per-job error result while
+// the shard's other jobs succeed.
+func TestShardDeviceTableAliasesConfigs(t *testing.T) {
+	spec, err := scenario.Parse([]byte(`{
+	  "version": 1,
+	  "workloads": ["skype", "youtube"],
+	  "population": ["a", "b", "c"],
+	  "ambients_c": [25, 35],
+	  "schemes": [{"name": "baseline"}],
+	  "duration": {"sec": 5},
+	  "seeds": {"policy": "indexed", "base": 3},
+	  "trace_free": true
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	devCfg := device.DefaultConfig()
+	grid, err := spec.Expand(scenario.Env{Device: &devCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]fleet.JobSpec, len(grid.Jobs))
+	for i := range grid.Jobs {
+		specs[i] = *grid.Jobs[i].Spec
+		specs[i].Index = i
+		specs[i].Seed = fleet.EffectiveSeed(3, i, &grid.Jobs[i])
+	}
+	sent := &wire.ShardRequest{Workers: 2}
+	sent.SetJobs(specs)
+	if len(sent.Devices) != 2 {
+		t.Fatalf("shard request carries %d device entries, want one per ambient (2)", len(sent.Devices))
+	}
+	var buf bytes.Buffer
+	if err := wire.WriteFrame(&buf, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: sent}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := wire.ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := f.Shard
+
+	jobs, global, failed := materialize(req, nil)
+	if len(failed) != 0 || len(jobs) != len(specs) {
+		t.Fatalf("materialized %d jobs, %d failed; want all %d", len(jobs), len(failed), len(specs))
+	}
+	byAmbient := map[float64]*device.Config{}
+	for i, job := range jobs {
+		amb := grid.Points[global[i]].AmbientC
+		if job.Device == nil || job.Device.Thermal.Ambient != amb {
+			t.Fatalf("job %d runs on %+v, want the %g °C config", global[i], job.Device, amb)
+		}
+		if d, ok := byAmbient[amb]; ok && d != job.Device {
+			t.Fatalf("jobs at %g °C run on distinct configs %p and %p", amb, d, job.Device)
+		}
+		byAmbient[amb] = job.Device
+	}
+	if len(byAmbient) != 2 {
+		t.Fatalf("%d distinct configs, want 2", len(byAmbient))
+	}
+
+	const bad = 4
+	outside := len(req.Devices)
+	req.Jobs[bad].Device = &outside
+	var rec recorder
+	if err := serveRequest(context.Background(), req, nil, rec.write); err != nil {
+		t.Fatal(err)
+	}
+	_, _, results := rec.perJob(t)
+	for i := range specs {
+		r := results[i]
+		switch {
+		case r == nil:
+			t.Fatalf("job %d: no result", i)
+		case i == bad && !strings.Contains(r.Err, wire.ErrDeviceIndex.Error()):
+			t.Fatalf("job %d names device %d of %d: err %q, want ErrDeviceIndex", i, outside, outside, r.Err)
+		case i != bad && r.Err != "":
+			t.Fatalf("job %d: %s", i, r.Err)
+		}
 	}
 }

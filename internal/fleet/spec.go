@@ -23,8 +23,8 @@ type WorkloadRef struct {
 
 // JobSpec is the serializable description of a Job: everything a worker
 // process needs to rebuild and run the job — workload by name, device
-// configuration by value, governor and controller by name — without the
-// closures the in-process Job carries. The scenario expander attaches one
+// configuration, governor and controller by name — without the closures
+// the in-process Job carries. The scenario expander attaches one
 // to every job it emits; hand-built jobs opt in to sharding by attaching
 // their own. Specs travel inside wire.ShardRequest frames
 // (internal/fleet/wire).
@@ -40,8 +40,10 @@ type JobSpec struct {
 	User users.User `json:"user,omitempty"`
 	// Workload names the demand trace.
 	Workload WorkloadRef `json:"workload"`
-	// Device is the handset configuration (nil: device.DefaultConfig).
-	Device *device.Config `json:"device,omitempty"`
+	// Device is the handset configuration (nil: device.DefaultConfig). A
+	// shard request carries each distinct configuration once, in its
+	// device table, so the field is not encoded with the spec.
+	Device *device.Config `json:"-"`
 	// Governor is a cpufreq governor sysfs name ("" keeps the stock
 	// default).
 	Governor string `json:"governor,omitempty"`

@@ -15,7 +15,12 @@
 //     (bit-exact), integers as varints, strings length-prefixed, slices
 //     behind nil-aware counts and pointers behind presence bytes.
 //   - Hello, shard, done, heartbeat, cancel and error frames are JSON
-//     envelopes, {"v":6,"type":...} plus the type's payload field.
+//     envelopes, {"v":7,"type":...} plus the type's payload field.
+//
+// A shard request carries each distinct device configuration once, in
+// a table its jobs name by index (ShardRequest.SetJobs builds it,
+// ShardRequest.Spec resolves it), so jobs of one configuration share one
+// *device.Config on the worker.
 //
 // The predictor is content-addressed: a shard request names it by the
 // SHA-256 of its document (PredictorID) and carries the document only
@@ -35,6 +40,8 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -57,8 +64,11 @@ import (
 // shard request's engine code (every worker runs the one production
 // engine): a v5 coordinator's "event" field would fail the strict decoder
 // mid-request, so the bump makes v5 and v6 builds refuse each other at
-// hello instead.
-const Version = 6
+// hello instead. Version 7 carries each distinct device configuration
+// once per shard request, in ShardRequest.Devices, and a job names its
+// entry by index: a v6 job's inline "device" object fails the strict
+// decoder, so v6 and v7 builds refuse each other at hello.
+const Version = 7
 
 // MaxPredictors bounds the decoded predictors a worker keeps, and so the
 // IDs its hello frame may list. A worker serves one predictor per
@@ -118,6 +128,9 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 	// ErrBadFrame marks an undecodable or ill-formed frame.
 	ErrBadFrame = errors.New("wire: malformed frame")
+	// ErrDeviceIndex marks a shard job naming a device outside its
+	// request's device table. It fails that job alone, not the frame.
+	ErrDeviceIndex = errors.New("wire: device index outside the shard request's device table")
 )
 
 // Frame is the versioned envelope every message travels in. Exactly one
@@ -152,12 +165,15 @@ type HelloFrame struct {
 }
 
 // ShardRequest is the coordinator's single message to a worker: the
-// shard's job specs (seeds already resolved, indices global), the
-// in-process pool width, the predictor backing "usta" specs (by ID, with
-// its document when the worker may not hold it), and whether to stream
-// telemetry samples back.
+// shard's job specs (seeds already resolved, indices global) with their
+// device table, the in-process pool width, the predictor backing "usta"
+// specs (by ID, with its document when the worker may not hold it), and
+// whether to stream telemetry samples back.
 type ShardRequest struct {
-	Jobs []fleet.JobSpec `json:"jobs"`
+	// Devices holds every distinct device configuration the jobs run on,
+	// once; a job names its entry by index (ShardJob.Device).
+	Devices []device.Config `json:"devices,omitempty"`
+	Jobs    []ShardJob      `json:"jobs"`
 	// Workers is the worker daemon's in-process pool width (<= 0:
 	// GOMAXPROCS, via fleet.NormalizeWorkers).
 	Workers int `json:"workers,omitempty"`
@@ -176,6 +192,64 @@ type ShardRequest struct {
 	// WantSamples asks the worker to forward every telemetry sample, in
 	// TypeSample frames tagged with the spec's global index.
 	WantSamples bool `json:"want_samples,omitempty"`
+}
+
+// ShardJob is one job of a shard request: its spec, with the device
+// configuration named by its index in ShardRequest.Devices. The embedded
+// JobSpec.Device is not encoded.
+type ShardJob struct {
+	fleet.JobSpec
+	// Device is the index of the job's configuration in the request's
+	// device table (nil: device.DefaultConfig).
+	Device *int `json:"device,omitempty"`
+}
+
+// SetJobs fills the request's jobs from specs and its device table with
+// the configurations they run on, each distinct value once: specs sharing
+// a pointer share an entry without a comparison, and the rest are
+// compared by value.
+func (r *ShardRequest) SetJobs(specs []fleet.JobSpec) {
+	r.Devices = nil
+	r.Jobs = make([]ShardJob, len(specs))
+	idx := make([]int, len(specs))
+	entry := map[*device.Config]int{}
+	for i, spec := range specs {
+		d := spec.Device
+		spec.Device = nil
+		r.Jobs[i].JobSpec = spec
+		if d == nil {
+			continue
+		}
+		k, ok := entry[d]
+		if !ok {
+			k = slices.IndexFunc(r.Devices, func(c device.Config) bool { return reflect.DeepEqual(c, *d) })
+			if k < 0 {
+				k = len(r.Devices)
+				r.Devices = append(r.Devices, *d)
+			}
+			entry[d] = k
+		}
+		idx[i] = k
+		r.Jobs[i].Device = &idx[i]
+	}
+}
+
+// Spec returns job i's spec with its device resolved to the request's
+// table entry, so jobs naming one entry share one *device.Config — the
+// key of a worker's phone pool. A job naming an entry outside the table
+// returns its spec without a device and an error wrapping ErrDeviceIndex.
+func (r *ShardRequest) Spec(i int) (fleet.JobSpec, error) {
+	j := &r.Jobs[i]
+	spec := j.JobSpec
+	spec.Device = nil
+	if j.Device != nil {
+		k := *j.Device
+		if k < 0 || k >= len(r.Devices) {
+			return spec, fmt.Errorf("%w: job spec %d names device %d of %d", ErrDeviceIndex, spec.Index, k, len(r.Devices))
+		}
+		spec.Device = &r.Devices[k]
+	}
+	return spec, nil
 }
 
 // SampleFrame is a batch of one job's telemetry crossing the process

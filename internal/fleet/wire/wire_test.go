@@ -33,14 +33,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []*Frame{
 		{V: Version, Type: TypeShard, Shard: &ShardRequest{
 			Workers: 3, WantSamples: true,
-			Jobs: []fleet.JobSpec{{
+			Jobs: []ShardJob{{JobSpec: fleet.JobSpec{
 				Index:    7,
 				Name:     "skype/usta",
 				User:     users.User{ID: "c", SkinLimitC: 35.2, ScreenLimitC: 32.5},
 				Workload: fleet.WorkloadRef{Name: "skype", Seed: 342},
 				Seed:     301, DurSec: 60, TraceFree: true,
 				Controller: "usta", LimitC: 37,
-			}},
+			}}},
 		}},
 		{V: Version, Type: TypeSample, Sample: &SampleFrame{
 			Job: 12, Samples: PackSample(nil, device.Sample{TimeSec: 1.5, SkinC: 31.25, FreqMHz: 1512, MaxLevel: 11}),
@@ -52,7 +52,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 2, Predictors: []string{strings.Repeat("0f", 32)}}},
 		{V: Version, Type: TypeShard, Shard: &ShardRequest{PredictorID: strings.Repeat("ab", 32)}},
 		{V: Version, Type: TypeShard, Shard: &ShardRequest{Workers: 2, WantSamples: true,
-			PredictorID: fleet.PredictorID(leafDoc), Predictor: leafDoc, Jobs: []fleet.JobSpec{{Index: 2, Seed: 5}}}},
+			PredictorID: fleet.PredictorID(leafDoc), Predictor: leafDoc, Jobs: []ShardJob{{JobSpec: fleet.JobSpec{Index: 2, Seed: 5}}}}},
+		{V: Version, Type: TypeShard, Shard: devicesRequest()},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -126,20 +127,76 @@ func TestFrameShardPayloadRoundTrip(t *testing.T) {
 		Seed:     -77,
 		DurSec:   123.456789012345,
 	}
+	req := &ShardRequest{}
+	req.SetJobs([]fleet.JobSpec{spec})
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{V: Version, Type: TypeShard, Shard: &ShardRequest{Jobs: []fleet.JobSpec{spec}}}); err != nil {
+	if err := WriteFrame(&buf, &Frame{V: Version, Type: TypeShard, Shard: req}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := f.Shard.Jobs[0]
+	got, err := f.Shard.Spec(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Device.Thermal.Ambient != cfg.Thermal.Ambient {
 		t.Fatalf("ambient %v, want bit-exact %v", got.Device.Thermal.Ambient, cfg.Thermal.Ambient)
 	}
 	if got.Seed != spec.Seed || got.DurSec != spec.DurSec || got.Workload != spec.Workload {
 		t.Fatalf("spec diverged: %+v vs %+v", got, spec)
+	}
+}
+
+// devicesRequest is a shard request over a two-entry device table: two
+// jobs at a 25 °C ambient, one at 35 °C, one on the default device.
+func devicesRequest() *ShardRequest {
+	cool, warm := device.DefaultConfig(), device.DefaultConfig()
+	cool.Thermal.Ambient, warm.Thermal.Ambient = 25, 35
+	coolCopy := cool
+	spec := func(i int, d *device.Config) fleet.JobSpec {
+		return fleet.JobSpec{Index: i, Workload: fleet.WorkloadRef{Name: "skype"}, Device: d, Seed: int64(i + 1), DurSec: 10}
+	}
+	req := &ShardRequest{Workers: 1}
+	req.SetJobs([]fleet.JobSpec{spec(0, &cool), spec(1, &warm), spec(2, &coolCopy), spec(3, nil)})
+	return req
+}
+
+// TestShardDeviceTable: SetJobs ships each distinct configuration once —
+// equal values behind different pointers included — and Spec hands jobs
+// naming one entry the same pointer, the default device as nil, and an
+// index outside the table as ErrDeviceIndex.
+func TestShardDeviceTable(t *testing.T) {
+	req := devicesRequest()
+	if len(req.Devices) != 2 || req.Devices[0].Thermal.Ambient != 25 || req.Devices[1].Thermal.Ambient != 35 {
+		t.Fatalf("device table = %d entries, want the 25 and 35 °C configs", len(req.Devices))
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, &Frame{V: Version, Type: TypeShard, Shard: req}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*device.Config
+	for i := range f.Shard.Jobs {
+		spec, err := f.Shard.Spec(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, spec.Device)
+	}
+	if got[0] != got[2] || got[0] == got[1] || got[0] != &f.Shard.Devices[0] || got[3] != nil {
+		t.Fatalf("resolved devices %p %p %p %p; want jobs 0 and 2 on entry 0, job 3 on the default", got[0], got[1], got[2], got[3])
+	}
+	for _, k := range []int{2, -1} {
+		f.Shard.Jobs[1].Device = &k
+		spec, err := f.Shard.Spec(1)
+		if !errors.Is(err, ErrDeviceIndex) || spec.Device != nil || spec.Index != 1 {
+			t.Fatalf("index %d: spec %+v, err %v; want ErrDeviceIndex", k, spec, err)
+		}
 	}
 }
 
@@ -221,7 +278,9 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"unknown type", env(Version, `,"type":"gossip"`), ErrBadFrame},
 		{"shard frame without payload", env(Version, `,"type":"shard"`), ErrBadFrame},
 		{"shard frame with unknown batched field", env(Version, `,"type":"shard","shard":{"jobs":[],"batched":true}`), ErrBadFrame},
-		{"v6 shard frame carrying an engine code", env(6, `,"type":"shard","shard":{"jobs":[],"event":3}`), ErrBadFrame},
+		{"v6 shard frame carrying an engine code", env(6, `,"type":"shard","shard":{"jobs":[],"event":3}`), ErrVersion},
+		{"shard job carrying its device config inline", env(Version, `,"type":"shard","shard":{"jobs":[{"index":0,"workload":{"name":"game","seed":1},"seed":7,"device":{"StepSec":0.05}}]}`), ErrBadFrame},
+		{"shard frame whose device table is not an array", env(Version, `,"type":"shard","shard":{"devices":{"StepSec":0.05},"jobs":[{"index":0,"workload":{"name":"game","seed":1},"seed":7,"device":0}]}`), ErrBadFrame},
 		{"shard job carrying a per-cell deadline", env(Version, `,"type":"shard","shard":{"jobs":[{"index":0,"workload":{"name":"game","seed":1},"seed":7,"deadline_sec":5}]}`), ErrBadFrame},
 		{"shard frame with a predictor and same_predictor", env(Version, `,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"},"same_predictor":true}`), ErrBadFrame},
 		{"shard frame with predictor bytes but no predictor_id", env(Version, `,"type":"shard","shard":{"jobs":[],"predictor":{"algorithm":"REPTree"}}`), ErrBadFrame},
@@ -543,7 +602,8 @@ var leafDoc = []byte(`{"algorithm":"REPTree","skin":{"root":{"v":30,"leaf":true}
 // small multiple of the bytes it was given. The committed corpus under
 // testdata/fuzz/FuzzReadFrame adds full, truncated and odd-length sample
 // blocks, each malformed binary case of TestReadFrameMalformed, the
-// predictor ID rules, and frames of earlier versions.
+// predictor ID rules, shard requests over a device table (one with a job
+// naming an index outside it), and frames of earlier versions.
 func FuzzReadFrame(f *testing.F) {
 	var block []byte
 	for i := 0; i < 3; i++ {
@@ -554,7 +614,7 @@ func FuzzReadFrame(f *testing.F) {
 		{V: Version, Type: TypeSample, Sample: &SampleFrame{Job: 300, Samples: binBlock(SampleBatch)}},
 		{V: Version, Type: TypeResult, Result: tracedResult()},
 		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 2}},
-		{V: Version, Type: TypeShard, Shard: &ShardRequest{Jobs: []fleet.JobSpec{{Index: 1, Workload: fleet.WorkloadRef{Name: "skype"}, Seed: 3, DurSec: 10}}}},
+		{V: Version, Type: TypeShard, Shard: &ShardRequest{Jobs: []ShardJob{{JobSpec: fleet.JobSpec{Index: 1, Workload: fleet.WorkloadRef{Name: "skype"}, Seed: 3, DurSec: 10}}}}},
 		{V: Version, Type: TypeResult, Result: &ResultFrame{Index: 2, Err: "boom"}},
 		{V: Version, Type: TypeDone},
 		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 1, Predictors: []string{fleet.PredictorID(leafDoc)}}},

@@ -23,6 +23,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/device"
 	"repro/internal/fleet"
+	"repro/internal/fleet/wire"
 	"repro/internal/scenario"
 	"repro/internal/sink"
 )
@@ -54,6 +55,12 @@ type Aggregator struct {
 	seq     int
 	watch   map[chan struct{}]struct{}
 	now     func() time.Time
+	// unix is the wall clock's unix second, read by readClock: once per
+	// wire.SampleBatch samples in Accept, and at every settle and
+	// Snapshot. clockLeft counts the samples Accept may still stamp with
+	// it.
+	unix      int64
+	clockLeft int
 }
 
 // NewAggregator creates an aggregator for one expanded grid. Job metadata
@@ -95,7 +102,19 @@ func (a *Aggregator) Accept(job sink.JobID, s device.Sample) {
 	}
 	a.hists[a.classOf[i]].add(s.SkinC, a.limits[i])
 	a.samples++
-	a.spark.sample(a.now().Unix(), s.SkinC)
+	if a.clockLeft == 0 {
+		a.readClock()
+	}
+	a.clockLeft--
+	a.spark.sample(a.unix, s.SkinC)
+}
+
+// readClock refreshes the cached unix second and returns it. The caller
+// holds a.mu.
+func (a *Aggregator) readClock() int64 {
+	a.unix = a.now().Unix()
+	a.clockLeft = wire.SampleBatch
+	return a.unix
 }
 
 // Close implements sink.Sink; the aggregator holds no external
@@ -140,8 +159,9 @@ func (a *Aggregator) settle(res fleet.JobResult, acc analytics.ViolationAccum, l
 	if res.Err != nil {
 		a.failed++
 	}
+	now := a.readClock()
 	if live {
-		a.spark.job(a.now().Unix())
+		a.spark.job(now)
 	}
 	a.mu.Unlock()
 	a.notify()
@@ -230,7 +250,7 @@ func (a *Aggregator) Snapshot() Snapshot {
 		Samples:    a.samples,
 		Aggregates: AggregatesFromStats(a.stats),
 		SkinHist:   copyHists(a.hists),
-		Spark:      a.spark.snapshot(a.now().Unix()),
+		Spark:      a.spark.snapshot(a.readClock()),
 		Fleet:      fleetState,
 	}
 }
