@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -380,4 +381,152 @@ func TestTelemetryLiveTail(t *testing.T) {
 	expect(1, s1)
 	cancel()
 	<-done
+}
+
+// headerWriter is a ResponseRecorder that reports when the handler wrote
+// its header, i.e. when a telemetry stream is about to subscribe.
+type headerWriter struct {
+	*httptest.ResponseRecorder
+	wrote chan struct{}
+}
+
+func (h *headerWriter) WriteHeader(code int) {
+	h.ResponseRecorder.WriteHeader(code)
+	close(h.wrote)
+}
+
+// subscribeTelemetry starts a telemetry stream over b and returns its body
+// once the stream ends; it returns after the stream has written its header.
+func subscribeTelemetry(b *fleetnet.Bus) <-chan []byte {
+	w := &headerWriter{ResponseRecorder: httptest.NewRecorder(), wrote: make(chan struct{})}
+	body := make(chan []byte, 1)
+	go func() {
+		fleetnet.StreamTelemetry(w, httptest.NewRequest("GET", "/jobs/j1/telemetry", nil), b)
+		body <- w.Body.Bytes()
+	}()
+	<-w.wrote
+	return body
+}
+
+// spillSample is sample i of job j: distinct in every field.
+func spillSample(j, i int) device.Sample {
+	return device.Sample{TimeSec: float64(i), SkinC: 30 + float64(j)/7 + float64(i)/1e4, ScreenC: 29.5 + float64(i%13)/8,
+		DieC: 45.25 + float64(i%17), BatteryC: 31, FreqMHz: 384 + float64(i%9)*128, Util: float64(i%10) / 10, MaxLevel: 11 - j}
+}
+
+// runSizes streams b up to its first run of job last and returns the size
+// of every run it got.
+func runSizes(t *testing.T, b *fleetnet.Bus, last int) []int {
+	t.Helper()
+	var sizes []int
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err := b.Stream(ctx, func(job int, run []device.Sample) error {
+		sizes = append(sizes, len(run))
+		if job == last {
+			cancel()
+		}
+		return nil
+	})
+	if err != nil && err != context.Canceled {
+		t.Fatalf("stream: %v", err)
+	}
+	return sizes
+}
+
+// TestBusSpillStreamsIdenticalJSONL: a bus pushed past BusSpillBytes moves
+// its finished jobs to the spool, and subscribers attached before the
+// first sample, mid-run and after Close all stream JSONL byte-identical to
+// per-sample sink.AppendJSONL in submission order. Every job is 192,000
+// bytes, so several straddle a BusWriteBuf flush (jobs 1, 2, 4 and 5 on
+// disk, job 6 while the mid-run subscriber reads it); each finished job
+// still comes back complete, as one run. After Close the bus holds nothing
+// in memory and the spool holds every byte.
+func TestBusSpillStreamsIdenticalJSONL(t *testing.T) {
+	const jobs, perJob = 8, 3000
+	if jobs*perJob*sink.SampleSize <= fleetnet.BusSpillBytes || perJob*sink.SampleSize%fleetnet.BusWriteBuf == 0 {
+		t.Fatal("the test grid must outgrow the bus and straddle its write buffer")
+	}
+	dir := t.TempDir()
+	b := fleetnet.NewSpoolBus(jobs, dir)
+	var want []byte
+	for j := 0; j < jobs; j++ {
+		for i := 0; i < perJob; i++ {
+			want = sink.AppendJSONL(want, sink.JobID(j), spillSample(j, i))
+		}
+	}
+
+	early := subscribeTelemetry(b)
+	var mid <-chan []byte
+	for j := 0; j < jobs; j++ {
+		// Even jobs arrive as the wire's packed blocks, odd ones sample by
+		// sample, as from the in-process pool.
+		var block []byte
+		for i := 0; i < perJob; i++ {
+			if j%2 == 1 {
+				b.Accept(sink.JobID(j), spillSample(j, i))
+				continue
+			}
+			if block = sink.PackSample(block, spillSample(j, i)); len(block) == 256*sink.SampleSize || i == perJob-1 {
+				b.AcceptPacked(sink.JobID(j), block)
+				block = nil
+			}
+		}
+		b.Finish(j)
+		if j == 6 {
+			if held := fleetnet.BusHeldBytes(b); held >= fleetnet.BusSpillBytes {
+				t.Fatalf("a spilling bus holds %d bytes mid-run, want < %d", held, fleetnet.BusSpillBytes)
+			}
+			// Job 6's bytes straddle the last flush: part in the spool,
+			// part in the write buffer. Read up to it before anything
+			// else is written.
+			if sizes := runSizes(t, b, 6); fmt.Sprint(sizes) != fmt.Sprint([]int{perJob, perJob, perJob, perJob, perJob, perJob, perJob}) {
+				t.Fatalf("run sizes through job 6 %v, want one run of %d per job", sizes, perJob)
+			}
+			mid = subscribeTelemetry(b)
+		}
+	}
+	b.Close()
+	late := subscribeTelemetry(b)
+	for name, body := range map[string]<-chan []byte{"early": early, "mid-run": mid, "late": late} {
+		if got := <-body; !bytes.Equal(got, want) {
+			t.Errorf("%s subscriber: %d bytes differ from per-sample AppendJSONL (%d bytes)", name, len(got), len(want))
+		}
+	}
+
+	if sizes := runSizes(t, b, jobs-1); fmt.Sprint(sizes) != fmt.Sprint([]int{perJob, perJob, perJob, perJob, perJob, perJob, perJob, perJob}) {
+		t.Fatalf("run sizes after Close %v, want one run of %d per job", sizes, perJob)
+	}
+	if held := fleetnet.BusHeldBytes(b); held != 0 {
+		t.Fatalf("closed spilled bus holds %d bytes in memory, want 0", held)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("spool dir holds %v (%v), want one file", files, err)
+	}
+	if fi, err := files[0].Info(); err != nil || fi.Size() != jobs*perJob*sink.SampleSize {
+		t.Fatalf("spool file %v (%v), want %d bytes", fi, err, jobs*perJob*sink.SampleSize)
+	}
+}
+
+// TestBusUnspilledKeepsBlocks: a bus that never held more than
+// BusSpillBytes creates no spool and keeps its telemetry in memory after
+// Close.
+func TestBusUnspilledKeepsBlocks(t *testing.T) {
+	dir := t.TempDir()
+	b := fleetnet.NewSpoolBus(2, dir)
+	for i := 0; i < 500; i++ {
+		b.Accept(sink.JobID(i%2), spillSample(i%2, i))
+	}
+	b.Finish(0)
+	b.Close()
+	if held := fleetnet.BusHeldBytes(b); held != 500*sink.SampleSize {
+		t.Fatalf("closed bus holds %d bytes, want %d", held, 500*sink.SampleSize)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("an unspilled bus made %d spool files", len(files))
+	}
+	if got := collect(t, b); len(got) != 500 || got[0] != "0:0" || got[499] != "1:499" {
+		t.Fatalf("stream = %d samples, want 500 in job order", len(got))
+	}
 }

@@ -1,6 +1,10 @@
 package net
 
-import "repro/internal/fleet"
+import (
+	"os"
+
+	"repro/internal/fleet"
+)
 
 // StreamTelemetry is the body of GET /jobs/{id}/telemetry, for the bus
 // tests.
@@ -17,3 +21,18 @@ func Tracked(r *Runner) (fleet.Runner, func() fleet.RunStats) {
 // SSEFrameInterval is the event stream's frame clock, for the cadence
 // test.
 const SSEFrameInterval = sseFrameInterval
+
+// NewSpoolBus returns a bus that spills into a new file in dir once it
+// holds more than BusSpillBytes, for the spill tests.
+func NewSpoolBus(total int, dir string) *Bus {
+	return newSpoolBus(total, func() (*os.File, error) { return os.CreateTemp(dir, "bus-*.spool") }, nil)
+}
+
+// BusHeldBytes reports the telemetry bytes b holds in memory.
+func BusHeldBytes(b *Bus) int { return b.heldBytes() }
+
+// The bus's memory bound and spool write buffer, for the spill tests.
+const (
+	BusSpillBytes = busSpillBytes
+	BusWriteBuf   = busWriteBuf
+)

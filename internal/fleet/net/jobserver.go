@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -79,6 +80,12 @@ type JobServer struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	closed bool
+	// spoolDir holds the telemetry spools of submissions whose telemetry
+	// outgrew memory: made under TMPDIR on first use, removed once Close
+	// has run (released) and no telemetry stream is open (streams).
+	spoolDir string
+	streams  int
+	released bool
 }
 
 // NewJobServer creates a job server executing on the given runner (nil:
@@ -94,15 +101,71 @@ func (s *JobServer) logf(format string, args ...any) {
 	}
 }
 
-// Close cancels every running job and waits for them to unwind. The
-// handler keeps answering status queries afterwards; new submissions are
-// rejected.
+// Close cancels every running job, waits for them to unwind and removes
+// the telemetry spool directory as soon as no telemetry stream is open.
+// The handler keeps answering status queries afterwards; new submissions
+// are rejected, and so is a telemetry request for a spooled submission
+// once the spool is gone.
 func (s *JobServer) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
+	s.mu.Lock()
+	s.released = true
+	dir := s.takeSpoolDir()
+	s.mu.Unlock()
+	os.RemoveAll(dir)
+}
+
+// openStream registers a telemetry stream, which keeps the spool directory
+// in place until endStream. It reports false once the directory is gone.
+func (s *JobServer) openStream() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.released && s.spoolDir == "" {
+		return false
+	}
+	s.streams++
+	return true
+}
+
+// endStream ends a stream openStream registered; the last one out after
+// Close removes the spool directory.
+func (s *JobServer) endStream() {
+	s.mu.Lock()
+	s.streams--
+	dir := s.takeSpoolDir()
+	s.mu.Unlock()
+	os.RemoveAll(dir)
+}
+
+// takeSpoolDir, called with s.mu held, hands over the spool directory for
+// removal once Close has run and no stream is open; it returns "" while
+// the directory must stay.
+func (s *JobServer) takeSpoolDir() string {
+	if !s.released || s.streams > 0 {
+		return ""
+	}
+	dir := s.spoolDir
+	s.spoolDir = ""
+	return dir
+}
+
+// spoolFile creates job id's telemetry spool in the server's spool
+// directory, making the directory on first use.
+func (s *JobServer) spoolFile(id string) (*os.File, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.spoolDir == "" {
+		dir, err := os.MkdirTemp("", "ustafleetd-telemetry-")
+		if err != nil {
+			return nil, err
+		}
+		s.spoolDir = dir
+	}
+	return os.CreateTemp(s.spoolDir, id+"-*.spool")
 }
 
 // serverJob is one submitted sweep's lifecycle record.
@@ -326,7 +389,18 @@ func (s *JobServer) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job produced no telemetry: %s", j.snapshot().Error)
 		return
 	}
-	streamTelemetry(w, r, bus)
+	if s.openStream() {
+		defer s.endStream()
+	} else if bus.spilled() {
+		writeError(w, http.StatusServiceUnavailable, "telemetry spool removed: the server has shut down")
+		return
+	}
+	if err := streamTelemetry(w, r, bus); err != nil {
+		// The response is already 200 and partly sent: break the
+		// transfer, so the client cannot take a short body for the whole.
+		s.logf("net: job %s: telemetry stream aborted: %v", j.id, err)
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // telemetryChunk is how many bytes of JSONL the telemetry stream buffers
@@ -338,18 +412,21 @@ const telemetryChunk = 32 << 10
 // whenever the buffer holds telemetryChunk bytes, and flushed once at the
 // end of the run — so a live tail sees every run as it arrives, and a
 // reader replaying a finished job pays a write per chunk rather than a
-// write and a flush per sample.
-func streamTelemetry(w http.ResponseWriter, r *http.Request, bus *Bus) {
+// write and a flush per sample. It returns the bus's error when the
+// stream ended short for a reason other than the client going away (a
+// spool that cannot be read).
+func streamTelemetry(w http.ResponseWriter, r *http.Request, bus *Bus) error {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 	buf := make([]byte, 0, telemetryChunk+512)
-	bus.Stream(r.Context(), func(job int, run []device.Sample) error {
+	var werr error
+	err := bus.Stream(r.Context(), func(job int, run []device.Sample) error {
 		for i := range run {
 			buf = sink.AppendJSONL(buf, sink.JobID(job), run[i])
 			if len(buf) >= telemetryChunk || i == len(run)-1 {
-				if _, err := w.Write(buf); err != nil {
-					return err
+				if _, werr = w.Write(buf); werr != nil {
+					return werr
 				}
 				buf = buf[:0]
 			}
@@ -359,6 +436,10 @@ func streamTelemetry(w http.ResponseWriter, r *http.Request, bus *Bus) {
 		}
 		return nil
 	})
+	if werr != nil || r.Context().Err() != nil {
+		return nil
+	}
+	return err
 }
 
 // finishJob journals the terminal record when the outcome should survive
@@ -444,7 +525,9 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 		return
 	}
 
-	bus := NewBus(len(sw.Grid.Jobs))
+	bus := newSpoolBus(len(sw.Grid.Jobs), func() (*os.File, error) { return s.spoolFile(j.id) }, func(err error) {
+		s.logf("net: job %s: telemetry spool disabled: %v (telemetry stays in memory)", j.id, err)
+	})
 	agg := obs.NewAggregator(sw.Grid)
 	j.mu.Lock()
 	j.bus = bus

@@ -2,19 +2,27 @@ package net_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	stdnet "net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/fleet"
 	fleetnet "repro/internal/fleet/net"
+	"repro/internal/scenario"
+	"repro/internal/sink"
 )
 
 // e2eSpec is a small baseline-only sweep (no predictor training) so the
@@ -372,4 +380,259 @@ func startWorkerForLeakTest(t *testing.T, s *fleetnet.Server) string {
 	}
 	go s.Serve(context.Background(), ln)
 	return ln.Addr().String()
+}
+
+// spoolSpec is a trace-free sweep whose telemetry (13 jobs × 1,500
+// samples, 64 bytes each) outgrows a bus's memory bound.
+const spoolSpec = `{
+  "version": 1,
+  "workloads": ["antutu-cpu", "antutu-cpu-gpu-ram", "antutu-userexp",
+                "antutu-full", "antutu-cpu-90min", "antutu-tester",
+                "gfxbench", "vellamo", "skype", "youtube", "record",
+                "charging", "game"],
+  "schemes": [{"name": "baseline"}],
+  "duration": {"sec": 1500},
+  "seeds": {"policy": "indexed", "base": 7},
+  "trace_free": true
+}`
+
+// referenceTelemetry runs spec on the in-process pool and returns its
+// JSONL telemetry in submission order, as /jobs/{id}/telemetry serves it.
+func referenceTelemetry(t *testing.T, specJSON string) []byte {
+	t.Helper()
+	spec, err := scenario.Parse([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	devCfg := device.DefaultConfig()
+	grid, err := spec.Expand(scenario.Env{Device: &devCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	per := make([][]device.Sample, len(grid.Jobs))
+	cfg := fleet.Config{Workers: 2, Seed: spec.Seeds.Base, Sink: sink.Func(func(id sink.JobID, s device.Sample) {
+		mu.Lock()
+		per[id] = append(per[id], s)
+		mu.Unlock()
+	})}
+	fleet.New(cfg).Run(context.Background(), grid.Jobs)
+	var out []byte
+	n := 0
+	for j, run := range per {
+		for _, s := range run {
+			out = sink.AppendJSONL(out, sink.JobID(j), s)
+		}
+		n += len(run)
+	}
+	if n*sink.SampleSize <= fleetnet.BusSpillBytes {
+		t.Fatalf("reference telemetry of %d samples does not outgrow the bus", n)
+	}
+	return out
+}
+
+// submitTelemetry submits spec to js, waits for it to finish and returns
+// its telemetry body.
+func submitTelemetry(t *testing.T, js *fleetnet.JobServer, spec string) []byte {
+	t.Helper()
+	ts := httptest.NewServer(js.Handler())
+	defer ts.Close()
+	id := submit(t, ts, spec)
+	if final := waitStatus(t, ts, id); final["status"] != "done" {
+		t.Fatalf("job finished %v", final)
+	}
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/telemetry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestJobServerTelemetrySpool: a submission whose telemetry outgrows the
+// bus spills into one spool file under TMPDIR, streams byte-identical to
+// the in-process run, and Close removes the spool directory.
+func TestJobServerTelemetrySpool(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	want := referenceTelemetry(t, spoolSpec)
+	js := fleetnet.NewJobServer(fleetnet.New([]string{startServer(t, &fleetnet.Server{Capacity: 2})}))
+	js.Workers = 2
+	var logs logLines
+	js.Logf = logs.logf
+	defer js.Close()
+	if got := submitTelemetry(t, js, spoolSpec); !bytes.Equal(got, want) {
+		t.Fatalf("telemetry: %d bytes differ from the in-process run's %d", len(got), len(want))
+	}
+	spools, _ := filepath.Glob(filepath.Join(tmp, "*", "*"))
+	if len(spools) != 1 {
+		t.Fatalf("spool files under TMPDIR: %v, want one", spools)
+	}
+	js.Close()
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("Close left %d entries under TMPDIR", len(left))
+	}
+	if n := logs.count("spool"); n != 0 {
+		t.Fatalf("%d spool log lines on a working spool", n)
+	}
+}
+
+// TestJobServerSpoolFailsSafe: with TMPDIR naming a regular file the spool
+// cannot be made. The submission still completes, its telemetry streams
+// every sample from memory, and the server logs the failure once.
+func TestJobServerSpoolFailsSafe(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", notDir)
+	want := referenceTelemetry(t, spoolSpec)
+	js := fleetnet.NewJobServer(fleetnet.New([]string{startServer(t, &fleetnet.Server{Capacity: 2})}))
+	js.Workers = 2
+	var logs logLines
+	js.Logf = logs.logf
+	defer js.Close()
+	if got := submitTelemetry(t, js, spoolSpec); !bytes.Equal(got, want) {
+		t.Fatalf("telemetry: %d bytes differ from the in-process run's %d", len(got), len(want))
+	}
+	if n := logs.count("spool"); n != 1 {
+		t.Fatalf("%d spool log lines, want 1:\n%s", n, strings.Join(logs.all(), "\n"))
+	}
+}
+
+// logLines collects a server's log lines.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+func (l *logLines) all() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.lines...)
+}
+
+// count reports how many lines contain substr.
+func (l *logLines) count(substr string) int {
+	n := 0
+	for _, line := range l.all() {
+		if strings.Contains(line, substr) {
+			n++
+		}
+	}
+	return n
+}
+
+// getTelemetry opens job id's telemetry stream.
+func getTelemetry(t *testing.T, ts *httptest.Server, id string) *http.Response {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/telemetry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestJobServerSpoolOutlivesClose: Close removes the spool directory only
+// once no telemetry stream is open. A stream open across Close, and one
+// started after Close while the first is still open, both stream every
+// byte; after both end the directory is gone, and a later request for the
+// spooled submission is refused with 503 rather than an empty 200.
+func TestJobServerSpoolOutlivesClose(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	want := referenceTelemetry(t, spoolSpec)
+	js := fleetnet.NewJobServer(fleetnet.New([]string{startServer(t, &fleetnet.Server{Capacity: 2})}))
+	js.Workers = 2
+	defer js.Close()
+	ts := httptest.NewServer(js.Handler())
+	defer ts.Close()
+	id := submit(t, ts, spoolSpec)
+	if final := waitStatus(t, ts, id); final["status"] != "done" {
+		t.Fatalf("job finished %v", final)
+	}
+
+	open := getTelemetry(t, ts, id)
+	defer open.Body.Close()
+	head := make([]byte, 1)
+	if _, err := io.ReadFull(open.Body, head); err != nil {
+		t.Fatal(err)
+	}
+	js.Close()
+	late := getTelemetry(t, ts, id)
+	lateBody, err := io.ReadAll(late.Body)
+	late.Body.Close()
+	if err != nil || late.StatusCode != http.StatusOK || !bytes.Equal(lateBody, want) {
+		t.Fatalf("stream started after Close: status %d, %d of %d bytes (%v)", late.StatusCode, len(lateBody), len(want), err)
+	}
+	rest, err := io.ReadAll(open.Body)
+	if got := append(head, rest...); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("stream open across Close: %d of %d bytes (%v)", len(got), len(want), err)
+	}
+
+	// The handler ends its stream before the client reads the body's
+	// end, but allow the server a moment to finish the response.
+	deadline := time.Now().Add(5 * time.Second)
+	for left, _ := os.ReadDir(tmp); len(left) != 0; left, _ = os.ReadDir(tmp) {
+		if time.Now().After(deadline) {
+			t.Fatalf("spool directory still there after every stream ended: %v", left)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	gone := getTelemetry(t, ts, id)
+	gone.Body.Close()
+	if gone.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("telemetry of a spooled job after its spool was removed: status %d, want 503", gone.StatusCode)
+	}
+}
+
+// TestJobServerSpoolLossAbortsStream: a telemetry stream that cannot read
+// the spool breaks the transfer instead of ending a 200 body cleanly, so
+// the client sees the loss, and the server logs it.
+func TestJobServerSpoolLossAbortsStream(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	js := fleetnet.NewJobServer(fleetnet.New([]string{startServer(t, &fleetnet.Server{Capacity: 2})}))
+	js.Workers = 2
+	var logs logLines
+	js.Logf = logs.logf
+	defer js.Close()
+	ts := httptest.NewServer(js.Handler())
+	defer ts.Close()
+	id := submit(t, ts, spoolSpec)
+	if final := waitStatus(t, ts, id); final["status"] != "done" {
+		t.Fatalf("job finished %v", final)
+	}
+	spools, _ := filepath.Glob(filepath.Join(tmp, "*", "*"))
+	if len(spools) != 1 {
+		t.Fatalf("spool files under TMPDIR: %v, want one", spools)
+	}
+	fi, err := os.Stat(spools[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(spools[0], fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/telemetry")
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatal("a stream over a truncated spool ended cleanly")
+	}
+	if n := logs.count("telemetry stream aborted"); n != 1 {
+		t.Fatalf("%d abort log lines, want 1:\n%s", n, strings.Join(logs.all(), "\n"))
+	}
 }

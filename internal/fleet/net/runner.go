@@ -176,11 +176,11 @@ type runState struct {
 	jobs     []fleet.Job
 	report   func(fleet.JobResult)
 	sink     sink.Sink
-	buf      map[int]map[*attempt][]byte // packed samples (wire.PackSample)
+	buf      map[int]map[*attempt][][]byte // sample frames' packed blocks
 }
 
-// sample buffers one sample frame's packed block under the attempt that
-// streamed it.
+// sample keeps one sample frame's packed block, as ReadFrame returned it,
+// under the attempt that streamed it.
 func (st *runState) sample(idx int, at *attempt, block []byte) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -189,14 +189,15 @@ func (st *runState) sample(idx int, at *attempt, block []byte) {
 	}
 	m := st.buf[idx]
 	if m == nil {
-		m = make(map[*attempt][]byte)
+		m = make(map[*attempt][][]byte)
 		st.buf[idx] = m
 	}
-	m[at] = append(m[at], block...)
+	m[at] = append(m[at], block)
 }
 
 // result records a job result, flushing the reporting attempt's buffered
-// telemetry first. Duplicate results — a lost worker's frame racing its
+// telemetry first, block by block, to the sink (as is when it takes
+// packed blocks). Duplicate results — a lost worker's frame racing its
 // replacement, or a hedged sibling finishing second — are dropped, along
 // with the loser's buffered samples.
 func (st *runState) result(rf *wire.ResultFrame, at *attempt) {
@@ -207,7 +208,9 @@ func (st *runState) result(rf *wire.ResultFrame, at *attempt) {
 		return
 	}
 	if st.sink != nil {
-		wire.EachSample(st.buf[idx][at], func(s device.Sample) { st.sink.Accept(sink.JobID(idx), s) })
+		for _, block := range st.buf[idx][at] {
+			sink.AcceptBlock(st.sink, sink.JobID(idx), block)
+		}
 	}
 	delete(st.buf, idx)
 	st.results[idx] = rf.Decode()
@@ -297,7 +300,7 @@ func (r *Runner) run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job, tr
 		jobs:     jobs,
 		report:   report,
 		sink:     cfg.Sink,
-		buf:      make(map[int]map[*attempt][]byte),
+		buf:      make(map[int]map[*attempt][][]byte),
 	}
 	failAll := func(err error) []fleet.JobResult {
 		for i := range jobs {

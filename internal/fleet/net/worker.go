@@ -115,7 +115,7 @@ func (s *stream) err() error {
 
 // batchPool recycles full-size sample buffers across jobs.
 var batchPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, wire.SampleBatch*wire.SampleSize)
+	b := make([]byte, 0, wire.SampleBatch*sink.SampleSize)
 	return &b
 }}
 
@@ -136,8 +136,8 @@ func (b *batcher) Accept(id sink.JobID, s device.Sample) {
 		buf = batchPool.Get().(*[]byte)
 		b.bufs[id] = buf
 	}
-	*buf = wire.PackSample(*buf, s)
-	if len(*buf) == wire.SampleBatch*wire.SampleSize {
+	*buf = sink.PackSample(*buf, s)
+	if len(*buf) == wire.SampleBatch*sink.SampleSize {
 		b.send(int(id), buf)
 	}
 }

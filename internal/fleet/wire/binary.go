@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/sensors"
+	"repro/internal/sink"
 	"repro/internal/trace"
 )
 
@@ -262,8 +263,8 @@ func readBinary(buf []byte) (*Frame, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		if n := len(d.b); n == 0 || n%SampleSize != 0 || n/SampleSize > SampleBatch {
-			return nil, fmt.Errorf("%w: sample block of %d bytes (want 1..%d samples of %d bytes)", ErrBadFrame, n, SampleBatch, SampleSize)
+		if n := len(d.b); n == 0 || n%sink.SampleSize != 0 || n/sink.SampleSize > SampleBatch {
+			return nil, fmt.Errorf("%w: sample block of %d bytes (want 1..%d samples of %d bytes)", ErrBadFrame, n, SampleBatch, sink.SampleSize)
 		}
 		// The block aliases buf, which ReadFrame allocated for this frame
 		// alone.

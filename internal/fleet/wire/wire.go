@@ -10,10 +10,10 @@
 //   - Sample and result frames, worker → coordinator, are binary bodies:
 //     a kind byte (never '{'), the version byte, then the payload. A
 //     sample frame is a varint job index followed by 1..SampleBatch
-//     samples of that job packed by PackSample. A result frame encodes a
-//     ResultFrame field by field: float64s as 8 little-endian bytes
-//     (bit-exact), integers as varints, strings length-prefixed, slices
-//     behind nil-aware counts and pointers behind presence bytes.
+//     samples of that job packed by sink.PackSample. A result frame
+//     encodes a ResultFrame field by field: float64s as 8 little-endian
+//     bytes (bit-exact), integers as varints, strings length-prefixed,
+//     slices behind nil-aware counts and pointers behind presence bytes.
 //   - Hello, shard, done, heartbeat, cancel and error frames are JSON
 //     envelopes, {"v":7,"type":...} plus the type's payload field.
 //
@@ -46,6 +46,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fleet"
+	"repro/internal/sink"
 	"repro/internal/users"
 	"repro/internal/workload"
 )
@@ -77,14 +78,15 @@ const MaxPredictors = 4
 
 // SampleBatch is the most samples one sample frame carries. Workers flush
 // a job's batch when it fills and again right before the job's result
-// frame, so a frame never exceeds SampleBatch × SampleSize bytes of
+// frame, so a frame never exceeds SampleBatch × sink.SampleSize bytes of
 // telemetry however long the job runs.
 const SampleBatch = 256
 
-// SampleSize is the packed size of one device.Sample: its seven float64
-// fields in declaration order, then MaxLevel as an int64, each as 8
-// little-endian bytes.
-const SampleSize = 64
+// SampleSize, PackSample and EachSample alias the sink package's packed
+// sample layout, which sample frames carry as is. Program code uses the
+// sink names; the aliases keep the wire format's tests reading in wire
+// terms.
+const SampleSize = sink.SampleSize
 
 // MaxFrame bounds a single frame's payload (64 MiB). Traced results of
 // long runs (8 bytes per traced value) and a cold shard request's
@@ -257,32 +259,18 @@ func (r *ShardRequest) Spec(i int) (fleet.JobSpec, error) {
 type SampleFrame struct {
 	// Job is the global job index (fleet.JobSpec.Index), >= 0.
 	Job int
-	// Samples holds 1..SampleBatch samples packed by PackSample, bit-exact.
-	// It travels as the tail of the frame body, as is; a frame ReadFrame
-	// returns shares it with nothing else.
+	// Samples holds 1..SampleBatch samples packed by sink.PackSample,
+	// bit-exact. It travels as the tail of the frame body, as is; a frame
+	// ReadFrame returns shares it with nothing else.
 	Samples []byte
 }
 
-// PackSample appends s to a packed sample block.
-func PackSample(block []byte, s device.Sample) []byte {
-	for _, v := range [...]float64{s.TimeSec, s.SkinC, s.ScreenC, s.DieC, s.BatteryC, s.FreqMHz, s.Util} {
-		block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
-	}
-	return binary.LittleEndian.AppendUint64(block, uint64(int64(s.MaxLevel)))
-}
+// PackSample is sink.PackSample.
+func PackSample(block []byte, s device.Sample) []byte { return sink.PackSample(block, s) }
 
-// EachSample calls fn with every sample of a packed block, in order. A
-// trailing partial sample is ignored; ReadFrame rejects frames carrying one.
-func EachSample(block []byte, fn func(device.Sample)) {
-	f := func(b []byte, i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
-	for ; len(block) >= SampleSize; block = block[SampleSize:] {
-		fn(device.Sample{
-			TimeSec: f(block, 0), SkinC: f(block, 1), ScreenC: f(block, 2), DieC: f(block, 3),
-			BatteryC: f(block, 4), FreqMHz: f(block, 5), Util: f(block, 6),
-			MaxLevel: int(int64(binary.LittleEndian.Uint64(block[56:]))),
-		})
-	}
-}
+// EachSample is sink.EachSample. A trailing partial sample is ignored;
+// ReadFrame rejects frames carrying one.
+func EachSample(block []byte, fn func(device.Sample)) { sink.EachSample(block, fn) }
 
 // ResultFrame is a fleet.JobResult in serializable form: the error
 // flattened to its message, everything else carried structurally

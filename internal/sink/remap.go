@@ -8,8 +8,8 @@ import "repro/internal/device"
 // crash-recovery resume dispatching only unfinished cells — feed
 // consumers (telemetry buses, live aggregators, violation sinks) that are
 // sized and indexed for the full grid. Samples outside the table are
-// dropped. Remap adds no synchronization of its own; next sees the same
-// concurrency Accept sees.
+// dropped, and packed blocks pass through as blocks. Remap adds no
+// synchronization of its own; next sees the same concurrency Accept sees.
 type Remap struct {
 	next    Sink
 	toOuter []int
@@ -27,6 +27,16 @@ func (r *Remap) Accept(job JobID, s device.Sample) {
 		return
 	}
 	r.next.Accept(JobID(r.toOuter[i]), s)
+}
+
+// AcceptPacked implements PackedSink: the block goes on under its outer
+// job ID, as is when next takes blocks.
+func (r *Remap) AcceptPacked(job JobID, block []byte) {
+	i := int(job)
+	if i < 0 || i >= len(r.toOuter) {
+		return
+	}
+	AcceptBlock(r.next, JobID(r.toOuter[i]), block)
 }
 
 // Close closes nothing: the wrapped sink's owner closes it.

@@ -269,18 +269,55 @@ func (d *Downsampler) Accept(job JobID, s device.Sample) {
 // Close closes the downstream sink.
 func (d *Downsampler) Close() error { return d.next.Close() }
 
-// Tee fans every sample out to all child sinks, in order.
+// Tee fans every sample out to all child sinks, in order. A Tee is a
+// PackedSink: a packed block goes as is to every child that takes blocks
+// (children of nested Tees included) and is decoded once for the rest.
 type Tee struct {
-	sinks []Sink
+	sinks  []Sink
+	packed []PackedSink // block-taking leaves, nested Tees flattened
+	plain  []Sink       // leaves that take samples
 }
 
 // NewTee creates a fan-out multiplexer over the given sinks.
-func NewTee(sinks ...Sink) *Tee { return &Tee{sinks: sinks} }
+func NewTee(sinks ...Sink) *Tee {
+	t := &Tee{sinks: sinks}
+	t.split(sinks)
+	return t
+}
+
+// split sorts the leaves under sinks into block-taking and sample-taking.
+func (t *Tee) split(sinks []Sink) {
+	for _, s := range sinks {
+		switch c := s.(type) {
+		case *Tee:
+			t.split(c.sinks)
+		case PackedSink:
+			t.packed = append(t.packed, c)
+		default:
+			t.plain = append(t.plain, s)
+		}
+	}
+}
 
 // Accept forwards the sample to every child sink.
 func (t *Tee) Accept(job JobID, s device.Sample) {
 	for _, s2 := range t.sinks {
 		s2.Accept(job, s)
+	}
+}
+
+// AcceptPacked implements PackedSink: the block goes as is to every
+// block-taking leaf, and each of its samples once to every other leaf.
+func (t *Tee) AcceptPacked(job JobID, block []byte) {
+	for _, p := range t.packed {
+		p.AcceptPacked(job, block)
+	}
+	if len(t.plain) > 0 {
+		EachSample(block, func(s device.Sample) {
+			for _, c := range t.plain {
+				c.Accept(job, s)
+			}
+		})
 	}
 }
 
