@@ -48,7 +48,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS); results are identical at any width")
 		hosts      = flag.String("hosts", "", "comma-separated ustaworker -listen daemon addresses to dispatch the scenario to; results are identical either way")
 		fallbk     = flag.Bool("local-fallback", false, "with -hosts: when every worker stays down past the coordinator's recovery deadline, finish the remaining jobs in-process instead of failing them")
-		statsJSON  = flag.String("stats-json", "", "with -hosts: write the sweep's RunStats (redials, hedges, breaker states) to this JSON file")
+		statsJSON  = flag.String("stats-json", "", "with -hosts: write the sweep's RunStats (redials, items, breaker states) to this JSON file")
 		walPath    = flag.String("wal", "", "journal the scenario sweep to this write-ahead log; a killed run can continue with -resume, re-running only unfinished cells")
 		resume     = flag.Bool("resume", false, "continue the interrupted sweep journaled in -wal (aggregates byte-identical to an uninterrupted run)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")

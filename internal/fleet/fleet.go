@@ -71,12 +71,10 @@ type Runner interface {
 }
 
 // RunStats is what a Runner measured while it ran one batch: per-host
-// supervisor state plus fleet-level hedging and fallback counters. The
+// supervisor state plus the fleet-level local-fallback counters. The
 // in-process LocalRunner has no hosts and returns the zero RunStats.
 type RunStats struct {
 	Hosts        []HostStats `json:"hosts"`
-	Hedges       int         `json:"hedges"`
-	HedgeWins    int         `json:"hedge_wins"`
 	FallbackUsed bool        `json:"fallback_used,omitempty"`
 	FallbackJobs int         `json:"fallback_jobs,omitempty"`
 }
@@ -103,12 +101,14 @@ type HostStats struct {
 // String renders the stats as one log-friendly line.
 func (s RunStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "hedges=%d wins=%d", s.Hedges, s.HedgeWins)
 	if s.FallbackUsed {
-		fmt.Fprintf(&b, " fallback=%d", s.FallbackJobs)
+		fmt.Fprintf(&b, "fallback=%d", s.FallbackJobs)
 	}
 	for _, h := range s.Hosts {
-		fmt.Fprintf(&b, " | %s: breaker=%s connected=%v dials=%d redials=%d slots=%d/%d items=%d predictor_ships=%d",
+		if b.Len() > 0 {
+			b.WriteString(" | ")
+		}
+		fmt.Fprintf(&b, "%s: breaker=%s connected=%v dials=%d redials=%d slots=%d/%d items=%d predictor_ships=%d",
 			h.Addr, h.Breaker, h.Connected, h.ConnectAttempts, h.Redials, h.SlotsConnected, h.Capacity, h.ItemsCompleted, h.PredictorShips)
 		if h.SlotShortfall > 0 {
 			fmt.Fprintf(&b, " shortfall=%d", h.SlotShortfall)

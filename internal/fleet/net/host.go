@@ -299,10 +299,9 @@ func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, *wire.Hell
 
 // runSlot is one in-flight-shard lane on one connection: claim an
 // attempt, ship it, merge the stream, repeat. A transport failure takes the
-// generation down, requeues the attempt's unreported jobs (unless a
-// hedged sibling still owns them) and hands the connection back;
-// worker-side error frames are deterministic failures and are not
-// retried.
+// generation down, requeues the attempt's unreported jobs and hands the
+// connection back; worker-side error frames are deterministic failures
+// and are not retried.
 //
 // Every request names the run's predictor by ID; its document crosses
 // the connection at most once, and not at all when the worker's hello
@@ -321,14 +320,8 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 		if at == nil {
 			return
 		}
-		specs := st.pendingSpecs(at.specs)
-		if len(specs) == 0 {
-			d.settle(at, 0, true)
-			continue
-		}
-		start := time.Now()
 		ship := !predHeld
-		err := r.streamItem(conn, at, specs, st, req, ship, hbTimeout)
+		err := r.streamItem(conn, at.item.specs, st, req, ship, hbTimeout)
 		if ship {
 			// Whatever the outcome, the document went out: a worker error
 			// means the worker read it, and a transport loss ends this
@@ -337,7 +330,7 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 			d.tk.update(g.addr, func(h *fleet.HostStats) { h.PredictorShips++ })
 		}
 		if err == nil {
-			d.settle(at, time.Since(start), true)
+			d.settle(at, true)
 			onSuccess()
 			continue
 		}
@@ -346,8 +339,8 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 			// The worker rejected the request deterministically (bad
 			// predictor, bad frame): retrying elsewhere reproduces the same
 			// failure. The connection stays usable.
-			st.failSpecs(specs, err)
-			d.settle(at, 0, false)
+			st.failSpecs(at.item.specs, err)
+			d.settle(at, false)
 			continue
 		}
 		// Transport loss. Attribute the right cause, take the generation
@@ -359,14 +352,13 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 			// the deadline poke already unblocked our read.
 			conn.SetWriteDeadline(time.Now().Add(writeTO))
 			wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeCancel})
-			d.abandon(at)
 			return
 		}
 		err = fmt.Errorf("net: host %s: %w", g.addr, err)
 		if g.fail(err) {
 			r.logf("%v: connection lost; host backing off for redial", err)
 		}
-		retry := st.unreported(at)
+		retry := st.unreported(at.item.specs)
 		requeue, exhausted, attempts := d.lose(at, retry, maxRetries, err)
 		switch {
 		case exhausted:
@@ -389,7 +381,7 @@ func (e workerError) Error() string { return e.msg }
 // any other traffic) refresh the read deadline; hbTimeout of silence is a
 // transport failure. The request names the run's predictor by ID, and
 // ship adds its document.
-func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec, st *runState, req baseRequest, ship bool, hbTimeout time.Duration) error {
+func (r *Runner) streamItem(conn stdnet.Conn, specs []fleet.JobSpec, st *runState, req baseRequest, ship bool, hbTimeout time.Duration) error {
 	sreq := &wire.ShardRequest{
 		Workers:     req.workers,
 		WantSamples: req.wantSamples,
@@ -420,9 +412,9 @@ func (r *Runner) streamItem(conn stdnet.Conn, at *attempt, specs []fleet.JobSpec
 		case wire.TypeHeartbeat:
 			// Liveness pulse only; the deadline reset above is the point.
 		case wire.TypeSample:
-			st.sample(f.Sample.Job, at, f.Sample.Samples)
+			st.sample(f.Sample.Job, f.Sample.Samples)
 		case wire.TypeResult:
-			st.result(f.Result, at)
+			st.result(f.Result)
 		case wire.TypeDone:
 			conn.SetReadDeadline(time.Time{})
 			return nil

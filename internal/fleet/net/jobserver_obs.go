@@ -155,7 +155,7 @@ func (s *JobServer) statsViews(jobs []*serverJob) []jobStatsView {
 }
 
 // mergedStats folds per-job run stats into one fleet-wide host
-// table. Counters (dials, redials, items, shortfall, hedges, fallback)
+// table. Counters (dials, redials, items, shortfall, fallback)
 // are cumulative sums over every job. Gauges (connected, breaker state,
 // slot occupancy) describe "now", so they come from running jobs only —
 // slots sum across concurrent runs, the breaker reports the worst state
@@ -173,8 +173,6 @@ func (s *JobServer) mergedStats(jobs []*serverJob) fleet.RunStats {
 	idx := map[string]int{}
 	for _, v := range views {
 		st := v.stats
-		out.Hedges += st.Hedges
-		out.HedgeWins += st.HedgeWins
 		out.FallbackUsed = out.FallbackUsed || st.FallbackUsed
 		out.FallbackJobs += st.FallbackJobs
 		live := v.running || !anyRunning
@@ -342,10 +340,6 @@ func (s *JobServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, h := range st.Hosts {
 		mw.Sample("usta_host_items_completed_total", hl(h.Addr), float64(h.ItemsCompleted))
 	}
-	mw.Family("usta_hedges_total", "Hedged (duplicate) work-item dispatches.", "counter")
-	mw.Sample("usta_hedges_total", nil, float64(st.Hedges))
-	mw.Family("usta_hedge_wins_total", "Hedged dispatches that settled first.", "counter")
-	mw.Sample("usta_hedge_wins_total", nil, float64(st.HedgeWins))
 	mw.Family("usta_fallback_jobs_total", "Jobs absorbed by the local fallback pool.", "counter")
 	mw.Sample("usta_fallback_jobs_total", nil, float64(st.FallbackJobs))
 

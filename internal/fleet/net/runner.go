@@ -41,9 +41,6 @@ const (
 	// network: remaining jobs fail, or — with FallbackLocal — run on the
 	// in-process LocalRunner.
 	DefaultAllDeadDeadline = 30 * time.Second
-	// defaultHedgeFloor is the minimum in-flight age before an adaptive
-	// hedge fires, so sub-second shards never double-dispatch.
-	defaultHedgeFloor = 500 * time.Millisecond
 )
 
 // errNoSpec marks jobs that cannot cross a process boundary.
@@ -55,21 +52,20 @@ var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only s
 // coordinator-side through fleet.EffectiveSeed before dispatch, so a
 // distributed run is byte-identical to LocalRunner — including after a
 // worker dies mid-shard and its unreported jobs are retried on a
-// surviving host (telemetry for a retried job is buffered per attempt and
-// flushed only when its result arrives, so a half-streamed attempt leaves
-// no trace).
+// surviving host (telemetry for a job is buffered until its result
+// arrives and dropped when its attempt is lost, so a half-streamed attempt
+// leaves no trace).
 //
 // The runner is self-healing: each host runs under a supervisor that
 // redials after transport loss with exponential backoff and seeded
 // jitter, trips a circuit breaker (closed → open → half-open probe) after
 // consecutive failures, and re-admits the host mid-run once it recovers.
-// Idle capacity hedges long-running shards onto a second host with
-// first-reporter-wins dedup. When no host stays connected past
-// AllDeadDeadline the remaining jobs fail — or, with FallbackLocal, run
-// on the in-process LocalRunner with the same pinned seeds. Run returns
-// each run's per-host state as fleet.RunStats. A Runner holds
-// configuration only, so concurrent runs may share one. The zero value is
-// not useful; set Hosts.
+// Hosts pull work items from one queue, so a slow host takes fewer of
+// them. When no host stays connected past AllDeadDeadline the remaining
+// jobs fail — or, with FallbackLocal, run on the in-process LocalRunner
+// with the same pinned seeds. Run returns each run's per-host state as
+// fleet.RunStats. A Runner holds configuration only, so concurrent runs
+// may share one. The zero value is not useful; set Hosts.
 type Runner struct {
 	// Hosts is the static worker inventory, "host:port" per entry.
 	Hosts []string
@@ -78,7 +74,8 @@ type Runner struct {
 	// the run behind it).
 	ShardSize int
 	// MaxRetries is how many times a work item is re-dispatched after
-	// worker loss before its unreported jobs fail (<= 0: 3).
+	// worker loss before its unreported jobs fail (<= 0: 3), so the
+	// item's (MaxRetries+1)th loss fails them.
 	MaxRetries int
 	// HeartbeatTimeout is the silent-connection budget before a connection
 	// is declared lost (<= 0: DefaultHeartbeatTimeout). Write deadlines on
@@ -104,13 +101,8 @@ type Runner struct {
 	// Seeds were resolved before dispatch, so fallback output is
 	// byte-identical to what the workers would have produced.
 	FallbackLocal bool
-	// HedgeAfter tunes speculative re-dispatch of stuck shards: 0 hedges
-	// adaptively once an item has been in flight 3× the observed p95 item
-	// duration (500 ms floor, needs 4 completed items); a positive value
-	// is an explicit threshold; negative disables hedging.
-	HedgeAfter time.Duration
 	// Logf, when set, receives one line per host-level event (connect,
-	// loss, backoff, breaker transition, retry, hedge). Nil is silent.
+	// loss, backoff, breaker transition, retry). Nil is silent.
 	Logf func(format string, args ...any)
 }
 
@@ -166,9 +158,10 @@ func (r *Runner) allDeadDeadline() time.Duration {
 }
 
 // runState is the merge side of a run: results, received tracking, and
-// the per-(job, attempt) telemetry buffers that make retries and hedges
-// invisible to the sink — each job's samples reach it exactly once, from
-// whichever attempt reported first.
+// the per-job telemetry buffers that make retries invisible to the sink.
+// At most one attempt of a job is live, so a job's buffer holds that
+// attempt's samples; a lost attempt's are dropped before the requeue, and
+// each job's samples reach the sink exactly once.
 type runState struct {
 	mu       sync.Mutex
 	results  []fleet.JobResult
@@ -176,31 +169,24 @@ type runState struct {
 	jobs     []fleet.Job
 	report   func(fleet.JobResult)
 	sink     sink.Sink
-	buf      map[int]map[*attempt][][]byte // sample frames' packed blocks
+	buf      map[int][][]byte // sample frames' packed blocks, by job
 }
 
 // sample keeps one sample frame's packed block, as ReadFrame returned it,
-// under the attempt that streamed it.
-func (st *runState) sample(idx int, at *attempt, block []byte) {
+// until the job's result arrives.
+func (st *runState) sample(idx int, block []byte) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if idx < 0 || idx >= len(st.received) || st.received[idx] {
-		return // late frame from a lost or losing attempt
+		return // out of range, or the job already reported
 	}
-	m := st.buf[idx]
-	if m == nil {
-		m = make(map[*attempt][][]byte)
-		st.buf[idx] = m
-	}
-	m[at] = append(m[at], block)
+	st.buf[idx] = append(st.buf[idx], block)
 }
 
-// result records a job result, flushing the reporting attempt's buffered
-// telemetry first, block by block, to the sink (as is when it takes
-// packed blocks). Duplicate results — a lost worker's frame racing its
-// replacement, or a hedged sibling finishing second — are dropped, along
-// with the loser's buffered samples.
-func (st *runState) result(rf *wire.ResultFrame, at *attempt) {
+// result records a job result, flushing the job's buffered telemetry
+// first, block by block, to the sink (as is when it takes packed blocks).
+// A result for a job already reported is dropped.
+func (st *runState) result(rf *wire.ResultFrame) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	idx := rf.Index
@@ -208,7 +194,7 @@ func (st *runState) result(rf *wire.ResultFrame, at *attempt) {
 		return
 	}
 	if st.sink != nil {
-		for _, block := range st.buf[idx][at] {
+		for _, block := range st.buf[idx] {
 			sink.AcceptBlock(st.sink, sink.JobID(idx), block)
 		}
 	}
@@ -234,36 +220,19 @@ func (st *runState) failSpecs(specs []fleet.JobSpec, err error) {
 	}
 }
 
-// pendingSpecs filters specs down to the jobs still unreceived — what a
-// fresh or hedged attempt actually needs to dispatch.
-func (st *runState) pendingSpecs(specs []fleet.JobSpec) []fleet.JobSpec {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]fleet.JobSpec, 0, len(specs))
-	for i := range specs {
-		if !st.received[specs[i].Index] {
-			out = append(out, specs[i])
-		}
-	}
-	return out
-}
-
-// unreported builds the retry spec set for a lost attempt: the jobs it
-// never reported, with its half-streamed telemetry dropped. A live hedged
-// sibling's buffers are untouched.
-func (st *runState) unreported(at *attempt) []fleet.JobSpec {
+// unreported builds the retry spec set for a lost attempt of specs: the
+// jobs it never reported, with their half-streamed telemetry dropped.
+func (st *runState) unreported(specs []fleet.JobSpec) []fleet.JobSpec {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var retry []fleet.JobSpec
-	for i := range at.specs {
-		idx := at.specs[i].Index
+	for i := range specs {
+		idx := specs[i].Index
 		if st.received[idx] {
 			continue
 		}
-		if m := st.buf[idx]; m != nil {
-			delete(m, at)
-		}
-		retry = append(retry, at.specs[i])
+		delete(st.buf, idx)
+		retry = append(retry, specs[i])
 	}
 	return retry
 }
@@ -300,7 +269,7 @@ func (r *Runner) run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job, tr
 		jobs:     jobs,
 		report:   report,
 		sink:     cfg.Sink,
-		buf:      make(map[int]map[*attempt][][]byte),
+		buf:      make(map[int][][]byte),
 	}
 	failAll := func(err error) []fleet.JobResult {
 		for i := range jobs {
@@ -376,18 +345,6 @@ func (r *Runner) run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job, tr
 		connMu.Unlock()
 	})
 	defer stop()
-	// When the run ends while a stream is still in flight — a hedge's
-	// losing sibling, or a worker replaying jobs another host already
-	// reported — poke its read deadline so the slot unblocks now instead
-	// of waiting out the stream.
-	go func() {
-		<-d.over
-		connMu.Lock()
-		for c := range conns {
-			c.SetReadDeadline(time.Now())
-		}
-		connMu.Unlock()
-	}()
 
 	// Each worker's pool width; <= 0: the worker's own.
 	req := baseRequest{pred: cfg.Predictor, workers: cfg.Workers, wantSamples: cfg.Sink != nil}

@@ -20,8 +20,6 @@ type statsTracker struct {
 	mu           sync.Mutex
 	order        []string
 	hosts        map[string]*fleet.HostStats
-	hedges       int
-	hedgeWins    int
 	fallbackUsed bool
 	fallbackJobs int
 }
@@ -39,18 +37,6 @@ func (t *statsTracker) update(addr string, fn func(*fleet.HostStats)) {
 	if h, ok := t.hosts[addr]; ok {
 		fn(h)
 	}
-	t.mu.Unlock()
-}
-
-func (t *statsTracker) hedge() {
-	t.mu.Lock()
-	t.hedges++
-	t.mu.Unlock()
-}
-
-func (t *statsTracker) hedgeWin() {
-	t.mu.Lock()
-	t.hedgeWins++
 	t.mu.Unlock()
 }
 
@@ -74,8 +60,6 @@ func (t *statsTracker) snapshot() fleet.RunStats {
 	defer t.mu.Unlock()
 	s := fleet.RunStats{
 		Hosts:        make([]fleet.HostStats, 0, len(t.order)),
-		Hedges:       t.hedges,
-		HedgeWins:    t.hedgeWins,
 		FallbackUsed: t.fallbackUsed,
 		FallbackJobs: t.fallbackJobs,
 	}

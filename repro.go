@@ -116,7 +116,7 @@ type (
 	// the multi-process coordinator over worker daemons (NewNetRunner).
 	Runner = fleet.Runner
 	// RunStats is what a Runner measured over one batch: per-host
-	// recovery state, hedges and fallback use.
+	// recovery state and fallback use.
 	RunStats = fleet.RunStats
 
 	// Workload is a deterministic demand trace.
@@ -250,16 +250,15 @@ func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 // byte-identical to the in-process runner — including after a mid-shard
 // worker death and retry. Hosts are self-healing: a dead host is redialed
 // with exponential backoff and seeded jitter behind a circuit breaker
-// (half-open probe after cooldown) and re-admitted mid-run; straggler
-// shards are hedged onto idle hosts with first-reporter-wins dedup
-// (telemetry stays exactly-once); and with FallbackLocal set, a run whose
-// hosts all stay down past AllDeadDeadline finishes on the in-process
-// pool instead of failing — still byte-identical, seeds were already
-// pinned. Jobs must carry a JobSpec (scenario-expanded jobs do); specs
-// that use the usta controller need the encoded predictor in
-// FleetConfig.Predictor, which RunScenario fills in. See the Runner's
-// fields (exported from internal/fleet/net) for retry, backoff, breaker,
-// hedging and heartbeat tuning. Run returns each run's recovery snapshot
+// (half-open probe after cooldown) and re-admitted mid-run; hosts pull
+// work from one queue, so a slow host takes fewer shards; and with
+// FallbackLocal set, a run whose hosts all stay down past AllDeadDeadline
+// finishes on the in-process pool instead of failing — still
+// byte-identical, seeds were already pinned. Jobs must carry a JobSpec
+// (scenario-expanded jobs do); specs that use the usta controller need
+// the encoded predictor in FleetConfig.Predictor, which RunScenario fills
+// in. See the Runner's fields (exported from internal/fleet/net) for
+// retry, backoff, breaker and heartbeat tuning. Run returns each run's recovery snapshot
 // (RunStats) with its results; RunScenario reports it in
 // SweepResult.RunStats.
 func NewNetRunner(hosts []string) *fleetnet.Runner { return fleetnet.New(hosts) }
@@ -279,8 +278,9 @@ type SweepResult struct {
 	Grid    *ScenarioGrid
 	Results []JobResult
 	Stats   []JobStat
-	// RunStats is this sweep's own recovery snapshot from a net runner: per-host breaker state, redials, items and predictor ships,
-	// plus hedges and fallback use. It is zero on the in-process pool.
+	// RunStats is this sweep's own recovery snapshot from a net runner:
+	// per-host breaker state, redials, items and predictor ships, plus
+	// fallback use. It is zero on the in-process pool.
 	RunStats RunStats
 }
 
