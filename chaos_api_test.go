@@ -60,7 +60,6 @@ func TestChaosScenarioCSVIdentity(t *testing.T) {
 	nr.HeartbeatTimeout = 2 * time.Second
 	nr.BackoffBase = 10 * time.Millisecond
 	nr.BackoffMax = 100 * time.Millisecond
-	nr.BreakerCooldown = 50 * time.Millisecond
 
 	gotComfort, gotHeat := csvs("chaos net", repro.ScenarioRunner(nr))
 	if !bytes.Equal(gotComfort, refComfort) {

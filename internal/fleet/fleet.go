@@ -79,12 +79,10 @@ type RunStats struct {
 	FallbackJobs int         `json:"fallback_jobs,omitempty"`
 }
 
-// HostStats is one worker host's supervisor state during a run. Breaker
-// is "closed", "open" or "half-open".
+// HostStats is one worker host's supervisor state during a run.
 type HostStats struct {
 	Addr             string `json:"addr"`
 	Connected        bool   `json:"connected"`
-	Breaker          string `json:"breaker"`
 	ConnectAttempts  int    `json:"connect_attempts"`
 	Redials          int    `json:"redials"`
 	ConsecutiveFails int    `json:"consecutive_fails"`
@@ -108,8 +106,8 @@ func (s RunStats) String() string {
 		if b.Len() > 0 {
 			b.WriteString(" | ")
 		}
-		fmt.Fprintf(&b, "%s: breaker=%s connected=%v dials=%d redials=%d slots=%d/%d items=%d predictor_ships=%d",
-			h.Addr, h.Breaker, h.Connected, h.ConnectAttempts, h.Redials, h.SlotsConnected, h.Capacity, h.ItemsCompleted, h.PredictorShips)
+		fmt.Fprintf(&b, "%s: connected=%v dials=%d redials=%d slots=%d/%d items=%d predictor_ships=%d",
+			h.Addr, h.Connected, h.ConnectAttempts, h.Redials, h.SlotsConnected, h.Capacity, h.ItemsCompleted, h.PredictorShips)
 		if h.SlotShortfall > 0 {
 			fmt.Fprintf(&b, " shortfall=%d", h.SlotShortfall)
 		}

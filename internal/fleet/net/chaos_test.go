@@ -74,14 +74,26 @@ func assertIdentical(t *testing.T, label string, ref, got []fleet.JobResult, ref
 	}
 }
 
-// fastRecovery returns a runner tuned for test-speed backoff/breaker
-// cycles.
+// fastRecovery returns a runner tuned for test-speed redial backoff.
 func fastRecovery(hosts []string) *fleetnet.Runner {
 	nr := fleetnet.New(hosts)
 	nr.BackoffBase = 10 * time.Millisecond
 	nr.BackoffMax = 100 * time.Millisecond
-	nr.BreakerCooldown = 50 * time.Millisecond
 	return nr
+}
+
+// dialBound is the most dials one host's supervisor can make within
+// elapsed: it sleeps at least the un-jittered backoff between dials,
+// starting at base and doubling up to maxB.
+func dialBound(elapsed, base, maxB time.Duration) int {
+	n := 1
+	for b := base; elapsed >= b; n++ {
+		elapsed -= b
+		if b *= 2; b > maxB {
+			b = maxB
+		}
+	}
+	return n
 }
 
 // TestChaosByteIdentity is the headline acceptance test: for every
@@ -321,10 +333,47 @@ func TestChaosSlowHost(t *testing.T) {
 	}
 }
 
+// TestChaosPlacementAvoidsFailedHost pins failure-aware placement: an
+// item a host lost goes to another connected host, not back to the one
+// that lost it. The dropping host connects late and cuts every stream one
+// frame after its hello; the other host is healthy but slow, so the
+// dropping host keeps redialing while most of the queue is still
+// pending. With one retry per item, an item handed back to the dropping
+// host a second time exhausts its budget.
+func TestChaosPlacementAvoidsFailedHost(t *testing.T) {
+	const n = 6
+	cfg := fleet.Config{Workers: 1, Seed: 31}
+	ref, refTally := localRef(t, cfg, n)
+
+	dropBackend := startServer(t, &fleetnet.Server{Capacity: 1})
+	drop := chaosProxy(t, dropBackend, &chaos.Schedule{Override: func(int) (chaos.Plan, bool) {
+		return chaos.Plan{Kind: chaos.FaultDrop, DropAfterFrames: 2}, true
+	}})
+	dropHost := startSlowProxy(t, drop.Addr(), 100*time.Millisecond)
+	slowBackend := startServer(t, &fleetnet.Server{Capacity: 1})
+	slow := chaosProxy(t, slowBackend, &chaos.Schedule{Override: func(int) (chaos.Plan, bool) {
+		return chaos.Plan{Kind: chaos.FaultDelay, DelayEvery: 1, Delay: 100 * time.Millisecond}, true
+	}})
+
+	nr := fastRecovery([]string{dropHost, slow.Addr()})
+	nr.ShardSize = 2
+	nr.MaxRetries = 1
+	nr.Logf = t.Logf
+	tl := newTally()
+	c := cfg
+	c.Sink = tl.sink()
+	got, st := nr.Run(context.Background(), c, specJobs(n, true))
+	assertIdentical(t, "placement", ref, got, refTally, tl)
+	assertStatsConsistent(t, st, n/2)
+	if ds := drop.Stats(); ds.Drops < 1 {
+		t.Fatalf("the dropping host cut no stream: %+v", ds)
+	}
+}
+
 // assertStatsConsistent checks the invariants every fleet.RunStats snapshot
 // must satisfy after a run in which every job succeeded, whatever the
 // fault schedule: each item credited to exactly one host, redials bounded
-// by dial attempts, and only legal breaker states.
+// by dial attempts, and slots bounded by capacity.
 func assertStatsConsistent(t *testing.T, st fleet.RunStats, wantItems int) {
 	t.Helper()
 	if !st.FallbackUsed && st.FallbackJobs != 0 {
@@ -332,11 +381,6 @@ func assertStatsConsistent(t *testing.T, st fleet.RunStats, wantItems int) {
 	}
 	items := 0
 	for _, h := range st.Hosts {
-		switch h.Breaker {
-		case fleetnet.BreakerClosed, fleetnet.BreakerHalfOpen, fleetnet.BreakerOpen:
-		default:
-			t.Fatalf("host %s: illegal breaker state %q", h.Addr, h.Breaker)
-		}
 		if h.Redials > 0 && h.ConnectAttempts < h.Redials+1 {
 			// Every redial is a successful reconnect, so it implies its own
 			// dial attempt plus the generation-zero connect before it.
@@ -357,9 +401,9 @@ func assertStatsConsistent(t *testing.T, st fleet.RunStats, wantItems int) {
 
 // TestChaosRunnerStatsConsistency: the recovery counters the
 // observability surface republishes are themselves trustworthy.
-// Deterministic fault schedules drive redials, breaker trips and a stream
-// cut between its last result and its done frame, and every final
-// snapshot satisfies the cross-counter invariants.
+// Deterministic fault schedules drive redials, a run of refused dials and
+// a stream cut between its last result and its done frame, and every
+// final snapshot satisfies the cross-counter invariants.
 func TestChaosRunnerStatsConsistency(t *testing.T) {
 	t.Run("redials", func(t *testing.T) {
 		const n = 6
@@ -388,13 +432,12 @@ func TestChaosRunnerStatsConsistency(t *testing.T) {
 		}
 	})
 
-	t.Run("breaker", func(t *testing.T) {
+	t.Run("refused-dials", func(t *testing.T) {
 		const n = 4
 		backend := startServer(t, &fleetnet.Server{Capacity: 1})
 		sched := &chaos.Schedule{Override: func(conn int) (chaos.Plan, bool) {
 			if conn < 6 {
-				// Enough consecutive dial refusals to trip the breaker
-				// (threshold 3) through at least one open → half-open cycle.
+				// A host that stays dark for six dials in a row.
 				return chaos.Plan{Kind: chaos.FaultRefuse, RefuseDial: true}, true
 			}
 			return chaos.Plan{Kind: chaos.FaultNone}, true
@@ -404,45 +447,29 @@ func TestChaosRunnerStatsConsistency(t *testing.T) {
 		nr.ShardSize = 2
 		nr.MaxRetries = 10
 		nr.Logf = t.Logf
-		live, liveStats := fleetnet.Tracked(nr)
-
-		// Poll live stats while the run rides out the refusals: the open
-		// breaker must be observable mid-run, not just inferable after.
-		done := make(chan []fleet.JobResult, 1)
-		go func() {
-			got, _ := live.Run(context.Background(), fleet.Config{Workers: 1, Seed: 17}, specJobs(n, true))
-			done <- got
-		}()
-		sawOpen := false
-		var results []fleet.JobResult
-	poll:
-		for {
-			select {
-			case results = <-done:
-				break poll
-			case <-time.After(time.Millisecond):
-				if st := liveStats(); len(st.Hosts) == 1 && st.Hosts[0].Breaker != fleetnet.BreakerClosed {
-					sawOpen = true
-				}
-			}
-		}
-		if err := fleet.FirstError(results); err != nil {
+		start := time.Now()
+		got, st := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 17}, specJobs(n, true))
+		elapsed := time.Since(start)
+		if err := fleet.FirstError(got); err != nil {
 			t.Fatal(err)
 		}
-		if !sawOpen {
-			t.Fatal("breaker never left closed despite 6 consecutive dial refusals")
-		}
-		st := liveStats()
 		assertStatsConsistent(t, st, n/2)
 		h := st.Hosts[0]
-		if h.Breaker != fleetnet.BreakerClosed {
-			t.Fatalf("breaker should close again after recovery, got %s", h.Breaker)
-		}
 		if h.ConnectAttempts < 7 {
 			t.Fatalf("expected >= 7 dials (6 refused + success), got %d", h.ConnectAttempts)
 		}
+		// Capped backoff spaces the dials: however long the host stays
+		// dark, it is dialed at most once per BackoffMax once the backoff
+		// has grown to its cap.
+		if bound := dialBound(elapsed, nr.BackoffBase, nr.BackoffMax); h.ConnectAttempts > bound {
+			t.Fatalf("%d dials in %v; backoff from %v capped at %v allows at most %d",
+				h.ConnectAttempts, elapsed, nr.BackoffBase, nr.BackoffMax, bound)
+		}
 		if h.LastErr == "" {
 			t.Fatal("six refused dials left no last error")
+		}
+		if ps := p.Stats(); ps.Refused != 6 {
+			t.Fatalf("proxy refused %d dials, want 6: %+v", ps.Refused, ps)
 		}
 	})
 
@@ -471,20 +498,29 @@ func TestChaosRunnerStatsConsistency(t *testing.T) {
 	})
 }
 
-// TestChaosNoGoroutineLeaks: a chaotic run — drops, redials, breaker
-// cycles — unwinds to the baseline goroutine count once daemons shut
-// down. Mirrors TestNoGoroutineLeaks for the recovery machinery.
+// TestChaosNoGoroutineLeaks: a chaotic run — a refused dial, two
+// mid-stream drops and the redials they force — unwinds to the baseline
+// goroutine count once daemons shut down. Mirrors TestNoGoroutineLeaks
+// for the recovery machinery.
 func TestChaosNoGoroutineLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	s1 := &fleetnet.Server{Capacity: 2}
+	s1 := &fleetnet.Server{Capacity: 1}
 	ln1, err := stdnet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	done1 := make(chan struct{})
 	go func() { s1.Serve(context.Background(), ln1); close(done1) }()
-	sched := chaos.NewSchedule(77, 4)
+	sched := &chaos.Schedule{Override: func(conn int) (chaos.Plan, bool) {
+		switch conn {
+		case 0:
+			return chaos.Plan{Kind: chaos.FaultRefuse, RefuseDial: true}, true
+		case 1, 2:
+			return chaos.Plan{Kind: chaos.FaultDrop, DropAfterFrames: 3}, true
+		}
+		return chaos.Plan{Kind: chaos.FaultNone}, true
+	}}
 	p, err := chaos.Start(ln1.Addr().String(), sched, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -493,9 +529,15 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 	nr := fastRecovery([]string{p.Addr()})
 	nr.ShardSize = 2
 	nr.MaxRetries = 50
-	got, _ := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 13}, specJobs(4, true))
+	got, st := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 13}, specJobs(4, true))
 	if err := fleet.FirstError(got); err != nil {
 		t.Fatal(err)
+	}
+	if ps := p.Stats(); ps.Refused < 1 || ps.Drops < 2 {
+		t.Fatalf("schedule should refuse a dial and drop two streams, proxy stats: %+v", ps)
+	}
+	if st.Hosts[0].Redials < 1 {
+		t.Fatalf("drops forced no redial: %s", st)
 	}
 	p.Close()
 	s1.Shutdown()

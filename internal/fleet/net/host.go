@@ -9,6 +9,7 @@ import (
 	stdnet "net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fleet"
@@ -50,17 +51,14 @@ type hostGen struct {
 	d    *dispatcher
 	mu   sync.Mutex
 	down bool
-	err  error
 }
 
-// fail records the generation's first failure and wakes blocked slots.
-func (g *hostGen) fail(err error) bool {
+// fail takes the generation down and wakes blocked slots; it reports
+// whether this call was the generation's first failure.
+func (g *hostGen) fail() bool {
 	g.mu.Lock()
 	first := !g.down
-	if first {
-		g.down = true
-		g.err = err
-	}
+	g.down = true
 	g.mu.Unlock()
 	if first {
 		g.d.cond.Broadcast()
@@ -75,42 +73,19 @@ func (g *hostGen) isDown() bool {
 }
 
 // superviseHost owns one worker address for the whole run: dial, run a
-// generation of slots, and on failure back off exponentially (seeded
-// jitter) and redial — opening the circuit breaker after consecutive
-// failures and probing half-open after a cooldown. The host rejoins the
-// dispatch pool the moment a generation connects; it is never retired
-// while the run needs it.
+// generation of slots, and on failure sleep a seeded-jitter backoff that
+// doubles up to BackoffMax before redialing. A generation that completes
+// an item resets the backoff. The host rejoins the dispatch pool the
+// moment a generation connects; it is never retired while the run needs
+// it.
 func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker, baseSeed int64) {
 	base, maxB := r.backoffBase(), r.backoffMax()
-	kOpen := breakerThreshold
-	coolBase := r.breakerCooldown()
 	jr := rand.New(rand.NewSource(baseSeed ^ hashAddr(addr)))
-	backoff, cooldown := base, coolBase
+	backoff := base
 	fails := 0
-	breaker := BreakerClosed
-	note := func(err error) {
-		tk.update(addr, func(h *fleet.HostStats) {
-			h.Breaker = breaker
-			h.ConsecutiveFails = fails
-			if err != nil {
-				h.LastErr = err.Error()
-			}
-		})
-	}
 	for gen := 0; ; gen++ {
 		if d.runOver() || ctx.Err() != nil {
 			return
-		}
-		if breaker == BreakerOpen {
-			note(nil)
-			r.logf("net: host %s: breaker open after %d consecutive failures; cooling down %v", addr, fails, cooldown)
-			d.sleep(ctx, cooldown+jitter(jr, cooldown))
-			if cooldown *= 2; cooldown > 4*maxB {
-				cooldown = 4 * maxB
-			}
-			breaker = BreakerHalfOpen
-			note(nil)
-			continue
 		}
 		tk.update(addr, func(h *fleet.HostStats) { h.ConnectAttempts++ })
 		conn, hello, err := r.dial(ctx, addr)
@@ -118,79 +93,55 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 			fails++
 			err = fmt.Errorf("net: host %s: %w", addr, err)
 			d.noteErr(err)
-			if fails >= kOpen {
-				breaker = BreakerOpen
-				note(err)
-				continue
-			}
-			note(err)
+			tk.update(addr, func(h *fleet.HostStats) {
+				h.ConsecutiveFails = fails
+				h.LastErr = err.Error()
+			})
 			r.logf("%v: redialing in ~%v (attempt %d)", err, backoff, fails)
-			d.sleep(ctx, backoff+jitter(jr, backoff))
-			if backoff *= 2; backoff > maxB {
-				backoff = maxB
-			}
-			continue
-		}
-		halfOpen := breaker == BreakerHalfOpen
-		capacity := hello.Capacity
-		tk.update(addr, func(h *fleet.HostStats) {
-			h.Connected = true
-			h.Capacity = capacity
-			if gen > 0 {
-				h.Redials++
-			}
-		})
-		d.setConnected(addr, true)
-		if halfOpen {
-			r.logf("net: host %s: reconnected (half-open probe), capacity %d", addr, capacity)
 		} else {
+			capacity := hello.Capacity
+			tk.update(addr, func(h *fleet.HostStats) {
+				h.Connected = true
+				h.Capacity = capacity
+				if gen > 0 {
+					h.Redials++
+				}
+			})
+			d.setConnected(addr, true)
 			r.logf("net: host %s: connected, capacity %d", addr, capacity)
-		}
-		genOK := r.runGeneration(ctx, addr, conn, hello, halfOpen, d, st, req, trackConn, tk)
-		d.setConnected(addr, false)
-		tk.update(addr, func(h *fleet.HostStats) {
-			h.Connected = false
-			h.SlotsConnected = 0
-		})
-		if genOK {
-			fails, backoff, cooldown = 0, base, coolBase
-			breaker = BreakerClosed
-		} else {
-			fails++
-			if fails >= kOpen {
-				breaker = BreakerOpen
+			genOK := r.runGeneration(ctx, addr, conn, hello, d, st, req, trackConn, tk)
+			d.setConnected(addr, false)
+			if genOK {
+				fails, backoff = 0, base
+			} else {
+				fails++
+			}
+			tk.update(addr, func(h *fleet.HostStats) {
+				h.Connected = false
+				h.SlotsConnected = 0
+				h.ConsecutiveFails = fails
+			})
+			if d.runOver() {
+				return
 			}
 		}
-		note(nil)
-		if d.runOver() {
-			return
-		}
-		if breaker != BreakerOpen {
-			d.sleep(ctx, backoff+jitter(jr, backoff))
-			if backoff *= 2; backoff > maxB {
-				backoff = maxB
-			}
+		d.sleep(ctx, backoff+jitter(jr, backoff))
+		if backoff *= 2; backoff > maxB {
+			backoff = maxB
 		}
 	}
 }
 
-// runGeneration runs one connected generation: the probe connection
+// runGeneration runs one connected generation: the first connection
 // (greeted by hello0) serves as the first slot, and the rest of the
-// daemon's advertised capacity is dialed alongside — with per-slot retry
-// instead of silently running short. A half-open generation starts with
-// just the probe slot and expands to full capacity on its first completed
-// item (which also closes the breaker). Returns whether the generation
-// completed at least one item.
-func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Conn, hello0 *wire.HelloFrame, halfOpen bool, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker) bool {
+// daemon's advertised capacity is dialed alongside, each slot retrying
+// its dial under backoff rather than running the host short. Returns
+// whether the generation completed at least one item.
+func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Conn, hello0 *wire.HelloFrame, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker) bool {
 	g := &hostGen{addr: addr, d: d}
-	capacity := hello0.Capacity
 	var wg sync.WaitGroup
-	var okMu sync.Mutex
-	okItems := 0
-	var expandOnce sync.Once
-	var dialExtras func(n int)
-
-	runSlotConn := func(c stdnet.Conn, hello *wire.HelloFrame, onSuccess func()) {
+	var ok atomic.Bool
+	runSlotConn := func(c stdnet.Conn, hello *wire.HelloFrame) {
 		trackConn(c, true)
 		tk.update(addr, func(h *fleet.HostStats) {
 			h.SlotsConnected++
@@ -201,70 +152,44 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 			trackConn(c, false)
 			c.Close()
 		}()
-		r.runSlot(ctx, g, c, hello, d, st, req, onSuccess)
-	}
-	onSuccess := func() {
-		okMu.Lock()
-		okItems++
-		okMu.Unlock()
-		if halfOpen {
-			expandOnce.Do(func() {
-				tk.update(addr, func(h *fleet.HostStats) { h.Breaker = BreakerClosed })
-				if capacity > 1 {
-					r.logf("net: host %s: probe shard completed; breaker closed, expanding to capacity %d", addr, capacity)
-					dialExtras(capacity - 1)
-				} else {
-					r.logf("net: host %s: probe shard completed; breaker closed", addr)
-				}
-			})
-		}
-	}
-	// dialExtras brings up n additional slots, each retrying its dial
-	// under backoff instead of abandoning advertised capacity (the old
-	// behavior silently ran the host short).
-	dialExtras = func(n int) {
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				backoff := r.backoffBase()
-				maxB := r.backoffMax()
-				for {
-					if g.isDown() || d.runOver() || ctx.Err() != nil {
-						return
-					}
-					c, hello, err := r.dial(ctx, addr)
-					if err != nil {
-						tk.update(addr, func(h *fleet.HostStats) {
-							h.SlotShortfall = h.Capacity - h.SlotsConnected
-							h.LastErr = err.Error()
-						})
-						r.logf("net: host %s: slot %d dial failed (%v); retrying in %v", addr, slot, err, backoff)
-						d.sleep(ctx, backoff)
-						if backoff *= 2; backoff > maxB {
-							backoff = maxB
-						}
-						continue
-					}
-					runSlotConn(c, hello, onSuccess)
-					return
-				}
-			}(i)
+		if r.runSlot(ctx, g, c, hello, d, st, req) {
+			ok.Store(true)
 		}
 	}
 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		runSlotConn(conn0, hello0, onSuccess)
+		runSlotConn(conn0, hello0)
 	}()
-	if !halfOpen && capacity > 1 {
-		dialExtras(capacity - 1)
+	for slot := 1; slot < hello0.Capacity; slot++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			backoff, maxB := r.backoffBase(), r.backoffMax()
+			for {
+				if g.isDown() || d.runOver() || ctx.Err() != nil {
+					return
+				}
+				c, hello, err := r.dial(ctx, addr)
+				if err == nil {
+					runSlotConn(c, hello)
+					return
+				}
+				tk.update(addr, func(h *fleet.HostStats) {
+					h.SlotShortfall = h.Capacity - h.SlotsConnected
+					h.LastErr = err.Error()
+				})
+				r.logf("net: host %s: slot %d dial failed (%v); retrying in %v", addr, slot, err, backoff)
+				d.sleep(ctx, backoff)
+				if backoff *= 2; backoff > maxB {
+					backoff = maxB
+				}
+			}
+		}()
 	}
 	wg.Wait()
-	okMu.Lock()
-	defer okMu.Unlock()
-	return okItems > 0
+	return ok.Load()
 }
 
 // dial connects to a worker daemon and completes the hello handshake,
@@ -301,24 +226,24 @@ func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, *wire.Hell
 // attempt, ship it, merge the stream, repeat. A transport failure takes the
 // generation down, requeues the attempt's unreported jobs and hands the
 // connection back; worker-side error frames are deterministic failures
-// and are not retried.
+// and are not retried. Returns whether the slot completed an item.
 //
 // Every request names the run's predictor by ID; its document crosses
 // the connection at most once, and not at all when the worker's hello
 // listed the ID. A redialed slot is a new connection and trusts only its
 // own hello.
-func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hello *wire.HelloFrame, d *dispatcher, st *runState, req baseRequest, onSuccess func()) {
+func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hello *wire.HelloFrame, d *dispatcher, st *runState, req baseRequest) (completed bool) {
 	maxRetries := r.maxRetries()
 	hbTimeout := r.hbTimeout()
 	writeTO := writeTimeoutFor(hbTimeout)
 	predHeld := req.pred == nil || slices.Contains(hello.Predictors, req.pred.ID())
 	for {
 		if g.isDown() || ctx.Err() != nil {
-			return
+			return completed
 		}
 		at := d.next(g.addr, g)
 		if at == nil {
-			return
+			return completed
 		}
 		ship := !predHeld
 		err := r.streamItem(conn, at.item.specs, st, req, ship, hbTimeout)
@@ -331,7 +256,7 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 		}
 		if err == nil {
 			d.settle(at, true)
-			onSuccess()
+			completed = true
 			continue
 		}
 		var werr workerError
@@ -352,10 +277,10 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 			// the deadline poke already unblocked our read.
 			conn.SetWriteDeadline(time.Now().Add(writeTO))
 			wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeCancel})
-			return
+			return completed
 		}
 		err = fmt.Errorf("net: host %s: %w", g.addr, err)
-		if g.fail(err) {
+		if g.fail() {
 			r.logf("%v: connection lost; host backing off for redial", err)
 		}
 		retry := st.unreported(at.item.specs)
@@ -366,7 +291,7 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 		case requeue:
 			r.logf("net: host %s: requeueing %d unreported jobs (attempt %d)", g.addr, len(retry), attempts)
 		}
-		return
+		return completed
 	}
 }
 

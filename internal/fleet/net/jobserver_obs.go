@@ -156,10 +156,10 @@ func (s *JobServer) statsViews(jobs []*serverJob) []jobStatsView {
 
 // mergedStats folds per-job run stats into one fleet-wide host
 // table. Counters (dials, redials, items, shortfall, fallback)
-// are cumulative sums over every job. Gauges (connected, breaker state,
-// slot occupancy) describe "now", so they come from running jobs only —
-// slots sum across concurrent runs, the breaker reports the worst state
-// — falling back to the most recent job's view when nothing is running.
+// are cumulative sums over every job. Gauges (connected, slot occupancy,
+// consecutive failures) describe "now", so they come from running jobs
+// only — slots sum across concurrent runs — falling back to the most
+// recent job's view when nothing is running.
 func (s *JobServer) mergedStats(jobs []*serverJob) fleet.RunStats {
 	views := s.statsViews(jobs)
 	anyRunning := false
@@ -195,9 +195,6 @@ func (s *JobServer) mergedStats(jobs []*serverJob) fleet.RunStats {
 			if live {
 				m.Connected = m.Connected || h.Connected
 				m.SlotsConnected += h.SlotsConnected
-				if breakerRank(h.Breaker) > breakerRank(m.Breaker) {
-					m.Breaker = h.Breaker
-				}
 				if h.ConsecutiveFails > m.ConsecutiveFails {
 					m.ConsecutiveFails = h.ConsecutiveFails
 				}
@@ -207,23 +204,7 @@ func (s *JobServer) mergedStats(jobs []*serverJob) fleet.RunStats {
 			}
 		}
 	}
-	for i := range out.Hosts {
-		if out.Hosts[i].Breaker == "" {
-			out.Hosts[i].Breaker = BreakerClosed
-		}
-	}
 	return out
-}
-
-func breakerRank(state string) int {
-	switch state {
-	case BreakerOpen:
-		return 2
-	case BreakerHalfOpen:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // handleMetrics renders the Prometheus exposition: per-job progress,
@@ -312,13 +293,6 @@ func (s *JobServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Family("usta_host_connected", "1 when any running job holds a connection to the host.", "gauge")
 	for _, h := range st.Hosts {
 		mw.Sample("usta_host_connected", hl(h.Addr), b2f(h.Connected))
-	}
-	mw.Family("usta_host_breaker", "One-hot circuit-breaker state per host.", "gauge")
-	for _, h := range st.Hosts {
-		for _, state := range []string{BreakerClosed, BreakerHalfOpen, BreakerOpen} {
-			mw.Sample("usta_host_breaker",
-				[]obs.Label{{Name: "host", Value: h.Addr}, {Name: "state", Value: state}}, b2f(h.Breaker == state))
-		}
 	}
 	mw.Family("usta_host_capacity", "Advertised worker slot capacity.", "gauge")
 	for _, h := range st.Hosts {

@@ -372,8 +372,9 @@ func TestNetRunnerHeartbeatDeadline(t *testing.T) {
 	nr := fleetnet.New([]string{ln.Addr().String(), healthy})
 	nr.ShardSize = 2
 	nr.HeartbeatTimeout = 300 * time.Millisecond
-	// The silent host now recovers instead of dying; give the wedged items
-	// retry headroom so they outlast its pre-breaker reclaim window.
+	// The silent host recovers instead of dying; give the wedged items
+	// retry headroom so they survive its repeated heartbeat deaths until
+	// the healthy host connects.
 	nr.MaxRetries = 6
 	var logMu sync.Mutex
 	var joined strings.Builder

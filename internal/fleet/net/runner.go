@@ -29,15 +29,12 @@ const defaultMaxRetries = 3
 
 // Recovery defaults. A host is never retired by a single transport
 // failure: its supervisor redials under exponential backoff with seeded
-// jitter, opens a circuit breaker after breakerThreshold consecutive
-// failures, and probes half-open after a growing cooldown.
+// jitter, capped at BackoffMax.
 const (
-	DefaultBackoffBase     = 100 * time.Millisecond
-	DefaultBackoffMax      = 5 * time.Second
-	breakerThreshold       = 3
-	DefaultBreakerCooldown = 2 * time.Second
+	DefaultBackoffBase = 100 * time.Millisecond
+	DefaultBackoffMax  = 5 * time.Second
 	// DefaultAllDeadDeadline is how long the run tolerates zero connected
-	// hosts (everything down or cooling off) before giving up on the
+	// hosts (everything down or backing off) before giving up on the
 	// network: remaining jobs fail, or — with FallbackLocal — run on the
 	// in-process LocalRunner.
 	DefaultAllDeadDeadline = 30 * time.Second
@@ -57,13 +54,13 @@ var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only s
 // leaves no trace).
 //
 // The runner is self-healing: each host runs under a supervisor that
-// redials after transport loss with exponential backoff and seeded
-// jitter, trips a circuit breaker (closed → open → half-open probe) after
-// consecutive failures, and re-admits the host mid-run once it recovers.
-// Hosts pull work items from one queue, so a slow host takes fewer of
-// them. When no host stays connected past AllDeadDeadline the remaining
-// jobs fail — or, with FallbackLocal, run on the in-process LocalRunner
-// with the same pinned seeds. Run returns each run's per-host state as
+// redials after transport loss with capped exponential backoff and seeded
+// jitter, and re-admits the host mid-run once it recovers. Hosts pull
+// work items from one queue, so a slow host takes fewer of them, and an
+// item a host lost goes to another connected host when one can take it.
+// When no host is connected for AllDeadDeadline the remaining jobs fail
+// — or, with FallbackLocal, run on the in-process LocalRunner with the
+// same pinned seeds. Run returns each run's per-host state as
 // fleet.RunStats. A Runner holds configuration only, so concurrent runs
 // may share one. The zero value is not useful; set Hosts.
 type Runner struct {
@@ -89,10 +86,6 @@ type Runner struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the redial backoff (<= 0: DefaultBackoffMax).
 	BackoffMax time.Duration
-	// BreakerCooldown is the first open-breaker cooldown before a
-	// half-open probe (<= 0: DefaultBreakerCooldown). Doubles while the
-	// probe keeps failing.
-	BreakerCooldown time.Duration
 	// AllDeadDeadline is how long the run tolerates zero connected hosts
 	// before declaring the fleet down (<= 0: DefaultAllDeadDeadline).
 	AllDeadDeadline time.Duration
@@ -102,7 +95,7 @@ type Runner struct {
 	// byte-identical to what the workers would have produced.
 	FallbackLocal bool
 	// Logf, when set, receives one line per host-level event (connect,
-	// loss, backoff, breaker transition, retry). Nil is silent.
+	// loss, backoff, retry). Nil is silent.
 	Logf func(format string, args ...any)
 }
 
@@ -141,13 +134,6 @@ func (r *Runner) backoffMax() time.Duration {
 		return r.BackoffMax
 	}
 	return DefaultBackoffMax
-}
-
-func (r *Runner) breakerCooldown() time.Duration {
-	if r.BreakerCooldown > 0 {
-		return r.BreakerCooldown
-	}
-	return DefaultBreakerCooldown
 }
 
 func (r *Runner) allDeadDeadline() time.Duration {

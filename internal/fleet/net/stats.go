@@ -7,13 +7,6 @@ import (
 	"repro/internal/fleet"
 )
 
-// Breaker states as surfaced in fleet.HostStats.
-const (
-	BreakerClosed   = "closed"
-	BreakerOpen     = "open"
-	BreakerHalfOpen = "half-open"
-)
-
 // statsTracker is the mutable, locked store behind one run's
 // fleet.RunStats.
 type statsTracker struct {
@@ -27,7 +20,7 @@ type statsTracker struct {
 func newStatsTracker(hosts []string) *statsTracker {
 	t := &statsTracker{order: hosts, hosts: make(map[string]*fleet.HostStats, len(hosts))}
 	for _, a := range hosts {
-		t.hosts[a] = &fleet.HostStats{Addr: a, Breaker: BreakerClosed}
+		t.hosts[a] = &fleet.HostStats{Addr: a}
 	}
 	return t
 }

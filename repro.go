@@ -249,16 +249,16 @@ func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 // resolved coordinator-side from job position, so a distributed run is
 // byte-identical to the in-process runner — including after a mid-shard
 // worker death and retry. Hosts are self-healing: a dead host is redialed
-// with exponential backoff and seeded jitter behind a circuit breaker
-// (half-open probe after cooldown) and re-admitted mid-run; hosts pull
-// work from one queue, so a slow host takes fewer shards; and with
-// FallbackLocal set, a run whose hosts all stay down past AllDeadDeadline
-// finishes on the in-process pool instead of failing — still
-// byte-identical, seeds were already pinned. Jobs must carry a JobSpec
+// with capped exponential backoff and seeded jitter and re-admitted
+// mid-run; hosts pull work from one queue, so a slow host takes fewer
+// shards, and a shard a host lost goes to another connected host when one
+// can take it; and with FallbackLocal set, a run with no host connected
+// for AllDeadDeadline finishes on the in-process pool instead of failing
+// — still byte-identical, seeds were already pinned. Jobs must carry a JobSpec
 // (scenario-expanded jobs do); specs that use the usta controller need
 // the encoded predictor in FleetConfig.Predictor, which RunScenario fills
 // in. See the Runner's fields (exported from internal/fleet/net) for
-// retry, backoff, breaker and heartbeat tuning. Run returns each run's recovery snapshot
+// retry, backoff and heartbeat tuning. Run returns each run's recovery snapshot
 // (RunStats) with its results; RunScenario reports it in
 // SweepResult.RunStats.
 func NewNetRunner(hosts []string) *fleetnet.Runner { return fleetnet.New(hosts) }
@@ -279,7 +279,7 @@ type SweepResult struct {
 	Results []JobResult
 	Stats   []JobStat
 	// RunStats is this sweep's own recovery snapshot from a net runner:
-	// per-host breaker state, redials, items and predictor ships, plus
+	// per-host connection state, redials, items and predictor ships, plus
 	// fallback use. It is zero on the in-process pool.
 	RunStats RunStats
 }

@@ -112,7 +112,6 @@ func TestMultiFrameTelemetryIdenticalAcrossRunners(t *testing.T) {
 			nr.MaxRetries = 100
 			nr.BackoffBase = 10 * time.Millisecond
 			nr.BackoffMax = 100 * time.Millisecond
-			nr.BreakerCooldown = 50 * time.Millisecond
 			nr.HeartbeatTimeout = 2 * time.Second
 			check(t, run(t, nr))
 			if s := p.Stats(); s.Drops+s.Corrupted+s.Truncated != 2 {
