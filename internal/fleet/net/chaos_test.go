@@ -100,11 +100,14 @@ func dialBound(elapsed, base, maxB time.Duration) int {
 // seeded fault schedule — dial refusals, mid-stream drops, corrupted and
 // truncated frames, jittery links — Table-1-style results and per-job
 // telemetry through two chaotic hosts are byte-identical to LocalRunner.
+// Each seed's proxies must refuse, drop, corrupt or truncate at least
+// once, and across the seeds every one of those fault kinds must fire.
 func TestChaosByteIdentity(t *testing.T) {
 	const n = 10
 	cfg := fleet.Config{Workers: 2, Seed: 42}
 	ref, refTally := localRef(t, cfg, n)
 
+	var fired chaos.Stats
 	for _, seed := range []int64{1, 2, 7, 1234} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -125,7 +128,21 @@ func TestChaosByteIdentity(t *testing.T) {
 			assertIdentical(t, fmt.Sprintf("seed %d", seed), ref, got, refTally, tl)
 			s1, s2 := p1.Stats(), p2.Stats()
 			t.Logf("chaos stats: p1=%+v p2=%+v runner=%s", s1, s2, st)
+			for _, ps := range []chaos.Stats{s1, s2} {
+				fired.Refused += ps.Refused
+				fired.Drops += ps.Drops
+				fired.Corrupted += ps.Corrupted
+				fired.Truncated += ps.Truncated
+				fired.Delays += ps.Delays
+			}
+			if faults := s1.Refused + s1.Drops + s1.Corrupted + s1.Truncated +
+				s2.Refused + s2.Drops + s2.Corrupted + s2.Truncated; faults == 0 {
+				t.Fatalf("seed %d injected no connection fault: p1=%+v p2=%+v", seed, s1, s2)
+			}
 		})
+	}
+	if fired.Refused == 0 || fired.Drops == 0 || fired.Corrupted == 0 || fired.Truncated == 0 || fired.Delays == 0 {
+		t.Fatalf("a fault kind never fired across the seeds: %+v", fired)
 	}
 }
 
@@ -161,6 +178,12 @@ func TestChaosSingleHostRecovery(t *testing.T) {
 
 	if len(st.Hosts) != 1 || st.Hosts[0].Redials < 1 {
 		t.Fatalf("host should have recovered via redial, stats: %s", st)
+	}
+	if ps := p.Stats(); ps.Drops != 2 {
+		t.Fatalf("proxy dropped %d connections, want 2: %+v", ps.Drops, ps)
+	}
+	if st.Hosts[0].LastErr == "" {
+		t.Fatalf("host dropped two streams but records no error: %s", st)
 	}
 }
 

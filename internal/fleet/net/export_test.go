@@ -1,6 +1,10 @@
 package net
 
-import "os"
+import (
+	"os"
+
+	"repro/internal/analytics"
+)
 
 // StreamTelemetry is the body of GET /jobs/{id}/telemetry, for the bus
 // tests.
@@ -24,3 +28,21 @@ const (
 	BusSpillBytes = busSpillBytes
 	BusWriteBuf   = busWriteBuf
 )
+
+// JobStats returns the per-cell stats job id's aggregator holds, nil when
+// the job is unknown or has not started its run.
+func JobStats(s *JobServer, id string) []analytics.JobStat {
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	agg := j.agg
+	j.mu.Unlock()
+	if agg == nil {
+		return nil
+	}
+	return agg.Stats()
+}

@@ -281,6 +281,7 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, hell
 		}
 		err = fmt.Errorf("net: host %s: %w", g.addr, err)
 		if g.fail() {
+			d.tk.update(g.addr, func(h *fleet.HostStats) { h.LastErr = err.Error() })
 			r.logf("%v: connection lost; host backing off for redial", err)
 		}
 		retry := st.unreported(at.item.specs)

@@ -508,6 +508,12 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 		tk = newStatsTracker(nr.Hosts)
 		runner = trackedRunner{r: nr, tk: tk}
 	}
+	// Nothing the server serves reads a cell's trace (comfort, events and
+	// the ledger take the sweep's violation counters; telemetry is the
+	// sample stream), so every cell runs trace-free whatever the spec
+	// says: no Trace or Records is built, shipped or kept. Journals do not
+	// record the flag, so recovered jobs run the same way.
+	spec.TraceFree = true
 	sw, err := sweep.Expand(ctx, sweep.Config{Spec: spec, Predictor: s.Predictor,
 		Workers: s.Workers, Runner: runner})
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	fleetnet "repro/internal/fleet/net"
@@ -226,6 +227,86 @@ func TestJobServerRoundTrip(t *testing.T) {
 		if r404.StatusCode != http.StatusNotFound {
 			t.Fatalf("unknown job status = %d", r404.StatusCode)
 		}
+	}
+}
+
+// tracedSpec is a small traced sweep (no trace_free) with a USTA scheme,
+// so both controllers a scenario builds run on both sides of the
+// trace-free pin.
+const tracedSpec = `{
+  "version": 1,
+  "name": "traced",
+  "workloads": ["skype", "game"],
+  "population": ["a", "b"],
+  "schemes": [{"name": "baseline"}, {"name": "usta", "controller": "usta", "limit_c": 37}],
+  "duration": {"scale": 0.05},
+  "seeds": {"policy": "indexed", "base": 11},
+  "predictor": {"corpus_seed": 1999, "corpus_per_run_sec": 120}
+}`
+
+// TestJobServerRunsTraceFree: the job server reads no cell's trace, so a
+// traced spec runs trace-free — no settled cell holds a Trace or Records
+// — and its comfort table is byte-equal to a traced in-process
+// RunScenario of the same spec.
+func TestJobServerRunsTraceFree(t *testing.T) {
+	worker := startServer(t, &fleetnet.Server{Capacity: 2})
+	js := fleetnet.NewJobServer(fleetnet.New([]string{worker}))
+	js.Workers = 2
+	defer js.Close()
+	ts := httptest.NewServer(js.Handler())
+	defer ts.Close()
+
+	id := submit(t, ts, tracedSpec)
+	if final := waitStatus(t, ts, id); final["status"] != "done" {
+		t.Fatalf("job finished %v", final)
+	}
+	stats := fleetnet.JobStats(js, id)
+	if len(stats) == 0 {
+		t.Fatal("job holds no cell stats")
+	}
+	for i, st := range stats {
+		if st.Result == nil {
+			t.Fatalf("cell %d never settled", i)
+		}
+		if st.Result.Trace != nil || st.Result.Records != nil {
+			t.Fatalf("cell %d kept a trace on the server (trace %t, %d records)",
+				i, st.Result.Trace != nil, len(st.Result.Records))
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Comfort json.RawMessage `json:"comfort"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec, err := repro.ParseScenario([]byte(tracedSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := repro.RunScenario(context.Background(), spec, repro.ScenarioWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Results) != len(stats) || ref.Results[0].Result.Trace == nil {
+		t.Fatalf("reference: %d cells, want %d, traced", len(ref.Results), len(stats))
+	}
+	want, err := json.Marshal(ref.ComfortByUser())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body.Comfort, want) {
+		t.Fatalf("job server comfort diverged from traced RunScenario\n got %s\nwant %s", body.Comfort, want)
 	}
 }
 

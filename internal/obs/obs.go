@@ -198,6 +198,14 @@ func (a *Aggregator) Progress() Progress {
 		Total: len(a.stats), Samples: a.samples, Final: a.final}
 }
 
+// Stats returns a copy of the per-job stats the aggregates reduce, in
+// grid order; a job not yet settled has a nil Result.
+func (a *Aggregator) Stats() []analytics.JobStat {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]analytics.JobStat(nil), a.stats...)
+}
+
 // HistSnapshot returns a deep copy of the per-class skin histograms.
 func (a *Aggregator) HistSnapshot() []ClassHist {
 	a.mu.Lock()

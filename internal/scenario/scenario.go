@@ -87,7 +87,11 @@ type Spec struct {
 	// caller does not supply it.
 	Predictor PredictorSpec `json:"predictor"`
 	// TraceFree runs every job without retaining Trace/Records — the O(1)
-	// memory mode for large sweeps; pair with a streaming sink.
+	// memory mode for large sweeps; pair with a streaming sink. It matters
+	// only to library callers of RunScenario that read Result.Trace: the
+	// ustafleetd job server and `ustasim -scenario` read no trace, so they
+	// run every cell trace-free whatever this says. The physics and every
+	// aggregate are the same either way.
 	TraceFree bool `json:"trace_free,omitempty"`
 
 	// Include, when non-empty, keeps only jobs whose name (or any

@@ -450,7 +450,8 @@ func SinkFromFunc(fn func(Sample)) Sink { return sink.FromFunc(fn) }
 // NewViolationSink accumulates per-job time-over-limit statistics from a
 // stream (limits indexed by job, typically ScenarioGrid.Limits) — the
 // trace-free path to violation analytics; Apply it to SweepResult.Stats.
-// RunScenario wires one automatically for trace-free specs.
+// RunScenario needs none: its sweep tees one beside the caller's sink for
+// every spec, traced or trace-free.
 func NewViolationSink(limits []float64) *ViolationSink {
 	return analytics.NewViolationSink(limits)
 }
