@@ -9,12 +9,12 @@
 //	ustasim -experiment table1 -workers 1    # serial run (same output)
 //
 // Beyond the published artifacts, -scenario runs a declarative sweep file
-// (JSON or YAML; see examples/sweep) and prints its fleet analytics —
+// (JSON; see examples/sweep) and prints its fleet analytics —
 // per-user comfort distributions, ambient × limit violation heat maps and
 // scheme-vs-scheme deltas:
 //
 //	ustasim -scenario examples/sweep/table1.json
-//	ustasim -scenario sweep.yaml -jsonl samples.jsonl -csv out/
+//	ustasim -scenario sweep.json -jsonl samples.jsonl -csv out/
 //
 // The -scale flag shortens evaluation runs for quick looks; the training
 // corpus always runs long enough to cover the hot regime (-corpus-sec).
@@ -37,7 +37,7 @@ import (
 func main() {
 	var (
 		exp        = flag.String("experiment", "all", "fig1|fig2|fig3|fig4|fig5|table1|replicate|all")
-		scenPath   = flag.String("scenario", "", "declarative sweep file (JSON or YAML); overrides -experiment")
+		scenPath   = flag.String("scenario", "", "declarative sweep file (JSON); overrides -experiment")
 		jsonlPath  = flag.String("jsonl", "", "stream every scenario sample to this JSONL file, in completion order (byte-stable only at -workers 1)")
 		scale      = flag.Float64("scale", 1.0, "evaluation run duration scale (0,1]")
 		seed       = flag.Int64("seed", 42, "base seed for workload jitter and ML shuffling")

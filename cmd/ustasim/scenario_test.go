@@ -80,15 +80,15 @@ func TestRunScenarioSmoke(t *testing.T) {
 // writeSmokeSpec writes the small two-axis sweep the smoke tests share.
 func writeSmokeSpec(t *testing.T, dir string) string {
 	t.Helper()
-	specPath := filepath.Join(dir, "sweep.yaml")
-	spec := `
-version: 1
-name: smoke
-workloads: [skype, game]
-ambients_c: [25, 40]
-duration:
-  sec: 30
-trace_free: true
+	specPath := filepath.Join(dir, "sweep.json")
+	spec := `{
+  "version": 1,
+  "name": "smoke",
+  "workloads": ["skype", "game"],
+  "ambients_c": [25, 40],
+  "duration": {"sec": 30},
+  "trace_free": true
+}
 `
 	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)

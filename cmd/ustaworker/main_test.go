@@ -41,7 +41,7 @@ func startDaemon(t *testing.T) (stdnet.Conn, chan<- os.Signal, <-chan error) {
 	var specs []fleet.JobSpec
 	for i := 0; i < 2; i++ {
 		specs = append(specs, fleet.JobSpec{Index: i, Workload: fleet.WorkloadRef{Name: "antutu-cpu-90min", Seed: uint64(i)},
-			Seed: int64(i + 1), TraceFree: true})
+			Seed: int64(i + 1)})
 	}
 	req := &wire.ShardRequest{Workers: 1}
 	req.SetJobs(specs)

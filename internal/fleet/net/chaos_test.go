@@ -262,7 +262,9 @@ func TestChaosBlackoutAndRestart(t *testing.T) {
 
 // TestChaosRetriesExhausted: under a schedule hostile enough that no
 // attempt can ever stream a result, jobs fail — and they fail with the
-// retries-exhausted cause, not a mystery error or a hang.
+// retries-exhausted cause, not a mystery error or a hang. The proxy must
+// have dropped every connection the run dialed: two items, three
+// attempts each.
 func TestChaosRetriesExhausted(t *testing.T) {
 	backend := startServer(t, &fleetnet.Server{Capacity: 1})
 	sched := &chaos.Schedule{Override: func(int) (chaos.Plan, bool) {
@@ -277,9 +279,13 @@ func TestChaosRetriesExhausted(t *testing.T) {
 	nr.MaxRetries = 2
 	nr.Logf = t.Logf
 	start := time.Now()
-	results, _ := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 3}, specJobs(4, true))
+	results, st := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 3}, specJobs(4, true))
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("exhaustion took %v; the run should fail fast once retries are spent", elapsed)
+	}
+	ps := p.Stats()
+	if dials := st.Hosts[0].ConnectAttempts; ps.Drops != 6 || ps.Conns != 6 || dials != 6 {
+		t.Fatalf("proxy dropped %d of %d connections, runner dialed %d; want 6 each (2 items × 3 attempts)", ps.Drops, ps.Conns, dials)
 	}
 	for i, r := range results {
 		if r.Err == nil {
@@ -294,7 +300,8 @@ func TestChaosRetriesExhausted(t *testing.T) {
 // TestChaosLocalFallback: with every dial refused and FallbackLocal set,
 // the run degrades to the in-process LocalRunner after AllDeadDeadline —
 // and because seeds were resolved before dispatch, the fallback output is
-// byte-identical to the reference.
+// byte-identical to the reference. The proxy must have refused a dial, and
+// the fallback's results, like a worker's, hold no trace.
 func TestChaosLocalFallback(t *testing.T) {
 	cfg := fleet.Config{Workers: 2, Seed: 21}
 	const n = 6
@@ -313,18 +320,27 @@ func TestChaosLocalFallback(t *testing.T) {
 	tl := newTally()
 	c := cfg
 	c.Sink = tl.sink()
-	got, st := nr.Run(context.Background(), c, specJobs(n, true))
+	got, st := nr.Run(context.Background(), c, specJobs(n, false))
+	if ps := p.Stats(); ps.Refused < 1 {
+		t.Fatalf("the proxy refused no dial: %+v", ps)
+	}
 	assertIdentical(t, "local fallback", ref, got, refTally, tl)
 
 	if !st.FallbackUsed || st.FallbackJobs != n {
 		t.Fatalf("expected all %d jobs on the local fallback, stats: %s", n, st)
+	}
+	for i, r := range got {
+		if r.Result.Trace != nil || r.Result.Records != nil {
+			t.Fatalf("job %d: the fallback kept a trace for a traced job", i)
+		}
 	}
 }
 
 // TestChaosSlowHost: a host behind a molasses link, every frame delayed,
 // keeps the item it claimed and finishes it while the healthy host drains
 // the rest of the queue. Results are byte-identical, telemetry arrives
-// exactly once, and every item settles exactly once.
+// exactly once, and every item settles exactly once. The slow proxy must
+// have delayed a frame.
 func TestChaosSlowHost(t *testing.T) {
 	const n = 4
 	cfg := fleet.Config{Workers: 1, Seed: 5}
@@ -349,6 +365,9 @@ func TestChaosSlowHost(t *testing.T) {
 	c := cfg
 	c.Sink = tl.sink()
 	got, st := nr.Run(context.Background(), c, specJobs(n, true))
+	if ps := slow.Stats(); ps.Delays < 1 {
+		t.Fatalf("the slow proxy delayed no frame: %+v", ps)
+	}
 	assertIdentical(t, "slow host", ref, got, refTally, tl)
 	assertStatsConsistent(t, st, n/2)
 	if st.Hosts[0].ItemsCompleted < 1 {

@@ -472,19 +472,20 @@ func (s *JobServer) finishJob(j *serverJob, st durable.Status) {
 // WAL state: the run verifies the re-expanded grid against the journaled
 // cell table, restores ledgered cells without re-running them, and
 // dispatches only the remainder — byte-identical to an uninterrupted run,
-// because every cell's seed was pinned at submit time.
+// because every cell's seed was pinned at submit time. A terminal status
+// is journaled before it is published, so a client that reads it finds
+// it in the journal too.
 func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Spec, rec *durable.RecoveredJob) {
 	fail := func(err error) {
-		j.mu.Lock()
+		status := "failed"
 		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-			j.status = "cancelled"
-		} else {
-			j.status = "failed"
+			status = "cancelled"
 		}
-		j.errMsg = err.Error()
-		agg, status := j.agg, j.status
-		j.mu.Unlock()
 		s.finishJob(j, durable.Status{Status: status, Error: err.Error()})
+		j.mu.Lock()
+		j.status, j.errMsg = status, err.Error()
+		agg := j.agg
+		j.mu.Unlock()
 		if agg != nil {
 			// Terminal frame for event-stream subscribers.
 			agg.Finish(status)
@@ -585,25 +586,20 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 	}
 	comfort := analytics.ComfortByUser(res.Stats)
 
-	j.mu.Lock()
+	status, errMsg := "done", ""
 	if err := ctx.Err(); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			j.status = "failed"
-			j.errMsg = fmt.Sprintf("job deadline (%gs) exceeded", j.deadlineSec)
+			status, errMsg = "failed", fmt.Sprintf("job deadline (%gs) exceeded", j.deadlineSec)
 		} else {
-			j.status = "cancelled"
-			j.errMsg = err.Error()
+			status, errMsg = "cancelled", err.Error()
 		}
 	} else if err := fleet.FirstError(res.Results); err != nil {
-		j.status = "failed"
-		j.errMsg = err.Error()
-	} else {
-		j.status = "done"
+		status, errMsg = "failed", err.Error()
 	}
-	j.comfort = comfort
-	status, errMsg := j.status, j.errMsg
-	j.mu.Unlock()
 	s.finishJob(j, durable.Status{Status: status, Error: errMsg, Comfort: comfort})
+	j.mu.Lock()
+	j.status, j.errMsg, j.comfort = status, errMsg, comfort
+	j.mu.Unlock()
 	// Terminal frame: subscribers drain and disconnect on Final. The
 	// aggregates it carries are pinned byte-equal to the post-hoc stats
 	// computed above — see TestEventsFinalSnapshotMatchesAnalytics.

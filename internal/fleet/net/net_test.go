@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	stdnet "net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -34,10 +35,9 @@ func specJobs(n int, traceFree bool) []fleet.Job {
 	jobs := make([]fleet.Job, n)
 	for i := range jobs {
 		spec := &fleet.JobSpec{
-			Name:      fmt.Sprintf("job-%d", i),
-			Workload:  fleet.WorkloadRef{Name: "skype", Seed: uint64(i)},
-			DurSec:    30,
-			TraceFree: traceFree,
+			Name:     fmt.Sprintf("job-%d", i),
+			Workload: fleet.WorkloadRef{Name: "skype", Seed: uint64(i)},
+			DurSec:   30,
 		}
 		jobs[i] = fleet.Job{
 			Name:      spec.Name,
@@ -91,7 +91,9 @@ func startServer(t *testing.T, s *fleetnet.Server) string {
 
 // TestNetRunnerMatchesLocal is the distributed determinism contract: the
 // same batch through two TCP worker daemons must be byte-identical to the
-// in-process pool: results, seeds, telemetry.
+// in-process pool: results, seeds, telemetry. The jobs ask for traces:
+// the local pool keeps them, while net results carry every aggregate and
+// neither a Trace nor Records.
 func TestNetRunnerMatchesLocal(t *testing.T) {
 	const n = 8
 	cfg := fleet.Config{Workers: 2, Seed: 42}
@@ -100,7 +102,7 @@ func TestNetRunnerMatchesLocal(t *testing.T) {
 		tl := newTally()
 		c := cfg
 		c.Sink = tl.sink()
-		got, _ := r.Run(context.Background(), c, specJobs(n, true))
+		got, _ := r.Run(context.Background(), c, specJobs(n, false))
 		return got, tl
 	}
 
@@ -121,9 +123,16 @@ func TestNetRunnerMatchesLocal(t *testing.T) {
 		if b.Index != a.Index || b.Name != a.Name || b.SeedUsed != a.SeedUsed {
 			t.Fatalf("job %d: metadata diverged: %+v vs %+v", i, b, a)
 		}
-		if b.Result.EnergyJ != a.Result.EnergyJ || b.Result.MaxSkinC != a.Result.MaxSkinC ||
-			b.Result.AvgFreqMHz != a.Result.AvgFreqMHz || b.Result.WorkDone != a.Result.WorkDone {
-			t.Fatalf("job %d: aggregates diverged", i)
+		if a.Result.Trace == nil {
+			t.Fatalf("job %d: the local pool dropped the trace the job asked for", i)
+		}
+		if b.Result.Trace != nil || b.Result.Records != nil {
+			t.Fatalf("job %d: net result holds a trace (%v) or %d records", i, b.Result.Trace != nil, len(b.Result.Records))
+		}
+		want := *a.Result
+		want.Trace, want.Records = nil, nil
+		if !reflect.DeepEqual(*b.Result, want) {
+			t.Fatalf("job %d: aggregates diverged:\n got %+v\nwant %+v", i, *b.Result, want)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -474,9 +483,8 @@ func TestNetRunnerCancellation(t *testing.T) {
 		jobs := make([]fleet.Job, n)
 		for i := range jobs {
 			spec := &fleet.JobSpec{
-				Workload:  fleet.WorkloadRef{Name: "skype", Seed: 1},
-				DurSec:    1800,
-				TraceFree: true,
+				Workload: fleet.WorkloadRef{Name: "skype", Seed: 1},
+				DurSec:   1800,
 			}
 			jobs[i] = fleet.Job{
 				Workload:  workload.ByName(spec.Workload.Name, spec.Workload.Seed),
@@ -780,7 +788,6 @@ func ustaJobs(t *testing.T, n int) ([]fleet.Job, *fleet.EncodedPredictor) {
 			Name:       fmt.Sprintf("usta-%d", i),
 			Workload:   fleet.WorkloadRef{Name: "game", Seed: uint64(i)},
 			DurSec:     120,
-			TraceFree:  true,
 			Controller: "usta",
 			LimitC:     36,
 		}

@@ -1,6 +1,7 @@
 package net_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -334,5 +335,122 @@ func TestJobServerDeadlineSurvivesRestart(t *testing.T) {
 	}
 	if msg, _ := body["error"].(string); !strings.Contains(msg, "deadline") {
 		t.Fatalf("restart lost the deadline error: %v", body["error"])
+	}
+}
+
+// TestJobServerTerminalStatusIsJournaled: a job's terminal status is
+// durable before any client can read it. A small submission that
+// succeeds, and one that fails on a 1 ms deadline, run again and again;
+// the moment GET /jobs/{id} first reads a terminal status, the journal
+// must already hold that status.
+func TestJobServerTerminalStatusIsJournaled(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		spec     string
+		deadline time.Duration
+	}{
+		{"done", e2eSpec, 0},
+		{"failed", longSpec, time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := durable.OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			js := fleetnet.NewJobServer(nil)
+			js.Workers = 2
+			js.Store = store
+			js.JobDeadline = tc.deadline
+			ts := httptest.NewServer(js.Handler())
+			defer js.Close()
+			defer ts.Close()
+			for range 10 {
+				id := submit(t, ts, tc.spec)
+				var status any
+				for deadline := time.Now().Add(60 * time.Second); ; {
+					if status = poll(t, ts, id)["status"]; status != "running" {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("job %s never finished", id)
+					}
+				}
+				if status != tc.name {
+					t.Fatalf("job %s finished %v, want %s", id, status, tc.name)
+				}
+				recs, err := store.Recover()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var journaled *durable.Status
+				for _, rec := range recs {
+					if rec.Log != nil {
+						rec.Log.Close()
+					}
+					if rec.ID == id {
+						journaled = rec.Status
+					}
+				}
+				if journaled == nil || journaled.Status != tc.name {
+					t.Fatalf("GET /jobs/%s read %v while the journal held status %+v", id, status, journaled)
+				}
+			}
+		})
+	}
+}
+
+// TestJobServerRecoversUnparseableSpecAsFailed: a non-terminal journal
+// whose spec this build no longer parses — here the YAML smoke sweep that
+// earlier builds accepted, held in a JSON string, the only form a JSON
+// journal can carry it in — recovers as a failed job, and the failure is
+// journaled terminal: a second server on the same store restores it from
+// the journal without relaunching it or writing to its log.
+func TestJobServerRecoversUnparseableSpecAsFailed(t *testing.T) {
+	const yamlSmoke = "version: 1\nname: smoke\nworkloads: [skype, game]\nambients_c: [25, 40]\nduration:\n  sec: 30\ntrace_free: true\n"
+	spec, err := json.Marshal(yamlSmoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := durable.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := store.Begin(durable.Submission{ID: "j1", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := stateServer(t, dir)
+	body := poll(t, ts, "j1")
+	if msg, _ := body["error"].(string); body["status"] != "failed" || !strings.Contains(msg, "no longer parses") {
+		t.Fatalf("recovered job = %v, want failed with %q", body, "no longer parses")
+	}
+	recs, err := store.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Status == nil || recs[0].Status.Status != "failed" || recs[0].Log != nil {
+		t.Fatalf("journal after recovery: %+v", recs)
+	}
+	wal := filepath.Join(dir, "j1.wal")
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := stateServer(t, dir)
+	if again := poll(t, ts2, "j1"); again["status"] != "failed" || again["error"] != body["error"] {
+		t.Fatalf("second recovery = %v, want %v", again, body)
+	}
+	after, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("second recovery wrote to the journal: %d → %d bytes", len(before), len(after))
 	}
 }

@@ -60,9 +60,11 @@ var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only s
 // item a host lost goes to another connected host when one can take it.
 // When no host is connected for AllDeadDeadline the remaining jobs fail
 // — or, with FallbackLocal, run on the in-process LocalRunner with the
-// same pinned seeds. Run returns each run's per-host state as
-// fleet.RunStats. A Runner holds configuration only, so concurrent runs
-// may share one. The zero value is not useful; set Hosts.
+// same pinned seeds. Results carry every aggregate but never a Trace or
+// Records: workers run every job trace-free, and so does the fallback.
+// Run returns each run's per-host state as fleet.RunStats. A Runner holds
+// configuration only, so concurrent runs may share one. The zero value is
+// not useful; set Hosts.
 type Runner struct {
 	// Hosts is the static worker inventory, "host:port" per entry.
 	Hosts []string
@@ -371,7 +373,8 @@ func (r *Runner) run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job, tr
 // LocalRunner with their already-resolved seeds pinned, routing telemetry
 // and results through the same merge state, and returns how many jobs it
 // ran. Graceful degradation: a fleet-wide outage costs locality, not the
-// run.
+// run. The jobs run trace-free, as on a worker, so a run's results hold
+// no Trace or Records whichever path ran them.
 func (r *Runner) runFallback(ctx context.Context, cfg fleet.Config, st *runState, seedOf map[int]int64) int {
 	var subJobs []fleet.Job
 	var subIdx []int
@@ -382,6 +385,7 @@ func (r *Runner) runFallback(ctx context.Context, cfg fleet.Config, st *runState
 		}
 		j := st.jobs[i]
 		j.Seed = seedOf[i] // resolved pre-dispatch; pins byte-identity
+		j.TraceFree = true
 		subJobs = append(subJobs, j)
 		subIdx = append(subIdx, i)
 	}

@@ -132,9 +132,8 @@ func TestShardRunnerCancellation(t *testing.T) {
 		jobs := make([]fleet.Job, n)
 		for i := range jobs {
 			spec := &fleet.JobSpec{
-				Workload:  fleet.WorkloadRef{Name: "skype", Seed: 1},
-				DurSec:    1800,
-				TraceFree: true,
+				Workload: fleet.WorkloadRef{Name: "skype", Seed: 1},
+				DurSec:   1800,
 			}
 			jobs[i] = fleet.Job{
 				Workload:  workload.ByName(spec.Workload.Name, spec.Workload.Seed),

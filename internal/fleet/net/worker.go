@@ -61,6 +61,8 @@ func serveRequest(ctx context.Context, req *wire.ShardRequest, pred *core.Predic
 // becomes an error result frame instead and stays out of the batch. Jobs
 // naming one device table entry share its *device.Config, so the local
 // runner's phone pool, keyed by that pointer, reuses phones across them.
+// Every job runs trace-free: a result frame has no room for a Trace or
+// Records, so the worker never builds them.
 func materialize(req *wire.ShardRequest, pred *core.Predictor) (jobs []fleet.Job, global []int, failed []*wire.ResultFrame) {
 	jobs = make([]fleet.Job, 0, len(req.Jobs))
 	global = make([]int, 0, len(req.Jobs)) // local batch index → global index
@@ -78,6 +80,7 @@ func materialize(req *wire.ShardRequest, pred *core.Predictor) (jobs []fleet.Job
 			failed = append(failed, rf)
 			continue
 		}
+		job.TraceFree = true
 		jobs = append(jobs, job)
 		global = append(global, spec.Index)
 	}

@@ -22,11 +22,10 @@ func longSpecs(n int) []fleet.JobSpec {
 	specs := make([]fleet.JobSpec, n)
 	for i := range specs {
 		specs[i] = fleet.JobSpec{
-			Index:     10 + i,
-			Workload:  fleet.WorkloadRef{Name: []string{"skype", "game", "youtube"}[i%3], Seed: uint64(i)},
-			Seed:      int64(100 + i),
-			DurSec:    3*wire.SampleBatch + 32,
-			TraceFree: true,
+			Index:    10 + i,
+			Workload: fleet.WorkloadRef{Name: []string{"skype", "game", "youtube"}[i%3], Seed: uint64(i)},
+			Seed:     int64(100 + i),
+			DurSec:   3*wire.SampleBatch + 32,
 		}
 	}
 	return specs
@@ -283,6 +282,22 @@ func TestShardDeviceTableAliasesConfigs(t *testing.T) {
 			t.Fatalf("job %d names device %d of %d: err %q, want ErrDeviceIndex", i, outside, outside, r.Err)
 		case i != bad && r.Err != "":
 			t.Fatalf("job %d: %s", i, r.Err)
+		}
+	}
+}
+
+// TestWorkerJobsRunTraceFree: a worker builds every job trace-free, since
+// a result frame has no room for a Trace or Records.
+func TestWorkerJobsRunTraceFree(t *testing.T) {
+	req := &wire.ShardRequest{}
+	req.SetJobs(longSpecs(2))
+	jobs, _, failed := materialize(req, nil)
+	if len(failed) != 0 || len(jobs) != 2 {
+		t.Fatalf("materialized %d jobs, %d failed; want 2", len(jobs), len(failed))
+	}
+	for i, job := range jobs {
+		if !job.TraceFree {
+			t.Fatalf("job %d would build a trace", i)
 		}
 	}
 }

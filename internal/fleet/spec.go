@@ -55,8 +55,6 @@ type JobSpec struct {
 	LimitC float64 `json:"limit_c,omitempty"`
 	// DurSec truncates the run (<= 0: full workload duration).
 	DurSec float64 `json:"dur_sec,omitempty"`
-	// TraceFree mirrors Job.TraceFree.
-	TraceFree bool `json:"trace_free,omitempty"`
 	// Seed is the pinned device seed. The coordinator resolves it through
 	// EffectiveSeed before dispatch, so it is always non-zero on the wire —
 	// the worker never re-derives seeds, which is what keeps a distributed

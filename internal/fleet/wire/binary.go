@@ -6,9 +6,7 @@ import (
 	"math"
 
 	"repro/internal/device"
-	"repro/internal/sensors"
 	"repro/internal/sink"
-	"repro/internal/trace"
 )
 
 // Binary frame kinds. A binary body is its kind byte, the version byte,
@@ -19,13 +17,9 @@ const (
 	kindResult byte = 0x02
 )
 
-// recordSize is the encoded size of one sensors.Record: seven float64s.
-const recordSize = 7 * 8
-
 // The binary primitives: float64s as 8 little-endian bytes (bit-exact, so
 // NaN payloads, −0 and ±Inf survive), integers as varints, strings as a
-// uvarint length then the bytes, and slices behind a nil-aware count —
-// 0 for nil, n+1 for n elements — so nil and empty stay distinct.
+// uvarint length then the bytes, and pointers behind a presence byte.
 
 func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
@@ -35,26 +29,11 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func appendCount(b []byte, n int, isNil bool) []byte {
-	if isNil {
-		return append(b, 0)
-	}
-	return binary.AppendUvarint(b, uint64(n)+1)
-}
-
 func appendPresent(b []byte, present bool) []byte {
 	if present {
 		return append(b, 1)
 	}
 	return append(b, 0)
-}
-
-func appendFloats(b []byte, vs []float64) []byte {
-	b = appendCount(b, len(vs), vs == nil)
-	for _, v := range vs {
-		b = appendF64(b, v)
-	}
-	return b
 }
 
 // appendSampleHead appends a sample frame's body up to its packed block,
@@ -63,7 +42,8 @@ func appendSampleHead(b []byte, v int, sf *SampleFrame) []byte {
 	return binary.AppendVarint(append(b, kindSample, byte(v)), int64(sf.Job))
 }
 
-// appendResult appends a result frame's body.
+// appendResult appends a result frame's body: the job's identity and its
+// run's aggregates. The run's Trace and Records are not carried.
 func appendResult(b []byte, v int, rf *ResultFrame) []byte {
 	b = append(b, kindResult, byte(v))
 	b = binary.AppendVarint(b, int64(rf.Index))
@@ -81,23 +61,6 @@ func appendResult(b []byte, v int, rf *ResultFrame) []byte {
 	b = appendString(b, r.Governor)
 	b = appendString(b, r.Ctrl)
 	b = appendF64(b, r.DurSec)
-	if b = appendPresent(b, r.Trace != nil); r.Trace != nil {
-		b = appendFloats(b, r.Trace.TimeSec)
-		b = appendCount(b, len(r.Trace.Series), r.Trace.Series == nil)
-		for _, s := range r.Trace.Series {
-			if b = appendPresent(b, s != nil); s != nil {
-				b = appendString(b, s.Name)
-				b = appendString(b, s.Unit)
-				b = appendFloats(b, s.Values)
-			}
-		}
-	}
-	b = appendCount(b, len(r.Records), r.Records == nil)
-	for _, rec := range r.Records {
-		for _, v := range [...]float64{rec.TimeSec, rec.CPUTempC, rec.BatteryTempC, rec.Util, rec.FreqMHz, rec.SkinTempC, rec.ScreenTempC} {
-			b = appendF64(b, v)
-		}
-	}
 	for _, v := range [...]float64{r.MaxSkinC, r.MaxScreenC, r.MaxDieC, r.MaxBatteryC, r.AvgFreqMHz, r.AvgUtil,
 		r.EnergyJ, r.WorkDone, r.WorkDemanded, r.StartSoC, r.EndSoC} {
 		b = appendF64(b, v)
@@ -106,27 +69,19 @@ func appendResult(b []byte, v int, rf *ResultFrame) []byte {
 }
 
 // resultSize estimates appendResult's output from above for the usual
-// small varints, so a traced result encodes in a single allocation.
+// small varints, so a result encodes in a single allocation.
 func resultSize(rf *ResultFrame) int {
 	n := 64 + len(rf.Name) + len(rf.User.ID) + len(rf.Err)
 	if r := rf.Result; r != nil {
-		n += 128 + len(r.Workload) + len(r.Governor) + len(r.Ctrl) + recordSize*len(r.Records)
-		if r.Trace != nil {
-			n += 8 * len(r.Trace.TimeSec)
-			for _, s := range r.Trace.Series {
-				if s != nil {
-					n += 32 + len(s.Name) + len(s.Unit) + 8*len(s.Values)
-				}
-			}
-		}
+		n += 128 + len(r.Workload) + len(r.Governor) + len(r.Ctrl)
 	}
 	return n
 }
 
 // decoder reads binary primitives off a frame body. The first failure
-// latches; later reads return zero values. Every count is checked against
-// the bytes left before anything is allocated, so a body never decodes to
-// more memory than a small multiple of its own length.
+// latches; later reads return zero values. Every string length is checked
+// against the bytes left before anything is allocated, so a body never
+// decodes to more memory than a small multiple of its own length.
 type decoder struct {
 	b   []byte
 	err error
@@ -200,20 +155,6 @@ func (d *decoder) str(what string) string {
 	return s
 }
 
-// count reads a nil-aware count of elements that take at least elemSize
-// bytes each and refuses one the remaining bytes cannot hold.
-func (d *decoder) count(what string, elemSize int) (n int, isNil bool) {
-	c := d.uvarint(what)
-	if d.err != nil || c == 0 {
-		return 0, true
-	}
-	if c-1 > uint64(len(d.b)/elemSize) {
-		d.fail(fmt.Sprintf("%s count %d with %d bytes left", what, c-1, len(d.b)))
-		return 0, true
-	}
-	return int(c - 1), false
-}
-
 func (d *decoder) present(what string) bool {
 	if d.err != nil {
 		return false
@@ -228,18 +169,6 @@ func (d *decoder) present(what string) bool {
 		d.fail(fmt.Sprintf("presence byte %#x of %s", p, what))
 	}
 	return p == 1
-}
-
-func (d *decoder) floats(what string) []float64 {
-	n, isNil := d.count(what, 8)
-	if isNil {
-		return nil
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = d.f64(what)
-	}
-	return vs
 }
 
 // readBinary decodes a binary frame body (buf[0] is not '{').
@@ -301,29 +230,6 @@ func (d *decoder) result() *ResultFrame {
 		DurSec:   d.f64("duration"),
 	}
 	rf.Result = r
-	if d.present("trace") {
-		ts := &trace.TimeSeries{TimeSec: d.floats("trace time axis")}
-		// A present series takes at least four bytes: presence, two
-		// string lengths and a values count.
-		if n, isNil := d.count("trace series", 1); !isNil {
-			ts.Series = make([]*trace.Series, n)
-			for i := range ts.Series {
-				if d.present("series") {
-					ts.Series[i] = &trace.Series{Name: d.str("series name"), Unit: d.str("series unit"), Values: d.floats("series values")}
-				}
-			}
-		}
-		r.Trace = ts
-	}
-	if n, isNil := d.count("records", recordSize); !isNil {
-		r.Records = make([]sensors.Record, n)
-		for i := range r.Records {
-			r.Records[i] = sensors.Record{
-				TimeSec: d.f64("record"), CPUTempC: d.f64("record"), BatteryTempC: d.f64("record"),
-				Util: d.f64("record"), FreqMHz: d.f64("record"), SkinTempC: d.f64("record"), ScreenTempC: d.f64("record"),
-			}
-		}
-	}
 	for _, p := range [...]*float64{&r.MaxSkinC, &r.MaxScreenC, &r.MaxDieC, &r.MaxBatteryC, &r.AvgFreqMHz, &r.AvgUtil,
 		&r.EnergyJ, &r.WorkDone, &r.WorkDemanded, &r.StartSoC, &r.EndSoC} {
 		*p = d.f64("run result")

@@ -12,10 +12,11 @@
 //     sample frame is a varint job index followed by 1..SampleBatch
 //     samples of that job packed by sink.PackSample. A result frame
 //     encodes a ResultFrame field by field: float64s as 8 little-endian
-//     bytes (bit-exact), integers as varints, strings length-prefixed,
-//     slices behind nil-aware counts and pointers behind presence bytes.
+//     bytes (bit-exact), integers as varints, strings length-prefixed and
+//     pointers behind presence bytes. It carries the run's aggregates,
+//     never its Trace or Records; telemetry crosses in sample frames.
 //   - Hello, shard, done, heartbeat, cancel and error frames are JSON
-//     envelopes, {"v":7,"type":...} plus the type's payload field.
+//     envelopes, {"v":8,"type":...} plus the type's payload field.
 //
 // A shard request carries each distinct device configuration once, in
 // a table its jobs name by index (ShardRequest.SetJobs builds it,
@@ -68,8 +69,12 @@ import (
 // hello instead. Version 7 carries each distinct device configuration
 // once per shard request, in ShardRequest.Devices, and a job names its
 // entry by index: a v6 job's inline "device" object fails the strict
-// decoder, so v6 and v7 builds refuse each other at hello.
-const Version = 7
+// decoder, so v6 and v7 builds refuse each other at hello. Version 8
+// drops the result frame's trace and record sections and the shard job's
+// trace_free field (workers always run trace-free): a v7 traced result
+// would mis-decode as aggregates, so v7 and v8 builds refuse each other
+// at hello.
+const Version = 8
 
 // MaxPredictors bounds the decoded predictors a worker keeps, and so the
 // IDs its hello frame may list. A worker serves one predictor per
@@ -88,11 +93,10 @@ const SampleBatch = 256
 // terms.
 const SampleSize = sink.SampleSize
 
-// MaxFrame bounds a single frame's payload (64 MiB). Traced results of
-// long runs (8 bytes per traced value) and a cold shard request's
-// predictor document (~350 KB) are the largest frames in practice;
-// anything near the cap indicates a corrupt length prefix, not a real
-// payload.
+// MaxFrame bounds a single frame's payload (64 MiB). A cold shard
+// request's predictor document (~350 KB) is the largest frame in
+// practice; anything near the cap indicates a corrupt length prefix, not
+// a real payload.
 const MaxFrame = 64 << 20
 
 // Frame types.
@@ -274,10 +278,11 @@ func EachSample(block []byte, fn func(device.Sample)) { sink.EachSample(block, f
 
 // ResultFrame is a fleet.JobResult in serializable form: the error
 // flattened to its message, everything else carried structurally
-// (device.RunResult, including any retained trace and records, is plain
-// exported data). The binary codec (appendResult) names every field of
-// this type and of the types it reaches; TestResultCodecCoversEveryField
-// fails when one is added without codec support.
+// (device.RunResult is plain exported data) except the run's Trace and
+// Records, which the codec drops. The binary codec (appendResult) names
+// every other field of this type and of the types it reaches;
+// TestResultCodecCoversEveryField fails when one is added without codec
+// support.
 type ResultFrame struct {
 	Index    int
 	Name     string
@@ -302,10 +307,9 @@ func EncodeResult(r fleet.JobResult) *ResultFrame {
 	return rf
 }
 
-// Decode converts the wire form back to a fleet.JobResult. Retained traces
-// are reindexed so Lookup works on the receiving side; flattened errors
-// come back as opaque error values (error identity does not survive the
-// boundary — the coordinator re-marks cancellations itself).
+// Decode converts the wire form back to a fleet.JobResult. Flattened
+// errors come back as opaque error values (error identity does not
+// survive the boundary — the coordinator re-marks cancellations itself).
 func (rf *ResultFrame) Decode() fleet.JobResult {
 	r := fleet.JobResult{
 		Index:    rf.Index,
@@ -313,9 +317,6 @@ func (rf *ResultFrame) Decode() fleet.JobResult {
 		User:     rf.User,
 		SeedUsed: rf.SeedUsed,
 		Result:   rf.Result,
-	}
-	if r.Result != nil && r.Result.Trace != nil {
-		r.Result.Trace.Reindex()
 	}
 	if rf.Err != "" {
 		r.Err = errors.New(rf.Err)
@@ -540,13 +541,12 @@ func Materialize(spec fleet.JobSpec, pred *core.Predictor) (fleet.Job, error) {
 	}
 	wl := workload.ByName(spec.Workload.Name, spec.Workload.Seed)
 	job := fleet.Job{
-		Name:      spec.Name,
-		User:      spec.User,
-		Workload:  wl,
-		Device:    spec.Device,
-		DurSec:    spec.DurSec,
-		TraceFree: spec.TraceFree,
-		Seed:      spec.Seed,
+		Name:     spec.Name,
+		User:     spec.User,
+		Workload: wl,
+		Device:   spec.Device,
+		DurSec:   spec.DurSec,
+		Seed:     spec.Seed,
 	}
 	if spec.Governor != "" {
 		devCfg := device.DefaultConfig()

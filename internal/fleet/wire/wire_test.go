@@ -38,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 				Name:     "skype/usta",
 				User:     users.User{ID: "c", SkinLimitC: 35.2, ScreenLimitC: 32.5},
 				Workload: fleet.WorkloadRef{Name: "skype", Seed: 342},
-				Seed:     301, DurSec: 60, TraceFree: true,
+				Seed:     301, DurSec: 60,
 				Controller: "usta", LimitC: 37,
 			}}},
 		}},
@@ -46,7 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			Job: 12, Samples: PackSample(nil, device.Sample{TimeSec: 1.5, SkinC: 31.25, FreqMHz: 1512, MaxLevel: 11}),
 		}},
 		{V: Version, Type: TypeResult, Result: &ResultFrame{Index: 4, Name: "glbench", SeedUsed: 99}},
-		{V: Version, Type: TypeResult, Result: tracedResult()},
+		{V: Version, Type: TypeResult, Result: fullResult()},
 		{V: Version, Type: TypeDone},
 		{V: Version, Type: TypeError, Err: "boom"},
 		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 2, Predictors: []string{strings.Repeat("0f", 32)}}},
@@ -215,9 +215,9 @@ func binSample(v byte, job []byte, block []byte) []byte {
 	return writeRaw(append(append([]byte{kindSample, v}, job...), block...))
 }
 
-// resultPrefix is a binary result body up to and including the trace
-// presence byte of a present, trace-carrying run result.
-func resultPrefix() []byte {
+// resultPresence is a binary result body up to and including the run
+// result's presence byte p.
+func resultPresence(p byte) []byte {
 	b := []byte{kindResult, Version}
 	b = binary.AppendVarint(b, 3)
 	b = appendString(b, "skype")
@@ -225,10 +225,14 @@ func resultPrefix() []byte {
 	b = appendF64(appendF64(b, 35.2), 32.5)
 	b = binary.AppendVarint(b, 11)
 	b = appendString(b, "")
-	b = appendPresent(b, true)
-	b = appendString(appendString(appendString(b, "skype"), "ondemand"), "usta")
-	b = appendF64(b, 60)
-	return appendPresent(b, true)
+	return append(b, p)
+}
+
+// resultPrefix is a binary result body up to and including the duration
+// of a present run result, the last field before its aggregates.
+func resultPrefix() []byte {
+	b := appendString(appendString(appendString(resultPresence(1), "skype"), "ondemand"), "usta")
+	return appendF64(b, 60)
 }
 
 // TestReadFrameMalformed is the decode error table: every way a frame can
@@ -248,7 +252,7 @@ func TestReadFrameMalformed(t *testing.T) {
 	id := strings.Repeat("5e", 32)
 	job := func(j int64) []byte { return binary.AppendVarint(nil, j) }
 	result := func() []byte {
-		return appendResult(nil, Version, &ResultFrame{Index: 1, Result: &device.RunResult{Trace: &trace.TimeSeries{}}})
+		return appendResult(nil, Version, &ResultFrame{Index: 1, Result: &device.RunResult{}})
 	}
 	cases := []struct {
 		name  string
@@ -299,6 +303,7 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"binary body without a version byte", writeRaw([]byte{kindSample}), ErrBadFrame},
 		{"binary sample frame of version 4", binSample(4, job(0), binBlock(1)), ErrVersion},
 		{"binary result frame of a newer version", writeRaw(append([]byte{kindResult, Version + 1}, result()[2:]...)), ErrVersion},
+		{"v7 result frame", writeRaw(append([]byte{kindResult, 7}, result()[2:]...)), ErrVersion},
 		{"sample frame with a truncated job varint", binSample(Version, []byte{0x80}, nil), ErrBadFrame},
 		{"sample frame with an overlong job varint", binSample(Version, bytes.Repeat([]byte{0xff}, 11), binBlock(1)), ErrBadFrame},
 		{"sample frame for a negative job", binSample(Version, job(-1), binBlock(1)), ErrBadFrame},
@@ -310,12 +315,7 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"result frame with a truncated index varint", writeRaw([]byte{kindResult, Version, 0x80}), ErrBadFrame},
 		{"result frame with a truncated string", writeRaw(append(binary.AppendUvarint([]byte{kindResult, Version, 0}, 10), "abc"...)), ErrBadFrame},
 		{"result frame with a truncated float", writeRaw(resultPrefix()[:len(resultPrefix())-6]), ErrBadFrame},
-		{"result frame cut after the trace presence byte", writeRaw(resultPrefix()), ErrBadFrame},
-		{"result frame with a time axis longer than the frame", writeRaw(append(binary.AppendUvarint(resultPrefix(), 1<<40), make([]byte, 64)...)), ErrBadFrame},
-		{"result frame with a float count one past the bytes left", writeRaw(append(binary.AppendUvarint(resultPrefix(), 1+3), make([]byte, 2*8+7)...)), ErrBadFrame},
-		{"result frame with more series than bytes left", writeRaw(append(binary.AppendUvarint(append(resultPrefix(), 0), 1+1<<20), 0, 0)), ErrBadFrame},
-		{"result frame with a record count beyond the bytes left", writeRaw(append(binary.AppendUvarint(append(resultPrefix()[:len(resultPrefix())-1], 0), 1+3), make([]byte, recordSize+11*8)...)), ErrBadFrame},
-		{"result frame with a presence byte of 2", writeRaw(append(resultPrefix()[:len(resultPrefix())-1], 2)), ErrBadFrame},
+		{"result frame with a presence byte of 2", writeRaw(resultPresence(2)), ErrBadFrame},
 		{"trailing bytes after a result", writeRaw(append(result(), 0)), ErrBadFrame},
 	}
 	for _, tc := range cases {
@@ -389,61 +389,15 @@ func TestMaterializedJobRunsLikeLocal(t *testing.T) {
 	}
 }
 
-// TestResultFrameRoundTripWithTrace: traced results survive the boundary
-// with a working trace index on the far side.
-func TestResultFrameRoundTripWithTrace(t *testing.T) {
-	job, err := Materialize(fleet.JobSpec{
-		Workload: fleet.WorkloadRef{Name: "skype", Seed: 3}, Seed: 9, DurSec: 30,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, _ := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})
-	res := all[0]
-	if res.Err != nil || res.Result.Trace == nil {
-		t.Fatalf("reference run broken: %+v", res)
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{V: Version, Type: TypeResult, Result: EncodeResult(res)}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := f.Result.Decode()
-	if got.SeedUsed != res.SeedUsed || got.Index != res.Index || got.Name != res.Name || got.Err != nil {
-		t.Fatalf("job identity diverged across the boundary: %+v", got)
-	}
-	// Every aggregate, every trace column and every record, bit for bit.
-	if err := bitEqual(reflect.ValueOf(got.Result), reflect.ValueOf(res.Result), "result"); err != nil {
-		t.Fatalf("round trip changed %v", err)
-	}
-	if len(got.Result.Records) == 0 || len(got.Result.Trace.Series) == 0 {
-		t.Fatalf("reference run retained %d records and %d series; want both", len(got.Result.Records), len(got.Result.Trace.Series))
-	}
-	for _, s := range res.Result.Trace.Series {
-		if got.Result.Trace.Lookup(s.Name) == nil {
-			t.Fatalf("decoded trace cannot look up %q (Reindex not applied)", s.Name)
-		}
-	}
-}
-
-// tracedResult is a small result frame that uses every part of the result
-// codec, special floats and a nil series included.
-func tracedResult() *ResultFrame {
+// fullResult is a small result frame that uses every part of the result
+// codec, special floats included.
+func fullResult() *ResultFrame {
 	nan := math.Float64frombits(0x7ff8000000000abc)
 	return &ResultFrame{
 		Index: 9, Name: "skype/usta", User: users.User{ID: "c", SkinLimitC: 35.2, ScreenLimitC: 32.5}, SeedUsed: -4,
 		Result: &device.RunResult{
 			Workload: "skype", Governor: "ondemand", Ctrl: "usta", DurSec: 2,
-			Trace: &trace.TimeSeries{TimeSec: []float64{0, 1}, Series: []*trace.Series{
-				{Name: "skin_c", Unit: "C", Values: []float64{31.5, nan}},
-				nil,
-				{Name: "util", Values: []float64{}},
-			}},
-			Records:  []sensors.Record{{TimeSec: 1, CPUTempC: 40, BatteryTempC: 29, Util: 0.5, FreqMHz: 1512, SkinTempC: nan, ScreenTempC: math.Inf(-1)}},
-			MaxSkinC: 31.5, MaxDieC: math.Inf(1), EnergyJ: math.Copysign(0, -1), StartSoC: 1, EndSoC: 0.99,
+			MaxSkinC: 31.5, MaxScreenC: nan, MaxDieC: math.Inf(1), EnergyJ: math.Copysign(0, -1), StartSoC: 1, EndSoC: 0.99,
 		},
 	}
 }
@@ -502,7 +456,9 @@ func bitEqual(got, want reflect.Value, path string) error {
 }
 
 // filler sets every exported field it reaches to a value no other field
-// holds, cycling through the floats a text codec loses.
+// holds, cycling through the floats a text codec loses. It leaves
+// device.RunResult's Trace and Records nil: result frames do not carry
+// them.
 type filler struct {
 	t *testing.T
 	n int
@@ -532,7 +488,11 @@ func (f *filler) fill(v reflect.Value, path string) {
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			if fd := v.Type().Field(i); fd.IsExported() {
+			fd := v.Type().Field(i)
+			if v.Type() == reflect.TypeOf(device.RunResult{}) && (fd.Name == "Trace" || fd.Name == "Records") {
+				continue
+			}
+			if fd.IsExported() {
 				f.fill(v.Field(i), path+"."+fd.Name)
 			}
 		}
@@ -543,31 +503,20 @@ func (f *filler) fill(v reflect.Value, path string) {
 
 // TestResultCodecCoversEveryField pins the binary result codec to the
 // types it carries: a ResultFrame with every exported field filled by
-// reflection — into device.RunResult, trace.TimeSeries, trace.Series,
-// sensors.Record and users.User — must round-trip bit for bit, and so
-// must its nil-versus-empty variants. A field added to any of those types
-// without codec support fails here.
+// reflection — into device.RunResult and users.User — must round-trip
+// bit for bit. The one exemption is RunResult's Trace and Records, which
+// the codec drops: a frame that sets them decodes with both nil. A field
+// added to any of those types without codec support fails here.
 func TestResultCodecCoversEveryField(t *testing.T) {
 	variants := []struct {
 		name string
 		edit func(*ResultFrame)
 	}{
 		{"every field set", func(*ResultFrame) {}},
-		{"nil series", func(rf *ResultFrame) { rf.Result.Trace.Series[1] = nil }},
-		{"empty and nil float slices", func(rf *ResultFrame) {
-			rf.Result.Trace.TimeSec = nil
-			rf.Result.Trace.Series[0].Values = []float64{}
-			rf.Result.Trace.Series[2].Values = nil
+		{"trace and records dropped", func(rf *ResultFrame) {
+			rf.Result.Trace = &trace.TimeSeries{TimeSec: []float64{0}}
+			rf.Result.Records = []sensors.Record{{TimeSec: 1}}
 		}},
-		{"empty series and records", func(rf *ResultFrame) {
-			rf.Result.Trace.Series = []*trace.Series{}
-			rf.Result.Records = []sensors.Record{}
-		}},
-		{"nil series list and records", func(rf *ResultFrame) {
-			rf.Result.Trace.Series = nil
-			rf.Result.Records = nil
-		}},
-		{"no trace", func(rf *ResultFrame) { rf.Result.Trace = nil }},
 		{"no run result", func(rf *ResultFrame) { rf.Result = nil }},
 	}
 	for _, tc := range variants {
@@ -583,10 +532,12 @@ func TestResultCodecCoversEveryField(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if want.Result != nil {
+				want.Result.Trace, want.Result.Records = nil, nil
+			}
 			if err := bitEqual(reflect.ValueOf(f.Result), reflect.ValueOf(want), "ResultFrame"); err != nil {
 				t.Fatalf("round trip changed %v", err)
 			}
-			f.Result.Decode() // reindexes the trace, nil series included
 		})
 	}
 }
@@ -612,7 +563,7 @@ func FuzzReadFrame(f *testing.F) {
 	for _, fr := range []*Frame{
 		{V: Version, Type: TypeSample, Sample: &SampleFrame{Job: 4, Samples: block}},
 		{V: Version, Type: TypeSample, Sample: &SampleFrame{Job: 300, Samples: binBlock(SampleBatch)}},
-		{V: Version, Type: TypeResult, Result: tracedResult()},
+		{V: Version, Type: TypeResult, Result: fullResult()},
 		{V: Version, Type: TypeHello, Hello: &HelloFrame{Proto: Version, Capacity: 2}},
 		{V: Version, Type: TypeShard, Shard: &ShardRequest{Jobs: []ShardJob{{JobSpec: fleet.JobSpec{Index: 1, Workload: fleet.WorkloadRef{Name: "skype"}, Seed: 3, DurSec: 10}}}}},
 		{V: Version, Type: TypeResult, Result: &ResultFrame{Index: 2, Err: "boom"}},
@@ -632,10 +583,10 @@ func FuzzReadFrame(f *testing.F) {
 		fr, err := ReadFrame(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 		// A JSON envelope's decoding cost is encoding/json's; a binary
-		// body's is this package's count checks. Beyond the read buffer
+		// body's is this package's length checks. Beyond the read buffer
 		// (at most 64 KiB before the bytes arrive), decoding may allocate
-		// a few times the body: series pointers take 8 bytes per 1-byte
-		// presence flag.
+		// a few times the body: the frame structs are larger than the
+		// shortest body that fills them.
 		if len(data) > 4 && data[4] != '{' {
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+80<<10); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)

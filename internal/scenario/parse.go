@@ -9,27 +9,17 @@ import (
 	"strings"
 )
 
-// Parse decodes a scenario spec from JSON or from the YAML subset
-// (see yaml.go), autodetecting the format: input whose first non-space
-// byte is '{' is JSON. Unknown fields are rejected — a typoed axis name
-// must fail loudly, not silently collapse an axis — and the decoded spec
-// is validated.
+// Parse decodes a scenario spec from JSON. Input that is not a JSON
+// object is refused with an error saying so. Unknown fields are rejected —
+// a typoed axis name must fail loudly, not silently collapse an axis — and
+// the decoded spec is validated.
 func Parse(data []byte) (*Spec, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) == 0 {
 		return nil, fmt.Errorf("scenario: empty spec")
 	}
 	if trimmed[0] != '{' {
-		v, err := parseYAML(data)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		// Round through JSON so one strict decoder enforces the schema for
-		// both formats.
-		data, err = json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
+		return nil, fmt.Errorf("scenario: specs are JSON objects, but the input starts with %q", trimmed[0])
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -43,8 +33,8 @@ func Parse(data []byte) (*Spec, error) {
 	return spec, nil
 }
 
-// Load reads and parses a scenario file. The format is detected from the
-// content (extension is irrelevant), so .json, .yaml and .yml all work.
+// Load reads and parses a JSON scenario file (the extension is not
+// checked).
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -58,7 +48,7 @@ func Load(path string) (*Spec, error) {
 }
 
 // Marshal renders the spec as canonical indented JSON (the round-trip
-// inverse of Parse for JSON input; YAML input marshals to its JSON form).
+// inverse of Parse).
 func (s *Spec) Marshal() ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -1,5 +1,5 @@
 // Package scenario is the declarative front door of the fleet engine: a
-// versioned JSON/YAML schema describing a sweep grid — population ×
+// versioned JSON schema describing a sweep grid — population ×
 // workloads × ambients × scheme (governor/controller/limit) — plus seeds,
 // durations and trace policy, that expands deterministically into
 // []fleet.Job. The paper's whole evaluation is such a grid (10 users × 13
@@ -634,7 +634,6 @@ func (s *Spec) Expand(env Env) (*Grid, error) {
 								Controller: sc.Controller,
 								LimitC:     effLimit,
 								DurSec:     dur,
-								TraceFree:  s.TraceFree,
 							},
 						}
 						// Seeds pin to the unfiltered grid position under

@@ -67,23 +67,6 @@ func (ts *TimeSeries) Len() int { return len(ts.TimeSec) }
 // Lookup returns the series with the given name, or nil.
 func (ts *TimeSeries) Lookup(name string) *Series { return ts.byName[name] }
 
-// Reindex rebuilds the name index from the exported fields. A TimeSeries
-// decoded off the worker wire (the net runner ships run traces between
-// processes) arrives without the unexported index, so Lookup would find
-// nothing until it is reindexed. Like AddNode-order registration, the
-// first series with a given name wins; nil series are skipped.
-func (ts *TimeSeries) Reindex() {
-	ts.byName = make(map[string]*Series, len(ts.Series))
-	for _, s := range ts.Series {
-		if s == nil {
-			continue
-		}
-		if _, ok := ts.byName[s.Name]; !ok {
-			ts.byName[s.Name] = s
-		}
-	}
-}
-
 // WriteCSV writes the time series as CSV with a header row.
 func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 	cols := make([]string, 0, len(ts.Series)+1)

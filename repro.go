@@ -260,15 +260,16 @@ func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 // in. See the Runner's fields (exported from internal/fleet/net) for
 // retry, backoff and heartbeat tuning. Run returns each run's recovery snapshot
 // (RunStats) with its results; RunScenario reports it in
-// SweepResult.RunStats.
+// SweepResult.RunStats. Its results carry every aggregate but never a
+// Trace or Records, whatever the jobs ask: traces do not cross the wire.
 func NewNetRunner(hosts []string) *fleetnet.Runner { return fleetnet.New(hosts) }
 
-// LoadScenario reads a declarative sweep spec from a JSON or YAML file
-// (format autodetected from content) and validates it.
+// LoadScenario reads a declarative sweep spec from a JSON file and
+// validates it.
 func LoadScenario(path string) (*ScenarioSpec, error) { return scenario.Load(path) }
 
-// ParseScenario decodes and validates a sweep spec from JSON or YAML
-// bytes. Unknown fields are rejected.
+// ParseScenario decodes and validates a sweep spec from JSON bytes.
+// Input that is not a JSON object and unknown fields are rejected.
 func ParseScenario(data []byte) (*ScenarioSpec, error) { return scenario.Parse(data) }
 
 // SweepResult is one scenario run: the expanded grid, the per-job fleet
@@ -323,7 +324,8 @@ func ScenarioWorkers(n int) ScenarioOption { return func(rc *scenarioRun) { rc.w
 // modified: the sweep's (supplied or self-trained) predictor reaches its
 // workers through the run's FleetConfig, and the runner's RunStats for
 // this sweep alone come back in SweepResult.RunStats. Concurrent sweeps
-// may share one runner.
+// may share one runner. A NewNetRunner returns no Trace or Records, so a
+// traced spec keeps its traces only on the in-process pool.
 func ScenarioRunner(r Runner) ScenarioOption {
 	return func(rc *scenarioRun) { rc.runner = r }
 }

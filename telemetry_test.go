@@ -24,10 +24,9 @@ func multiFrameJobs(n int) []fleet.Job {
 	jobs := make([]fleet.Job, n)
 	for i := range jobs {
 		spec := &fleet.JobSpec{
-			Name:      fmt.Sprintf("long-%d", i),
-			Workload:  fleet.WorkloadRef{Name: []string{"skype", "game", "youtube"}[i%3], Seed: uint64(i)},
-			DurSec:    3*wire.SampleBatch + 32,
-			TraceFree: true,
+			Name:     fmt.Sprintf("long-%d", i),
+			Workload: fleet.WorkloadRef{Name: []string{"skype", "game", "youtube"}[i%3], Seed: uint64(i)},
+			DurSec:   3*wire.SampleBatch + 32,
 		}
 		jobs[i] = fleet.Job{
 			Name:      spec.Name,
