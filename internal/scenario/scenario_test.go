@@ -112,7 +112,10 @@ func TestParseErrors(t *testing.T) {
 		{"unknown field", `{"version": 1, "workloads": ["skype"], "worklods": ["game"]}`, "unknown field"},
 		{"oversized grid", oversized, "more than 50000 cells"},
 		{"oversized axis of unknown names", longAxis, "more than 50000 cells"},
-		{"yaml", "version: 1", "specs are JSON"},
+		// YAML syntax, even where it is also bad YAML, is refused as not JSON.
+		{"yaml tab", "version: 1\n\tworkloads: [skype]", "specs are JSON"},
+		{"yaml duplicate key", "version: 1\nversion: 1", "specs are JSON"},
+		{"yaml unterminated string", `name: "oops`, "specs are JSON"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
