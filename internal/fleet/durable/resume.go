@@ -259,7 +259,7 @@ func OpenSweep(path string, grid *scenario.Grid, spec json.RawMessage, resume bo
 	} else if w, err = Create(path); err != nil {
 		return nil, nil, err
 	}
-	l := &JobLog{wal: w, syncEvery: 8}
+	l := &JobLog{wal: w}
 	if rj.Sub == nil {
 		// A fresh file, or a header-only one (a crash before the submission
 		// synced): journal the submission now.

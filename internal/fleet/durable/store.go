@@ -80,18 +80,18 @@ type Status struct {
 // (`<dir>/<jobID>.wal`).
 type Store struct {
 	dir string
-	// SyncEvery is the per-log fsync batch size for cell ledger appends
-	// (default 8). Submission, cell-table and terminal records always sync
-	// immediately.
-	SyncEvery int
 }
+
+// cellSyncEvery is a job log's fsync batch size for cell ledger appends.
+// Submission, cell-table and terminal records always sync immediately.
+const cellSyncEvery = 8
 
 // OpenStore opens (creating if needed) a state directory.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, SyncEvery: 8}, nil
+	return &Store{dir: dir}, nil
 }
 
 func (s *Store) walPath(id string) (string, error) {
@@ -116,7 +116,7 @@ func (s *Store) Begin(sub Submission) (*JobLog, error) {
 		return nil, err
 	}
 	w.SyncEvery = 1
-	l := &JobLog{wal: w, syncEvery: s.SyncEvery}
+	l := &JobLog{wal: w}
 	payload, err := json.Marshal(sub)
 	if err != nil {
 		w.Close()
@@ -134,11 +134,10 @@ func (s *Store) Begin(sub Submission) (*JobLog, error) {
 // return it without touching the file — so a dying disk degrades a job to
 // unjournaled exactly once instead of failing the sweep.
 type JobLog struct {
-	mu        sync.Mutex
-	wal       *WAL
-	syncEvery int
-	err       error
-	closed    bool
+	mu     sync.Mutex
+	wal    *WAL
+	err    error
+	closed bool
 }
 
 func (l *JobLog) append(typ byte, v any, sync bool) error {
@@ -159,7 +158,7 @@ func (l *JobLog) append(typ byte, v any, sync bool) error {
 	if sync {
 		l.wal.SyncEvery = 1
 	} else {
-		l.wal.SyncEvery = l.syncEvery
+		l.wal.SyncEvery = cellSyncEvery
 	}
 	if err := l.wal.Append(typ, payload); err != nil {
 		l.err = err
@@ -284,7 +283,7 @@ func (s *Store) recoverOne(id string) RecoveredJob {
 		w.Close()
 		return rj
 	}
-	rj.Log = &JobLog{wal: w, syncEvery: s.SyncEvery}
+	rj.Log = &JobLog{wal: w}
 	return rj
 }
 

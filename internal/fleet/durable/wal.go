@@ -60,7 +60,6 @@ type Record struct {
 // lose. A WAL is not safe for concurrent use; callers serialize.
 type WAL struct {
 	f        *os.File
-	path     string
 	unsynced int
 	// SyncEvery is the fsync batch size (records per fsync). Zero or
 	// negative syncs on every append.
@@ -71,30 +70,21 @@ type WAL struct {
 // Create creates (or truncates) a WAL at path and writes the header,
 // synced to disk before returning.
 func Create(path string) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	w := &WAL{f: f, path: path}
-	if _, err := f.Write(append([]byte(walMagicPrefix), walVersion)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return w, nil
+	return create(path, os.O_TRUNC)
 }
 
 // CreateExclusive is Create, but fails if the file already exists — the
 // collision backstop behind restart-safe job IDs.
 func CreateExclusive(path string) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	return create(path, os.O_EXCL)
+}
+
+// create opens path with flag (O_TRUNC or O_EXCL) and writes the header.
+func create(path string, flag int) (*WAL, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{f: f, path: path}
 	if _, err := f.Write(append([]byte(walMagicPrefix), walVersion)); err != nil {
 		f.Close()
 		return nil, err
@@ -103,7 +93,7 @@ func CreateExclusive(path string) (*WAL, error) {
 		f.Close()
 		return nil, err
 	}
-	return w, nil
+	return &WAL{f: f}, nil
 }
 
 // Open opens an existing WAL, replays its intact records, truncates any
@@ -121,7 +111,7 @@ func Open(path string) (*WAL, []Record, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	w := &WAL{f: f, path: path}
+	w := &WAL{f: f}
 
 	initFresh := func() (*WAL, []Record, error) {
 		if err := f.Truncate(0); err != nil {

@@ -163,10 +163,10 @@ type Job struct {
 	Seed int64
 	// Spec, when non-nil, is the serializable description of this job —
 	// what a shard worker needs to rebuild it in another process. The
-	// scenario expander populates it; hand-built jobs only need one to run
-	// under a sharding runner (LocalRunner ignores it). The closures above
-	// stay authoritative for in-process runs; Spec must describe the same
-	// job.
+	// scenario expander builds each job from its Spec with the same
+	// builder a worker uses (scenario.Materialize), so the two cannot
+	// drift apart. Hand-built jobs only need one to run under a sharding
+	// runner (LocalRunner ignores it), and theirs must describe the job.
 	Spec *JobSpec
 }
 

@@ -336,6 +336,40 @@ func TestChaosLocalFallback(t *testing.T) {
 	}
 }
 
+// TestChaosPartialLocalFallback: the only host delivers the first item,
+// then its link drops and every redial is refused, so the fallback runs a
+// tail of the batch. Its jobs are renumbered into a sub-batch; their
+// telemetry must still reach the caller's sink under their own indices.
+func TestChaosPartialLocalFallback(t *testing.T) {
+	cfg := fleet.Config{Workers: 2, Seed: 21}
+	const n = 6
+	ref, refTally := localRef(t, cfg, n)
+
+	backend := startServer(t, &fleetnet.Server{Capacity: 1})
+	sched := &chaos.Schedule{Override: func(conn int) (chaos.Plan, bool) {
+		if conn == 0 {
+			// hello, then one item's sample, result and done frames
+			return chaos.Plan{Kind: chaos.FaultDrop, DropAfterFrames: 4}, true
+		}
+		return chaos.Plan{Kind: chaos.FaultRefuse, RefuseDial: true}, true
+	}}
+	p := chaosProxy(t, backend, sched)
+
+	nr := fastRecovery([]string{p.Addr()})
+	nr.ShardSize = 1
+	nr.FallbackLocal = true
+	nr.AllDeadDeadline = 300 * time.Millisecond
+	nr.Logf = t.Logf
+	tl := newTally()
+	c := cfg
+	c.Sink = tl.sink()
+	got, st := nr.Run(context.Background(), c, specJobs(n, false))
+	if st.FallbackJobs < 1 || st.FallbackJobs >= n {
+		t.Fatalf("want a tail of the %d jobs on the local fallback, stats: %s", n, st)
+	}
+	assertIdentical(t, "partial local fallback", ref, got, refTally, tl)
+}
+
 // TestChaosSlowHost: a host behind a molasses link, every frame delayed,
 // keeps the item it claimed and finishes it while the healthy host drains
 // the rest of the queue. Results are byte-identical, telemetry arrives

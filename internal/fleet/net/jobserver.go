@@ -188,7 +188,6 @@ type serverJob struct {
 	runStats *statsTracker   // this job's run stats (nil off the networked runner)
 	busReady chan struct{}   // closed once bus (and total) exist
 	cancel   context.CancelFunc
-	finished chan struct{}
 	jlog     *durable.JobLog // nil: no store, or journaling degraded at Begin
 }
 
@@ -286,7 +285,7 @@ func (s *JobServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	j := &serverJob{id: id, status: "running", cancel: cancel,
 		deadlineSec: s.JobDeadline.Seconds(),
-		busReady:    make(chan struct{}), finished: make(chan struct{})}
+		busReady:    make(chan struct{})}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.wg.Add(1)
@@ -496,7 +495,6 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 		default:
 			close(j.busReady)
 		}
-		close(j.finished)
 		s.logf("net: job %s: %s: %v", j.id, j.snapshot().Status, err)
 	}
 
@@ -604,6 +602,5 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 	// aggregates it carries are pinned byte-equal to the post-hoc stats
 	// computed above — see TestEventsFinalSnapshotMatchesAnalytics.
 	agg.Finish(status)
-	close(j.finished)
 	s.logf("net: job %s: %s (%d jobs, %d resumed)", j.id, j.snapshot().Status, len(res.Results), len(plan.Done))
 }

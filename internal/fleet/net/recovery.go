@@ -62,7 +62,7 @@ func (s *JobServer) restoreJob(rec *durable.RecoveredJob) *serverJob {
 	terminal := func(status, errMsg string, st *durable.Status) *serverJob {
 		j := &serverJob{id: rec.ID, status: status, errMsg: errMsg,
 			cancel:   func() {},
-			busReady: make(chan struct{}), finished: make(chan struct{})}
+			busReady: make(chan struct{})}
 		if st != nil {
 			j.comfort = st.Comfort
 			j.done = len(rec.Done)
@@ -77,7 +77,6 @@ func (s *JobServer) restoreJob(rec *durable.RecoveredJob) *serverJob {
 			j.deadlineSec = rec.Sub.DeadlineSec
 		}
 		close(j.busReady) // no bus: telemetry answers 409, status works
-		close(j.finished)
 		return j
 	}
 
@@ -107,7 +106,7 @@ func (s *JobServer) restoreJob(rec *durable.RecoveredJob) *serverJob {
 		deadlineSec: rec.Sub.DeadlineSec,
 		resumed:     len(rec.Done),
 		jlog:        rec.Log,
-		busReady:    make(chan struct{}), finished: make(chan struct{})}
+		busReady:    make(chan struct{})}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fleet/wire"
 	"repro/internal/sink"
@@ -395,9 +394,7 @@ func (r *Runner) runFallback(ctx context.Context, cfg fleet.Config, st *runState
 	}
 	sub := fleet.Config{Workers: cfg.Workers, Seed: cfg.Seed}
 	if st.sink != nil {
-		sub.Sink = sink.Func(func(id sink.JobID, s device.Sample) {
-			st.sink.Accept(sink.JobID(subIdx[int(id)]), s)
-		})
+		sub.Sink = sink.NewRemap(st.sink, subIdx)
 	}
 	res, _ := fleet.LocalRunner{}.Run(ctx, sub, subJobs)
 	st.mu.Lock()

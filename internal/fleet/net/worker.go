@@ -9,7 +9,9 @@ import (
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fleet/wire"
+	"repro/internal/scenario"
 	"repro/internal/sink"
+	"repro/internal/workload"
 )
 
 // serveRequest executes one already-decoded shard request, streaming sample
@@ -70,7 +72,7 @@ func materialize(req *wire.ShardRequest, pred *core.Predictor) (jobs []fleet.Job
 		spec, err := req.Spec(i)
 		var job fleet.Job
 		if err == nil {
-			job, err = wire.Materialize(spec, pred)
+			job, err = buildJob(spec, pred)
 		}
 		if err != nil {
 			rf := &wire.ResultFrame{Index: spec.Index, Name: spec.Name, User: spec.User, Err: err.Error()}
@@ -85,6 +87,23 @@ func materialize(req *wire.ShardRequest, pred *core.Predictor) (jobs []fleet.Job
 		global = append(global, spec.Index)
 	}
 	return jobs, global, failed
+}
+
+// buildJob checks a received spec and builds its job with the scenario
+// expander's builder, so the worker runs exactly the job the coordinator's
+// grid holds.
+func buildJob(spec fleet.JobSpec, pred *core.Predictor) (fleet.Job, error) {
+	if err := spec.Validate(); err != nil {
+		return fleet.Job{}, err
+	}
+	if spec.Controller == "usta" && pred == nil {
+		return fleet.Job{}, fmt.Errorf("fleet: job spec %d uses a usta controller but the shard request carries no predictor", spec.Index)
+	}
+	job, err := scenario.Materialize(spec, workload.ByName(spec.Workload.Name, spec.Workload.Seed), pred)
+	if err != nil {
+		return fleet.Job{}, fmt.Errorf("fleet: job spec %d: %w", spec.Index, err)
+	}
+	return job, nil
 }
 
 // stream is the worker's outbound frame stream over a serialized write

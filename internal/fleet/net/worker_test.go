@@ -37,7 +37,7 @@ func localSequences(t *testing.T, specs []fleet.JobSpec) map[int][]byte {
 	t.Helper()
 	jobs := make([]fleet.Job, len(specs))
 	for i, spec := range specs {
-		job, err := wire.Materialize(spec, nil)
+		job, err := buildJob(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,6 +56,36 @@ func localSequences(t *testing.T, specs []fleet.JobSpec) map[int][]byte {
 		t.Fatal(err)
 	}
 	return seqs
+}
+
+// TestMaterializeErrors is the worker's spec-validation error table: a
+// spec that cannot be built fails with a text naming what is wrong.
+func TestMaterializeErrors(t *testing.T) {
+	ok := fleet.JobSpec{Workload: fleet.WorkloadRef{Name: "skype"}, Seed: 1}
+	cases := []struct {
+		name string
+		spec func(fleet.JobSpec) fleet.JobSpec
+		want string
+	}{
+		{"no workload", func(s fleet.JobSpec) fleet.JobSpec { s.Workload.Name = ""; return s }, "no workload"},
+		{"unknown workload", func(s fleet.JobSpec) fleet.JobSpec { s.Workload.Name = "crysis"; return s }, "unknown workload"},
+		{"unknown controller", func(s fleet.JobSpec) fleet.JobSpec { s.Controller = "magic"; return s }, "unknown controller"},
+		{"usta without limit", func(s fleet.JobSpec) fleet.JobSpec { s.Controller = "usta"; return s }, "positive limit"},
+		{"usta without predictor", func(s fleet.JobSpec) fleet.JobSpec { s.Controller = "usta"; s.LimitC = 37; return s }, "no predictor"},
+		{"unpinned seed", func(s fleet.JobSpec) fleet.JobSpec { s.Seed = 0; return s }, "no pinned seed"},
+		{"unknown governor", func(s fleet.JobSpec) fleet.JobSpec { s.Governor = "warp"; return s }, "unknown governor"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := buildJob(tc.spec(ok), nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+	if _, err := buildJob(ok, nil); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
 }
 
 // recorder captures a worker's outbound frames. Sample blocks are copied:

@@ -64,7 +64,7 @@ type JobSpec struct {
 
 // Validate reports whether the spec can be materialized into a runnable
 // job. It checks the declarative fields only; predictor availability for
-// "usta" controllers is the materializer's concern.
+// "usta" controllers is the worker's concern.
 func (s *JobSpec) Validate() error {
 	if s.Workload.Name == "" {
 		return fmt.Errorf("fleet: job spec %d has no workload", s.Index)
@@ -98,9 +98,8 @@ func (s *JobSpec) Validate() error {
 
 // GovernorFactory resolves a cpufreq governor name against an OPP
 // frequency table into a per-job factory (governors are stateful; each
-// job needs its own instance). The scenario expander and the shard
-// worker's materializer both build factories through this one helper, so
-// the in-process and cross-process jobs cannot drift apart.
+// job needs its own instance). The one job builder, scenario.Materialize,
+// resolves every named governor through it.
 func GovernorFactory(name string, freqs []float64) (func() governor.Governor, error) {
 	if _, err := governor.ByName(name, freqs); err != nil {
 		return nil, err

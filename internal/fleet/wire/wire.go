@@ -49,7 +49,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/sink"
 	"repro/internal/users"
-	"repro/internal/workload"
 )
 
 // Version is the protocol version this package reads and writes. A worker
@@ -528,49 +527,4 @@ func DecodePredictor(raw json.RawMessage) (*core.Predictor, error) {
 		return nil, fmt.Errorf("wire: decode predictor: %w", err)
 	}
 	return p, nil
-}
-
-// Materialize rebuilds a runnable fleet.Job from its serializable spec,
-// resolving the workload by name, the governor against the device's OPP
-// table, and a "usta" controller against the shard's predictor. It mirrors
-// exactly what the scenario expander wires into the in-process Job, so a
-// worker-built job runs the same physics the local runner would.
-func Materialize(spec fleet.JobSpec, pred *core.Predictor) (fleet.Job, error) {
-	if err := spec.Validate(); err != nil {
-		return fleet.Job{}, err
-	}
-	wl := workload.ByName(spec.Workload.Name, spec.Workload.Seed)
-	job := fleet.Job{
-		Name:     spec.Name,
-		User:     spec.User,
-		Workload: wl,
-		Device:   spec.Device,
-		DurSec:   spec.DurSec,
-		Seed:     spec.Seed,
-	}
-	if spec.Governor != "" {
-		devCfg := device.DefaultConfig()
-		if spec.Device != nil {
-			devCfg = *spec.Device
-		}
-		freqs := make([]float64, len(devCfg.SoC.OPPs))
-		for i, o := range devCfg.SoC.OPPs {
-			freqs[i] = o.FreqMHz
-		}
-		factory, err := fleet.GovernorFactory(spec.Governor, freqs)
-		if err != nil {
-			return fleet.Job{}, fmt.Errorf("fleet: job spec %d: %w", spec.Index, err)
-		}
-		job.Governor = factory
-	}
-	if spec.Controller == "usta" {
-		if pred == nil {
-			return fleet.Job{}, fmt.Errorf("fleet: job spec %d uses a usta controller but the shard request carries no predictor", spec.Index)
-		}
-		limit := spec.LimitC
-		job.Controller = func(users.User) device.Controller {
-			return core.NewUSTA(pred, limit)
-		}
-	}
-	return job, nil
 }

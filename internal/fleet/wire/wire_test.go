@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
@@ -325,67 +324,6 @@ func TestReadFrameMalformed(t *testing.T) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestMaterializeErrors is the spec-validation error table.
-func TestMaterializeErrors(t *testing.T) {
-	ok := fleet.JobSpec{Workload: fleet.WorkloadRef{Name: "skype"}, Seed: 1}
-	cases := []struct {
-		name string
-		spec func(fleet.JobSpec) fleet.JobSpec
-		want string
-	}{
-		{"no workload", func(s fleet.JobSpec) fleet.JobSpec { s.Workload.Name = ""; return s }, "no workload"},
-		{"unknown workload", func(s fleet.JobSpec) fleet.JobSpec { s.Workload.Name = "crysis"; return s }, "unknown workload"},
-		{"unknown controller", func(s fleet.JobSpec) fleet.JobSpec { s.Controller = "magic"; return s }, "unknown controller"},
-		{"usta without limit", func(s fleet.JobSpec) fleet.JobSpec { s.Controller = "usta"; return s }, "positive limit"},
-		{"usta without predictor", func(s fleet.JobSpec) fleet.JobSpec { s.Controller = "usta"; s.LimitC = 37; return s }, "no predictor"},
-		{"unpinned seed", func(s fleet.JobSpec) fleet.JobSpec { s.Seed = 0; return s }, "no pinned seed"},
-		{"unknown governor", func(s fleet.JobSpec) fleet.JobSpec { s.Governor = "warp"; return s }, "unknown governor"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Materialize(tc.spec(ok), nil)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("got %v, want error containing %q", err, tc.want)
-			}
-		})
-	}
-	if _, err := Materialize(ok, nil); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
-	}
-}
-
-// TestMaterializedJobRunsLikeLocal: a spec materialized in-process must
-// reproduce the exact result of the hand-built job it describes.
-func TestMaterializedJobRunsLikeLocal(t *testing.T) {
-	spec := fleet.JobSpec{
-		Name:     "w",
-		Workload: fleet.WorkloadRef{Name: "skype", Seed: 3},
-		Governor: "conservative",
-		Seed:     55,
-		DurSec:   40,
-	}
-	job, err := Materialize(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAll, _ := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})
-	got := gotAll[0]
-	if got.Err != nil {
-		t.Fatal(got.Err)
-	}
-	refAll, _ := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})
-	ref := refAll[0]
-	if got.Result.EnergyJ != ref.Result.EnergyJ || got.Result.MaxSkinC != ref.Result.MaxSkinC {
-		t.Fatal("materialized job is not deterministic")
-	}
-	if got.SeedUsed != 55 {
-		t.Fatalf("seed %d, want the spec's 55", got.SeedUsed)
-	}
-	if got.Result.Governor != "conservative" {
-		t.Fatalf("governor %q, want conservative", got.Result.Governor)
 	}
 }
 

@@ -550,25 +550,6 @@ func (s *Spec) Expand(env Env) (*Grid, error) {
 	for i, sc := range schemes {
 		schemeNames[i] = sc.Label()
 	}
-	// Governor factories are resolved once per scheme against the base
-	// OPP table; each job still gets its own instance (governors are
-	// stateful).
-	freqs := make([]float64, len(baseCfg.SoC.OPPs))
-	for i, o := range baseCfg.SoC.OPPs {
-		freqs[i] = o.FreqMHz
-	}
-	govFactories := make([]func() governor.Governor, len(schemes))
-	for i, sc := range schemes {
-		if sc.Governor == "" {
-			continue
-		}
-		factory, err := fleet.GovernorFactory(sc.Governor, freqs)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: scheme %q: %w", schemeNames[i], err)
-		}
-		govFactories[i] = factory
-	}
-
 	g := &Grid{Spec: s}
 	gridIndex := 0
 	for wi, wl := range wls {
@@ -614,28 +595,6 @@ func (s *Spec) Expand(env Env) (*Grid, error) {
 							continue
 						}
 
-						job := fleet.Job{
-							Name:      name,
-							User:      pe.user,
-							Workload:  wls[wi],
-							Device:    &cfgCopy,
-							DurSec:    dur,
-							TraceFree: s.TraceFree,
-							// Spec is the job's serializable twin: the same
-							// workload/governor/controller resolved by name
-							// instead of closure, so shard workers rebuild
-							// identical physics in another process.
-							Spec: &fleet.JobSpec{
-								Name:       name,
-								User:       pe.user,
-								Workload:   fleet.WorkloadRef{Name: wlNames[wi], Seed: s.Seeds.Workload},
-								Device:     &cfgCopy,
-								Governor:   sc.Governor,
-								Controller: sc.Controller,
-								LimitC:     effLimit,
-								DurSec:     dur,
-							},
-						}
 						// Seeds pin to the unfiltered grid position under
 						// both policies, so filters and worker counts never
 						// change a surviving job's physics.
@@ -651,16 +610,26 @@ func (s *Spec) Expand(env Env) (*Grid, error) {
 						} else {
 							seed = fleet.DeriveSeed(s.Seeds.Base, idx)
 						}
-						job.Seed = seed
-						if govFactories[si] != nil {
-							job.Governor = govFactories[si]
+						// The spec is the job's serializable twin, and the
+						// job is built from it, so a shard worker rebuilding
+						// it in another process runs identical physics.
+						spec := &fleet.JobSpec{
+							Name:       name,
+							User:       pe.user,
+							Workload:   fleet.WorkloadRef{Name: wlNames[wi], Seed: s.Seeds.Workload},
+							Device:     &cfgCopy,
+							Governor:   sc.Governor,
+							Controller: sc.Controller,
+							LimitC:     effLimit,
+							DurSec:     dur,
+							Seed:       seed,
 						}
-						if sc.Controller == "usta" {
-							pred, limit := env.Predictor, effLimit
-							job.Controller = func(users.User) device.Controller {
-								return core.NewUSTA(pred, limit)
-							}
+						job, err := Materialize(*spec, wl, env.Predictor)
+						if err != nil {
+							return nil, fmt.Errorf("scenario: scheme %q: %w", schemeNames[si], err)
 						}
+						job.TraceFree = s.TraceFree
+						job.Spec = spec
 						g.Points = append(g.Points, Point{
 							Index:     len(g.Jobs),
 							GridIndex: idx,
@@ -684,4 +653,49 @@ func (s *Spec) Expand(env Env) (*Grid, error) {
 		return nil, fmt.Errorf("scenario: filters excluded every job of %q", s.Name)
 	}
 	return g, nil
+}
+
+// Materialize builds the runnable job spec describes. It is the one job
+// builder: Expand builds every cell's job with it and a fleet worker
+// rebuilds each job it is sent with it, so a cell runs the same physics
+// on either side. wl is the workload spec names, which the caller builds
+// (Expand once per axis slot, a worker with workload.ByName). The job
+// runs on spec.Device, the pointer itself, so jobs sharing a
+// configuration share the phone pool's key. A named governor is resolved
+// against that configuration's OPP table; none named leaves the job's
+// Governor nil (the phone's stock governor). A "usta" controller runs
+// over pred, which the caller has checked is non-nil. The error, if any,
+// is the governor's; callers say which job or scheme it belongs to.
+func Materialize(spec fleet.JobSpec, wl workload.Workload, pred *core.Predictor) (fleet.Job, error) {
+	job := fleet.Job{
+		Name:     spec.Name,
+		User:     spec.User,
+		Workload: wl,
+		Device:   spec.Device,
+		DurSec:   spec.DurSec,
+		Seed:     spec.Seed,
+	}
+	if spec.Governor != "" {
+		cfg := spec.Device
+		if cfg == nil {
+			def := device.DefaultConfig()
+			cfg = &def
+		}
+		freqs := make([]float64, len(cfg.SoC.OPPs))
+		for i, o := range cfg.SoC.OPPs {
+			freqs[i] = o.FreqMHz
+		}
+		factory, err := fleet.GovernorFactory(spec.Governor, freqs)
+		if err != nil {
+			return fleet.Job{}, err
+		}
+		job.Governor = factory
+	}
+	if spec.Controller == "usta" {
+		limit := spec.LimitC
+		job.Controller = func(users.User) device.Controller {
+			return core.NewUSTA(pred, limit)
+		}
+	}
+	return job, nil
 }

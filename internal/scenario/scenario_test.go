@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -482,4 +483,46 @@ func FuzzParseScenario(f *testing.F) {
 			t.Fatalf("canonical form is not a fixed point:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 		}
 	})
+}
+
+// TestMaterializedJobRunsLikeLocal: a spec materialized in-process must
+// reproduce the exact result of the hand-built job it describes.
+func TestMaterializedJobRunsLikeLocal(t *testing.T) {
+	spec := fleet.JobSpec{
+		Name:     "w",
+		Workload: fleet.WorkloadRef{Name: "skype", Seed: 3},
+		Governor: "conservative",
+		Seed:     55,
+		DurSec:   40,
+	}
+	job, err := Materialize(spec, workload.ByName("skype", 3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotAll, _ := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{job})
+	got := gotAll[0]
+	if got.Err != nil {
+		t.Fatal(got.Err)
+	}
+	opps := device.DefaultConfig().SoC.OPPs
+	freqs := make([]float64, len(opps))
+	for i, o := range opps {
+		freqs[i] = o.FreqMHz
+	}
+	gov, err := fleet.GovernorFactory("conservative", freqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand := fleet.Job{Name: "w", Workload: workload.ByName("skype", 3), Governor: gov, Seed: 55, DurSec: 40}
+	refAll, _ := fleet.LocalRunner{}.Run(context.Background(), fleet.Config{Workers: 1}, []fleet.Job{hand})
+	ref := refAll[0]
+	if got.Result.EnergyJ != ref.Result.EnergyJ || got.Result.MaxSkinC != ref.Result.MaxSkinC {
+		t.Fatal("materialized job differs from the hand-built one")
+	}
+	if got.SeedUsed != 55 {
+		t.Fatalf("seed %d, want the spec's 55", got.SeedUsed)
+	}
+	if got.Result.Governor != "conservative" {
+		t.Fatalf("governor %q, want conservative", got.Result.Governor)
+	}
 }

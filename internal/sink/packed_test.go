@@ -27,8 +27,8 @@ func TestTeeForwardsBlocks(t *testing.T) {
 		block = PackSample(block, sample(float64(i)))
 	}
 	direct, nested := &blockRecorder{}, &blockRecorder{}
-	ring, inner := NewRing(10), NewRing(10)
-	tee := NewTee(ring, NewTee(nested, inner), NewRemap(direct, []int{0, 0, 9}))
+	outer, inner := &recorder{}, &recorder{}
+	tee := NewTee(outer, NewTee(nested, inner), NewRemap(direct, []int{0, 0, 9}))
 	tee.AcceptPacked(2, block)
 	if len(nested.blocks) != 1 || &nested.blocks[0][0] != &block[0] || nested.jobs[0] != 2 {
 		t.Fatalf("nested packed leaf got %d blocks for jobs %v, want the block itself for job 2", len(nested.blocks), nested.jobs)
@@ -36,10 +36,9 @@ func TestTeeForwardsBlocks(t *testing.T) {
 	if len(direct.blocks) != 1 || !bytes.Equal(direct.blocks[0], block) || direct.jobs[0] != 9 {
 		t.Fatalf("remapped packed leaf got jobs %v, want the block for job 9", direct.jobs)
 	}
-	for name, r := range map[string]*Ring{"outer": ring, "nested": inner} {
-		got := r.Snapshot()
-		if len(got) != 3 || got[0].Job != 2 || got[2].Sample != sample(3) {
-			t.Fatalf("%s sample leaf got %+v, want samples 1..3 of job 2", name, got)
+	for name, r := range map[string]*recorder{"outer": outer, "nested": inner} {
+		if len(r.jobs) != 3 || r.jobs[0] != 2 || r.samples[2] != sample(3) {
+			t.Fatalf("%s sample leaf got jobs %v samples %+v, want samples 1..3 of job 2", name, r.jobs, r.samples)
 		}
 	}
 }

@@ -8,12 +8,16 @@ import (
 
 // recorder captures forwarded (job, sample) pairs.
 type recorder struct {
-	jobs   []JobID
-	closed int
+	jobs    []JobID
+	samples []device.Sample
+	closed  int
 }
 
-func (r *recorder) Accept(job JobID, s device.Sample) { r.jobs = append(r.jobs, job) }
-func (r *recorder) Close() error                      { r.closed++; return nil }
+func (r *recorder) Accept(job JobID, s device.Sample) {
+	r.jobs = append(r.jobs, job)
+	r.samples = append(r.samples, s)
+}
+func (r *recorder) Close() error { r.closed++; return nil }
 
 func TestRemapTranslatesAndDrops(t *testing.T) {
 	rec := &recorder{}

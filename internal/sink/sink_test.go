@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -15,26 +14,6 @@ import (
 
 func sample(t float64) device.Sample {
 	return device.Sample{TimeSec: t, SkinC: 30 + t, ScreenC: 29, DieC: 50, BatteryC: 31, FreqMHz: 1026, Util: 0.5, MaxLevel: 11}
-}
-
-func TestCSVHeaderAndRows(t *testing.T) {
-	var b strings.Builder
-	c := NewCSV(&b)
-	c.Accept(3, sample(1))
-	c.Accept(4, sample(2))
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d want header + 2 rows", len(lines))
-	}
-	if lines[0] != csvHeader {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "3,1.000,31.0000") {
-		t.Fatalf("row = %q", lines[1])
-	}
 }
 
 func TestJSONLShape(t *testing.T) {
@@ -148,115 +127,14 @@ func BenchmarkAppendJSONL(b *testing.B) {
 	sinkBytes = buf
 }
 
-func TestRingKeepsTail(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 5; i++ {
-		r.Accept(JobID(i), sample(float64(i)))
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d want 5", r.Total())
-	}
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot = %d entries want 3", len(snap))
-	}
-	for i, e := range snap {
-		if int(e.Job) != i+2 {
-			t.Fatalf("snapshot[%d].Job = %d want %d (oldest first)", i, e.Job, i+2)
-		}
-	}
-}
-
-func TestDownsamplerPerJobPeriod(t *testing.T) {
-	r := NewRing(100)
-	d := NewDownsampler(10, r)
-	for _, ts := range []float64{0, 1, 9.5, 10, 15, 20} {
-		d.Accept(1, sample(ts))
-	}
-	d.Accept(2, sample(3)) // independent job: first sample passes
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var job1 []float64
-	job2 := 0
-	for _, e := range r.Snapshot() {
-		switch e.Job {
-		case 1:
-			job1 = append(job1, e.Sample.TimeSec)
-		case 2:
-			job2++
-		}
-	}
-	want := []float64{0, 10, 20}
-	if len(job1) != len(want) {
-		t.Fatalf("job 1 passed %v want %v", job1, want)
-	}
-	for i := range want {
-		if job1[i] != want[i] {
-			t.Fatalf("job 1 passed %v want %v", job1, want)
-		}
-	}
-	if job2 != 1 {
-		t.Fatalf("job 2 passed %d samples want 1", job2)
-	}
-}
-
 func TestTeeFansOut(t *testing.T) {
-	a, b := NewRing(10), NewRing(10)
+	a, b := &recorder{}, &recorder{}
 	tee := NewTee(a, b)
 	tee.Accept(0, sample(1))
 	if err := tee.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Total() != 1 || b.Total() != 1 {
-		t.Fatalf("fan-out totals = %d/%d want 1/1", a.Total(), b.Total())
-	}
-}
-
-func TestFromFuncSerializes(t *testing.T) {
-	n := 0
-	s := FromFunc(func(device.Sample) { n++ }) // unsynchronized on purpose
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s.Accept(0, sample(float64(i)))
-			}
-		}()
-	}
-	wg.Wait()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 800 {
-		t.Fatalf("observer saw %d calls want 800 (FromFunc must serialize)", n)
-	}
-}
-
-// errWriter fails after the first write.
-type errWriter struct{ n int }
-
-func (w *errWriter) Write(p []byte) (int, error) {
-	w.n++
-	if w.n > 1 {
-		return 0, &writeErr{}
-	}
-	return len(p), nil
-}
-
-type writeErr struct{}
-
-func (*writeErr) Error() string { return "disk full" }
-
-func TestCSVLatchesWriteError(t *testing.T) {
-	c := NewCSV(&errWriter{})
-	// Overflow the 4 KiB bufio buffer so the underlying writer is hit.
-	for i := 0; i < 200; i++ {
-		c.Accept(0, sample(float64(i)))
-	}
-	if err := c.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Close = %v, want the latched write error", err)
+	if len(a.jobs) != 1 || len(b.jobs) != 1 {
+		t.Fatalf("fan-out totals = %d/%d want 1/1", len(a.jobs), len(b.jobs))
 	}
 }

@@ -38,6 +38,17 @@ func (c *countingSink) Accept(job repro.SinkJobID, s repro.Sample) {
 
 func (c *countingSink) Close() error { return nil }
 
+// total is the number of samples accepted across all jobs.
+func (c *countingSink) total() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, k := range c.counts {
+		n += k
+	}
+	return n
+}
+
 // startNetDaemon runs an in-process worker daemon (the TCP equivalent of
 // `ustaworker -listen`) and returns its address.
 func startNetDaemon(t *testing.T, capacity int) string {

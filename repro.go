@@ -157,8 +157,8 @@ type (
 	// ScenarioPoint is one job's grid coordinates.
 	ScenarioPoint = scenario.Point
 
-	// Sink consumes streamed per-job telemetry; see NewCSVSink,
-	// NewJSONLSink, NewRingSink, NewDownsampler, NewTeeSink.
+	// Sink consumes streamed per-job telemetry; see NewJSONLSink and
+	// NewViolationSink.
 	Sink = sink.Sink
 	// SinkJobID tags a sample with the job that produced it.
 	SinkJobID = sink.JobID
@@ -425,29 +425,9 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 	return &SweepResult{Grid: sw.Grid, Results: res.Results, Stats: res.Stats, RunStats: res.RunStats}, nil
 }
 
-// Streaming sink constructors (see internal/sink for semantics). All
-// built-ins are safe for concurrent Accept calls and latch their first
-// I/O error for Close.
-
-// NewCSVSink streams samples as CSV rows with a leading job column.
-func NewCSVSink(w io.Writer) Sink { return sink.NewCSV(w) }
-
-// NewJSONLSink streams samples as one JSON object per line.
+// NewJSONLSink streams samples as one JSON object per line. It is safe
+// for concurrent Accept calls and latches its first I/O error for Close.
 func NewJSONLSink(w io.Writer) Sink { return sink.NewJSONL(w) }
-
-// NewRingSink keeps the most recent n samples across all jobs.
-func NewRingSink(n int) *sink.Ring { return sink.NewRing(n) }
-
-// NewDownsampler forwards at most one sample per job per periodSec of
-// simulated time to next.
-func NewDownsampler(periodSec float64, next Sink) Sink { return sink.NewDownsampler(periodSec, next) }
-
-// NewTeeSink fans every sample out to all children.
-func NewTeeSink(sinks ...Sink) Sink { return sink.NewTee(sinks...) }
-
-// SinkFromFunc adapts a legacy func(Sample) observer into a Sink — the
-// backward-compatible bridge for WithObserver-era consumers.
-func SinkFromFunc(fn func(Sample)) Sink { return sink.FromFunc(fn) }
 
 // NewViolationSink accumulates per-job time-over-limit statistics from a
 // stream (limits indexed by job, typically ScenarioGrid.Limits) — the

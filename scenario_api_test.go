@@ -119,12 +119,12 @@ func TestObserverAndSinkStillStreamWhenTraceFree(t *testing.T) {
 	}
 
 	var observed []float64
-	ring := repro.NewRingSink(1000)
+	streamed := newCountingSink()
 	free, err := repro.NewSession(
 		repro.WithSeed(99),
 		repro.WithTraceFree(),
 		repro.WithObserver(func(s repro.Sample) { observed = append(observed, s.TimeSec) }),
-		repro.WithSink(ring),
+		repro.WithSink(streamed),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +139,8 @@ func TestObserverAndSinkStillStreamWhenTraceFree(t *testing.T) {
 	if len(observed) != ref.Trace.Len() {
 		t.Fatalf("observer saw %d samples, traced run recorded %d rows", len(observed), ref.Trace.Len())
 	}
-	if ring.Total() != ref.Trace.Len() {
-		t.Fatalf("sink saw %d samples, traced run recorded %d rows", ring.Total(), ref.Trace.Len())
+	if streamed.total() != ref.Trace.Len() {
+		t.Fatalf("sink saw %d samples, traced run recorded %d rows", streamed.total(), ref.Trace.Len())
 	}
 	for i, ts := range observed {
 		if ts != ref.Trace.TimeSec[i] {
@@ -161,8 +161,8 @@ func TestFleetSinkTagsJobs(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = repro.Job{Workload: w, TraceFree: true}
 	}
-	ring := repro.NewRingSink(10000)
-	fl := repro.NewFleet(repro.FleetConfig{Workers: 2, Seed: 1, Sink: ring})
+	streamed := newCountingSink()
+	fl := repro.NewFleet(repro.FleetConfig{Workers: 2, Seed: 1, Sink: streamed})
 	for _, r := range fl.Run(context.Background(), jobs) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -171,10 +171,7 @@ func TestFleetSinkTagsJobs(t *testing.T) {
 			t.Fatal("trace-free job retained a trace")
 		}
 	}
-	perJob := map[int]int{}
-	for _, e := range ring.Snapshot() {
-		perJob[int(e.Job)]++
-	}
+	perJob := streamed.counts
 	if len(perJob) != len(jobs) {
 		t.Fatalf("sink saw %d distinct jobs, want %d", len(perJob), len(jobs))
 	}
@@ -285,7 +282,7 @@ func TestScenarioViolationAnalyticsTraceFree(t *testing.T) {
 	// own trace-free accounting uses.
 	var external *repro.ViolationSink
 	res, err := repro.RunScenario(context.Background(), spec, repro.ScenarioPredictor(pred),
-		repro.ScenarioSink(repro.SinkFromFunc(func(repro.Sample) {})))
+		repro.ScenarioSink(newCountingSink()))
 	if err != nil {
 		t.Fatal(err)
 	}
