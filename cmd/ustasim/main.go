@@ -130,13 +130,8 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 			cpuFile = nil
 		}
 		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
 			runtime.GC() // materialize retained-heap accounting
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := writeFile(memPath, pprof.WriteHeapProfile); err != nil {
 				return fmt.Errorf("write heap profile: %w", err)
 			}
 			memPath = ""
@@ -240,18 +235,8 @@ func dumpFig4(res *experiments.Fig4Result, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	base, err := os.Create(filepath.Join(dir, "fig4_baseline.csv"))
-	if err != nil {
+	if err := writeFile(filepath.Join(dir, "fig4_baseline.csv"), res.Baseline.Trace.WriteCSV); err != nil {
 		return err
 	}
-	defer base.Close()
-	if err := res.Baseline.Trace.WriteCSV(base); err != nil {
-		return err
-	}
-	usta, err := os.Create(filepath.Join(dir, "fig4_usta.csv"))
-	if err != nil {
-		return err
-	}
-	defer usta.Close()
-	return res.USTA.Trace.WriteCSV(usta)
+	return writeFile(filepath.Join(dir, "fig4_usta.csv"), res.USTA.Trace.WriteCSV)
 }

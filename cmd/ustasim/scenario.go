@@ -142,18 +142,18 @@ func runScenario(o cliOptions, out io.Writer) error {
 		if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
 			return err
 		}
-		if err := writeCSV(filepath.Join(o.csvDir, "comfort.csv"), func(w io.Writer) error {
+		if err := writeFile(filepath.Join(o.csvDir, "comfort.csv"), func(w io.Writer) error {
 			return repro.WriteComfortCSV(w, comfort)
 		}); err != nil {
 			return err
 		}
 		if showHeat {
-			if err := writeCSV(filepath.Join(o.csvDir, "heatmap.csv"), heat.WriteCSV); err != nil {
+			if err := writeFile(filepath.Join(o.csvDir, "heatmap.csv"), heat.WriteCSV); err != nil {
 				return err
 			}
 		}
 		if deltas != nil {
-			if err := writeCSV(filepath.Join(o.csvDir, "deltas.csv"), func(w io.Writer) error {
+			if err := writeFile(filepath.Join(o.csvDir, "deltas.csv"), func(w io.Writer) error {
 				return repro.WriteDeltasCSV(w, deltas)
 			}); err != nil {
 				return err
@@ -164,8 +164,9 @@ func runScenario(o cliOptions, out io.Writer) error {
 	return nil
 }
 
-// writeCSV writes one aggregate table to a file.
-func writeCSV(path string, write func(io.Writer) error) error {
+// writeFile creates path and fills it with write. A failed Close fails the
+// write too: it can be the flush that lost the data.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

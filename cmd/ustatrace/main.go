@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -91,20 +92,29 @@ func main() {
 		res.MaxSkinC, res.MaxScreenC, res.AvgFreqMHz/1000, res.EnergyJ,
 		res.StartSoC*100, res.EndSoC*100)
 
-	dst := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ustatrace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		dst = f
+	if *out == "" {
+		err = res.Trace.WriteCSV(os.Stdout)
+	} else {
+		err = writeFile(*out, res.Trace.WriteCSV)
 	}
-	if err := res.Trace.WriteCSV(dst); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ustatrace:", err)
 		os.Exit(1)
 	}
+}
+
+// writeFile creates path and fills it with write. A failed Close fails the
+// write too: it can be the flush that lost the data.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func ctrlSuffix(ctrl string) string {

@@ -1,7 +1,12 @@
 // Command ustatrain runs the paper's training pipeline end to end: collect
 // the logging corpus from the evaluation workloads, cross-validate the
-// chosen algorithm, fit the final predictor and save it as JSON (plus,
-// optionally, the corpus as WEKA-compatible ARFF).
+// chosen algorithm, fit the final predictor and, for REPTree, save it as
+// JSON (plus, optionally, the corpus as WEKA-compatible ARFF).
+//
+// Only REPTree predictors are saved: the paper deploys REPTree alone, and
+// a predictor document holds nothing else. The other models are for the
+// offline comparison (Fig. 3): with them ustatrain writes no predictor,
+// and an explicit -out is refused before the corpus is collected.
 //
 //	ustatrain -model reptree -out predictor.json
 //	ustatrain -model m5p -arff corpus_skin.arff
@@ -12,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -28,7 +34,7 @@ import (
 func main() {
 	var (
 		model   = flag.String("model", "reptree", "reptree|m5p|linreg|mlp")
-		out     = flag.String("out", "predictor.json", "predictor output path (empty = skip)")
+		out     = flag.String("out", "predictor.json", "REPTree predictor output path (empty = skip; other models save none)")
 		arff    = flag.String("arff", "", "also dump the skin-target corpus as ARFF to this path")
 		seed    = flag.Int64("seed", 42, "pipeline seed")
 		perRun  = flag.Float64("per-run", 0, "truncate each corpus run to this many seconds (0 = full)")
@@ -57,6 +63,15 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "ustatrain: unknown model %q\n", *model)
 		os.Exit(1)
+	}
+	if *model != "reptree" {
+		outSet := false
+		flag.Visit(func(f *flag.Flag) { outSet = outSet || f.Name == "out" })
+		if outSet && *out != "" {
+			fmt.Fprintf(os.Stderr, "ustatrain: -out saves REPTree predictors only; -model %s trains for comparison, so drop -out\n", *model)
+			os.Exit(1)
+		}
+		*out = ""
 	}
 
 	cfg := device.DefaultConfig()
@@ -102,31 +117,31 @@ func main() {
 		}
 	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if err := writeFile(*out, func(w io.Writer) error { return core.SavePredictor(w, predictor) }); err != nil {
 			fmt.Fprintln(os.Stderr, "ustatrain:", err)
 			os.Exit(1)
 		}
-		if err := core.SavePredictor(f, predictor); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "ustatrain:", err)
-			os.Exit(1)
-		}
-		f.Close()
 		fmt.Printf("predictor saved to %s\n", *out)
 	}
 	if *arff != "" {
-		f, err := os.Create(*arff)
-		if err != nil {
+		if err := writeFile(*arff, func(w io.Writer) error { return ml.WriteARFF(w, "usta-skin", skinDS) }); err != nil {
 			fmt.Fprintln(os.Stderr, "ustatrain:", err)
 			os.Exit(1)
 		}
-		if err := ml.WriteARFF(f, "usta-skin", core.DatasetFromRecords(corpus, core.SkinTarget)); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "ustatrain:", err)
-			os.Exit(1)
-		}
-		f.Close()
 		fmt.Printf("skin corpus saved to %s\n", *arff)
 	}
+}
+
+// writeFile creates path and fills it with write. A failed Close fails the
+// write too: it can be the flush that lost the data.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

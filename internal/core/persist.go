@@ -3,7 +3,7 @@ package core
 // Predictor persistence: the paper's deployment story is "train offline in
 // WEKA, ship the fitted tree to the phone". SavePredictor/LoadPredictor
 // are that hand-off: a single JSON document with an algorithm tag and the
-// two fitted per-target models.
+// two fitted per-target REPTree models.
 
 import (
 	"encoding/json"
@@ -12,9 +12,6 @@ import (
 	"io"
 
 	"repro/internal/ml"
-	"repro/internal/ml/linreg"
-	"repro/internal/ml/m5p"
-	"repro/internal/ml/mlp"
 	"repro/internal/ml/tree"
 	"repro/internal/sensors"
 )
@@ -25,13 +22,15 @@ import (
 // rather than let one crash the process that runs the controller.
 var ErrModelShape = errors.New("core: model does not fit the feature tuple")
 
-// persistedModel is a regressor LoadPredictor can decode and check.
-type persistedModel interface {
-	ml.Regressor
-	// CheckInputs reports an error unless Predict is safe on every input
-	// of n features.
-	CheckInputs(n int) error
-}
+// ErrNotREPTree marks a predictor whose models are not REPTrees. The paper
+// deploys REPTree alone, so a predictor document holds REPTree models
+// only: SavePredictor refuses to write any other model and LoadPredictor
+// refuses any other algorithm tag. M5P, MLP and linear-regression
+// predictors train and drive USTA in-process only.
+var ErrNotREPTree = errors.New("core: predictor documents hold REPTree models only")
+
+// reptreeTag is the algorithm tag of every predictor document.
+const reptreeTag = "REPTree"
 
 type persistedPredictor struct {
 	Algorithm string          `json:"algorithm"`
@@ -39,52 +38,17 @@ type persistedPredictor struct {
 	Screen    json.RawMessage `json:"screen"`
 }
 
-func algorithmOf(r ml.Regressor) (string, error) {
-	switch r.(type) {
-	case *tree.Model:
-		return "REPTree", nil
-	case *m5p.Model:
-		return "M5P", nil
-	case *linreg.Model:
-		return "LinearRegression", nil
-	case *mlp.Model:
-		return "MultilayerPerceptron", nil
-	default:
-		return "", fmt.Errorf("core: unsupported regressor type %T", r)
-	}
-}
-
-func emptyModel(algorithm string) (persistedModel, error) {
-	switch algorithm {
-	case "REPTree":
-		return &tree.Model{}, nil
-	case "M5P":
-		return &m5p.Model{}, nil
-	case "LinearRegression":
-		return &linreg.Model{}, nil
-	case "MultilayerPerceptron":
-		return &mlp.Model{}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %q", algorithm)
-	}
-}
-
-// SavePredictor serializes a trained predictor to w. Both per-target models
-// must be of the same supported algorithm.
+// SavePredictor serializes a trained predictor to w. Both per-target
+// models must be REPTrees; any other model fails with an error wrapping
+// ErrNotREPTree.
 func SavePredictor(w io.Writer, p *Predictor) error {
 	if p == nil || p.SkinModel == nil || p.ScreenModel == nil {
 		return fmt.Errorf("core: predictor is not fully trained")
 	}
-	algo, err := algorithmOf(p.SkinModel)
-	if err != nil {
-		return err
-	}
-	algo2, err := algorithmOf(p.ScreenModel)
-	if err != nil {
-		return err
-	}
-	if algo != algo2 {
-		return fmt.Errorf("core: mixed-algorithm predictor (%s skin, %s screen) not supported", algo, algo2)
+	for _, m := range []ml.Regressor{p.SkinModel, p.ScreenModel} {
+		if _, ok := m.(*tree.Model); !ok {
+			return fmt.Errorf("%w, not %T", ErrNotREPTree, m)
+		}
 	}
 	skin, err := json.Marshal(p.SkinModel)
 	if err != nil {
@@ -95,25 +59,22 @@ func SavePredictor(w io.Writer, p *Predictor) error {
 		return fmt.Errorf("core: marshal screen model: %w", err)
 	}
 	enc := json.NewEncoder(w)
-	return enc.Encode(persistedPredictor{Algorithm: algo, Skin: skin, Screen: screen})
+	return enc.Encode(persistedPredictor{Algorithm: reptreeTag, Skin: skin, Screen: screen})
 }
 
-// LoadPredictor deserializes a predictor saved by SavePredictor. Models
-// whose feature references do not fit sensors.FeatureNames fail with an
-// error wrapping ErrModelShape.
+// LoadPredictor deserializes a predictor saved by SavePredictor. A
+// document tagged with any algorithm but REPTree fails with an error
+// wrapping ErrNotREPTree; trees whose feature references do not fit
+// sensors.FeatureNames fail with an error wrapping ErrModelShape.
 func LoadPredictor(r io.Reader) (*Predictor, error) {
 	var pp persistedPredictor
 	if err := json.NewDecoder(r).Decode(&pp); err != nil {
 		return nil, fmt.Errorf("core: decode predictor: %w", err)
 	}
-	skin, err := emptyModel(pp.Algorithm)
-	if err != nil {
-		return nil, err
+	if pp.Algorithm != reptreeTag {
+		return nil, fmt.Errorf("%w, not %q", ErrNotREPTree, pp.Algorithm)
 	}
-	screen, err := emptyModel(pp.Algorithm)
-	if err != nil {
-		return nil, err
-	}
+	skin, screen := &tree.Model{}, &tree.Model{}
 	if err := json.Unmarshal(pp.Skin, skin); err != nil {
 		return nil, fmt.Errorf("core: decode skin model: %w", err)
 	}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -8,10 +8,15 @@ import (
 	"strings"
 	"testing"
 
+	// Dot import: these tests sit in an external package only so that they
+	// can also run the wire codec, which imports core.
+	. "repro/internal/core"
+	"repro/internal/fleet/wire"
 	"repro/internal/ml"
 	"repro/internal/ml/linreg"
 	"repro/internal/ml/m5p"
 	"repro/internal/ml/mlp"
+	"repro/internal/ml/tree"
 	"repro/internal/sensors"
 )
 
@@ -61,20 +66,31 @@ func roundTrip(t *testing.T, factory func() ml.Regressor) *Predictor {
 
 func TestPersistREPTree(t *testing.T) { roundTrip(t, nil) }
 
-func TestPersistM5P(t *testing.T) {
-	roundTrip(t, func() ml.Regressor { return m5p.New() })
-}
-
-func TestPersistLinearRegression(t *testing.T) {
-	roundTrip(t, func() ml.Regressor { return linreg.New() })
-}
-
-func TestPersistMLP(t *testing.T) {
-	roundTrip(t, func() ml.Regressor {
-		m := mlp.New(3)
-		m.Epochs = 20
-		return m
-	})
+// TestSaveRefusesOtherModels: a predictor whose skin or screen model is
+// not a REPTree trains, but never becomes a document.
+func TestSaveRefusesOtherModels(t *testing.T) {
+	reptree, err := Train(persistCorpus(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, factory := range map[string]func() ml.Regressor{
+		"M5P":                  func() ml.Regressor { return m5p.New() },
+		"LinearRegression":     func() ml.Regressor { return linreg.New() },
+		"MultilayerPerceptron": func() ml.Regressor { m := mlp.New(3); m.Epochs = 20; return m },
+	} {
+		p, err := Train(persistCorpus(), factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []*Predictor{p, {SkinModel: reptree.SkinModel, ScreenModel: p.ScreenModel}} {
+			if err := SavePredictor(new(bytes.Buffer), q); !errors.Is(err, ErrNotREPTree) {
+				t.Fatalf("%s: SavePredictor = %v; want ErrNotREPTree", name, err)
+			}
+			if enc, err := wire.EncodePredictor(q); !errors.Is(err, ErrNotREPTree) {
+				t.Fatalf("%s: EncodePredictor = %v, %v; want ErrNotREPTree", name, enc, err)
+			}
+		}
+	}
 }
 
 func TestSaveRejectsNilPredictor(t *testing.T) {
@@ -101,20 +117,25 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestUnfittedModelsRefuseToMarshal(t *testing.T) {
 	var buf bytes.Buffer
-	p := &Predictor{SkinModel: &mlp.Model{}, ScreenModel: &mlp.Model{}}
+	p := &Predictor{SkinModel: &tree.Model{}, ScreenModel: &tree.Model{}}
 	if err := SavePredictor(&buf, p); err == nil {
-		t.Fatal("unfitted MLP marshalled")
+		t.Fatal("unfitted REPTree marshalled")
 	}
 }
 
-// misfitDocs are predictor documents that decode as JSON but whose models
-// reference features outside sensors.FeatureNames: predicting with any of
-// them indexes past the four-feature input.
+// misfitDocs are REPTree documents that decode as JSON but whose trees
+// split on features outside sensors.FeatureNames: predicting with either
+// of them indexes past the four-feature input.
 var misfitDocs = []struct{ name, doc string }{
 	{"REPTree split on feature 7",
 		`{"algorithm":"REPTree","skin":{"root":{"attr":7,"thr":1,"l":{"v":1,"leaf":true},"r":{"v":2,"leaf":true},"v":0,"leaf":false}},"screen":{"root":{"v":30,"leaf":true}}}`},
 	{"REPTree split on a negative feature",
 		`{"algorithm":"REPTree","skin":{"root":{"v":30,"leaf":true}},"screen":{"root":{"attr":-1,"thr":1,"l":{"v":1,"leaf":true},"r":{"v":2,"leaf":true},"v":0,"leaf":false}}}`},
+}
+
+// refusedDocs are documents of the models the paper compares offline but
+// never deploys. Well-formed or not, they are refused by their tag.
+var refusedDocs = []struct{ name, doc string }{
 	{"M5P split on feature 9",
 		`{"algorithm":"M5P","skin":{"root":{"attr":9,"thr":1,"l":{"lm":[1,0,0,0,0],"n":3,"leaf":true},"r":{"lm":[1,0,0,0,0],"n":3,"leaf":true},"lm":[1,0,0,0,0],"n":6}},"screen":{"root":{"lm":[30,0,0,0,0],"n":1,"leaf":true}}}`},
 	{"M5P leaf model with one term",
@@ -127,17 +148,26 @@ var misfitDocs = []struct{ name, doc string }{
 		`{"algorithm":"MultilayerPerceptron","skin":{"hidden":1,"w_in":[[0,0,0,0,0]],"w_out":[1,0],"in_lo":[0,0,0,0],"in_hi":[1],"y_lo":20,"y_hi":40},"screen":{"hidden":1,"w_in":[[0,0,0,0,0]],"w_out":[1,0],"in_lo":[0,0,0,0],"in_hi":[1,1,1,1],"y_lo":20,"y_hi":40}}`},
 }
 
-// TestLoadRejectsMisfitModels: a document whose models do not fit the
-// feature tuple is refused at decode with ErrModelShape — never handed to
-// a controller whose first prediction would panic.
+// TestLoadRejectsMisfitModels: a document that is not a REPTree pair is
+// refused with ErrNotREPTree, and one whose trees do not fit the feature
+// tuple with ErrModelShape, by the loader and by the wire decoder every
+// worker runs — never handed to a controller whose first prediction
+// would panic.
 func TestLoadRejectsMisfitModels(t *testing.T) {
-	for _, tc := range misfitDocs {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := LoadPredictor(strings.NewReader(tc.doc))
-			if !errors.Is(err, ErrModelShape) {
-				t.Fatalf("got predictor %v, err %v; want ErrModelShape", p, err)
-			}
-		})
+	for _, table := range []struct {
+		docs []struct{ name, doc string }
+		want error
+	}{{misfitDocs, ErrModelShape}, {refusedDocs, ErrNotREPTree}} {
+		for _, tc := range table.docs {
+			t.Run(tc.name, func(t *testing.T) {
+				if p, err := LoadPredictor(strings.NewReader(tc.doc)); !errors.Is(err, table.want) {
+					t.Fatalf("LoadPredictor = %v, %v; want %v", p, err, table.want)
+				}
+				if p, err := wire.DecodePredictor([]byte(tc.doc)); !errors.Is(err, table.want) {
+					t.Fatalf("wire.DecodePredictor = %v, %v; want %v", p, err, table.want)
+				}
+			})
+		}
 	}
 }
 
@@ -145,7 +175,7 @@ func TestLoadRejectsMisfitModels(t *testing.T) {
 // it accepts is safe to predict with on any record — zeros, NaN, ±Inf —
 // and survives a save/load round trip unchanged.
 func FuzzLoadPredictor(f *testing.F) {
-	for _, tc := range misfitDocs {
+	for _, tc := range append(misfitDocs, refusedDocs...) {
 		f.Add([]byte(tc.doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

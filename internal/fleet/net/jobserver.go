@@ -52,6 +52,8 @@ type JobServer struct {
 	// Workers bounds each job's worker pool (<= 0: GOMAXPROCS).
 	Workers int
 	// Predictor, when set, backs usta schemes without per-job training.
+	// One that is not REPTree runs on the in-process pool only: on a
+	// *Runner every job that needs it fails with core.ErrNotREPTree.
 	Predictor *core.Predictor
 	// Admission gates POST /jobs: a submission that cannot take a token
 	// immediately is answered 429 (nil: always admit).
@@ -282,13 +284,12 @@ func (s *JobServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	id := fmt.Sprintf("j%d", s.seq)
-	ctx, cancel := context.WithCancel(s.ctx)
-	j := &serverJob{id: id, status: "running", cancel: cancel,
+	j := &serverJob{id: id, status: "running",
 		deadlineSec: s.JobDeadline.Seconds(),
 		busReady:    make(chan struct{})}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.wg.Add(1)
+	run := s.launch(j, spec, nil)
 	s.mu.Unlock()
 	if s.Store != nil {
 		// Journal the submission (synced) before acknowledging: an accepted
@@ -303,17 +304,31 @@ func (s *JobServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.logf("net: job %s: submitted", id)
-	go func() {
+	go run()
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
+}
+
+// launch gives j its context, a child of the server's so that Close
+// cancels it, and counts j in s.wg, which Close waits on. It returns the
+// body of j's goroutine, which runs the sweep within the job's deadline
+// window; the caller starts it with go once the job is ready to execute.
+// The window opens when the goroutine starts, so a recovered job gets a
+// fresh one: wall-clock spent before a crash is unknowable, and charging
+// it would strand the resume. Caller holds s.mu and has checked s.closed.
+func (s *JobServer) launch(j *serverJob, spec *scenario.Spec, rec *durable.RecoveredJob) func() {
+	ctx, cancel := context.WithCancel(s.ctx)
+	j.cancel = cancel
+	s.wg.Add(1)
+	return func() {
 		defer s.wg.Done()
 		defer cancel()
-		if s.JobDeadline > 0 {
+		if j.deadlineSec > 0 {
 			var dcancel context.CancelFunc
-			ctx, dcancel = context.WithTimeout(ctx, s.JobDeadline)
+			ctx, dcancel = context.WithTimeout(ctx, time.Duration(j.deadlineSec*float64(time.Second)))
 			defer dcancel()
 		}
-		s.execute(ctx, j, spec, nil)
-	}()
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
+		s.execute(ctx, j, spec, rec)
+	}
 }
 
 // journalDegraded marks a job unjournaled after a state-store failure,

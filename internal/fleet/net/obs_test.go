@@ -367,6 +367,29 @@ func getBody(t *testing.T, ts *httptest.Server, path string) string {
 	return string(data)
 }
 
+// TestJobServerDashboard: GET / serves the embedded dashboard as HTML.
+func TestJobServerDashboard(t *testing.T) {
+	js := fleetnet.NewJobServer(nil)
+	defer js.Close()
+	ts := httptest.NewServer(js.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || !strings.HasPrefix(ct, "text/html") {
+		t.Fatalf("GET / = %d, Content-Type %q; want 200 text/html", resp.StatusCode, ct)
+	}
+	if !bytes.Equal(body, obs.DashboardHTML) {
+		t.Fatalf("GET / served %d bytes; want the %d of obs.DashboardHTML", len(body), len(obs.DashboardHTML))
+	}
+}
+
 // TestMetricsAndFleetUnderChaos is the live-stats acceptance criterion:
 // during a chaos-injected run (connections dropped mid-stream, forcing
 // redials), /fleet and /metrics expose the recovery counters of the

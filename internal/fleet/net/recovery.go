@@ -1,9 +1,7 @@
 package net
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/fleet/durable"
 	"repro/internal/scenario"
@@ -101,24 +99,12 @@ func (s *JobServer) restoreJob(rec *durable.RecoveredJob) *serverJob {
 		s.finishJob(j, durable.Status{Status: j.status, Error: j.errMsg})
 		return j
 	}
-	ctx, cancel := context.WithCancel(s.ctx)
-	j := &serverJob{id: rec.ID, status: "running", cancel: cancel,
+	j := &serverJob{id: rec.ID, status: "running",
 		deadlineSec: rec.Sub.DeadlineSec,
 		resumed:     len(rec.Done),
 		jlog:        rec.Log,
 		busReady:    make(chan struct{})}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer cancel()
-		if j.deadlineSec > 0 {
-			// The deadline restarts as a fresh window: wall-clock spent before
-			// the crash is unknowable and charging it would strand the resume.
-			var dcancel context.CancelFunc
-			ctx, dcancel = context.WithTimeout(ctx, time.Duration(j.deadlineSec*float64(time.Second)))
-			defer dcancel()
-		}
-		s.execute(ctx, j, spec, rec)
-	}()
+	run := s.launch(j, spec, rec)
+	go run()
 	return j
 }

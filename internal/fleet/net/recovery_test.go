@@ -148,6 +148,33 @@ func TestJobServerRestartUniqueIDs(t *testing.T) {
 	}
 }
 
+// TestJobServerListsJobs: GET /jobs lists every job, recovered ones too,
+// in submission order, each entry byte for byte the body GET /jobs/{id}
+// serves for it.
+func TestJobServerListsJobs(t *testing.T) {
+	dir := t.TempDir()
+	journalDone(t, dir, "j2")
+	_, ts := stateServer(t, dir)
+	ids := []string{"j2", submit(t, ts, e2eSpec), submit(t, ts, e2eSpec)}
+	for _, id := range ids {
+		if st := waitStatus(t, ts, id)["status"]; st != "done" {
+			t.Fatalf("job %s finished %v", id, st)
+		}
+	}
+	var list []json.RawMessage
+	if err := json.Unmarshal([]byte(getBody(t, ts, "/jobs")), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != len(ids) {
+		t.Fatalf("GET /jobs listed %d jobs; want %d", len(list), len(ids))
+	}
+	for i, id := range ids {
+		if got, want := string(list[i]), strings.TrimSuffix(getBody(t, ts, "/jobs/"+id), "\n"); got != want {
+			t.Fatalf("GET /jobs entry %d:\n got %s\nwant %s (GET /jobs/%s)", i, got, want, id)
+		}
+	}
+}
+
 // TestJobServerRestartIDsExhausted: a recovered job holding the largest
 // ID makes submissions fail instead of wrapping into negative IDs.
 func TestJobServerRestartIDsExhausted(t *testing.T) {

@@ -27,9 +27,6 @@ type Governor interface {
 	// NextLevel returns the desired level for the next window. The device
 	// layer saturates the result into the valid, clamped range.
 	NextLevel(s State) int
-	// Reset clears any internal state so the governor can be reused for a
-	// fresh run.
-	Reset()
 }
 
 // Ondemand reimplements the classic Linux/Android ondemand policy.
@@ -51,9 +48,6 @@ func NewOndemand(freqsMHz []float64) *Ondemand {
 
 // Name implements Governor.
 func (o *Ondemand) Name() string { return "ondemand" }
-
-// Reset implements Governor; ondemand is stateless between windows.
-func (o *Ondemand) Reset() {}
 
 // NextLevel implements the ondemand policy: above UpThreshold, jump to the
 // top level; otherwise pick the lowest frequency that would serve the
@@ -91,9 +85,6 @@ type Performance struct{ NumLevels int }
 // Name implements Governor.
 func (p *Performance) Name() string { return "performance" }
 
-// Reset implements Governor.
-func (p *Performance) Reset() {}
-
 // NextLevel implements Governor.
 func (p *Performance) NextLevel(State) int { return p.NumLevels - 1 }
 
@@ -102,9 +93,6 @@ type Powersave struct{}
 
 // Name implements Governor.
 func (p *Powersave) Name() string { return "powersave" }
-
-// Reset implements Governor.
-func (p *Powersave) Reset() {}
 
 // NextLevel implements Governor.
 func (p *Powersave) NextLevel(State) int { return 0 }
@@ -125,9 +113,6 @@ func NewConservative(numLevels int) *Conservative {
 
 // Name implements Governor.
 func (c *Conservative) Name() string { return "conservative" }
-
-// Reset implements Governor.
-func (c *Conservative) Reset() {}
 
 // NextLevel implements Governor.
 func (c *Conservative) NextLevel(s State) int {

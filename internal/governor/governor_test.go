@@ -144,18 +144,6 @@ func TestUserspacePins(t *testing.T) {
 	}
 }
 
-func TestResetIsSafe(t *testing.T) {
-	for _, g := range []Governor{
-		NewOndemand(freqs), &Performance{NumLevels: 12}, &Powersave{},
-		NewConservative(12), &Userspace{Level: 3},
-	} {
-		g.Reset()
-		if lvl := g.NextLevel(State{Util: 0.5, CurrentLevel: 5}); lvl < 0 || lvl >= 12 {
-			t.Fatalf("%s returned out-of-range level %d after Reset", g.Name(), lvl)
-		}
-	}
-}
-
 // Property: ondemand's decision is monotone in utilization for a fixed
 // current level.
 func TestOndemandMonotoneInUtilProperty(t *testing.T) {
@@ -207,9 +195,6 @@ type Userspace struct {
 
 // Name implements Governor.
 func (u *Userspace) Name() string { return fmt.Sprintf("userspace(L%d)", u.Level) }
-
-// Reset implements Governor.
-func (u *Userspace) Reset() {}
 
 // NextLevel implements Governor.
 func (u *Userspace) NextLevel(State) int { return u.Level }

@@ -24,9 +24,6 @@ func NewHotplug(maxCores int) *Hotplug {
 	return &Hotplug{MaxCores: maxCores, UpThreshold: 0.80, DownThreshold: 0.30, DwellSec: 1.0}
 }
 
-// Reset clears the dwell timer.
-func (h *Hotplug) Reset() { h.lastAction = 0 }
-
 // NextOnline returns the desired online-core count given the current
 // count and the window's utilization (measured against the *online*
 // capacity).

@@ -59,14 +59,3 @@ func TestHotplugSaturates(t *testing.T) {
 		t.Fatalf("zero input not clamped: %d", got)
 	}
 }
-
-func TestHotplugReset(t *testing.T) {
-	h := NewHotplug(4)
-	h.NextOnline(5.0, 0.95, 1)
-	h.Reset()
-	// After reset the dwell anchor is cleared, so an immediate action at
-	// t >= DwellSec succeeds.
-	if got := h.NextOnline(1.5, 0.95, 1); got != 2 {
-		t.Fatalf("post-reset action = %d want 2", got)
-	}
-}

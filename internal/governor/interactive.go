@@ -41,12 +41,6 @@ func NewInteractive(freqsMHz []float64) *Interactive {
 // Name implements Governor.
 func (g *Interactive) Name() string { return "interactive" }
 
-// Reset implements Governor.
-func (g *Interactive) Reset() {
-	g.lastChange = 0
-	g.lastLevel = 0
-}
-
 // NextLevel implements Governor.
 func (g *Interactive) NextLevel(s State) int {
 	top := len(g.FreqsMHz) - 1

@@ -68,10 +68,6 @@ func TestInteractiveRangeAndReset(t *testing.T) {
 			}
 		}
 	}
-	g.Reset()
-	if g.lastChange != 0 || g.lastLevel != 0 {
-		t.Fatal("Reset did not clear state")
-	}
 	if g.Name() != "interactive" {
 		t.Fatalf("Name = %q", g.Name())
 	}

@@ -19,9 +19,6 @@ func NewSchedutil(freqsMHz []float64) *Schedutil {
 // Name implements Governor.
 func (g *Schedutil) Name() string { return "schedutil" }
 
-// Reset implements Governor; schedutil is stateless.
-func (g *Schedutil) Reset() {}
-
 // NextLevel implements Governor.
 func (g *Schedutil) NextLevel(s State) int {
 	top := len(g.FreqsMHz) - 1

@@ -6,8 +6,6 @@
 package linreg
 
 import (
-	"fmt"
-
 	"repro/internal/mat"
 	"repro/internal/ml"
 )
@@ -63,13 +61,4 @@ func (m *Model) Predict(x []float64) float64 {
 		y += m.Coef[i+1] * v
 	}
 	return y
-}
-
-// CheckInputs reports an error unless Predict is safe on every input of n
-// features: the model must carry an intercept plus exactly n coefficients.
-func (m *Model) CheckInputs(n int) error {
-	if len(m.Coef) != n+1 {
-		return fmt.Errorf("linreg: %d coefficients for a %d-feature input, want %d", len(m.Coef), n, n+1)
-	}
-	return nil
 }

@@ -325,7 +325,9 @@ func ScenarioWorkers(n int) ScenarioOption { return func(rc *scenarioRun) { rc.w
 // workers through the run's FleetConfig, and the runner's RunStats for
 // this sweep alone come back in SweepResult.RunStats. Concurrent sweeps
 // may share one runner. A NewNetRunner returns no Trace or Records, so a
-// traced spec keeps its traces only on the in-process pool.
+// traced spec keeps its traces only on the in-process pool, and it ships
+// only REPTree predictors: any other ScenarioPredictor fails the sweep at
+// expansion with core.ErrNotREPTree.
 func ScenarioRunner(r Runner) ScenarioOption {
 	return func(rc *scenarioRun) { rc.runner = r }
 }
@@ -333,7 +335,8 @@ func ScenarioRunner(r Runner) ScenarioOption {
 // ScenarioPredictor supplies the trained predictor backing usta schemes.
 // Without it, RunScenario trains one from the spec's predictor settings
 // (deterministic, but a corpus collection per call — share a predictor
-// across sweeps when running many).
+// across sweeps when running many). A predictor that is not REPTree runs
+// in-process only; with a ScenarioRunner the sweep refuses it.
 func ScenarioPredictor(p *Predictor) ScenarioOption { return func(rc *scenarioRun) { rc.pred = p } }
 
 // ScenarioSink streams every job's telemetry into s during the sweep.
@@ -506,7 +509,9 @@ func TrainPredictor(corpus []Record) (*Predictor, error) {
 	return core.Train(corpus, nil)
 }
 
-// TrainPredictorWith fits a predictor using a custom model factory.
+// TrainPredictorWith fits a predictor using a custom model factory. A
+// predictor that is not REPTree runs in-process only: it cannot be saved,
+// and a sweep on a NewNetRunner refuses it with core.ErrNotREPTree.
 func TrainPredictorWith(corpus []Record, factory func() Regressor) (*Predictor, error) {
 	return core.Train(corpus, factory)
 }
